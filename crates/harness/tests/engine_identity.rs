@@ -1,0 +1,58 @@
+//! Engine identity: literal outcomes of three seed-42 runs, recorded on
+//! the commit before the event engine was rebuilt (slab wheel,
+//! direct-push `Context`). An engine change that reorders, drops or adds
+//! a single event moves `events_processed`; one that perturbs a tie-break
+//! or a fault-plan draw moves the decided count or a percentile. The
+//! numbers are the proof — they are not to be re-recorded by a PR that
+//! touches `netsim`.
+
+use netsim::SimDuration;
+use p4ce_harness::{
+    run_failover, run_point, ChaosSpec, FailoverConfig, PointConfig, PointOutcome, System,
+};
+use replication::WorkloadSpec;
+
+fn quick_point(system: System) -> PointOutcome {
+    let mut cfg = PointConfig::new(system, 2, WorkloadSpec::closed(16, 64, 0));
+    cfg.warmup = SimDuration::from_millis(1);
+    cfg.window = SimDuration::from_millis(4);
+    cfg.seed = 42;
+    run_point(&cfg)
+}
+
+#[test]
+fn p4ce_point_matches_the_recorded_run() {
+    let out = quick_point(System::P4ce);
+    assert_eq!(out.events_processed, 391_397);
+    assert_eq!(out.decided, 9_443);
+    assert_eq!(out.p50_latency_us, 6.72);
+    assert_eq!(out.p99_latency_us, 7.56);
+    assert!(out.accelerated);
+}
+
+#[test]
+fn mu_point_matches_the_recorded_run() {
+    let out = quick_point(System::Mu);
+    assert_eq!(out.events_processed, 241_018);
+    assert_eq!(out.decided, 4_721);
+    assert_eq!(out.p50_latency_us, 13.44);
+    assert_eq!(out.p99_latency_us, 14.28);
+}
+
+/// A leader kill under a loss + duplication + reorder + jitter +
+/// corruption storm: every frame on the group's links draws from the
+/// simulation RNG, so this also pins the order of fault-plan draws.
+#[test]
+fn stormy_failover_matches_the_recorded_run() {
+    let out = run_failover(&FailoverConfig {
+        seed: 42,
+        observe_for: SimDuration::from_millis(80),
+        sample: false,
+        chaos: Some(ChaosSpec::seeded(42, 3)),
+        ..FailoverConfig::default()
+    });
+    assert_eq!(out.events_processed, 153_023);
+    assert_eq!(out.group_decided, vec![1_926]);
+    assert_eq!(out.budget.unavailability().as_nanos(), 42_463_806);
+    assert!(out.budget.reconciles());
+}

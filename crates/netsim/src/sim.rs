@@ -736,12 +736,76 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unconnected port")]
-    fn sending_on_unconnected_port_panics() {
+    fn sending_on_unconnected_port_panics_with_the_node_id() {
         let mut sim = Simulation::new(1);
-        let tx = sim.add_node(Box::new(Burst { count: 1, size: 1 }));
+        sim.add_node(Box::new(Sink { arrivals: vec![] }));
+        sim.add_node(Box::new(Burst { count: 1, size: 1 }));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_to_completion();
+        }))
+        .expect_err("an unconnected send must panic");
+        let msg = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("node n1"), "{msg}");
+        assert!(msg.contains("unconnected port p0"), "{msg}");
+    }
+
+    #[test]
+    fn callback_effects_take_consecutive_seqs_and_taps_see_now() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        type Log = Rc<RefCell<Vec<&'static str>>>;
+
+        /// At t = 70 ns: send on port 0, arm a timer for the instant that
+        /// frame arrives, send on port 1 — three effects, one instant.
+        struct Emitter(Log);
+        impl Node for Emitter {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.schedule(SimDuration::from_nanos(70), TimerToken(0));
+            }
+            fn on_frame(&mut self, _p: PortId, _f: Frame, _c: &mut Context<'_>) {}
+            fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_>) {
+                if token.0 == 1 {
+                    self.0.borrow_mut().push("timer");
+                    return;
+                }
+                ctx.send(PortId::from_index(0), vec![0u8; 76].into());
+                // 76 + 24 wire bytes at 1 byte/ns + 50 ns propagation.
+                ctx.schedule(SimDuration::from_nanos(150), TimerToken(1));
+                ctx.send(PortId::from_index(1), vec![0u8; 76].into());
+            }
+        }
+        struct Named(&'static str, Log);
+        impl Node for Named {
+            fn on_frame(&mut self, _p: PortId, _f: Frame, _c: &mut Context<'_>) {
+                self.1.borrow_mut().push(self.0);
+            }
+        }
+
+        let log = Log::default();
+        let mut sim = Simulation::new(1);
+        let a = sim.add_node(Box::new(Emitter(log.clone())));
+        let b = sim.add_node(Box::new(Named("b", log.clone())));
+        let c = sim.add_node(Box::new(Named("c", log.clone())));
+        sim.connect(a, b, slow_link());
+        let (a_to_c, _) = sim.connect(a, c, slow_link());
+        let tap = sim.tap(a, a_to_c);
+        sim.run_until(SimTime::from_nanos(70));
+
+        // seq 0 was the start-up timer; the callback's three effects take
+        // 1, 2, 3 in emission order and all land at t = 220.
+        let co = sim.co_enabled();
+        let seqs: Vec<u64> = co.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert!(co.iter().all(|e| e.at == SimTime::from_nanos(220)));
+        let nodes: Vec<NodeId> = co.iter().map(|e| e.class.node()).collect();
+        assert_eq!(nodes, vec![b, a, c]);
+
+        let captured = sim.tap_frames(tap);
+        assert_eq!(captured.len(), 1);
+        assert_eq!(captured[0].0, SimTime::from_nanos(70));
+
         sim.run_to_completion();
-        let _ = tx;
+        assert_eq!(*log.borrow(), vec!["b", "timer", "c"]);
     }
 
     #[test]
