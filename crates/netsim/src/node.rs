@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use std::any::Any;
 use std::fmt;
 
+use crate::sim::{EventKind, Fabric};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a node inside a [`crate::Simulation`].
@@ -132,32 +133,17 @@ impl From<Vec<u8>> for Frame {
     }
 }
 
-/// Deferred side effects produced by a node callback; drained by the engine.
-#[derive(Debug)]
-pub(crate) enum Action {
-    Send {
-        node: NodeId,
-        port: PortId,
-        frame: Frame,
-    },
-    Timer {
-        node: NodeId,
-        at: SimTime,
-        token: TimerToken,
-    },
-}
-
 /// The environment handed to every node callback.
 ///
-/// All side effects (sending frames, arming timers) are buffered and applied
-/// by the engine after the callback returns, which keeps node code free of
+/// Side effects take hold as they are made: a sent frame is clocked onto
+/// its link and its arrival queued, a timer is queued, in call order.
+/// Nothing fires before the callback returns, so node code stays free of
 /// re-entrancy concerns.
 pub struct Context<'a> {
     /// The current simulated instant.
     pub now: SimTime,
     pub(crate) node: NodeId,
-    pub(crate) actions: &'a mut Vec<Action>,
-    pub(crate) rng: &'a mut StdRng,
+    pub(crate) fabric: &'a mut Fabric,
 }
 
 impl Context<'_> {
@@ -168,12 +154,12 @@ impl Context<'_> {
 
     /// Transmits `frame` on `port`. Delivery time is governed by the link's
     /// bandwidth, queue occupancy and propagation delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not connected.
     pub fn send(&mut self, port: PortId, frame: Frame) {
-        self.actions.push(Action::Send {
-            node: self.node,
-            port,
-            frame,
-        });
+        self.fabric.send(self.node, port, frame);
     }
 
     /// Arms a one-shot timer that fires `after` from now with `token`.
@@ -184,16 +170,13 @@ impl Context<'_> {
     /// Arms a one-shot timer at the absolute instant `at` with `token`.
     pub fn schedule_at(&mut self, at: SimTime, token: TimerToken) {
         debug_assert!(at >= self.now, "timer scheduled in the past");
-        self.actions.push(Action::Timer {
-            node: self.node,
-            at,
-            token,
-        });
+        let node = self.node;
+        self.fabric.push_event(at, EventKind::Timer { node, token });
     }
 
     /// The simulation's deterministic random-number generator.
     pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
+        &mut self.fabric.rng
     }
 }
 

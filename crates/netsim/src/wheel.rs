@@ -4,7 +4,9 @@
 //! arrivals — nanoseconds to microseconds ahead of the clock — which a
 //! binary heap serves with O(log n) compares *and* O(log n) moves of a
 //! fat event payload per operation. The wheel replaces that with O(1)
-//! routing on push and an amortized O(1) bitmap scan on pop.
+//! routing on push and an amortized O(1) bitmap scan on pop, and it
+//! writes a payload exactly once: into a slab entry that stays put until
+//! the pop that returns it.
 //!
 //! # Structure
 //!
@@ -26,75 +28,76 @@
 //! into level 0), and so on up; promotions happen only inside a
 //! committed pop, so peeking never reshapes the wheel.
 //!
+//! Every item lives in one slab (`Vec<Entry<T>>`, LIFO free list: the
+//! few hundred events in flight keep reusing the same few KiB). A slot
+//! is a `head`/`tail` pair of slab indices and its items are chained
+//! through `Entry::next`; the overflow heap orders `(at, seq, index)`
+//! triples. Moving an item between tiers relinks an index.
+//!
 //! # Determinism
 //!
 //! Items are totally ordered by `(at, seq)` and pops return exactly that
 //! order. A level-0 slot is 1 ns wide, so everything in it shares one
-//! timestamp and the pop order within a slot is the min-`seq` scan —
-//! insertion order for the monotonically numbered events the simulator
-//! feeds it, and well-defined even when a scheduler re-inserts events
-//! out of numeric order. Occupancy bitmaps (64 words per level) make
-//! "next occupied slot" a handful of word scans, started from a cached
-//! hint that only moves forward within a block.
+//! timestamp; its chain is kept in ascending `seq` order, which makes a
+//! pop "unlink the head". The simulator numbers events monotonically, so
+//! an insert is an O(1) tail append unless a scheduler re-queues an
+//! event below its slot-mates, which walks the chain. Level-1/2 slots
+//! hold mixed timestamps and are never popped from directly, so they
+//! stay unsorted (append only — sorting them makes a burst quadratic)
+//! and are min-scanned only by `peek` and the promotion deadline check.
+//! Occupancy bitmaps (64 words per level) make "next occupied slot" a
+//! handful of word scans, started from a cached hint that only moves
+//! forward within a block.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 const LEVEL_BITS: u32 = 12;
 const SLOTS: usize = 1 << LEVEL_BITS;
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 const WORDS: usize = SLOTS / 64;
+/// The null slab index: end of a chain, empty slot, empty free list.
+const NIL: u32 = u32::MAX;
 
 /// Shift that maps a timestamp to its block id at `level`.
 const fn block_shift(level: u32) -> u32 {
     LEVEL_BITS * (level + 1)
 }
 
-/// An entry parked in the far-future overflow heap, ordered by
-/// `(at, seq)` so the heap yields the earliest entry first.
-struct OverflowEntry<T> {
+/// One slab cell. `item` is `Some` from push to pop; a free cell keeps
+/// its place in the free list through `next`.
+struct Entry<T> {
     at: u64,
     seq: u64,
-    item: T,
+    next: u32,
+    item: Option<T>,
 }
 
-impl<T> PartialEq for OverflowEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for OverflowEntry<T> {}
-impl<T> PartialOrd for OverflowEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for OverflowEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest entry
-        // on top.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// The chain of slab indices parked in one slot (`tail` is meaningful
+/// only while `head` is not `NIL`).
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
-/// One wheel level: 4096 slot vectors plus an occupancy bitmap.
-struct Level<T> {
-    slots: Vec<Vec<(u64, u64, T)>>,
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
+
+/// One wheel level: 4096 slot chains plus an occupancy bitmap.
+struct Level {
+    slots: Vec<Slot>,
     occupied: [u64; WORDS],
 }
 
-impl<T> Level<T> {
+impl Level {
     fn new() -> Self {
         Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+            slots: vec![EMPTY; SLOTS],
             occupied: [0; WORDS],
         }
-    }
-
-    #[inline]
-    fn insert(&mut self, slot: usize, at: u64, seq: u64, item: T) {
-        self.occupied[slot >> 6] |= 1 << (slot & 63);
-        self.slots[slot].push((at, seq, item));
     }
 
     /// Index of the first occupied slot at or after `from_word * 64`.
@@ -108,29 +111,47 @@ impl<T> Level<T> {
         None
     }
 
-    /// Removes and returns the `(at, seq)`-minimal entry of `slot`,
-    /// clearing the occupancy bit when the slot empties. Slot vectors
-    /// keep their capacity: steady-state churn allocates nothing.
-    fn take_min(&mut self, slot: usize) -> (u64, u64, T) {
-        let v = &mut self.slots[slot];
-        let mut min = 0;
-        for i in 1..v.len() {
-            if (v[i].0, v[i].1) < (v[min].0, v[min].1) {
-                min = i;
-            }
+    /// Links `idx` at the end of `slot`'s chain.
+    #[inline]
+    fn append<T>(&mut self, slab: &mut [Entry<T>], slot: usize, idx: u32) {
+        slab[idx as usize].next = NIL;
+        let s = &mut self.slots[slot];
+        if s.head == NIL {
+            s.head = idx;
+            self.occupied[slot >> 6] |= 1 << (slot & 63);
+        } else {
+            slab[s.tail as usize].next = idx;
         }
-        // Shift-remove keeps the residue ordered, so later scans stay
-        // branch-predictable; slots hold at most a same-instant burst.
-        let entry = v.remove(min);
-        if v.is_empty() {
-            self.occupied[slot >> 6] &= !(1 << (slot & 63));
-        }
-        entry
+        s.tail = idx;
     }
 
-    /// The `(at, seq)`-minimal entry of `slot`, without removing it.
-    fn peek_min(&self, slot: usize) -> Option<(u64, u64)> {
-        self.slots[slot].iter().map(|&(at, seq, _)| (at, seq)).min()
+    /// Links `idx` into `slot`'s chain keeping it in ascending `seq`
+    /// order (after any equal `seq`). The simulator's monotone numbering
+    /// always takes the tail-append branch; only an out-of-order re-queue
+    /// walks the chain.
+    #[inline]
+    fn insert_by_seq<T>(&mut self, slab: &mut [Entry<T>], slot: usize, idx: u32, seq: u64) {
+        let Slot { head, tail } = self.slots[slot];
+        if head == NIL || slab[tail as usize].seq <= seq {
+            return self.append(slab, slot, idx);
+        }
+        // The tail's seq is larger, so the walk stops before the end.
+        let (mut prev, mut cur) = (NIL, head);
+        while slab[cur as usize].seq <= seq {
+            (prev, cur) = (cur, slab[cur as usize].next);
+        }
+        slab[idx as usize].next = cur;
+        if prev == NIL {
+            self.slots[slot].head = idx;
+        } else {
+            slab[prev as usize].next = idx;
+        }
+    }
+
+    /// Empties `slot`, returning the head of the chain it held.
+    fn take(&mut self, slot: usize) -> u32 {
+        self.occupied[slot >> 6] &= !(1 << (slot & 63));
+        std::mem::replace(&mut self.slots[slot].head, NIL)
     }
 }
 
@@ -145,8 +166,11 @@ impl<T> Level<T> {
 ///   to be a total order.
 /// * `pop` returns items in strictly ascending `(at, seq)` order.
 pub struct TimingWheel<T> {
-    levels: [Level<T>; 3],
-    overflow: BinaryHeap<OverflowEntry<T>>,
+    slab: Vec<Entry<T>>,
+    /// Head of the LIFO chain of free slab cells.
+    free: u32,
+    levels: [Level; 3],
+    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// `at` of the most recent pop: the floor below which nothing can be
     /// scheduled any more.
     horizon: u64,
@@ -169,6 +193,8 @@ impl<T> TimingWheel<T> {
     /// An empty wheel with its horizon at time zero.
     pub fn new() -> Self {
         TimingWheel {
+            slab: Vec::new(),
+            free: NIL,
             levels: [Level::new(), Level::new(), Level::new()],
             overflow: BinaryHeap::new(),
             horizon: 0,
@@ -202,20 +228,55 @@ impl<T> TimingWheel<T> {
             self.horizon
         );
         self.len += 1;
+        let entry = Entry {
+            at,
+            seq,
+            next: NIL,
+            item: Some(item),
+        };
+        let idx = match self.free {
+            NIL => {
+                assert!(self.slab.len() < NIL as usize, "slab indices are u32");
+                self.slab.push(entry);
+                (self.slab.len() - 1) as u32
+            }
+            idx => {
+                self.free = std::mem::replace(&mut self.slab[idx as usize], entry).next;
+                idx
+            }
+        };
+        self.route(at, seq, idx);
+    }
+
+    /// Links slab cell `idx`, due at `(at, seq)`, into the tier that
+    /// currently covers `at`.
+    #[inline]
+    fn route(&mut self, at: u64, seq: u64, idx: u32) {
+        let slab = &mut self.slab[..];
         if at >> block_shift(0) == self.bases[0] {
-            self.levels[0].insert((at & SLOT_MASK) as usize, at, seq, item);
+            self.levels[0].insert_by_seq(slab, (at & SLOT_MASK) as usize, idx, seq);
         } else if at >> block_shift(1) == self.bases[1] {
-            self.levels[1].insert(((at >> LEVEL_BITS) & SLOT_MASK) as usize, at, seq, item);
+            self.levels[1].append(slab, ((at >> LEVEL_BITS) & SLOT_MASK) as usize, idx);
         } else if at >> block_shift(2) == self.bases[2] {
-            self.levels[2].insert(
-                ((at >> (2 * LEVEL_BITS)) & SLOT_MASK) as usize,
-                at,
-                seq,
-                item,
-            );
+            let slot = ((at >> (2 * LEVEL_BITS)) & SLOT_MASK) as usize;
+            self.levels[2].append(slab, slot, idx);
         } else {
-            self.overflow.push(OverflowEntry { at, seq, item });
+            self.overflow.push(Reverse((at, seq, idx)));
         }
+    }
+
+    /// The entries chained from slab cell `head`, in chain order.
+    fn chain(&self, head: u32) -> impl Iterator<Item = &Entry<T>> {
+        let cell = |idx: u32| (idx != NIL).then(|| &self.slab[idx as usize]);
+        std::iter::successors(cell(head), move |e| cell(e.next))
+    }
+
+    /// The `(at, seq)`-minimal entry of an occupied level-1/2 slot.
+    fn min_of(&self, level: usize, slot: usize) -> (u64, u64) {
+        self.chain(self.levels[level].slots[slot].head)
+            .map(|e| (e.at, e.seq))
+            .min()
+            .expect("occupied slot")
     }
 
     /// The `(at, seq)` of the next item to pop, without popping it.
@@ -225,14 +286,15 @@ impl<T> TimingWheel<T> {
     /// occupied tier decides.
     pub fn peek(&self) -> Option<(u64, u64)> {
         if let Some(slot) = self.levels[0].first_occupied(self.hint0) {
-            return self.levels[0].peek_min(slot);
+            let e = &self.slab[self.levels[0].slots[slot].head as usize];
+            return Some((e.at, e.seq));
         }
-        for level in &self.levels[1..] {
-            if let Some(slot) = level.first_occupied(0) {
-                return level.peek_min(slot);
+        for level in 1..3 {
+            if let Some(slot) = self.levels[level].first_occupied(0) {
+                return Some(self.min_of(level, slot));
             }
         }
-        self.overflow.peek().map(|e| (e.at, e.seq))
+        self.overflow.peek().map(|&Reverse((at, seq, _))| (at, seq))
     }
 
     /// Pops the `(at, seq)`-minimal item.
@@ -252,7 +314,18 @@ impl<T> TimingWheel<T> {
                     return None;
                 }
                 self.hint0 = slot >> 6;
-                let (at, seq, item) = self.levels[0].take_min(slot);
+                // Unlink the head of the seq-ordered chain and hand its
+                // cell to the free list.
+                let idx = self.levels[0].slots[slot].head;
+                let e = &mut self.slab[idx as usize];
+                let next = std::mem::replace(&mut e.next, self.free);
+                let (seq, item) = (e.seq, e.item.take().expect("queued entry"));
+                self.free = idx;
+                if next == NIL {
+                    self.levels[0].take(slot);
+                } else {
+                    self.levels[0].slots[slot].head = next;
+                }
                 self.horizon = at;
                 self.len -= 1;
                 return Some((at, seq, item));
@@ -261,21 +334,15 @@ impl<T> TimingWheel<T> {
             // slot — but only once we know its earliest item is due, so
             // a declined pop never moves the wheel past times that can
             // still be scheduled.
-            if let Some(slot) = self.levels[1].first_occupied(0) {
-                if self.levels[1].peek_min(slot).expect("occupied slot").0 > deadline {
+            let upper = (1..3).find_map(|l| Some((l, self.levels[l].first_occupied(0)?)));
+            if let Some((level, slot)) = upper {
+                if self.min_of(level, slot).0 > deadline {
                     return None;
                 }
-                self.promote(1, slot);
+                self.promote(level, slot);
                 continue;
             }
-            if let Some(slot) = self.levels[2].first_occupied(0) {
-                if self.levels[2].peek_min(slot).expect("occupied slot").0 > deadline {
-                    return None;
-                }
-                self.promote(2, slot);
-                continue;
-            }
-            let earliest = self.overflow.peek()?.at;
+            let &Reverse((earliest, _, _)) = self.overflow.peek()?;
             if earliest > deadline {
                 return None;
             }
@@ -283,23 +350,20 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Moves every item of `levels[level]`'s `slot` one level down,
+    /// Relinks every item of `levels[level]`'s `slot` one level down,
     /// advancing that lower level's block to the slot's time range.
     fn promote(&mut self, level: usize, slot: usize) {
-        let shift = LEVEL_BITS * level as u32;
         self.bases[level - 1] = (self.bases[level] << LEVEL_BITS) | slot as u64;
         if level == 1 {
             self.hint0 = 0;
         }
-        let mut items = std::mem::take(&mut self.levels[level].slots[slot]);
-        self.levels[level].occupied[slot >> 6] &= !(1 << (slot & 63));
-        let dest = level - 1;
-        for (at, seq, item) in items.drain(..) {
-            let idx = ((at >> (shift - LEVEL_BITS)) & SLOT_MASK) as usize;
-            self.levels[dest].insert(idx, at, seq, item);
+        let mut idx = self.levels[level].take(slot);
+        while idx != NIL {
+            let e = &self.slab[idx as usize];
+            let (at, seq, next) = (e.at, e.seq, e.next);
+            self.route(at, seq, idx);
+            idx = next;
         }
-        // Hand the emptied vector back so the slot keeps its capacity.
-        self.levels[level].slots[slot] = items;
     }
 
     /// Re-centres every level on `earliest`'s blocks and pulls the whole
@@ -311,14 +375,12 @@ impl<T> TimingWheel<T> {
             earliest >> block_shift(2),
         ];
         self.hint0 = 0;
-        while let Some(e) = self.overflow.peek() {
-            if e.at >> block_shift(2) != self.bases[2] {
+        while let Some(&Reverse((at, seq, idx))) = self.overflow.peek() {
+            if at >> block_shift(2) != self.bases[2] {
                 break;
             }
-            let e = self.overflow.pop().expect("peeked entry");
-            // Re-route through push (len is unchanged by the move).
-            self.len -= 1;
-            self.push(e.at, e.seq, e.item);
+            self.overflow.pop();
+            self.route(at, seq, idx);
         }
     }
 
@@ -330,27 +392,20 @@ impl<T> TimingWheel<T> {
         let Some((head_at, _)) = self.peek() else {
             return;
         };
-        if let Some(slot) = self.levels[0].first_occupied(self.hint0) {
-            for (at, seq, item) in &self.levels[0].slots[slot] {
-                debug_assert_eq!(*at, head_at);
-                f(*at, *seq, item);
-            }
-            return;
-        }
-        for level in &self.levels[1..] {
-            if let Some(slot) = level.first_occupied(0) {
-                for (at, seq, item) in &level.slots[slot] {
-                    if *at == head_at {
-                        f(*at, *seq, item);
-                    }
-                }
-                return;
-            }
-        }
-        for e in self.overflow.iter() {
+        // Everything in a level-0 slot is at the head instant; the wider
+        // tiers hold mixed timestamps.
+        let mut visit = |e: &Entry<T>| {
             if e.at == head_at {
-                f(e.at, e.seq, &e.item);
+                f(e.at, e.seq, e.item.as_ref().expect("queued entry"));
             }
+        };
+        for (level, from_word) in self.levels.iter().zip([self.hint0, 0, 0]) {
+            if let Some(slot) = level.first_occupied(from_word) {
+                return self.chain(level.slots[slot].head).for_each(visit);
+            }
+        }
+        for &Reverse((_, _, idx)) in self.overflow.iter() {
+            visit(&self.slab[idx as usize]);
         }
     }
 }
@@ -433,6 +488,28 @@ mod tests {
         w.for_each_at_head(|at, seq, &v| seen.push((at, seq, v)));
         seen.sort_unstable();
         assert_eq!(seen, vec![(10, 0, 1), (10, 1, 2)]);
+    }
+
+    #[test]
+    fn slab_stays_at_the_in_flight_high_water_mark() {
+        const IN_FLIGHT: usize = 8;
+        let mut w = TimingWheel::new();
+        let mut now = 0u64;
+        for seq in 0..1_000_000u64 {
+            // Same slot, level 0, level 1 and level 2 in turn.
+            let delta = [0, 700, 70_000, 20_000_000][seq as usize % 4];
+            w.push(now + delta, seq, seq);
+            if w.len() == IN_FLIGHT {
+                now = w.pop().expect("non-empty").0;
+            }
+        }
+        // Freed cells are reused LIFO: a million cycles allocate no more
+        // than the most that were ever queued at once.
+        assert!(
+            w.slab.len() <= IN_FLIGHT + 1,
+            "slab grew to {}",
+            w.slab.len()
+        );
     }
 
     #[test]

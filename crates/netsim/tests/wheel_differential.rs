@@ -5,7 +5,10 @@
 //! `(time, seq, payload)`. The schedules interleave pushes and pops and
 //! draw deltas from every tier of the wheel: same-instant bursts,
 //! level-0/1/2 horizons, and far-future times that land in the overflow
-//! heap.
+//! heap. Further generators aim at the slot chains themselves: the
+//! scheduler's out-of-order re-queue into the head slot, a crowded
+//! level-1 slot promoting into instants that then take direct inserts,
+//! and head iteration from every tier.
 
 use netsim::TimingWheel;
 use proptest::prelude::*;
@@ -118,5 +121,147 @@ proptest! {
             prop_assert_eq!(wheel.pop(), Some(want));
         }
         prop_assert!(wheel.is_empty());
+    }
+
+    /// The scheduler's re-queue (`Simulation::pop_next`): events popped
+    /// from the head instant come back at `(head_at, seq)` with `seq`
+    /// below whatever stayed in — or has since joined — the head slot.
+    #[test]
+    fn requeue_below_head_slot_residents_agrees(
+        steps in prop::collection::vec(
+            (prop_oneof![Just(0u64), 0u64..4, tiered_delta()], 0usize..5, any::<bool>(), 0usize..3),
+            1..120,
+        ),
+    ) {
+        let mut pair = Lockstep::default();
+        let mut now = 0u64;
+        for (seq, &(delta, requeue, newest_first, pops)) in steps.iter().enumerate() {
+            pair.push(now.saturating_add(delta), seq as u64);
+            // Pull up to `requeue` events off the head instant ...
+            let head_at = pair.heap.peek().map(|&Reverse(e)| e.0);
+            let mut batch = Vec::new();
+            while batch.len() < requeue && pair.wheel.peek().map(|(at, _)| at) == head_at {
+                batch.extend(pair.pop());
+            }
+            if let Some(&(at, _, _)) = batch.first() {
+                now = at;
+                // ... a same-instant newcomer takes the slot's tail ...
+                pair.push(now, (steps.len() + seq) as u64);
+            }
+            // ... and they return below it: newest first (every insert at
+            // the chain's head) or second-oldest first (inserts mid-chain).
+            if newest_first {
+                batch.reverse();
+            } else if !batch.is_empty() {
+                batch.rotate_left(1);
+            }
+            for (at, seq, _) in batch {
+                pair.push(at, seq);
+            }
+            pair.check_head();
+            for _ in 0..pops {
+                if let Some((at, _, _)) = pair.pop() {
+                    now = at;
+                }
+            }
+        }
+        pair.drain();
+    }
+
+    /// A burst parked in one level-1 slot (64+ items, mixed timestamps,
+    /// seqs in no particular order) is promoted by the first pop; direct
+    /// level-0 inserts then land on instants the promotion also filled,
+    /// with seqs both below and above the promoted residents.
+    #[test]
+    fn crowded_level1_slot_promotes_under_direct_inserts(
+        slot in 1u64..4096,
+        offsets in prop::collection::vec(prop_oneof![0u64..4096, 0u64..8], 64..200),
+        pops_before in 1usize..32,
+        inserts in prop::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 1..64),
+    ) {
+        let mut pair = Lockstep::default();
+        let base = slot << 12;
+        for (i, &off) in offsets.iter().enumerate() {
+            // 7919 is coprime to 1024 > len: distinct, scrambled, odd seqs.
+            pair.push(base + off, (i as u64 * 7919 % 1024) * 2 + 1 + 4096);
+        }
+        pair.check_head();
+        let mut now = 0;
+        for _ in 0..pops_before {
+            now = pair.pop().expect("64+ parked").0;
+        }
+        let pending: Vec<u64> = offsets.iter().map(|off| base + off).filter(|&at| at >= now).collect();
+        for (j, (pick, low)) in inserts.iter().enumerate() {
+            let at = pending.get(pick.index(pending.len().max(1))).copied().unwrap_or(now);
+            let seq = 2 * j as u64 + if *low { 0 } else { 1 << 20 };
+            pair.push(at, seq);
+            pair.check_head();
+        }
+        pair.drain();
+    }
+
+    /// `for_each_at_head` (and `peek`) when nothing is in level 0: the
+    /// head sits in a level-1 slot, a level-2 slot or the overflow heap,
+    /// among neighbours a few nanoseconds later.
+    #[test]
+    fn head_iteration_agrees_in_every_tier(
+        tier in 1u32..4,
+        offsets in prop::collection::vec(0u64..6, 1..40),
+    ) {
+        let mut pair = Lockstep::default();
+        for (seq, &off) in offsets.iter().enumerate() {
+            pair.push((1u64 << (12 * tier)) + off, seq as u64);
+        }
+        pair.check_head();
+        // Still true after pops have walked the head down through the tiers.
+        while pair.pop().is_some() {
+            pair.check_head();
+        }
+    }
+}
+
+type Heap = BinaryHeap<Reverse<(u64, u64, u64)>>;
+
+/// A wheel and its shadow heap, fed the same operations.
+#[derive(Default)]
+struct Lockstep {
+    wheel: TimingWheel<u64>,
+    heap: Heap,
+}
+
+impl Lockstep {
+    fn push(&mut self, at: u64, seq: u64) {
+        self.wheel.push(at, seq, seq);
+        self.heap.push(Reverse((at, seq, seq)));
+    }
+
+    /// Pops both sides, asserting they agree.
+    fn pop(&mut self) -> Option<(u64, u64, u64)> {
+        let got = self.wheel.pop();
+        assert_eq!(got, self.heap.pop().map(|Reverse(e)| e), "pop diverged");
+        got
+    }
+
+    /// Asserts that peek and the co-enabled set agree with the heap.
+    fn check_head(&self) {
+        let head = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        assert_eq!(self.wheel.peek(), head, "peek diverged");
+        let mut got = Vec::new();
+        self.wheel
+            .for_each_at_head(|at, seq, &item| got.push((at, seq, item)));
+        got.sort_unstable();
+        let mut want: Vec<_> = self
+            .heap
+            .iter()
+            .map(|&Reverse(e)| e)
+            .filter(|e| Some(e.0) == head.map(|h| h.0))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "co-enabled set diverged");
+    }
+
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+        assert!(self.wheel.is_empty());
     }
 }

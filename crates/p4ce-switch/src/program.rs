@@ -223,13 +223,16 @@ pub struct P4ceSwitchStats {
     pub groups_retired: u64,
     /// Reconfigurations completed.
     pub reconfigs: u64,
+    /// Group requests rejected because the 16-bit group-id space ran out.
+    pub gid_exhausted: u64,
 }
 
 impl P4ceSwitchStats {
     /// Snapshots the counters into `reg` under `prefix` (e.g. `switch`):
     /// `"{prefix}.scattered"`, `.acks.absorbed`, `.acks.forwarded`,
     /// `.acks.stale`, `.acks.duplicate`, `.naks.forwarded`,
-    /// `.credit.stale_skips`, `.groups.created`, `.reconfigs`.
+    /// `.credit.stale_skips`, `.groups.created`, `.groups.retired`,
+    /// `.groups.gid_exhausted`, `.reconfigs`.
     pub fn register_into(&self, reg: &mut netsim::MetricsRegistry, prefix: &str) {
         reg.set_counter(&format!("{prefix}.scattered"), self.scattered);
         reg.set_counter(&format!("{prefix}.acks.absorbed"), self.acks_absorbed);
@@ -246,6 +249,10 @@ impl P4ceSwitchStats {
         );
         reg.set_counter(&format!("{prefix}.groups.created"), self.groups_created);
         reg.set_counter(&format!("{prefix}.groups.retired"), self.groups_retired);
+        reg.set_counter(
+            &format!("{prefix}.groups.gid_exhausted"),
+            self.gid_exhausted,
+        );
         reg.set_counter(&format!("{prefix}.reconfigs"), self.reconfigs);
     }
 }
@@ -380,8 +387,21 @@ impl P4ceProgram {
                 return;
             }
         };
-        let gid = self.next_gid;
-        self.next_gid += 1;
+        // Group ids are never reused: running out of them is running out
+        // of a switch resource, and the leader stays on the direct path.
+        let Some(next_gid) = self.next_gid.checked_add(1) else {
+            self.stats.gid_exhausted += 1;
+            Self::send_cm(
+                ops,
+                pkt.src_ip,
+                &CmMessage::ConnectReject {
+                    handshake_id,
+                    reason: RejectReason::NoResources,
+                },
+            );
+            return;
+        };
+        let gid = std::mem::replace(&mut self.next_gid, next_gid);
         let bcast_qpn = self.alloc_qpn();
         let virt_rkey = self.next_virt_rkey();
         let n = spec.replicas.len();
@@ -1101,6 +1121,68 @@ mod tests {
 
     const SW_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
     const LEADER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+
+    /// A control plane that only records what the program sends.
+    struct RecordingOps {
+        sent: Vec<RocePacket>,
+    }
+    impl ControlOps for RecordingOps {
+        fn now(&self) -> netsim::SimTime {
+            netsim::SimTime::ZERO
+        }
+        fn switch_ip(&self) -> Ipv4Addr {
+            SW_IP
+        }
+        fn route(&self, _ip: Ipv4Addr) -> Option<PortId> {
+            Some(PortId::from_index(0))
+        }
+        fn send_packet(&mut self, pkt: RocePacket) {
+            self.sent.push(pkt);
+        }
+        fn set_timer(&mut self, _after: netsim::SimDuration, _token: u64) {}
+        fn set_mcast_group(&mut self, _gid: MulticastGroupId, _m: Vec<tofino::McastMember>) {}
+        fn remove_mcast_group(&mut self, _gid: MulticastGroupId) {}
+    }
+
+    #[test]
+    fn group_id_exhaustion_rejects_instead_of_wrapping() {
+        let mut p = P4ceProgram::new(P4ceSwitchConfig::default());
+        p.next_gid = u16::MAX - 2;
+        let mut ops = RecordingOps { sent: Vec::new() };
+        let request = ack_from(0, 0, 0); // only its source address is read
+        let spec = GroupSpec {
+            f: 1,
+            replicas: vec![Ipv4Addr::new(10, 0, 0, 2)],
+        }
+        .encode();
+        let mut rejects = Vec::new();
+        for handshake_id in 1..=4u64 {
+            ops.sent.clear();
+            p.handle_leader_request(
+                &request,
+                handshake_id,
+                Qpn(0x50),
+                Psn::new(0),
+                &spec,
+                &mut ops,
+            );
+            let reply = CmMessage::decode(&ops.sent[0].payload).expect("CM message");
+            rejects.push(matches!(
+                reply,
+                CmMessage::ConnectReject {
+                    handshake_id: h,
+                    reason: RejectReason::NoResources,
+                } if h == handshake_id
+            ));
+        }
+        // Two ids were left; the third and fourth requests are refused and
+        // the live groups keep their state.
+        assert_eq!(rejects, vec![false, false, true, true]);
+        assert_eq!(p.stats.gid_exhausted, 2);
+        assert_eq!(p.stats.groups_created, 2);
+        let gids: Vec<u16> = p.groups.keys().copied().collect();
+        assert_eq!(gids, vec![u16::MAX - 2, u16::MAX - 1]);
+    }
 
     /// A program with one active group (`gid` 1) of `n` replicas needing
     /// `f` positive ACKs, all PSN bases at zero for readable tests.

@@ -332,7 +332,10 @@ pub struct HostCore {
     /// Arrival port of pending incoming ConnectRequests.
     request_ports: FxHashMap<u64, PortId>,
     // --- deliveries to the app ---
-    deliveries: FxHashMap<u64, Delivery>,
+    /// FIFO: ids are consecutive and every `ready_at` comes from the
+    /// serializing CPU, so `TK_DELIVER` timers fire in enqueue order and
+    /// the token always names the front entry.
+    deliveries: VecDeque<Delivery>,
     next_delivery: u64,
     // --- read landing zones ---
     read_landing: FxHashMap<(u32, u64), (RegionHandle, usize)>,
@@ -374,7 +377,7 @@ impl HostCore {
             initiated: FxHashMap::default(),
             responding: FxHashMap::default(),
             request_ports: FxHashMap::default(),
-            deliveries: FxHashMap::default(),
+            deliveries: VecDeque::new(),
             next_delivery: 0,
             read_landing: FxHashMap::default(),
             watch_keys: FxHashMap::default(),
@@ -636,7 +639,7 @@ impl HostCore {
     fn enqueue_delivery(&mut self, delivery: Delivery, cost: SimDuration, ctx: &mut Context<'_>) {
         let id = self.next_delivery;
         self.next_delivery = (self.next_delivery + 1) & TK_DATA_MASK;
-        self.deliveries.insert(id, delivery);
+        self.deliveries.push_back(delivery);
         let ready_at = self.cpu.run(ctx.now, cost);
         ctx.schedule_at(ready_at, TimerToken(TK_DELIVER | id));
     }
@@ -1582,7 +1585,13 @@ impl<A: RdmaApp> Node for Host<A> {
                 self.maybe_arm_retransmit(ctx);
             }
             TK_DELIVER => {
-                let Some(delivery) = self.core.deliveries.remove(&data) else {
+                let queued = self.core.deliveries.len() as u64;
+                debug_assert_eq!(
+                    data,
+                    self.core.next_delivery.wrapping_sub(queued) & TK_DATA_MASK,
+                    "TK_DELIVER fired out of enqueue order"
+                );
+                let Some(delivery) = self.core.deliveries.pop_front() else {
                     return;
                 };
                 let mut ops = Self::ops(&mut self.core, ctx);
@@ -1610,8 +1619,8 @@ impl<A: RdmaApp> Node for Host<A> {
                 // Ascending-QPN order (from the maintained index): the
                 // retransmit sweep emits frames, so its order is part of
                 // the deterministic event sequence.
-                let qpns: Vec<u32> = self.core.qp_order.clone();
-                for qpn in qpns {
+                for i in 0..self.core.qp_order.len() {
+                    let qpn = self.core.qp_order[i];
                     let action = self
                         .core
                         .qps

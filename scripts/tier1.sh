@@ -5,8 +5,8 @@
 #
 # The test step mirrors CI exactly: the root package's integration
 # suites (consensus safety, soak, chaos, determinism) plus every crate's
-# unit tests, then clippy with warnings promoted to errors, then
-# formatting.
+# unit tests, the benchmark package against the current library API,
+# then clippy with warnings promoted to errors, then formatting.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +21,12 @@ cargo test -q --workspace --exclude p4ce-repro
 
 echo "==> sharded-KV smoke (quick groups sweep, seq == parallel)"
 cargo run --release -p p4ce-bench --bin groups_sweep -- --quick --threads 2 >/dev/null
+
+echo "==> benchmark package (own workspace): unit tests + quick suite"
+# benchmark/src/sut.rs imports the library's public surface; a moved or
+# re-typed symbol must fail here, not in the acceptance pipeline.
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --quick >/dev/null
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
