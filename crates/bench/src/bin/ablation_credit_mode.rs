@@ -6,7 +6,7 @@
 //! retransmissions.
 
 use netsim::{SimDuration, SimTime};
-use p4ce::{ClusterBuilder, CreditMode, WorkloadSpec};
+use p4ce::{ClusterBuilder, CreditMode, SwitchSetters, WorkloadSpec};
 use p4ce_harness::report::{fmt_f64, print_markdown, TableRow};
 use rdma::Host;
 

@@ -1,17 +1,50 @@
-//! One-call construction of a complete P4CE deployment: members, the
-//! P4CE-programmed switch, links and routes — and optionally a backup
-//! plain-L3 fabric for switch-crash experiments.
+//! The P4CE deployment: members behind the P4CE-programmed switch — and
+//! optionally a backup plain-L3 fabric for switch-crash experiments.
 
-use netsim::{LinkSpec, NodeId, SimDuration, Simulation, Tracer};
-use p4ce_switch::{AckDropStage, P4ceProgram, P4ceSwitchConfig};
-use rdma::{Host, HostConfig};
-use replication::{ClusterConfig, MemberId, ProtocolTiming, WorkloadSpec};
+use netsim::{SimDuration, Tracer};
+use p4ce_switch::{AckDropStage, CreditMode, P4ceProgram, P4ceSwitchConfig};
+use replication::Fabric;
 use std::net::Ipv4Addr;
-use tofino::{L3Forwarder, Switch, SwitchConfig};
+use tofino::SwitchConfig;
 
-use crate::member::{P4ceMember, P4ceMemberConfig};
+use crate::member::{SwitchComm, SwitchCommConfig};
 
-/// Builds a ready-to-run P4CE cluster inside a [`Simulation`].
+/// The P4CE switch and the settings of the comm that talks to it.
+#[derive(Debug, Clone, Default)]
+pub struct P4ceFabric {
+    pub(crate) switch_cfg: P4ceSwitchConfig,
+    pub(crate) parser_cost: Option<SimDuration>,
+    pub(crate) parser_slices: Option<usize>,
+    pub(crate) async_reconfig: bool,
+    pub(crate) reaccel_period: Option<SimDuration>,
+}
+
+impl Fabric for P4ceFabric {
+    type Comm = SwitchComm;
+    type Program = P4ceProgram;
+
+    fn comm(&self, switch_ip: Ipv4Addr) -> SwitchComm {
+        let mut cfg = SwitchCommConfig::new(switch_ip);
+        cfg.async_reconfig = self.async_reconfig;
+        if let Some(period) = self.reaccel_period {
+            cfg.reaccel_period = period;
+        }
+        SwitchComm::new(cfg)
+    }
+
+    fn program(&self, hw: &mut SwitchConfig, tracer: &Tracer) -> P4ceProgram {
+        hw.tracer = tracer.labeled("switch");
+        if let Some(cost) = self.parser_cost {
+            hw.parser_cost = cost;
+        }
+        hw.parser_slices = self.parser_slices;
+        P4ceProgram::new(self.switch_cfg.clone())
+    }
+}
+
+/// Builds a ready-to-run P4CE cluster inside a [`netsim::Simulation`].
+/// Member hosts trace as `m0`, `m1`, …; the P4CE switch as `switch`.
+/// The switch-specific setters are [`SwitchSetters`].
 ///
 /// ```
 /// use p4ce::{ClusterBuilder};
@@ -24,133 +57,49 @@ use crate::member::{P4ceMember, P4ceMemberConfig};
 /// deployment.sim.run_until(SimTime::from_millis(100));
 /// assert_eq!(deployment.leader().stats.decided, 200);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ClusterBuilder {
-    n_members: usize,
-    workload: Option<WorkloadSpec>,
-    switch_cfg: P4ceSwitchConfig,
-    link: LinkSpec,
-    backup_fabric: bool,
-    seed: u64,
-    async_reconfig: bool,
-    parser_cost: Option<SimDuration>,
-    verb_cost: Option<SimDuration>,
-    tweak_rx_capacity: Vec<(usize, usize)>,
-    tweak_rx_cost: Vec<(usize, SimDuration)>,
-    timing: Option<ProtocolTiming>,
-    log_size: Option<usize>,
-    skip_epoch_revoke: bool,
-    reaccel_period: Option<SimDuration>,
-    tracer: Tracer,
-}
+pub type ClusterBuilder = replication::ClusterBuilder<P4ceFabric>;
 
-impl ClusterBuilder {
-    /// A cluster of `n_members` (1 leader + n-1 replicas at steady state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_members < 2`.
-    pub fn new(n_members: usize) -> Self {
-        assert!(n_members >= 2, "a cluster needs at least two members");
-        ClusterBuilder {
-            n_members,
-            workload: None,
-            switch_cfg: P4ceSwitchConfig::default(),
-            link: LinkSpec::default(),
-            backup_fabric: false,
-            seed: 42,
-            async_reconfig: false,
-            parser_cost: None,
-            verb_cost: None,
-            tweak_rx_capacity: Vec::new(),
-            tweak_rx_cost: Vec::new(),
-            timing: None,
-            log_size: None,
-            skip_epoch_revoke: false,
-            reaccel_period: None,
-            tracer: Tracer::disabled(),
-        }
-    }
+/// A built P4CE deployment.
+pub type Deployment = replication::Deployment<P4ceFabric>;
 
-    /// Sets the leader-driven workload.
-    pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.workload = Some(spec);
-        self
-    }
+/// The setters of [`ClusterBuilder`] that only make sense behind a P4CE
+/// switch. (An extension trait because the builder type itself is
+/// `replication`'s; bring it into scope to call them.)
+pub trait SwitchSetters: Sized {
+    /// The fabric settings these setters edit.
+    fn fabric_mut(&mut self) -> &mut P4ceFabric;
 
     /// Overrides the switch program configuration.
-    pub fn switch_config(mut self, cfg: P4ceSwitchConfig) -> Self {
-        self.switch_cfg = cfg;
+    fn switch_config(mut self, cfg: P4ceSwitchConfig) -> Self {
+        self.fabric_mut().switch_cfg = cfg;
         self
     }
 
     /// Selects the ACK-drop placement (the §IV-D ablation).
-    pub fn ack_drop(mut self, stage: AckDropStage) -> Self {
-        self.switch_cfg.ack_drop = stage;
+    fn ack_drop(mut self, stage: AckDropStage) -> Self {
+        self.fabric_mut().switch_cfg.ack_drop = stage;
         self
     }
 
     /// Selects how the switch aggregates flow-control credits (the §IV-C
     /// design choice vs. the naive passthrough).
-    pub fn credit_mode(mut self, mode: p4ce_switch::CreditMode) -> Self {
-        self.switch_cfg.credit_mode = mode;
-        self
-    }
-
-    /// Overrides the link characteristics.
-    pub fn link(mut self, link: LinkSpec) -> Self {
-        self.link = link;
-        self
-    }
-
-    /// Adds a second, plain-L3 fabric every host is also connected to
-    /// (needed for the switch-crash fail-over experiment).
-    pub fn backup_fabric(mut self, enable: bool) -> Self {
-        self.backup_fabric = enable;
-        self
-    }
-
-    /// Reconfigure the switch asynchronously (keep replicating while the
-    /// group rebuilds) — the Lesson-3 extension.
-    pub fn async_reconfig(mut self, enable: bool) -> Self {
-        self.async_reconfig = enable;
-        self
-    }
-
-    /// Sets the deterministic simulation seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the link-management and failure-detection timing (chaos
-    /// tests tighten these to provoke reconnects quickly).
-    pub fn timing(mut self, timing: ProtocolTiming) -> Self {
-        self.timing = Some(timing);
-        self
-    }
-
-    /// Overrides each member's replicated-log size (default 16 MiB).
-    /// Model-checking runs shrink it so thousands of re-executions stay
-    /// cheap.
-    pub fn log_size(mut self, bytes: usize) -> Self {
-        self.log_size = Some(bytes);
-        self
-    }
-
-    /// **Test-only mutation**: disable old-epoch grant revocation (see
-    /// [`P4ceMemberConfig::skip_epoch_revoke`]). Used by the explorer to
-    /// prove its single-writer oracle catches the bug.
-    pub fn skip_epoch_revoke(mut self, enable: bool) -> Self {
-        self.skip_epoch_revoke = enable;
+    fn credit_mode(mut self, mode: CreditMode) -> Self {
+        self.fabric_mut().switch_cfg.credit_mode = mode;
         self
     }
 
     /// Runs the cluster behind a plain (non-P4CE) fabric: the switch
     /// ignores group requests, so leaders fall back to direct
     /// replication (§III-A).
-    pub fn p4ce_enabled(mut self, enable: bool) -> Self {
-        self.switch_cfg.p4ce_enabled = enable;
+    fn p4ce_enabled(mut self, enable: bool) -> Self {
+        self.fabric_mut().switch_cfg.p4ce_enabled = enable;
+        self
+    }
+
+    /// Reconfigure the switch asynchronously (keep replicating while the
+    /// group rebuilds) — the Lesson-3 extension.
+    fn async_reconfig(mut self, enable: bool) -> Self {
+        self.fabric_mut().async_reconfig = enable;
         self
     }
 
@@ -158,201 +107,21 @@ impl ClusterBuilder {
     /// back to direct replication (and how often it re-probes for
     /// acceleration). Model-checking runs shrink it so fallback
     /// scenarios stay cheap.
-    pub fn reaccel_period(mut self, period: SimDuration) -> Self {
-        self.reaccel_period = Some(period);
-        self
-    }
-
-    /// Attaches a trace sink. Member hosts emit records labelled `m0`,
-    /// `m1`, …; the P4CE switch emits as `switch`. Disabled by default —
-    /// the hot paths then pay a single branch per potential event.
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+    fn reaccel_period(mut self, period: SimDuration) -> Self {
+        self.fabric_mut().reaccel_period = Some(period);
         self
     }
 
     /// Overrides the switch's per-parser packet cost (scaled-down parser
     /// budgets for the §IV-D ablation).
-    pub fn parser_cost(mut self, cost: SimDuration) -> Self {
-        self.parser_cost = Some(cost);
+    fn parser_cost(mut self, cost: SimDuration) -> Self {
+        self.fabric_mut().parser_cost = Some(cost);
         self
-    }
-
-    /// Overrides every host's CPU cost per verb interaction (post/reap) —
-    /// the calibration knob behind the paper's CPU-bound rates.
-    pub fn verb_cost(mut self, cost: SimDuration) -> Self {
-        self.verb_cost = Some(cost);
-        self
-    }
-
-    /// Shrinks member `i`'s NIC receive capacity (slow-replica credit
-    /// experiments).
-    pub fn member_rx_capacity(mut self, member: usize, capacity: usize) -> Self {
-        self.tweak_rx_capacity.push((member, capacity));
-        self
-    }
-
-    /// Slows member `i`'s NIC receive engine (per-packet processing
-    /// cost) — a straggling replica.
-    pub fn member_rx_cost(mut self, member: usize, cost: SimDuration) -> Self {
-        self.tweak_rx_cost.push((member, cost));
-        self
-    }
-
-    /// Assembles the simulation.
-    pub fn build(self) -> Deployment {
-        let member_ip = |i: usize| Ipv4Addr::new(10, 0, 0, 1 + i as u8);
-        let switch_ip = Ipv4Addr::new(10, 0, 0, 100);
-        let ips: Vec<Ipv4Addr> = (0..self.n_members).map(member_ip).collect();
-        let mut cluster = ClusterConfig::new(&ips);
-        if let Some(timing) = self.timing {
-            cluster.timing = timing;
-        }
-        if let Some(bytes) = self.log_size {
-            cluster.log_size = bytes;
-        }
-        let mut sim = Simulation::new(self.seed);
-
-        let mut members = Vec::new();
-        for i in 0..self.n_members {
-            let mut mcfg = P4ceMemberConfig::new(cluster.clone(), MemberId(i as u8), switch_ip);
-            mcfg.workload = self.workload;
-            mcfg.async_reconfig = self.async_reconfig;
-            mcfg.skip_epoch_revoke = self.skip_epoch_revoke;
-            if let Some(period) = self.reaccel_period {
-                mcfg.reaccel_period = period;
-            }
-            if self.backup_fabric {
-                // Ports follow connection order: the primary fabric is
-                // connected first (port 0), the backup second (port 1).
-                mcfg.backup_port = Some(netsim::PortId::from_index(1));
-                mcfg.path_failover_delay = SimDuration::from_millis(55);
-            }
-            let mut hcfg = HostConfig::new(member_ip(i));
-            hcfg.tracer = self.tracer.labeled(&format!("m{i}"));
-            if let Some(cost) = self.verb_cost {
-                hcfg.post_cost = cost;
-                hcfg.reap_cost = cost;
-            }
-            if let Some(&(_, cap)) = self.tweak_rx_capacity.iter().find(|&&(m, _)| m == i) {
-                hcfg.rx_capacity = cap;
-            }
-            if let Some(&(_, cost)) = self.tweak_rx_cost.iter().find(|&&(m, _)| m == i) {
-                hcfg.nic_rx_cost = cost;
-            }
-            members.push(sim.add_node(Box::new(Host::new(hcfg, P4ceMember::new(mcfg)))));
-        }
-
-        let program = P4ceProgram::new(self.switch_cfg);
-        let mut hw = SwitchConfig::tofino1(switch_ip);
-        hw.tracer = self.tracer.labeled("switch");
-        if let Some(cost) = self.parser_cost {
-            hw.parser_cost = cost;
-        }
-        let switch = sim.add_node(Box::new(Switch::new(hw, self.n_members, program)));
-        for (i, &m) in members.iter().enumerate() {
-            let (_, swp) = sim.connect(m, switch, self.link);
-            sim.node_mut::<Switch<P4ceProgram>>(switch)
-                .add_route(member_ip(i), swp);
-        }
-
-        let backup = if self.backup_fabric {
-            let backup_ip = Ipv4Addr::new(10, 0, 0, 101);
-            let b = sim.add_node(Box::new(Switch::new(
-                SwitchConfig::tofino1(backup_ip),
-                self.n_members,
-                L3Forwarder,
-            )));
-            for (i, &m) in members.iter().enumerate() {
-                let (_, swp) = sim.connect(m, b, self.link);
-                sim.node_mut::<Switch<L3Forwarder>>(b)
-                    .add_route(member_ip(i), swp);
-            }
-            Some(b)
-        } else {
-            None
-        };
-
-        Deployment {
-            sim,
-            cluster,
-            members,
-            switch,
-            backup,
-        }
     }
 }
 
-/// A built P4CE deployment.
-pub struct Deployment {
-    /// The simulation to drive.
-    pub sim: Simulation,
-    /// The cluster description.
-    pub cluster: ClusterConfig,
-    /// Member node ids, in member-id order.
-    pub members: Vec<NodeId>,
-    /// The P4CE switch node id.
-    pub switch: NodeId,
-    /// The backup fabric node id, if built.
-    pub backup: Option<NodeId>,
-}
-
-impl Deployment {
-    /// The member application of member `i`.
-    pub fn member(&self, i: usize) -> &P4ceMember {
-        self.sim.node_ref::<Host<P4ceMember>>(self.members[i]).app()
-    }
-
-    /// Mutable access to member `i` (e.g. to reset measurement windows).
-    pub fn member_mut(&mut self, i: usize) -> &mut P4ceMember {
-        self.sim
-            .node_mut::<Host<P4ceMember>>(self.members[i])
-            .app_mut()
-    }
-
-    /// Runs a closure against member `i` with live host operations — the
-    /// way external code injects actions (e.g. proposing client values)
-    /// into a running member.
-    pub fn with_member<R>(
-        &mut self,
-        i: usize,
-        f: impl FnOnce(&mut P4ceMember, &mut rdma::HostOps<'_, '_>) -> R,
-    ) -> R {
-        let node = self.members[i];
-        self.sim
-            .with_node::<Host<P4ceMember>, _>(node, |host, ctx| host.with_ops(ctx, f))
-    }
-
-    /// The steady-state leader (member 0).
-    pub fn leader(&self) -> &P4ceMember {
-        self.member(0)
-    }
-
-    /// The P4CE switch program, for stats.
-    pub fn switch_program(&self) -> &P4ceProgram {
-        self.sim
-            .node_ref::<Switch<P4ceProgram>>(self.switch)
-            .program()
-    }
-
-    /// Crashes member `i` (process + NIC power-off).
-    pub fn kill_member(&mut self, i: usize) {
-        let node = self.members[i];
-        self.sim.set_node_down(node, true);
-    }
-
-    /// Powers the P4CE switch off.
-    pub fn kill_switch(&mut self) {
-        let node = self.switch;
-        self.sim.set_node_down(node, true);
-    }
-}
-
-impl std::fmt::Debug for Deployment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Deployment")
-            .field("members", &self.members.len())
-            .field("backup", &self.backup.is_some())
-            .finish()
+impl SwitchSetters for ClusterBuilder {
+    fn fabric_mut(&mut self) -> &mut P4ceFabric {
+        &mut self.fabric
     }
 }

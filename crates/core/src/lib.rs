@@ -3,9 +3,10 @@
 //! A reproduction of **"P4CE: Consensus over RDMA at Line Speed"**
 //! (Dulong et al., ICDCS 2024). P4CE decouples the *decision* part of
 //! consensus (Mu's leader election, view change and single-writer logs —
-//! see the `replication` and `mu` crates) from the *communication* part,
-//! which it runs inside a programmable switch (the `p4ce-switch` program
-//! on the `tofino` pipeline model):
+//! `replication::Member`, shared verbatim with the `mu` crate) from the
+//! *communication* part ([`SwitchComm`]), which it runs inside a
+//! programmable switch (the `p4ce-switch` program on the `tofino`
+//! pipeline model):
 //!
 //! * the leader opens **one** RDMA connection *to the switch*;
 //! * each consensus is **one** write request and **one** acknowledgement
@@ -50,8 +51,9 @@ mod builder;
 mod member;
 mod shard;
 
-pub use builder::{ClusterBuilder, Deployment};
-pub use member::{MemberEvent, MemberStats, P4ceMember, P4ceMemberConfig};
+pub use builder::{ClusterBuilder, Deployment, P4ceFabric, SwitchSetters};
+pub use member::{P4ceMember, SwitchComm, SwitchCommConfig};
+pub use replication::{MemberEvent, MemberStats};
 pub use shard::{ShardedClusterBuilder, ShardedDeployment};
 
 // Re-export the pieces users need to drive a deployment.

@@ -1,146 +1,71 @@
-//! The P4CE member: Mu's decision protocol with in-network communication.
+//! P4CE's communication module: Mu's decision protocol with in-network
+//! communication.
 //!
-//! Identical to the Mu member (heartbeats, lowest-live-id election,
-//! permission-fenced logs) except for the leader's communication module
-//! (§III):
+//! The member is the shared `replication::Member` (heartbeats,
+//! lowest-live-id election, permission-fenced logs); only the leader's
+//! communication module differs from Mu's (§III):
 //!
 //! * **accelerated path** — the leader opens *one* RDMA connection to the
 //!   switch, piggybacking the replica set; each consensus is a single
 //!   write to the BCast queue pair, and the single returning ACK already
 //!   represents `f` replica acknowledgements;
 //! * **fallback path** — on a NAK or transport timeout the leader reverts
-//!   to direct, Mu-style replication (one write per replica), and
-//!   periodically retries the accelerated path (§III-A);
+//!   to direct, Mu-style replication (one write per replica — Mu's own
+//!   [`FanOut`], embedded), and periodically retries the accelerated path
+//!   (§III-A);
 //! * **reconfiguration** — replica-set changes and view changes rebuild
 //!   the communication group, which costs the switch's 40 ms
 //!   reconfiguration delay (Table IV). The asynchronous variant the paper
 //!   sketches (manual replication *while* reconfiguring) is available as
-//!   [`P4ceMemberConfig::async_reconfig`].
+//!   [`SwitchCommConfig::async_reconfig`].
 
 use bytes::Bytes;
-use netsim::{PortId, SimDuration, SimTime, TraceEvent};
+use mu::FanOut;
+use netsim::{SimDuration, SimTime, TraceEvent};
 use p4ce_switch::{GroupJoin, GroupRetire, GroupSpec};
-use rdma::{
-    CmEvent, Completion, CompletionStatus, HostOps, Permissions, Psn, Qpn, RdmaApp, RegionAdvert,
-    RegionHandle, RejectReason, WrId,
+use rdma::{Completion, HostOps, Qpn, RegionAdvert, WrId};
+use replication::member::{
+    T_CLASS_MASK, T_DATA_MASK, T_REACCEL, T_RECONNECT, WR_CLASS_MASK, WR_DIRECT, WR_SEQ_MASK,
+    WR_SWITCH,
 };
-use replication::{
-    ArrivalClock, ClusterConfig, FailureDetector, HeartbeatCounter, LogReader, LogWriter, MemberId,
-    ViewTracker, WorkloadMode, WorkloadSpec,
-};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use replication::{Comm, Core, Member, MemberEvent, MemberId};
 use std::net::Ipv4Addr;
 
-pub use mu::{MemberEvent, MemberStats};
+/// The P4CE member application: the shared decision core over
+/// [`SwitchComm`].
+pub type P4ceMember = Member<SwitchComm>;
 
-// Connection kinds (first private-data byte); the switch's group join uses
-// GroupJoin::TAG = 3.
-const KIND_HEARTBEAT: u8 = 1;
-const KIND_REPLICATION: u8 = 2;
+/// `T_RECONNECT` payload meaning "retry the whole group", not one peer.
+const RETRY_GROUP: u64 = 0xff;
 
-// Application timer classes.
-const T_HEARTBEAT: u64 = 1 << 48;
-const T_ARRIVAL: u64 = 2 << 48;
-const T_DEFER_ACCEPT: u64 = 3 << 48;
-const T_RECONNECT: u64 = 4 << 48;
-const T_PATH_RECOVER: u64 = 5 << 48;
-const T_REACCEL: u64 = 6 << 48;
-const T_CLASS_MASK: u64 = 0xff << 48;
-const T_DATA_MASK: u64 = !T_CLASS_MASK & ((1 << 56) - 1);
-
-// Work-request id classes.
-const WR_HB: u64 = 1 << 56;
-const WR_SWITCH: u64 = 2 << 56;
-const WR_DIRECT: u64 = 3 << 56;
-const WR_CATCHUP: u64 = 4 << 56;
-const WR_CLASS_MASK: u64 = 0xff << 56;
-
-/// Configuration of one P4CE member.
+/// Configuration of one member's [`SwitchComm`].
 #[derive(Debug, Clone)]
-pub struct P4ceMemberConfig {
-    /// The cluster this member belongs to.
-    pub cluster: ClusterConfig,
-    /// This member's identity.
-    pub id: MemberId,
+pub struct SwitchCommConfig {
     /// The P4CE-enabled switch's address.
     pub switch_ip: Ipv4Addr,
-    /// The client workload this member drives when leading.
-    pub workload: Option<WorkloadSpec>,
-    /// Backup fabric port for multi-homed hosts.
-    pub backup_port: Option<PortId>,
-    /// Route-update + reconnection penalty after a path fail-over.
-    pub path_failover_delay: SimDuration,
     /// How often a fallen-back leader retries in-network acceleration,
     /// also the patience for a group handshake before giving up.
     pub reaccel_period: SimDuration,
     /// Keep replicating through the old group (or directly) while the
     /// switch reconfigures — the asynchronous variant of §V-E's Lesson 3.
     pub async_reconfig: bool,
-    /// **Test-only mutation**: on an epoch change, skip revoking the old
-    /// epoch's write grants (the safety-critical step of §III's
-    /// permission-switch protocol). Exists so the model checker's
-    /// single-writer oracle can prove it catches the bug; never enable
-    /// outside the explorer's mutation-check mode.
-    pub skip_epoch_revoke: bool,
 }
 
-impl P4ceMemberConfig {
-    /// A member of `cluster` with id `id` behind `switch_ip`, no workload.
-    pub fn new(cluster: ClusterConfig, id: MemberId, switch_ip: Ipv4Addr) -> Self {
-        P4ceMemberConfig {
-            cluster,
-            id,
+impl SwitchCommConfig {
+    /// A comm behind `switch_ip` with the paper's synchronous
+    /// reconfiguration.
+    pub fn new(switch_ip: Ipv4Addr) -> Self {
+        SwitchCommConfig {
             switch_ip,
-            workload: None,
-            backup_port: None,
-            path_failover_delay: SimDuration::from_millis(55),
             reaccel_period: SimDuration::from_millis(100),
             async_reconfig: false,
-            skip_epoch_revoke: false,
         }
     }
 }
 
+/// Which path replication currently takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LinkState {
-    Idle,
-    Connecting,
-    Ready,
-    Dead,
-}
-
-#[derive(Debug)]
-struct HbLink {
-    state: LinkState,
-    qpn: Option<Qpn>,
-    advert: Option<RegionAdvert>,
-    last_seen: u64,
-    reconnect_backoff: u32,
-}
-
-impl HbLink {
-    fn new() -> Self {
-        HbLink {
-            state: LinkState::Idle,
-            qpn: None,
-            advert: None,
-            last_seen: 0,
-            reconnect_backoff: 0,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct DirectLink {
-    state: LinkState,
-    qpn: Option<Qpn>,
-    advert: Option<RegionAdvert>,
-    retry_backoff: u32,
-}
-
-/// The leader's communication module state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Comm {
+enum Path {
     /// Nothing established.
     Down,
     /// Group handshake with the switch in flight (since the marked time).
@@ -151,59 +76,13 @@ enum Comm {
     Fallback,
 }
 
+/// The leader's communication module: one queue pair to the switch,
+/// Mu's fan-out when the switch cannot serve.
 #[derive(Debug)]
-struct PendingDecision {
-    acks: u32,
-    decided: bool,
-    arrived: SimTime,
-    size: usize,
-    /// Where the entry sits in the log (for fallback re-replication).
-    at: usize,
-    len: usize,
-}
-
-#[derive(Debug, Clone)]
-struct DeferredAccept {
-    handshake_id: u64,
-    from_ip: Ipv4Addr,
-    from_qpn: Qpn,
-    start_psn: Psn,
-    /// The leader this connection serves (differs from `from_ip` for
-    /// switch-originated joins).
-    leader_ip: Ipv4Addr,
-}
-
-/// The P4CE member application. Plug into an [`rdma::Host`].
-pub struct P4ceMember {
-    cfg: P4ceMemberConfig,
-    // Regions.
-    log_region: Option<RegionHandle>,
-    hb_region: Option<RegionHandle>,
-    hb_scratch: Option<RegionHandle>,
-    // Decision protocol.
-    counter: HeartbeatCounter,
-    detector: FailureDetector,
-    views: ViewTracker,
-    writer: LogWriter,
-    reader: LogReader,
-    /// Seq the next state-machine application must carry: an epoch
-    /// rebuild replays the log from the head, and entries below this
-    /// mark were already applied (exactly-once application).
-    next_apply_seq: u64,
-    // Links.
-    hb_links: BTreeMap<MemberId, HbLink>,
-    direct_links: BTreeMap<MemberId, DirectLink>,
-    handshake_peer: HashMap<u64, (u8, MemberId)>,
+pub struct SwitchComm {
+    cfg: SwitchCommConfig,
+    path: Path,
     switch_handshake: Option<u64>,
-    deferred: HashMap<u64, DeferredAccept>,
-    next_defer: u64,
-    // Replica-side grant state for this view.
-    granted_ips: BTreeSet<Ipv4Addr>,
-    view_writer_qpns: BTreeSet<u32>,
-    epoch_leader: Option<Ipv4Addr>,
-    // Leadership & communication.
-    i_am_leader: bool,
-    comm: Comm,
     switch_advert: Option<RegionAdvert>,
     /// The switch-assigned id of the group this leader drives, learned
     /// from the trailing bytes of the switch's ConnectReply. Names the
@@ -211,745 +90,146 @@ pub struct P4ceMember {
     /// establishment overwrites it.
     group_id: Option<u16>,
     group_members: Vec<MemberId>,
-    first_decision_pending: bool,
-    // Replication.
-    pending: BTreeMap<u64, PendingDecision>,
-    parked: VecDeque<SimTime>,
-    // Workload.
-    arrivals: Option<ArrivalClock>,
-    workload_started: bool,
-    payload_proto: Bytes,
-    // Path fail-over.
-    failed_over: bool,
-    /// Heartbeat ticks to wait before feeding the failure detector —
-    /// covers link establishment at start-up and after a path fail-over
-    /// (no information is not a stall).
-    detector_grace: u32,
-    state_machine: Option<Box<dyn replication::StateMachine>>,
-    /// Measurements.
-    pub stats: MemberStats,
+    direct: FanOut,
 }
 
-impl P4ceMember {
-    /// Builds the member application.
-    pub fn new(cfg: P4ceMemberConfig) -> Self {
-        let peers: Vec<MemberId> = cfg
-            .cluster
-            .peers_of(cfg.id)
-            .iter()
-            .map(|&(id, _)| id)
-            .collect();
-        let detector = FailureDetector::new(cfg.cluster.failure_threshold, peers.iter().copied());
-        let hb_links = peers.iter().map(|&id| (id, HbLink::new())).collect();
-        let log_size = cfg.cluster.log_size;
-        let detector_grace = cfg.cluster.timing.detector_grace_ticks;
-        P4ceMember {
+impl SwitchComm {
+    /// A comm with nothing established.
+    pub fn new(cfg: SwitchCommConfig) -> Self {
+        SwitchComm {
             cfg,
-            log_region: None,
-            hb_region: None,
-            hb_scratch: None,
-            counter: HeartbeatCounter::new(),
-            detector,
-            views: ViewTracker::new(),
-            writer: LogWriter::new(log_size),
-            reader: LogReader::new(),
-            next_apply_seq: 0,
-            hb_links,
-            direct_links: BTreeMap::new(),
-            handshake_peer: HashMap::new(),
+            path: Path::Down,
             switch_handshake: None,
-            deferred: HashMap::new(),
-            next_defer: 0,
-            granted_ips: BTreeSet::new(),
-            view_writer_qpns: BTreeSet::new(),
-            epoch_leader: None,
-            i_am_leader: false,
-            comm: Comm::Down,
             switch_advert: None,
             group_id: None,
             group_members: Vec::new(),
-            first_decision_pending: false,
-            pending: BTreeMap::new(),
-            parked: VecDeque::new(),
-            arrivals: None,
-            workload_started: false,
-            payload_proto: Bytes::new(),
-            failed_over: false,
-            detector_grace,
-            state_machine: None,
-            stats: MemberStats::default(),
+            direct: FanOut::default(),
         }
-    }
-
-    /// Installs the replicated state machine: every decided entry that
-    /// becomes visible in this member's log is applied to it, in order.
-    pub fn set_state_machine(&mut self, sm: Box<dyn replication::StateMachine>) {
-        self.state_machine = Some(sm);
-    }
-
-    /// The installed state machine, for post-run inspection.
-    pub fn state_machine(&self) -> Option<&dyn replication::StateMachine> {
-        self.state_machine.as_deref()
-    }
-
-    /// Proposes a client-supplied value for consensus. Returns `false`
-    /// when this member is not currently an operational leader (callers
-    /// should retry against the actual leader).
-    pub fn propose_value(&mut self, payload: Bytes, ops: &mut HostOps<'_, '_>) -> bool {
-        if !self.i_am_leader || !self.comm_ready() {
-            return false;
-        }
-        let now = ops.now();
-        self.propose_payload(payload, now, ops);
-        true
-    }
-
-    /// This member's id.
-    pub fn id(&self) -> MemberId {
-        self.cfg.id
-    }
-
-    /// `true` while this member leads with a working replication path.
-    pub fn is_operational_leader(&self) -> bool {
-        self.i_am_leader && self.comm_ready()
-    }
-
-    /// The switch-assigned group id, while this member leads an
-    /// accelerated group (and until the next group replaces it).
-    pub fn group_id(&self) -> Option<u16> {
-        self.group_id
-    }
-
-    /// `true` while replication is switch-accelerated.
-    pub fn is_accelerated(&self) -> bool {
-        matches!(self.comm, Comm::Accelerated(_))
-    }
-
-    /// The current view number.
-    pub fn view(&self) -> u64 {
-        self.views.view()
-    }
-
-    /// The leader this member currently believes in.
-    pub fn believed_leader(&self) -> Option<MemberId> {
-        self.views.leader()
-    }
-
-    /// Handle of this member's replicated-log region, once registered.
-    /// Invariant oracles pair it with [`rdma::Host::memory`] to audit who
-    /// holds write permission on the log.
-    pub fn log_region(&self) -> Option<RegionHandle> {
-        self.log_region
-    }
-
-    /// The leader whose epoch the current log-write grants belong to
-    /// (`None` before the first grant).
-    pub fn epoch_leader(&self) -> Option<Ipv4Addr> {
-        self.epoch_leader
-    }
-
-    /// Peers this member has granted log-write permission to in the
-    /// current epoch (its own bookkeeping; the NIC-enforced truth lives
-    /// in [`rdma::Host::memory`]).
-    pub fn granted_ips(&self) -> &BTreeSet<Ipv4Addr> {
-        &self.granted_ips
-    }
-
-    /// Sequence number the next applied entry must carry — applied
-    /// entries are exactly `0..next_apply_seq`, in order.
-    pub fn next_apply_seq(&self) -> u64 {
-        self.next_apply_seq
-    }
-
-    /// Clears the measurement window (latency samples and throughput),
-    /// restarting it at `now`.
-    pub fn reset_measurements(&mut self, now: SimTime) {
-        self.stats.latency.clear();
-        self.stats.throughput.reset(now);
-    }
-
-    /// Requests a fresh communication group from the switch (the "new
-    /// communication group" scenario of Table IV). Only meaningful on the
-    /// current leader.
-    pub fn force_rebuild_comm(&mut self, ops: &mut HostOps<'_, '_>) {
-        if !self.i_am_leader {
-            return;
-        }
-        self.stats.event(ops.now(), MemberEvent::CommRebuildStarted);
-        if let Comm::Accelerated(qpn) = self.comm {
-            ops.destroy_qp(qpn);
-        }
-        self.comm = Comm::Down;
-        self.request_group(ops);
-    }
-
-    fn comm_ready(&self) -> bool {
-        match self.comm {
-            Comm::Accelerated(_) => true,
-            Comm::Fallback => self.ready_direct_links() >= self.cfg.cluster.f(),
-            _ => false,
-        }
-    }
-
-    fn peer_index(&self, peer: MemberId) -> usize {
-        self.cfg
-            .cluster
-            .members
-            .iter()
-            .position(|&(id, _)| id == peer)
-            .expect("peer is part of the cluster")
-    }
-
-    fn ready_direct_links(&self) -> usize {
-        self.direct_links
-            .values()
-            .filter(|l| l.state == LinkState::Ready)
-            .count()
-    }
-
-    // ------------------------------------------------------------------
-    // Heartbeats & views (same machinery as Mu)
-    // ------------------------------------------------------------------
-
-    fn heartbeat_tick(&mut self, ops: &mut HostOps<'_, '_>) {
-        let value = self.counter.tick();
-        if let Some(region) = self.hb_region {
-            ops.write_local(region, 0, &value.to_be_bytes());
-        }
-        let peers: Vec<MemberId> = self.hb_links.keys().copied().collect();
-        // Feed the detector once the grace window for link establishment
-        // has passed (no information is not a stall).
-        if self.detector_grace > 0 {
-            self.detector_grace -= 1;
-        } else {
-            for peer in &peers {
-                let last = self.hb_links[peer].last_seen;
-                self.detector.observe(*peer, last);
-            }
-        }
-        let timing = self.cfg.cluster.timing;
-        for peer in peers {
-            let link = self.hb_links.get_mut(&peer).expect("known peer");
-            match link.state {
-                LinkState::Ready => {
-                    let (qpn, advert) = (
-                        link.qpn.expect("ready link has a QP"),
-                        link.advert.expect("ready link has an advert"),
-                    );
-                    let slot = self.peer_index(peer) * 8;
-                    ops.post_read(
-                        qpn,
-                        WrId(WR_HB | u64::from(peer.0)),
-                        advert.va,
-                        advert.rkey,
-                        8,
-                        self.hb_scratch.expect("registered"),
-                        slot,
-                    );
-                }
-                LinkState::Idle => self.connect_hb(peer, ops),
-                LinkState::Dead => {
-                    link.reconnect_backoff += 1;
-                    if link.reconnect_backoff >= timing.link_redial_ticks {
-                        link.reconnect_backoff = 0;
-                        self.connect_hb(peer, ops);
-                    }
-                }
-                LinkState::Connecting => {
-                    // A handshake that never completes (its packets died
-                    // with the fabric) must be abandoned and retried.
-                    link.reconnect_backoff += 1;
-                    if link.reconnect_backoff >= timing.link_abandon_ticks {
-                        link.reconnect_backoff = timing.link_retry_soon_ticks;
-                        link.state = LinkState::Dead;
-                    }
-                }
-            }
-        }
-        self.update_view(ops);
-        if !self.failed_over
-            && self.cfg.backup_port.is_some()
-            && self.detector.alive_peers().is_empty()
-            && self.views.view() > 0
-        {
-            self.path_failover(ops);
-            return;
-        }
-        let period = self.cfg.cluster.heartbeat_period;
-        ops.set_app_timer(period, T_HEARTBEAT);
-    }
-
-    fn connect_hb(&mut self, peer: MemberId, ops: &mut HostOps<'_, '_>) {
-        let ip = self.cfg.cluster.addr_of(peer);
-        let hs = ops.connect(ip, Bytes::from_static(&[KIND_HEARTBEAT]));
-        self.handshake_peer.insert(hs, (KIND_HEARTBEAT, peer));
-        self.hb_links.get_mut(&peer).expect("known peer").state = LinkState::Connecting;
-    }
-
-    fn update_view(&mut self, ops: &mut HostOps<'_, '_>) {
-        let mut alive: BTreeSet<MemberId> = self.detector.alive_peers();
-        alive.insert(self.cfg.id);
-        let Some(change) = self.views.update(&alive) else {
-            if self.i_am_leader {
-                self.handle_replica_departures(ops);
-            }
-            return;
-        };
-        self.stats.event(
-            ops.now(),
-            MemberEvent::ViewChange {
-                view: change.view,
-                leader: change.new,
-            },
-        );
-        ops.tracer().emit(ops.now(), || TraceEvent::ViewChange {
-            view: change.view,
-            leader: change.new.map_or(u64::MAX, |m| u64::from(m.0)),
-        });
-        let i_lead = change.new == Some(self.cfg.id);
-        if i_lead && !self.i_am_leader {
-            self.become_leader(change.view, ops);
-        } else if !i_lead {
-            self.i_am_leader = false;
-            self.comm = Comm::Down;
-            self.fence_log(ops);
-        }
-    }
-
-    /// A replica died while we lead: the communication group must be
-    /// rebuilt (§V-E, "Crashed replica": +40 ms in P4CE).
-    fn handle_replica_departures(&mut self, ops: &mut HostOps<'_, '_>) {
-        let alive: BTreeSet<MemberId> = self.detector.alive_peers();
-        match self.comm {
-            Comm::Accelerated(_) => {
-                let group_alive = self
-                    .group_members
-                    .iter()
-                    .filter(|id| alive.contains(id))
-                    .count();
-                if group_alive < self.group_members.len() {
-                    // Rebuild with the survivors.
-                    self.stats.event(ops.now(), MemberEvent::CommRebuildStarted);
-                    if !self.cfg.async_reconfig {
-                        // The paper's implementation pauses replication
-                        // until the switch is reconfigured.
-                        self.comm = Comm::Down;
-                    }
-                    self.request_group(ops);
-                }
-            }
-            Comm::Fallback => {
-                let dead: Vec<MemberId> = self
-                    .direct_links
-                    .iter()
-                    .filter(|&(id, l)| l.state == LinkState::Ready && !alive.contains(id))
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in dead {
-                    if let Some(l) = self.direct_links.get_mut(&id) {
-                        l.state = LinkState::Dead;
-                        if let Some(qpn) = l.qpn.take() {
-                            ops.destroy_qp(qpn);
-                        }
-                    }
-                    self.stats
-                        .event(ops.now(), MemberEvent::ReplicaExcluded { id });
-                }
-                // Self-healing: (re)connect to replicas that are alive
-                // but unlinked, e.g. after a path fail-over.
-                let timing = self.cfg.cluster.timing;
-                for peer in alive {
-                    let needs_connect = match self.direct_links.get_mut(&peer) {
-                        None => true,
-                        Some(l) if l.state == LinkState::Dead => {
-                            l.retry_backoff += 1;
-                            l.retry_backoff >= timing.link_redial_ticks
-                        }
-                        Some(l) if l.state == LinkState::Connecting => {
-                            // Abandon handshakes that died with the fabric.
-                            l.retry_backoff += 1;
-                            if l.retry_backoff >= timing.link_abandon_ticks {
-                                l.state = LinkState::Dead;
-                                l.retry_backoff = timing.link_retry_soon_ticks;
-                            }
-                            false
-                        }
-                        Some(_) => false,
-                    };
-                    if needs_connect {
-                        self.connect_direct(peer, ops);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Fences out the deposed leader's grants on this member's own log:
-    /// revoke every granted IP, close the QPN allowlist, forget the
-    /// epoch. Runs on every epoch boundary (view change while not
-    /// leading, and taking over leadership) — unless the test-only
-    /// `skip_epoch_revoke` mutation is armed, which models precisely
-    /// this fence being forgotten so the explorer's single-writer
-    /// oracle has a real bug to catch.
-    fn fence_log(&mut self, ops: &mut HostOps<'_, '_>) {
-        if self.cfg.skip_epoch_revoke {
-            return;
-        }
-        if let Some(region) = self.log_region {
-            for ip in std::mem::take(&mut self.granted_ips) {
-                ops.revoke(region, ip);
-            }
-            self.view_writer_qpns.clear();
-            ops.set_allowed_writer_qpns(region, Some(self.view_writer_qpns.clone()));
-            self.epoch_leader = None;
-        }
-    }
-
-    fn become_leader(&mut self, view: u64, ops: &mut HostOps<'_, '_>) {
-        self.i_am_leader = true;
-        self.comm = Comm::Down;
-        self.workload_started = false;
-        self.first_decision_pending = true;
-        // A new leader's own log is also an old-epoch log.
-        self.fence_log(ops);
-        self.stats
-            .event(ops.now(), MemberEvent::BecameLeader { view });
-        self.writer
-            .resume(self.reader.offset(), self.reader.consumed());
-        self.request_group(ops);
-        ops.set_app_timer(self.cfg.reaccel_period, T_REACCEL);
     }
 
     /// Asks the switch to build a communication group over the live
-    /// replicas.
-    fn request_group(&mut self, ops: &mut HostOps<'_, '_>) {
-        let alive: Vec<(MemberId, Ipv4Addr)> = self
-            .cfg
-            .cluster
-            .peers_of(self.cfg.id)
-            .into_iter()
-            .filter(|&(id, _)| self.detector.is_alive(id))
-            .collect();
-        let f = self.cfg.cluster.f();
+    /// replicas, without touching the path in use. `false` if there is
+    /// no quorum to build over.
+    fn send_group_request(&mut self, core: &Core, ops: &mut HostOps<'_, '_>) -> bool {
+        let alive = core.live_peers();
+        let f = core.cluster().f();
         if alive.len() < f {
-            return; // no quorum to build over; heartbeats will retry
+            return false;
         }
         self.group_members = alive.iter().map(|&(id, _)| id).collect();
         let spec = GroupSpec {
             f: f as u8,
             replicas: alive.iter().map(|&(_, ip)| ip).collect(),
         };
-        let hs = ops.connect(self.cfg.switch_ip, spec.encode());
-        self.switch_handshake = Some(hs);
-        if !matches!(self.comm, Comm::Accelerated(_)) || !self.cfg.async_reconfig {
-            self.comm = Comm::SwitchConnecting(ops.now());
+        self.switch_handshake = Some(ops.connect(self.cfg.switch_ip, spec.encode()));
+        true
+    }
+
+    /// Requests a group and waits for it — unless an accelerated group
+    /// keeps serving meanwhile (`async_reconfig`).
+    fn request_group(&mut self, core: &Core, ops: &mut HostOps<'_, '_>) {
+        if self.send_group_request(core, ops)
+            && (!self.is_accelerated() || !self.cfg.async_reconfig)
+        {
+            self.path = Path::SwitchConnecting(ops.now());
         }
     }
 
     /// Reverts to direct, un-accelerated replication (§III-A).
-    fn fall_back(&mut self, ops: &mut HostOps<'_, '_>) {
-        if matches!(self.comm, Comm::Fallback) {
+    fn fall_back(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
+        if self.path == Path::Fallback {
             return;
         }
-        if let Comm::Accelerated(qpn) = self.comm {
+        if let Path::Accelerated(qpn) = self.path {
             ops.destroy_qp(qpn);
         }
-        self.comm = Comm::Fallback;
-        self.stats.event(ops.now(), MemberEvent::FellBack);
+        self.path = Path::Fallback;
+        core.stats.event(ops.now(), MemberEvent::FellBack);
         ops.tracer().emit(ops.now(), || TraceEvent::FellBack);
-        self.direct_links.clear();
-        let peers: Vec<(MemberId, Ipv4Addr)> = self.cfg.cluster.peers_of(self.cfg.id);
-        for (peer, ip) in peers {
-            if !self.detector.is_alive(peer) {
-                continue;
-            }
-            let hs = ops.connect(ip, Bytes::from_static(&[KIND_REPLICATION]));
-            self.handshake_peer.insert(hs, (KIND_REPLICATION, peer));
-            self.direct_links.insert(
-                peer,
-                DirectLink {
-                    state: LinkState::Connecting,
-                    qpn: None,
-                    advert: None,
-                    retry_backoff: 0,
-                },
-            );
-        }
+        self.direct.connect_live(core, ops);
     }
 
-    /// Retires this leader's switch group: names it in a
-    /// [`GroupRetire`] to the switch (fire-and-forget — the switch's
-    /// reject completes the exchange and is ignored here because no
-    /// switch handshake is pending), destroys the BCast queue pair, and
-    /// falls back to direct replication. The group keeps deciding over
-    /// the direct path, and the periodic re-acceleration probe will
-    /// build a fresh switch group — with a new id — on its own.
-    pub fn retire_comm(&mut self, ops: &mut HostOps<'_, '_>) {
-        let Comm::Accelerated(_) = self.comm else {
-            return;
-        };
-        if let Some(gid) = self.group_id.take() {
-            ops.connect(self.cfg.switch_ip, GroupRetire { gid }.encode());
-        }
-        self.fall_back(ops);
-    }
-
-    fn reaccel_tick(&mut self, ops: &mut HostOps<'_, '_>) {
-        if !self.i_am_leader {
+    fn reaccel_tick(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
+        if !core.is_leader() {
             return;
         }
-        match self.comm {
-            Comm::SwitchConnecting(since)
+        match self.path {
+            Path::SwitchConnecting(since)
                 // The switch never answered: it is gone (or unreachable);
                 // revert to manual replication.
                 if ops.now().saturating_duration_since(since) >= self.cfg.reaccel_period => {
                     self.switch_handshake = None;
-                    self.fall_back(ops);
+                    self.fall_back(core, ops);
                 }
-            Comm::Fallback => {
-                // Periodically probe for a P4CE-enabled switch (§III-A).
-                self.request_group(ops);
-                self.comm = Comm::Fallback; // stay on the working path
-                // Note: request_group set SwitchConnecting only when not
-                // accelerated+async; force the probe to be non-disruptive:
+            Path::Fallback => {
+                // Periodically probe for a P4CE-enabled switch (§III-A),
+                // staying on the working path meanwhile.
+                self.send_group_request(core, ops);
             }
             _ => {}
         }
         ops.set_app_timer(self.cfg.reaccel_period, T_REACCEL);
     }
 
-    fn on_group_established(&mut self, qpn: Qpn, advert: RegionAdvert, ops: &mut HostOps<'_, '_>) {
+    fn on_group_established(
+        &mut self,
+        core: &mut Core,
+        qpn: Qpn,
+        advert: RegionAdvert,
+        ops: &mut HostOps<'_, '_>,
+    ) {
         self.switch_handshake = None;
         // Drop the direct path: the accelerated one replaces it.
-        for link in self.direct_links.values_mut() {
-            if let Some(q) = link.qpn.take() {
-                ops.destroy_qp(q);
-            }
-            link.state = LinkState::Dead;
-        }
-        self.comm = Comm::Accelerated(qpn);
+        self.direct.teardown(ops);
+        self.path = Path::Accelerated(qpn);
         self.switch_advert = Some(advert);
-        self.stats.event(ops.now(), MemberEvent::GroupEstablished);
+        core.stats.event(ops.now(), MemberEvent::GroupEstablished);
         ops.tracer()
             .emit(ops.now(), || TraceEvent::GroupEstablished);
         // Re-replicate anything that was decided-in-doubt or parked
         // during the outage.
-        self.repost_pending_via_switch(ops);
-        self.maybe_start_workload(ops);
-        self.drain_parked(ops);
-        self.reprime_closed_loop(ops);
-    }
-
-    fn repost_pending_via_switch(&mut self, ops: &mut HostOps<'_, '_>) {
-        let Comm::Accelerated(qpn) = self.comm else {
-            return;
-        };
-        let advert = self.switch_advert.expect("accelerated has advert");
-        let region = self.log_region.expect("registered");
-        let undecided: Vec<(u64, usize, usize)> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| !p.decided)
-            .map(|(&seq, p)| (seq, p.at, p.len))
-            .collect();
-        for (seq, at, len) in undecided {
-            let data = Bytes::copy_from_slice(ops.read_local(region, at, len));
+        for (seq, at, data) in core.undecided(ops) {
             ops.post_write(qpn, WrId(WR_SWITCH | seq), at as u64, advert.rkey, data);
         }
+        core.resume(self, ops);
+    }
+}
+
+impl Comm for SwitchComm {
+    fn start(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
+        self.path = Path::Down;
+        self.request_group(core, ops);
+        ops.set_app_timer(self.cfg.reaccel_period, T_REACCEL);
     }
 
-    /// Nothing extra to do at fallback time: undecided entries re-flow
-    /// through [`Self::repost_pending_direct`] as each direct link comes
-    /// up (the catch-up write covers the log bytes; per-seq posts earn
-    /// the ACK counts).
-    fn repost_pending_on_fallback(&mut self, _ops: &mut HostOps<'_, '_>) {}
-
-    /// Re-replicates undecided entries to a freshly connected direct
-    /// link (fallback recovery).
-    fn repost_pending_direct(&mut self, peer: MemberId, ops: &mut HostOps<'_, '_>) {
-        let Some(link) = self.direct_links.get(&peer) else {
-            return;
-        };
-        let (Some(qpn), Some(advert)) = (link.qpn, link.advert) else {
-            return;
-        };
-        let region = self.log_region.expect("registered");
-        let undecided: Vec<(u64, usize, usize)> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| !p.decided)
-            .map(|(&seq, p)| (seq, p.at, p.len))
-            .collect();
-        for (seq, at, len) in undecided {
-            let data = Bytes::copy_from_slice(ops.read_local(region, at, len));
-            ops.post_write(
-                qpn,
-                WrId(WR_DIRECT | (u64::from(peer.0) << 48) | seq),
-                advert.va + at as u64,
-                advert.rkey,
-                data,
-            );
-        }
+    fn stop(&mut self) {
+        self.path = Path::Down;
     }
 
-    /// Tops a closed-loop workload back up to its in-flight target after
-    /// an outage.
-    fn reprime_closed_loop(&mut self, ops: &mut HostOps<'_, '_>) {
-        let Some(spec) = self.cfg.workload else {
-            return;
-        };
-        let WorkloadMode::Closed { inflight } = spec.mode else {
-            return;
-        };
-        if !self.workload_started || !self.comm_ready() {
-            return;
-        }
-        let outstanding = self.pending.values().filter(|p| !p.decided).count();
-        let mut deficit = inflight.saturating_sub(outstanding);
-        while deficit > 0 && !self.workload_done(&spec) {
-            let now = ops.now();
-            self.propose(now, ops);
-            deficit -= 1;
-        }
-    }
-
-    fn path_failover(&mut self, ops: &mut HostOps<'_, '_>) {
-        self.failed_over = true;
-        self.stats.event(ops.now(), MemberEvent::PathFailover);
-        let backup = self.cfg.backup_port.expect("checked by caller");
-        ops.set_active_port(backup);
-        for link in self.hb_links.values_mut() {
-            if let Some(qpn) = link.qpn.take() {
-                ops.destroy_qp(qpn);
-            }
-            link.state = LinkState::Dead;
-            link.reconnect_backoff = 0;
-        }
-        for link in self.direct_links.values_mut() {
-            if let Some(qpn) = link.qpn.take() {
-                ops.destroy_qp(qpn);
-            }
-            link.state = LinkState::Dead;
-        }
-        if let Comm::Accelerated(qpn) = self.comm {
+    fn rebuild(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
+        if let Path::Accelerated(qpn) = self.path {
             ops.destroy_qp(qpn);
         }
-        self.comm = Comm::Down;
-        self.first_decision_pending = true;
-        ops.set_app_timer(self.cfg.path_failover_delay, T_PATH_RECOVER);
+        self.path = Path::Down;
+        self.request_group(core, ops);
     }
 
-    // ------------------------------------------------------------------
-    // Workload
-    // ------------------------------------------------------------------
-
-    fn maybe_start_workload(&mut self, ops: &mut HostOps<'_, '_>) {
-        if !self.i_am_leader || self.workload_started || !self.comm_ready() {
-            return;
-        }
-        let Some(spec) = self.cfg.workload else {
-            return;
-        };
-        self.workload_started = true;
-        if self.payload_proto.len() != spec.value_size {
-            self.payload_proto = Bytes::from(vec![0xCD; spec.value_size]);
-        }
-        match spec.mode {
-            WorkloadMode::OpenLoop { rate_per_sec } => {
-                let clock = ArrivalClock::new(ops.now(), rate_per_sec);
-                let first = clock.next_arrival();
-                self.arrivals = Some(clock);
-                ops.set_app_timer(first.saturating_duration_since(ops.now()), T_ARRIVAL);
-            }
-            WorkloadMode::Closed { inflight } => {
-                for _ in 0..inflight {
-                    if self.workload_done(&spec) {
-                        break;
-                    }
-                    let now = ops.now();
-                    self.propose(now, ops);
-                }
-            }
+    fn ready(&self, core: &Core) -> bool {
+        match self.path {
+            Path::Accelerated(_) => true,
+            Path::Fallback => self.direct.ready_links() >= core.cluster().f(),
+            _ => false,
         }
     }
 
-    fn workload_done(&self, spec: &WorkloadSpec) -> bool {
-        spec.total_requests != 0 && self.stats.issued >= spec.total_requests
-    }
-
-    fn arrival_tick(&mut self, ops: &mut HostOps<'_, '_>) {
-        let Some(spec) = self.cfg.workload else {
-            return;
-        };
-        if self.workload_done(&spec) {
-            return;
-        }
-        let now = ops.now();
-        if self.comm_ready() {
-            self.propose(now, ops);
-        } else {
-            // The communication module is reconfiguring: requests queue
-            // (their latency will include the outage).
-            self.parked.push_back(now);
-            self.stats.issued += 1;
-        }
-        if let Some(clock) = &mut self.arrivals {
-            let next = clock.advance();
-            if !self.workload_done(&spec) {
-                ops.set_app_timer(next.saturating_duration_since(ops.now()), T_ARRIVAL);
-            }
-        }
-    }
-
-    fn drain_parked(&mut self, ops: &mut HostOps<'_, '_>) {
-        while self.comm_ready() {
-            let Some(arrived) = self.parked.pop_front() else {
-                break;
-            };
-            self.stats.issued -= 1; // propose() re-counts it
-            self.propose(arrived, ops);
-        }
-    }
-
-    /// One consensus: append locally, hand the value to the communication
-    /// module (switch write, or per-replica writes in fallback).
-    fn propose(&mut self, arrived: SimTime, ops: &mut HostOps<'_, '_>) {
-        let payload = self.payload_proto.clone();
-        self.propose_payload(payload, arrived, ops);
-    }
-
-    fn propose_payload(&mut self, payload: Bytes, arrived: SimTime, ops: &mut HostOps<'_, '_>) {
-        debug_assert!(self.i_am_leader);
-        let size = payload.len();
-        let Ok((entry, bytes, at)) = self.writer.append(payload) else {
-            return;
-        };
-        let region = self.log_region.expect("registered");
-        ops.write_local(region, at, &bytes);
-        self.stats.issued += 1;
-        let (view, seq) = (self.views.view(), entry.seq);
-        ops.tracer()
-            .emit(ops.now(), || TraceEvent::Propose { view, seq });
-        let len = bytes.len();
-        self.pending.insert(
-            entry.seq,
-            PendingDecision {
-                acks: 0,
-                decided: false,
-                arrived,
-                size,
-                at,
-                len,
-            },
-        );
-        match self.comm {
-            Comm::Accelerated(qpn) => {
+    fn post(&mut self, view: u64, seq: u64, at: usize, bytes: Bytes, ops: &mut HostOps<'_, '_>) {
+        match self.path {
+            Path::Accelerated(qpn) => {
                 let advert = self.switch_advert.expect("accelerated has advert");
                 // One write to the switch replaces n writes to replicas:
                 // the virtual VA is zero-based, so the log offset is the
                 // address (§IV-A).
-                let wr_id = WrId(WR_SWITCH | entry.seq);
+                let wr_id = WrId(WR_SWITCH | seq);
                 ops.tracer().emit(ops.now(), || TraceEvent::PostBound {
                     view,
                     seq,
@@ -958,259 +238,49 @@ impl P4ceMember {
                 });
                 ops.post_write(qpn, wr_id, at as u64, advert.rkey, bytes);
             }
-            Comm::Fallback => {
-                let links: Vec<(MemberId, Qpn, RegionAdvert)> = self
-                    .direct_links
-                    .iter()
-                    .filter(|(_, l)| l.state == LinkState::Ready)
-                    .map(|(&id, l)| (id, l.qpn.expect("ready"), l.advert.expect("ready")))
-                    .collect();
-                for (peer, qpn, advert) in links {
-                    let wr_id = WrId(WR_DIRECT | (u64::from(peer.0) << 48) | entry.seq);
-                    ops.tracer().emit(ops.now(), || TraceEvent::PostBound {
-                        view,
-                        seq,
-                        qpn: u64::from(qpn.masked()),
-                        wr_id: wr_id.0,
-                    });
-                    ops.post_write(
-                        qpn,
-                        wr_id,
-                        advert.va + at as u64,
-                        advert.rkey,
-                        bytes.clone(),
-                    );
+            Path::Fallback => self.direct.post(view, seq, at, &bytes, ops),
+            // No path (reconfiguring): the entry stays pending and is
+            // re-posted when the group comes up.
+            _ => {}
+        }
+    }
+
+    /// A replica died while we lead: the communication group must be
+    /// rebuilt (§V-E, "Crashed replica": +40 ms in P4CE).
+    fn on_heartbeat(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
+        match self.path {
+            Path::Accelerated(_) if self.group_members.iter().any(|&id| !core.is_alive(id)) => {
+                // Rebuild with the survivors.
+                core.stats.event(ops.now(), MemberEvent::CommRebuildStarted);
+                if !self.cfg.async_reconfig {
+                    // The paper's implementation pauses replication
+                    // until the switch is reconfigured.
+                    self.path = Path::Down;
                 }
+                self.request_group(core, ops);
             }
-            _ => {
-                // No path (reconfiguring): the entry stays pending and is
-                // re-posted when the group comes up.
-            }
+            Path::Fallback => self.direct.maintain(core, ops),
+            _ => {}
         }
     }
 
-    fn on_switch_completion(&mut self, seq: u64, c: &Completion, ops: &mut HostOps<'_, '_>) {
-        if !c.status.is_success() {
-            // A NAK forwarded by the switch, or the ACK timed out: revert
-            // to un-accelerated communication (§III-A).
-            self.fall_back(ops);
-            return;
+    fn on_path_failover(&mut self, ops: &mut HostOps<'_, '_>) {
+        self.direct.teardown(ops);
+        if let Path::Accelerated(qpn) = self.path {
+            ops.destroy_qp(qpn);
         }
-        // The single ACK certifies f replica acknowledgements.
-        self.stats.min_credit_seen = self.stats.min_credit_seen.min(c.credits);
-        let now = ops.now();
-        let Some(p) = self.pending.get_mut(&seq) else {
-            return;
-        };
-        if p.decided {
-            return;
-        }
-        p.decided = true;
-        let (arrived, size) = (p.arrived, p.size);
-        self.pending.remove(&seq);
-        self.record_decision(seq, arrived, size, now, ops);
+        self.path = Path::Down;
     }
 
-    fn on_direct_completion(
-        &mut self,
-        peer: MemberId,
-        seq: u64,
-        c: &Completion,
-        ops: &mut HostOps<'_, '_>,
-    ) {
-        if !c.status.is_success() {
-            if let Some(link) = self.direct_links.get_mut(&peer) {
-                if link.state == LinkState::Ready {
-                    link.state = LinkState::Dead;
-                    if let Some(qpn) = link.qpn.take() {
-                        ops.destroy_qp(qpn);
-                    }
-                    self.stats
-                        .event(ops.now(), MemberEvent::ReplicaExcluded { id: peer });
-                }
-            }
-            return;
-        }
-        let f = self.cfg.cluster.f() as u32;
-        let now = ops.now();
-        let Some(p) = self.pending.get_mut(&seq) else {
-            return;
-        };
-        p.acks += 1;
-        if p.decided || p.acks < f {
-            return;
-        }
-        p.decided = true;
-        let (arrived, size) = (p.arrived, p.size);
-        self.pending.remove(&seq);
-        self.record_decision(seq, arrived, size, now, ops);
-    }
-
-    fn record_decision(
-        &mut self,
-        seq: u64,
-        arrived: SimTime,
-        size: usize,
-        now: SimTime,
-        ops: &mut HostOps<'_, '_>,
-    ) {
-        self.stats.decided += 1;
-        let view = self.views.view();
-        ops.tracer().emit(now, || TraceEvent::Decide { view, seq });
-        if self.first_decision_pending {
-            self.first_decision_pending = false;
-            self.stats.event(
-                now,
-                MemberEvent::FirstDecision {
-                    view: self.views.view(),
-                    seq,
-                },
-            );
-        }
-        if let Some(spec) = self.cfg.workload {
-            if self.stats.decided == spec.warmup_requests {
-                self.stats.throughput.reset(now);
-                self.stats.latency.clear();
-            } else if self.stats.decided > spec.warmup_requests {
-                self.stats
-                    .latency
-                    .record(now.saturating_duration_since(arrived));
-                self.stats.throughput.record(size as u64);
-            }
-            if matches!(spec.mode, WorkloadMode::Closed { .. })
-                && !self.workload_done(&spec)
-                && self.comm_ready()
-            {
-                self.propose(now, ops);
-            }
-        } else {
-            // No generated workload: proposals come from an outside
-            // client (the sharded KV service). Record every decision —
-            // there is no warmup window to skip.
-            self.stats
-                .latency
-                .record(now.saturating_duration_since(arrived));
-            self.stats.throughput.record(size as u64);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Connection management (replica side + leader handshakes)
-    // ------------------------------------------------------------------
-
-    fn on_connect_request(
-        &mut self,
-        handshake_id: u64,
-        from_ip: Ipv4Addr,
-        from_qpn: Qpn,
-        start_psn: Psn,
-        private_data: &[u8],
-        ops: &mut HostOps<'_, '_>,
-    ) {
-        // Switch-originated group join?
-        if let Ok(join) = GroupJoin::decode(private_data) {
-            self.defer_accept(handshake_id, from_ip, from_qpn, start_psn, join.leader, ops);
-            return;
-        }
-        match private_data.first() {
-            Some(&KIND_HEARTBEAT) => {
-                let region = self.hb_region.expect("registered at start");
-                let info = ops.region_info(region);
-                let advert = RegionAdvert {
-                    va: info.va,
-                    rkey: info.rkey,
-                    len: info.len,
-                };
-                ops.accept(handshake_id, from_ip, from_qpn, start_psn, advert.encode());
-            }
-            Some(&KIND_REPLICATION) => {
-                self.defer_accept(handshake_id, from_ip, from_qpn, start_psn, from_ip, ops);
-            }
-            _ => ops.reject(handshake_id, from_ip, RejectReason::NotListening),
-        }
-    }
-
-    fn defer_accept(
-        &mut self,
-        handshake_id: u64,
-        from_ip: Ipv4Addr,
-        from_qpn: Qpn,
-        start_psn: Psn,
-        leader_ip: Ipv4Addr,
-        ops: &mut HostOps<'_, '_>,
-    ) {
-        let believed = self.views.leader().map(|id| self.cfg.cluster.addr_of(id));
-        if believed != Some(leader_ip) {
-            ops.reject(handshake_id, from_ip, RejectReason::NotAuthorized);
-            return;
-        }
-        let key = self.next_defer;
-        self.next_defer += 1;
-        self.deferred.insert(
-            key,
-            DeferredAccept {
-                handshake_id,
-                from_ip,
-                from_qpn,
-                start_psn,
-                leader_ip,
-            },
-        );
-        // Permission changes cost 0.9 ms — but only when the epoch's
-        // grants actually change (a leader adding a second path, e.g. the
-        // switch group next to direct connections, pays nothing extra).
-        let delay = if self.epoch_leader == Some(leader_ip) && self.granted_ips.contains(&from_ip) {
-            SimDuration::ZERO
-        } else {
-            self.cfg.cluster.permission_change_delay
-        };
-        ops.set_app_timer(delay, T_DEFER_ACCEPT | key);
-    }
-
-    fn finish_deferred_accept(&mut self, key: u64, ops: &mut HostOps<'_, '_>) {
-        let Some(d) = self.deferred.remove(&key) else {
-            return;
-        };
-        let believed = self.views.leader().map(|id| self.cfg.cluster.addr_of(id));
-        if believed != Some(d.leader_ip) {
-            ops.reject(d.handshake_id, d.from_ip, RejectReason::NotAuthorized);
-            return;
-        }
-        let region = self.log_region.expect("registered at start");
-        // New epoch? Revoke everything from the previous leader.
-        if self.epoch_leader != Some(d.leader_ip) {
-            let stale = std::mem::take(&mut self.granted_ips);
-            if !self.cfg.skip_epoch_revoke {
-                for ip in stale {
-                    ops.revoke(region, ip);
-                }
-            }
-            self.view_writer_qpns.clear();
-            self.epoch_leader = Some(d.leader_ip);
-            self.reader.reset();
-            ops.write_local(region, 0, &[0u8; 16]);
-        }
-        ops.grant(region, d.from_ip, Permissions::WRITE);
-        self.granted_ips.insert(d.from_ip);
-        let info = ops.region_info(region);
-        let advert = RegionAdvert {
-            va: info.va,
-            rkey: info.rkey,
-            len: info.len,
-        };
-        let qpn = ops.accept(
-            d.handshake_id,
-            d.from_ip,
-            d.from_qpn,
-            d.start_psn,
-            advert.encode(),
-        );
-        self.view_writer_qpns.insert(qpn.masked());
-        ops.set_allowed_writer_qpns(region, Some(self.view_writer_qpns.clone()));
+    /// Revert to manual replication over the new route; the reaccel
+    /// probe will look for a P4CE switch later.
+    fn on_path_recovered(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
+        self.fall_back(core, ops);
     }
 
     fn on_connected(
         &mut self,
+        core: &mut Core,
         handshake_id: u64,
         qpn: Qpn,
         private_data: &[u8],
@@ -1222,281 +292,107 @@ impl P4ceMember {
                 self.group_id = private_data
                     .get(RegionAdvert::WIRE_LEN..RegionAdvert::WIRE_LEN + 2)
                     .map(|b| u16::from_be_bytes([b[0], b[1]]));
-                self.on_group_established(qpn, advert, ops);
+                self.on_group_established(core, qpn, advert, ops);
             }
-            return;
-        }
-        let Some((kind, peer)) = self.handshake_peer.remove(&handshake_id) else {
-            return;
-        };
-        let advert = RegionAdvert::decode(private_data).ok();
-        match kind {
-            KIND_HEARTBEAT => {
-                if let Some(link) = self.hb_links.get_mut(&peer) {
-                    link.state = LinkState::Ready;
-                    link.qpn = Some(qpn);
-                    link.advert = advert;
-                    link.reconnect_backoff = 0;
-                }
-            }
-            KIND_REPLICATION => {
-                if let Some(link) = self.direct_links.get_mut(&peer) {
-                    link.state = LinkState::Ready;
-                    link.qpn = Some(qpn);
-                    link.advert = advert;
-                }
-                // Catch the replica up so its log is gapless.
-                let prefix = self.writer.offset();
-                if prefix > 0 {
-                    if let Some(advert) = advert {
-                        // Chunked state transfer: bounded-size writes keep
-                        // each request comfortably inside the transport's
-                        // retransmission timeout.
-                        const CHUNK: usize = 64 << 10;
-                        let region = self.log_region.expect("registered");
-                        let mut off = 0usize;
-                        while off < prefix {
-                            let end = (off + CHUNK).min(prefix);
-                            let data =
-                                Bytes::copy_from_slice(ops.read_local(region, off, end - off));
-                            ops.post_write(
-                                qpn,
-                                WrId(WR_CATCHUP | u64::from(peer.0)),
-                                advert.va + off as u64,
-                                advert.rkey,
-                                data,
-                            );
-                            off = end;
-                        }
-                    }
-                }
-                self.repost_pending_direct(peer, ops);
-                self.maybe_start_workload(ops);
-                self.drain_parked(ops);
-                self.reprime_closed_loop(ops);
-            }
-            _ => {}
+        } else if let Some(peer) = self
+            .direct
+            .link_up(core, handshake_id, qpn, private_data, ops)
+        {
+            self.direct.repost_undecided(peer, core, ops);
+            core.resume(self, ops);
         }
     }
 
-    fn on_rejected(&mut self, handshake_id: u64, ops: &mut HostOps<'_, '_>) {
+    fn on_rejected(&mut self, core: &mut Core, handshake_id: u64, ops: &mut HostOps<'_, '_>) {
         if Some(handshake_id) == self.switch_handshake {
             // A replica refused the group (likely a leadership race):
             // retry after a beat.
             self.switch_handshake = None;
-            if self.i_am_leader && !matches!(self.comm, Comm::Accelerated(_)) {
-                self.comm = Comm::Down;
+            if core.is_leader() && !self.is_accelerated() {
+                self.path = Path::Down;
                 ops.set_app_timer(
-                    self.cfg.cluster.timing.group_retry_delay,
-                    T_RECONNECT | 0xff,
+                    core.cluster().timing.group_retry_delay,
+                    T_RECONNECT | RETRY_GROUP,
                 );
             }
-            return;
-        }
-        let Some((kind, peer)) = self.handshake_peer.remove(&handshake_id) else {
-            return;
-        };
-        match kind {
-            KIND_HEARTBEAT => {
-                if let Some(link) = self.hb_links.get_mut(&peer) {
-                    link.state = LinkState::Dead;
-                }
-            }
-            KIND_REPLICATION if self.i_am_leader => {
-                ops.set_app_timer(
-                    self.cfg.cluster.timing.replica_reconnect_delay,
-                    T_RECONNECT | u64::from(peer.0),
-                );
-            }
-            _ => {}
+        } else {
+            self.direct.on_rejected(core, handshake_id, ops);
         }
     }
 
-    fn retry_connect(&mut self, data: u64, ops: &mut HostOps<'_, '_>) {
-        if !self.i_am_leader {
-            return;
-        }
-        if data == 0xff {
-            // Retry the whole group.
-            if !matches!(self.comm, Comm::Accelerated(_)) {
-                self.request_group(ops);
-            }
-            return;
-        }
-        let peer = MemberId((data & 0xff) as u8);
-        if !self.detector.is_alive(peer) || !matches!(self.comm, Comm::Fallback) {
-            return;
-        }
-        self.connect_direct(peer, ops);
-    }
-
-    fn connect_direct(&mut self, peer: MemberId, ops: &mut HostOps<'_, '_>) {
-        let ip = self.cfg.cluster.addr_of(peer);
-        let hs = ops.connect(ip, Bytes::from_static(&[KIND_REPLICATION]));
-        self.handshake_peer.insert(hs, (KIND_REPLICATION, peer));
-        self.direct_links.insert(
-            peer,
-            DirectLink {
-                state: LinkState::Connecting,
-                qpn: None,
-                advert: None,
-                retry_backoff: 0,
-            },
-        );
-    }
-}
-
-impl RdmaApp for P4ceMember {
-    fn on_start(&mut self, ops: &mut HostOps<'_, '_>) {
-        let log = ops.register_region(self.cfg.cluster.log_size, Permissions::NONE);
-        ops.watch_region(log);
-        self.log_region = Some(log);
-        let hb = ops.register_region(8, Permissions::READ);
-        self.hb_region = Some(hb);
-        let scratch = ops.register_region(8 * self.cfg.cluster.n(), Permissions::NONE);
-        self.hb_scratch = Some(scratch);
-        ops.set_app_timer(self.cfg.cluster.heartbeat_period, T_HEARTBEAT);
-    }
-
-    fn on_completion(&mut self, c: Completion, ops: &mut HostOps<'_, '_>) {
-        let class = c.wr_id.0 & WR_CLASS_MASK;
-        match class {
-            WR_HB => {
-                let peer = MemberId((c.wr_id.0 & 0xff) as u8);
-                if c.status.is_success() {
-                    let slot = self.peer_index(peer) * 8;
-                    let raw = ops.read_local(self.hb_scratch.expect("registered"), slot, 8);
-                    let value = u64::from_be_bytes(raw.try_into().expect("8 bytes"));
-                    if let Some(link) = self.hb_links.get_mut(&peer) {
-                        link.last_seen = value;
-                    }
-                } else if let Some(link) = self.hb_links.get_mut(&peer) {
-                    if c.status != CompletionStatus::Flushed {
-                        if let Some(qpn) = link.qpn.take() {
-                            ops.destroy_qp(qpn);
-                        }
-                    } else {
-                        link.qpn = None;
-                    }
-                    link.state = LinkState::Dead;
-                }
+    fn on_completion(&mut self, core: &mut Core, c: &Completion, ops: &mut HostOps<'_, '_>) {
+        match c.wr_id.0 & WR_CLASS_MASK {
+            WR_SWITCH if !c.status.is_success() => {
+                // A NAK forwarded by the switch, or the ACK timed out:
+                // revert to un-accelerated communication (§III-A).
+                self.fall_back(core, ops);
             }
             WR_SWITCH => {
-                let seq = c.wr_id.0 & 0xffff_ffff_ffff;
-                self.on_switch_completion(seq, &c, ops);
+                // The single ACK certifies f replica acknowledgements.
+                core.stats.min_credit_seen = core.stats.min_credit_seen.min(c.credits);
+                core.acknowledge(self, c.wr_id.0 & WR_SEQ_MASK, 1, ops);
             }
             WR_DIRECT => {
-                let peer = MemberId(((c.wr_id.0 >> 48) & 0xff) as u8);
-                let seq = c.wr_id.0 & 0xffff_ffff_ffff;
-                self.on_direct_completion(peer, seq, &c, ops);
+                if let Some(seq) = self.direct.on_write_completion(core, c, ops) {
+                    core.acknowledge(self, seq, core.cluster().f() as u32, ops);
+                }
             }
-            WR_CATCHUP => {}
             _ => {}
         }
     }
 
-    fn on_cm_event(&mut self, ev: CmEvent, ops: &mut HostOps<'_, '_>) {
-        match ev {
-            CmEvent::ConnectRequestReceived {
-                handshake_id,
-                from_ip,
-                from_qpn,
-                start_psn,
-                private_data,
-            } => self.on_connect_request(
-                handshake_id,
-                from_ip,
-                from_qpn,
-                start_psn,
-                &private_data,
-                ops,
-            ),
-            CmEvent::Connected {
-                handshake_id,
-                qpn,
-                private_data,
-                ..
-            } => self.on_connected(handshake_id, qpn, &private_data, ops),
-            CmEvent::Rejected { handshake_id, .. } => self.on_rejected(handshake_id, ops),
-            CmEvent::Established { .. } => {}
+    /// §III-A: any NAK forwarded by the switch means a replica is
+    /// misbehaving (or being overrun): revert to un-accelerated
+    /// communication; the re-acceleration probe will try again later.
+    fn on_nak(&mut self, core: &mut Core, qpn: Qpn, ops: &mut HostOps<'_, '_>) {
+        if self.path == Path::Accelerated(qpn) {
+            self.fall_back(core, ops);
         }
     }
 
-    fn on_remote_write(
-        &mut self,
-        region: RegionHandle,
-        offset: u64,
-        payload: &Bytes,
-        ops: &mut HostOps<'_, '_>,
-    ) {
-        if Some(region) != self.log_region {
+    fn on_timer(&mut self, core: &mut Core, token: u64, ops: &mut HostOps<'_, '_>) {
+        match token & T_CLASS_MASK {
+            T_REACCEL => self.reaccel_tick(core, ops),
+            T_RECONNECT => {
+                let data = token & T_DATA_MASK;
+                if data == RETRY_GROUP {
+                    if core.is_leader() && !self.is_accelerated() {
+                        self.request_group(core, ops);
+                    }
+                } else if self.path == Path::Fallback {
+                    self.direct.retry(MemberId((data & 0xff) as u8), core, ops);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn join_leader(private_data: &[u8]) -> Option<Ipv4Addr> {
+        GroupJoin::decode(private_data).ok().map(|join| join.leader)
+    }
+
+    fn is_accelerated(&self) -> bool {
+        matches!(self.path, Path::Accelerated(_))
+    }
+
+    fn group_id(&self) -> Option<u16> {
+        self.group_id
+    }
+
+    /// Names the group in a [`GroupRetire`] to the switch
+    /// (fire-and-forget — the switch's reject completes the exchange and
+    /// is ignored here because no switch handshake is pending), destroys
+    /// the BCast queue pair, and falls back to direct replication. The
+    /// group keeps deciding over the direct path, and the periodic
+    /// re-acceleration probe will build a fresh switch group — with a new
+    /// id — on its own.
+    fn retire(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
+        if !self.is_accelerated() {
             return;
         }
-        // Fast path: drain entries straight out of the delivered payload
-        // (zero-copy slices of the received frame). The region sweep
-        // afterwards picks up anything the payload path could not serve —
-        // entries completed by earlier deliveries, or a reader positioned
-        // outside the delivered range — and is a no-op in steady state.
-        let log_size = self.cfg.cluster.log_size;
-        let entries = {
-            let mut entries = self
-                .reader
-                .drain_payload(payload, offset as usize)
-                .unwrap_or_default();
-            let log = ops.read_local(region, 0, log_size);
-            entries.extend(self.reader.drain(log).unwrap_or_default());
-            entries
-        };
-        for entry in &entries {
-            // Epoch rebuilds replay the log from the head; skip what
-            // this member already applied so application is exactly-once.
-            if entry.seq < self.next_apply_seq {
-                continue;
-            }
-            self.next_apply_seq = entry.seq + 1;
-            self.stats.applied += 1;
-            let seq = entry.seq;
-            ops.tracer().emit(ops.now(), || TraceEvent::Apply { seq });
-            if let Some(sm) = &mut self.state_machine {
-                sm.apply(entry);
-            }
+        if let Some(gid) = self.group_id.take() {
+            ops.connect(self.cfg.switch_ip, GroupRetire { gid }.encode());
         }
-    }
-
-    fn on_nak(&mut self, qpn: Qpn, _code: rdma::NakCode, ops: &mut HostOps<'_, '_>) {
-        // §III-A: any NAK forwarded by the switch means a replica is
-        // misbehaving (or being overrun): revert to un-accelerated
-        // communication; the re-acceleration probe will try again later.
-        if let Comm::Accelerated(switch_qpn) = self.comm {
-            if switch_qpn == qpn {
-                self.fall_back(ops);
-                self.repost_pending_on_fallback(ops);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ops: &mut HostOps<'_, '_>) {
-        let class = token & T_CLASS_MASK;
-        let data = token & T_DATA_MASK;
-        match class {
-            T_HEARTBEAT => self.heartbeat_tick(ops),
-            T_ARRIVAL => self.arrival_tick(ops),
-            T_DEFER_ACCEPT => self.finish_deferred_accept(data, ops),
-            T_RECONNECT => self.retry_connect(data, ops),
-            T_PATH_RECOVER => {
-                for link in self.hb_links.values_mut() {
-                    link.state = LinkState::Idle;
-                }
-                self.detector_grace = self.cfg.cluster.timing.detector_grace_ticks;
-                if self.i_am_leader {
-                    // Revert to manual replication over the new route; the
-                    // reaccel probe will look for a P4CE switch later.
-                    self.fall_back(ops);
-                }
-                self.heartbeat_tick(ops);
-            }
-            T_REACCEL => self.reaccel_tick(ops),
-            _ => {}
-        }
+        self.fall_back(core, ops);
     }
 }

@@ -10,12 +10,14 @@
 
 use netsim::{LinkSpec, NodeId, SimDuration, Simulation, Tracer};
 use p4ce_switch::{P4ceProgram, P4ceSwitchConfig};
-use rdma::{Host, HostConfig};
-use replication::{ClusterConfig, MemberId, ProtocolTiming, WorkloadSpec};
+use rdma::Host;
+use replication::deploy::{add_members, connect_members};
+use replication::{ClusterConfig, Fabric, HostPlan, ProtocolTiming, WorkloadSpec};
 use std::net::Ipv4Addr;
 use tofino::{Switch, SwitchConfig};
 
-use crate::member::{P4ceMember, P4ceMemberConfig};
+use crate::builder::P4ceFabric;
+use crate::member::P4ceMember;
 
 /// Builds `groups` independent consensus groups behind one switch.
 ///
@@ -32,16 +34,12 @@ use crate::member::{P4ceMember, P4ceMemberConfig};
 pub struct ShardedClusterBuilder {
     groups: usize,
     members_per_group: usize,
-    workload: Option<WorkloadSpec>,
-    switch_cfg: P4ceSwitchConfig,
     link: LinkSpec,
     seed: u64,
-    parser_cost: Option<SimDuration>,
-    parser_slices: Option<usize>,
     timing: Option<ProtocolTiming>,
     log_size: Option<usize>,
-    reaccel_period: Option<SimDuration>,
-    tracer: Tracer,
+    hosts: HostPlan,
+    fabric: P4ceFabric,
 }
 
 impl ShardedClusterBuilder {
@@ -58,16 +56,12 @@ impl ShardedClusterBuilder {
         ShardedClusterBuilder {
             groups,
             members_per_group,
-            workload: None,
-            switch_cfg: P4ceSwitchConfig::default(),
             link: LinkSpec::default(),
             seed: 42,
-            parser_cost: None,
-            parser_slices: None,
             timing: None,
             log_size: None,
-            reaccel_period: None,
-            tracer: Tracer::disabled(),
+            hosts: HostPlan::default(),
+            fabric: P4ceFabric::default(),
         }
     }
 
@@ -75,14 +69,14 @@ impl ShardedClusterBuilder {
     /// unset for client-driven runs (the sharded KV service proposes
     /// from outside).
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.workload = Some(spec);
+        self.hosts.workload = Some(spec);
         self
     }
 
     /// Overrides the switch program configuration (shared by all
     /// groups — that is the point).
     pub fn switch_config(mut self, cfg: P4ceSwitchConfig) -> Self {
-        self.switch_cfg = cfg;
+        self.fabric.switch_cfg = cfg;
         self
     }
 
@@ -112,20 +106,20 @@ impl ShardedClusterBuilder {
 
     /// Overrides the switch-probe / re-acceleration period.
     pub fn reaccel_period(mut self, period: SimDuration) -> Self {
-        self.reaccel_period = Some(period);
+        self.fabric.reaccel_period = Some(period);
         self
     }
 
     /// Attaches a trace sink; members emit as `g{g}m{i}`, the switch as
     /// `switch`.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.hosts.tracer = tracer;
         self
     }
 
     /// Overrides the switch's per-parser packet cost.
     pub fn parser_cost(mut self, cost: SimDuration) -> Self {
-        self.parser_cost = Some(cost);
+        self.fabric.parser_cost = Some(cost);
         self
     }
 
@@ -133,7 +127,7 @@ impl ShardedClusterBuilder {
     /// direction (see [`SwitchConfig::parser_slices`]) — the contention
     /// model the groups-sweep experiment drives into its knee.
     pub fn parser_slices(mut self, k: usize) -> Self {
-        self.parser_slices = Some(k);
+        self.fabric.parser_slices = Some(k);
         self
     }
 
@@ -161,36 +155,22 @@ impl ShardedClusterBuilder {
             if let Some(bytes) = self.log_size {
                 cluster.log_size = bytes;
             }
-            let mut group_nodes = Vec::with_capacity(self.members_per_group);
-            for i in 0..self.members_per_group {
-                let mut mcfg = P4ceMemberConfig::new(cluster.clone(), MemberId(i as u8), switch_ip);
-                mcfg.workload = self.workload;
-                if let Some(period) = self.reaccel_period {
-                    mcfg.reaccel_period = period;
-                }
-                let mut hcfg = HostConfig::new(Self::member_ip(g, i));
-                hcfg.tracer = self.tracer.labeled(&format!("g{g}m{i}"));
-                group_nodes.push(sim.add_node(Box::new(Host::new(hcfg, P4ceMember::new(mcfg)))));
-            }
+            members.push(add_members(
+                &mut sim,
+                &self.hosts,
+                &cluster,
+                |i| format!("g{g}m{i}"),
+                || self.fabric.comm(switch_ip),
+            ));
             clusters.push(cluster);
-            members.push(group_nodes);
         }
 
-        let program = P4ceProgram::new(self.switch_cfg);
         let mut hw = SwitchConfig::tofino1(switch_ip);
-        hw.tracer = self.tracer.labeled("switch");
-        if let Some(cost) = self.parser_cost {
-            hw.parser_cost = cost;
-        }
-        hw.parser_slices = self.parser_slices;
+        let program = self.fabric.program(&mut hw, &self.hosts.tracer);
         let ports = self.groups * self.members_per_group;
         let switch = sim.add_node(Box::new(Switch::new(hw, ports, program)));
-        for (g, group_nodes) in members.iter().enumerate() {
-            for (i, &m) in group_nodes.iter().enumerate() {
-                let (_, swp) = sim.connect(m, switch, self.link);
-                sim.node_mut::<Switch<P4ceProgram>>(switch)
-                    .add_route(Self::member_ip(g, i), swp);
-            }
+        for (cluster, group_nodes) in clusters.iter().zip(&members) {
+            connect_members::<P4ceProgram>(&mut sim, cluster, group_nodes, switch, self.link);
         }
 
         ShardedDeployment {

@@ -2,7 +2,7 @@
 //! (§III-A, §V-E), and the fallback path.
 
 use netsim::{SimDuration, SimTime};
-use p4ce::{ClusterBuilder, MemberEvent, WorkloadSpec};
+use p4ce::{ClusterBuilder, MemberEvent, SwitchSetters, WorkloadSpec};
 
 #[test]
 fn steady_state_runs_accelerated_and_decides() {

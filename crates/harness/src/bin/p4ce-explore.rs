@@ -4,7 +4,7 @@
 //! ```text
 //! p4ce-explore exhaustive [spec flags] [--delay-bound D] [--seeds a,b,c]
 //! p4ce-explore random     [spec flags] [--schedules N]
-//! p4ce-explore mutation-check
+//! p4ce-explore mutation-check [--system p4ce|mu]
 //! p4ce-explore sharded-mutation-check
 //! p4ce-explore replay <reproducer-file> [--trace TRACE.json]
 //! ```
@@ -207,7 +207,10 @@ fn run_random(o: &Options) -> ExitCode {
 /// single-writer oracle catches it and that shrinking produces a small
 /// reproducer. CI runs this so the checker itself cannot silently rot.
 fn run_mutation_check(o: &Options) -> ExitCode {
-    let spec = ExploreSpec::single_writer_mutation(o.spec.n_members);
+    let spec = ExploreSpec {
+        system: o.spec.system,
+        ..ExploreSpec::single_writer_mutation(o.spec.n_members)
+    };
     let report = explore::explore(&spec, 0, Budget::schedules(4));
     let Some(cex) = &report.counterexample else {
         eprintln!("mutation check FAILED: injected single-writer bug was not caught");

@@ -18,10 +18,9 @@
 //!   rerunning the same spec reproduces the [`ChaosReport`] exactly.
 
 use bytes::Bytes;
-use mu::MemberEvent;
 use netsim::{FaultPlan, FaultStats, NodeId, PortId, SimDuration, SimTime, Simulation, Tracer};
 use rdma::Host;
-use replication::{LogEntry, StateMachine};
+use replication::{Deployment, Fabric, LogEntry, Member, MemberEvent, StateMachine};
 
 use crate::repro::Repro;
 use crate::runner::System;
@@ -333,132 +332,124 @@ fn assert_unique_leader_per_view(leader_views: &[(u64, u8)]) {
     }
 }
 
-/// The run itself, shared between the P4CE and Mu deployments — both
-/// expose the same member/with_member/sim surface, only the concrete
-/// application type differs.
-macro_rules! chaos_body {
-    ($spec:ident, $n:ident, $d:ident, $app:ty) => {{
-        for i in 0..$n {
-            $d.member_mut(i)
-                .set_state_machine(Box::new(ChaosRecorder::default()));
+/// The chaos client: until `until`, one proposal every
+/// `spec.propose_every` (payload = attempt number) to whichever member
+/// claims operational leadership.
+fn propose_until<F: Fabric>(
+    d: &mut Deployment<F>,
+    spec: &ChaosSpec,
+    until: SimTime,
+    attempted: &mut u64,
+    accepted: &mut u64,
+) {
+    while d.sim.now() < until {
+        d.sim.run_for(spec.propose_every);
+        let n = d.members.len();
+        if let Some(l) = (0..n).find(|&i| d.member(i).is_operational_leader()) {
+            let payload = Bytes::from(attempted.to_be_bytes().to_vec());
+            *attempted += 1;
+            if d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
+                *accepted += 1;
+            }
         }
-        let setup_deadline = $d.sim.now() + SimDuration::from_millis(300);
-        while $d.sim.now() < setup_deadline && !$d.member(0).is_operational_leader() {
-            $d.sim.run_for(SimDuration::from_millis(1));
-        }
-        assert!(
-            $d.member(0).is_operational_leader(),
-            "cluster never reached steady state"
-        );
+    }
+}
 
-        let storm_start = $d.sim.now();
-        install_storm(&mut $d.sim, &$d.members, $spec, storm_start);
+/// The run itself, on whichever deployment: reach steady state, storm,
+/// heal, drain, audit.
+fn storm<F: Fabric>(mut d: Deployment<F>, spec: &ChaosSpec) -> ChaosReport {
+    let n = d.members.len();
+    for i in 0..n {
+        d.member_mut(i)
+            .set_state_machine(Box::new(ChaosRecorder::default()));
+    }
+    let setup_deadline = d.sim.now() + SimDuration::from_millis(300);
+    while d.sim.now() < setup_deadline && !d.member(0).is_operational_leader() {
+        d.sim.run_for(SimDuration::from_millis(1));
+    }
+    assert!(
+        d.member(0).is_operational_leader(),
+        "cluster never reached steady state"
+    );
 
-        let mut attempted = 0u64;
-        let mut accepted = 0u64;
-        let mut next_value = 0u64;
-        let heal_at = storm_start + $spec.storm;
-        while $d.sim.now() < heal_at {
-            $d.sim.run_for($spec.propose_every);
-            if let Some(l) = (0..$n).find(|&i| $d.member(i).is_operational_leader()) {
-                attempted += 1;
-                let payload = Bytes::from(next_value.to_be_bytes().to_vec());
-                next_value += 1;
-                if $d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
-                    accepted += 1;
+    let storm_start = d.sim.now();
+    install_storm(&mut d.sim, &d.members, spec, storm_start);
+
+    let (mut attempted, mut accepted) = (0u64, 0u64);
+    let heal_at = storm_start + spec.storm;
+    propose_until(&mut d, spec, heal_at, &mut attempted, &mut accepted);
+
+    clear_storm(&mut d.sim, &d.members);
+    let decided_at_heal = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
+
+    let drain_until = d.sim.now() + spec.drain;
+    propose_until(&mut d, spec, drain_until, &mut attempted, &mut accepted);
+    // Let replicas catch up on applying the tail.
+    d.sim.run_for(SimDuration::from_millis(2));
+
+    let logs: Vec<(Vec<u64>, Vec<Vec<u8>>)> = (0..n)
+        .map(|i| {
+            let rec = d
+                .member(i)
+                .state_machine()
+                .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
+                .expect("recorder installed");
+            (rec.seqs.clone(), rec.payloads.clone())
+        })
+        .collect();
+    assert_prefix_agreement(&logs);
+
+    let mut leader_views: Vec<(u64, u8)> = Vec::new();
+    for i in 0..n {
+        for (_, ev) in &d.member(i).stats.events {
+            if let MemberEvent::BecameLeader { view } | MemberEvent::LeaderOperational { view } = ev
+            {
+                let entry = (*view, i as u8);
+                if !leader_views.contains(&entry) {
+                    leader_views.push(entry);
                 }
             }
         }
+    }
+    assert_unique_leader_per_view(&leader_views);
 
-        clear_storm(&mut $d.sim, &$d.members);
-        let decided_at_heal = (0..$n)
-            .map(|i| $d.member(i).stats.decided)
-            .max()
-            .unwrap_or(0);
-
-        let drain_until = $d.sim.now() + $spec.drain;
-        while $d.sim.now() < drain_until {
-            $d.sim.run_for($spec.propose_every);
-            if let Some(l) = (0..$n).find(|&i| $d.member(i).is_operational_leader()) {
-                attempted += 1;
-                let payload = Bytes::from(next_value.to_be_bytes().to_vec());
-                next_value += 1;
-                if $d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
-                    accepted += 1;
-                }
-            }
+    let injected = fault_totals(&d.sim, &d.members);
+    let mut timeout_retransmits = 0;
+    let mut nak_retransmits = 0;
+    let mut parse_drops = 0;
+    for &node in &d.members {
+        let s = d.sim.node_ref::<Host<Member<F::Comm>>>(node).stats();
+        timeout_retransmits += s.timeout_retransmits;
+        nak_retransmits += s.nak_retransmits;
+        parse_drops += s.parse_drops;
+    }
+    let decided_final = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
+    let applied_min = logs.iter().skip(1).map(|(s, _)| s.len()).min().unwrap_or(0);
+    let mut log_hash = 0xcbf2_9ce4_8422_2325u64;
+    for (seqs, payloads) in &logs {
+        for (seq, payload) in seqs.iter().zip(payloads) {
+            fnv1a(&mut log_hash, &seq.to_be_bytes());
+            fnv1a(&mut log_hash, payload);
         }
-        // Let replicas catch up on applying the tail.
-        $d.sim.run_for(SimDuration::from_millis(2));
+    }
 
-        let logs: Vec<(Vec<u64>, Vec<Vec<u8>>)> = (0..$n)
-            .map(|i| {
-                let rec = $d
-                    .member(i)
-                    .state_machine()
-                    .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
-                    .expect("recorder installed");
-                (rec.seqs.clone(), rec.payloads.clone())
-            })
-            .collect();
-        assert_prefix_agreement(&logs);
-
-        let mut leader_views: Vec<(u64, u8)> = Vec::new();
-        for i in 0..$n {
-            for (_, ev) in &$d.member(i).stats.events {
-                if let MemberEvent::BecameLeader { view }
-                | MemberEvent::LeaderOperational { view } = ev
-                {
-                    let entry = (*view, i as u8);
-                    if !leader_views.contains(&entry) {
-                        leader_views.push(entry);
-                    }
-                }
-            }
-        }
-        assert_unique_leader_per_view(&leader_views);
-
-        let injected = fault_totals(&$d.sim, &$d.members);
-        let mut timeout_retransmits = 0;
-        let mut nak_retransmits = 0;
-        let mut parse_drops = 0;
-        for &node in &$d.members {
-            let s = $d.sim.node_ref::<Host<$app>>(node).stats();
-            timeout_retransmits += s.timeout_retransmits;
-            nak_retransmits += s.nak_retransmits;
-            parse_drops += s.parse_drops;
-        }
-        let decided_final = (0..$n)
-            .map(|i| $d.member(i).stats.decided)
-            .max()
-            .unwrap_or(0);
-        let applied_min = logs.iter().skip(1).map(|(s, _)| s.len()).min().unwrap_or(0);
-        let mut log_hash = 0xcbf2_9ce4_8422_2325u64;
-        for (seqs, payloads) in &logs {
-            for (seq, payload) in seqs.iter().zip(payloads) {
-                fnv1a(&mut log_hash, &seq.to_be_bytes());
-                fnv1a(&mut log_hash, payload);
-            }
-        }
-
-        ChaosReport {
-            proposals_attempted: attempted,
-            proposals_accepted: accepted,
-            decided_at_heal,
-            decided_final,
-            applied_min,
-            log_hash,
-            events_processed: $d.sim.events_processed(),
-            frames_dropped: injected.dropped,
-            frames_duplicated: injected.duplicated,
-            frames_corrupted: injected.corrupted,
-            partition_dropped: injected.partition_dropped,
-            timeout_retransmits,
-            nak_retransmits,
-            parse_drops,
-            leader_views,
-        }
-    }};
+    ChaosReport {
+        proposals_attempted: attempted,
+        proposals_accepted: accepted,
+        decided_at_heal,
+        decided_final,
+        applied_min,
+        log_hash,
+        events_processed: d.sim.events_processed(),
+        frames_dropped: injected.dropped,
+        frames_duplicated: injected.duplicated,
+        frames_corrupted: injected.corrupted,
+        partition_dropped: injected.partition_dropped,
+        timeout_retransmits,
+        nak_retransmits,
+        parse_drops,
+        leader_views,
+    }
 }
 
 /// Runs a seeded chaos schedule against an `n_members` P4CE cluster.
@@ -490,8 +481,7 @@ pub fn run_p4ce_traced(spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> C
         d.leader().is_accelerated(),
         "cluster must accelerate before the storm"
     );
-    let n = n_members;
-    chaos_body!(spec, n, d, p4ce::P4ceMember)
+    storm(d, spec)
 }
 
 /// Runs a seeded chaos schedule against an `n_members` Mu cluster.
@@ -506,12 +496,11 @@ pub fn run_mu(spec: &ChaosSpec, n_members: usize) -> ChaosReport {
 /// [`run_mu`] with a trace sink attached; same contract as
 /// [`run_p4ce_traced`].
 pub fn run_mu_traced(spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> ChaosReport {
-    let mut d = mu::ClusterBuilder::new(n_members)
+    let d = mu::ClusterBuilder::new(n_members)
         .seed(spec.seed)
         .tracer(tracer.clone())
         .build();
-    let n = n_members;
-    chaos_body!(spec, n, d, mu::MuMember)
+    storm(d, spec)
 }
 
 /// Runs a decoded `kind=chaos` reproducer.

@@ -10,8 +10,7 @@
 //! | crashed switch      | ~60 ms  | ~60 ms  |
 
 use netsim::{SimDuration, SimTime};
-use rdma::Host;
-use replication::WorkloadSpec;
+use replication::{ClusterBuilder, Deployment, Fabric, MemberEvent, WorkloadSpec};
 
 use crate::report::{fmt_f64, TableRow};
 use crate::runner::System;
@@ -65,178 +64,119 @@ fn workload() -> WorkloadSpec {
     }
 }
 
+/// A 3-member cluster of `F`, run to `system`'s steady state (P4CE needs
+/// the switch's 40 ms group set-up on top of Mu's election).
+fn steady<F: Fabric>(system: System, backup_fabric: bool) -> (Deployment<F>, SimTime) {
+    let mut d = ClusterBuilder::<F>::new(3)
+        .workload(workload())
+        .backup_fabric(backup_fabric)
+        .build();
+    d.sim.run_until(SimTime::from_millis(match system {
+        System::Mu => 30,
+        System::P4ce => 80,
+    }));
+    let now = d.sim.now();
+    (d, now)
+}
+
+/// The event that ends a communication rebuild on `system`.
+fn rebuilt(system: System, e: &MemberEvent) -> bool {
+    match system {
+        System::Mu => matches!(e, MemberEvent::LeaderOperational { .. }),
+        System::P4ce => matches!(e, MemberEvent::GroupEstablished),
+    }
+}
+
 /// Scenario 1: configure a fresh communication group at steady state
 /// (permissions already granted, so the cost is pure communication
 /// setup: CM round-trips for Mu, CM + 40 ms reconfiguration for P4CE).
 pub fn new_group(system: System) -> FailoverRow {
     match system {
-        System::Mu => {
-            let mut d = mu::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(30));
-            let t0 = d.sim.now();
-            rebuild_mu(&mut d, t0)
-        }
-        System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(80));
-            let t0 = d.sim.now();
-            rebuild_p4ce(&mut d, t0)
-        }
+        System::Mu => new_group_on::<mu::PlainFabric>(system),
+        System::P4ce => new_group_on::<p4ce::P4ceFabric>(system),
     }
 }
 
-fn rebuild_mu(d: &mut mu::Deployment, t0: SimTime) -> FailoverRow {
-    let node = d.members[0];
-    trigger_rebuild_mu(d, node);
+fn new_group_on<F: Fabric>(system: System) -> FailoverRow {
+    let (mut d, t0) = steady::<F>(system, false);
+    d.with_member(0, |member, ops| member.force_rebuild_comm(ops));
     d.sim.run_until(t0 + SimDuration::from_millis(200));
-    let leader = d.leader();
-    let started = leader
-        .stats
-        .event_time_after(t0, |e| matches!(e, mu::MemberEvent::CommRebuildStarted))
+    let stats = &d.leader().stats;
+    let started = stats
+        .event_time_after(t0, |e| matches!(e, MemberEvent::CommRebuildStarted))
         .expect("rebuild started");
-    let done = leader
-        .stats
-        .event_time_after(started, |e| {
-            matches!(e, mu::MemberEvent::LeaderOperational { .. })
-        })
+    let done = stats
+        .event_time_after(started, |e| rebuilt(system, e))
         .expect("rebuild finished");
     FailoverRow {
         scenario: "new communication group",
-        system: System::Mu,
+        system,
         detection_ms: 0.0,
         recovery_ms: ms(done.duration_since(started)),
         total_ms: ms(done.duration_since(started)),
     }
 }
 
-fn rebuild_p4ce(d: &mut p4ce::Deployment, t0: SimTime) -> FailoverRow {
-    let node = d.members[0];
-    d.sim
-        .with_node::<Host<p4ce::P4ceMember>, _>(node, |host, ctx| {
-            host.with_ops(ctx, |member, ops| member.force_rebuild_comm(ops));
-        });
-    d.sim.run_until(t0 + SimDuration::from_millis(200));
-    let leader = d.leader();
-    let started = leader
-        .stats
-        .event_time_after(t0, |e| matches!(e, mu::MemberEvent::CommRebuildStarted))
-        .expect("rebuild started");
-    let done = leader
-        .stats
-        .event_time_after(started, |e| matches!(e, mu::MemberEvent::GroupEstablished))
-        .expect("rebuild finished");
-    FailoverRow {
-        scenario: "new communication group",
-        system: System::P4ce,
-        detection_ms: 0.0,
-        recovery_ms: ms(done.duration_since(started)),
-        total_ms: ms(done.duration_since(started)),
-    }
-}
-
-fn trigger_rebuild_mu(d: &mut mu::Deployment, node: netsim::NodeId) {
-    d.sim.with_node::<Host<mu::MuMember>, _>(node, |host, ctx| {
-        host.with_ops(ctx, |member, ops| member.force_rebuild_comm(ops));
-    });
-}
-
-/// Scenario 2: a replica crashes.
+/// Scenario 2: a replica crashes. Mu excludes it and carries on; P4CE
+/// must rebuild the switch group over the survivors.
 pub fn crashed_replica(system: System) -> FailoverRow {
     match system {
+        System::Mu => crashed_replica_on::<mu::PlainFabric>(system),
+        System::P4ce => crashed_replica_on::<p4ce::P4ceFabric>(system),
+    }
+}
+
+fn crashed_replica_on<F: Fabric>(system: System) -> FailoverRow {
+    let (mut d, t_kill) = steady::<F>(system, false);
+    d.kill_member(2);
+    d.sim.run_until(t_kill + SimDuration::from_millis(200));
+    let stats = &d.leader().stats;
+    let (detected, done) = match system {
         System::Mu => {
-            let mut d = mu::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(30));
-            let t_kill = d.sim.now();
-            d.kill_member(2);
-            d.sim.run_until(t_kill + SimDuration::from_millis(100));
-            let leader = d.leader();
-            let excluded = leader
-                .stats
-                .event_time_after(t_kill, |e| {
-                    matches!(e, mu::MemberEvent::ReplicaExcluded { .. })
-                })
+            let excluded = stats
+                .event_time_after(t_kill, |e| matches!(e, MemberEvent::ReplicaExcluded { .. }))
                 .expect("replica excluded");
-            let det = excluded.duration_since(t_kill);
-            FailoverRow {
-                scenario: "crashed replica",
-                system: System::Mu,
-                detection_ms: ms(det),
-                recovery_ms: 0.0,
-                total_ms: ms(det),
-            }
+            (excluded, excluded)
         }
         System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(80));
-            let t_kill = d.sim.now();
-            d.kill_member(2);
-            d.sim.run_until(t_kill + SimDuration::from_millis(200));
-            let leader = d.leader();
-            let started = leader
-                .stats
-                .event_time_after(t_kill, |e| matches!(e, mu::MemberEvent::CommRebuildStarted))
+            let started = stats
+                .event_time_after(t_kill, |e| matches!(e, MemberEvent::CommRebuildStarted))
                 .expect("rebuild started");
-            let done = leader
-                .stats
-                .event_time_after(started, |e| matches!(e, mu::MemberEvent::GroupEstablished))
+            let done = stats
+                .event_time_after(started, |e| rebuilt(system, e))
                 .expect("group rebuilt");
-            FailoverRow {
-                scenario: "crashed replica",
-                system: System::P4ce,
-                detection_ms: ms(started.duration_since(t_kill)),
-                recovery_ms: ms(done.duration_since(started)),
-                total_ms: ms(done.duration_since(t_kill)),
-            }
+            (started, done)
         }
+    };
+    FailoverRow {
+        scenario: "crashed replica",
+        system,
+        detection_ms: ms(detected.duration_since(t_kill)),
+        recovery_ms: ms(done.duration_since(detected)),
+        total_ms: ms(done.duration_since(t_kill)),
     }
 }
 
 /// Scenario 3: the leader crashes; the next-lowest member takes over.
 pub fn crashed_leader(system: System) -> FailoverRow {
-    let (detection, recovery) = match system {
-        System::Mu => {
-            let mut d = mu::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(30));
-            let t_kill = d.sim.now();
-            d.kill_member(0);
-            d.sim.run_until(t_kill + SimDuration::from_millis(200));
-            let new_leader = d.member(1);
-            let became = new_leader
-                .stats
-                .event_time_after(t_kill, |e| {
-                    matches!(e, mu::MemberEvent::BecameLeader { .. })
-                })
-                .expect("took over");
-            let first = new_leader
-                .stats
-                .event_time_after(became, |e| {
-                    matches!(e, mu::MemberEvent::FirstDecision { .. })
-                })
-                .expect("decided");
-            (became.duration_since(t_kill), first.duration_since(became))
-        }
-        System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(80));
-            let t_kill = d.sim.now();
-            d.kill_member(0);
-            d.sim.run_until(t_kill + SimDuration::from_millis(300));
-            let new_leader = d.member(1);
-            let became = new_leader
-                .stats
-                .event_time_after(t_kill, |e| {
-                    matches!(e, mu::MemberEvent::BecameLeader { .. })
-                })
-                .expect("took over");
-            let first = new_leader
-                .stats
-                .event_time_after(became, |e| {
-                    matches!(e, mu::MemberEvent::FirstDecision { .. })
-                })
-                .expect("decided");
-            (became.duration_since(t_kill), first.duration_since(became))
-        }
-    };
+    match system {
+        System::Mu => crashed_leader_on::<mu::PlainFabric>(system),
+        System::P4ce => crashed_leader_on::<p4ce::P4ceFabric>(system),
+    }
+}
+
+fn crashed_leader_on<F: Fabric>(system: System) -> FailoverRow {
+    let (mut d, t_kill) = steady::<F>(system, false);
+    d.kill_member(0);
+    d.sim.run_until(t_kill + SimDuration::from_millis(300));
+    let stats = &d.member(1).stats;
+    let became = stats
+        .event_time_after(t_kill, |e| matches!(e, MemberEvent::BecameLeader { .. }))
+        .expect("took over");
+    let first = stats
+        .event_time_after(became, |e| matches!(e, MemberEvent::FirstDecision { .. }))
+        .expect("decided");
+    let (detection, recovery) = (became.duration_since(t_kill), first.duration_since(became));
     FailoverRow {
         scenario: "crashed leader",
         system,
@@ -249,58 +189,27 @@ pub fn crashed_leader(system: System) -> FailoverRow {
 /// Scenario 4: the switch dies; the cluster reroutes over the backup
 /// fabric (both systems pay the RDMA timeout + reconnection penalty).
 pub fn crashed_switch(system: System) -> FailoverRow {
-    let (detection, total) = match system {
-        System::Mu => {
-            let mut d = mu::ClusterBuilder::new(3)
-                .workload(workload())
-                .backup_fabric(true)
-                .build();
-            d.sim.run_until(SimTime::from_millis(30));
-            let t_kill = d.sim.now();
-            d.kill_switch();
-            d.sim.run_until(t_kill + SimDuration::from_millis(300));
-            let leader = d.leader();
-            let failover = leader
-                .stats
-                .event_time_after(t_kill, |e| matches!(e, mu::MemberEvent::PathFailover))
-                .expect("path failover");
-            let first = leader
-                .stats
-                .event_time_after(failover, |e| {
-                    matches!(e, mu::MemberEvent::FirstDecision { .. })
-                })
-                .expect("decided after recovery");
-            (
-                failover.duration_since(t_kill),
-                first.duration_since(t_kill),
-            )
-        }
-        System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(3)
-                .workload(workload())
-                .backup_fabric(true)
-                .build();
-            d.sim.run_until(SimTime::from_millis(80));
-            let t_kill = d.sim.now();
-            d.kill_switch();
-            d.sim.run_until(t_kill + SimDuration::from_millis(300));
-            let leader = d.leader();
-            let failover = leader
-                .stats
-                .event_time_after(t_kill, |e| matches!(e, mu::MemberEvent::PathFailover))
-                .expect("path failover");
-            let first = leader
-                .stats
-                .event_time_after(failover, |e| {
-                    matches!(e, mu::MemberEvent::FirstDecision { .. })
-                })
-                .expect("decided after recovery");
-            (
-                failover.duration_since(t_kill),
-                first.duration_since(t_kill),
-            )
-        }
-    };
+    match system {
+        System::Mu => crashed_switch_on::<mu::PlainFabric>(system),
+        System::P4ce => crashed_switch_on::<p4ce::P4ceFabric>(system),
+    }
+}
+
+fn crashed_switch_on<F: Fabric>(system: System) -> FailoverRow {
+    let (mut d, t_kill) = steady::<F>(system, true);
+    d.kill_switch();
+    d.sim.run_until(t_kill + SimDuration::from_millis(300));
+    let stats = &d.leader().stats;
+    let failover = stats
+        .event_time_after(t_kill, |e| matches!(e, MemberEvent::PathFailover))
+        .expect("path failover");
+    let first = stats
+        .event_time_after(failover, |e| matches!(e, MemberEvent::FirstDecision { .. }))
+        .expect("decided after recovery");
+    let (detection, total) = (
+        failover.duration_since(t_kill),
+        first.duration_since(t_kill),
+    );
     FailoverRow {
         scenario: "crashed switch",
         system,

@@ -37,12 +37,13 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use netsim::{EventInfo, FaultPlan, PortId, Scheduler, SimDuration, Simulation, Tracer};
+use p4ce::SwitchSetters;
 use rdma::Host;
+use replication::{ClusterBuilder, Comm, Deployment, Fabric, Member, MemberEvent};
 
 use crate::chaos::ChaosRecorder;
 use crate::repro::{decode_decisions, encode_decisions, Repro};
 use crate::runner::System;
-use mu::MemberEvent;
 
 use oracle::{check_all, check_group, MemberProbe, Violation};
 
@@ -136,7 +137,8 @@ impl ExploreSpec {
 
     /// The injected-bug scenario: plain fabric, revocation skipped, the
     /// leader partitioned mid-exploration. The ensuing election must
-    /// trip the single-writer oracle on every schedule.
+    /// trip the single-writer oracle on every schedule. Works with
+    /// `system: Mu` as well — the fence is the shared member's.
     pub fn single_writer_mutation(n_members: usize) -> ExploreSpec {
         ExploreSpec {
             p4ce_enabled: false,
@@ -278,9 +280,10 @@ pub struct ScheduleOutcome {
     pub steps: u32,
 }
 
-enum Target {
-    P4ce(p4ce::Deployment),
-    Mu(mu::Deployment),
+/// What a schedule runs on: one cluster of whichever system, or several
+/// P4CE groups behind one switch.
+enum Target<F: Fabric> {
+    Single(Deployment<F>),
     Sharded(p4ce::ShardedDeployment),
 }
 
@@ -288,110 +291,80 @@ fn member_ip(i: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, 1 + i as u8)
 }
 
-impl Target {
-    fn build(spec: &ExploreSpec, tracer: &Tracer) -> Target {
-        // A small log keeps per-schedule allocation negligible; model
-        // checking re-builds the deployment thousands of times.
-        let log_size = 64 << 10;
-        if spec.groups > 1 {
-            assert_eq!(
-                spec.system,
-                System::P4ce,
-                "multi-group exploration targets the shared switch"
-            );
-            let switch_cfg = p4ce_switch::P4ceSwitchConfig {
-                p4ce_enabled: spec.p4ce_enabled,
-                crosswire_groups: spec.crosswire_groups,
-                reconfig_delay: SimDuration::from_micros(500),
-                ..Default::default()
-            };
-            let mut d = p4ce::ShardedClusterBuilder::new(usize::from(spec.groups), spec.n_members)
-                .seed(spec.seed)
-                .log_size(log_size)
-                .switch_config(switch_cfg)
-                .reaccel_period(SimDuration::from_millis(5))
-                .tracer(tracer.clone())
-                .build();
-            for g in 0..usize::from(spec.groups) {
-                for i in 0..spec.n_members {
-                    d.member_mut(g, i)
-                        .set_state_machine(Box::new(ChaosRecorder::default()));
-                }
-            }
-            return Target::Sharded(d);
-        }
-        match spec.system {
-            System::P4ce => {
-                let mut switch_cfg = p4ce_switch::P4ceSwitchConfig {
-                    p4ce_enabled: spec.p4ce_enabled,
-                    ..Default::default()
-                };
-                // Shrink control-plane latencies so the un-explored
-                // setup phase is short: the switch reconfigures fast,
-                // and (behind a plain fabric) the leader gives up on
-                // acceleration fast. Keep re-probe ≥ reconfig so a
-                // healthy handshake still completes between probes.
-                switch_cfg.reconfig_delay = SimDuration::from_micros(500);
-                let reaccel = if spec.p4ce_enabled {
-                    SimDuration::from_millis(5)
-                } else {
-                    SimDuration::from_micros(200)
-                };
-                let mut d = p4ce::ClusterBuilder::new(spec.n_members)
-                    .seed(spec.seed)
-                    .log_size(log_size)
-                    .switch_config(switch_cfg)
-                    .skip_epoch_revoke(spec.skip_epoch_revoke)
-                    .reaccel_period(reaccel)
-                    .tracer(tracer.clone())
-                    .build();
-                for i in 0..spec.n_members {
-                    d.member_mut(i)
-                        .set_state_machine(Box::new(ChaosRecorder::default()));
-                }
-                Target::P4ce(d)
-            }
-            System::Mu => {
-                let mut d = mu::ClusterBuilder::new(spec.n_members)
-                    .seed(spec.seed)
-                    .log_size(log_size)
-                    .tracer(tracer.clone())
-                    .build();
-                for i in 0..spec.n_members {
-                    d.member_mut(i)
-                        .set_state_machine(Box::new(ChaosRecorder::default()));
-                }
-                Target::Mu(d)
+// A small log keeps per-schedule allocation negligible; model checking
+// re-builds the deployment thousands of times.
+const LOG_SIZE: usize = 64 << 10;
+
+fn build_p4ce(spec: &ExploreSpec, tracer: &Tracer) -> Target<p4ce::P4ceFabric> {
+    // Shrink control-plane latencies so the un-explored setup phase is
+    // short: the switch reconfigures fast, and (behind a plain fabric)
+    // the leader gives up on acceleration fast. Keep re-probe ≥ reconfig
+    // so a healthy handshake still completes between probes.
+    let switch_cfg = p4ce_switch::P4ceSwitchConfig {
+        p4ce_enabled: spec.p4ce_enabled,
+        crosswire_groups: spec.crosswire_groups,
+        reconfig_delay: SimDuration::from_micros(500),
+        ..Default::default()
+    };
+    if spec.groups > 1 {
+        let mut d = p4ce::ShardedClusterBuilder::new(usize::from(spec.groups), spec.n_members)
+            .seed(spec.seed)
+            .log_size(LOG_SIZE)
+            .switch_config(switch_cfg)
+            .reaccel_period(SimDuration::from_millis(5))
+            .tracer(tracer.clone())
+            .build();
+        for g in 0..usize::from(spec.groups) {
+            for i in 0..spec.n_members {
+                d.member_mut(g, i)
+                    .set_state_machine(Box::new(ChaosRecorder::default()));
             }
         }
+        return Target::Sharded(d);
+    }
+    let reaccel = if spec.p4ce_enabled {
+        SimDuration::from_millis(5)
+    } else {
+        SimDuration::from_micros(200)
+    };
+    let builder = p4ce::ClusterBuilder::new(spec.n_members)
+        .switch_config(switch_cfg)
+        .reaccel_period(reaccel);
+    Target::single(builder, spec, tracer)
+}
+
+impl<F: Fabric> Target<F> {
+    fn single(builder: ClusterBuilder<F>, spec: &ExploreSpec, tracer: &Tracer) -> Target<F> {
+        let mut d = builder
+            .seed(spec.seed)
+            .log_size(LOG_SIZE)
+            .skip_epoch_revoke(spec.skip_epoch_revoke)
+            .tracer(tracer.clone())
+            .build();
+        for i in 0..spec.n_members {
+            d.member_mut(i)
+                .set_state_machine(Box::new(ChaosRecorder::default()));
+        }
+        Target::Single(d)
     }
 
     fn sim_mut(&mut self) -> &mut Simulation {
         match self {
-            Target::P4ce(d) => &mut d.sim,
-            Target::Mu(d) => &mut d.sim,
+            Target::Single(d) => &mut d.sim,
             Target::Sharded(d) => &mut d.sim,
         }
     }
 
     fn ready(&self, spec: &ExploreSpec) -> bool {
+        let must_accelerate = spec.system == System::P4ce && spec.p4ce_enabled;
         match self {
-            Target::P4ce(d) => {
-                let op = (0..spec.n_members).any(|i| d.member(i).is_operational_leader());
-                if spec.p4ce_enabled {
-                    op && d.leader().is_accelerated()
-                } else {
-                    op
-                }
+            Target::Single(d) => {
+                (0..spec.n_members).any(|i| d.member(i).is_operational_leader())
+                    && (!must_accelerate || d.leader().is_accelerated())
             }
-            Target::Mu(d) => (0..spec.n_members).any(|i| d.member(i).is_operational_leader()),
             Target::Sharded(d) => (0..d.groups()).all(|g| {
-                let op = (0..spec.n_members).any(|i| d.member(g, i).is_operational_leader());
-                if spec.p4ce_enabled {
-                    op && d.leader(g).is_accelerated()
-                } else {
-                    op
-                }
+                (0..spec.n_members).any(|i| d.member(g, i).is_operational_leader())
+                    && (!must_accelerate || d.leader(g).is_accelerated())
             }),
         }
     }
@@ -411,20 +384,13 @@ impl Target {
     }
 
     fn propose(&mut self, counter: u64) -> bool {
-        let payload = Bytes::from(counter.to_be_bytes().to_vec());
         match self {
-            Target::P4ce(d) => {
+            Target::Single(d) => {
                 let Some(l) = (0..d.members.len()).find(|&i| d.member(i).is_operational_leader())
                 else {
                     return false;
                 };
-                d.with_member(l, move |m, ops| m.propose_value(payload, ops))
-            }
-            Target::Mu(d) => {
-                let Some(l) = (0..d.members.len()).find(|&i| d.member(i).is_operational_leader())
-                else {
-                    return false;
-                };
+                let payload = Bytes::from(counter.to_be_bytes().to_vec());
                 d.with_member(l, move |m, ops| m.propose_value(payload, ops))
             }
             // One tagged proposal into every group that currently has an
@@ -447,100 +413,47 @@ impl Target {
         }
     }
 
-    /// Snapshots every member for the oracles (single-group targets).
-    fn probes(&self, spec: &ExploreSpec) -> Vec<MemberProbe> {
+    /// Snapshots every member and runs the oracle suite — per group,
+    /// with group isolation on top, for a sharded target.
+    fn check(&self, spec: &ExploreSpec, step: u32) -> Option<Violation> {
         let n = spec.n_members;
-        let ips: Vec<Ipv4Addr> = (0..n).map(member_ip).collect();
         match self {
-            Target::P4ce(d) => (0..n)
-                .map(|i| {
-                    let host = d.sim.node_ref::<Host<p4ce::P4ceMember>>(d.members[i]);
-                    probe_from(host.app(), host, i, &ips)
+            Target::Single(d) => {
+                let ips: Vec<Ipv4Addr> = (0..n).map(member_ip).collect();
+                let probes: Vec<MemberProbe> = (0..n)
+                    .map(|i| probe_from::<F::Comm>(d.sim.node_ref(d.members[i]), i, &ips))
+                    .collect();
+                check_all(&probes, step)
+            }
+            Target::Sharded(d) => (0..d.groups()).find_map(|g| {
+                let ips: Vec<Ipv4Addr> = (0..n)
+                    .map(|i| p4ce::ShardedClusterBuilder::member_ip(g, i))
+                    .collect();
+                let probes: Vec<MemberProbe> = (0..n)
+                    .map(|i| {
+                        probe_from::<p4ce::SwitchComm>(d.sim.node_ref(d.members[g][i]), i, &ips)
+                    })
+                    .collect();
+                check_group(&probes, step, g as u16).map(|mut v| {
+                    v.detail = format!("group {g}: {}", v.detail);
+                    v
                 })
-                .collect(),
-            Target::Mu(d) => (0..n)
-                .map(|i| {
-                    let host = d.sim.node_ref::<Host<mu::MuMember>>(d.members[i]);
-                    probe_from(host.app(), host, i, &ips)
-                })
-                .collect(),
-            Target::Sharded(_) => unreachable!("sharded targets use sharded_probes"),
+            }),
         }
     }
 
-    /// Snapshots every member of every group, grouped, for the per-group
-    /// oracle suites.
-    fn sharded_probes(&self, spec: &ExploreSpec) -> Vec<Vec<MemberProbe>> {
-        let Target::Sharded(d) = self else {
-            unreachable!("sharded_probes needs a sharded target")
-        };
-        (0..d.groups())
-            .map(|g| {
-                let ips: Vec<Ipv4Addr> = (0..spec.n_members)
-                    .map(|i| p4ce::ShardedClusterBuilder::member_ip(g, i))
-                    .collect();
-                (0..spec.n_members)
-                    .map(|i| {
-                        let host = d.sim.node_ref::<Host<p4ce::P4ceMember>>(d.members[g][i]);
-                        probe_from(host.app(), host, i, &ips)
-                    })
-                    .collect()
-            })
-            .collect()
+    fn member_node(&self, i: usize) -> netsim::NodeId {
+        match self {
+            Target::Single(d) => d.members[i],
+            // For sharded targets the explored partition hits group 0's
+            // member `i` — faults stay confined to one group by construction.
+            Target::Sharded(d) => d.members[0][i],
+        }
     }
 }
 
-/// The member-state surface both systems expose to the oracles.
-trait Probeable {
-    fn state_machine(&self) -> Option<&dyn replication::StateMachine>;
-    fn next_apply_seq(&self) -> u64;
-    fn epoch_leader(&self) -> Option<Ipv4Addr>;
-    fn log_region(&self) -> Option<rdma::RegionHandle>;
-    fn events(&self) -> &[(netsim::SimTime, MemberEvent)];
-}
-
-impl Probeable for p4ce::P4ceMember {
-    fn state_machine(&self) -> Option<&dyn replication::StateMachine> {
-        self.state_machine()
-    }
-    fn next_apply_seq(&self) -> u64 {
-        self.next_apply_seq()
-    }
-    fn epoch_leader(&self) -> Option<Ipv4Addr> {
-        self.epoch_leader()
-    }
-    fn log_region(&self) -> Option<rdma::RegionHandle> {
-        self.log_region()
-    }
-    fn events(&self) -> &[(netsim::SimTime, MemberEvent)] {
-        &self.stats.events
-    }
-}
-
-impl Probeable for mu::MuMember {
-    fn state_machine(&self) -> Option<&dyn replication::StateMachine> {
-        self.state_machine()
-    }
-    fn next_apply_seq(&self) -> u64 {
-        self.next_apply_seq()
-    }
-    fn epoch_leader(&self) -> Option<Ipv4Addr> {
-        self.epoch_leader()
-    }
-    fn log_region(&self) -> Option<rdma::RegionHandle> {
-        self.log_region()
-    }
-    fn events(&self) -> &[(netsim::SimTime, MemberEvent)] {
-        &self.stats.events
-    }
-}
-
-fn probe_from<A: rdma::RdmaApp>(
-    app: &dyn Probeable,
-    host: &Host<A>,
-    i: usize,
-    ips: &[Ipv4Addr],
-) -> MemberProbe {
+fn probe_from<C: Comm>(host: &Host<Member<C>>, i: usize, ips: &[Ipv4Addr]) -> MemberProbe {
+    let app = host.app();
     let mut write_grants = Vec::new();
     if let Some(region) = app.log_region() {
         // Audit cluster members only: the switch is a conduit whose
@@ -557,7 +470,7 @@ fn probe_from<A: rdma::RdmaApp>(
         .map(|rec| (rec.seqs.clone(), rec.payloads.clone()))
         .unwrap_or_default();
     let mut leader_claims = Vec::new();
-    for (_, ev) in app.events() {
+    for (_, ev) in &app.stats.events {
         if let MemberEvent::BecameLeader { view } | MemberEvent::LeaderOperational { view } = ev {
             let claim = (*view, i as u8);
             if !leader_claims.contains(&claim) {
@@ -599,7 +512,25 @@ pub fn run_schedule_traced(
     rng: Option<u64>,
     tracer: &Tracer,
 ) -> ScheduleOutcome {
-    let mut target = Target::build(spec, tracer);
+    match spec.system {
+        System::P4ce => run_on(build_p4ce(spec, tracer), spec, decisions, rng),
+        System::Mu => {
+            assert_eq!(
+                spec.groups, 1,
+                "multi-group exploration targets the shared switch"
+            );
+            let builder = mu::ClusterBuilder::new(spec.n_members);
+            run_on(Target::single(builder, spec, tracer), spec, decisions, rng)
+        }
+    }
+}
+
+fn run_on<F: Fabric>(
+    mut target: Target<F>,
+    spec: &ExploreSpec,
+    decisions: &BTreeMap<u32, u32>,
+    rng: Option<u64>,
+) -> ScheduleOutcome {
     target.setup(spec);
 
     let trace = Arc::new(Mutex::new(Vec::new()));
@@ -615,7 +546,7 @@ pub fn run_schedule_traced(
     let mut proposal = 0u64;
     for step in 0..spec.horizon {
         if spec.partition_leader_at == Some(step) {
-            let node = member_node(&target, 0);
+            let node = target.member_node(0);
             partition_member(target.sim_mut(), node);
         }
         if spec.propose_every > 0 && step % spec.propose_every == 0 && target.propose(proposal) {
@@ -625,21 +556,7 @@ pub fn run_schedule_traced(
             break;
         }
         steps = step + 1;
-        let fired = if matches!(target, Target::Sharded(_)) {
-            target
-                .sharded_probes(spec)
-                .iter()
-                .enumerate()
-                .find_map(|(g, probes)| {
-                    check_group(probes, step, g as u16).map(|mut v| {
-                        v.detail = format!("group {g}: {}", v.detail);
-                        v
-                    })
-                })
-        } else {
-            check_all(&target.probes(spec), step)
-        };
-        if let Some(v) = fired {
+        if let Some(v) = target.check(spec, step) {
             violation = Some(v);
             break;
         }
@@ -658,16 +575,6 @@ pub fn run_schedule_traced(
         branch_counts,
         decisions,
         steps,
-    }
-}
-
-fn member_node(target: &Target, i: usize) -> netsim::NodeId {
-    match target {
-        Target::P4ce(d) => d.members[i],
-        Target::Mu(d) => d.members[i],
-        // For sharded targets the explored partition hits group 0's
-        // member `i` — faults stay confined to one group by construction.
-        Target::Sharded(d) => d.members[0][i],
     }
 }
 
@@ -902,6 +809,25 @@ mod tests {
         let outcome = replay(&back).expect("replay");
         let v = outcome.violation.expect("replayed violation");
         assert_eq!(v.oracle, OracleKind::SingleWriter);
+    }
+
+    #[test]
+    fn mutation_is_caught_on_mu_too() {
+        // The fence lives in the shared member, so the same planted bug
+        // must trip the same oracle behind Mu's fan-out — and the same
+        // election without the mutation must stay clean.
+        let mut spec = ExploreSpec {
+            system: System::Mu,
+            ..ExploreSpec::single_writer_mutation(3)
+        };
+        let report = explore(&spec, 0, Budget::schedules(1));
+        assert_eq!(report.status, ExploreStatus::Violated, "bug must be caught");
+        let cex = report.counterexample.expect("counterexample");
+        assert_eq!(cex.violation.oracle, OracleKind::SingleWriter);
+
+        spec.skip_epoch_revoke = false;
+        let report = explore(&spec, 0, Budget::schedules(1));
+        assert_eq!(report.status, ExploreStatus::Exhausted);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! up, measure over a window, collect one outcome.
 
 use netsim::{MetricsRegistry, SimDuration, SimTime, Tracer};
+use p4ce::SwitchSetters;
 use rdma::Host;
-use replication::WorkloadSpec;
+use replication::{ClusterBuilder, Fabric, Member, WorkloadSpec};
 use std::fmt;
 
 /// Which replication system a point runs.
@@ -137,10 +138,7 @@ fn sanitize(workload: WorkloadSpec) -> WorkloadSpec {
 /// Panics if the leader fails to become operational within 500 ms of
 /// simulated time (a deployment bug, not a measurable outcome).
 pub fn run_point(cfg: &PointConfig) -> PointOutcome {
-    match cfg.system {
-        System::Mu => run_mu(cfg, None),
-        System::P4ce => run_p4ce(cfg, None),
-    }
+    run_system(cfg, None)
 }
 
 /// Runs one point and additionally snapshots every layer's counters
@@ -149,76 +147,43 @@ pub fn run_point(cfg: &PointConfig) -> PointOutcome {
 /// program). Same outcome as [`run_point`] on the same config.
 pub fn run_point_metered(cfg: &PointConfig) -> (PointOutcome, MetricsRegistry) {
     let mut reg = MetricsRegistry::new();
-    let outcome = match cfg.system {
-        System::Mu => run_mu(cfg, Some(&mut reg)),
-        System::P4ce => run_p4ce(cfg, Some(&mut reg)),
-    };
+    let outcome = run_system(cfg, Some(&mut reg));
     (outcome, reg)
 }
 
-fn setup_deadline() -> SimDuration {
-    SimDuration::from_millis(500)
+fn run_system(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOutcome {
+    let n = cfg.replicas + 1;
+    match cfg.system {
+        System::Mu => run_on(mu::ClusterBuilder::new(n), cfg, metrics, |_, _| {}),
+        System::P4ce => {
+            let mut builder = p4ce::ClusterBuilder::new(n).ack_drop(cfg.ack_drop);
+            if let Some(parser_cost) = cfg.parser_cost {
+                builder = builder.parser_cost(parser_cost);
+            }
+            run_on(builder, cfg, metrics, |program, reg| {
+                program.stats.register_into(reg, "switch");
+            })
+        }
+    }
 }
 
-fn run_mu(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOutcome {
-    let mut d = mu::ClusterBuilder::new(cfg.replicas + 1)
+fn run_on<F: Fabric>(
+    builder: ClusterBuilder<F>,
+    cfg: &PointConfig,
+    metrics: Option<&mut MetricsRegistry>,
+    switch_metrics: impl FnOnce(&F::Program, &mut MetricsRegistry),
+) -> PointOutcome {
+    let mut d = builder
         .workload(sanitize(cfg.workload))
         .seed(cfg.seed)
         .tracer(cfg.tracer.clone())
         .build();
-    let deadline = SimTime::ZERO + setup_deadline();
-    while !d.leader().is_operational_leader() {
-        assert!(d.sim.now() < deadline, "Mu leader never became operational");
-        d.sim.run_for(SimDuration::from_millis(1));
-    }
-    d.sim.run_for(cfg.warmup);
-    let t0 = d.sim.now();
-    d.member_mut(0).reset_measurements(t0);
-    if cfg.histogram_latency {
-        d.member_mut(0).stats.latency.use_histogram();
-    }
-    d.sim.run_for(cfg.window);
-    let now = d.sim.now();
-    let events_processed = d.sim.events_processed();
-    if let Some(reg) = metrics {
-        for i in 0..=cfg.replicas {
-            d.member(i).stats.register_into(reg, &format!("member.{i}"));
-            d.sim
-                .node_ref::<Host<mu::MuMember>>(d.members[i])
-                .stats()
-                .register_into(reg, &format!("host.{i}"));
-        }
-    }
-    let leader = d.member_mut(0);
-    let stats = &mut leader.stats;
-    PointOutcome {
-        decided: stats.throughput.ops(),
-        ops_per_sec: stats.throughput.ops_per_sec(now),
-        goodput_bytes_per_sec: stats.throughput.goodput_bytes_per_sec(now),
-        mean_latency_us: stats.latency.mean().as_micros_f64(),
-        p50_latency_us: stats.latency.percentile(50.0).as_micros_f64(),
-        p99_latency_us: stats.latency.percentile(99.0).as_micros_f64(),
-        accelerated: false,
-        events_processed,
-        threads_used: 1,
-    }
-}
-
-fn run_p4ce(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOutcome {
-    let mut builder = p4ce::ClusterBuilder::new(cfg.replicas + 1)
-        .workload(sanitize(cfg.workload))
-        .seed(cfg.seed)
-        .tracer(cfg.tracer.clone())
-        .ack_drop(cfg.ack_drop);
-    if let Some(parser_cost) = cfg.parser_cost {
-        builder = builder.parser_cost(parser_cost);
-    }
-    let mut d = builder.build();
-    let deadline = SimTime::ZERO + setup_deadline();
+    let deadline = SimTime::ZERO + SimDuration::from_millis(500);
     while !d.leader().is_operational_leader() {
         assert!(
             d.sim.now() < deadline,
-            "P4CE leader never became operational"
+            "{} leader never became operational",
+            cfg.system
         );
         d.sim.run_for(SimDuration::from_millis(1));
     }
@@ -236,14 +201,13 @@ fn run_p4ce(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOu
         for i in 0..=cfg.replicas {
             d.member(i).stats.register_into(reg, &format!("member.{i}"));
             d.sim
-                .node_ref::<Host<p4ce::P4ceMember>>(d.members[i])
+                .node_ref::<Host<Member<F::Comm>>>(d.members[i])
                 .stats()
                 .register_into(reg, &format!("host.{i}"));
         }
-        d.switch_program().stats.register_into(reg, "switch");
+        switch_metrics(d.switch_program(), reg);
     }
-    let leader = d.member_mut(0);
-    let stats = &mut leader.stats;
+    let stats = &mut d.member_mut(0).stats;
     PointOutcome {
         decided: stats.throughput.ops(),
         ops_per_sec: stats.throughput.ops_per_sec(now),

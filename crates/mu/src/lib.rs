@@ -10,14 +10,18 @@
 //! The interesting property for the paper's evaluation: Mu's leader
 //! divides its network link and its CPU across `n` replicas, which is
 //! exactly the bottleneck P4CE removes.
+//!
+//! The decision half — heartbeats, election, log fencing, the apply
+//! gate, the workload clock — is `replication::Member`; this crate is
+//! the communication half ([`MuComm`]) and the deployment that goes with
+//! it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builder;
 mod member;
-mod stats;
 
-pub use builder::{ClusterBuilder, Deployment};
-pub use member::{MuMember, MuMemberConfig};
-pub use stats::{MemberEvent, MemberStats};
+pub use builder::{ClusterBuilder, Deployment, PlainFabric};
+pub use member::{FanOut, MuComm, MuMember};
+pub use replication::{MemberEvent, MemberStats};

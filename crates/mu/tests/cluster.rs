@@ -1,9 +1,9 @@
 //! Cluster tests for the Mu baseline: election, replication, fail-over.
 
-use mu::{MemberEvent, MuMember, MuMemberConfig};
-use netsim::{LinkSpec, NodeId, SimTime, Simulation};
+use mu::{MemberEvent, MuComm, MuMember};
+use netsim::{LinkSpec, NodeId, SimDuration, SimTime, Simulation};
 use rdma::{Host, HostConfig};
-use replication::{ClusterConfig, MemberId, WorkloadSpec};
+use replication::{ClusterConfig, MemberConfig, MemberId, WorkloadSpec};
 use std::net::Ipv4Addr;
 use tofino::{L3Forwarder, Switch, SwitchConfig};
 
@@ -25,12 +25,12 @@ impl TestCluster {
         let mut sim = Simulation::new(99);
         let mut members = Vec::new();
         for i in 0..n {
-            let mut cfg = MuMemberConfig::new(cluster.clone(), MemberId(i as u8));
+            let mut cfg = MemberConfig::new(cluster.clone(), MemberId(i as u8));
             // Every member carries the workload: whoever leads drives it.
             cfg.workload = Some(workload);
             members.push(sim.add_node(Box::new(Host::new(
                 HostConfig::new(member_ip(i)),
-                MuMember::new(cfg),
+                MuMember::new(cfg, MuComm::default()),
             ))));
         }
         let sw = sim.add_node(Box::new(Switch::new(
@@ -171,5 +171,60 @@ fn open_loop_workload_reaches_target_rate() {
     assert!(
         mean <= netsim::SimDuration::from_micros(10),
         "uncontended Mu latency should be microseconds, got {mean}"
+    );
+}
+
+#[test]
+fn new_leader_fences_its_own_log_on_takeover() {
+    let mut d = mu::ClusterBuilder::new(3)
+        .workload(WorkloadSpec::closed(2, 64, 0))
+        .build();
+    d.sim.run_until(SimTime::from_millis(20));
+    assert!(d.member(0).is_operational_leader());
+    let deposed = member_ip(0);
+    let log_writable_by_deposed = |d: &mu::Deployment| {
+        let host = d.sim.node_ref::<Host<MuMember>>(d.members[1]);
+        let region = host.app().log_region().expect("registered");
+        host.memory().effective_perms(region, deposed).remote_write
+    };
+    assert!(
+        log_writable_by_deposed(&d),
+        "member 0 writes member 1's log"
+    );
+
+    d.kill_member(0);
+    d.sim.run_for(SimDuration::from_millis(30));
+    let new_leader = d.member(1);
+    assert!(
+        new_leader.is_operational_leader(),
+        "member 1 must take over"
+    );
+    // A new leader's own log is an old-epoch log too: the deposed
+    // leader's grant must die with the takeover, and the member must not
+    // go on naming it as its epoch's writer.
+    assert!(
+        !log_writable_by_deposed(&d),
+        "deposed leader still holds WRITE on the new leader's log"
+    );
+    assert_eq!(new_leader.epoch_leader(), None);
+}
+
+#[test]
+fn open_loop_workload_survives_a_comm_rebuild() {
+    let mut d = mu::ClusterBuilder::new(3)
+        .workload(WorkloadSpec::open_loop(1e5, 64, 0))
+        .build();
+    d.sim.run_until(SimTime::from_millis(30));
+    let before = d.leader().stats.decided;
+    assert!(before > 0);
+
+    // Arrivals that land while the links are down must park and the
+    // arrival clock must stay armed; otherwise the stream ends here.
+    d.with_member(0, |m, ops| m.force_rebuild_comm(ops));
+    d.sim.run_for(SimDuration::from_millis(40));
+    let after = d.leader().stats.decided;
+    assert!(
+        after > before + 1000,
+        "open-loop stream stopped at the rebuild: {before} -> {after}"
     );
 }

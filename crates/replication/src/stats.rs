@@ -1,7 +1,7 @@
-//! Measurement state shared by the Mu and P4CE replication engines.
+//! Measurement state of a member, whatever its communication module.
 
+use crate::MemberId;
 use netsim::{LatencyRecorder, MetricsRegistry, SimDuration, SimTime, Throughput};
-use replication::MemberId;
 
 /// Cluster-visible happenings, timestamped for the fail-over experiments
 /// (Table IV).

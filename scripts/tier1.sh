@@ -10,6 +10,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> one member: the decision half is defined once (ROADMAP item 2)"
+for item in 'fn heartbeat_tick' 'fn update_view' 'fn fence_log' 'fn finish_deferred_accept' 'fn record_decision' 'fn arrival_tick' 'struct HbLink'; do
+  [ "$(grep -rhow "$item" crates/*/src | wc -l)" -eq 1 ] || { echo "tier-1: '$item' must be defined exactly once under crates/*/src" >&2; exit 1; }
+done
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -3,7 +3,7 @@
 //! and the periodic probe regains in-network acceleration.
 
 use netsim::{SimDuration, SimTime};
-use p4ce::{ClusterBuilder, MemberEvent, WorkloadSpec};
+use p4ce::{ClusterBuilder, MemberEvent, SwitchSetters, WorkloadSpec};
 
 #[test]
 fn leader_falls_back_and_reaccelerates_when_the_switch_returns() {

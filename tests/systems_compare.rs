@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use netsim::{FaultPlan, PortId, SimDuration};
 use p4ce_harness::{run_point, ChaosRecorder, PointConfig, System};
-use replication::WorkloadSpec;
+use replication::{ClusterBuilder, Fabric, WorkloadSpec};
 
 fn rate_of(system: System, replicas: usize) -> f64 {
     let mut cfg = PointConfig::new(system, replicas, WorkloadSpec::closed(16, 64, 0));
@@ -95,82 +95,72 @@ fn goodput_ratio_matches_replica_count_at_large_values() {
 /// Drives one deployment with an externally injected, fully
 /// deterministic proposal stream (payload = proposal counter), under an
 /// optional seeded fault storm, and returns each member's applied
-/// `(seq, payload)` log. Shared between the Mu and P4CE variants so the
-/// workloads really are identical.
-macro_rules! decided_log {
-    ($d:ident, $n:expr, $faults:expr) => {{
-        for i in 0..$n {
-            $d.member_mut(i)
-                .set_state_machine(Box::new(ChaosRecorder::default()));
-        }
-        let setup_deadline = $d.sim.now() + SimDuration::from_millis(300);
-        while $d.sim.now() < setup_deadline && !$d.member(0).is_operational_leader() {
-            $d.sim.run_for(SimDuration::from_millis(1));
-        }
-        assert!($d.member(0).is_operational_leader(), "no steady state");
+/// `(seq, payload)` log. One body for both systems, so the workloads
+/// really are identical.
+fn decided_log<F: Fabric>(seed: u64, faults: bool) -> Vec<(Vec<u64>, Vec<Vec<u8>>)> {
+    const N: usize = 3;
+    let mut d = ClusterBuilder::<F>::new(N).seed(seed).build();
+    for i in 0..N {
+        d.member_mut(i)
+            .set_state_machine(Box::new(ChaosRecorder::default()));
+    }
+    let setup_deadline = d.sim.now() + SimDuration::from_millis(300);
+    while d.sim.now() < setup_deadline && !d.member(0).is_operational_leader() {
+        d.sim.run_for(SimDuration::from_millis(1));
+    }
+    assert!(d.member(0).is_operational_leader(), "no steady state");
 
-        if $faults {
-            // A mild, seeded storm on replica links: loss and jitter on
-            // member 1, a partition window for member 2. The leader
-            // stays up, so both systems must still decide the same
-            // sequence — faults may only slow them down.
-            let now = $d.sim.now();
-            let port = PortId::from_index(0);
-            let lossy = || {
-                FaultPlan::new()
-                    .loss(0.02)
-                    .jitter(SimDuration::from_nanos(200))
-            };
-            $d.sim.set_fault_plan($d.members[1], port, lossy());
-            let (sw, swp) = $d.sim.peer_of($d.members[1], port);
-            $d.sim.set_fault_plan(sw, swp, lossy());
-            let window = |p: FaultPlan| {
-                p.partition(
-                    now + SimDuration::from_micros(500),
-                    now + SimDuration::from_micros(900),
-                )
-            };
-            $d.sim
-                .set_fault_plan($d.members[2], port, window(FaultPlan::new()));
-            let (sw2, swp2) = $d.sim.peer_of($d.members[2], port);
-            $d.sim.set_fault_plan(sw2, swp2, window(FaultPlan::new()));
-        }
+    if faults {
+        // A mild, seeded storm on replica links: loss and jitter on
+        // member 1, a partition window for member 2. The leader
+        // stays up, so both systems must still decide the same
+        // sequence — faults may only slow them down.
+        let now = d.sim.now();
+        let port = PortId::from_index(0);
+        let lossy = || {
+            FaultPlan::new()
+                .loss(0.02)
+                .jitter(SimDuration::from_nanos(200))
+        };
+        d.sim.set_fault_plan(d.members[1], port, lossy());
+        let (sw, swp) = d.sim.peer_of(d.members[1], port);
+        d.sim.set_fault_plan(sw, swp, lossy());
+        let window = |p: FaultPlan| {
+            p.partition(
+                now + SimDuration::from_micros(500),
+                now + SimDuration::from_micros(900),
+            )
+        };
+        d.sim
+            .set_fault_plan(d.members[2], port, window(FaultPlan::new()));
+        let (sw2, swp2) = d.sim.peer_of(d.members[2], port);
+        d.sim.set_fault_plan(sw2, swp2, window(FaultPlan::new()));
+    }
 
-        let mut next_value = 0u64;
-        let run_until = $d.sim.now() + SimDuration::from_millis(2);
-        while $d.sim.now() < run_until {
-            $d.sim.run_for(SimDuration::from_micros(20));
-            if let Some(l) = (0..$n).find(|&i| $d.member(i).is_operational_leader()) {
-                let payload = Bytes::from(next_value.to_be_bytes().to_vec());
-                if $d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
-                    next_value += 1;
-                }
+    let mut next_value = 0u64;
+    let run_until = d.sim.now() + SimDuration::from_millis(2);
+    while d.sim.now() < run_until {
+        d.sim.run_for(SimDuration::from_micros(20));
+        if let Some(l) = (0..N).find(|&i| d.member(i).is_operational_leader()) {
+            let payload = Bytes::from(next_value.to_be_bytes().to_vec());
+            if d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
+                next_value += 1;
             }
         }
-        // Drain: let retransmissions finish and replicas apply the tail.
-        $d.sim.run_for(SimDuration::from_millis(3));
+    }
+    // Drain: let retransmissions finish and replicas apply the tail.
+    d.sim.run_for(SimDuration::from_millis(3));
 
-        (0..$n)
-            .map(|i| {
-                let rec = $d
-                    .member(i)
-                    .state_machine()
-                    .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
-                    .expect("recorder installed");
-                (rec.seqs.clone(), rec.payloads.clone())
-            })
-            .collect::<Vec<(Vec<u64>, Vec<Vec<u8>>)>>()
-    }};
-}
-
-fn p4ce_decided_log(seed: u64, faults: bool) -> Vec<(Vec<u64>, Vec<Vec<u8>>)> {
-    let mut d = p4ce::ClusterBuilder::new(3).seed(seed).build();
-    decided_log!(d, 3, faults)
-}
-
-fn mu_decided_log(seed: u64, faults: bool) -> Vec<(Vec<u64>, Vec<Vec<u8>>)> {
-    let mut d = mu::ClusterBuilder::new(3).seed(seed).build();
-    decided_log!(d, 3, faults)
+    (0..N)
+        .map(|i| {
+            let rec = d
+                .member(i)
+                .state_machine()
+                .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
+                .expect("recorder installed");
+            (rec.seqs.clone(), rec.payloads.clone())
+        })
+        .collect()
 }
 
 /// The differential assertion: every member of both systems applied the
@@ -222,15 +212,15 @@ fn assert_identical_decisions(
 
 #[test]
 fn identical_workload_decides_identically_across_systems() {
-    let mu_logs = mu_decided_log(7, false);
-    let p4ce_logs = p4ce_decided_log(7, false);
+    let mu_logs = decided_log::<mu::PlainFabric>(7, false);
+    let p4ce_logs = decided_log::<p4ce::P4ceFabric>(7, false);
     assert_identical_decisions(&mu_logs, &p4ce_logs, 50);
 }
 
 #[test]
 fn identical_workload_decides_identically_under_faults() {
-    let mu_logs = mu_decided_log(7, true);
-    let p4ce_logs = p4ce_decided_log(7, true);
+    let mu_logs = decided_log::<mu::PlainFabric>(7, true);
+    let p4ce_logs = decided_log::<p4ce::P4ceFabric>(7, true);
     assert_identical_decisions(&mu_logs, &p4ce_logs, 50);
 }
 
