@@ -20,7 +20,7 @@
 use bytes::Bytes;
 use netsim::{FaultPlan, FaultStats, NodeId, PortId, SimDuration, SimTime, Simulation, Tracer};
 use rdma::Host;
-use replication::{Deployment, Fabric, LogEntry, Member, MemberEvent, StateMachine};
+use replication::{Deployment, Fabric, Member, MemberEvent, StateMachine};
 
 use crate::repro::Repro;
 use crate::runner::System;
@@ -227,9 +227,9 @@ pub struct ChaosRecorder {
 }
 
 impl StateMachine for ChaosRecorder {
-    fn apply(&mut self, entry: &LogEntry) {
-        self.seqs.push(entry.seq);
-        self.payloads.push(entry.payload.to_vec());
+    fn apply(&mut self, seq: u64, payload: &[u8]) {
+        self.seqs.push(seq);
+        self.payloads.push(payload.to_vec());
     }
 }
 

@@ -15,7 +15,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use netsim::{group_scoped, MetricsRegistry, SimDuration, SimTime, Tracer};
-use p4ce::{LogEntry, P4ceMember, ShardedClusterBuilder, ShardedDeployment, StateMachine};
+use p4ce::{P4ceMember, ShardedClusterBuilder, ShardedDeployment, StateMachine};
 use rdma::Host;
 
 // ---------------------------------------------------------------------
@@ -219,14 +219,14 @@ impl ShardKvStore {
 }
 
 impl StateMachine for ShardKvStore {
-    fn apply(&mut self, entry: &LogEntry) {
-        self.log_hash ^= fnv1a64(&entry.seq.to_be_bytes());
+    fn apply(&mut self, seq: u64, payload: &[u8]) {
+        self.log_hash ^= fnv1a64(&seq.to_be_bytes());
         self.log_hash = self
             .log_hash
             .wrapping_mul(0x0000_0100_0000_01b3)
-            .wrapping_add(fnv1a64(&entry.payload));
+            .wrapping_add(fnv1a64(payload));
         self.applied += 1;
-        if let Some(cmd) = ShardKvCommand::decode(&entry.payload) {
+        if let Some(cmd) = ShardKvCommand::decode(payload) {
             if cmd.group != self.group {
                 self.foreign += 1;
             }

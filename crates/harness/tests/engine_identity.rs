@@ -8,22 +8,54 @@
 
 use netsim::SimDuration;
 use p4ce_harness::{
-    run_failover, run_point, ChaosSpec, FailoverConfig, PointConfig, PointOutcome, System,
+    run_failover, run_point, run_point_metered, ChaosSpec, FailoverConfig, PointConfig,
+    PointOutcome, System,
 };
 use replication::WorkloadSpec;
 
-fn quick_point(system: System) -> PointOutcome {
+fn quick_cfg(system: System) -> PointConfig {
     let mut cfg = PointConfig::new(system, 2, WorkloadSpec::closed(16, 64, 0));
     cfg.warmup = SimDuration::from_millis(1);
     cfg.window = SimDuration::from_millis(4);
     cfg.seed = 42;
-    run_point(&cfg)
+    cfg
+}
+
+fn quick_point(system: System) -> PointOutcome {
+    run_point(&quick_cfg(system))
+}
+
+/// The one re-recording since: when replicas began polling their log
+/// (one coalesced notification per watched region), each `events_processed`
+/// fell by exactly the `TK_DELIVER` timers no longer scheduled *and fired*
+/// — one per write packet that merged into an already-queued notification
+/// — and nothing else moved. Mu's run ends mid-burst: its last 8 merged
+/// packets land within 180 ns of the 7 ms mark behind a busy CPU, so their
+/// per-packet timers were due after the end and the old count never
+/// included them. The stormy fail-over's drop, 153,023 − 152,895 = 128,
+/// equals its merged count too (EXPERIMENTS E13).
+#[test]
+fn the_rerecorded_drop_is_exactly_the_merged_notifications() {
+    for (system, before, due_after_end) in [(System::P4ce, 391_397, 0), (System::Mu, 241_018, 8)] {
+        let (out, reg) = run_point_metered(&quick_cfg(system));
+        let merged: u64 = (0..3)
+            .map(|i| {
+                reg.counter(&format!("host.{i}.rx.notifications_merged"))
+                    .expect("registered")
+            })
+            .sum();
+        assert_eq!(
+            before - out.events_processed,
+            merged - due_after_end,
+            "{system}"
+        );
+    }
 }
 
 #[test]
 fn p4ce_point_matches_the_recorded_run() {
     let out = quick_point(System::P4ce);
-    assert_eq!(out.events_processed, 391_397);
+    assert_eq!(out.events_processed, 372_853);
     assert_eq!(out.decided, 9_443);
     assert_eq!(out.p50_latency_us, 6.72);
     assert_eq!(out.p99_latency_us, 7.56);
@@ -33,7 +65,7 @@ fn p4ce_point_matches_the_recorded_run() {
 #[test]
 fn mu_point_matches_the_recorded_run() {
     let out = quick_point(System::Mu);
-    assert_eq!(out.events_processed, 241_018);
+    assert_eq!(out.events_processed, 230_814);
     assert_eq!(out.decided, 4_721);
     assert_eq!(out.p50_latency_us, 13.44);
     assert_eq!(out.p99_latency_us, 14.28);
@@ -51,7 +83,7 @@ fn stormy_failover_matches_the_recorded_run() {
         chaos: Some(ChaosSpec::seeded(42, 3)),
         ..FailoverConfig::default()
     });
-    assert_eq!(out.events_processed, 153_023);
+    assert_eq!(out.events_processed, 152_895);
     assert_eq!(out.group_decided, vec![1_926]);
     assert_eq!(out.budget.unavailability().as_nanos(), 42_463_806);
     assert!(out.budget.reconciles());

@@ -10,6 +10,7 @@ use rdma::{
     RegionHandle, WrId,
 };
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use tofino::{Switch, SwitchConfig};
 
 const SW_IP: Ipv4Addr = Ipv4Addr::new(10, 2, 0, 100);
@@ -17,7 +18,8 @@ const SW_IP: Ipv4Addr = Ipv4Addr::new(10, 2, 0, 100);
 #[derive(Default)]
 struct Sink {
     region: Option<RegionHandle>,
-    writes: usize,
+    /// Hull of every dirty range the host reported.
+    dirty: Option<Range<u64>>,
 }
 
 impl RdmaApp for Sink {
@@ -53,14 +55,11 @@ impl RdmaApp for Sink {
             );
         }
     }
-    fn on_remote_write(
-        &mut self,
-        _r: RegionHandle,
-        _o: u64,
-        _payload: &Bytes,
-        _ops: &mut HostOps<'_, '_>,
-    ) {
-        self.writes += 1;
+    fn on_remote_write(&mut self, _r: RegionHandle, dirty: Range<u64>, _ops: &mut HostOps<'_, '_>) {
+        self.dirty = Some(match self.dirty.take() {
+            Some(d) => d.start.min(dirty.start)..d.end.max(dirty.end),
+            None => dirty,
+        });
     }
 }
 
@@ -191,10 +190,26 @@ fn two_groups_share_one_switch() {
     let b = net.sim.node_ref::<Host<Streamer>>(ids[1]).app();
     assert_eq!(a.acked, 100, "group A completes");
     assert_eq!(b.acked, 150, "group B completes");
-    // Each sink saw only its group's traffic.
-    for (idx, expected) in [(2usize, 100), (3, 100), (4, 150), (5, 150)] {
-        let sink = net.sim.node_ref::<Host<Sink>>(ids[idx]).app();
-        assert_eq!(sink.writes, expected, "sink {idx}");
+    // Each sink saw only its group's traffic: every packet of its own
+    // group landed, back to back from offset zero, and nothing else.
+    for (idx, expected, fill) in [
+        (2usize, 100u64, 0xAA),
+        (3, 100, 0xAA),
+        (4, 150, 0xBB),
+        (5, 150, 0xBB),
+    ] {
+        let host = net.sim.node_ref::<Host<Sink>>(ids[idx]);
+        assert_eq!(host.stats().rx_zero_copy_deliveries, expected, "sink {idx}");
+        let sink = host.app();
+        let end = expected * 64;
+        assert_eq!(sink.dirty, Some(0..end), "sink {idx}");
+        let region = sink.region.expect("registered");
+        let landed = host.memory().read_local(region, 0, end as usize + 64);
+        assert!(
+            landed[..end as usize].iter().all(|&b| b == fill),
+            "sink {idx}"
+        );
+        assert!(landed[end as usize..].iter().all(|&b| b == 0), "sink {idx}");
     }
     let prog = net
         .sim

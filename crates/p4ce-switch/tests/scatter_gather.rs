@@ -9,6 +9,7 @@ use rdma::{
     RdmaApp, RegionAdvert, RegionHandle, WrId,
 };
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use tofino::{Switch, SwitchConfig};
 
 const LEADER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -24,7 +25,8 @@ fn replica_ip(i: usize) -> Ipv4Addr {
 struct Replica {
     region: Option<RegionHandle>,
     deny_writes: bool,
-    writes: Vec<(u64, usize)>,
+    /// The dirty range of every poll, in order.
+    dirty: Vec<Range<u64>>,
     leader_seen: Option<Ipv4Addr>,
 }
 
@@ -58,14 +60,8 @@ impl RdmaApp for Replica {
             ops.accept(handshake_id, from_ip, from_qpn, start_psn, advert.encode());
         }
     }
-    fn on_remote_write(
-        &mut self,
-        _r: RegionHandle,
-        offset: u64,
-        payload: &Bytes,
-        _ops: &mut HostOps<'_, '_>,
-    ) {
-        self.writes.push((offset, payload.len()));
+    fn on_remote_write(&mut self, _r: RegionHandle, dirty: Range<u64>, _ops: &mut HostOps<'_, '_>) {
+        self.dirty.push(dirty);
     }
 }
 
@@ -167,6 +163,26 @@ fn build_cluster(
     }
 }
 
+/// What landed on replica `rid`: the write packets its NIC placed in the
+/// log, and the first `len` bytes of the log. Asserts on the way that the
+/// polls' dirty ranges tile `0..len` — the leader writes back to back, so
+/// a gap or an overlap means a packet landed in the wrong place.
+fn landed(c: &Cluster, rid: netsim::NodeId, len: usize) -> (u64, &[u8]) {
+    let host = c.sim.node_ref::<Host<Replica>>(rid);
+    let rep = host.app();
+    let mut end = 0;
+    for d in &rep.dirty {
+        assert_eq!(d.start, end, "polls tile the log: {:?}", rep.dirty);
+        end = d.end;
+    }
+    assert_eq!(end, len as u64, "polls cover every write: {:?}", rep.dirty);
+    let region = rep.region.expect("registered");
+    (
+        host.stats().rx_zero_copy_deliveries,
+        host.memory().read_local(region, 0, len),
+    )
+}
+
 #[test]
 fn single_write_scatters_to_all_and_gathers_one_ack() {
     let payload = Bytes::from(vec![0x5a; 64]);
@@ -181,7 +197,11 @@ fn single_write_scatters_to_all_and_gathers_one_ack() {
 
     for (&rid, i) in c.replicas.iter().zip(0..) {
         let rep = c.sim.node_ref::<Host<Replica>>(rid).app();
-        assert_eq!(rep.writes, vec![(0, 64)], "replica {i} got the write");
+        assert_eq!(
+            rep.dirty,
+            [Range { start: 0, end: 64 }],
+            "replica {i} got the write"
+        );
         assert_eq!(rep.leader_seen, Some(LEADER_IP), "join names the leader");
     }
 
@@ -223,10 +243,11 @@ fn four_replicas_quorum_two() {
 
     // Every replica saw every write at the right offset.
     for &rid in &c.replicas {
-        let rep = c.sim.node_ref::<Host<Replica>>(rid).app();
-        assert_eq!(rep.writes.len(), 10);
-        let offsets: Vec<u64> = rep.writes.iter().map(|&(o, _)| o).collect();
-        assert_eq!(offsets, (0..10).map(|i| i * 64).collect::<Vec<u64>>());
+        let (packets, log) = landed(&c, rid, 640);
+        assert_eq!(packets, 10);
+        for (i, block) in log.chunks(64).enumerate() {
+            assert!(block.iter().all(|&b| b == i as u8), "write {i}");
+        }
     }
 }
 
@@ -235,7 +256,7 @@ fn multi_packet_write_is_scattered_packet_by_packet() {
     // 2500 B = 3 packets with MTU 1024 (§IV-B: each packet of a long
     // message is multicast individually).
     let payload = Bytes::from((0..2500u32).map(|i| (i % 256) as u8).collect::<Vec<u8>>());
-    let leader = Leader::new(1, vec![replica_ip(0), replica_ip(1)], vec![payload]);
+    let leader = Leader::new(1, vec![replica_ip(0), replica_ip(1)], vec![payload.clone()]);
     let mut c = build_cluster(2, leader, P4ceSwitchConfig::default(), |_, _, _| {});
     c.sim.run_until(SimTime::from_millis(100));
 
@@ -247,9 +268,9 @@ fn multi_packet_write_is_scattered_packet_by_packet() {
     assert_eq!(prog.stats.scattered, 3, "three packets multicast");
 
     for &rid in &c.replicas {
-        let rep = c.sim.node_ref::<Host<Replica>>(rid).app();
-        let total: usize = rep.writes.iter().map(|&(_, l)| l).sum();
-        assert_eq!(total, 2500);
+        let (packets, log) = landed(&c, rid, 2500);
+        assert_eq!(packets, 3, "every packet of the copy landed");
+        assert_eq!(log, &payload[..], "contiguously, byte for byte");
     }
 }
 
@@ -378,7 +399,7 @@ fn replica_sees_switch_as_peer_not_leader() {
     c.sim.run_until(SimTime::from_millis(100));
     let rep = c.sim.node_ref::<Host<Replica>>(c.replicas[0]).app();
     assert_eq!(rep.leader_seen, Some(LEADER_IP));
-    assert_eq!(rep.writes.len(), 1);
+    assert_eq!(rep.dirty, [Range { start: 0, end: 16 }]);
     // The write was accepted — which is only possible because the grant
     // targeted the switch's IP, i.e. the packets really did appear to
     // come from the switch.

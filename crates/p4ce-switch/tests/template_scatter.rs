@@ -90,7 +90,13 @@ impl RdmaApp for Leader {
 fn build_tapped_cluster(
     n_replicas: usize,
     payloads: Vec<Bytes>,
-) -> (Simulation, netsim::NodeId, netsim::NodeId, Vec<TapId>) {
+) -> (
+    Simulation,
+    netsim::NodeId,
+    netsim::NodeId,
+    Vec<TapId>,
+    Vec<netsim::NodeId>,
+) {
     let leader = Leader {
         spec: GroupSpec {
             f: 1,
@@ -123,7 +129,7 @@ fn build_tapped_cluster(
             .add_route(replica_ip(i), swp);
         taps.push(sim.tap(switch_id, swp));
     }
-    (sim, leader_id, switch_id, taps)
+    (sim, leader_id, switch_id, taps, replica_ids)
 }
 
 #[test]
@@ -137,7 +143,7 @@ fn every_emitted_frame_matches_full_reserialization() {
             )
         })
         .collect();
-    let (mut sim, leader_id, switch_id, taps) = build_tapped_cluster(2, payloads);
+    let (mut sim, leader_id, switch_id, taps, _) = build_tapped_cluster(2, payloads);
     sim.run_until(SimTime::from_millis(100));
 
     let leader_app = sim.node_ref::<Host<Leader>>(leader_id).app();
@@ -175,7 +181,8 @@ fn scattered_replica_copies_share_payload_bytes() {
     let payloads: Vec<Bytes> = (0..4)
         .map(|i| Bytes::from(vec![0xA0 | i as u8; 512]))
         .collect();
-    let (mut sim, leader_id, _switch_id, taps) = build_tapped_cluster(2, payloads.clone());
+    let (mut sim, leader_id, _switch_id, taps, replica_ids) =
+        build_tapped_cluster(2, payloads.clone());
     sim.run_until(SimTime::from_millis(100));
     assert_eq!(
         sim.node_ref::<Host<Leader>>(leader_id)
@@ -214,6 +221,16 @@ fn scattered_replica_copies_share_payload_bytes() {
     assert_eq!(a, b, "replica copies carry byte-identical payloads");
     for (sent, got) in payloads.iter().zip(a) {
         assert_eq!(sent, got, "payload survives the scatter unmodified");
+    }
+
+    // What the wire carried is what landed: each replica's NIC placed all
+    // four packets, and its region holds the payloads back to back.
+    let sent: Vec<u8> = payloads.iter().flat_map(|p| p.iter().copied()).collect();
+    for &rid in &replica_ids {
+        let host = sim.node_ref::<Host<Replica>>(rid);
+        assert_eq!(host.stats().rx_zero_copy_deliveries, 4);
+        let region = host.app().region.expect("registered");
+        assert_eq!(host.memory().read_local(region, 0, sent.len()), &sent[..]);
     }
 
     // And the copies really did get distinct headers: each addressed to

@@ -20,6 +20,7 @@ use netsim::{
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use crate::cm::{CmMessage, RejectReason};
 use crate::memory::{HostMemory, RegionHandle, RegionInfo};
@@ -158,19 +159,18 @@ pub trait RdmaApp: 'static {
         let _ = (event, ops);
     }
 
-    /// A remote peer wrote into a watched region (see
-    /// [`HostOps::watch_region`]). Offsets are region-relative. `payload`
-    /// is the written bytes as a zero-copy slice of the received frame —
-    /// the same bytes `ops.read_local(region, offset, len)` would return,
-    /// without touching the region buffer.
+    /// Remote peers wrote into a watched region (see
+    /// [`HostOps::watch_region`]) since the last call for it. This is a
+    /// poll, not a per-packet event: `dirty` is the region-relative hull
+    /// of every write packet that landed meanwhile, and the bytes are
+    /// read in place with [`HostOps::read_local`].
     fn on_remote_write(
         &mut self,
         region: RegionHandle,
-        offset: u64,
-        payload: &Bytes,
+        dirty: Range<u64>,
         ops: &mut HostOps<'_, '_>,
     ) {
-        let _ = (region, offset, payload, ops);
+        let _ = (region, dirty, ops);
     }
 
     /// An application timer armed with [`HostOps::set_app_timer`] fired.
@@ -200,10 +200,10 @@ const TK_DATA_MASK: u64 = !TK_CLASS_MASK;
 enum Delivery {
     Completion(Completion),
     Cm(CmEvent),
+    /// At most one is queued per watched region ([`HostCore::watches`]).
     RemoteWrite {
         region: RegionHandle,
-        offset: u64,
-        payload: Bytes,
+        dirty: Range<u64>,
     },
     Nak {
         qpn: Qpn,
@@ -241,12 +241,19 @@ pub struct HostStats {
     /// ACK/NAK frames built by full serialization (first ACK on a QP, or
     /// a structural change that invalidated the template).
     pub acks_serialized: u64,
-    /// Remote-write payloads delivered to the app as zero-copy slices of
-    /// the received frame.
+    /// Write packets that landed in a watched region: the NIC placed them
+    /// and the app reads them in place, so no copy is made for delivery
+    /// (whether the packet queued a notification or merged into one).
     pub rx_zero_copy_deliveries: u64,
     /// Payload deliveries that required copying into host memory (read
     /// responses landing in a local region).
     pub rx_copied_deliveries: u64,
+    /// Watched write packets that found a notification already queued
+    /// for their region and only widened its dirty range.
+    pub rx_notifications_merged: u64,
+    /// Most entries the app delivery queue ever held. Bounded by posted
+    /// work + CM events + one notification per watched region.
+    pub delivery_queue_high_water: u64,
 }
 
 impl HostStats {
@@ -281,6 +288,14 @@ impl HostStats {
         reg.set_counter(
             &format!("{prefix}.rx.copied_deliveries"),
             self.rx_copied_deliveries,
+        );
+        reg.set_counter(
+            &format!("{prefix}.rx.notifications_merged"),
+            self.rx_notifications_merged,
+        );
+        reg.set_counter(
+            &format!("{prefix}.delivery_queue.high_water"),
+            self.delivery_queue_high_water,
         );
     }
 }
@@ -339,10 +354,16 @@ pub struct HostCore {
     next_delivery: u64,
     // --- read landing zones ---
     read_landing: FxHashMap<(u32, u64), (RegionHandle, usize)>,
-    // --- watched regions (remote-write notification), rkey -> region ---
-    watch_keys: FxHashMap<u32, RegionHandle>,
+    /// Watched regions (remote-write notification), each with the
+    /// delivery id of its queued [`Delivery::RemoteWrite`], if any.
+    watches: FxHashMap<RegionHandle, Option<u64>>,
     // --- retransmission ---
     rt_tick_armed: bool,
+    /// Queue pairs with at least one unacknowledged message: the
+    /// retransmit tick is armed iff this is non-zero. Kept in step by
+    /// [`HostCore::with_qp`] around every call that moves a message in or
+    /// out of a QP's inflight queue.
+    qps_inflight: usize,
     // --- payload CRC memos (TX serialization / RX ICRC verification) ---
     tx_payload_crcs: PayloadCrcCache,
     rx_payload_crcs: PayloadCrcCache,
@@ -380,8 +401,9 @@ impl HostCore {
             deliveries: VecDeque::new(),
             next_delivery: 0,
             read_landing: FxHashMap::default(),
-            watch_keys: FxHashMap::default(),
+            watches: FxHashMap::default(),
             rt_tick_armed: false,
+            qps_inflight: 0,
             tx_payload_crcs: PayloadCrcCache::new(),
             rx_payload_crcs: PayloadCrcCache::new(),
             stats: HostStats::default(),
@@ -410,9 +432,21 @@ impl HostCore {
         }
     }
 
+    /// Runs `f` on queue pair `qpn`, keeping [`HostCore::qps_inflight`]
+    /// in step with whatever `f` does to its inflight queue.
+    fn with_qp<R>(&mut self, qpn: u32, f: impl FnOnce(&mut QueuePair) -> R) -> R {
+        let qp = self.qps.get_mut(&qpn).expect("checked");
+        let before = qp.inflight_len() > 0;
+        let r = f(qp);
+        let after = qp.inflight_len() > 0;
+        self.qps_inflight = self.qps_inflight + usize::from(after) - usize::from(before);
+        r
+    }
+
     fn remove_qp(&mut self, qpn: u32) -> Option<QueuePair> {
         let removed = self.qps.remove(&qpn);
-        if removed.is_some() {
+        if let Some(qp) = &removed {
+            self.qps_inflight -= usize::from(qp.inflight_len() > 0);
             if let Ok(at) = self.qp_order.binary_search(&qpn) {
                 self.qp_order.remove(at);
             }
@@ -613,6 +647,8 @@ impl HostCore {
             self.tx_ready.remove(&qpn);
         }
         let Some((qpn, packets)) = ready else { return };
+        // `next_message` pushed exactly one message onto `qpn`'s inflight.
+        self.qps_inflight += usize::from(self.qps[&qpn].inflight_len() == 1);
         if self.qps[&qpn].pending_len() == 0 {
             self.tx_ready.remove(&qpn);
         }
@@ -632,16 +668,47 @@ impl HostCore {
         }
     }
 
-    fn any_inflight(&self) -> bool {
-        self.qps.values().any(|qp| qp.inflight_len() > 0)
-    }
-
     fn enqueue_delivery(&mut self, delivery: Delivery, cost: SimDuration, ctx: &mut Context<'_>) {
         let id = self.next_delivery;
         self.next_delivery = (self.next_delivery + 1) & TK_DATA_MASK;
         self.deliveries.push_back(delivery);
+        let queued = self.deliveries.len() as u64;
+        self.stats.delivery_queue_high_water = self.stats.delivery_queue_high_water.max(queued);
         let ready_at = self.cpu.run(ctx.now, cost);
         ctx.schedule_at(ready_at, TimerToken(TK_DELIVER | id));
+    }
+
+    /// A write packet landed at `dirty` in `region`. If the region is
+    /// watched the host CPU pays `reap_cost` for it, but the app is
+    /// polled, not interrupted: while a notification for the region is
+    /// still queued the packet only widens its dirty hull — nothing is
+    /// enqueued, no timer is scheduled and nothing refers to the frame
+    /// once RX processing returns.
+    fn notify_remote_write(
+        &mut self,
+        region: RegionHandle,
+        dirty: Range<u64>,
+        ctx: &mut Context<'_>,
+    ) {
+        let Some(queued) = self.watches.get_mut(&region) else {
+            return;
+        };
+        self.stats.rx_zero_copy_deliveries += 1;
+        let cost = self.cfg.reap_cost;
+        if let Some(id) = *queued {
+            // Ids are consecutive, so the id names a queue position.
+            let behind_back = self.next_delivery.wrapping_sub(id) & TK_DATA_MASK;
+            let at = self.deliveries.len() - behind_back as usize;
+            let Delivery::RemoteWrite { dirty: hull, .. } = &mut self.deliveries[at] else {
+                unreachable!("a watch's queued id names a RemoteWrite delivery");
+            };
+            *hull = hull.start.min(dirty.start)..hull.end.max(dirty.end);
+            self.stats.rx_notifications_merged += 1;
+            self.cpu.run(ctx.now, cost);
+        } else {
+            *queued = Some(self.next_delivery);
+            self.enqueue_delivery(Delivery::RemoteWrite { region, dirty }, cost, ctx);
+        }
     }
 
     fn complete(&mut self, c: Completion, ctx: &mut Context<'_>) {
@@ -792,18 +859,8 @@ impl HostCore {
             .remote_write(pkt.src_ip, qpn, rkey, va, &pkt.payload);
         match result {
             Ok((region, offset)) => {
-                if self.watch_keys.contains_key(&rkey.0) {
-                    // Deliver the written bytes as a zero-copy slice of
-                    // the received frame — no fresh Vec per delivery.
-                    let ev = Delivery::RemoteWrite {
-                        region,
-                        offset,
-                        payload: pkt.payload.clone(),
-                    };
-                    self.stats.rx_zero_copy_deliveries += 1;
-                    let cost = self.cfg.reap_cost;
-                    self.enqueue_delivery(ev, cost, ctx);
-                }
+                let dirty = offset..offset + pkt.payload.len() as u64;
+                self.notify_remote_write(region, dirty, ctx);
                 if ack_due {
                     let credits = self.credits();
                     let msn = self.qps[&qpn.masked()].msn();
@@ -913,11 +970,12 @@ impl HostCore {
                     credits: u64::from(credits),
                 });
                 let mut done = std::mem::take(&mut self.ack_done);
-                let qp = self.qps.get_mut(&qpn.masked()).expect("checked");
-                qp.handle_ack_into(psn, credits, &mut done);
-                if done.is_empty() {
-                    qp.note_progress(psn, ctx.now);
-                }
+                self.with_qp(qpn.masked(), |qp| {
+                    qp.handle_ack_into(psn, credits, &mut done);
+                    if done.is_empty() {
+                        qp.note_progress(psn, ctx.now);
+                    }
+                });
                 for &(wr_id, _is_read) in &done {
                     self.complete(
                         Completion {
@@ -941,8 +999,7 @@ impl HostCore {
                 // trigger) in parallel with transport-level recovery.
                 let cost = self.cfg.reap_cost;
                 self.enqueue_delivery(Delivery::Nak { qpn, code }, cost, ctx);
-                let qp = self.qps.get_mut(&qpn.masked()).expect("checked");
-                match qp.handle_nak(code) {
+                match self.with_qp(qpn.masked(), |qp| qp.handle_nak(code)) {
                     RecoveryAction::None => {}
                     RecoveryAction::Retransmit(pkts) => {
                         self.stats.nak_retransmits += pkts.len() as u64;
@@ -988,8 +1045,7 @@ impl HostCore {
         let AethKind::Ack { credits } = aeth.kind else {
             return;
         };
-        let qp = self.qps.get_mut(&qpn.masked()).expect("checked");
-        let done = qp.handle_ack(psn, credits);
+        let done = self.with_qp(qpn.masked(), |qp| qp.handle_ack(psn, credits));
         for (wr_id, is_read) in done {
             if is_read {
                 if let Some((region, offset)) = self.read_landing.remove(&(qpn.masked(), wr_id.0)) {
@@ -1175,8 +1231,7 @@ impl HostOps<'_, '_> {
     /// Requests [`RdmaApp::on_remote_write`] notifications for writes
     /// landing in `region`.
     pub fn watch_region(&mut self, region: RegionHandle) {
-        let rkey = self.core.mem.info(region).rkey;
-        self.core.watch_keys.insert(rkey.0, region);
+        self.core.watches.entry(region).or_insert(None);
     }
 
     /// Local read from a region.
@@ -1510,7 +1565,14 @@ impl<A: RdmaApp> Host<A> {
     }
 
     fn maybe_arm_retransmit(&mut self, ctx: &mut Context<'_>) {
-        if !self.core.rt_tick_armed && self.core.any_inflight() {
+        debug_assert_eq!(
+            self.core.qps_inflight,
+            (self.core.qps.values())
+                .filter(|qp| qp.inflight_len() > 0)
+                .count(),
+            "qps_inflight out of step with the queue pairs"
+        );
+        if !self.core.rt_tick_armed && self.core.qps_inflight > 0 {
             self.core.rt_tick_armed = true;
             ctx.schedule(self.core.cfg.retransmit_timeout, TimerToken(TK_RETRANSMIT));
         }
@@ -1598,11 +1660,12 @@ impl<A: RdmaApp> Node for Host<A> {
                 match delivery {
                     Delivery::Completion(c) => self.app.on_completion(c, &mut ops),
                     Delivery::Cm(ev) => self.app.on_cm_event(ev, &mut ops),
-                    Delivery::RemoteWrite {
-                        region,
-                        offset,
-                        payload,
-                    } => self.app.on_remote_write(region, offset, &payload, &mut ops),
+                    Delivery::RemoteWrite { region, dirty } => {
+                        // Cleared first: a packet landing from here on
+                        // (even one the callback provokes) queues afresh.
+                        *ops.core.watches.get_mut(&region).expect("watched") = None;
+                        self.app.on_remote_write(region, dirty, &mut ops)
+                    }
                     Delivery::Nak { qpn, code } => self.app.on_nak(qpn, code, &mut ops),
                 }
                 self.maybe_arm_retransmit(ctx);
@@ -1623,10 +1686,7 @@ impl<A: RdmaApp> Node for Host<A> {
                     let qpn = self.core.qp_order[i];
                     let action = self
                         .core
-                        .qps
-                        .get_mut(&qpn)
-                        .expect("qpn from keys")
-                        .check_timeout(ctx.now, timeout, retry_limit);
+                        .with_qp(qpn, |qp| qp.check_timeout(ctx.now, timeout, retry_limit));
                     match action {
                         RecoveryAction::None => {}
                         RecoveryAction::Retransmit(pkts) => {

@@ -1105,6 +1105,9 @@ impl Default for PayloadCrcCache {
     fn default() -> Self {
         PayloadCrcCache {
             // Allocation id 0 is never issued, so it marks an empty slot.
+            // The one `Bytes` that reports it is the allocation-free empty
+            // value, identity (0, 0, 0): it "hits" an untouched slot and
+            // gets CRC 0 — which is `crc32_raw(0, &[])`, so the hit is right.
             slots: [PayloadCrcSlot {
                 id: 0,
                 start: 0,
@@ -1432,6 +1435,19 @@ impl Error for ParseError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn empty_payload_hits_the_empty_slot_with_the_right_crc() {
+        let mut cache = PayloadCrcCache::new();
+        assert_eq!(Bytes::new().identity(), (0, 0, 0));
+        assert_eq!(cache.payload_crc(&Bytes::new()), crc32_raw(0, &[]));
+        assert_eq!(crc32_raw(0, &[]), 0);
+        assert_eq!(cache.stats(), (1, 0), "served by the empty-slot marker");
+        // And a cached frame around an empty payload equals the uncached one.
+        let mut pkt = sample_write();
+        pkt.payload = Bytes::new();
+        assert_eq!(pkt.to_frame_cached(&mut cache).data, pkt.to_frame().data);
+    }
 
     fn sample_write() -> RocePacket {
         let src_ip = Ipv4Addr::new(10, 0, 0, 1);

@@ -7,6 +7,7 @@ use rdma::{
     RKey, RdmaApp, RegionAdvert, RegionHandle, RejectReason, WrId,
 };
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -18,7 +19,8 @@ struct Server {
     region: Option<RegionHandle>,
     region_len: usize,
     perms: Permissions,
-    writes_seen: Vec<(u64, usize)>,
+    /// The dirty range of every remote-write poll, in order.
+    writes_seen: Vec<Range<u64>>,
     established: u32,
     reject_all: bool,
 }
@@ -75,11 +77,10 @@ impl RdmaApp for Server {
     fn on_remote_write(
         &mut self,
         _region: RegionHandle,
-        offset: u64,
-        payload: &Bytes,
+        dirty: Range<u64>,
         _ops: &mut HostOps<'_, '_>,
     ) {
-        self.writes_seen.push((offset, payload.len()));
+        self.writes_seen.push(dirty);
     }
 }
 
@@ -184,7 +185,7 @@ fn connect_write_ack_completes() {
 
     let server = sim.node_ref::<Host<Server>>(s).app();
     assert_eq!(server.established, 1);
-    assert_eq!(server.writes_seen, vec![(0, 64)]);
+    assert_eq!(server.writes_seen, [Range { start: 0, end: 64 }]);
 }
 
 #[test]
@@ -203,13 +204,19 @@ fn multi_packet_write_lands_contiguously() {
         "one completion per message"
     );
     assert!(client_app.completions[0].status.is_success());
-    // Server saw three packet-level writes covering the whole payload.
-    let server_app = sim.node_ref::<Host<Server>>(s).app();
-    let total: usize = server_app.writes_seen.iter().map(|&(_, l)| l).sum();
-    assert_eq!(total, 3000);
-    assert_eq!(server_app.writes_seen[0], (0, 1024));
-    assert_eq!(server_app.writes_seen[1], (1024, 1024));
-    assert_eq!(server_app.writes_seen[2], (2048, 952));
+    // The server's NIC placed three packets; its polls tile the payload
+    // (no gap, no overlap) and the region holds it byte for byte.
+    let server = sim.node_ref::<Host<Server>>(s);
+    assert_eq!(server.stats().rx_zero_copy_deliveries, 3);
+    let server_app = server.app();
+    let mut end = 0;
+    for d in &server_app.writes_seen {
+        assert_eq!(d.start, end, "{:?}", server_app.writes_seen);
+        end = d.end;
+    }
+    assert_eq!(end, 3000);
+    let region = server_app.region.expect("registered");
+    assert_eq!(server.memory().read_local(region, 0, 3000), &payload[..]);
 }
 
 #[test]

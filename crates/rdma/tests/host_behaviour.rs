@@ -8,6 +8,7 @@ use rdma::{
     RegionHandle, WrId,
 };
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use tofino::{L3Forwarder, Switch, SwitchConfig};
 
 const A_IP: Ipv4Addr = Ipv4Addr::new(10, 3, 0, 1);
@@ -16,7 +17,8 @@ const B_IP: Ipv4Addr = Ipv4Addr::new(10, 3, 0, 2);
 #[derive(Default)]
 struct Acceptor {
     region: Option<RegionHandle>,
-    writes: usize,
+    /// The dirty range of every remote-write poll, in order.
+    polls: Vec<Range<u64>>,
 }
 
 impl RdmaApp for Acceptor {
@@ -50,14 +52,8 @@ impl RdmaApp for Acceptor {
             );
         }
     }
-    fn on_remote_write(
-        &mut self,
-        _r: RegionHandle,
-        _o: u64,
-        _payload: &Bytes,
-        _ops: &mut HostOps<'_, '_>,
-    ) {
-        self.writes += 1;
+    fn on_remote_write(&mut self, _r: RegionHandle, dirty: Range<u64>, _ops: &mut HostOps<'_, '_>) {
+        self.polls.push(dirty);
     }
 }
 
@@ -239,8 +235,8 @@ fn connections_migrate_to_the_arrival_path() {
     let app = sim.node_ref::<Host<LateConn>>(a).app();
     assert!(app.started);
     assert_eq!(app.acked, 1, "write completed entirely over fabric 2");
-    let writes = sim.node_ref::<Host<Acceptor>>(b).app().writes;
-    assert_eq!(writes, 1);
+    let polls = &sim.node_ref::<Host<Acceptor>>(b).app().polls;
+    assert_eq!(polls, &[Range { start: 0, end: 64 }]);
 }
 
 #[test]
@@ -305,5 +301,73 @@ fn receiver_overload_collapses_credits_and_throttles() {
         "overloaded receiver must advertise scarcity, saw {}",
         app.min_credits
     );
-    assert_eq!(sim.node_ref::<Host<Acceptor>>(b).app().writes, 500);
+    // Every one of the 500 packets landed (all at offset 0) and the app
+    // was told about that range — however few polls it took.
+    let server = sim.node_ref::<Host<Acceptor>>(b);
+    assert_eq!(server.stats().rx_zero_copy_deliveries, 500);
+    let polls = &server.app().polls;
+    assert!(!polls.is_empty() && polls.iter().all(|d| *d == (0..64)));
+    assert_eq!(
+        polls.len() as u64 + server.stats().rx_notifications_merged,
+        500,
+        "each packet either queued a poll or merged into one"
+    );
+    let region = server.app().region.expect("registered");
+    assert_eq!(server.memory().read_local(region, 0, 64), &[1u8; 64]);
+}
+
+#[test]
+fn writes_landing_behind_a_busy_cpu_coalesce_into_one_poll() {
+    // Three single-packet writes arrive ~100 ns apart; the server's CPU
+    // needs 5 µs to reap anything. The first packet queues the region's
+    // notification, the other two only widen its dirty range: one
+    // callback, whose range is the hull and whose bytes are all there.
+    struct Burst;
+    impl RdmaApp for Burst {
+        fn on_start(&mut self, ops: &mut HostOps<'_, '_>) {
+            ops.connect(B_IP, Bytes::new());
+        }
+        fn on_cm_event(&mut self, ev: CmEvent, ops: &mut HostOps<'_, '_>) {
+            if let CmEvent::Connected {
+                qpn, private_data, ..
+            } = ev
+            {
+                let advert = RegionAdvert::decode(&private_data).expect("advert");
+                // Not in address order: the hull is not the last write.
+                for (i, offset) in [64u64, 192, 0].into_iter().enumerate() {
+                    ops.post_write(
+                        qpn,
+                        WrId(i as u64),
+                        advert.va + offset,
+                        advert.rkey,
+                        Bytes::from(vec![i as u8 + 1; 64]),
+                    );
+                }
+            }
+        }
+        fn on_completion(&mut self, _c: Completion, _ops: &mut HostOps<'_, '_>) {}
+    }
+
+    let mut sim = Simulation::new(15);
+    let a = sim.add_node(Box::new(Host::new(HostConfig::new(A_IP), Burst)));
+    let mut busy = HostConfig::new(B_IP);
+    busy.reap_cost = SimDuration::from_micros(5);
+    let b = sim.add_node(Box::new(Host::new(busy, Acceptor::default())));
+    sim.connect(a, b, LinkSpec::default());
+    sim.run_until(SimTime::from_millis(1));
+
+    let server = sim.node_ref::<Host<Acceptor>>(b);
+    assert_eq!(server.app().polls, [Range { start: 0, end: 256 }]);
+    let stats = server.stats();
+    assert_eq!(stats.rx_zero_copy_deliveries, 3);
+    assert_eq!(stats.rx_notifications_merged, 2);
+    // Each merged packet still cost the CPU a reap: 3 × 5 µs on top of the
+    // three 25 µs CM steps (request, accept, established).
+    assert_eq!(server.cpu_busy(), SimDuration::from_micros(3 * 25 + 3 * 5));
+    let region = server.app().region.expect("registered");
+    let landed = server.memory().read_local(region, 0, 256);
+    assert_eq!(&landed[..64], &[3u8; 64]);
+    assert_eq!(&landed[64..128], &[1u8; 64]);
+    assert_eq!(&landed[128..192], &[0u8; 64], "the gap inside the hull");
+    assert_eq!(&landed[192..], &[2u8; 64]);
 }

@@ -55,11 +55,13 @@ impl LogEntry {
     }
 }
 
-/// Result of attempting to decode an entry at some log offset.
+/// Result of attempting to decode an entry at some log offset. `E` is
+/// how a complete entry is held: an owned [`LogEntry`] from [`decode_at`],
+/// or — inside [`LogReader::walk`] — a `Span` with nothing copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Decoded {
+pub enum Decoded<E = LogEntry> {
     /// A complete entry and the offset just past it.
-    Entry(LogEntry, usize),
+    Entry(E, usize),
     /// Nothing written here (yet).
     Empty,
     /// An entry header is present but the canary has not landed: tail
@@ -67,39 +69,24 @@ pub enum Decoded {
     Torn,
 }
 
-/// Result of locating an entry at some log offset without materializing
-/// its payload: the payload is described as a byte range within the
-/// buffer, so the caller chooses between copying ([`decode_at`]) and
-/// zero-copy slicing ([`LogReader::drain_payload`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Span {
-    /// A complete entry: sequence number, payload byte range, and the
-    /// offset just past the entry.
-    Entry {
-        seq: u64,
-        payload: std::ops::Range<usize>,
-        next: usize,
-    },
-    /// Nothing written here (yet).
-    Empty,
-    /// An entry header is present but the canary has not landed.
-    Torn,
-}
+/// An entry located but not materialized: its sequence number and its
+/// payload's byte range within the log.
+type Span = (u64, std::ops::Range<usize>);
 
 /// Locates (without copying) the entry at `offset` in `log`.
-fn decode_span(log: &[u8], offset: usize) -> Result<Span, LogError> {
+fn decode_span(log: &[u8], offset: usize) -> Result<Decoded<Span>, LogError> {
     if offset + 4 > log.len() {
-        return Ok(Span::Empty);
+        return Ok(Decoded::Empty);
     }
     let magic = u16::from_be_bytes([log[offset], log[offset + 1]]);
     if magic == 0 {
-        return Ok(Span::Empty);
+        return Ok(Decoded::Empty);
     }
     // A half-delivered header: the first magic byte has landed on
     // zero-initialized memory, the second has not. Tail packets are in
     // flight — wait, exactly as for a missing canary.
     if magic == u16::from_be_bytes([ENTRY_MAGIC.to_be_bytes()[0], 0]) {
-        return Ok(Span::Torn);
+        return Ok(Decoded::Torn);
     }
     if magic != ENTRY_MAGIC {
         return Err(LogError::Corrupt { offset });
@@ -109,17 +96,13 @@ fn decode_span(log: &[u8], offset: usize) -> Result<Span, LogError> {
     if end > log.len() {
         // The length field may itself be mid-delivery; without a canary
         // in bounds there is nothing safe to consume yet.
-        return Ok(Span::Torn);
+        return Ok(Decoded::Torn);
     }
     if log[end - 1] != ENTRY_CANARY {
-        return Ok(Span::Torn);
+        return Ok(Decoded::Torn);
     }
     let seq = u64::from_be_bytes(log[offset + 4..offset + 12].try_into().expect("length"));
-    Ok(Span::Entry {
-        seq,
-        payload: offset + 12..end - 1,
-        next: end,
-    })
+    Ok(Decoded::Entry((seq, offset + 12..end - 1), end))
 }
 
 /// Decodes the entry at `offset` in `log`.
@@ -130,15 +113,15 @@ fn decode_span(log: &[u8], offset: usize) -> Result<Span, LogError> {
 /// with the entry magic.
 pub fn decode_at(log: &[u8], offset: usize) -> Result<Decoded, LogError> {
     Ok(match decode_span(log, offset)? {
-        Span::Entry { seq, payload, next } => Decoded::Entry(
+        Decoded::Entry((seq, payload), next) => Decoded::Entry(
             LogEntry {
                 seq,
                 payload: Bytes::copy_from_slice(&log[payload]),
             },
             next,
         ),
-        Span::Empty => Decoded::Empty,
-        Span::Torn => Decoded::Torn,
+        Decoded::Empty => Decoded::Empty,
+        Decoded::Torn => Decoded::Torn,
     })
 }
 
@@ -251,87 +234,50 @@ impl LogReader {
         self.offset
     }
 
-    /// Drains every complete entry currently visible in `log`.
+    /// Walks every complete entry currently visible in `log`, handing
+    /// each to `visit` as `(seq, payload)` borrowed straight out of `log`
+    /// — no copy, no allocation — and advancing past it. Stops at the
+    /// first empty or torn position (a torn tail waits for its canary).
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Corrupt`] only when the *first* undrained
-    /// position is corrupt; entries decoded before a later corruption are
-    /// returned (the reader stops in front of the damage and the next
-    /// call reports it).
-    pub fn drain(&mut self, log: &[u8]) -> Result<Vec<LogEntry>, LogError> {
-        let mut out = Vec::new();
+    /// Returns [`LogError::Corrupt`] only when the *first* unvisited
+    /// position is corrupt; entries visited before a later corruption
+    /// stay consumed (the reader stops in front of the damage and the
+    /// next call reports it).
+    pub fn walk<'a>(
+        &mut self,
+        log: &'a [u8],
+        mut visit: impl FnMut(u64, &'a [u8]),
+    ) -> Result<(), LogError> {
+        let from = self.consumed;
         loop {
-            match decode_at(log, self.offset) {
-                Ok(Decoded::Entry(e, next)) => {
+            match decode_span(log, self.offset) {
+                Ok(Decoded::Entry((seq, payload), next)) => {
                     self.offset = next;
                     self.consumed += 1;
-                    out.push(e);
+                    visit(seq, &log[payload]);
                 }
-                Ok(Decoded::Empty | Decoded::Torn) => break,
-                Err(e) => {
-                    if out.is_empty() {
-                        return Err(e);
-                    }
-                    break; // deliver what we have; the error resurfaces next call
-                }
+                Ok(Decoded::Empty | Decoded::Torn) => return Ok(()),
+                Err(e) if self.consumed == from => return Err(e),
+                Err(_) => return Ok(()),
             }
         }
-        Ok(out)
     }
 
-    /// Drains complete entries directly out of a delivered write payload,
-    /// zero-copy: each entry's payload is a [`Bytes::slice`] of `payload`
-    /// rather than a fresh copy out of the log region.
-    ///
-    /// `at` is the region offset the payload landed at. The fast path
-    /// applies only while the reader's offset lies inside the delivered
-    /// range; entries that continue past the payload's end (or a reader
-    /// positioned elsewhere, e.g. after a leader change) simply drain
-    /// nothing here — callers follow up with [`LogReader::drain`] over
-    /// the region, which yields exactly the remaining entries because the
-    /// region bytes at these offsets are the delivered payload bytes.
+    /// [`LogReader::walk`], collecting owned copies of the entries.
     ///
     /// # Errors
     ///
-    /// As [`LogReader::drain`]: corruption at the first undrained
-    /// position, with already-decoded entries preserved.
-    pub fn drain_payload(&mut self, payload: &Bytes, at: usize) -> Result<Vec<LogEntry>, LogError> {
+    /// As [`LogReader::walk`].
+    pub fn drain(&mut self, log: &[u8]) -> Result<Vec<LogEntry>, LogError> {
         let mut out = Vec::new();
-        if self.offset < at || self.offset > at + payload.len() {
-            return Ok(out);
-        }
-        loop {
-            match decode_span(payload, self.offset - at) {
-                Ok(Span::Entry {
-                    seq,
-                    payload: range,
-                    next,
-                }) => {
-                    out.push(LogEntry {
-                        seq,
-                        payload: payload.slice(range),
-                    });
-                    self.offset = at + next;
-                    self.consumed += 1;
-                }
-                Ok(Span::Empty | Span::Torn) => break,
-                Err(LogError::Corrupt { offset }) => {
-                    if out.is_empty() {
-                        return Err(LogError::Corrupt {
-                            offset: at + offset,
-                        });
-                    }
-                    break; // deliver what we have; the error resurfaces next call
-                }
-                Err(e) => {
-                    if out.is_empty() {
-                        return Err(e);
-                    }
-                    break;
-                }
-            }
-        }
+        self.walk(log, |seq, payload| {
+            out.push(LogEntry {
+                seq,
+                payload: Bytes::copy_from_slice(payload),
+            });
+        })?;
         Ok(out)
     }
 
@@ -346,8 +292,9 @@ impl LogReader {
 /// "application" of state-machine replication. Replicas apply entries in
 /// sequence order as they become visible in their log.
 pub trait StateMachine: std::any::Any {
-    /// Applies one decided entry.
-    fn apply(&mut self, entry: &LogEntry);
+    /// Applies one decided entry. `payload` is borrowed from the log
+    /// region and is only valid for the call.
+    fn apply(&mut self, seq: u64, payload: &[u8]);
 }
 
 /// Log access errors.
@@ -518,61 +465,29 @@ mod tests {
     }
 
     #[test]
-    fn drain_payload_matches_region_drain() {
+    fn walk_borrows_payloads_from_the_log() {
         let mut w = LogWriter::new(1024);
         let mut log = vec![0u8; 1024];
-        let mut delivered = Vec::new();
-        for i in 0..4u8 {
-            let (_e, bytes, at) = w.append(Bytes::from(vec![i; 20])).expect("space");
-            log[at..at + bytes.len()].copy_from_slice(&bytes);
-            delivered.push((Bytes::copy_from_slice(&bytes), at));
-        }
-        let mut fast = LogReader::new();
-        let mut slow = LogReader::new();
-        let mut fast_entries = Vec::new();
-        for (payload, at) in &delivered {
-            fast_entries.extend(fast.drain_payload(payload, *at).expect("clean"));
-        }
-        let slow_entries = slow.drain(&log).expect("clean");
-        assert_eq!(fast_entries, slow_entries);
-        assert_eq!(fast.offset(), slow.offset());
-        assert_eq!(fast.consumed(), slow.consumed());
-        // Entry payloads are zero-copy slices of the delivered write.
-        let (first_payload, _) = &delivered[0];
-        let (id, _, _) = first_payload.identity();
-        assert_eq!(fast_entries[0].payload.identity().0, id);
-    }
-
-    #[test]
-    fn drain_payload_skips_when_reader_is_elsewhere() {
-        let mut w = LogWriter::new(1024);
-        let (_e, bytes, at) = w.append(Bytes::from_static(b"value")).expect("space");
-        assert_eq!(at, 0);
-        let payload = Bytes::copy_from_slice(&bytes);
-        let mut r = LogReader::new();
-        // Reader ahead of the delivered range (duplicate delivery).
-        r.offset = bytes.len();
-        assert!(r.drain_payload(&payload, 0).expect("clean").is_empty());
-        // Reader far behind a delivery that landed past its position.
-        let mut r2 = LogReader::new();
-        assert!(r2.drain_payload(&payload, 512).expect("clean").is_empty());
-        assert_eq!(r2.offset(), 0);
-    }
-
-    #[test]
-    fn drain_payload_leaves_torn_tail_for_region_drain() {
-        let mut w = LogWriter::new(1024);
         let (_e1, b1, a1) = w.append(Bytes::from(vec![1u8; 10])).expect("space");
-        let (_e2, b2, _a2) = w.append(Bytes::from(vec![2u8; 10])).expect("space");
-        // One delivery carries entry 1 plus only half of entry 2.
-        let mut joined = b1.to_vec();
-        joined.extend_from_slice(&b2[..b2.len() / 2]);
-        let payload = Bytes::from(joined);
+        let (_e2, b2, a2) = w.append(Bytes::from(vec![2u8; 10])).expect("space");
+        log[a1..a1 + b1.len()].copy_from_slice(&b1);
+        // Entry 2 is torn: its second half has not landed.
+        log[a2..a2 + b2.len() / 2].copy_from_slice(&b2[..b2.len() / 2]);
         let mut r = LogReader::new();
-        let got = r.drain_payload(&payload, a1).expect("clean");
-        assert_eq!(got.len(), 1);
-        assert_eq!(r.consumed(), 1);
-        assert_eq!(r.offset(), b1.len());
+        let mut seen = Vec::new();
+        r.walk(&log, |seq, payload| {
+            seen.push((seq, payload.as_ptr_range()))
+        })
+        .expect("clean");
+        // The payload is the log's own bytes, not a copy.
+        assert_eq!(seen, vec![(0, log[a1 + 12..a1 + 22].as_ptr_range())]);
+        assert_eq!((r.consumed(), r.offset()), (1, b1.len()));
+        // The rest lands; the walk resumes where it stopped.
+        log[a2..a2 + b2.len()].copy_from_slice(&b2);
+        let mut later = Vec::new();
+        r.walk(&log, |seq, payload| later.push((seq, payload.to_vec())))
+            .expect("clean");
+        assert_eq!(later, vec![(1, vec![2u8; 10])]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use rdma::{
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::net::Ipv4Addr;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, Range};
 
 use crate::{
     ArrivalClock, ClusterConfig, FailureDetector, HeartbeatCounter, LogReader, LogWriter,
@@ -1029,46 +1029,28 @@ impl Core {
     // Replica side: consuming the log
     // ------------------------------------------------------------------
 
-    fn on_remote_write(
-        &mut self,
-        region: RegionHandle,
-        offset: u64,
-        payload: &Bytes,
-        ops: &mut HostOps<'_, '_>,
-    ) {
+    /// Polls the log: one borrowing walk from the reader's position over
+    /// whatever has landed, applying each complete entry in place (torn
+    /// tails wait for their canary and the next notification).
+    fn on_remote_write(&mut self, region: RegionHandle, ops: &mut HostOps<'_, '_>) {
         if Some(region) != self.log_region {
             return;
         }
-        // Consume complete entries (torn tails wait for their canary).
-        // Fast path: drain entries straight out of the delivered payload
-        // (zero-copy slices of the received frame). The region sweep
-        // afterwards picks up anything the payload path could not serve —
-        // entries completed by earlier deliveries, or a reader positioned
-        // outside the delivered range — and is a no-op in steady state.
-        let log_size = self.cfg.cluster.log_size;
-        let entries = {
-            let mut entries = self
-                .reader
-                .drain_payload(payload, offset as usize)
-                .unwrap_or_default();
-            let log = ops.read_local(region, 0, log_size);
-            entries.extend(self.reader.drain(log).unwrap_or_default());
-            entries
-        };
-        for entry in &entries {
+        let log = ops.read_local(region, 0, self.cfg.cluster.log_size);
+        // A corrupt position parks the reader in front of it: nothing to do.
+        let _ = self.reader.walk(log, |seq, payload| {
             // Epoch rebuilds replay the log from the head; skip what
             // this member already applied so application is exactly-once.
-            if entry.seq < self.next_apply_seq {
-                continue;
+            if seq < self.next_apply_seq {
+                return;
             }
-            self.next_apply_seq = entry.seq + 1;
+            self.next_apply_seq = seq + 1;
             self.stats.applied += 1;
-            let seq = entry.seq;
             ops.tracer().emit(ops.now(), || TraceEvent::Apply { seq });
             if let Some(sm) = &mut self.state_machine {
-                sm.apply(entry);
+                sm.apply(seq, payload);
             }
-        }
+        });
     }
 }
 
@@ -1186,11 +1168,10 @@ impl<C: Comm> RdmaApp for Member<C> {
     fn on_remote_write(
         &mut self,
         region: RegionHandle,
-        offset: u64,
-        payload: &Bytes,
+        _dirty: Range<u64>,
         ops: &mut HostOps<'_, '_>,
     ) {
-        self.core.on_remote_write(region, offset, payload, ops);
+        self.core.on_remote_write(region, ops);
     }
 
     fn on_nak(&mut self, qpn: Qpn, _code: rdma::NakCode, ops: &mut HostOps<'_, '_>) {

@@ -72,6 +72,57 @@ proptest! {
         prop_assert_eq!(seen, payloads.len());
     }
 
+    /// The borrowing walk and the collecting `drain` are one decoder:
+    /// over a clean log, a torn tail, a corrupt head and corruption after
+    /// good entries they yield the same `(seq, payload)` sequence, the
+    /// same error, and leave the reader at the same offset — call after
+    /// call.
+    #[test]
+    fn walk_and_drain_agree(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..120), 1..12),
+        damage in 0u8..4,
+        cut in 1usize..13,
+    ) {
+        let mut w = LogWriter::new(1 << 12);
+        let mut log = vec![0u8; 1 << 12];
+        let mut last = 0..0;
+        for p in &payloads {
+            let (_e, bytes, at) = w.append(Bytes::from(p.clone())).expect("space");
+            log[at..at + bytes.len()].copy_from_slice(&bytes);
+            last = at..at + bytes.len();
+        }
+        match damage {
+            0 => {}
+            // Torn tail: the last entry's final bytes have not landed.
+            1 => log[last.end - cut..last.end].fill(0),
+            // Corrupt head.
+            2 => log[..2].copy_from_slice(&[0xde, 0xad]),
+            // Corruption right behind the good entries.
+            _ => log[last.end..last.end + 2].copy_from_slice(&[0xde, 0xad]),
+        }
+        let (mut walker, mut drainer) = (LogReader::new(), LogReader::new());
+        for _call in 0..2 {
+            let mut walked = Vec::new();
+            let w_res = walker.walk(&log, |seq, payload| walked.push((seq, payload.to_vec())));
+            let (drained, d_res) = match drainer.drain(&log) {
+                Ok(entries) => (entries, Ok(())),
+                Err(e) => (Vec::new(), Err(e)),
+            };
+            let drained: Vec<(u64, Vec<u8>)> =
+                drained.iter().map(|e| (e.seq, e.payload.to_vec())).collect();
+            prop_assert_eq!(w_res, d_res);
+            prop_assert_eq!(walked, drained);
+            prop_assert_eq!(walker.offset(), drainer.offset());
+            prop_assert_eq!(walker.consumed(), drainer.consumed());
+        }
+        let expect_consumed = match damage {
+            0 | 3 => payloads.len(),
+            1 => payloads.len() - 1,
+            _ => 0,
+        };
+        prop_assert_eq!(walker.consumed(), expect_consumed as u64);
+    }
+
     /// The ring keeps sequence numbers monotonic across wraps and every
     /// returned offset stays in bounds.
     #[test]

@@ -78,12 +78,12 @@ impl RdmaApp for Target {
     }
     fn on_remote_write(
         &mut self,
-        _r: RegionHandle,
-        _off: u64,
-        payload: &Bytes,
-        _ops: &mut HostOps<'_, '_>,
+        r: RegionHandle,
+        dirty: std::ops::Range<u64>,
+        ops: &mut HostOps<'_, '_>,
     ) {
-        self.bytes_written += payload.len();
+        let written = ops.read_local(r, dirty.start as usize, (dirty.end - dirty.start) as usize);
+        self.bytes_written += written.iter().filter(|&&b| b == 0x42).count();
     }
 }
 

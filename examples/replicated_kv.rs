@@ -11,7 +11,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use netsim::{SimDuration, SimTime};
-use p4ce::{ClusterBuilder, LogEntry, StateMachine};
+use p4ce::{ClusterBuilder, StateMachine};
 use std::collections::BTreeMap;
 
 /// A `PUT key value` command as replicated through the log.
@@ -48,8 +48,8 @@ struct KvStore {
 }
 
 impl StateMachine for KvStore {
-    fn apply(&mut self, entry: &LogEntry) {
-        if let Some(cmd) = KvCommand::decode(&entry.payload) {
+    fn apply(&mut self, _seq: u64, payload: &[u8]) {
+        if let Some(cmd) = KvCommand::decode(payload) {
             self.map.insert(cmd.key, cmd.value);
             self.applied += 1;
         }

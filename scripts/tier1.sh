@@ -15,6 +15,14 @@ for item in 'fn heartbeat_tick' 'fn update_view' 'fn fence_log' 'fn finish_defer
   [ "$(grep -rhow "$item" crates/*/src | wc -l)" -eq 1 ] || { echo "tier-1: '$item' must be defined exactly once under crates/*/src" >&2; exit 1; }
 done
 
+echo "==> replicas poll their log: one decode walk, no payload-carrying delivery (ROADMAP item 1)"
+if grep -rn 'drain_payload' crates/*/src; then
+  echo "tier-1: drain_payload is gone; LogReader::walk is the one decoding walk" >&2; exit 1
+fi
+if sed -n '/^enum Delivery {/,/^}/p' crates/rdma/src/host.rs | sed -n '/RemoteWrite {/,/}/p' | grep -n 'payload'; then
+  echo "tier-1: Delivery::RemoteWrite must not carry a payload (it would pin the received frame)" >&2; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -23,6 +31,8 @@ cargo test -q
 
 echo "==> cargo test -q --workspace (crate unit tests)"
 cargo test -q --workspace --exclude p4ce-repro
+# vendor/ is outside the workspace; bytes is the one stand-in with behaviour of its own to pin.
+cargo test -q -p bytes
 
 echo "==> sharded-KV smoke (quick groups sweep, seq == parallel)"
 cargo run --release -p p4ce-bench --bin groups_sweep -- --quick --threads 2 >/dev/null
@@ -38,5 +48,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> benchmark/ and BENCHMARK.json are as committed"
+# cargo rewrites the frozen benchmark/Cargo.lock on every benchmark build
+# (the library's dependency graph moved in PR 13); put it back.
+git checkout -- benchmark/Cargo.lock
+if [ -n "$(git status --porcelain -- benchmark BENCHMARK.json)" ]; then
+  git status --short -- benchmark BENCHMARK.json >&2
+  echo "tier-1: the benchmark is frozen; nothing under benchmark/ nor BENCHMARK.json may differ from HEAD" >&2; exit 1
+fi
 
 echo "tier-1: all green"

@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
-use p4ce::{ClusterBuilder, LogEntry, StateMachine};
+use p4ce::{ClusterBuilder, StateMachine};
 use proptest::prelude::*;
 
 /// Records everything it applies.
@@ -16,9 +16,9 @@ struct Recorder {
 }
 
 impl StateMachine for Recorder {
-    fn apply(&mut self, entry: &LogEntry) {
-        self.seqs.push(entry.seq);
-        self.payloads.push(entry.payload.to_vec());
+    fn apply(&mut self, seq: u64, payload: &[u8]) {
+        self.seqs.push(seq);
+        self.payloads.push(payload.to_vec());
     }
 }
 

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
-use p4ce::{ClusterBuilder, LogEntry, MemberEvent, StateMachine, WorkloadSpec};
+use p4ce::{ClusterBuilder, MemberEvent, StateMachine, WorkloadSpec};
 
 #[derive(Default)]
 struct Counter {
@@ -13,9 +13,9 @@ struct Counter {
 }
 
 impl StateMachine for Counter {
-    fn apply(&mut self, entry: &LogEntry) {
+    fn apply(&mut self, _seq: u64, payload: &[u8]) {
         self.applied += 1;
-        self.bytes += entry.payload.len() as u64;
+        self.bytes += payload.len() as u64;
     }
 }
 
