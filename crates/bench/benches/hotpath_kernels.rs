@@ -8,7 +8,8 @@ use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rdma::wire::{crc32, crc32_slice8_raw, crc32_two_lane_raw};
 use rdma::{
-    Aeth, AethKind, Bth, MacAddr, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth, RocePacket,
+    Aeth, AethKind, Bth, MacAddr, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth, RewriteSet,
+    RocePacket,
 };
 use std::net::Ipv4Addr;
 
@@ -103,13 +104,15 @@ fn bench_ack(c: &mut Criterion) {
         let mut psn = 0u32;
         b.iter(|| {
             psn = psn.wrapping_add(1);
-            let mut target = template.packet().clone();
-            target.bth.psn = Psn::new(psn);
-            target.aeth = Some(Aeth {
-                kind: AethKind::Ack { credits: 17 },
-                msn: psn & 0x00ff_ffff,
-            });
-            template.instantiate(&target).expect("patchable")
+            let rw = RewriteSet {
+                psn: Some(Psn::new(psn)),
+                aeth: Some(Aeth {
+                    kind: AethKind::Ack { credits: 17 },
+                    msn: psn & 0x00ff_ffff,
+                }),
+                ..RewriteSet::default()
+            };
+            template.stamp(&rw).expect("patchable")
         })
     });
     group.finish();

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rdma::{patch_frame, Bth, MacAddr, Opcode, Psn, Qpn, RKey, Reth, RewriteSet, RocePacket};
+use rdma::{Bth, MacAddr, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth, RewriteSet, RocePacket};
 use std::net::Ipv4Addr;
 
 fn sample(payload: usize) -> RocePacket {
@@ -88,20 +88,20 @@ fn bench_patch(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     for payload in [64usize, 512, 8192] {
         let pkt = sample(payload);
-        let frame = pkt.to_frame();
+        let template = PacketTemplate::from_packet(&pkt);
         let rw = scatter_rewrite();
         let mut rewritten = pkt.clone();
         rw.apply(&mut rewritten);
-        group.throughput(Throughput::Bytes(frame.len() as u64));
+        group.throughput(Throughput::Bytes(template.frame().len() as u64));
         group.bench_with_input(
             BenchmarkId::new("to_frame_full", payload),
             &rewritten,
             |b, pkt| b.iter(|| pkt.to_frame()),
         );
         group.bench_with_input(
-            BenchmarkId::new("patch_frame", payload),
-            &(&frame, &rw),
-            |b, (frame, rw)| b.iter(|| patch_frame(frame, rw).expect("patchable")),
+            BenchmarkId::new("stamp", payload),
+            &(&template, &rw),
+            |b, (template, rw)| b.iter(|| template.stamp(rw).expect("patchable")),
         );
     }
     group.finish();

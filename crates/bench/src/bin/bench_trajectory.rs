@@ -1,5 +1,6 @@
 //! Emits BENCH_3.json: the zero-copy fast-path microbenchmarks
-//! (patch_frame vs. full re-serialization), wall-clock for the Figure 5
+//! (`PacketTemplate::stamp` vs. full re-serialization; the JSON key keeps
+//! its historical name `patch_frame_ns`), wall-clock for the Figure 5
 //! and Figure 6 sweeps from both the sequential and the parallel runner
 //! (asserting their outputs are identical), and whole-simulation rates
 //! (events/sec, ns per decided consensus operation).
@@ -46,8 +47,8 @@ use p4ce_harness::{
 };
 use rdma::wire::{crc32_slice8_raw, crc32_two_lane_raw};
 use rdma::{
-    patch_frame, Aeth, AethKind, Bth, MacAddr, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth,
-    RewriteSet, RocePacket,
+    Aeth, AethKind, Bth, MacAddr, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth, RewriteSet,
+    RocePacket,
 };
 use replication::WorkloadSpec;
 use std::fmt::Write as _;
@@ -116,12 +117,12 @@ fn wire_micro(iters: u32) -> Vec<WireRow> {
     let mut rows = Vec::new();
     for payload in [64usize, 512, 8192] {
         let pkt = sample(payload);
-        let frame = pkt.to_frame();
+        let template = PacketTemplate::from_packet(&pkt);
         let rw = scatter_rewrite();
         let mut rewritten = pkt.clone();
         rw.apply(&mut rewritten);
         assert_eq!(
-            &*patch_frame(&frame, &rw).expect("patchable").data,
+            &*template.stamp(&rw).expect("patchable").data,
             &*rewritten.to_frame().data,
             "patch must equal re-serialization before it is timed"
         );
@@ -129,7 +130,7 @@ fn wire_micro(iters: u32) -> Vec<WireRow> {
             std::hint::black_box(rewritten.to_frame());
         });
         let patch_ns = time_ns(iters, || {
-            std::hint::black_box(patch_frame(&frame, &rw).expect("patchable"));
+            std::hint::black_box(template.stamp(&rw).expect("patchable"));
         });
         rows.push(WireRow {
             payload,
@@ -284,13 +285,15 @@ fn kernel_costs(iters: u32) -> Vec<KernelStage> {
     let mut psn = 0u32;
     let ack_patch = time_ns(iters, || {
         psn = psn.wrapping_add(1);
-        let mut target = template.packet().clone();
-        target.bth.psn = Psn::new(psn);
-        target.aeth = Some(Aeth {
-            kind: AethKind::Ack { credits: 17 },
-            msn: psn & 0x00ff_ffff,
-        });
-        std::hint::black_box(template.instantiate(&target).expect("patchable"));
+        let rw = RewriteSet {
+            psn: Some(Psn::new(psn)),
+            aeth: Some(Aeth {
+                kind: AethKind::Ack { credits: 17 },
+                msn: psn & 0x00ff_ffff,
+            }),
+            ..RewriteSet::default()
+        };
+        std::hint::black_box(template.stamp(&rw).expect("patchable"));
     });
 
     // Parse: owned packet (header decode + payload copy) vs borrowed view.

@@ -5,11 +5,10 @@
 //!   handed to the replication engine; each copy is rewritten in the
 //!   egress (MACs, IPs, UDP port, destination QP, PSN base, virtual
 //!   address, `R_key`) so every replica believes it talks to the switch.
-//!   The rewrites touch exactly the fields §IV-A's deparser rewrites, so
-//!   the pipeline emits every copy by patching the single serialized
-//!   template of the ingress packet — the payload is never re-serialized
-//!   or re-hashed per replica (see `tofino::Switch` and
-//!   `rdma::PacketTemplate`).
+//!   The stages only record those rewrites on the header handle
+//!   (`tofino::Headers`); the pipeline's deparser stamps them onto the
+//!   arrived bytes — the payload is never re-serialized or re-hashed per
+//!   replica (see `tofino::Switch` and `rdma::PacketTemplate`).
 //! * **Gather** — ACKs arriving on a replica's *Aggr* queue pair bump the
 //!   `NumRecv[psn]` register; the `f`-th positive ACK is rewritten into
 //!   leader terms and forwarded, carrying the *minimum* credit count seen
@@ -21,17 +20,14 @@
 //! the multicast group, and answers the leader with a *virtual* region
 //! (VA 0, random key) after the reconfiguration delay.
 
-use netsim::{PortId, SimDuration, SimTime, TraceEvent, Tracer};
+use netsim::{PortId, SimDuration, SimTime, TraceEvent};
 use rdma::cm::{CmMessage, RegionAdvert, RejectReason};
-use rdma::{
-    patch_frame, Aeth, AethKind, MacAddr, Opcode, Psn, Qpn, RKey, RewriteSet, RocePacket, RoceView,
-    CM_QPN,
-};
+use rdma::{Aeth, AethKind, MacAddr, Opcode, Psn, Qpn, RKey, RewriteSet, RocePacket, CM_QPN};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use tofino::{
-    identity_hash, ControlOps, EgressMeta, IngressMeta, IngressVerdict, MatchTable, McastMember,
-    MulticastGroupId, PipelineOps, RegisterArray, SwitchProgram, ViewVerdict,
+    identity_hash, ControlOps, EgressMeta, Headers, IngressMeta, IngressVerdict, MatchTable,
+    McastMember, MulticastGroupId, PipelineOps, RegisterArray, SwitchProgram,
 };
 
 use crate::spec::{GroupJoin, GroupRetire, GroupSpec};
@@ -683,10 +679,7 @@ impl P4ceProgram {
     }
 
     /// The header deltas that move an ACK/NAK from replica space into
-    /// leader space. Every field touched here is header-patchable, so a
-    /// forwarded ACK rides the zero-copy emit path like scattered writes
-    /// do — via [`rdma::patch_frame`] on the view fast path, or
-    /// [`RewriteSet::apply`] on the owned-packet path.
+    /// leader space.
     fn rewrite_for_leader(group: &Group, endpoint: u8, sw_ip: Ipv4Addr, psn: Psn) -> RewriteSet {
         let replica = &group.replicas[endpoint as usize];
         let dist = replica.start_psn_out.distance_to(psn);
@@ -701,28 +694,23 @@ impl P4ceProgram {
         }
     }
 
-    /// The gather decision for one ACK, expressed as header deltas so both
-    /// the owned-packet path ([`Self::gather`]) and the borrowed-view path
-    /// ([`SwitchProgram::ingress_view`]) share one register machine. `now`
-    /// and `tracer` come from the pipeline metadata — the gather registers
-    /// themselves have no clock.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_core(
+    /// The gather decision for one ACK — the one register machine both
+    /// [`AckDropStage`]s run, from whichever hook the stage names. `None`
+    /// absorbs the ACK in the switch (not the `f`-th, stale, duplicate, or
+    /// the group is gone); `Some` forwards it to the leader with these
+    /// header deltas. `now` comes from the pipeline metadata — the gather
+    /// registers themselves have no clock.
+    fn gather(
         &mut self,
         psn: Psn,
         aeth: Aeth,
         gid: u16,
         endpoint: u8,
-        sw_ip: Ipv4Addr,
         now: SimTime,
-        tracer: &Tracer,
-    ) -> GatherVerdict {
-        let Some(group) = self.groups.get_mut(&gid) else {
-            return GatherVerdict::Absorb;
-        };
-        if !group.active {
-            return GatherVerdict::Absorb;
-        }
+        ops: &dyn PipelineOps,
+    ) -> Option<RewriteSet> {
+        let group = self.groups.get_mut(&gid).filter(|g| g.active)?;
+        let (sw_ip, tracer) = (ops.switch_ip(), ops.tracer());
         match aeth.kind {
             AethKind::Nak(_) => {
                 // NAKs pass through immediately (§III-A).
@@ -732,7 +720,7 @@ impl P4ceProgram {
                 tracer.emit(now, || TraceEvent::NakForward {
                     psn: u64::from(rw.psn.expect("leader PSN set").value()),
                 });
-                GatherVerdict::Forward(rw)
+                Some(rw)
             }
             AethKind::Ack { credits } => {
                 // Track this replica's most recent credit count — stored
@@ -753,7 +741,7 @@ impl P4ceProgram {
                     // not count towards the new one's quorum.
                     group.stats.acks_stale += 1;
                     self.stats.stale_acks_dropped += 1;
-                    return GatherVerdict::Absorb;
+                    return None;
                 }
                 let bit = 1u32 << (u32::from(endpoint) % 32);
                 let seen = group.num_recv.read(idx);
@@ -762,7 +750,7 @@ impl P4ceProgram {
                     // (retransmitting fabric) adds no new storage.
                     group.stats.acks_duplicate += 1;
                     self.stats.duplicate_acks_dropped += 1;
-                    return GatherVerdict::Absorb;
+                    return None;
                 }
                 let now_seen = seen | bit;
                 group.num_recv.write(idx, now_seen);
@@ -799,7 +787,7 @@ impl P4ceProgram {
                             carried: u64::from(credits),
                         });
                     }
-                    GatherVerdict::Forward(rw)
+                    Some(rw)
                 } else {
                     group.stats.acks_absorbed += 1;
                     self.stats.acks_absorbed += 1;
@@ -809,126 +797,36 @@ impl P4ceProgram {
                         distinct: u64::from(now_seen.count_ones()),
                         quorum: false,
                     });
-                    GatherVerdict::Absorb
+                    None
                 }
             }
         }
     }
-
-    /// The gather decision for one ACK. Returns `true` if this packet must
-    /// be forwarded to the leader (rewritten in place). Used by the
-    /// egress-ablation path, where the copy is already an owned packet.
-    fn gather(
-        &mut self,
-        pkt: &mut RocePacket,
-        gid: u16,
-        endpoint: u8,
-        sw_ip: Ipv4Addr,
-        now: SimTime,
-        tracer: &Tracer,
-    ) -> bool {
-        let aeth = pkt.aeth.expect("gather input carries AETH");
-        match self.gather_core(pkt.bth.psn, aeth, gid, endpoint, sw_ip, now, tracer) {
-            GatherVerdict::Absorb => false,
-            GatherVerdict::Forward(rw) => {
-                rw.apply(pkt);
-                true
-            }
-        }
-    }
-}
-
-/// What [`P4ceProgram::gather_core`] decided about one ACK.
-enum GatherVerdict {
-    /// Absorb the packet in the switch (not the `f`-th ACK, stale,
-    /// duplicate, or the group is gone).
-    Absorb,
-    /// Forward to the leader after applying these header deltas.
-    Forward(RewriteSet),
 }
 
 impl SwitchProgram for P4ceProgram {
-    fn ingress_view(
-        &mut self,
-        view: &RoceView<'_>,
-        meta: IngressMeta,
-        ops: &dyn PipelineOps,
-    ) -> ViewVerdict {
-        let sw_ip = ops.switch_ip();
-        if view.dst_ip() != sw_ip {
-            // Transit traffic: plain L3 forwarding of the original bytes
-            // (the egress stage would pass such packets through
-            // untouched).
-            return match ops.route(view.dst_ip()) {
-                Some(port) => ViewVerdict::Forward(view.frame().clone(), port),
-                None => ViewVerdict::Drop,
-            };
-        }
-        if view.dest_qp() == CM_QPN {
-            // Control-plane punt needs the owned packet.
-            return ViewVerdict::NeedFullPacket;
-        }
-        if view.opcode() == Opcode::Acknowledge && self.cfg.ack_drop == AckDropStage::Ingress {
-            // The common case at line rate: absorb `n - f` of every `n`
-            // ACKs right here, without materializing a packet. Forwarded
-            // `f`-th ACKs are header-patched onto the original bytes.
-            let Some(&(gid, endpoint)) = self.aggr_table.lookup(&view.dest_qp().masked()) else {
-                return ViewVerdict::Drop;
-            };
-            let aeth = view.aeth().expect("ACK carries AETH");
-            return match self.gather_core(
-                view.psn(),
-                aeth,
-                gid,
-                endpoint,
-                sw_ip,
-                meta.now,
-                ops.tracer(),
-            ) {
-                GatherVerdict::Absorb => ViewVerdict::Drop,
-                GatherVerdict::Forward(rw) => {
-                    let Some(port) = self.groups.get(&gid).and_then(|g| g.leader_port) else {
-                        return ViewVerdict::Drop;
-                    };
-                    // Infallible: an Acknowledge frame carries an AETH and
-                    // every other rewritten field is fixed-offset. Must not
-                    // fall back to NeedFullPacket here — the registers have
-                    // already been bumped, and the full path would bump
-                    // them again.
-                    let frame =
-                        patch_frame(view.frame(), &rw).expect("ACK rewrites are header-patchable");
-                    ViewVerdict::Forward(frame, port)
-                }
-            };
-        }
-        // Writes (scatter) mutate NumRecv and need multicast; the
-        // egress-ablation ACK path needs per-copy egress stages. Both run
-        // the owned pipeline exactly once.
-        ViewVerdict::NeedFullPacket
-    }
-
     fn ingress(
         &mut self,
-        pkt: &mut RocePacket,
+        hdr: &mut Headers<'_>,
         meta: IngressMeta,
         ops: &dyn PipelineOps,
     ) -> IngressVerdict {
         let sw_ip = ops.switch_ip();
-        if pkt.dst_ip != sw_ip {
+        if hdr.dst_ip() != sw_ip {
             // Transit traffic (heartbeats, direct fallback connections):
-            // plain L3 forwarding.
-            return match ops.route(pkt.dst_ip) {
+            // plain L3 forwarding, nothing rewritten.
+            return match ops.route(hdr.dst_ip()) {
                 Some(port) => IngressVerdict::Unicast(port),
                 None => IngressVerdict::Drop,
             };
         }
-        if pkt.bth.dest_qp == CM_QPN {
+        if hdr.dest_qp() == CM_QPN {
             // New connections are rare: slow path (§IV-A).
             return IngressVerdict::ToCpu;
         }
-        if pkt.bth.opcode.is_write() {
+        if hdr.opcode().is_write() {
             // Scatter: match the BCast queue pair.
-            let Some(&gid) = self.bcast_table.lookup(&pkt.bth.dest_qp.masked()) else {
+            let Some(&gid) = self.bcast_table.lookup(&hdr.dest_qp().masked()) else {
                 return IngressVerdict::Drop;
             };
             let Some(group) = self.groups.get_mut(&gid) else {
@@ -941,14 +839,15 @@ impl SwitchProgram for P4ceProgram {
             // and stamp the slot with the sequence number it now serves,
             // so late ACKs from the slot's previous occupant are
             // recognizably stale.
-            let dist = group.leader_start_psn.distance_to(pkt.bth.psn);
+            let psn = hdr.psn();
+            let dist = group.leader_start_psn.distance_to(psn);
             group.num_recv.write(dist as usize, 0);
             group.num_recv_psn.write(dist as usize, dist);
             group.scatter_count = group.scatter_count.wrapping_add(1);
             group.stats.scattered += 1;
             self.stats.scattered += 1;
             ops.tracer().emit(meta.now, || TraceEvent::Scatter {
-                psn: u64::from(pkt.bth.psn.value()),
+                psn: u64::from(psn.value()),
                 dist: u64::from(dist),
             });
             let mcast = group.mcast;
@@ -968,49 +867,42 @@ impl SwitchProgram for P4ceProgram {
             }
             return IngressVerdict::Multicast(mcast);
         }
-        if pkt.bth.opcode == Opcode::Acknowledge {
-            let Some(&(gid, endpoint)) = self.aggr_table.lookup(&pkt.bth.dest_qp.masked()) else {
-                return IngressVerdict::Drop;
-            };
-            match self.cfg.ack_drop {
-                AckDropStage::Ingress => {
-                    // Final design: count (and usually drop) right here,
-                    // in the ingress of the replica-facing port.
-                    if self.gather(pkt, gid, endpoint, sw_ip, meta.now, ops.tracer()) {
-                        let Some(group) = self.groups.get(&gid) else {
-                            return IngressVerdict::Drop;
-                        };
-                        match group.leader_port {
-                            Some(p) => IngressVerdict::Unicast(p),
-                            None => IngressVerdict::Drop,
-                        }
-                    } else {
-                        IngressVerdict::Drop
-                    }
-                }
-                AckDropStage::Egress => {
-                    // First-attempt layout: every ACK rides to the
-                    // leader's egress; the counting registers span the
-                    // pipeline, so the decision happens there.
-                    let Some(group) = self.groups.get(&gid) else {
-                        return IngressVerdict::Drop;
-                    };
-                    match group.leader_port {
-                        Some(p) => IngressVerdict::Unicast(p),
-                        None => IngressVerdict::Drop,
-                    }
-                }
+        if hdr.opcode() != Opcode::Acknowledge {
+            return IngressVerdict::Drop;
+        }
+        let Some(&(gid, endpoint)) = self.aggr_table.lookup(&hdr.dest_qp().masked()) else {
+            return IngressVerdict::Drop;
+        };
+        // Final design: count (and usually drop) right here, in the
+        // ingress of the replica-facing port — `n - f` of every `n` ACKs
+        // die without costing the leader's egress parser anything. A
+        // forwarded `f`-th ACK leaves re-addressed to the leader, so the
+        // egress stage below no longer takes it for one of ours. In the
+        // first-attempt layout every ACK rides to the leader's egress
+        // untouched and the decision happens there.
+        if self.cfg.ack_drop == AckDropStage::Ingress {
+            let aeth = hdr.aeth().expect("ACK carries AETH");
+            match self.gather(hdr.psn(), aeth, gid, endpoint, meta.now, ops) {
+                Some(rw) => hdr.rewrite(rw),
+                None => return IngressVerdict::Drop,
             }
-        } else {
-            IngressVerdict::Drop
+        }
+        match self.groups.get(&gid).and_then(|g| g.leader_port) {
+            Some(port) => IngressVerdict::Unicast(port),
+            None => IngressVerdict::Drop,
         }
     }
 
-    fn egress(&mut self, pkt: &mut RocePacket, meta: EgressMeta, ops: &dyn PipelineOps) -> bool {
+    fn egress(&mut self, hdr: &mut Headers<'_>, meta: EgressMeta, ops: &dyn PipelineOps) -> bool {
         let sw_ip = ops.switch_ip();
+        if hdr.dst_ip() != sw_ip {
+            // Transit traffic, and ACKs the ingress already moved into
+            // leader space: nothing left to do.
+            return true;
+        }
         // Scattered write copies: rewrite per destination endpoint.
-        if pkt.bth.opcode.is_write() && pkt.dst_ip == sw_ip {
-            let Some(&gid) = self.bcast_table.lookup(&pkt.bth.dest_qp.masked()) else {
+        if hdr.opcode().is_write() {
+            let Some(&gid) = self.bcast_table.lookup(&hdr.dest_qp().masked()) else {
                 return false;
             };
             let Some(group) = self.groups.get(&gid) else {
@@ -1039,35 +931,43 @@ impl SwitchProgram for P4ceProgram {
             } else {
                 replica
             };
+            let psn = hdr.psn();
             ops.tracer().emit(meta.now, || TraceEvent::ScatterCopy {
-                psn: u64::from(pkt.bth.psn.value()),
+                psn: u64::from(psn.value()),
                 rid: u64::from(meta.rid),
             });
-            // Addressing: the replica must see the switch as its peer.
-            pkt.src_ip = sw_ip;
-            pkt.src_mac = MacAddr::for_ip(sw_ip);
-            pkt.dst_ip = addr.ip;
-            pkt.dst_mac = MacAddr::for_ip(addr.ip);
-            pkt.udp_src_port = 0xD000 | (meta.rid & 0x0fff);
-            // Transport: destination QP and PSN base are per replica.
-            pkt.bth.dest_qp = addr.qpn;
-            let dist = group.leader_start_psn.distance_to(pkt.bth.psn);
-            pkt.bth.psn = addr.start_psn_out.advance(dist);
-            // RDMA: rebase the virtual address and swap in the replica's
-            // real key (the leader wrote against VA 0 + offset).
-            if let Some(reth) = &mut pkt.reth {
-                reth.va += addr.va;
-                reth.rkey = addr.rkey;
-            }
+            let dist = group.leader_start_psn.distance_to(psn);
+            let reth = hdr.reth();
+            hdr.rewrite(RewriteSet {
+                // Addressing: the replica must see the switch as its peer.
+                src_ip: Some(sw_ip),
+                src_mac: Some(MacAddr::for_ip(sw_ip)),
+                dst_ip: Some(addr.ip),
+                dst_mac: Some(MacAddr::for_ip(addr.ip)),
+                udp_src_port: Some(0xD000 | (meta.rid & 0x0fff)),
+                // Transport: destination QP and PSN base are per replica.
+                dest_qp: Some(addr.qpn),
+                psn: Some(addr.start_psn_out.advance(dist)),
+                // RDMA: rebase the virtual address and swap in the
+                // replica's real key (the leader wrote against VA 0 +
+                // offset). The add is the ASIC's: modular. An address the
+                // leader pushed past the end of the space wraps, and the
+                // replica's NIC refuses the out-of-range access.
+                va: reth.map(|r| r.va.wrapping_add(addr.va)),
+                rkey: reth.map(|_| addr.rkey),
+                aeth: None,
+            });
             return true;
         }
         // Ablation mode: ACKs dropped (or forwarded) at the leader's
         // egress.
-        if pkt.bth.opcode == Opcode::Acknowledge && pkt.dst_ip == sw_ip {
-            if let Some(&(gid, endpoint)) = self.aggr_table.lookup(&pkt.bth.dest_qp.masked()) {
-                return self.gather(pkt, gid, endpoint, sw_ip, meta.now, ops.tracer());
-            }
-            return false;
+        if hdr.opcode() == Opcode::Acknowledge {
+            let Some(&(gid, endpoint)) = self.aggr_table.lookup(&hdr.dest_qp().masked()) else {
+                return false;
+            };
+            let aeth = hdr.aeth().expect("ACK carries AETH");
+            let forward = self.gather(hdr.psn(), aeth, gid, endpoint, meta.now, ops);
+            return forward.map(|rw| hdr.rewrite(rw)).is_some();
         }
         true
     }
@@ -1203,8 +1103,12 @@ mod tests {
             })
             .collect();
         let mut credits = RegisterArray::new("credits.test", n);
+        p.bcast_table.insert(0x51, 1).expect("table space");
         for i in 0..n {
             credits.write(i, 31);
+            p.aggr_table
+                .insert(0x300 + i as u32, (1, i as u8))
+                .expect("table space");
         }
         p.groups.insert(
             1,
@@ -1263,23 +1167,47 @@ mod tests {
         }
     }
 
+    /// The data plane's view of the switch: every address routes to
+    /// port 0, tracing off.
+    #[derive(Default)]
+    struct StageOps(netsim::Tracer);
+    impl PipelineOps for StageOps {
+        fn route(&self, _ip: Ipv4Addr) -> Option<PortId> {
+            Some(PortId::from_index(0))
+        }
+        fn switch_ip(&self) -> Ipv4Addr {
+            SW_IP
+        }
+        fn tracer(&self) -> &netsim::Tracer {
+            &self.0
+        }
+    }
+
+    /// Runs the one gather on `ack`, as either hook would.
+    fn gather(p: &mut P4ceProgram, ack: &RocePacket, endpoint: u8) -> Option<RewriteSet> {
+        let (aeth, ops) = (ack.aeth.expect("ack"), StageOps::default());
+        p.gather(ack.bth.psn, aeth, 1, endpoint, SimTime::ZERO, &ops)
+    }
+
+    fn num_recv(p: &P4ceProgram, dist: u32) -> u32 {
+        p.groups[&1].num_recv.read(dist as usize)
+    }
+
     #[test]
     fn quorum_counts_distinct_replicas_not_raw_acks() {
         let mut p = active_group(2, 4);
         scatter(&mut p, 0);
         // The same replica ACKing twice (a duplicating fabric) must not
         // complete the f = 2 quorum on its own.
-        let mut a0 = ack_from(0, 0, 31);
-        assert!(!p.gather(&mut a0, 1, 0, SW_IP, SimTime::ZERO, &Tracer::default()));
-        let mut a0_dup = ack_from(0, 0, 31);
-        assert!(!p.gather(&mut a0_dup, 1, 0, SW_IP, SimTime::ZERO, &Tracer::default()));
+        assert_eq!(gather(&mut p, &ack_from(0, 0, 31), 0), None);
+        assert_eq!(gather(&mut p, &ack_from(0, 0, 31), 0), None);
         assert_eq!(p.stats.duplicate_acks_dropped, 1);
         assert_eq!(p.stats.acks_forwarded, 0);
         // A second, distinct replica completes it.
-        let mut a1 = ack_from(1, 0, 31);
-        assert!(p.gather(&mut a1, 1, 1, SW_IP, SimTime::ZERO, &Tracer::default()));
+        let rw = gather(&mut p, &ack_from(1, 0, 31), 1).expect("f-th ACK forwarded");
         assert_eq!(p.stats.acks_forwarded, 1);
-        assert_eq!(a1.dst_ip, LEADER_IP, "forwarded ACK rewritten to leader");
+        assert_eq!(rw.dst_ip, Some(LEADER_IP), "forwarded ACK moved to leader");
+        assert_eq!(rw.dest_qp, Some(Qpn(0x50)));
     }
 
     #[test]
@@ -1291,19 +1219,21 @@ mod tests {
         scatter(&mut p, window);
         // A late ACK for the slot's previous occupant (dist 0) aliases to
         // the same slot but must not count for sequence `window`.
-        let mut stale = ack_from(0, 0, 31);
-        assert!(!p.gather(&mut stale, 1, 0, SW_IP, SimTime::ZERO, &Tracer::default()));
+        assert_eq!(gather(&mut p, &ack_from(0, 0, 31), 0), None);
         assert_eq!(p.stats.stale_acks_dropped, 1);
         assert_eq!(p.stats.acks_forwarded, 0);
         // The slot still completes normally for its live occupant.
-        let mut live = ack_from(1, window, 31);
-        assert!(p.gather(&mut live, 1, 1, SW_IP, SimTime::ZERO, &Tracer::default()));
+        assert!(gather(&mut p, &ack_from(1, window, 31), 1).is_some());
     }
 
     #[test]
     fn silent_replica_stops_pinning_the_credit_fold() {
         let mut p = active_group(1, 3);
         let stale_after = p.cfg.credit_stale_scatters;
+        let reported = |rw: RewriteSet| match rw.aeth.expect("credits folded into the AETH").kind {
+            AethKind::Ack { credits } => credits,
+            k => panic!("expected ack, got {k:?}"),
+        };
         // Replica 2 dies with zero credits on record.
         {
             let g = p.groups.get_mut(&1).expect("group");
@@ -1312,26 +1242,19 @@ mod tests {
         // While it is within the staleness window its zero still counts
         // (it might just be slow — §IV-C's whole point).
         scatter(&mut p, 0);
-        let mut early = ack_from(0, 0, 20);
-        assert!(p.gather(&mut early, 1, 0, SW_IP, SimTime::ZERO, &Tracer::default()));
-        match early.aeth.expect("ack").kind {
-            AethKind::Ack { credits } => assert_eq!(credits, 0, "dead weight still counted"),
-            k => panic!("expected ack, got {k:?}"),
-        }
+        let early = gather(&mut p, &ack_from(0, 0, 20), 0).expect("forwarded");
+        assert_eq!(reported(early), 0, "dead weight still counted");
         // After `stale_after` further scatters with no ACK from replica 2,
         // the fold ignores it and reports the slowest *live* replica.
         for d in 1..=stale_after + 1 {
             scatter(&mut p, d);
         }
-        let live_dist = stale_after + 1;
-        let mut late = ack_from(0, live_dist, 20);
-        assert!(p.gather(&mut late, 1, 0, SW_IP, SimTime::ZERO, &Tracer::default()));
-        match late.aeth.expect("ack").kind {
-            AethKind::Ack { credits } => {
-                assert_eq!(credits, 20, "silent replica excluded from the minimum")
-            }
-            k => panic!("expected ack, got {k:?}"),
-        }
+        let late = gather(&mut p, &ack_from(0, stale_after + 1, 20), 0).expect("forwarded");
+        assert_eq!(
+            reported(late),
+            20,
+            "silent replica excluded from the minimum"
+        );
         assert!(p.stats.stale_credit_skips >= 1);
     }
 
@@ -1344,11 +1267,84 @@ mod tests {
             kind: AethKind::Nak(rdma::NakCode::PsnSequenceError),
             msn: 0,
         });
-        assert!(
-            p.gather(&mut nak, 1, 0, SW_IP, SimTime::ZERO, &Tracer::default()),
-            "NAKs always pass through"
-        );
+        let rw = gather(&mut p, &nak, 0).expect("NAKs always pass through");
+        assert_eq!(rw.aeth, None, "the NAK's own AETH rides along");
         assert_eq!(p.stats.naks_forwarded, 1);
+    }
+
+    fn egress_meta() -> EgressMeta {
+        EgressMeta {
+            egress_port: PortId::from_index(0),
+            rid: 0,
+            now: SimTime::ZERO,
+        }
+    }
+
+    /// Hazard of the one pipeline: in `Ingress` mode the forwarded `f`-th
+    /// ACK reaches `egress` too. It arrives there re-addressed to the
+    /// leader, so the egress must pass it through — gathering it a second
+    /// time would bump NumRecv and the counters twice.
+    #[test]
+    fn ingress_gathered_ack_passes_egress_ungathered() {
+        let mut p = active_group(1, 2);
+        scatter(&mut p, 0);
+        let frame = ack_from(0, 0, 31).to_frame();
+        let view = RocePacket::parse_view(&frame).expect("parse");
+        let mut rw = RewriteSet::default();
+        let meta = IngressMeta {
+            ingress_port: PortId::from_index(1),
+            now: SimTime::ZERO,
+        };
+        let ops = StageOps::default();
+        let verdict = p.ingress(&mut Headers::new(view, &mut rw), meta, &ops);
+        assert_eq!(verdict, IngressVerdict::Unicast(PortId::from_index(0)));
+        assert_eq!(rw.dst_ip, Some(LEADER_IP));
+        let (stats, seen) = (p.groups[&1].stats, num_recv(&p, 0));
+        assert_eq!((stats.acks_forwarded, seen), (1, 0b01));
+
+        let before = rw;
+        assert!(p.egress(&mut Headers::new(view, &mut rw), egress_meta(), &ops));
+        assert_eq!(rw, before, "egress adds nothing");
+        assert_eq!(p.stats.acks_forwarded, 1);
+        assert_eq!(p.groups[&1].stats, stats, "group counters bumped once");
+        assert_eq!(num_recv(&p, 0), seen, "NumRecv untouched");
+        assert_eq!(p.stats.duplicate_acks_dropped, 0);
+    }
+
+    /// A write to the BCast QP whose VA sits at the top of the address
+    /// space must not take the switch down: the rebase is a modular add,
+    /// as on the ASIC, and the replica's NIC refuses the wrapped address.
+    #[test]
+    fn scatter_rebases_the_va_modulo_2_64() {
+        let mut p = active_group(1, 2);
+        let write = RocePacket {
+            bth: rdma::Bth {
+                opcode: Opcode::WriteOnly,
+                dest_qp: Qpn(0x51),
+                psn: Psn::new(0),
+                ack_req: true,
+            },
+            reth: Some(rdma::Reth {
+                va: u64::MAX - 8,
+                rkey: RKey(9),
+                dma_len: 4,
+            }),
+            aeth: None,
+            payload: bytes::Bytes::from(vec![1u8; 4]),
+            ..ack_from(0, 0, 0)
+        };
+        let frame = write.to_frame();
+        let view = RocePacket::parse_view(&frame).expect("parse");
+        let mut rw = RewriteSet::default();
+        let kept = p.egress(
+            &mut Headers::new(view, &mut rw),
+            egress_meta(),
+            &StageOps::default(),
+        );
+        assert!(kept, "the copy is rewritten, not dropped");
+        assert_eq!(rw.va, Some((u64::MAX - 8).wrapping_add(0x1000)));
+        assert_eq!(rw.rkey, Some(RKey(7)));
+        assert_eq!(rw.dst_ip, Some(Ipv4Addr::new(10, 0, 0, 2)));
     }
 
     #[test]

@@ -69,6 +69,8 @@ impl RdmaApp for Replica {
 struct Leader {
     spec: GroupSpec,
     payloads: Vec<Bytes>,
+    /// Where in the switch's virtual region the first write lands.
+    base_va: u64,
     qpn: Option<Qpn>,
     advert: Option<RegionAdvert>,
     connected_at: Option<SimTime>,
@@ -81,6 +83,7 @@ impl Leader {
         Leader {
             spec: GroupSpec { f, replicas },
             payloads,
+            base_va: 0,
             qpn: None,
             advert: None,
             connected_at: None,
@@ -104,7 +107,7 @@ impl RdmaApp for Leader {
                 let advert = RegionAdvert::decode(&private_data).expect("virtual advert");
                 assert_eq!(advert.va, 0, "switch advertises a zero-based virtual VA");
                 self.advert = Some(advert);
-                let mut offset = 0u64;
+                let mut offset = self.base_va;
                 for (i, p) in self.payloads.iter().enumerate() {
                     ops.post_write(qpn, WrId(i as u64), offset, advert.rkey, p.clone());
                     offset += p.len() as u64;
@@ -416,4 +419,39 @@ fn start_psn_zero_regression() {
     c.sim.run_until(SimTime::from_millis(100));
     let leader_app = c.sim.node_ref::<Host<Leader>>(c.leader).app();
     assert_eq!(leader_app.completions.len(), 1);
+}
+
+#[test]
+fn write_at_the_top_of_the_address_space_is_refused_not_fatal() {
+    // The scatter stage rebases the leader's VA by each replica's region
+    // base. A VA near u64::MAX makes that sum overflow: the ASIC's add is
+    // modular, so the copy goes out with a wrapped address and the
+    // replica's NIC refuses it — the switch must not abort on it.
+    let mut leader = Leader::new(
+        1,
+        vec![replica_ip(0), replica_ip(1)],
+        vec![Bytes::from(vec![3u8; 4])],
+    );
+    leader.base_va = u64::MAX - 8;
+    let mut c = build_cluster(2, leader, P4ceSwitchConfig::default(), |_, _, _| {});
+    c.sim.run_until(SimTime::from_millis(100));
+
+    let leader_app = c.sim.node_ref::<Host<Leader>>(c.leader).app();
+    assert_eq!(leader_app.completions.len(), 1);
+    assert!(
+        matches!(
+            leader_app.completions[0].status,
+            CompletionStatus::RemoteError(_)
+        ),
+        "the replicas' refusal reaches the leader: {:?}",
+        leader_app.completions[0].status
+    );
+    let sw = c.sim.node_ref::<Switch<P4ceProgram>>(c.switch);
+    assert_eq!(sw.program().stats.scattered, 1, "the write was scattered");
+    assert!(sw.program().stats.naks_forwarded >= 1, "NAK passed through");
+    assert_eq!(sw.stats().multicast_copies, 2);
+    for &rid in &c.replicas {
+        let rep = c.sim.node_ref::<Host<Replica>>(rid).app();
+        assert!(rep.dirty.is_empty(), "nothing landed in the log");
+    }
 }

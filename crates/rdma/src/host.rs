@@ -364,9 +364,8 @@ pub struct HostCore {
     /// [`HostCore::with_qp`] around every call that moves a message in or
     /// out of a QP's inflight queue.
     qps_inflight: usize,
-    // --- payload CRC memos (TX serialization / RX ICRC verification) ---
+    // --- payload CRC memo (TX serialization) ---
     tx_payload_crcs: PayloadCrcCache,
-    rx_payload_crcs: PayloadCrcCache,
     /// Counters.
     pub stats: HostStats,
 }
@@ -405,7 +404,6 @@ impl HostCore {
             rt_tick_armed: false,
             qps_inflight: 0,
             tx_payload_crcs: PayloadCrcCache::new(),
-            rx_payload_crcs: PayloadCrcCache::new(),
             stats: HostStats::default(),
             cfg,
         }
@@ -555,25 +553,17 @@ impl HostCore {
     fn build_ack_frame(&mut self, qpn: Qpn, dst_ip: Ipv4Addr, psn: Psn, aeth: Aeth) -> Frame {
         let qp = self.qps.get(&qpn.masked()).expect("checked");
         if let Some(t) = qp.ack_template() {
-            // Build the rewrite set directly against the template's base
-            // packet instead of cloning it and diffing — only the fields
-            // that actually moved are patched.
-            let base = t.packet();
-            let mut rw = RewriteSet::default();
-            if base.dst_ip != dst_ip {
-                rw.dst_mac = Some(MacAddr::for_ip(dst_ip));
-                rw.dst_ip = Some(dst_ip);
-            }
-            if base.bth.psn != psn {
-                rw.psn = Some(psn);
-            }
-            if base.aeth != Some(aeth) {
-                rw.aeth = Some(aeth);
-            }
-            if let Ok(frame) = t.stamp(&rw) {
-                self.stats.acks_templated += 1;
-                return frame;
-            }
+            // Stamping a field with the value it already holds is
+            // byte-identical, so all three are set unconditionally.
+            let rw = RewriteSet {
+                dst_mac: Some(MacAddr::for_ip(dst_ip)),
+                dst_ip: Some(dst_ip),
+                psn: Some(psn),
+                aeth: Some(aeth),
+                ..RewriteSet::default()
+            };
+            self.stats.acks_templated += 1;
+            return t.stamp(&rw).expect("an ACK template carries an AETH");
         }
         let peer = qp.peer().expect("responding on unconnected QP");
         let pkt = RocePacket {
@@ -738,7 +728,7 @@ impl HostCore {
         // Borrowed header-view parse: acceptance checks run in full, but
         // no owned packet is materialized until a path needs one. ACKs —
         // half of all traffic — never materialize at all.
-        let view = match RocePacket::parse_view_cached(&frame, &mut self.rx_payload_crcs) {
+        let view = match RocePacket::parse_view(&frame) {
             Ok(v) => v,
             Err(_) => {
                 self.stats.parse_drops += 1;

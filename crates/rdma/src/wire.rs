@@ -26,14 +26,14 @@
 //! GF(2): the checksum of `headers ∥ payload` equals the header CRC
 //! shifted past the payload length, XORed with the payload CRC
 //! ([`crc32_combine`]). Because of that, rewriting header fields never
-//! requires re-hashing the payload: [`patch_frame`] applies a
+//! requires re-hashing the payload: [`PacketTemplate::stamp`] applies a
 //! [`RewriteSet`] — exactly the fields the paper's deparser rewrites
 //! (addresses, UDP source port, QPN, PSN, VA, `R_key`, AETH) — by
-//! mutating the affected bytes in place, updating the IPv4 checksum
+//! mutating the affected bytes of a copy, updating the IPv4 checksum
 //! incrementally (RFC 1624), and folding the *header-CRC delta* into the
-//! existing ICRC. [`PacketTemplate`] caches the parse offsets and the
-//! payload-length shift operator so a multicast scatter serializes the
-//! packet once and stamps per-replica deltas at O(header) cost per copy.
+//! existing ICRC. A [`PacketTemplate`] is a validated frame plus what
+//! its parse extracted, so a multicast scatter serializes the packet
+//! once and stamps per-replica deltas at O(header) cost per copy.
 //!
 //! The AETH syndrome uses a simplified-but-faithful encoding: bits 7–5
 //! select ACK (`000`), RNR NAK (`001`) or NAK (`011`); for ACKs the low five
@@ -374,29 +374,6 @@ impl RocePacket {
     ///
     /// Same as [`RocePacket::parse`], in the same order.
     pub fn parse_view(frame: &Frame) -> Result<RoceView<'_>, ParseError> {
-        RocePacket::parse_view_inner(frame, None)
-    }
-
-    /// [`RocePacket::parse_view`] with the ICRC payload term sourced from
-    /// `cache` on unverified frames: when the same payload bytes were
-    /// hashed before, only the headers are re-hashed and the terms are
-    /// stitched with the GF(2) shift operator. Accepts and rejects
-    /// exactly the same frames as `parse_view`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RocePacket::parse`].
-    pub fn parse_view_cached<'f>(
-        frame: &'f Frame,
-        cache: &mut PayloadCrcCache,
-    ) -> Result<RoceView<'f>, ParseError> {
-        RocePacket::parse_view_inner(frame, Some(cache))
-    }
-
-    fn parse_view_inner<'f>(
-        frame: &'f Frame,
-        cache: Option<&mut PayloadCrcCache>,
-    ) -> Result<RoceView<'f>, ParseError> {
         let b = &frame.data;
         if b.len() < BASE_OVERHEAD {
             return Err(ParseError::TooShort);
@@ -463,42 +440,17 @@ impl RocePacket {
         if !frame.is_verified() {
             let got_icrc =
                 u32::from_be_bytes(b[b.len() - ICRC_LEN..].try_into().expect("slice len"));
-            let h = crc32_raw(
-                CRC32_INIT,
-                &icrc_pseudo(view.src_ip(), view.dst_ip(), view.udp_src_port()),
+            let want_icrc = icrc_compute(
+                view.src_ip(),
+                view.dst_ip(),
+                view.udp_src_port(),
+                &b[TRANSPORT_OFF..b.len() - ICRC_LEN],
             );
-            let h = crc32_raw(h, &b[TRANSPORT_OFF..off]);
-            let payload_len = b.len() - off - ICRC_LEN;
-            let pcrc = match cache {
-                Some(cache) if payload_len >= PAYLOAD_CRC_CACHE_MIN => {
-                    cache.payload_crc(&view.payload())
-                }
-                _ => crc32_raw(0, &b[off..b.len() - ICRC_LEN]),
-            };
-            let want_icrc = !(crc32_shift(h, payload_len) ^ pcrc);
             if got_icrc != want_icrc {
                 return Err(ParseError::BadIcrc);
             }
         }
         Ok(view)
-    }
-
-    /// Parses a frame and keeps the original bytes alongside the parse as
-    /// a [`PacketTemplate`], so downstream header rewrites can be stamped
-    /// onto the already-serialized bytes instead of re-serializing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RocePacket::parse`].
-    pub fn parse_with_template(frame: &Frame) -> Result<PacketTemplate, ParseError> {
-        let pkt = RocePacket::parse(frame)?;
-        let payload_off = frame.data.len() - pkt.payload.len() - ICRC_LEN;
-        Ok(PacketTemplate {
-            frame: frame.clone(),
-            pkt,
-            payload_off,
-            header_crc: header_region_crc(&frame.data, payload_off),
-        })
     }
 }
 
@@ -517,11 +469,6 @@ pub struct RoceView<'a> {
 }
 
 impl<'a> RoceView<'a> {
-    /// The frame the view borrows.
-    pub fn frame(&self) -> &'a Frame {
-        self.frame
-    }
-
     /// Source MAC.
     pub fn src_mac(&self) -> MacAddr {
         MacAddr(self.frame.data[6..12].try_into().expect("slice len"))
@@ -645,15 +592,15 @@ impl<'a> RoceView<'a> {
         }
     }
 
-    /// Builds a [`PacketTemplate`] from the view without re-validating:
-    /// equivalent to [`RocePacket::parse_with_template`] on the same
-    /// frame, minus the second checksum pass.
+    /// The owned form of the view: a shared reference to the frame plus
+    /// what this parse extracted, ready to be stamped with header
+    /// rewrites. No bytes are copied or hashed.
     pub fn to_template(&self) -> PacketTemplate {
         PacketTemplate {
             frame: self.frame.clone(),
-            pkt: self.to_packet(),
             payload_off: self.payload_off,
-            header_crc: header_region_crc(&self.frame.data, self.payload_off),
+            opcode: self.opcode,
+            aeth: self.aeth,
         }
     }
 }
@@ -707,7 +654,7 @@ impl RewriteSet {
 
     /// Applies the rewrites to a parsed packet — the logical counterpart
     /// of patching the serialized bytes, so
-    /// `patch_frame(&pkt.to_frame(), &rw)` and
+    /// `PacketTemplate::from_packet(&pkt).stamp(&rw)` and
     /// `{ rw.apply(&mut pkt); pkt.to_frame() }` yield identical frames.
     /// RETH/AETH rewrites are ignored when the packet carries none (the
     /// byte-level patch reports [`PatchError`] instead).
@@ -745,113 +692,27 @@ impl RewriteSet {
             *slot = aeth;
         }
     }
-
-    /// The header rewrites turning `from` into `to`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PatchError::Structural`] when the change cannot be
-    /// expressed as a header patch (different opcode, flags, extension
-    /// presence, DMA length, or payload length) — callers fall back to a
-    /// full [`RocePacket::to_frame`], the model of a deparser emitting a
-    /// structurally new packet.
-    ///
-    /// The data-plane contract is that payload *bytes* are never
-    /// rewritten — match-action stages only see headers, as on the ASIC —
-    /// so equal-length payloads are assumed identical (checked in debug
-    /// builds).
-    pub fn diff(from: &RocePacket, to: &RocePacket) -> Result<RewriteSet, PatchError> {
-        let structural = from.bth.opcode != to.bth.opcode
-            || from.bth.ack_req != to.bth.ack_req
-            || from.reth.is_some() != to.reth.is_some()
-            || from.aeth.is_some() != to.aeth.is_some()
-            || from.reth.map(|r| r.dma_len) != to.reth.map(|r| r.dma_len)
-            || from.payload.len() != to.payload.len();
-        if structural {
-            return Err(PatchError::Structural);
-        }
-        debug_assert_eq!(
-            from.payload, to.payload,
-            "data-plane stages must not rewrite payload bytes"
-        );
-        let delta = |changed: bool| changed.then_some(());
-        Ok(RewriteSet {
-            src_mac: delta(from.src_mac != to.src_mac).map(|()| to.src_mac),
-            dst_mac: delta(from.dst_mac != to.dst_mac).map(|()| to.dst_mac),
-            src_ip: delta(from.src_ip != to.src_ip).map(|()| to.src_ip),
-            dst_ip: delta(from.dst_ip != to.dst_ip).map(|()| to.dst_ip),
-            udp_src_port: delta(from.udp_src_port != to.udp_src_port).map(|()| to.udp_src_port),
-            dest_qp: delta(from.bth.dest_qp != to.bth.dest_qp).map(|()| to.bth.dest_qp),
-            psn: delta(from.bth.psn != to.bth.psn).map(|()| to.bth.psn),
-            va: match (from.reth, to.reth) {
-                (Some(a), Some(b)) if a.va != b.va => Some(b.va),
-                _ => None,
-            },
-            rkey: match (from.reth, to.reth) {
-                (Some(a), Some(b)) if a.rkey != b.rkey => Some(b.rkey),
-                _ => None,
-            },
-            aeth: match (from.aeth, to.aeth) {
-                (Some(a), Some(b)) if a != b => Some(b),
-                _ => None,
-            },
-        })
-    }
 }
 
-/// Why a frame could not be patched in place.
+/// Why a rewrite could not be stamped onto a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatchError {
-    /// The buffer is not a structurally valid RoCE v2 frame.
-    Malformed,
     /// The rewrite targets a RETH field but the opcode carries none.
     NoReth,
     /// The rewrite targets the AETH but the opcode carries none.
     NoAeth,
-    /// The change is not expressible as a header patch; re-serialize.
-    Structural,
 }
 
 impl fmt::Display for PatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PatchError::Malformed => write!(f, "not a structurally valid RoCE frame"),
             PatchError::NoReth => write!(f, "rewrite targets a RETH the opcode does not carry"),
             PatchError::NoAeth => write!(f, "rewrite targets an AETH the opcode does not carry"),
-            PatchError::Structural => write!(f, "structural change requires re-serialization"),
         }
     }
 }
 
 impl Error for PatchError {}
-
-/// Walks the structural headers of a serialized frame and returns the
-/// payload offset (no checksum verification — the frame is trusted to be
-/// internally consistent, e.g. produced by [`RocePacket::to_frame`]).
-fn frame_payload_offset(buf: &[u8]) -> Result<usize, PatchError> {
-    if buf.len() < BASE_OVERHEAD {
-        return Err(PatchError::Malformed);
-    }
-    if u16::from_be_bytes([buf[12], buf[13]]) != 0x0800
-        || buf[IP_OFF] != 0x45
-        || buf[IP_OFF + 9] != 17
-        || u16::from_be_bytes([buf[UDP_SPORT_OFF + 2], buf[UDP_SPORT_OFF + 3]]) != ROCE_UDP_PORT
-    {
-        return Err(PatchError::Malformed);
-    }
-    let opcode = Opcode::from_wire(buf[TRANSPORT_OFF]).ok_or(PatchError::Malformed)?;
-    let mut off = EXT_OFF;
-    if opcode.carries_reth() {
-        off += RETH_LEN;
-    }
-    if opcode.carries_aeth() {
-        off += AETH_LEN;
-    }
-    if buf.len() < off + ICRC_LEN {
-        return Err(PatchError::Malformed);
-    }
-    Ok(off)
-}
 
 /// RFC 1624 incremental one's-complement checksum update: the checksum
 /// after one 16-bit word changes from `old` to `new`.
@@ -863,193 +724,154 @@ fn cksum_update(hc: u16, old: u16, new: u16) -> u16 {
     !(sum as u16)
 }
 
-/// The raw CRC register over the ICRC-covered header region (pseudo-header
-/// plus transport headers, payload excluded).
-fn header_region_crc(buf: &[u8], payload_off: usize) -> u32 {
-    let src_ip = Ipv4Addr::new(
-        buf[IP_SRC_OFF],
-        buf[IP_SRC_OFF + 1],
-        buf[IP_SRC_OFF + 2],
-        buf[IP_SRC_OFF + 3],
-    );
-    let dst_ip = Ipv4Addr::new(
-        buf[IP_DST_OFF],
-        buf[IP_DST_OFF + 1],
-        buf[IP_DST_OFF + 2],
-        buf[IP_DST_OFF + 3],
-    );
-    let sport = u16::from_be_bytes([buf[UDP_SPORT_OFF], buf[UDP_SPORT_OFF + 1]]);
-    let h = crc32_raw(CRC32_INIT, &icrc_pseudo(src_ip, dst_ip, sport));
-    crc32_raw(h, &buf[TRANSPORT_OFF..payload_off])
-}
+/// The ICRC's checksummed stream starts with a pseudo-header — the IP
+/// addresses and the UDP source port, which sit back to back in the
+/// frame — followed by the transport headers from the BTH on. The longest
+/// covered header region is pseudo-header + BTH + RETH (the AETH is
+/// shorter and never accompanies a RETH).
+const ICRC_PSEUDO_LEN: usize = 10;
+const ICRC_HEADER_MAX: usize = ICRC_PSEUDO_LEN + BTH_LEN + RETH_LEN;
 
-/// Applies `rw` to the serialized frame bytes in `buf` (payload offset
-/// already known), fixing the IPv4 checksum incrementally and folding the
-/// header-CRC delta into the ICRC. Never reads the payload bytes.
-fn patch_in_place(buf: &mut [u8], payload_off: usize, rw: &RewriteSet) -> Result<(), PatchError> {
-    let h_old = header_region_crc(buf, payload_off);
-    patch_in_place_from(buf, payload_off, rw, h_old)
-}
-
-/// [`patch_in_place`] with the pre-patch header CRC supplied by the
-/// caller — templates stamp many copies from one immutable buffer, so
-/// they compute `h_old` once at build time instead of per copy.
-fn patch_in_place_from(
+/// Overwrites the ICRC-covered header field at `buf[off..off + N]` with
+/// `new` and records `old XOR new` in `delta` at the field's position in
+/// the checksummed stream.
+fn patch_covered<const N: usize>(
     buf: &mut [u8],
-    payload_off: usize,
-    rw: &RewriteSet,
-    h_old: u32,
-) -> Result<(), PatchError> {
-    let opcode = Opcode::from_wire(buf[TRANSPORT_OFF]).ok_or(PatchError::Malformed)?;
-    if (rw.va.is_some() || rw.rkey.is_some()) && !opcode.carries_reth() {
-        return Err(PatchError::NoReth);
-    }
-    if rw.aeth.is_some() && !opcode.carries_aeth() {
-        return Err(PatchError::NoAeth);
-    }
-
-    if let Some(mac) = rw.dst_mac {
-        buf[0..6].copy_from_slice(&mac.0);
-    }
-    if let Some(mac) = rw.src_mac {
-        buf[6..12].copy_from_slice(&mac.0);
-    }
-    // IP address rewrites keep the IPv4 header checksum valid via the
-    // RFC 1624 incremental update — no full-header recomputation.
-    for (off, new_octets) in [
-        (IP_SRC_OFF, rw.src_ip.map(|ip| ip.octets())),
-        (IP_DST_OFF, rw.dst_ip.map(|ip| ip.octets())),
-    ] {
-        let Some(octets) = new_octets else { continue };
-        let mut hc = u16::from_be_bytes([buf[IP_CKSUM_OFF], buf[IP_CKSUM_OFF + 1]]);
-        for w in 0..2 {
-            let old = u16::from_be_bytes([buf[off + 2 * w], buf[off + 2 * w + 1]]);
-            let new = u16::from_be_bytes([octets[2 * w], octets[2 * w + 1]]);
-            hc = cksum_update(hc, old, new);
-        }
-        buf[IP_CKSUM_OFF..IP_CKSUM_OFF + 2].copy_from_slice(&hc.to_be_bytes());
-        buf[off..off + 4].copy_from_slice(&octets);
-    }
-    if let Some(sport) = rw.udp_src_port {
-        buf[UDP_SPORT_OFF..UDP_SPORT_OFF + 2].copy_from_slice(&sport.to_be_bytes());
-    }
-    if let Some(qpn) = rw.dest_qp {
-        buf[BTH_QPN_OFF..BTH_QPN_OFF + 4].copy_from_slice(&qpn.masked().to_be_bytes());
-    }
-    if let Some(psn) = rw.psn {
-        buf[BTH_PSN_OFF..BTH_PSN_OFF + 4].copy_from_slice(&psn.value().to_be_bytes());
-    }
-    if let Some(va) = rw.va {
-        buf[EXT_OFF..EXT_OFF + 8].copy_from_slice(&va.to_be_bytes());
-    }
-    if let Some(rkey) = rw.rkey {
-        buf[EXT_OFF + 8..EXT_OFF + 12].copy_from_slice(&rkey.0.to_be_bytes());
-    }
-    if let Some(aeth) = rw.aeth {
-        buf[EXT_OFF] = aeth.syndrome();
-        buf[EXT_OFF + 1..EXT_OFF + 4].copy_from_slice(&aeth.msn.to_be_bytes()[1..4]);
-    }
-
-    // ICRC: CRC-32 is linear, so the delta between the old and new header
-    // CRCs, shifted past the (untouched, un-rehashed) payload, is exactly
-    // the delta of the full-stream ICRC.
-    let h_new = header_region_crc(buf, payload_off);
-    let payload_len = buf.len() - payload_off - ICRC_LEN;
-    let icrc_off = buf.len() - ICRC_LEN;
-    let old_icrc = u32::from_be_bytes(buf[icrc_off..].try_into().expect("slice len"));
-    let new_icrc = old_icrc ^ crc32_shift(h_old ^ h_new, payload_len);
-    buf[icrc_off..].copy_from_slice(&new_icrc.to_be_bytes());
-    Ok(())
-}
-
-/// Rewrites header fields of a serialized frame without re-serializing or
-/// re-hashing the payload: the zero-copy fast path of the switch model.
-///
-/// The input frame must be internally consistent (valid ICRC); the output
-/// then parses to the same packet with `rw` applied. For changes a header
-/// patch cannot express, fall back to [`RocePacket::to_frame`].
-///
-/// # Errors
-///
-/// [`PatchError::Malformed`] when `frame` is not structurally RoCE v2,
-/// [`PatchError::NoReth`]/[`PatchError::NoAeth`] when `rw` targets an
-/// extension header the opcode does not carry.
-pub fn patch_frame(frame: &Frame, rw: &RewriteSet) -> Result<Frame, PatchError> {
-    let payload_off = frame_payload_offset(&frame.data)?;
-    if rw.is_empty() {
-        return Ok(frame.clone());
-    }
-    let mut buf = frame.data.to_vec();
-    patch_in_place(&mut buf, payload_off, rw)?;
-    // A checksum-correct input patched with checksum-correct deltas is
-    // checksum-correct by construction; an unverified input stays so.
-    if frame.is_verified() {
-        Ok(Frame::new_verified(Bytes::from(buf)))
+    delta: &mut [u8; ICRC_HEADER_MAX],
+    off: usize,
+    new: [u8; N],
+) {
+    let at = if off < TRANSPORT_OFF {
+        off - IP_SRC_OFF
     } else {
-        Ok(Frame::from(buf))
+        off - TRANSPORT_OFF + ICRC_PSEUDO_LEN
+    };
+    let field = &mut buf[off..off + N];
+    for i in 0..N {
+        delta[at + i] = field[i] ^ new[i];
     }
+    field.copy_from_slice(&new);
 }
 
-/// A serialized packet plus its parse, ready to be stamped out with
-/// per-copy header rewrites — the model of the replication engine handing
-/// identical copies to per-port deparsers that each rewrite a handful of
-/// fields (§IV-B).
+/// A validated serialized frame plus what its parse extracted, ready to
+/// be stamped out with per-copy header rewrites — the model of the
+/// replication engine handing identical copies to per-port deparsers that
+/// each rewrite a handful of fields (§IV-B).
 ///
-/// The template is built once per ingress packet; every
-/// [`PacketTemplate::instantiate`] costs one buffer copy plus a
-/// header-sized CRC, independent of payload length.
+/// There are two ways to get one, and both start from bytes that are
+/// known to be a RoCE v2 frame: [`RoceView::to_template`] (the frame
+/// passed [`RocePacket::parse_view`]) and [`PacketTemplate::from_packet`]
+/// (the serializer just produced it). Cloning shares the frame bytes.
 #[derive(Debug, Clone)]
 pub struct PacketTemplate {
     frame: Frame,
-    pkt: RocePacket,
     payload_off: usize,
-    /// Header-region CRC of `frame` (pseudo-header + transport headers),
-    /// computed once at build time so each stamped copy pays only the
-    /// post-patch header hash.
-    header_crc: u32,
+    opcode: Opcode,
+    aeth: Option<Aeth>,
 }
 
 impl PacketTemplate {
-    /// The parsed packet the template was built from.
-    pub fn packet(&self) -> &RocePacket {
-        &self.pkt
-    }
-
     /// The serialized frame the template stamps copies from.
     pub fn frame(&self) -> &Frame {
         &self.frame
     }
 
-    /// Emits a frame equal to `target.to_frame()` by patching the template
-    /// bytes, provided `target` differs from the template's packet only in
-    /// patchable header fields.
-    ///
-    /// # Errors
-    ///
-    /// [`PatchError::Structural`] when `target` changed opcode, flags,
-    /// extension presence, DMA length or payload length — the caller
-    /// must re-serialize.
-    pub fn instantiate(&self, target: &RocePacket) -> Result<Frame, PatchError> {
-        let rw = RewriteSet::diff(&self.pkt, target)?;
-        self.stamp(&rw)
+    /// The header view the template was built from — no re-validation,
+    /// the frame already passed it.
+    pub fn view(&self) -> RoceView<'_> {
+        RoceView {
+            frame: &self.frame,
+            payload_off: self.payload_off,
+            opcode: self.opcode,
+            aeth: self.aeth,
+        }
     }
 
-    /// Emits a frame with `rw` patched onto the template bytes — the
-    /// no-diff fast path for callers that already know exactly which
-    /// header fields change (per-QP ACK emission, the switch's scatter
-    /// rewrites). Costs one buffer copy plus one header-sized CRC.
+    /// Emits the frame with `rw` applied, byte-identical to
+    /// `{ rw.apply(&mut pkt); pkt.to_frame() }` on the parsed packet. An
+    /// empty `rw` shares the template bytes outright (same allocation,
+    /// `verified` mark intact); anything else costs one buffer copy plus
+    /// one header-sized CRC, independent of payload length, and never
+    /// reads the payload. The output is marked verified iff the input was.
     ///
     /// # Errors
     ///
-    /// As [`patch_frame`]: `rw` must only touch header fields the
-    /// template's opcode carries.
+    /// [`PatchError::NoReth`]/[`PatchError::NoAeth`] when `rw` targets an
+    /// extension header the template's opcode does not carry.
     pub fn stamp(&self, rw: &RewriteSet) -> Result<Frame, PatchError> {
         if rw.is_empty() {
-            // Untouched copy: share the template bytes outright.
             return Ok(self.frame.clone());
         }
+        if (rw.va.is_some() || rw.rkey.is_some()) && !self.opcode.carries_reth() {
+            return Err(PatchError::NoReth);
+        }
+        if rw.aeth.is_some() && !self.opcode.carries_aeth() {
+            return Err(PatchError::NoAeth);
+        }
         let mut buf = self.frame.data.to_vec();
-        patch_in_place_from(&mut buf, self.payload_off, rw, self.header_crc)?;
+        // `old XOR new` of the ICRC-covered header bytes (not the MACs).
+        let mut delta = [0u8; ICRC_HEADER_MAX];
+
+        if let Some(mac) = rw.dst_mac {
+            buf[0..6].copy_from_slice(&mac.0);
+        }
+        if let Some(mac) = rw.src_mac {
+            buf[6..12].copy_from_slice(&mac.0);
+        }
+        // IP address rewrites keep the IPv4 header checksum valid via the
+        // RFC 1624 incremental update — no full-header recomputation.
+        for (off, new_octets) in [
+            (IP_SRC_OFF, rw.src_ip.map(|ip| ip.octets())),
+            (IP_DST_OFF, rw.dst_ip.map(|ip| ip.octets())),
+        ] {
+            let Some(octets) = new_octets else { continue };
+            let mut hc = u16::from_be_bytes([buf[IP_CKSUM_OFF], buf[IP_CKSUM_OFF + 1]]);
+            for w in 0..2 {
+                let old = u16::from_be_bytes([buf[off + 2 * w], buf[off + 2 * w + 1]]);
+                let new = u16::from_be_bytes([octets[2 * w], octets[2 * w + 1]]);
+                hc = cksum_update(hc, old, new);
+            }
+            buf[IP_CKSUM_OFF..IP_CKSUM_OFF + 2].copy_from_slice(&hc.to_be_bytes());
+            patch_covered(&mut buf, &mut delta, off, octets);
+        }
+        if let Some(sport) = rw.udp_src_port {
+            patch_covered(&mut buf, &mut delta, UDP_SPORT_OFF, sport.to_be_bytes());
+        }
+        if let Some(qpn) = rw.dest_qp {
+            patch_covered(
+                &mut buf,
+                &mut delta,
+                BTH_QPN_OFF,
+                qpn.masked().to_be_bytes(),
+            );
+        }
+        if let Some(psn) = rw.psn {
+            patch_covered(&mut buf, &mut delta, BTH_PSN_OFF, psn.value().to_be_bytes());
+        }
+        if let Some(va) = rw.va {
+            patch_covered(&mut buf, &mut delta, EXT_OFF, va.to_be_bytes());
+        }
+        if let Some(rkey) = rw.rkey {
+            patch_covered(&mut buf, &mut delta, EXT_OFF + 8, rkey.0.to_be_bytes());
+        }
+        if let Some(aeth) = rw.aeth {
+            let msn = aeth.msn.to_be_bytes();
+            let new = [aeth.syndrome(), msn[1], msn[2], msn[3]];
+            patch_covered(&mut buf, &mut delta, EXT_OFF, new);
+        }
+
+        // ICRC: CRC-32 is linear, so the CRC (from a zero register) of
+        // `old headers XOR new headers` is the difference of the two
+        // header CRCs, and that difference shifted past the (untouched,
+        // un-rehashed) payload is the difference of the full-stream ICRCs.
+        let covered = ICRC_PSEUDO_LEN + self.payload_off - TRANSPORT_OFF;
+        let payload_len = buf.len() - self.payload_off - ICRC_LEN;
+        let icrc_off = buf.len() - ICRC_LEN;
+        let old_icrc = u32::from_be_bytes(buf[icrc_off..].try_into().expect("slice len"));
+        let new_icrc = old_icrc ^ crc32_shift(crc32_raw(0, &delta[..covered]), payload_len);
+        buf[icrc_off..].copy_from_slice(&new_icrc.to_be_bytes());
+        // A checksum-correct input patched with checksum-correct deltas is
+        // checksum-correct by construction; an unverified input stays so.
         if self.frame.is_verified() {
             Ok(Frame::new_verified(Bytes::from(buf)))
         } else {
@@ -1059,16 +881,14 @@ impl PacketTemplate {
 
     /// Builds a template by serializing `pkt` once. The resulting frame is
     /// checksum-correct by construction, so it is marked verified and every
-    /// [`PacketTemplate::instantiate`] stamped from it inherits that mark.
+    /// [`PacketTemplate::stamp`] from it inherits that mark.
     pub fn from_packet(pkt: &RocePacket) -> PacketTemplate {
         let frame = pkt.to_frame();
-        let payload_off = frame.data.len() - pkt.payload.len() - ICRC_LEN;
-        let header_crc = header_region_crc(&frame.data, payload_off);
         PacketTemplate {
-            frame: Frame::new_verified(frame.data),
-            pkt: pkt.clone(),
-            payload_off,
-            header_crc,
+            payload_off: frame.data.len() - pkt.payload.len() - ICRC_LEN,
+            frame,
+            opcode: pkt.bth.opcode,
+            aeth: pkt.aeth,
         }
     }
 }
@@ -1089,11 +909,11 @@ struct PayloadCrcSlot {
 
 /// Direct-mapped memo of raw payload CRCs keyed on [`Bytes::identity`].
 ///
-/// Retransmits, fan-out replicas and verify-after-serialize all hash the
-/// same immutable payload allocation repeatedly; the identity key (unique
-/// allocation id + range) makes a hit provably byte-equal, so the cached
-/// register can be stitched into a full-frame ICRC with
-/// [`crc32_combine`]-style shifting instead of re-hashing the payload.
+/// Retransmits and fan-out replicas hash the same immutable payload
+/// allocation repeatedly; the identity key (unique allocation id + range)
+/// makes a hit provably byte-equal, so the cached register can be
+/// stitched into a full-frame ICRC with [`crc32_combine`]-style shifting
+/// instead of re-hashing the payload.
 #[derive(Debug)]
 pub struct PayloadCrcCache {
     slots: [PayloadCrcSlot; PAYLOAD_CRC_CACHE_SLOTS],
@@ -1382,7 +1202,7 @@ fn icrc_pseudo(src_ip: Ipv4Addr, dst_ip: Ipv4Addr, udp_src_port: u16) -> [u8; 10
 /// transport bytes and payload. Any in-flight rewrite of a covered field
 /// forces whoever rewrote it to recompute the checksum — but because
 /// CRC-32 is linear, a header-only rewrite can do so from the header
-/// bytes alone (see [`patch_frame`]).
+/// bytes alone (see [`PacketTemplate::stamp`]).
 pub fn icrc_compute(
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
@@ -1628,71 +1448,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_patch_shares_bytes_unchanged() {
-        let frame = sample_write().to_frame();
-        let out = patch_frame(&frame, &RewriteSet::default()).expect("patch");
-        assert_eq!(out.data, frame.data);
-    }
-
-    #[test]
-    fn patch_matches_full_reserialization() {
-        let pkt = sample_write();
-        let frame = pkt.to_frame();
-        let rw = RewriteSet {
-            dst_mac: Some(MacAddr::for_ip(Ipv4Addr::new(10, 0, 0, 7))),
-            dst_ip: Some(Ipv4Addr::new(10, 0, 0, 7)),
-            udp_src_port: Some(0xD005),
-            dest_qp: Some(Qpn(0x777)),
-            psn: Some(Psn::new(4242)),
-            va: Some(0x1_0000),
-            rkey: Some(RKey(0x5555_aaaa)),
-            ..RewriteSet::default()
-        };
-        let patched = patch_frame(&frame, &rw).expect("patch");
-        let mut expect = pkt.clone();
-        rw.apply(&mut expect);
-        assert_eq!(&*patched.data, &*expect.to_frame().data);
-        // And it parses with a valid IPv4 checksum and ICRC.
-        let back = RocePacket::parse(&patched).expect("parse patched");
-        assert_eq!(back, expect);
-    }
-
-    #[test]
-    fn patch_rewrites_aeth_on_acks() {
-        let src_ip = Ipv4Addr::new(10, 0, 0, 2);
-        let pkt = RocePacket {
-            src_mac: MacAddr::for_ip(src_ip),
-            dst_mac: MacAddr::for_ip(src_ip),
-            src_ip,
-            dst_ip: src_ip,
-            udp_src_port: 7,
-            bth: Bth {
-                opcode: Opcode::Acknowledge,
-                dest_qp: Qpn(9),
-                psn: Psn::new(5),
-                ack_req: false,
-            },
-            reth: None,
-            aeth: Some(Aeth {
-                kind: AethKind::Ack { credits: 31 },
-                msn: 5,
-            }),
-            payload: Bytes::new(),
-        };
-        let rw = RewriteSet {
-            aeth: Some(Aeth {
-                kind: AethKind::Ack { credits: 3 },
-                msn: 5,
-            }),
-            ..RewriteSet::default()
-        };
-        let patched = patch_frame(&pkt.to_frame(), &rw).expect("patch");
-        let back = RocePacket::parse(&patched).expect("parse");
-        assert_eq!(back.aeth, rw.aeth);
-    }
-
-    #[test]
-    fn patch_rejects_extension_rewrites_the_opcode_lacks() {
+    fn stamp_rejects_extension_rewrites_the_opcode_lacks() {
         let mut ack = sample_write();
         ack.bth.opcode = Opcode::Acknowledge;
         ack.reth = None;
@@ -1701,14 +1457,15 @@ mod tests {
             kind: AethKind::Ack { credits: 1 },
             msn: 0,
         });
-        let frame = ack.to_frame();
         let rw = RewriteSet {
             va: Some(42),
             ..RewriteSet::default()
         };
-        assert_eq!(patch_frame(&frame, &rw), Err(PatchError::NoReth));
+        assert_eq!(
+            PacketTemplate::from_packet(&ack).stamp(&rw),
+            Err(PatchError::NoReth)
+        );
 
-        let write_frame = sample_write().to_frame();
         let rw = RewriteSet {
             aeth: Some(Aeth {
                 kind: AethKind::Ack { credits: 1 },
@@ -1716,36 +1473,10 @@ mod tests {
             }),
             ..RewriteSet::default()
         };
-        assert_eq!(patch_frame(&write_frame, &rw), Err(PatchError::NoAeth));
-    }
-
-    #[test]
-    fn template_instantiate_matches_to_frame() {
-        let pkt = sample_write();
-        let template = RocePacket::parse_with_template(&pkt.to_frame()).expect("template");
-        let mut target = template.packet().clone();
-        target.dst_ip = Ipv4Addr::new(10, 0, 0, 9);
-        target.dst_mac = MacAddr::for_ip(target.dst_ip);
-        target.bth.dest_qp = Qpn(0x200);
-        target.bth.psn = Psn::new(99);
-        if let Some(reth) = &mut target.reth {
-            reth.va += 0x4000;
-            reth.rkey = RKey(0xfeed);
-        }
-        let fast = template.instantiate(&target).expect("instantiate");
-        assert_eq!(&*fast.data, &*target.to_frame().data);
-    }
-
-    #[test]
-    fn template_reports_structural_changes() {
-        let pkt = sample_write();
-        let template = RocePacket::parse_with_template(&pkt.to_frame()).expect("template");
-        let mut target = template.packet().clone();
-        target.payload = Bytes::from(vec![1u8; 65]); // length change
-        assert_eq!(template.instantiate(&target), Err(PatchError::Structural));
-        let mut target = template.packet().clone();
-        target.bth.ack_req = !target.bth.ack_req;
-        assert_eq!(template.instantiate(&target), Err(PatchError::Structural));
+        assert_eq!(
+            PacketTemplate::from_packet(&sample_write()).stamp(&rw),
+            Err(PatchError::NoAeth)
+        );
     }
 
     #[test]
@@ -1761,7 +1492,9 @@ mod tests {
                 dst_ip: Some(dst),
                 ..RewriteSet::default()
             };
-            let patched = patch_frame(&sample_write().to_frame(), &rw).expect("patch");
+            let patched = PacketTemplate::from_packet(&sample_write())
+                .stamp(&rw)
+                .expect("stamp");
             assert_eq!(ipv4_checksum(&patched.data[ETH_LEN..ETH_LEN + IPV4_LEN]), 0);
         }
     }

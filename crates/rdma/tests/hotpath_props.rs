@@ -13,7 +13,8 @@ use netsim::Frame;
 use proptest::prelude::*;
 use rdma::wire::{crc32, crc32_slice8_raw, crc32_two_lane_raw};
 use rdma::{
-    Aeth, AethKind, Bth, MacAddr, NakCode, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth, RocePacket,
+    Aeth, AethKind, Bth, MacAddr, NakCode, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth,
+    RewriteSet, RocePacket,
 };
 use std::net::Ipv4Addr;
 
@@ -156,14 +157,19 @@ proptest! {
         // The template's own frame is the full serialization of the base.
         prop_assert_eq!(&template.frame().data[..], &base.to_frame().data[..]);
 
-        // Re-target the way the responder does: destination, PSN, AETH.
+        // Re-target the way the responder does: destination, PSN and AETH
+        // set unconditionally, whether or not they moved.
+        let rw = RewriteSet {
+            dst_mac: Some(MacAddr::for_ip(new_dst_ip)),
+            dst_ip: Some(new_dst_ip),
+            psn: Some(Psn::new(new_psn)),
+            aeth: Some(new_aeth),
+            ..RewriteSet::default()
+        };
         let mut target = base.clone();
-        target.dst_mac = MacAddr::for_ip(new_dst_ip);
-        target.dst_ip = new_dst_ip;
-        target.bth.psn = Psn::new(new_psn);
-        target.aeth = Some(new_aeth);
+        rw.apply(&mut target);
 
-        let patched = template.instantiate(&target);
+        let patched = template.stamp(&rw);
         prop_assert!(patched.is_ok(), "ACK retarget must be patchable: {patched:?}");
         let patched = patched.unwrap();
         let full = target.to_frame();

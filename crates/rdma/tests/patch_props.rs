@@ -1,7 +1,7 @@
 //! Differential properties of the zero-copy fast path: for every packet
 //! the stack can construct and every header rewrite the switch can apply,
-//! patching the serialized bytes in place must produce *exactly* the frame
-//! a full re-serialization would — same IPv4 checksum, same ICRC, byte for
+//! stamping the serialized bytes must produce *exactly* the frame a full
+//! re-serialization would — same IPv4 checksum, same ICRC, byte for
 //! byte. This is the guard that lets the switch emit template-patched
 //! copies without ever re-reading the payload.
 
@@ -10,8 +10,8 @@ use netsim::Frame;
 use proptest::prelude::*;
 use rdma::wire::{crc32, crc32_combine};
 use rdma::{
-    patch_frame, Aeth, AethKind, Bth, MacAddr, Opcode, PatchError, Psn, Qpn, RKey, Reth,
-    RewriteSet, RocePacket,
+    Aeth, AethKind, Bth, MacAddr, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth, RewriteSet,
+    RocePacket,
 };
 use std::net::Ipv4Addr;
 
@@ -123,64 +123,57 @@ fn constrain(rw: RewriteSet, pkt: &RocePacket) -> RewriteSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The tentpole property: patching serialized bytes is byte-identical
-    /// to mutating the parsed packet and re-serializing from scratch.
+    /// The tentpole property: stamping serialized bytes is byte-identical
+    /// to mutating the parsed packet and re-serializing from scratch —
+    /// through the template the switch builds (from a validated view) and
+    /// the one hosts build (from a packet).
     #[test]
     fn patch_equals_full_reserialization(pkt in arb_packet(), rw in arb_rewrite()) {
         let rw = constrain(rw, &pkt);
         let frame = pkt.to_frame();
-        let patched = patch_frame(&frame, &rw).expect("patch");
+        let view = RocePacket::parse_view(&frame).expect("parse");
+        let patched = view.to_template().stamp(&rw).expect("stamp");
 
         let mut expect = pkt.clone();
         rw.apply(&mut expect);
         let full = expect.to_frame();
 
         prop_assert_eq!(&*patched.data, &*full.data);
+        prop_assert!(patched.is_verified(), "a verified input stays verified");
+        let from_packet = PacketTemplate::from_packet(&pkt).stamp(&rw).expect("stamp");
+        prop_assert_eq!(&*from_packet.data, &*full.data);
+        // An input whose checksums nobody vouched for stamps to the same
+        // bytes and stays unvouched.
+        let raw = Frame::from(frame.data.to_vec());
+        let unverified = RocePacket::parse_view(&raw).expect("parse").to_template().stamp(&rw);
+        let unverified = unverified.expect("stamp");
+        prop_assert_eq!(&*unverified.data, &*full.data);
+        prop_assert!(!unverified.is_verified());
         // The patched frame must also parse (valid IPv4 checksum + ICRC)
-        // back to exactly the rewritten packet.
-        let back = RocePacket::parse(&patched).expect("parse patched");
+        // back to exactly the rewritten packet — checksums re-derived, not
+        // trusted from the serializer's mark.
+        let back = RocePacket::parse(&Frame::from(patched.data.to_vec())).expect("parse patched");
         prop_assert_eq!(back, expect);
     }
 
-    /// Same property through the template path the switch actually uses.
-    #[test]
-    fn template_instantiate_equals_full_reserialization(
-        pkt in arb_packet(),
-        rw in arb_rewrite(),
-    ) {
-        let rw = constrain(rw, &pkt);
-        let template = RocePacket::parse_with_template(&pkt.to_frame()).expect("template");
-        let mut target = template.packet().clone();
-        rw.apply(&mut target);
-        let fast = template.instantiate(&target).expect("instantiate");
-        prop_assert_eq!(&*fast.data, &*target.to_frame().data);
-    }
-
-    /// An empty rewrite is free: the output is the input, byte for byte,
-    /// without touching (or copying) the payload.
+    /// An empty rewrite is free: the output is the input — the same
+    /// allocation, not a copy — with its verification mark.
     #[test]
     fn empty_rewrite_is_zero_copy(pkt in arb_packet()) {
         let frame = pkt.to_frame();
-        let out = patch_frame(&frame, &RewriteSet::default()).expect("patch");
-        prop_assert_eq!(&*out.data, &*frame.data);
+        let view = RocePacket::parse_view(&frame).expect("parse");
+        let out = view.to_template().stamp(&RewriteSet::default()).expect("stamp");
+        prop_assert_eq!(out.data.identity(), frame.data.identity());
+        prop_assert!(out.is_verified());
+        let template = PacketTemplate::from_packet(&pkt);
+        let out = template.stamp(&RewriteSet::default()).expect("stamp");
+        prop_assert_eq!(out.data.identity(), template.frame().data.identity());
     }
 
-    /// Structural edits (here: payload growth) are refused by the template
-    /// rather than silently mis-patched.
-    #[test]
-    fn template_refuses_payload_growth(pkt in arb_packet(), extra in 1usize..64) {
-        let template = RocePacket::parse_with_template(&pkt.to_frame()).expect("template");
-        let mut target = template.packet().clone();
-        let mut grown = target.payload.to_vec();
-        grown.extend(vec![0xEE; extra]);
-        target.payload = Bytes::from(grown);
-        prop_assert_eq!(template.instantiate(&target), Err(PatchError::Structural));
-    }
-
-    /// Truncated frames never panic the patcher. (It validates structure,
-    /// not the ICRC — a cut that only shortens the payload still patches —
-    /// so the property is "no panic", and any frame cut into the headers
-    /// is refused.)
+    /// Garbage has one door, `parse_view` — a template, and so a patch,
+    /// can only be built over a frame that passed it — and truncated
+    /// frames never panic there; any frame cut into the headers is
+    /// refused, and whatever is accepted stamps without panicking.
     #[test]
     fn patch_never_panics_on_garbage(
         pkt in arb_packet(),
@@ -189,9 +182,13 @@ proptest! {
     ) {
         let frame = pkt.to_frame();
         let n = cut.index(frame.len());
-        let result = patch_frame(&Frame::from(frame.data[..n].to_vec()), &rw);
+        let cut_frame = Frame::from(frame.data[..n].to_vec());
+        let parsed = RocePacket::parse_view(&cut_frame);
+        if let Ok(view) = &parsed {
+            let _ = view.to_template().stamp(&rw);
+        }
         if n < rdma::wire::BASE_OVERHEAD {
-            prop_assert!(result.is_err());
+            prop_assert!(parsed.is_err());
         }
     }
 

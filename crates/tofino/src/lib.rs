@@ -9,7 +9,9 @@
 //!   (121 Mpps — the constraint behind the paper's §IV-D ACK-drop
 //!   placement fix),
 //! * **match-action** processing expressed as a Rust [`SwitchProgram`]
-//!   with separate ingress and egress stages,
+//!   with two data-plane hooks, ingress and egress, that see parsed
+//!   headers only ([`Headers`]) and record header rewrites; a single
+//!   deparser stamps those rewrites onto the arrived bytes,
 //! * a **replication engine** between the gresses
 //!   ([`MulticastGroups`]) that clones packets and stamps each copy with a
 //!   replication id,
@@ -33,8 +35,8 @@ mod table;
 
 pub use mcast::{McastMember, MulticastGroupId, MulticastGroups};
 pub use program::{
-    ControlOps, EgressMeta, IngressMeta, IngressVerdict, L3Forwarder, PipelineOps, SwitchProgram,
-    ViewVerdict,
+    ControlOps, EgressMeta, Headers, IngressMeta, IngressVerdict, L3Forwarder, PipelineOps,
+    SwitchProgram,
 };
 pub use registers::{identity_hash, RegisterArray};
 pub use switch::{Switch, SwitchConfig, SwitchStats};

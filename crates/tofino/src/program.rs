@@ -1,8 +1,11 @@
 //! The switch-program interface: what a P4 program looks like to this
-//! pipeline model.
+//! pipeline model. The data plane is two hooks — [`SwitchProgram::ingress`]
+//! once per arrived packet, [`SwitchProgram::egress`] once per copy —
+//! that read headers and record header rewrites through [`Headers`]; the
+//! deparser in [`crate::Switch`] is the one place a frame is built.
 
-use netsim::{Frame, PortId, SimTime, Tracer};
-use rdma::{RocePacket, RoceView};
+use netsim::{PortId, SimTime, Tracer};
+use rdma::{Aeth, Opcode, Psn, Qpn, Reth, RewriteSet, RocePacket, RoceView};
 use std::net::Ipv4Addr;
 
 use crate::mcast::MulticastGroupId;
@@ -43,21 +46,86 @@ pub enum IngressVerdict {
     Drop,
 }
 
-/// The fast-path routing decision a program can take from a borrowed
-/// header view, before any owned packet exists.
-#[derive(Debug, Clone)]
-pub enum ViewVerdict {
-    /// Emit `Frame` through the port: the bytes are final (either the
-    /// original frame shared as-is, or one already patched via
-    /// [`rdma::patch_frame`]). Programs may only return this when their
-    /// `egress` stage would pass the copy through unchanged — the fast
-    /// path skips it.
-    Forward(Frame, PortId),
-    /// Drop, consuming only the ingress parser (§IV-D).
-    Drop,
-    /// This packet needs the full parse/template machinery (multicast,
-    /// CPU punt, header rewrites the view cannot express).
-    NeedFullPacket,
+/// A data-plane stage's handle on one packet — the parsed header vector.
+///
+/// Reads (of the fields the shipped programs match on) go to the
+/// validated headers of the frame as it *arrived*, overlaid with every
+/// rewrite recorded so far, so `egress` sees what `ingress` wrote (PHV
+/// semantics). Writes are [`RewriteSet`] deltas and nothing else: a stage
+/// cannot name the payload bytes, the opcode, the flags, the extension
+/// set or a length — match-action stages on the ASIC only ever see
+/// headers — which is what lets the deparser emit every copy by stamping
+/// the delta onto the arrived bytes ([`rdma::PacketTemplate::stamp`])
+/// without re-serializing.
+#[derive(Debug)]
+pub struct Headers<'a> {
+    arrived: RoceView<'a>,
+    rw: &'a mut RewriteSet,
+}
+
+impl<'a> Headers<'a> {
+    /// A handle over `arrived` that reads through, and records into, `rw`.
+    pub fn new(arrived: RoceView<'a>, rw: &'a mut RewriteSet) -> Self {
+        Headers { arrived, rw }
+    }
+
+    /// BTH opcode (not rewritable).
+    pub fn opcode(&self) -> Opcode {
+        self.arrived.opcode()
+    }
+
+    /// Destination IPv4 address.
+    pub fn dst_ip(&self) -> Ipv4Addr {
+        self.rw.dst_ip.unwrap_or_else(|| self.arrived.dst_ip())
+    }
+
+    /// BTH destination queue pair.
+    pub fn dest_qp(&self) -> Qpn {
+        self.rw.dest_qp.unwrap_or_else(|| self.arrived.dest_qp())
+    }
+
+    /// BTH packet sequence number.
+    pub fn psn(&self) -> Psn {
+        self.rw.psn.unwrap_or_else(|| self.arrived.psn())
+    }
+
+    /// The RETH, if the opcode carries one (its DMA length is not
+    /// rewritable).
+    pub fn reth(&self) -> Option<Reth> {
+        self.arrived.reth().map(|r| Reth {
+            va: self.rw.va.unwrap_or(r.va),
+            rkey: self.rw.rkey.unwrap_or(r.rkey),
+            dma_len: r.dma_len,
+        })
+    }
+
+    /// The AETH, if the opcode carries one.
+    pub fn aeth(&self) -> Option<Aeth> {
+        self.rw.aeth.or(self.arrived.aeth())
+    }
+
+    /// Records `rw` on top of what earlier stages recorded (a field set
+    /// twice keeps the later value). As on the ASIC, writing a header the
+    /// packet does not carry has no effect: RETH/AETH fields are dropped
+    /// unless the opcode carries that extension.
+    pub fn rewrite(&mut self, rw: RewriteSet) {
+        let opcode = self.arrived.opcode();
+        let cur = &mut *self.rw;
+        cur.src_mac = rw.src_mac.or(cur.src_mac);
+        cur.dst_mac = rw.dst_mac.or(cur.dst_mac);
+        cur.src_ip = rw.src_ip.or(cur.src_ip);
+        cur.dst_ip = rw.dst_ip.or(cur.dst_ip);
+        cur.udp_src_port = rw.udp_src_port.or(cur.udp_src_port);
+        cur.dest_qp = rw.dest_qp.or(cur.dest_qp);
+        cur.psn = rw.psn.or(cur.psn);
+        if opcode.carries_reth() {
+            cur.va = rw.va.or(cur.va);
+            cur.rkey = rw.rkey.or(cur.rkey);
+        }
+        if opcode.carries_aeth() {
+            cur.aeth = rw.aeth.or(cur.aeth);
+        }
+    }
 }
 
 /// Read-only facilities available to the data-plane stages.
@@ -95,49 +163,29 @@ pub trait ControlOps {
 /// A program loaded on the switch: data plane (ingress/egress, line rate)
 /// plus control plane (CPU packets, timers).
 ///
-/// **Data-plane contract:** `ingress` and `egress` may rewrite *header*
-/// fields of the packet but never the payload bytes — match-action stages
-/// on the ASIC only ever see headers. The pipeline relies on this to emit
-/// copies by patching the original serialized bytes
-/// ([`rdma::PacketTemplate`]) instead of re-serializing; payload
-/// immutability is checked in debug builds.
+/// **Data-plane contract:** `ingress` and `egress` rewrite *header*
+/// fields and never the payload bytes. [`Headers`] enforces it by type:
+/// the only write it offers is a [`RewriteSet`].
 pub trait SwitchProgram: 'static {
     /// Called once at simulation start (control plane context).
     fn on_start(&mut self, ops: &mut dyn ControlOps) {
         let _ = ops;
     }
 
-    /// Fast-path ingress over a borrowed header view: runs before the
-    /// owned packet is materialized. Returning
-    /// [`ViewVerdict::Forward`]/[`ViewVerdict::Drop`] here skips the
-    /// template build, the owned-packet clone *and* the egress stage, so
-    /// it must be behaviourally identical to what `ingress` + `egress`
-    /// would have produced for this packet. The default punts everything
-    /// to the full pipeline.
-    fn ingress_view(
-        &mut self,
-        view: &RoceView<'_>,
-        meta: IngressMeta,
-        ops: &dyn PipelineOps,
-    ) -> ViewVerdict {
-        let _ = (view, meta, ops);
-        ViewVerdict::NeedFullPacket
-    }
-
-    /// The ingress pipeline: may rewrite the packet and must return a
+    /// The ingress pipeline: may rewrite headers and must return a
     /// verdict.
     fn ingress(
         &mut self,
-        pkt: &mut RocePacket,
+        hdr: &mut Headers<'_>,
         meta: IngressMeta,
         ops: &dyn PipelineOps,
     ) -> IngressVerdict;
 
-    /// The egress pipeline, run per copy: may rewrite the packet; return
-    /// `false` to drop this copy (consuming the egress parser — the
-    /// expensive place to drop, per §IV-D).
-    fn egress(&mut self, pkt: &mut RocePacket, meta: EgressMeta, ops: &dyn PipelineOps) -> bool {
-        let _ = (pkt, meta, ops);
+    /// The egress pipeline, run per copy: sees the ingress rewrites, may
+    /// add its own; return `false` to drop this copy (consuming the
+    /// egress parser — the expensive place to drop, per §IV-D).
+    fn egress(&mut self, hdr: &mut Headers<'_>, meta: EgressMeta, ops: &dyn PipelineOps) -> bool {
+        let _ = (hdr, meta, ops);
         true
     }
 
@@ -158,26 +206,15 @@ pub trait SwitchProgram: 'static {
 pub struct L3Forwarder;
 
 impl SwitchProgram for L3Forwarder {
-    fn ingress_view(
-        &mut self,
-        view: &RoceView<'_>,
-        _meta: IngressMeta,
-        ops: &dyn PipelineOps,
-    ) -> ViewVerdict {
-        // Pure forwarding rewrites nothing: share the original bytes.
-        match ops.route(view.dst_ip()) {
-            Some(port) => ViewVerdict::Forward(view.frame().clone(), port),
-            None => ViewVerdict::Drop,
-        }
-    }
-
     fn ingress(
         &mut self,
-        pkt: &mut RocePacket,
+        hdr: &mut Headers<'_>,
         _meta: IngressMeta,
         ops: &dyn PipelineOps,
     ) -> IngressVerdict {
-        match ops.route(pkt.dst_ip) {
+        // Pure forwarding rewrites nothing: the deparser shares the
+        // arrived bytes.
+        match ops.route(hdr.dst_ip()) {
             Some(port) => IngressVerdict::Unicast(port),
             None => IngressVerdict::Drop,
         }

@@ -15,14 +15,13 @@
 //!   Mpps ACK-aggregation fix.
 
 use netsim::{Context, Cpu, Frame, Node, PortId, SimDuration, SimTime, TimerToken};
-use rdma::{PacketTemplate, RocePacket};
+use rdma::{PacketTemplate, RewriteSet, RocePacket};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 use crate::mcast::{McastMember, MulticastGroupId, MulticastGroups};
 use crate::program::{
-    ControlOps, EgressMeta, IngressMeta, IngressVerdict, PipelineOps, SwitchProgram, ViewVerdict,
+    ControlOps, EgressMeta, Headers, IngressMeta, IngressVerdict, PipelineOps, SwitchProgram,
 };
 
 /// Static parameters of the switch.
@@ -87,11 +86,12 @@ pub struct SwitchStats {
     pub punted: u64,
     /// Frames that failed to parse.
     pub parse_errors: u64,
-    /// Frames emitted through the zero-copy fast path: the original bytes
-    /// forwarded as-is or with header fields patched in place.
+    /// Frames emitted by the deparser: the arrived bytes forwarded as-is
+    /// or with header fields patched. Every emitted frame counts here.
     pub emitted_patched: u64,
-    /// Frames emitted through the slow path: a full re-serialization
-    /// because the program changed the packet structurally.
+    /// Frames emitted by a full re-serialization. No data-plane path can
+    /// increment it — a stage cannot express a structural change — so it
+    /// reads 0; the field stays because the benchmark reads it.
     pub emitted_reserialized: u64,
 }
 
@@ -103,26 +103,58 @@ const TK_CTRL: u64 = 5 << 56;
 const TK_CLASS_MASK: u64 = 0xff << 56;
 const TK_DATA_MASK: u64 = !TK_CLASS_MASK;
 
-/// A packet travelling the pipeline: the mutable parsed view the
-/// program's stages rewrite, plus the original serialized bytes, shared
-/// (not copied) across every multicast clone. Emission patches the
-/// template with whatever headers the stages changed — each byte of the
-/// payload is touched at most once per ingress packet, as on the ASIC.
-#[derive(Debug, Clone)]
-struct PacketLane {
-    pkt: RocePacket,
-    template: Arc<PacketTemplate>,
+/// One copy of a packet between the ingress parser and the deparser: a
+/// shared reference to the arrived frame with what the parser extracted
+/// from it, and the header rewrites the stages recorded so far. The
+/// payload is never parsed out, copied or touched in here.
+#[derive(Debug)]
+struct InFlight {
+    arrived: PacketTemplate,
+    rw: RewriteSet,
+    port: PortId,
+    rid: u16,
 }
 
-#[derive(Debug)]
-enum Stashed {
-    RawFrame(Frame, PortId),
-    AtEgress(PacketLane, PortId, u16),
-    /// View fast path: final bytes already decided at ingress; the frame
-    /// rides the same egress-parser timing but skips the program's
-    /// egress stage and the template machinery entirely.
-    RawForward(Frame, PortId),
-    ForCpu(RocePacket),
+/// Items parked between pipeline steps, addressed by the timer token
+/// that will resume them. A slab with a free list: parking and resuming
+/// are O(1) vector ops, and steady-state traffic recycles the same slots
+/// without hashing or allocating.
+struct Stash<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u64>,
+}
+
+impl<T> Stash<T> {
+    fn new() -> Self {
+        Stash {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn put(&mut self, item: T) -> u64 {
+        if let Some(id) = self.free.pop() {
+            self.slots[id as usize] = Some(item);
+            id
+        } else {
+            let id = self.slots.len() as u64;
+            debug_assert!(id <= TK_DATA_MASK, "stash id overflows token space");
+            self.slots.push(Some(item));
+            id
+        }
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        self.slots.get_mut(id as usize)?.as_mut()
+    }
+
+    fn take(&mut self, id: u64) -> Option<T> {
+        let item = self.slots.get_mut(id as usize)?.take();
+        if item.is_some() {
+            self.free.push(id);
+        }
+        item
+    }
 }
 
 struct Shared {
@@ -182,12 +214,12 @@ pub struct Switch<P: SwitchProgram> {
     program: P,
     ingress_parsers: Vec<Cpu>,
     egress_parsers: Vec<Cpu>,
-    /// In-flight packets parked between pipeline stages, addressed by the
-    /// timer token that will resume them. A slab with a free list: every
-    /// stage transition is two O(1) vector ops, and steady-state traffic
-    /// recycles the same slots without hashing or allocating.
-    stash: Vec<Option<Stashed>>,
-    stash_free: Vec<u64>,
+    /// Frames waiting out the ingress parser.
+    arrived: Stash<(Frame, PortId)>,
+    /// Copies between the ingress stage and the deparser.
+    in_flight: Stash<InFlight>,
+    /// Packets on their way to the control-plane CPU.
+    punted: Stash<RocePacket>,
     /// Reused per-ingress multicast member snapshot (no steady-state
     /// allocation on the replication path).
     mcast_scratch: Vec<McastMember>,
@@ -207,8 +239,9 @@ impl<P: SwitchProgram> Switch<P> {
             program,
             ingress_parsers: vec![Cpu::new(); lanes],
             egress_parsers: vec![Cpu::new(); lanes],
-            stash: Vec::new(),
-            stash_free: Vec::new(),
+            arrived: Stash::new(),
+            in_flight: Stash::new(),
+            punted: Stash::new(),
             mcast_scratch: Vec::new(),
         }
     }
@@ -238,27 +271,6 @@ impl<P: SwitchProgram> Switch<P> {
         self.shared.cfg.ip
     }
 
-    fn stash_put(&mut self, item: Stashed) -> u64 {
-        if let Some(id) = self.stash_free.pop() {
-            self.stash[id as usize] = Some(item);
-            id
-        } else {
-            let id = self.stash.len() as u64;
-            debug_assert!(id <= TK_DATA_MASK, "stash id overflows token space");
-            self.stash.push(Some(item));
-            id
-        }
-    }
-
-    fn stash_take(&mut self, id: u64) -> Option<Stashed> {
-        let slot = self.stash.get_mut(id as usize)?;
-        let item = slot.take();
-        if item.is_some() {
-            self.stash_free.push(id);
-        }
-        item
-    }
-
     /// Charges a parser for one packet; `None` means tail drop.
     fn parser_admit(parser: &mut Cpu, now: SimTime, cfg: &SwitchConfig) -> Option<SimTime> {
         let backlog_ns = parser
@@ -277,68 +289,52 @@ impl<P: SwitchProgram> Switch<P> {
             ingress_port: port,
             now: ctx.now,
         };
-        // Parse as a borrowed view first: full acceptance checks, no
-        // owned packet. Programs that can decide from header fields alone
-        // (pure forwarding, ACK absorption) short-circuit here; only
-        // NeedFullPacket pays for the template + owned clone.
-        let template = {
-            let view = match RocePacket::parse_view(&frame) {
-                Ok(v) => v,
-                Err(_) => {
-                    self.shared.stats.parse_errors += 1;
-                    return;
-                }
-            };
-            match self.program.ingress_view(&view, meta, &self.shared) {
-                ViewVerdict::Drop => {
-                    self.shared.stats.dropped_ingress += 1;
-                    return;
-                }
-                ViewVerdict::Forward(out_frame, out) => {
-                    let id = self.stash_put(Stashed::RawForward(out_frame, out));
-                    ctx.schedule(self.shared.cfg.pipeline_latency, TimerToken(TK_EGRESS | id));
-                    return;
-                }
-                // The view already validated the frame; build the
-                // template without a second checksum pass.
-                ViewVerdict::NeedFullPacket => Arc::new(view.to_template()),
+        // The ingress parser: full acceptance checks, headers read in
+        // place. An owned packet exists only if the verdict is a CPU punt.
+        let view = match RocePacket::parse_view(&frame) {
+            Ok(v) => v,
+            Err(_) => {
+                self.shared.stats.parse_errors += 1;
+                return;
             }
         };
-        let mut pkt = template.packet().clone();
-        let verdict = self.program.ingress(&mut pkt, meta, &self.shared);
+        let mut rw = RewriteSet::default();
+        let verdict = self
+            .program
+            .ingress(&mut Headers::new(view, &mut rw), meta, &self.shared);
+        let mut to_egress = |sw: &mut Self, port: PortId, rid: u16| {
+            let copy = InFlight {
+                arrived: view.to_template(),
+                rw,
+                port,
+                rid,
+            };
+            let id = sw.in_flight.put(copy);
+            ctx.schedule(sw.shared.cfg.pipeline_latency, TimerToken(TK_EGRESS | id));
+        };
         match verdict {
             IngressVerdict::Drop => {
                 self.shared.stats.dropped_ingress += 1;
             }
-            IngressVerdict::Unicast(out) => {
-                let id = self.stash_put(Stashed::AtEgress(PacketLane { pkt, template }, out, 0));
-                ctx.schedule(self.shared.cfg.pipeline_latency, TimerToken(TK_EGRESS | id));
-            }
+            IngressVerdict::Unicast(out) => to_egress(self, out, 0),
             IngressVerdict::Multicast(gid) => {
                 let mut members = std::mem::take(&mut self.mcast_scratch);
                 members.clear();
                 members.extend_from_slice(self.shared.mcast.members(gid).unwrap_or_default());
                 if members.is_empty() {
-                    self.mcast_scratch = members;
                     self.shared.stats.dropped_ingress += 1;
-                    return;
                 }
                 for &m in &members {
                     self.shared.stats.multicast_copies += 1;
-                    // Clones share the payload bytes and the serialized
-                    // template; only the parsed header view is per copy.
-                    let lane = PacketLane {
-                        pkt: pkt.clone(),
-                        template: Arc::clone(&template),
-                    };
-                    let id = self.stash_put(Stashed::AtEgress(lane, m.port, m.rid));
-                    ctx.schedule(self.shared.cfg.pipeline_latency, TimerToken(TK_EGRESS | id));
+                    to_egress(self, m.port, m.rid);
                 }
                 self.mcast_scratch = members;
             }
             IngressVerdict::ToCpu => {
                 self.shared.stats.punted += 1;
-                let id = self.stash_put(Stashed::ForCpu(pkt));
+                let mut pkt = view.to_packet();
+                rw.apply(&mut pkt);
+                let id = self.punted.put(pkt);
                 ctx.schedule(self.shared.cfg.cpu_punt_latency, TimerToken(TK_CPU | id));
             }
         }
@@ -362,7 +358,7 @@ impl<P: SwitchProgram> Node for Switch<P> {
                 self.shared.stats.parser_overflow_drops += 1;
             }
             Some(parsed_at) => {
-                let id = self.stash_put(Stashed::RawFrame(frame, port));
+                let id = self.arrived.put((frame, port));
                 ctx.schedule_at(parsed_at, TimerToken(TK_INGRESS | id));
             }
         }
@@ -373,75 +369,57 @@ impl<P: SwitchProgram> Node for Switch<P> {
         let data = token.0 & TK_DATA_MASK;
         match class {
             TK_INGRESS => {
-                let Some(Stashed::RawFrame(frame, port)) = self.stash_take(data) else {
+                let Some((frame, port)) = self.arrived.take(data) else {
                     return;
                 };
                 self.run_ingress(frame, port, ctx);
             }
             TK_EGRESS => {
-                let (stashed, port) = match self.stash_take(data) {
-                    Some(Stashed::AtEgress(lane, port, rid)) => {
-                        (Stashed::AtEgress(lane, port, rid), port)
-                    }
-                    Some(Stashed::RawForward(frame, port)) => {
-                        (Stashed::RawForward(frame, port), port)
-                    }
-                    _ => return,
+                // The copy stays parked where the ingress put it; this
+                // step only charges the output port's egress parser.
+                let Some(copy) = self.in_flight.get_mut(data) else {
+                    return;
                 };
-                let lane = port.index() % self.egress_parsers.len();
+                let lane = copy.port.index() % self.egress_parsers.len();
                 let parser = &mut self.egress_parsers[lane];
                 match Self::parser_admit(parser, ctx.now, &self.shared.cfg) {
                     None => {
+                        self.in_flight.take(data);
                         self.shared.stats.parser_overflow_drops += 1;
                     }
-                    Some(done) => {
-                        let id = self.stash_put(stashed);
-                        ctx.schedule_at(done, TimerToken(TK_EMIT | id));
-                    }
+                    Some(done) => ctx.schedule_at(done, TimerToken(TK_EMIT | data)),
                 }
             }
             TK_EMIT => {
-                match self.stash_take(data) {
-                    Some(Stashed::AtEgress(mut lane, port, rid)) => {
-                        let meta = EgressMeta {
-                            egress_port: port,
-                            rid,
-                            now: ctx.now,
-                        };
-                        if self.program.egress(&mut lane.pkt, meta, &self.shared) {
-                            self.shared.stats.forwarded += 1;
-                            // The deparser stamps whatever headers the pipeline
-                            // stages rewrote onto the original bytes, fixing the
-                            // checksums incrementally; only a structural change
-                            // (different opcode, extension set or length) costs a
-                            // full re-serialization.
-                            let frame = match lane.template.instantiate(&lane.pkt) {
-                                Ok(f) => {
-                                    self.shared.stats.emitted_patched += 1;
-                                    f
-                                }
-                                Err(_) => {
-                                    self.shared.stats.emitted_reserialized += 1;
-                                    lane.pkt.to_frame()
-                                }
-                            };
-                            ctx.send(port, frame);
-                        } else {
-                            self.shared.stats.dropped_egress += 1;
-                        }
-                    }
-                    Some(Stashed::RawForward(frame, port)) => {
-                        // Bytes were final at ingress; the copy consumed
-                        // the egress parser like any other and ships as-is.
-                        self.shared.stats.forwarded += 1;
-                        self.shared.stats.emitted_patched += 1;
-                        ctx.send(port, frame);
-                    }
-                    _ => (),
+                let Some(copy) = self.in_flight.get_mut(data) else {
+                    return;
+                };
+                let meta = EgressMeta {
+                    egress_port: copy.port,
+                    rid: copy.rid,
+                    now: ctx.now,
+                };
+                let mut hdr = Headers::new(copy.arrived.view(), &mut copy.rw);
+                if self.program.egress(&mut hdr, meta, &self.shared) {
+                    // The deparser, the one place a frame is built for a
+                    // port: whatever the stages recorded is stamped onto
+                    // the arrived bytes with the checksums fixed
+                    // incrementally; an empty delta ships the very same
+                    // bytes.
+                    let frame = copy
+                        .arrived
+                        .stamp(&copy.rw)
+                        .expect("Headers records only rewrites the opcode carries");
+                    self.shared.stats.forwarded += 1;
+                    self.shared.stats.emitted_patched += 1;
+                    ctx.send(copy.port, frame);
+                } else {
+                    self.shared.stats.dropped_egress += 1;
                 }
+                self.in_flight.take(data);
             }
             TK_CPU => {
-                let Some(Stashed::ForCpu(pkt)) = self.stash_take(data) else {
+                let Some(pkt) = self.punted.take(data) else {
                     return;
                 };
                 let mut ops = Control {

@@ -23,6 +23,15 @@ if sed -n '/^enum Delivery {/,/^}/p' crates/rdma/src/host.rs | sed -n '/RemoteWr
   echo "tier-1: Delivery::RemoteWrite must not carry a payload (it would pin the received frame)" >&2; exit 1
 fi
 
+echo "==> one pipeline through the switch: two data-plane hooks, one emit site (ROADMAP item 3)"
+for gone in 'ingress_view' 'ViewVerdict' 'fn patch_frame' 'fn instantiate' 'fn parse_with_template' 'fn parse_view_cached' 'RawForward'; do
+  if grep -rn "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; stages record header deltas and the deparser stamps them" >&2; exit 1
+  fi
+done
+# The deparser and the control plane's send_packet: a third send is a second emit path.
+[ "$(grep -c 'ctx\.send(' crates/tofino/src/switch.rs)" -eq 2 ] || { echo "tier-1: crates/tofino/src/switch.rs must call ctx.send( exactly twice (deparser + control-plane send_packet)" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
