@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsim::{SimDuration, SimTime, TraceHandle};
 use p4ce::{ClusterBuilder, WorkloadSpec};
-use p4ce_harness::{run_point, PointConfig, System};
+use p4ce_harness::{observe_point, run_point, Observe, PointConfig, System};
 use replication::WorkloadSpec as Spec;
 
 fn bench_sim(c: &mut Criterion) {
@@ -45,18 +45,16 @@ fn bench_sim(c: &mut Criterion) {
 
     // The same P4CE point with the trace sink enabled. Comparing this
     // against `experiment_point_5ms/P4CE` above gives the wall-clock
-    // price of record collection; the disabled-sink configuration is
-    // the default in every other entry, so "tracing off" needs no
-    // dedicated benchmark.
+    // price of a traced point (record collection plus span assembly);
+    // the disabled-sink configuration is the default in every other
+    // entry, so "tracing off" needs no dedicated benchmark.
     group.bench_function("experiment_point_5ms/p4ce_traced", |b| {
         b.iter(|| {
-            let handle = TraceHandle::new();
             let mut cfg = PointConfig::new(System::P4ce, 2, Spec::closed(16, 64, 0));
             cfg.window = SimDuration::from_millis(5);
             cfg.warmup = SimDuration::from_millis(1);
-            cfg.tracer = handle.tracer("bench");
-            let decided = run_point(&cfg).decided;
-            (decided, handle.len())
+            let traced = observe_point(&cfg, &Observe::Traced(TraceHandle::new()));
+            (traced.outcome.decided, traced.records.len())
         });
     });
     group.finish();

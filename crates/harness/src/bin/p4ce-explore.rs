@@ -299,7 +299,7 @@ fn run_replay(path: &str, trace_out: Option<&str>) -> ExitCode {
     };
     if repro.kind == "chaos" {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            p4ce_harness::chaos::replay_traced(&repro, &tracer)
+            p4ce_harness::chaos::replay(&repro, &tracer)
         }));
         let code = match run {
             Ok(Ok(report)) => {
@@ -325,7 +325,7 @@ fn run_replay(path: &str, trace_out: Option<&str>) -> ExitCode {
         }
         return code;
     }
-    match explore::replay_traced(&repro, &tracer) {
+    match explore::replay(&repro, &tracer) {
         Ok(outcome) => {
             let code = match outcome.violation {
                 Some(v) => {

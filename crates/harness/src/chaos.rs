@@ -452,58 +452,49 @@ fn storm<F: Fabric>(mut d: Deployment<F>, spec: &ChaosSpec) -> ChaosReport {
     }
 }
 
-/// Runs a seeded chaos schedule against an `n_members` P4CE cluster.
+/// Runs a seeded chaos schedule against an `n_members` cluster of
+/// `system`. `tracer` is what the run is watched through: with a
+/// [`netsim::TraceHandle`]'s tracer the sink collects the full
+/// cross-layer record stream of the storm, so a failing schedule can be
+/// exported and visualized; `Tracer::disabled()` is the unobserved run.
+/// The report is identical either way — tracing observes, never
+/// perturbs.
 ///
 /// # Panics
 ///
-/// Panics if the cluster never accelerates, or if agreement /
+/// Panics if a P4CE cluster never accelerates, or if agreement /
 /// unique-leadership is violated — the panic *is* the test failure.
-pub fn run_p4ce(spec: &ChaosSpec, n_members: usize) -> ChaosReport {
-    run_p4ce_traced(spec, n_members, &Tracer::disabled())
-}
-
-/// [`run_p4ce`] with a trace sink attached (see [`netsim::TraceHandle`]):
-/// the report is identical — tracing observes, never perturbs — but the
-/// sink collects the full cross-layer record stream of the storm, so a
-/// failing schedule can be exported and visualized.
-pub fn run_p4ce_traced(spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> ChaosReport {
-    let mut d = p4ce::ClusterBuilder::new(n_members)
-        .seed(spec.seed)
-        .tracer(tracer.clone())
-        .build();
-    let accel_deadline = d.sim.now() + SimDuration::from_millis(300);
-    while d.sim.now() < accel_deadline
-        && !(d.leader().is_operational_leader() && d.leader().is_accelerated())
-    {
-        d.sim.run_for(SimDuration::from_millis(1));
+pub fn run(system: System, spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> ChaosReport {
+    match system {
+        System::P4ce => {
+            let mut d = p4ce::ClusterBuilder::new(n_members)
+                .seed(spec.seed)
+                .tracer(tracer.clone())
+                .build();
+            let accel_deadline = d.sim.now() + SimDuration::from_millis(300);
+            while d.sim.now() < accel_deadline
+                && !(d.leader().is_operational_leader() && d.leader().is_accelerated())
+            {
+                d.sim.run_for(SimDuration::from_millis(1));
+            }
+            assert!(
+                d.leader().is_accelerated(),
+                "cluster must accelerate before the storm"
+            );
+            storm(d, spec)
+        }
+        System::Mu => {
+            let d = mu::ClusterBuilder::new(n_members)
+                .seed(spec.seed)
+                .tracer(tracer.clone())
+                .build();
+            storm(d, spec)
+        }
     }
-    assert!(
-        d.leader().is_accelerated(),
-        "cluster must accelerate before the storm"
-    );
-    storm(d, spec)
 }
 
-/// Runs a seeded chaos schedule against an `n_members` Mu cluster.
-///
-/// # Panics
-///
-/// Same contract as [`run_p4ce`], minus the acceleration requirement.
-pub fn run_mu(spec: &ChaosSpec, n_members: usize) -> ChaosReport {
-    run_mu_traced(spec, n_members, &Tracer::disabled())
-}
-
-/// [`run_mu`] with a trace sink attached; same contract as
-/// [`run_p4ce_traced`].
-pub fn run_mu_traced(spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> ChaosReport {
-    let d = mu::ClusterBuilder::new(n_members)
-        .seed(spec.seed)
-        .tracer(tracer.clone())
-        .build();
-    storm(d, spec)
-}
-
-/// Runs a decoded `kind=chaos` reproducer.
+/// Runs a decoded `kind=chaos` reproducer, watched through `tracer`
+/// (`p4ce-explore replay --trace` visualizes the failing schedule).
 ///
 /// # Errors
 ///
@@ -513,26 +504,9 @@ pub fn run_mu_traced(spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> Cha
 ///
 /// Panics exactly where the original failing run did — replaying a
 /// reproducer *is* re-triggering its failure.
-pub fn replay(repro: &Repro) -> Result<ChaosReport, String> {
-    replay_traced(repro, &Tracer::disabled())
-}
-
-/// Replays a `kind=chaos` reproducer with a trace sink attached, so the
-/// failing schedule can be visualized (`p4ce-explore replay --trace`).
-///
-/// # Errors
-///
-/// Reports a malformed reproducer.
-///
-/// # Panics
-///
-/// Same contract as [`replay`].
-pub fn replay_traced(repro: &Repro, tracer: &Tracer) -> Result<ChaosReport, String> {
+pub fn replay(repro: &Repro, tracer: &Tracer) -> Result<ChaosReport, String> {
     let (system, n, spec) = ChaosSpec::from_repro(repro)?;
-    Ok(match system {
-        System::P4ce => run_p4ce_traced(&spec, n, tracer),
-        System::Mu => run_mu_traced(&spec, n, tracer),
-    })
+    Ok(run(system, &spec, n, tracer))
 }
 
 /// What [`shrink_spec`] converged on: the reduced spec and how many
@@ -605,10 +579,7 @@ pub fn shrink_spec(spec: &ChaosSpec, fails: &mut dyn FnMut(&ChaosSpec) -> bool) 
 /// file in its output.
 pub fn run_checked(spec: &ChaosSpec, n_members: usize, system: System) -> ChaosReport {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let run = |s: &ChaosSpec| match system {
-        System::P4ce => run_p4ce(s, n_members),
-        System::Mu => run_mu(s, n_members),
-    };
+    let run = |s: &ChaosSpec| run(system, s, n_members, &Tracer::disabled());
     match catch_unwind(AssertUnwindSafe(|| run(spec))) {
         Ok(report) => report,
         Err(payload) => {

@@ -199,11 +199,6 @@ pub fn row(scenario: &Scenario, out: &FailoverOutcome) -> E10Row {
     }
 }
 
-/// Runs the whole sweep.
-pub fn run(quick: bool) -> Vec<E10Row> {
-    configs(quick).iter().map(|s| row(s, &s.run())).collect()
-}
-
 /// Nearest-rank percentile of the rows' unavailability windows, ms.
 pub fn unavailability_percentile(rows: &[E10Row], p: f64) -> f64 {
     let mut windows: Vec<f64> = rows.iter().map(|r| r.unavailability_ms).collect();

@@ -10,7 +10,7 @@ use netsim::SimDuration;
 use replication::WorkloadSpec;
 
 use crate::report::{fmt_f64, TableRow};
-use crate::runner::{run_points, run_points_parallel, PointConfig, PointOutcome, System};
+use crate::runner::{run_point, sweep, PointConfig, PointOutcome, System};
 
 /// One measured point of Figure 5.
 #[derive(Debug, Clone, Copy)]
@@ -78,23 +78,16 @@ fn to_row(cfg: &PointConfig, out: &PointOutcome) -> GoodputRow {
     }
 }
 
-/// Runs the full Figure 5 sweep sequentially.
-pub fn run(sizes: &[usize], replica_counts: &[usize], window: SimDuration) -> Vec<GoodputRow> {
-    let cfgs = configs(sizes, replica_counts, window);
-    let outs = run_points(&cfgs);
-    cfgs.iter().zip(&outs).map(|(c, o)| to_row(c, o)).collect()
-}
-
-/// Runs the same sweep across `threads` worker threads. Every point is an
-/// isolated virtual-time simulation, so the rows are identical to
-/// [`run`]'s regardless of scheduling.
-pub fn run_parallel(
+/// Runs the full Figure 5 sweep across `threads` worker threads. Every
+/// point is an isolated virtual-time simulation, so the rows are
+/// identical on any thread count.
+pub fn run(
     sizes: &[usize],
     replica_counts: &[usize],
     window: SimDuration,
     threads: usize,
 ) -> Vec<GoodputRow> {
     let cfgs = configs(sizes, replica_counts, window);
-    let outs = run_points_parallel(&cfgs, threads);
+    let outs = sweep(&cfgs, threads, run_point);
     cfgs.iter().zip(&outs).map(|(c, o)| to_row(c, o)).collect()
 }

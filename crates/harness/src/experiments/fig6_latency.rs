@@ -9,7 +9,7 @@ use netsim::SimDuration;
 use replication::{WorkloadMode, WorkloadSpec};
 
 use crate::report::{fmt_f64, TableRow};
-use crate::runner::{run_points, run_points_parallel, PointConfig, PointOutcome, System};
+use crate::runner::{run_point, sweep, PointConfig, PointOutcome, System};
 
 /// One point of the latency/throughput curve.
 #[derive(Debug, Clone, Copy)]
@@ -89,23 +89,16 @@ fn to_row(cfg: &PointConfig, out: &PointOutcome) -> LatencyRow {
     }
 }
 
-/// Runs the latency-vs-throughput sweep sequentially.
-pub fn run(rates: &[f64], replica_counts: &[usize], window: SimDuration) -> Vec<LatencyRow> {
-    let cfgs = configs(rates, replica_counts, window);
-    let outs = run_points(&cfgs);
-    cfgs.iter().zip(&outs).map(|(c, o)| to_row(c, o)).collect()
-}
-
-/// Runs the same sweep across `threads` worker threads. Every point is an
-/// isolated virtual-time simulation, so the rows are identical to
-/// [`run`]'s regardless of scheduling.
-pub fn run_parallel(
+/// Runs the latency-vs-throughput sweep across `threads` worker
+/// threads. Every point is an isolated virtual-time simulation, so the
+/// rows are identical on any thread count.
+pub fn run(
     rates: &[f64],
     replica_counts: &[usize],
     window: SimDuration,
     threads: usize,
 ) -> Vec<LatencyRow> {
     let cfgs = configs(rates, replica_counts, window);
-    let outs = run_points_parallel(&cfgs, threads);
+    let outs = sweep(&cfgs, threads, run_point);
     cfgs.iter().zip(&outs).map(|(c, o)| to_row(c, o)).collect()
 }

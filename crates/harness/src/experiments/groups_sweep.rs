@@ -11,9 +11,8 @@
 use netsim::SimDuration;
 
 use crate::report::{fmt_f64, TableRow};
-use crate::shard::{
-    run_sharded_points, run_sharded_points_parallel, ShardedOutcome, ShardedPointConfig,
-};
+use crate::runner::sweep;
+use crate::shard::{run_sharded_point, ShardedOutcome, ShardedPointConfig};
 
 /// One group-count point of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -99,19 +98,12 @@ fn to_row(cfg: &ShardedPointConfig, out: &ShardedOutcome) -> GroupsRow {
     }
 }
 
-/// Runs the groups sweep sequentially.
-pub fn run(group_counts: &[usize], window: SimDuration) -> Vec<GroupsRow> {
-    let cfgs = configs(group_counts, window);
-    let outs = run_sharded_points(&cfgs);
-    cfgs.iter().zip(&outs).map(|(c, o)| to_row(c, o)).collect()
-}
-
-/// Runs the same sweep across `threads` worker threads; rows are
-/// identical to [`run`]'s because every point is an isolated
+/// Runs the groups sweep across `threads` worker threads; the rows are
+/// identical on any thread count because every point is an isolated
 /// virtual-time simulation.
-pub fn run_parallel(group_counts: &[usize], window: SimDuration, threads: usize) -> Vec<GroupsRow> {
+pub fn run(group_counts: &[usize], window: SimDuration, threads: usize) -> Vec<GroupsRow> {
     let cfgs = configs(group_counts, window);
-    let outs = run_sharded_points_parallel(&cfgs, threads);
+    let outs = sweep(&cfgs, threads, run_sharded_point);
     cfgs.iter().zip(&outs).map(|(c, o)| to_row(c, o)).collect()
 }
 

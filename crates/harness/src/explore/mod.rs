@@ -493,20 +493,13 @@ fn probe_from<C: Comm>(host: &Host<Member<C>>, i: usize, ips: &[Ipv4Addr]) -> Me
 /// `spec.horizon` explored steps under the given decision vector (or a
 /// random walk when `rng` is set), auditing the oracles after every
 /// step.
+///
+/// `tracer` is attached to every layer of the deployment. The outcome
+/// is identical under any sink — tracing observes, never perturbs —
+/// and `Tracer::disabled()` is the unobserved run; an enabled sink
+/// collects the cross-layer record stream of the schedule, which is how
+/// a shrunk reproducer gets visualized (`p4ce-explore replay --trace`).
 pub fn run_schedule(
-    spec: &ExploreSpec,
-    decisions: &BTreeMap<u32, u32>,
-    rng: Option<u64>,
-) -> ScheduleOutcome {
-    run_schedule_traced(spec, decisions, rng, &Tracer::disabled())
-}
-
-/// [`run_schedule`] with a trace sink attached to every layer of the
-/// deployment. The outcome is identical — tracing observes, never
-/// perturbs — but the sink collects the cross-layer record stream of
-/// the schedule, which is how a shrunk reproducer gets visualized
-/// (`p4ce-explore replay --trace`).
-pub fn run_schedule_traced(
     spec: &ExploreSpec,
     decisions: &BTreeMap<u32, u32>,
     rng: Option<u64>,
@@ -664,7 +657,7 @@ pub fn explore(spec: &ExploreSpec, delay_bound: u32, budget: Budget) -> ExploreR
             .filter(|&(_, &c)| c != 0)
             .map(|(i, &c)| (i as u32, c))
             .collect();
-        let outcome = run_schedule(spec, &decisions, None);
+        let outcome = run_schedule(spec, &decisions, None, &Tracer::disabled());
         schedules += 1;
         max_branch_points = max_branch_points.max(outcome.branch_counts.len());
         if let Some(violation) = outcome.violation {
@@ -743,7 +736,7 @@ pub fn random_walk(spec: &ExploreSpec, budget: Budget) -> ExploreReport {
             }
         }
         let walk_seed = splitmix(&mut state);
-        let outcome = run_schedule(spec, &BTreeMap::new(), Some(walk_seed));
+        let outcome = run_schedule(spec, &BTreeMap::new(), Some(walk_seed), &Tracer::disabled());
         schedules += 1;
         max_branch_points = max_branch_points.max(outcome.branch_counts.len());
         if let Some(violation) = outcome.violation {
@@ -761,24 +754,16 @@ pub fn random_walk(spec: &ExploreSpec, budget: Budget) -> ExploreReport {
     done(schedules, max_branch_points, ExploreStatus::BudgetExhausted)
 }
 
-/// Replays a serialized reproducer and reports what it does now.
+/// Replays a serialized reproducer, watched through `tracer` so the
+/// failing schedule can be exported and visualized, and reports what
+/// it does now.
 ///
 /// # Errors
 ///
 /// Reports a malformed reproducer.
-pub fn replay(repro: &Repro) -> Result<ScheduleOutcome, String> {
-    replay_traced(repro, &Tracer::disabled())
-}
-
-/// Replays a serialized reproducer with a trace sink attached, so the
-/// failing schedule can be exported and visualized.
-///
-/// # Errors
-///
-/// Reports a malformed reproducer.
-pub fn replay_traced(repro: &Repro, tracer: &Tracer) -> Result<ScheduleOutcome, String> {
+pub fn replay(repro: &Repro, tracer: &Tracer) -> Result<ScheduleOutcome, String> {
     let (spec, decisions) = ExploreSpec::from_repro(repro)?;
-    Ok(run_schedule_traced(&spec, &decisions, None, tracer))
+    Ok(run_schedule(&spec, &decisions, None, tracer))
 }
 
 #[cfg(test)]
@@ -806,7 +791,7 @@ mod tests {
         // The shrunk reproducer survives a serialize/parse/replay trip.
         let text = shrunk.spec.to_repro(&shrunk.decisions).encode();
         let back = Repro::decode(&text).expect("decode");
-        let outcome = replay(&back).expect("replay");
+        let outcome = replay(&back, &Tracer::disabled()).expect("replay");
         let v = outcome.violation.expect("replayed violation");
         assert_eq!(v.oracle, OracleKind::SingleWriter);
     }
@@ -863,7 +848,7 @@ mod tests {
         // The counterexample round-trips through a reproducer file.
         let text = spec.to_repro(&cex.decisions).encode();
         let back = Repro::decode(&text).expect("decode");
-        let outcome = replay(&back).expect("replay");
+        let outcome = replay(&back, &Tracer::disabled()).expect("replay");
         let v = outcome.violation.expect("replayed violation");
         assert_eq!(v.oracle, OracleKind::GroupIsolation);
     }

@@ -20,6 +20,7 @@
 //! another, the result is still a bug reproducer — and usually a more
 //! fundamental one.
 
+use netsim::Tracer;
 use std::collections::BTreeMap;
 
 use super::oracle::Violation;
@@ -44,7 +45,7 @@ pub fn shrink(spec: &ExploreSpec, decisions: &BTreeMap<u32, u32>) -> Option<Shru
     let mut schedules = 0u64;
     let mut run = |spec: &ExploreSpec, decisions: &BTreeMap<u32, u32>| {
         schedules += 1;
-        run_schedule(spec, decisions, None).violation
+        run_schedule(spec, decisions, None, &Tracer::disabled()).violation
     };
 
     let mut spec = spec.clone();

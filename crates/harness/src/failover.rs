@@ -34,7 +34,7 @@
 //! at tick instants, which cannot reorder the (time, seq) event order.
 
 use netsim::timeseries::SampledRegistry;
-use netsim::{SimDuration, SimTime, TraceEvent, TraceHandle, TraceRecord};
+use netsim::{NodeId, SimDuration, SimTime, Simulation, TraceEvent, TraceHandle, TraceRecord};
 use replication::WorkloadSpec;
 
 use crate::chaos::{clear_storm, install_storm, ChaosSpec};
@@ -303,8 +303,107 @@ fn last_decide_before(records: &[TraceRecord], prefix: &str, cutoff: SimTime) ->
         .unwrap_or(cutoff)
 }
 
+/// What differs between a single-group and a sharded leader kill; the
+/// schedule, the sampling cadence and the attribution are shared.
+struct Victim<'a, D> {
+    sim: fn(&mut D) -> &mut Simulation,
+    /// Kills the victim group's leader; `label` annotates the timeline.
+    kill: fn(&mut D),
+    label: &'a str,
+    /// The victim group's members: the storm lands on their links.
+    stormed: Vec<NodeId>,
+    /// Node-label prefix of the victim group's trace records.
+    prefix: &'a str,
+    /// The victim group's decided series (the dip is read off it).
+    dip_series: &'a str,
+    /// Whose stats feed [`FailoverBudget::from_events`].
+    successor: fn(&D) -> &mu::MemberStats,
+}
+
+/// The leader-kill body: from steady state, run to `cfg.kill_after`,
+/// kill, optionally storm the victim group's links for the spec's
+/// `storm` duration, keep observing for `cfg.observe_for` with `sample`
+/// recording every cadence tick, then attribute the outage.
+/// `group_decided` reads one group's decided count.
+fn kill_and_attribute<D>(
+    cfg: &FailoverConfig,
+    handle: &TraceHandle,
+    mut d: D,
+    victim: Victim<'_, D>,
+    groups: usize,
+    group_decided: impl Fn(&D, usize) -> u64,
+    mut sample: impl FnMut(&D, &mut SampledRegistry, SimTime),
+) -> FailoverOutcome {
+    let sim = victim.sim;
+    let t0 = sim(&mut d).now();
+    let t_kill = t0 + cfg.kill_after;
+    let t_end = t_kill + cfg.observe_for;
+    let mut ts = SampledRegistry::new(cfg.cadence);
+    ts.align(t0);
+
+    let mut killed = false;
+    let mut records_at_kill = Vec::new();
+    let storm_end = cfg.chaos.map(|spec| t_kill + spec.storm);
+    let mut storm_live = false;
+    loop {
+        let mut t = t_end;
+        if cfg.sample {
+            t = t.min(ts.next_tick());
+        }
+        if !killed {
+            t = t.min(t_kill);
+        }
+        if let Some(se) = storm_end {
+            if storm_live {
+                t = t.min(se);
+            }
+        }
+        sim(&mut d).run_until(t);
+        if !killed && t >= t_kill {
+            records_at_kill = handle.records();
+            (victim.kill)(&mut d);
+            if let Some(spec) = &cfg.chaos {
+                install_storm(sim(&mut d), &victim.stormed, spec, t_kill);
+                storm_live = true;
+                ts.annotate(t_kill, "harness", "fault-storm start");
+            }
+            ts.annotate(t_kill, "harness", victim.label);
+            killed = true;
+        }
+        if let Some(se) = storm_end {
+            if storm_live && t >= se {
+                clear_storm(sim(&mut d), &victim.stormed);
+                storm_live = false;
+                ts.annotate(se, "harness", "fault-storm end");
+            }
+        }
+        if cfg.sample && t == ts.next_tick() {
+            sample(&d, &mut ts, t);
+            ts.advance_tick();
+        }
+        if t >= t_end {
+            break;
+        }
+    }
+
+    let last_decide = last_decide_before(&records_at_kill, victim.prefix, t_kill);
+    let budget = FailoverBudget::from_events(t_kill, last_decide, (victim.successor)(&d));
+    let dip = dip_from(&ts, victim.dip_series, t_kill);
+    let records = handle.records();
+    ts.extend_annotations_from(&records);
+    ts.sort_annotations();
+    FailoverOutcome {
+        budget,
+        dip,
+        timeline: ts,
+        records,
+        group_decided: (0..groups).map(|g| group_decided(&d, g)).collect(),
+        events_processed: sim(&mut d).events_processed(),
+    }
+}
+
 /// Kills the steady-state leader of a single 3-to-N-member P4CE group
-/// and attributes the outage.
+/// and attributes the outage. Pinned by the frozen benchmark.
 ///
 /// # Panics
 ///
@@ -330,86 +429,31 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverOutcome {
         "cluster must accelerate before the kill"
     );
 
-    let t0 = d.sim.now();
-    let t_kill = t0 + cfg.kill_after;
-    let t_end = t_kill + cfg.observe_for;
-    let mut ts = SampledRegistry::new(cfg.cadence);
-    ts.align(t0);
-
-    let members = d.members.clone();
-    let mut killed = false;
-    let mut records_at_kill = Vec::new();
-    let storm_end = cfg.chaos.map(|spec| t_kill + spec.storm);
-    let mut storm_live = false;
-    loop {
-        let mut t = t_end;
-        if cfg.sample {
-            t = t.min(ts.next_tick());
+    let victim = Victim {
+        sim: |d: &mut p4ce::Deployment| &mut d.sim,
+        kill: |d| d.kill_member(0),
+        label: "leader-kill m0",
+        stormed: d.members.clone(),
+        prefix: "",
+        dip_series: "decided.total",
+        successor: |d| &d.member(1).stats,
+    };
+    let decided = |d: &p4ce::Deployment, _group| {
+        (0..cfg.members)
+            .map(|i| d.member(i).stats.decided)
+            .max()
+            .unwrap_or(0)
+    };
+    kill_and_attribute(cfg, &handle, d, victim, 1, decided, |d, ts, t| {
+        let mut vmax = 0u64;
+        for i in 0..cfg.members {
+            let m = d.member(i);
+            vmax = vmax.max(m.view());
+            ts.record_counter(&format!("m{i}.decided"), t, m.stats.decided);
         }
-        if !killed {
-            t = t.min(t_kill);
-        }
-        if let Some(se) = storm_end {
-            if storm_live {
-                t = t.min(se);
-            }
-        }
-        d.sim.run_until(t);
-        if !killed && t >= t_kill {
-            records_at_kill = handle.records();
-            d.kill_member(0);
-            if let Some(spec) = &cfg.chaos {
-                install_storm(&mut d.sim, &members, spec, t_kill);
-                storm_live = true;
-                ts.annotate(t_kill, "harness", "fault-storm start");
-            }
-            ts.annotate(t_kill, "harness", "leader-kill m0");
-            killed = true;
-        }
-        if let Some(se) = storm_end {
-            if storm_live && t >= se {
-                clear_storm(&mut d.sim, &members);
-                storm_live = false;
-                ts.annotate(se, "harness", "fault-storm end");
-            }
-        }
-        if cfg.sample && t == ts.next_tick() {
-            let mut total = 0u64;
-            let mut vmax = 0u64;
-            for i in 0..cfg.members {
-                let m = d.member(i);
-                let dec = m.stats.decided;
-                total = total.max(dec);
-                vmax = vmax.max(m.view());
-                ts.record_counter(&format!("m{i}.decided"), t, dec);
-            }
-            ts.record_counter("decided.total", t, total);
-            ts.record_counter("view.max", t, vmax);
-            ts.advance_tick();
-        }
-        if t >= t_end {
-            break;
-        }
-    }
-
-    let last_decide = last_decide_before(&records_at_kill, "", t_kill);
-    let budget = FailoverBudget::from_events(t_kill, last_decide, &d.member(1).stats);
-    let dip = dip_from(&ts, "decided.total", t_kill);
-    let records = handle.records();
-    ts.extend_annotations_from(&records);
-    ts.sort_annotations();
-    let decided = (0..cfg.members)
-        .map(|i| d.member(i).stats.decided)
-        .max()
-        .unwrap_or(0);
-    FailoverOutcome {
-        budget,
-        dip,
-        timeline: ts,
-        records,
-        group_decided: vec![decided],
-        events_processed: d.sim.events_processed(),
-    }
+        ts.record_counter("decided.total", t, decided(d, 0));
+        ts.record_counter("view.max", t, vmax);
+    })
 }
 
 /// [`run_failover`] against a sharded deployment: `groups` consensus
@@ -441,87 +485,28 @@ pub fn run_failover_sharded(cfg: &FailoverConfig, groups: usize) -> FailoverOutc
         );
     }
 
-    let t0 = d.sim.now();
-    let t_kill = t0 + cfg.kill_after;
-    let t_end = t_kill + cfg.observe_for;
-    let mut ts = SampledRegistry::new(cfg.cadence);
-    ts.align(t0);
-
-    let victims = d.members[0].clone();
-    let mut killed = false;
-    let mut records_at_kill = Vec::new();
-    let storm_end = cfg.chaos.map(|spec| t_kill + spec.storm);
-    let mut storm_live = false;
-    loop {
-        let mut t = t_end;
-        if cfg.sample {
-            t = t.min(ts.next_tick());
+    let victim = Victim {
+        sim: |d: &mut p4ce::ShardedDeployment| &mut d.sim,
+        kill: |d| d.kill_member(0, 0),
+        label: "leader-kill g0m0",
+        stormed: d.members[0].clone(),
+        prefix: "g0",
+        dip_series: "g0.decided.total",
+        successor: |d| &d.member(0, 1).stats,
+    };
+    let decided = |d: &p4ce::ShardedDeployment, g| {
+        (0..cfg.members)
+            .map(|i| d.member(g, i).stats.decided)
+            .max()
+            .unwrap_or(0)
+    };
+    kill_and_attribute(cfg, &handle, d, victim, groups, decided, |d, ts, t| {
+        let mut grand = 0u64;
+        for g in 0..groups {
+            let dec = decided(d, g);
+            ts.record_counter(&format!("g{g}.decided.total"), t, dec);
+            grand += dec;
         }
-        if !killed {
-            t = t.min(t_kill);
-        }
-        if let Some(se) = storm_end {
-            if storm_live {
-                t = t.min(se);
-            }
-        }
-        d.sim.run_until(t);
-        if !killed && t >= t_kill {
-            records_at_kill = handle.records();
-            d.kill_member(0, 0);
-            if let Some(spec) = &cfg.chaos {
-                install_storm(&mut d.sim, &victims, spec, t_kill);
-                storm_live = true;
-                ts.annotate(t_kill, "harness", "fault-storm start");
-            }
-            ts.annotate(t_kill, "harness", "leader-kill g0m0");
-            killed = true;
-        }
-        if let Some(se) = storm_end {
-            if storm_live && t >= se {
-                clear_storm(&mut d.sim, &victims);
-                storm_live = false;
-                ts.annotate(se, "harness", "fault-storm end");
-            }
-        }
-        if cfg.sample && t == ts.next_tick() {
-            let mut grand = 0u64;
-            for g in 0..groups {
-                let dec = (0..cfg.members)
-                    .map(|i| d.member(g, i).stats.decided)
-                    .max()
-                    .unwrap_or(0);
-                ts.record_counter(&format!("g{g}.decided.total"), t, dec);
-                grand += dec;
-            }
-            ts.record_counter("decided.total", t, grand);
-            ts.advance_tick();
-        }
-        if t >= t_end {
-            break;
-        }
-    }
-
-    let last_decide = last_decide_before(&records_at_kill, "g0", t_kill);
-    let budget = FailoverBudget::from_events(t_kill, last_decide, &d.member(0, 1).stats);
-    let dip = dip_from(&ts, "g0.decided.total", t_kill);
-    let records = handle.records();
-    ts.extend_annotations_from(&records);
-    ts.sort_annotations();
-    let group_decided = (0..groups)
-        .map(|g| {
-            (0..cfg.members)
-                .map(|i| d.member(g, i).stats.decided)
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    FailoverOutcome {
-        budget,
-        dip,
-        timeline: ts,
-        records,
-        group_decided,
-        events_processed: d.sim.events_processed(),
-    }
+        ts.record_counter("decided.total", t, grand);
+    })
 }

@@ -1,20 +1,40 @@
 //! # p4ce-harness — experiment drivers for the P4CE reproduction
 //!
 //! One module per table/figure of the paper's evaluation (§V), plus the
-//! §IV-D ablation and the §VI P4xos comparison:
+//! §IV-D ablation, the §VI P4xos comparison and the two supplementary
+//! sweeps:
 //!
-//! | module | paper artifact |
-//! |---|---|
-//! | [`experiments::fig5_goodput`] | Fig. 5 — goodput vs. value size |
-//! | [`experiments::maxrate`] | §V-C — max consensus/s at 64 B |
-//! | [`experiments::fig6_latency`] | Fig. 6 — latency vs. throughput |
-//! | [`experiments::fig7_burst`] | Fig. 7 — burst latency |
-//! | [`experiments::table4_failover`] | Table IV — fail-over times |
-//! | [`experiments::ablation_ackdrop`] | §IV-D — ACK-drop placement |
-//! | [`experiments::related_p4xos`] | §VI — P4xos latency comparison |
+//! | module | paper artifact | `p4ce-bench` |
+//! |---|---|---|
+//! | [`experiments::fig5_goodput`] | Fig. 5 — goodput vs. value size | `fig5` |
+//! | [`experiments::maxrate`] | §V-C — max consensus/s at 64 B | `maxrate` |
+//! | [`experiments::fig6_latency`] | Fig. 6 — latency vs. throughput | `fig6` |
+//! | [`experiments::fig7_burst`] | Fig. 7 — burst latency | `fig7` |
+//! | [`experiments::table4_failover`] | Table IV — fail-over times | `table4` |
+//! | [`experiments::ablation_ackdrop`] | §IV-D — ACK-drop placement | `ablation ack-drop` |
+//! | [`experiments::related_p4xos`] | §VI — P4xos latency comparison | `p4xos` |
+//! | [`experiments::groups_sweep`] | E9 — sharded groups sweep | `groups` |
+//! | [`experiments::e10_failover`] | E10 — failover attribution | `failover` |
 //!
-//! The binaries in `p4ce-bench` are thin wrappers over these modules;
-//! each prints a markdown table whose shape mirrors the paper's artifact.
+//! The `p4ce-bench` binary is a thin front door over these modules; each
+//! subcommand prints a markdown table whose shape mirrors the paper's
+//! artifact.
+//!
+//! Each scenario kind has one run entry, which takes what to observe as
+//! an argument and is the same run whatever it is asked to watch:
+//!
+//! | kind | entry | observed through |
+//! |---|---|---|
+//! | measured point | [`observe_point`] | [`Observe`] (layer counters, trace handle) |
+//! | sharded point | [`observe_sharded_point`] | [`Observe`] |
+//! | chaos storm | [`chaos::run`] (+ [`chaos::replay`], [`chaos::run_checked`]) | `&Tracer` |
+//! | explored schedule | [`explore::run_schedule`] (+ [`explore::replay`]) | `&Tracer` |
+//! | leader kill | [`run_failover`], [`run_failover_sharded`] — one kill loop | the outcome's timeline and records |
+//!
+//! [`sweep`] runs any of the point kinds over a config list on a worker
+//! pool. [`run_point`], [`run_point_traced`], [`run_sharded_point`] and
+//! [`run_failover`] are pinned by the frozen `benchmark/src/sut.rs`; the
+//! first three are one-line projections of the `observe_*` entries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,18 +55,14 @@ pub use failover::{
     run_failover, run_failover_sharded, FailoverBudget, FailoverConfig, FailoverOutcome,
     FailoverPhase, ThroughputDip, FAILOVER_PHASES,
 };
-pub use report::{print_markdown, to_csv, to_markdown, truncation_warning, write_csv, TableRow};
+pub use report::{to_markdown, truncation_warning, TableRow};
 pub use repro::Repro;
 pub use runner::{
-    run_point, run_point_metered, run_points, run_points_parallel, PointConfig, PointOutcome,
-    System,
-};
-pub use shard::{
-    run_sharded_point, run_sharded_point_metered, run_sharded_points, run_sharded_points_parallel,
-    HashRing, ShardGroupOutcome, ShardKvCommand, ShardKvStore, ShardedOutcome, ShardedPointConfig,
-    ZipfSampler,
-};
-pub use tracing::{
-    run_point_traced, run_point_traced_with, stage_rows, stage_table, write_chrome_trace,
+    observe_point, run_point, run_point_traced, sweep, Observe, PointConfig, PointOutcome, System,
     TracedPoint,
 };
+pub use shard::{
+    observe_sharded_point, run_sharded_point, HashRing, ShardGroupOutcome, ShardKvCommand,
+    ShardKvStore, ShardedOutcome, ShardedPointConfig, ZipfSampler,
+};
+pub use tracing::{stage_rows, stage_table, write_chrome_trace};

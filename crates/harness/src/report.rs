@@ -1,9 +1,7 @@
 //! Table rendering: every experiment prints a markdown table (the shape
-//! reported in EXPERIMENTS.md) and can emit CSV for plotting.
+//! reported in EXPERIMENTS.md and committed under `results/`).
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// A typed result row that knows how to print itself.
 pub trait TableRow {
@@ -28,31 +26,6 @@ pub fn to_markdown<R: TableRow>(title: &str, rows: &[R]) -> String {
         let _ = writeln!(out, "| {} |", row.cells().join(" | "));
     }
     out
-}
-
-/// Prints the markdown table to stdout.
-pub fn print_markdown<R: TableRow>(title: &str, rows: &[R]) {
-    print!("{}", to_markdown(title, rows));
-    println!();
-}
-
-/// Renders rows as CSV.
-pub fn to_csv<R: TableRow>(rows: &[R]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", R::headers().join(","));
-    for row in rows {
-        let _ = writeln!(out, "{}", row.cells().join(","));
-    }
-    out
-}
-
-/// Writes rows as CSV to `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_csv<R: TableRow>(path: impl AsRef<Path>, rows: &[R]) -> io::Result<()> {
-    std::fs::write(path, to_csv(rows))
 }
 
 /// The standard warning line for bounded-trace-ring truncation: `None`
@@ -116,16 +89,6 @@ mod tests {
         assert!(md.contains("| name | value |"));
         assert!(md.contains("| a | 1.50 |"));
         assert!(md.contains("| b | 250 |"));
-    }
-
-    #[test]
-    fn csv_shape() {
-        let rows = vec![Demo {
-            name: "x",
-            value: 0.125,
-        }];
-        let csv = to_csv(&rows);
-        assert_eq!(csv, "name,value\nx,0.1250\n");
     }
 
     #[test]

@@ -1,11 +1,24 @@
 //! Generic experiment-point runner: build a cluster (Mu or P4CE), warm it
-//! up, measure over a window, collect one outcome.
+//! up, measure over a window, collect one outcome — and, when asked,
+//! what the run looked like from the inside ([`Observe`]).
+//!
+//! [`observe_point`] is the one body. [`run_point`] and
+//! [`run_point_traced`] are one-line projections of it whose signatures
+//! are pinned by the frozen `benchmark/src/sut.rs`; the benchmark-thaw
+//! PR (ROADMAP item 6) re-points the benchmark at `observe_point` and
+//! drops them.
 
-use netsim::{MetricsRegistry, SimDuration, SimTime, Tracer};
+use netsim::{
+    assemble_spans, breakdown, chrome_trace_json, InstanceSpan, MetricsRegistry, SimDuration,
+    SimTime, StageBreakdown, TraceHandle, TraceRecord, Tracer,
+};
 use p4ce::SwitchSetters;
 use rdma::Host;
 use replication::{ClusterBuilder, Fabric, Member, WorkloadSpec};
 use std::fmt;
+
+use crate::report::truncation_warning;
+use crate::tracing::stage_table;
 
 /// Which replication system a point runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,14 +59,6 @@ pub struct PointConfig {
     pub parser_cost: Option<SimDuration>,
     /// ACK-drop placement for P4CE (ablation E6).
     pub ack_drop: p4ce::AckDropStage,
-    /// Record leader latency in bounded log-linear histogram mode
-    /// instead of exact per-sample storage. Long sweeps turn this on to
-    /// keep memory flat; percentiles then carry ≲ 2% bucket error.
-    pub histogram_latency: bool,
-    /// Trace sink for the run. Disabled by default, which costs one
-    /// branch per instrumentation point; [`crate::tracing`] swaps in an
-    /// enabled handle to collect per-instance span records.
-    pub tracer: Tracer,
 }
 
 impl PointConfig {
@@ -68,8 +73,6 @@ impl PointConfig {
             seed: 42,
             parser_cost: None,
             ack_drop: p4ce::AckDropStage::Ingress,
-            histogram_latency: false,
-            tracer: Tracer::disabled(),
         }
     }
 }
@@ -102,9 +105,8 @@ pub struct PointOutcome {
     /// Total simulator events processed over the whole run (setup +
     /// warm-up + window) — a fingerprint of the virtual-time trajectory.
     pub events_processed: u64,
-    /// OS threads the sweep that produced this outcome ran on (1 for
-    /// [`run_point`] / [`run_points`], the effective worker count for
-    /// [`run_points_parallel`]). Excluded from `PartialEq`.
+    /// OS threads the [`sweep`] that produced this outcome ran on (1
+    /// outside a sweep). Excluded from `PartialEq`.
     pub threads_used: usize,
 }
 
@@ -121,6 +123,82 @@ impl PartialEq for PointOutcome {
     }
 }
 
+/// What a run is asked to watch besides its outcome. Observation never
+/// perturbs: the same config yields the same outcome, bit for bit,
+/// under any `Observe` (asserted by the `trace_smoke` integration
+/// test).
+#[derive(Debug, Clone, Default)]
+pub enum Observe {
+    /// The unobserved run: one disabled-sink branch per
+    /// instrumentation point, nothing snapshotted.
+    #[default]
+    Nothing,
+    /// Snapshot every layer's counters once the window closes.
+    Metrics,
+    /// The counters, plus the cross-layer trace collected through this
+    /// handle — unbounded, or a [`TraceHandle::bounded`] ring for long
+    /// runs where only the tail of the record stream matters.
+    Traced(TraceHandle),
+}
+
+impl Observe {
+    /// The sink a deployment is built with.
+    pub(crate) fn tracer(&self) -> Tracer {
+        match self {
+            Observe::Traced(handle) => handle.tracer("harness"),
+            _ => Tracer::disabled(),
+        }
+    }
+
+    pub(crate) fn wants_metrics(&self) -> bool {
+        !matches!(self, Observe::Nothing)
+    }
+}
+
+/// Everything one point produced: the outcome plus whatever
+/// [`Observe`] asked for (empty otherwise).
+#[derive(Debug)]
+pub struct TracedPoint {
+    /// The measured outcome — the same under any [`Observe`].
+    pub outcome: PointOutcome,
+    /// Every raw trace record, in emission order.
+    pub records: Vec<TraceRecord>,
+    /// Per-instance spans assembled from the records.
+    pub spans: Vec<InstanceSpan>,
+    /// Per-stage latency distributions over the complete spans.
+    pub breakdown: StageBreakdown,
+    /// Counter/gauge/histogram snapshot of every layer
+    /// (`member.N.*`, `host.N.*`, `switch.*`), plus
+    /// `trace.dropped_records` when a trace was collected.
+    pub metrics: MetricsRegistry,
+}
+
+impl TracedPoint {
+    /// The Chrome/Perfetto `trace_events` JSON for this point.
+    pub fn chrome_trace(&self) -> String {
+        chrome_trace_json(&self.records)
+    }
+
+    /// Records lost to a bounded trace ring during this run (zero for
+    /// unbounded sinks).
+    pub fn dropped_records(&self) -> u64 {
+        self.metrics.counter("trace.dropped_records").unwrap_or(0)
+    }
+
+    /// The markdown stage-breakdown table for this point. When the
+    /// bounded trace ring dropped records, the table closes with an
+    /// explicit truncation warning — a clipped record stream silently
+    /// biases the breakdown toward the end of the run otherwise.
+    pub fn stage_table(&self, title: &str) -> String {
+        let mut out = stage_table(title, &self.breakdown);
+        if let Some(warning) = truncation_warning(self.dropped_records()) {
+            out.push_str(&warning);
+            out.push('\n');
+        }
+        out
+    }
+}
+
 fn sanitize(workload: WorkloadSpec) -> WorkloadSpec {
     // Window-based measurement: unbounded stream, no internal warm-up
     // (the harness controls the window explicitly).
@@ -131,52 +209,82 @@ fn sanitize(workload: WorkloadSpec) -> WorkloadSpec {
     }
 }
 
-/// Runs one measured point.
+/// Runs one measured point. Pinned by the frozen benchmark; a
+/// projection of [`observe_point`].
 ///
 /// # Panics
 ///
 /// Panics if the leader fails to become operational within 500 ms of
 /// simulated time (a deployment bug, not a measurable outcome).
 pub fn run_point(cfg: &PointConfig) -> PointOutcome {
-    run_system(cfg, None)
+    observe_point(cfg, &Observe::Nothing).outcome
 }
 
-/// Runs one point and additionally snapshots every layer's counters
-/// into a [`MetricsRegistry`]: `member.N.*` (consensus layer),
-/// `host.N.*` (RDMA hosts), and — for P4CE — `switch.*` (the in-network
-/// program). Same outcome as [`run_point`] on the same config.
-pub fn run_point_metered(cfg: &PointConfig) -> (PointOutcome, MetricsRegistry) {
-    let mut reg = MetricsRegistry::new();
-    let outcome = run_system(cfg, Some(&mut reg));
-    (outcome, reg)
+/// Runs one point with an unbounded trace sink and the layer counters.
+/// Pinned by the frozen benchmark; a projection of [`observe_point`].
+pub fn run_point_traced(cfg: &PointConfig) -> TracedPoint {
+    observe_point(cfg, &Observe::Traced(TraceHandle::new()))
 }
 
-fn run_system(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOutcome {
+/// Runs one measured point and reports what `observe` asked for: the
+/// layer counters as `member.N.*` (consensus layer), `host.N.*` (RDMA
+/// hosts) and — for P4CE — `switch.*` (the in-network program); the
+/// trace as raw records, assembled spans and the stage breakdown.
+/// Records lost to a bounded ring's oldest-drop wraparound surface as
+/// the `trace.dropped_records` counter.
+///
+/// # Panics
+///
+/// Same contract as [`run_point`].
+pub fn observe_point(cfg: &PointConfig, observe: &Observe) -> TracedPoint {
     let n = cfg.replicas + 1;
-    match cfg.system {
-        System::Mu => run_on(mu::ClusterBuilder::new(n), cfg, metrics, |_, _| {}),
+    let mut metrics = MetricsRegistry::new();
+    let outcome = match cfg.system {
+        System::Mu => run_on(
+            mu::ClusterBuilder::new(n),
+            cfg,
+            observe,
+            &mut metrics,
+            |_, _| {},
+        ),
         System::P4ce => {
             let mut builder = p4ce::ClusterBuilder::new(n).ack_drop(cfg.ack_drop);
             if let Some(parser_cost) = cfg.parser_cost {
                 builder = builder.parser_cost(parser_cost);
             }
-            run_on(builder, cfg, metrics, |program, reg| {
+            run_on(builder, cfg, observe, &mut metrics, |program, reg| {
                 program.stats.register_into(reg, "switch");
             })
         }
+    };
+    let records = match observe {
+        Observe::Traced(handle) => {
+            metrics.set_counter("trace.dropped_records", handle.dropped());
+            handle.records()
+        }
+        _ => Vec::new(),
+    };
+    let spans = assemble_spans(&records);
+    TracedPoint {
+        outcome,
+        breakdown: breakdown(&spans),
+        records,
+        spans,
+        metrics,
     }
 }
 
 fn run_on<F: Fabric>(
     builder: ClusterBuilder<F>,
     cfg: &PointConfig,
-    metrics: Option<&mut MetricsRegistry>,
+    observe: &Observe,
+    reg: &mut MetricsRegistry,
     switch_metrics: impl FnOnce(&F::Program, &mut MetricsRegistry),
 ) -> PointOutcome {
     let mut d = builder
         .workload(sanitize(cfg.workload))
         .seed(cfg.seed)
-        .tracer(cfg.tracer.clone())
+        .tracer(observe.tracer())
         .build();
     let deadline = SimTime::ZERO + SimDuration::from_millis(500);
     while !d.leader().is_operational_leader() {
@@ -190,14 +298,11 @@ fn run_on<F: Fabric>(
     d.sim.run_for(cfg.warmup);
     let t0 = d.sim.now();
     d.member_mut(0).reset_measurements(t0);
-    if cfg.histogram_latency {
-        d.member_mut(0).stats.latency.use_histogram();
-    }
     d.sim.run_for(cfg.window);
     let now = d.sim.now();
     let accelerated = d.leader().is_accelerated();
     let events_processed = d.sim.events_processed();
-    if let Some(reg) = metrics {
+    if observe.wants_metrics() {
         for i in 0..=cfg.replicas {
             d.member(i).stats.register_into(reg, &format!("member.{i}"));
             d.sim
@@ -221,43 +326,54 @@ fn run_on<F: Fabric>(
     }
 }
 
-/// Runs every point in order on the calling thread.
-pub fn run_points(cfgs: &[PointConfig]) -> Vec<PointOutcome> {
-    cfgs.iter().map(run_point).collect()
+/// An outcome that records how many OS threads its [`sweep`] ran on.
+pub trait Swept {
+    /// Stamps the effective worker count.
+    fn set_threads_used(&mut self, threads: usize);
 }
 
-/// Runs the points across `threads` OS threads and returns outcomes in
-/// input order.
+impl Swept for PointOutcome {
+    fn set_threads_used(&mut self, threads: usize) {
+        self.threads_used = threads;
+    }
+}
+
+/// Runs `run_one` over every config across up to `threads` OS threads
+/// and returns the outcomes in input order, stamped with the effective
+/// worker count.
 ///
 /// Every point is an independent, self-contained discrete-event
-/// simulation seeded from its own [`PointConfig`] — no global state, no
+/// simulation seeded from its own config — no global state, no
 /// wall-clock dependence — so the outcome vector is *identical* (every
-/// field, including `events_processed`) to [`run_points`] regardless of
-/// thread count or scheduling. Threads pull the next unclaimed index
-/// from a shared counter, which keeps long and short points balanced
-/// without any work-size guessing.
+/// field, including `events_processed`) regardless of thread count or
+/// scheduling. Threads pull the next unclaimed index from a shared
+/// counter, which keeps long and short points balanced without any
+/// work-size guessing.
 ///
 /// # Panics
 ///
 /// Panics if any worker panics (the underlying point panicked), or if
 /// `threads` is zero.
-pub fn run_points_parallel(cfgs: &[PointConfig], threads: usize) -> Vec<PointOutcome> {
+pub fn sweep<C: Sync, O: Swept + Send>(
+    cfgs: &[C],
+    threads: usize,
+    run_one: impl Fn(&C) -> O + Sync,
+) -> Vec<O> {
     assert!(threads > 0, "need at least one worker thread");
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     // On a single-core box the spawn/synchronization cost is a pure
-    // loss (the workers just serialize on the one core), so fall back
-    // to the sequential runner on the calling thread. Same for a
-    // sweep that fits one worker anyway.
+    // loss (the workers just serialize on the one core), so run on the
+    // calling thread. Same for a sweep that fits one worker anyway.
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let workers = threads.min(cfgs.len().max(1));
     if hw == 1 || workers == 1 {
-        return run_points(cfgs);
+        return cfgs.iter().map(run_one).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, PointOutcome)>> = Mutex::new(Vec::with_capacity(cfgs.len()));
+    let results: Mutex<Vec<(usize, O)>> = Mutex::new(Vec::with_capacity(cfgs.len()));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -265,7 +381,7 @@ pub fn run_points_parallel(cfgs: &[PointConfig], threads: usize) -> Vec<PointOut
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(cfg) = cfgs.get(i) else { break };
-                    local.push((i, run_point(cfg)));
+                    local.push((i, run_one(cfg)));
                 }
                 results.lock().expect("no poisoned workers").extend(local);
             });
@@ -276,9 +392,9 @@ pub fn run_points_parallel(cfgs: &[PointConfig], threads: usize) -> Vec<PointOut
     assert_eq!(indexed.len(), cfgs.len(), "every point ran exactly once");
     indexed
         .into_iter()
-        .map(|(_, o)| PointOutcome {
-            threads_used: workers,
-            ..o
+        .map(|(_, mut o)| {
+            o.set_threads_used(workers);
+            o
         })
         .collect()
 }

@@ -10,13 +10,16 @@
 //! the groups-sweep experiment scans for the switch's contention knee.
 //!
 //! Everything here is a pure function of the config, like the
-//! single-group runner: [`run_sharded_points_parallel`] is bit-identical
-//! to the sequential sweep (the `threads_used` provenance field aside).
+//! single-group runner: a [`crate::runner::sweep`] over sharded points
+//! is bit-identical on any thread count (the `threads_used` provenance
+//! field aside).
 
 use bytes::{BufMut, Bytes, BytesMut};
 use netsim::{group_scoped, MetricsRegistry, SimDuration, SimTime, Tracer};
 use p4ce::{P4ceMember, ShardedClusterBuilder, ShardedDeployment, StateMachine};
 use rdma::Host;
+
+use crate::runner::{Observe, Swept};
 
 // ---------------------------------------------------------------------
 // Key → group routing
@@ -274,8 +277,6 @@ pub struct ShardedPointConfig {
     pub parser_slices: Option<usize>,
     /// Optional parser-cost override.
     pub parser_cost: Option<SimDuration>,
-    /// Trace sink.
-    pub tracer: Tracer,
 }
 
 impl ShardedPointConfig {
@@ -295,7 +296,6 @@ impl ShardedPointConfig {
             seed: 42,
             parser_slices: None,
             parser_cost: None,
-            tracer: Tracer::disabled(),
         }
     }
 }
@@ -355,13 +355,19 @@ impl PartialEq for ShardedOutcome {
     }
 }
 
+impl Swept for ShardedOutcome {
+    fn set_threads_used(&mut self, threads: usize) {
+        self.threads_used = threads;
+    }
+}
+
 /// Builds the deployment a sharded point runs on (shared with the
 /// isolation test, which needs the deployment before the client
 /// exists).
-pub fn build_sharded(cfg: &ShardedPointConfig) -> ShardedDeployment {
+pub fn build_sharded(cfg: &ShardedPointConfig, tracer: &Tracer) -> ShardedDeployment {
     let mut b = ShardedClusterBuilder::new(cfg.groups, cfg.members_per_group)
         .seed(cfg.seed)
-        .tracer(cfg.tracer.clone());
+        .tracer(tracer.clone());
     if let Some(k) = cfg.parser_slices {
         b = b.parser_slices(k);
     }
@@ -433,26 +439,27 @@ fn drive(
     proposed
 }
 
-/// Runs one sharded point.
+/// Runs one sharded point. Pinned by the frozen benchmark; a
+/// projection of [`observe_sharded_point`].
 pub fn run_sharded_point(cfg: &ShardedPointConfig) -> ShardedOutcome {
-    run_sharded(cfg, None)
+    observe_sharded_point(cfg, &Observe::Nothing).0
 }
 
-/// Runs one sharded point and snapshots every layer's counters under
-/// group-scoped names: `g{g}.member.{i}.*`, `g{g}.host.{i}.*`,
+/// Runs one sharded point and reports what `observe` asked for: the
+/// trace through its handle, and every layer's counters under
+/// group-scoped names — `g{g}.member.{i}.*`, `g{g}.host.{i}.*`,
 /// `g{g}.switch.gid`, plus the shared switch as `switch.*` and its
-/// per-group slices as `switch.g{gid}.*`.
-pub fn run_sharded_point_metered(cfg: &ShardedPointConfig) -> (ShardedOutcome, MetricsRegistry) {
+/// per-group slices as `switch.g{gid}.*` (an empty registry when not
+/// asked).
+pub fn observe_sharded_point(
+    cfg: &ShardedPointConfig,
+    observe: &Observe,
+) -> (ShardedOutcome, MetricsRegistry) {
     let mut reg = MetricsRegistry::new();
-    let outcome = run_sharded(cfg, Some(&mut reg));
-    (outcome, reg)
-}
-
-fn run_sharded(cfg: &ShardedPointConfig, metrics: Option<&mut MetricsRegistry>) -> ShardedOutcome {
     let ring = HashRing::new(cfg.groups as u16, 64);
     let mut zipf = ZipfSampler::new(cfg.keys, cfg.zipf_theta, cfg.seed);
     let mut counter = 0u64;
-    let mut d = build_sharded(cfg);
+    let mut d = build_sharded(cfg, &observe.tracer());
     await_leaders(&mut d);
 
     // Warm up under load, then reset every leader's window.
@@ -472,16 +479,16 @@ fn run_sharded(cfg: &ShardedPointConfig, metrics: Option<&mut MetricsRegistry>) 
     d.sim.run_for(SimDuration::from_millis(2));
     let events_processed = d.sim.events_processed();
 
-    if let Some(reg) = metrics {
+    if observe.wants_metrics() {
         for g in 0..cfg.groups {
             for i in 0..cfg.members_per_group {
                 d.member(g, i)
                     .stats
-                    .register_into(reg, &group_scoped(g, &format!("member.{i}")));
+                    .register_into(&mut reg, &group_scoped(g, &format!("member.{i}")));
                 d.sim
                     .node_ref::<Host<P4ceMember>>(d.members[g][i])
                     .stats()
-                    .register_into(reg, &group_scoped(g, &format!("host.{i}")));
+                    .register_into(&mut reg, &group_scoped(g, &format!("host.{i}")));
             }
             if let Some(gid) = d
                 .switch_program()
@@ -490,8 +497,8 @@ fn run_sharded(cfg: &ShardedPointConfig, metrics: Option<&mut MetricsRegistry>) 
                 reg.set_counter(&group_scoped(g, "switch.gid"), u64::from(gid));
             }
         }
-        d.switch_program().stats.register_into(reg, "switch");
-        d.switch_program().register_groups_into(reg, "switch");
+        d.switch_program().stats.register_into(&mut reg, "switch");
+        d.switch_program().register_groups_into(&mut reg, "switch");
     }
 
     let mut per_group = Vec::with_capacity(cfg.groups);
@@ -513,7 +520,7 @@ fn run_sharded(cfg: &ShardedPointConfig, metrics: Option<&mut MetricsRegistry>) 
             foreign,
         });
     }
-    ShardedOutcome {
+    let outcome = ShardedOutcome {
         aggregate_ops_per_sec: per_group.iter().map(|g| g.ops_per_sec).sum(),
         aggregate_goodput_bytes_per_sec: per_group.iter().map(|g| g.goodput_bytes_per_sec).sum(),
         p99_latency_us: per_group
@@ -524,61 +531,8 @@ fn run_sharded(cfg: &ShardedPointConfig, metrics: Option<&mut MetricsRegistry>) 
         events_processed,
         threads_used: 1,
         per_group,
-    }
-}
-
-/// Runs every sharded point in order on the calling thread.
-pub fn run_sharded_points(cfgs: &[ShardedPointConfig]) -> Vec<ShardedOutcome> {
-    cfgs.iter().map(run_sharded_point).collect()
-}
-
-/// Runs the sharded points across `threads` OS threads; outcomes are
-/// identical to [`run_sharded_points`] (every field except
-/// `threads_used`) because each point is a self-contained virtual-time
-/// simulation. Mirrors [`crate::runner::run_points_parallel`].
-///
-/// # Panics
-///
-/// Panics if any worker panics, or if `threads` is zero.
-pub fn run_sharded_points_parallel(
-    cfgs: &[ShardedPointConfig],
-    threads: usize,
-) -> Vec<ShardedOutcome> {
-    assert!(threads > 0, "need at least one worker thread");
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = threads.min(cfgs.len().max(1));
-    if hw == 1 || workers == 1 {
-        return run_sharded_points(cfgs);
-    }
-
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, ShardedOutcome)>> = Mutex::new(Vec::with_capacity(cfgs.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cfg) = cfgs.get(i) else { break };
-                    local.push((i, run_sharded_point(cfg)));
-                }
-                results.lock().expect("no poisoned workers").extend(local);
-            });
-        }
-    });
-    let mut indexed = results.into_inner().expect("no poisoned workers");
-    indexed.sort_by_key(|&(i, _)| i);
-    assert_eq!(indexed.len(), cfgs.len(), "every point ran exactly once");
-    indexed
-        .into_iter()
-        .map(|(_, o)| ShardedOutcome {
-            threads_used: workers,
-            ..o
-        })
-        .collect()
+    };
+    (outcome, reg)
 }
 
 #[cfg(test)]

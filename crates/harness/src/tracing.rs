@@ -1,95 +1,17 @@
-//! Traced experiment points: one-call wrappers that run a
-//! [`PointConfig`] with an enabled trace sink, stitch the records into
-//! per-instance spans, and render the per-stage latency breakdown the
-//! paper's evaluation reasons about (where does a consensus instance
-//! spend its time: leader post, switch scatter, replica fan-out, gather,
-//! decision?).
-//!
-//! The raw records also export as Chrome/Perfetto `trace_events` JSON
-//! ([`write_chrome_trace`]); `chrome://tracing` and <https://ui.perfetto.dev>
-//! both load the file directly.
+//! Rendering of what a traced run collected: the per-stage latency
+//! breakdown the paper's evaluation reasons about (where does a
+//! consensus instance spend its time: leader post, switch scatter,
+//! replica fan-out, gather, decision?) as a markdown table, and the raw
+//! records as Chrome/Perfetto `trace_events` JSON
+//! ([`write_chrome_trace`]); `chrome://tracing` and
+//! <https://ui.perfetto.dev> both load the file directly. The run
+//! itself is [`crate::runner::observe_point`].
 
-use netsim::{
-    assemble_spans, breakdown, chrome_trace_json, InstanceSpan, MetricsRegistry, StageBreakdown,
-    TraceHandle, TraceRecord,
-};
+use netsim::{chrome_trace_json, StageBreakdown, TraceRecord};
 use std::io;
 use std::path::Path;
 
-use crate::report::{fmt_f64, to_markdown, truncation_warning, TableRow};
-use crate::runner::{run_point_metered, PointConfig, PointOutcome};
-
-/// Everything one traced point produced.
-#[derive(Debug)]
-pub struct TracedPoint {
-    /// The measured outcome — identical to an untraced [`crate::run_point`]
-    /// of the same config (tracing observes, never perturbs).
-    pub outcome: PointOutcome,
-    /// Every raw trace record, in emission order.
-    pub records: Vec<TraceRecord>,
-    /// Per-instance spans assembled from the records.
-    pub spans: Vec<InstanceSpan>,
-    /// Per-stage latency distributions over the complete spans.
-    pub breakdown: StageBreakdown,
-    /// Counter/gauge/histogram snapshot of every layer
-    /// (`member.N.*`, `host.N.*`, `switch.*`).
-    pub metrics: MetricsRegistry,
-}
-
-impl TracedPoint {
-    /// The Chrome/Perfetto `trace_events` JSON for this point.
-    pub fn chrome_trace(&self) -> String {
-        chrome_trace_json(&self.records)
-    }
-
-    /// Records lost to a bounded trace ring during this run (zero for
-    /// unbounded sinks).
-    pub fn dropped_records(&self) -> u64 {
-        self.metrics.counter("trace.dropped_records").unwrap_or(0)
-    }
-
-    /// The markdown stage-breakdown table for this point. When the
-    /// bounded trace ring dropped records, the table closes with an
-    /// explicit truncation warning — a clipped record stream silently
-    /// biases the breakdown toward the end of the run otherwise.
-    pub fn stage_table(&self, title: &str) -> String {
-        let mut out = stage_table(title, &self.breakdown);
-        if let Some(warning) = truncation_warning(self.dropped_records()) {
-            out.push_str(&warning);
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Runs one experiment point with tracing enabled and assembles the
-/// stage breakdown. The outcome equals [`crate::run_point`] on the same
-/// config — asserted by the `trace_smoke` integration test.
-pub fn run_point_traced(cfg: &PointConfig) -> TracedPoint {
-    run_point_traced_with(cfg, TraceHandle::new())
-}
-
-/// [`run_point_traced`] with a caller-supplied [`TraceHandle`] — e.g. a
-/// [`TraceHandle::bounded`] ring for long runs where only the tail of
-/// the record stream matters. Records lost to the bounded ring's
-/// oldest-drop wraparound surface as the `trace.dropped_records`
-/// counter in the returned metrics.
-pub fn run_point_traced_with(cfg: &PointConfig, handle: TraceHandle) -> TracedPoint {
-    let mut traced_cfg = cfg.clone();
-    traced_cfg.tracer = handle.tracer("harness");
-    let (outcome, mut metrics) = run_point_metered(&traced_cfg);
-    metrics.set_counter("trace.dropped_records", handle.dropped());
-    let records = handle.records();
-    let spans = assemble_spans(&records);
-    let stage_breakdown = breakdown(&spans);
-    TracedPoint {
-        outcome,
-        records,
-        spans,
-        breakdown: stage_breakdown,
-        metrics,
-    }
-}
+use crate::report::{fmt_f64, to_markdown, TableRow};
 
 /// One row of the stage-breakdown table: a pipeline stage's latency
 /// distribution plus its share of the mean end-to-end latency.

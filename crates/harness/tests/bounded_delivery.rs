@@ -5,7 +5,7 @@
 //! but its delivery queue no longer grows with the packets.
 
 use netsim::SimDuration;
-use p4ce_harness::{run_point_metered, PointConfig, System};
+use p4ce_harness::{observe_point, Observe, PointConfig, System};
 use replication::WorkloadSpec;
 
 #[test]
@@ -14,7 +14,8 @@ fn replica_delivery_queues_do_not_grow_with_landed_packets() {
     cfg.warmup = SimDuration::from_millis(1);
     cfg.window = SimDuration::from_millis(3);
     cfg.seed = 42;
-    let (out, reg) = run_point_metered(&cfg);
+    let observed = observe_point(&cfg, &Observe::Metrics);
+    let (out, reg) = (observed.outcome, observed.metrics);
     assert!(out.accelerated && out.decided > 0);
     // What can still queue behind the overloaded CPU is the replica's own
     // posted work: 4 heartbeat reads per 100 µs tick. The load lasts at

@@ -8,7 +8,7 @@
 
 use netsim::SimDuration;
 use p4ce_harness::{
-    run_failover, run_point, run_point_metered, ChaosSpec, FailoverConfig, PointConfig,
+    observe_point, run_failover, run_point, ChaosSpec, FailoverConfig, Observe, PointConfig,
     PointOutcome, System,
 };
 use replication::WorkloadSpec;
@@ -37,7 +37,8 @@ fn quick_point(system: System) -> PointOutcome {
 #[test]
 fn the_rerecorded_drop_is_exactly_the_merged_notifications() {
     for (system, before, due_after_end) in [(System::P4ce, 391_397, 0), (System::Mu, 241_018, 8)] {
-        let (out, reg) = run_point_metered(&quick_cfg(system));
+        let observed = observe_point(&quick_cfg(system), &Observe::Metrics);
+        let (out, reg) = (observed.outcome, observed.metrics);
         let merged: u64 = (0..3)
             .map(|i| {
                 reg.counter(&format!("host.{i}.rx.notifications_merged"))

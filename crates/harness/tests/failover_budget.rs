@@ -152,3 +152,15 @@ fn budget_survives_a_fault_storm_around_the_kill() {
     assert!(ann.iter().any(|x| x.label == "fault-storm start"));
     assert!(ann.iter().any(|x| x.label == "fault-storm end"));
 }
+
+#[test]
+fn one_sharded_group_is_the_single_group_kill() {
+    // Both entries share one kill loop; with a single group they differ
+    // only in what they call things (series names, node labels).
+    let cfg = quick();
+    let single = run_failover(&cfg);
+    let sharded = run_failover_sharded(&cfg, 1);
+    assert_eq!(sharded.budget, single.budget);
+    assert_eq!(sharded.group_decided, single.group_decided);
+    assert_eq!(sharded.events_processed, single.events_processed);
+}

@@ -1,15 +1,12 @@
-//! The parallel sweep runner's determinism contract: running the same
-//! point list across worker threads must produce *identical* outcomes to
-//! the sequential runner — every field, including the total count of
-//! simulator events, because each point is a self-contained virtual-time
-//! simulation with no global state.
+//! The sweep runner's determinism contract: running the same point list
+//! across worker threads must produce *identical* outcomes to running it
+//! on one — every field, including the total count of simulator events,
+//! because each point is a self-contained virtual-time simulation with
+//! no global state. Both point kinds go through the one generic pool.
 
 use netsim::SimDuration;
 use p4ce_harness::experiments::{fig5_goodput, fig6_latency};
-use p4ce_harness::{
-    run_points, run_points_parallel, run_sharded_points, run_sharded_points_parallel, PointConfig,
-    ShardedPointConfig, System,
-};
+use p4ce_harness::{run_point, run_sharded_point, sweep, PointConfig, ShardedPointConfig, System};
 use replication::WorkloadSpec;
 
 fn mixed_points() -> Vec<PointConfig> {
@@ -30,9 +27,9 @@ fn mixed_points() -> Vec<PointConfig> {
 #[test]
 fn parallel_outcomes_equal_sequential() {
     let cfgs = mixed_points();
-    let sequential = run_points(&cfgs);
+    let sequential = sweep(&cfgs, 1, run_point);
     for threads in [2, 7] {
-        let parallel = run_points_parallel(&cfgs, threads);
+        let parallel = sweep(&cfgs, threads, run_point);
         assert_eq!(
             parallel, sequential,
             "outcome divergence with {threads} threads"
@@ -47,11 +44,11 @@ fn parallel_outcomes_equal_sequential() {
 #[test]
 fn thread_count_is_recorded_but_not_compared() {
     let cfgs = mixed_points()[..2].to_vec();
-    let seq = run_points(&cfgs);
+    let seq = sweep(&cfgs, 1, run_point);
     assert!(seq.iter().all(|o| o.threads_used == 1));
-    let par = run_points_parallel(&cfgs, 2);
-    // On a single-core box the parallel runner must not spawn at all
-    // and reports 1 worker; with real parallelism it reports the
+    let par = sweep(&cfgs, 2, run_point);
+    // On a single-core box the sweep must not spawn at all and reports
+    // 1 worker; with real parallelism it reports the
     // effective worker count.
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let expected = if hw == 1 { 1 } else { 2 };
@@ -69,8 +66,8 @@ fn thread_count_is_recorded_but_not_compared() {
 #[test]
 fn parallel_runs_are_repeatable() {
     let cfgs = mixed_points();
-    let a = run_points_parallel(&cfgs, 3);
-    let b = run_points_parallel(&cfgs, 3);
+    let a = sweep(&cfgs, 3, run_point);
+    let b = sweep(&cfgs, 3, run_point);
     assert_eq!(a, b, "same inputs, same threads, same outcomes");
 }
 
@@ -93,9 +90,9 @@ fn sharded_parallel_outcomes_equal_sequential() {
     // its config, per-group rows, log fingerprints and event totals
     // included.
     let cfgs = sharded_points();
-    let sequential = run_sharded_points(&cfgs);
+    let sequential = sweep(&cfgs, 1, run_sharded_point);
     for threads in [2, 5] {
-        let parallel = run_sharded_points_parallel(&cfgs, threads);
+        let parallel = sweep(&cfgs, threads, run_sharded_point);
         assert_eq!(
             parallel, sequential,
             "sharded outcome divergence with {threads} threads"
@@ -111,9 +108,9 @@ fn sharded_parallel_outcomes_equal_sequential() {
 #[test]
 fn sharded_threads_used_is_provenance_only() {
     let cfgs = sharded_points()[..2].to_vec();
-    let seq = run_sharded_points(&cfgs);
+    let seq = sweep(&cfgs, 1, run_sharded_point);
     assert!(seq.iter().all(|o| o.threads_used == 1));
-    let par = run_sharded_points_parallel(&cfgs, 2);
+    let par = sweep(&cfgs, 2, run_sharded_point);
     assert_eq!(par, seq, "threads_used must not affect equality");
     let mut relabeled = seq[0].clone();
     relabeled.threads_used += 63;
@@ -124,8 +121,8 @@ fn sharded_threads_used_is_provenance_only() {
 fn fig5_parallel_rows_match_sequential() {
     let sizes = [64usize, 512];
     let window = SimDuration::from_millis(1);
-    let seq = fig5_goodput::run(&sizes, &[2], window);
-    let par = fig5_goodput::run_parallel(&sizes, &[2], window, 4);
+    let seq = fig5_goodput::run(&sizes, &[2], window, 1);
+    let par = fig5_goodput::run(&sizes, &[2], window, 4);
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(s.system, p.system);
@@ -140,8 +137,8 @@ fn fig5_parallel_rows_match_sequential() {
 fn fig6_parallel_rows_match_sequential() {
     let rates = [200e3, 800e3];
     let window = SimDuration::from_millis(1);
-    let seq = fig6_latency::run(&rates, &[2], window);
-    let par = fig6_latency::run_parallel(&rates, &[2], window, 4);
+    let seq = fig6_latency::run(&rates, &[2], window, 1);
+    let par = fig6_latency::run(&rates, &[2], window, 4);
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(s.system, p.system);

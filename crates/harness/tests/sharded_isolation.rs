@@ -6,7 +6,7 @@
 //! with retransmissions, CM re-handshakes and a group that dies
 //! mid-flight, all on ports the healthy group never touches.
 
-use netsim::{FaultPlan, MetricsRegistry, PortId, SimDuration, SimTime};
+use netsim::{FaultPlan, MetricsRegistry, PortId, SimDuration, SimTime, Tracer};
 use p4ce_harness::shard::{await_leaders, build_sharded, store_of, ShardedPointConfig};
 use p4ce_harness::{HashRing, ShardKvCommand, ZipfSampler};
 
@@ -27,7 +27,7 @@ struct GroupFingerprint {
 fn run_service(storm: bool) -> GroupFingerprint {
     let mut cfg = ShardedPointConfig::new(2);
     cfg.seed = 7;
-    let mut d = build_sharded(&cfg);
+    let mut d = build_sharded(&cfg, &Tracer::disabled());
     await_leaders(&mut d);
 
     if storm {
@@ -125,7 +125,7 @@ fn the_storm_actually_hurt_group_zero() {
     // decided before the kill).
     let mut cfg = ShardedPointConfig::new(2);
     cfg.seed = 7;
-    let mut d = build_sharded(&cfg);
+    let mut d = build_sharded(&cfg, &Tracer::disabled());
     await_leaders(&mut d);
     let primary = PortId::from_index(0);
     for i in 0..3 {

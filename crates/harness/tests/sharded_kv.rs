@@ -3,11 +3,11 @@
 //! collide, and the group lifecycle (retire + later re-acceleration)
 //! leaves co-resident shards untouched.
 
-use netsim::SimDuration;
+use netsim::{SimDuration, Tracer};
 use p4ce_harness::shard::{
-    build_sharded, run_sharded_point, run_sharded_point_metered, store_of, ShardedPointConfig,
+    build_sharded, observe_sharded_point, run_sharded_point, store_of, ShardedPointConfig,
 };
-use p4ce_harness::ShardKvStore;
+use p4ce_harness::{Observe, ShardKvStore};
 
 fn small_point(groups: usize) -> ShardedPointConfig {
     let mut cfg = ShardedPointConfig::new(groups);
@@ -42,7 +42,7 @@ fn every_group_decides_and_nothing_leaks() {
 #[test]
 fn group_logs_are_disjoint_and_internally_agreed() {
     let cfg = small_point(2);
-    let mut d = build_sharded(&cfg);
+    let mut d = build_sharded(&cfg, &Tracer::disabled());
     p4ce_harness::shard::await_leaders(&mut d);
     let ring = p4ce_harness::HashRing::new(2, 64);
     let mut zipf = p4ce_harness::ZipfSampler::new(cfg.keys, cfg.zipf_theta, cfg.seed);
@@ -81,7 +81,7 @@ fn group_logs_are_disjoint_and_internally_agreed() {
 #[test]
 fn metered_point_scopes_every_layer_by_group_without_collision() {
     let cfg = small_point(2);
-    let (outcome, reg) = run_sharded_point_metered(&cfg);
+    let (outcome, reg) = observe_sharded_point(&cfg, &Observe::Metrics);
     assert!(outcome.per_group.iter().all(|g| g.decided > 0));
 
     // Every member and host of every group appears under its own g-prefix.
@@ -131,7 +131,7 @@ fn metered_point_scopes_every_layer_by_group_without_collision() {
 #[test]
 fn retiring_one_group_leaves_the_other_accelerated() {
     let cfg = small_point(2);
-    let mut d = build_sharded(&cfg);
+    let mut d = build_sharded(&cfg, &Tracer::disabled());
     p4ce_harness::shard::await_leaders(&mut d);
     assert_eq!(d.switch_program().group_ids().len(), 2);
     let retired_gid = d
@@ -195,7 +195,7 @@ fn single_group_service_matches_its_own_rerun_bit_for_bit() {
     let b = run_sharded_point(&cfg);
     assert_eq!(a, b, "sharded point is not a pure function of its config");
     // Downcast sanity: the store type reads back.
-    let mut d = build_sharded(&cfg);
+    let mut d = build_sharded(&cfg, &Tracer::disabled());
     p4ce_harness::shard::await_leaders(&mut d);
     let sm = d.member(0, 1).state_machine().expect("installed");
     assert!((sm as &dyn std::any::Any)

@@ -7,9 +7,9 @@
 //! statistical: identical `events_processed` means identical
 //! virtual-time trajectories.
 
-use netsim::{trace::json, SimDuration, TraceHandle};
+use netsim::{trace::json, SimDuration, TraceHandle, Tracer};
 use p4ce_harness::runner::{PointConfig, System};
-use p4ce_harness::{chaos, run_point, run_point_traced, ChaosSpec};
+use p4ce_harness::{chaos, observe_point, run_point, run_point_traced, ChaosSpec, Observe};
 use replication::WorkloadSpec;
 
 fn smoke_cfg() -> PointConfig {
@@ -67,7 +67,7 @@ fn bounded_ring_reports_drops_and_still_exports() {
     assert!(total > 64, "smoke config must emit enough records to wrap");
 
     let cap = 64;
-    let bounded = p4ce_harness::run_point_traced_with(&cfg, TraceHandle::bounded(cap));
+    let bounded = observe_point(&cfg, &Observe::Traced(TraceHandle::bounded(cap)));
     assert_eq!(
         bounded.outcome, full.outcome,
         "ring bound must not perturb the run"
@@ -111,9 +111,9 @@ fn tracing_does_not_perturb_chaos_runs() {
     spec.drain = SimDuration::from_millis(2);
     spec.partition_from = SimDuration::from_micros(1000);
     spec.partition_until = SimDuration::from_micros(2500);
-    let plain = chaos::run_p4ce(&spec, 3);
+    let plain = chaos::run(System::P4ce, &spec, 3, &Tracer::disabled());
     let handle = TraceHandle::new();
-    let traced = chaos::run_p4ce_traced(&spec, 3, &handle.tracer("chaos"));
+    let traced = chaos::run(System::P4ce, &spec, 3, &handle.tracer("chaos"));
     assert_eq!(plain, traced, "traced chaos run must match untraced");
     let records = handle.records();
     assert!(!records.is_empty(), "chaos run emitted no trace records");

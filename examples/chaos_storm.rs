@@ -10,8 +10,8 @@
 //! most one operational leader per view); this example surfaces the
 //! liveness and fault accounting so you can watch recovery work.
 
-use p4ce_harness::chaos::run_p4ce;
-use p4ce_harness::ChaosSpec;
+use netsim::Tracer;
+use p4ce_harness::{chaos, ChaosSpec, System};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -43,7 +43,7 @@ fn main() {
     );
     println!("  storm {} + drain {}", spec.storm, spec.drain);
 
-    let r = run_p4ce(&spec, members);
+    let r = chaos::run(System::P4ce, &spec, members, &Tracer::disabled());
 
     println!("\nstorm accounting:");
     println!(

@@ -10,12 +10,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> one member: the decision half is defined once (ROADMAP item 2)"
+echo "==> one member: the decision half is defined once"
 for item in 'fn heartbeat_tick' 'fn update_view' 'fn fence_log' 'fn finish_deferred_accept' 'fn record_decision' 'fn arrival_tick' 'struct HbLink'; do
   [ "$(grep -rhow "$item" crates/*/src | wc -l)" -eq 1 ] || { echo "tier-1: '$item' must be defined exactly once under crates/*/src" >&2; exit 1; }
 done
 
-echo "==> replicas poll their log: one decode walk, no payload-carrying delivery (ROADMAP item 1)"
+echo "==> replicas poll their log: one decode walk, no payload-carrying delivery"
 if grep -rn 'drain_payload' crates/*/src; then
   echo "tier-1: drain_payload is gone; LogReader::walk is the one decoding walk" >&2; exit 1
 fi
@@ -23,7 +23,7 @@ if sed -n '/^enum Delivery {/,/^}/p' crates/rdma/src/host.rs | sed -n '/RemoteWr
   echo "tier-1: Delivery::RemoteWrite must not carry a payload (it would pin the received frame)" >&2; exit 1
 fi
 
-echo "==> one pipeline through the switch: two data-plane hooks, one emit site (ROADMAP item 3)"
+echo "==> one pipeline through the switch: two data-plane hooks, one emit site"
 for gone in 'ingress_view' 'ViewVerdict' 'fn patch_frame' 'fn instantiate' 'fn parse_with_template' 'fn parse_view_cached' 'RawForward'; do
   if grep -rn "$gone" crates/*/src; then
     echo "tier-1: '$gone' is gone; stages record header deltas and the deparser stamps them" >&2; exit 1
@@ -31,6 +31,17 @@ for gone in 'ingress_view' 'ViewVerdict' 'fn patch_frame' 'fn instantiate' 'fn p
 done
 # The deparser and the control plane's send_packet: a third send is a second emit path.
 [ "$(grep -c 'ctx\.send(' crates/tofino/src/switch.rs)" -eq 2 ] || { echo "tier-1: crates/tofino/src/switch.rs must call ctx.send( exactly twice (deparser + control-plane send_packet)" >&2; exit 1; }
+
+echo "==> one yardstick, one front door: no second measurement path, one run entry per scenario kind"
+for gone in 'bench_trajectory' 'fn run_point_metered' 'fn run_point_traced_with' 'fn run_sharded_point_metered' '_parallel\(' 'fn run_p4ce' 'fn run_mu[_(]' 'fn replay_traced' 'fn run_schedule_traced' 'histogram_latency'; do
+  if grep -rnE "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; a run takes what to observe as an argument, sweep() is the one pool, benchmark/ the one yardstick" >&2; exit 1
+  fi
+done
+[ ! -e crates/bench/src/bin ] || { echo "tier-1: crates/bench/src/bin is gone; p4ce-bench is one binary with subcommands" >&2; exit 1; }
+if ls BENCH_*.json >/dev/null 2>&1; then
+  echo "tier-1: no BENCH_*.json at the repo root; numbers come from benchmark/run.sh" >&2; exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release
@@ -43,8 +54,8 @@ cargo test -q --workspace --exclude p4ce-repro
 # vendor/ is outside the workspace; bytes is the one stand-in with behaviour of its own to pin.
 cargo test -q -p bytes
 
-echo "==> sharded-KV smoke (quick groups sweep, seq == parallel)"
-cargo run --release -p p4ce-bench --bin groups_sweep -- --quick --threads 2 >/dev/null
+echo "==> sharded-KV smoke (quick groups sweep on two workers)"
+cargo run --release -p p4ce-bench -- groups --quick --threads 2 >/dev/null
 
 echo "==> benchmark package (own workspace): unit tests + quick suite"
 # benchmark/src/sut.rs imports the library's public surface; a moved or

@@ -80,7 +80,8 @@ fn chaos_reproducer_replays_the_same_run() {
     let direct = run_p4ce(&spec, 3);
     let text = spec.to_repro(System::P4ce, 3).encode();
     let repro = p4ce_harness::Repro::decode(&text).expect("well-formed reproducer");
-    let replayed = p4ce_harness::chaos::replay(&repro).expect("replayable");
+    let replayed =
+        p4ce_harness::chaos::replay(&repro, &netsim::Tracer::disabled()).expect("replayable");
     assert_eq!(direct, replayed, "a reproducer must replay bit-for-bit");
 }
 
