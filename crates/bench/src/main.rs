@@ -2,8 +2,8 @@
 //! figure, table and ablation is a subcommand printing the markdown
 //! table committed under `results/`, and `reproduce --check` pins those
 //! files to the code that generates them. Numbers about the simulator
-//! itself (wall time, events/s, allocations) are `benchmark/run.sh`'s
-//! job, criterion kernels `cargo bench -p p4ce-bench`.
+//! itself (wall time, events/s, allocations, per-layer kernels) are
+//! `benchmark/run.sh`'s job.
 //!
 //! The shape claims (who wins, by what factor, where the knee is) are
 //! asserted once, in `tests/systems_compare.rs`; see EXPERIMENTS.md for

@@ -7,12 +7,12 @@
 //! link (loss, duplication, reordering, jitter, corruption — plus one
 //! time-bounded partition isolating a single member), keeps proposing
 //! values to whichever member claims operational leadership, heals the
-//! links, and then verifies:
+//! links, and verifies:
 //!
-//! * **agreement** — every member applied a prefix of the same decided
-//!   sequence, byte for byte,
-//! * **unique leadership** — no two members ever reported operational
-//!   leadership for the same view,
+//! * **safety** — the model checker's whole single-group oracle suite
+//!   ([`crate::explore::oracle::check_all`]: single writer, unique
+//!   leader, agreement, prefix consistency, exactly-once apply) after
+//!   every proposal tick, at the heal and at the end,
 //! * **liveness** — callers assert `decided_final > decided_at_heal`,
 //! * **determinism** — the run is a pure function of the [`ChaosSpec`]:
 //!   rerunning the same spec reproduces the [`ChaosReport`] exactly.
@@ -20,10 +20,12 @@
 use bytes::Bytes;
 use netsim::{FaultPlan, FaultStats, NodeId, PortId, SimDuration, SimTime, Simulation, Tracer};
 use rdma::Host;
-use replication::{Deployment, Fabric, Member, MemberEvent, StateMachine};
+use replication::{Deployment, Fabric, Member, StateMachine};
 
+use crate::explore::oracle::{check_all, probe_members, MemberProbe};
 use crate::repro::Repro;
 use crate::runner::System;
+use crate::shard::splitmix;
 
 /// Everything a chaos run perturbs, derived deterministically from one
 /// seed by [`ChaosSpec::seeded`]. All instants are offsets from the
@@ -58,14 +60,6 @@ pub struct ChaosSpec {
     pub drain: SimDuration,
     /// Gap between chaos-client proposal attempts.
     pub propose_every: SimDuration,
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn unit(state: &mut u64) -> f64 {
@@ -213,7 +207,7 @@ pub struct ChaosReport {
     pub parse_drops: u64,
     /// Deduplicated `(view, member)` pairs that claimed leadership
     /// (`BecameLeader` on the P4CE member, plus `LeaderOperational` on
-    /// Mu's) — at most one member per view, by assertion.
+    /// Mu's) — at most one member per view, by the unique-leader oracle.
     pub leader_views: Vec<(u64, u8)>,
 }
 
@@ -303,55 +297,50 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn assert_prefix_agreement(logs: &[(Vec<u64>, Vec<Vec<u8>>)]) {
-    for a in 0..logs.len() {
-        for b in (a + 1)..logs.len() {
-            let n = logs[a].0.len().min(logs[b].0.len());
-            assert_eq!(
-                &logs[a].0[..n],
-                &logs[b].0[..n],
-                "members {a} and {b} disagree on decided sequence numbers"
-            );
-            assert_eq!(
-                &logs[a].1[..n],
-                &logs[b].1[..n],
-                "members {a} and {b} disagree on decided payloads"
-            );
-        }
-    }
+/// What the chaos client has done so far.
+#[derive(Default)]
+struct Tally {
+    attempted: u64,
+    accepted: u64,
+    /// Snapshots audited: the step a violation is reported at.
+    audits: u32,
 }
 
-fn assert_unique_leader_per_view(leader_views: &[(u64, u8)]) {
-    for (i, &(view, member)) in leader_views.iter().enumerate() {
-        for &(v2, m2) in &leader_views[..i] {
-            assert!(
-                view != v2 || member == m2,
-                "two operational leaders (members {member} and {m2}) in view {view}"
-            );
-        }
+/// Snapshots every member and runs the oracle suite over the snapshot.
+///
+/// # Panics
+///
+/// Panics with the [`crate::explore::oracle::Violation`] if an oracle
+/// fires — the panic *is* the test failure.
+fn audit<F: Fabric>(d: &Deployment<F>, tally: &mut Tally) -> Vec<MemberProbe> {
+    let probes = probe_members::<F::Comm>(&d.sim, &d.members);
+    if let Some(violation) = check_all(&probes, tally.audits) {
+        panic!("{violation}");
     }
+    tally.audits += 1;
+    probes
 }
 
 /// The chaos client: until `until`, one proposal every
 /// `spec.propose_every` (payload = attempt number) to whichever member
-/// claims operational leadership.
+/// claims operational leadership, and an audit after each.
 fn propose_until<F: Fabric>(
     d: &mut Deployment<F>,
     spec: &ChaosSpec,
     until: SimTime,
-    attempted: &mut u64,
-    accepted: &mut u64,
+    tally: &mut Tally,
 ) {
     while d.sim.now() < until {
         d.sim.run_for(spec.propose_every);
         let n = d.members.len();
         if let Some(l) = (0..n).find(|&i| d.member(i).is_operational_leader()) {
-            let payload = Bytes::from(attempted.to_be_bytes().to_vec());
-            *attempted += 1;
+            let payload = Bytes::from(tally.attempted.to_be_bytes().to_vec());
+            tally.attempted += 1;
             if d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
-                *accepted += 1;
+                tally.accepted += 1;
             }
         }
+        audit(d, tally);
     }
 }
 
@@ -375,43 +364,22 @@ fn storm<F: Fabric>(mut d: Deployment<F>, spec: &ChaosSpec) -> ChaosReport {
     let storm_start = d.sim.now();
     install_storm(&mut d.sim, &d.members, spec, storm_start);
 
-    let (mut attempted, mut accepted) = (0u64, 0u64);
+    let mut tally = Tally::default();
     let heal_at = storm_start + spec.storm;
-    propose_until(&mut d, spec, heal_at, &mut attempted, &mut accepted);
+    propose_until(&mut d, spec, heal_at, &mut tally);
 
     clear_storm(&mut d.sim, &d.members);
+    audit(&d, &mut tally);
     let decided_at_heal = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
 
     let drain_until = d.sim.now() + spec.drain;
-    propose_until(&mut d, spec, drain_until, &mut attempted, &mut accepted);
+    propose_until(&mut d, spec, drain_until, &mut tally);
     // Let replicas catch up on applying the tail.
     d.sim.run_for(SimDuration::from_millis(2));
-
-    let logs: Vec<(Vec<u64>, Vec<Vec<u8>>)> = (0..n)
-        .map(|i| {
-            let rec = d
-                .member(i)
-                .state_machine()
-                .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
-                .expect("recorder installed");
-            (rec.seqs.clone(), rec.payloads.clone())
-        })
+    let probes = audit(&d, &mut tally);
+    let leader_views = (probes.iter())
+        .flat_map(|p| p.leader_claims.iter().copied())
         .collect();
-    assert_prefix_agreement(&logs);
-
-    let mut leader_views: Vec<(u64, u8)> = Vec::new();
-    for i in 0..n {
-        for (_, ev) in &d.member(i).stats.events {
-            if let MemberEvent::BecameLeader { view } | MemberEvent::LeaderOperational { view } = ev
-            {
-                let entry = (*view, i as u8);
-                if !leader_views.contains(&entry) {
-                    leader_views.push(entry);
-                }
-            }
-        }
-    }
-    assert_unique_leader_per_view(&leader_views);
 
     let injected = fault_totals(&d.sim, &d.members);
     let mut timeout_retransmits = 0;
@@ -424,18 +392,21 @@ fn storm<F: Fabric>(mut d: Deployment<F>, spec: &ChaosSpec) -> ChaosReport {
         parse_drops += s.parse_drops;
     }
     let decided_final = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
-    let applied_min = logs.iter().skip(1).map(|(s, _)| s.len()).min().unwrap_or(0);
+    let applied_min = (probes.iter().skip(1))
+        .map(|p| p.applied_seqs.len())
+        .min()
+        .unwrap_or(0);
     let mut log_hash = 0xcbf2_9ce4_8422_2325u64;
-    for (seqs, payloads) in &logs {
-        for (seq, payload) in seqs.iter().zip(payloads) {
+    for p in &probes {
+        for (seq, payload) in p.applied_seqs.iter().zip(&p.applied_payloads) {
             fnv1a(&mut log_hash, &seq.to_be_bytes());
             fnv1a(&mut log_hash, payload);
         }
     }
 
     ChaosReport {
-        proposals_attempted: attempted,
-        proposals_accepted: accepted,
+        proposals_attempted: tally.attempted,
+        proposals_accepted: tally.accepted,
         decided_at_heal,
         decided_final,
         applied_min,
@@ -462,8 +433,9 @@ fn storm<F: Fabric>(mut d: Deployment<F>, spec: &ChaosSpec) -> ChaosReport {
 ///
 /// # Panics
 ///
-/// Panics if a P4CE cluster never accelerates, or if agreement /
-/// unique-leadership is violated — the panic *is* the test failure.
+/// Panics if a P4CE cluster never accelerates, or with the oracle's
+/// `Violation` if a safety invariant breaks — the panic *is* the test
+/// failure.
 pub fn run(system: System, spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> ChaosReport {
     match system {
         System::P4ce => {

@@ -31,21 +31,20 @@ pub mod oracle;
 pub mod shrink;
 
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bytes::Bytes;
 use netsim::{EventInfo, FaultPlan, PortId, Scheduler, SimDuration, Simulation, Tracer};
 use p4ce::SwitchSetters;
-use rdma::Host;
-use replication::{ClusterBuilder, Comm, Deployment, Fabric, Member, MemberEvent};
+use replication::{ClusterBuilder, Deployment, Fabric};
 
 use crate::chaos::ChaosRecorder;
 use crate::repro::{decode_decisions, encode_decisions, Repro};
 use crate::runner::System;
+use crate::shard::splitmix;
 
-use oracle::{check_all, check_group, MemberProbe, Violation};
+use oracle::{check_all, check_group, probe_members, Violation};
 
 /// How long an explored partition lasts — effectively "for the rest of
 /// the schedule" at model-checking horizons.
@@ -224,14 +223,6 @@ impl ExploreSpec {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The pluggable scheduler exploration runs under: at each branching
 /// point (≥ 2 co-enabled events) it either looks up the decision vector
 /// (missing entry = 0 = FIFO) or, in random mode, rolls the dice — and
@@ -285,10 +276,6 @@ pub struct ScheduleOutcome {
 enum Target<F: Fabric> {
     Single(Deployment<F>),
     Sharded(p4ce::ShardedDeployment),
-}
-
-fn member_ip(i: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, 1 + i as u8)
 }
 
 // A small log keeps per-schedule allocation negligible; model checking
@@ -415,25 +402,11 @@ impl<F: Fabric> Target<F> {
 
     /// Snapshots every member and runs the oracle suite — per group,
     /// with group isolation on top, for a sharded target.
-    fn check(&self, spec: &ExploreSpec, step: u32) -> Option<Violation> {
-        let n = spec.n_members;
+    fn check(&self, step: u32) -> Option<Violation> {
         match self {
-            Target::Single(d) => {
-                let ips: Vec<Ipv4Addr> = (0..n).map(member_ip).collect();
-                let probes: Vec<MemberProbe> = (0..n)
-                    .map(|i| probe_from::<F::Comm>(d.sim.node_ref(d.members[i]), i, &ips))
-                    .collect();
-                check_all(&probes, step)
-            }
+            Target::Single(d) => check_all(&probe_members::<F::Comm>(&d.sim, &d.members), step),
             Target::Sharded(d) => (0..d.groups()).find_map(|g| {
-                let ips: Vec<Ipv4Addr> = (0..n)
-                    .map(|i| p4ce::ShardedClusterBuilder::member_ip(g, i))
-                    .collect();
-                let probes: Vec<MemberProbe> = (0..n)
-                    .map(|i| {
-                        probe_from::<p4ce::SwitchComm>(d.sim.node_ref(d.members[g][i]), i, &ips)
-                    })
-                    .collect();
+                let probes = probe_members::<p4ce::SwitchComm>(&d.sim, &d.members[g]);
                 check_group(&probes, step, g as u16).map(|mut v| {
                     v.detail = format!("group {g}: {}", v.detail);
                     v
@@ -449,43 +422,6 @@ impl<F: Fabric> Target<F> {
             // member `i` — faults stay confined to one group by construction.
             Target::Sharded(d) => d.members[0][i],
         }
-    }
-}
-
-fn probe_from<C: Comm>(host: &Host<Member<C>>, i: usize, ips: &[Ipv4Addr]) -> MemberProbe {
-    let app = host.app();
-    let mut write_grants = Vec::new();
-    if let Some(region) = app.log_region() {
-        // Audit cluster members only: the switch is a conduit whose
-        // grant is epoch-independent by design.
-        for &ip in ips {
-            if host.memory().effective_perms(region, ip).remote_write {
-                write_grants.push(ip);
-            }
-        }
-    }
-    let (applied_seqs, applied_payloads) = app
-        .state_machine()
-        .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
-        .map(|rec| (rec.seqs.clone(), rec.payloads.clone()))
-        .unwrap_or_default();
-    let mut leader_claims = Vec::new();
-    for (_, ev) in &app.stats.events {
-        if let MemberEvent::BecameLeader { view } | MemberEvent::LeaderOperational { view } = ev {
-            let claim = (*view, i as u8);
-            if !leader_claims.contains(&claim) {
-                leader_claims.push(claim);
-            }
-        }
-    }
-    MemberProbe {
-        ip: ips[i],
-        applied_seqs,
-        applied_payloads,
-        next_apply_seq: app.next_apply_seq(),
-        epoch_leader: app.epoch_leader(),
-        write_grants,
-        leader_claims,
     }
 }
 
@@ -549,7 +485,7 @@ fn run_on<F: Fabric>(
             break;
         }
         steps = step + 1;
-        if let Some(v) = target.check(spec, step) {
+        if let Some(v) = target.check(step) {
             violation = Some(v);
             break;
         }

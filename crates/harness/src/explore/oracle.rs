@@ -14,6 +14,12 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
+use netsim::{NodeId, Simulation};
+use rdma::Host;
+use replication::{Comm, Member, MemberEvent};
+
+use crate::chaos::ChaosRecorder;
+
 /// Which invariant an oracle guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
@@ -113,6 +119,54 @@ pub struct MemberProbe {
     /// Deduplicated `(view, member)` leadership claims from this
     /// member's event history.
     pub leader_claims: Vec<(u64, u8)>,
+}
+
+/// Snapshots every member of the cluster (or group) living at `members`
+/// — the one way probes are taken, whoever audits them (explored
+/// schedules after every step, chaos storms after every proposal tick).
+pub fn probe_members<C: Comm>(sim: &Simulation, members: &[NodeId]) -> Vec<MemberProbe> {
+    let hosts: Vec<&Host<Member<C>>> = members.iter().map(|&m| sim.node_ref(m)).collect();
+    let ips: Vec<Ipv4Addr> = hosts.iter().map(|h| h.ip()).collect();
+    (hosts.iter().enumerate())
+        .map(|(i, host)| probe_from(host, i, &ips))
+        .collect()
+}
+
+fn probe_from<C: Comm>(host: &Host<Member<C>>, i: usize, ips: &[Ipv4Addr]) -> MemberProbe {
+    let app = host.app();
+    let mut write_grants = Vec::new();
+    if let Some(region) = app.log_region() {
+        // Audit cluster members only: the switch is a conduit whose
+        // grant is epoch-independent by design.
+        for &ip in ips {
+            if host.memory().effective_perms(region, ip).remote_write {
+                write_grants.push(ip);
+            }
+        }
+    }
+    let (applied_seqs, applied_payloads) = app
+        .state_machine()
+        .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
+        .map(|rec| (rec.seqs.clone(), rec.payloads.clone()))
+        .unwrap_or_default();
+    let mut leader_claims = Vec::new();
+    for (_, ev) in &app.stats.events {
+        if let MemberEvent::BecameLeader { view } | MemberEvent::LeaderOperational { view } = ev {
+            let claim = (*view, i as u8);
+            if !leader_claims.contains(&claim) {
+                leader_claims.push(claim);
+            }
+        }
+    }
+    MemberProbe {
+        ip: ips[i],
+        applied_seqs,
+        applied_payloads,
+        next_apply_seq: app.next_apply_seq(),
+        epoch_leader: app.epoch_leader(),
+        write_grants,
+        leader_claims,
+    }
 }
 
 /// Runs every oracle over the snapshot; returns the first violation.

@@ -90,12 +90,11 @@ impl HashRing {
 // Zipfian key sampler
 // ---------------------------------------------------------------------
 
-fn splitmix(state: &mut u64) -> u64 {
+/// One step of the splitmix64 generator: the harness's seeded draw
+/// (Zipf keys, chaos schedules, random-walk scheduling).
+pub(crate) fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(*state)
 }
 
 /// A seeded Zipf(θ) sampler over keys `0..n`: key `k` is drawn with

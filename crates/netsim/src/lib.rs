@@ -75,7 +75,6 @@ pub use timeseries::{
 };
 pub use trace::{
     assemble_spans, breakdown, chrome_trace_json, InstanceSpan, RetransmitKind, StageBreakdown,
-    StageLatency, TraceBuffer, TraceEvent, TraceHandle, TraceRecord, TraceSink, Tracer,
-    STAGE_NAMES,
+    StageLatency, TraceEvent, TraceHandle, TraceRecord, Tracer, STAGE_NAMES,
 };
 pub use wheel::TimingWheel;

@@ -53,8 +53,8 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// The histogram registered under `name`, creating it empty. Merge
-    /// samples in via [`HistogramStats::merge`] or record directly.
+    /// The histogram registered under `name`, creating it empty; record
+    /// samples into it.
     pub fn histogram_mut(&mut self, name: &str) -> &mut HistogramStats {
         self.histograms.entry(name.to_owned()).or_default()
     }

@@ -45,6 +45,12 @@ impl LatencyStats {
         self.samples_ns.is_empty()
     }
 
+    /// Every sample in nanoseconds, in no particular order (recording
+    /// order until a percentile query sorts them).
+    pub fn samples_ns(&self) -> &[u64] {
+        &self.samples_ns
+    }
+
     fn sort(&mut self) {
         if !self.sorted {
             self.samples_ns.sort_unstable();
@@ -264,140 +270,11 @@ impl HistogramStats {
     pub fn clear(&mut self) {
         *self = HistogramStats::default();
     }
-
-    /// Folds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &HistogramStats) {
-        for (a, &b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        if other.count > 0 {
-            self.min_ns = self.min_ns.min(other.min_ns);
-            self.max_ns = self.max_ns.max(other.max_ns);
-        }
-    }
 }
 
-/// Either-exact-or-bounded latency recording with one method surface.
-///
-/// Defaults to [`LatencyStats`] (exact samples, deterministic nearest-rank
-/// percentiles — what the figure experiments need). Long-running sweeps
-/// switch an instance to [`HistogramStats`] via
-/// [`use_histogram`](LatencyRecorder::use_histogram) to bound memory.
-#[derive(Debug, Clone)]
-pub enum LatencyRecorder {
-    /// Every sample stored (unbounded memory, exact percentiles).
-    Exact(LatencyStats),
-    /// Fixed log-linear buckets (bounded memory, ±3.2% percentiles).
-    Histogram(HistogramStats),
-}
-
-impl Default for LatencyRecorder {
-    fn default() -> Self {
-        LatencyRecorder::Exact(LatencyStats::new())
-    }
-}
-
-impl LatencyRecorder {
-    /// An empty exact recorder.
-    pub fn new() -> Self {
-        LatencyRecorder::default()
-    }
-
-    /// Switches to histogram mode, replaying any exact samples already
-    /// collected. A no-op when already in histogram mode.
-    pub fn use_histogram(&mut self) {
-        if let LatencyRecorder::Exact(exact) = self {
-            let mut h = HistogramStats::new();
-            // Nearest-rank percentile at p = (i+1)/n reads sorted sample
-            // i exactly, so stepping i over 0..n replays every sample.
-            if !exact.is_empty() {
-                let mut tmp = exact.clone();
-                for i in 0..tmp.len() {
-                    let p = (i as f64 + 1.0) * 100.0 / tmp.len() as f64;
-                    h.record(tmp.percentile(p.min(100.0)));
-                }
-            }
-            *self = LatencyRecorder::Histogram(h);
-        }
-    }
-
-    /// `true` in histogram (bounded-memory) mode.
-    pub fn is_histogram(&self) -> bool {
-        matches!(self, LatencyRecorder::Histogram(_))
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: SimDuration) {
-        match self {
-            LatencyRecorder::Exact(s) => s.record(latency),
-            LatencyRecorder::Histogram(h) => h.record(latency),
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        match self {
-            LatencyRecorder::Exact(s) => s.len(),
-            LatencyRecorder::Histogram(h) => h.len(),
-        }
-    }
-
-    /// `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Mean latency. Zero when empty.
-    pub fn mean(&self) -> SimDuration {
-        match self {
-            LatencyRecorder::Exact(s) => s.mean(),
-            LatencyRecorder::Histogram(h) => h.mean(),
-        }
-    }
-
-    /// The `p`-th percentile. Zero when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> SimDuration {
-        match self {
-            LatencyRecorder::Exact(s) => s.percentile(p),
-            LatencyRecorder::Histogram(h) => h.percentile(p),
-        }
-    }
-
-    /// Median latency. Zero when empty.
-    pub fn median(&mut self) -> SimDuration {
-        self.percentile(50.0)
-    }
-
-    /// Maximum latency. Zero when empty.
-    pub fn max(&self) -> SimDuration {
-        match self {
-            LatencyRecorder::Exact(s) => s.max(),
-            LatencyRecorder::Histogram(h) => h.max(),
-        }
-    }
-
-    /// Minimum latency. Zero when empty.
-    pub fn min(&self) -> SimDuration {
-        match self {
-            LatencyRecorder::Exact(s) => s.min(),
-            LatencyRecorder::Histogram(h) => h.min(),
-        }
-    }
-
-    /// Discards all samples (the mode is kept).
-    pub fn clear(&mut self) {
-        match self {
-            LatencyRecorder::Exact(s) => s.clear(),
-            LatencyRecorder::Histogram(h) => h.clear(),
-        }
-    }
-}
+/// What a member records decide latencies into: every sample, exactly.
+/// (The name the benchmark imports; [`LatencyStats`] is the type.)
+pub type LatencyRecorder = LatencyStats;
 
 /// Throughput accounting over a measurement window.
 ///
@@ -562,42 +439,19 @@ mod tests {
     }
 
     #[test]
-    fn histogram_is_empty_clear_and_merge() {
+    fn histogram_is_empty_and_clear() {
         let mut h = HistogramStats::new();
         assert!(h.is_empty());
         assert_eq!(h.percentile(99.0), SimDuration::ZERO);
         assert_eq!(h.min(), SimDuration::ZERO);
         h.record(SimDuration::from_nanos(5));
         assert_eq!(h.percentile(50.0).as_nanos(), 5, "linear buckets are exact");
-        let mut other = HistogramStats::new();
-        other.record(SimDuration::from_micros(1));
-        h.merge(&other);
+        h.record(SimDuration::from_micros(1));
         assert_eq!(h.len(), 2);
         assert_eq!(h.min().as_nanos(), 5);
         assert_eq!(h.max().as_nanos(), 1000);
         h.clear();
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn recorder_switches_modes_preserving_samples() {
-        let mut r = LatencyRecorder::new();
-        assert!(!r.is_histogram());
-        for us in [10u64, 20, 30, 40] {
-            r.record(SimDuration::from_micros(us));
-        }
-        let exact_mean = r.mean();
-        r.use_histogram();
-        assert!(r.is_histogram());
-        assert_eq!(r.len(), 4, "samples survive the switch");
-        assert_eq!(r.mean(), exact_mean, "mean survives exactly");
-        r.use_histogram(); // idempotent
-        r.clear();
-        assert!(r.is_empty());
-        assert!(r.is_histogram(), "clear keeps the mode");
-        r.record(SimDuration::from_micros(7));
-        assert_eq!(r.len(), 1);
-        assert!(r.median().as_nanos() > 0);
     }
 
     #[test]
@@ -665,36 +519,6 @@ mod tests {
         // Representatives never escape the observed range.
         assert!(h.percentile(50.0).as_nanos() >= h.min().as_nanos());
         assert!(h.percentile(99.0).as_nanos() <= h.max().as_nanos());
-    }
-
-    #[test]
-    fn histogram_merge_with_empty_is_identity_both_ways() {
-        let mut full = HistogramStats::new();
-        full.record(SimDuration::from_micros(3));
-        full.record(SimDuration::from_micros(7));
-        let snapshot = (full.len(), full.sum_ns(), full.min(), full.max());
-
-        // Merging an empty histogram in must not poison min/max with the
-        // empty sentinel values (min=u64::MAX, max=0).
-        full.merge(&HistogramStats::new());
-        assert_eq!(
-            (full.len(), full.sum_ns(), full.min(), full.max()),
-            snapshot
-        );
-
-        // Merging into an empty histogram adopts the other's extrema.
-        let mut empty = HistogramStats::new();
-        empty.merge(&full);
-        assert_eq!(
-            (empty.len(), empty.sum_ns(), empty.min(), empty.max()),
-            snapshot
-        );
-
-        // Empty into empty stays empty.
-        let mut e1 = HistogramStats::new();
-        e1.merge(&HistogramStats::new());
-        assert!(e1.is_empty());
-        assert_eq!(e1.max(), SimDuration::ZERO);
     }
 
     #[test]

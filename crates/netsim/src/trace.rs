@@ -4,8 +4,8 @@
 //! pipeline) holds a [`Tracer`] — a cheap clonable handle that is either
 //! *disabled* (the default: one `Option` branch per instrumentation
 //! point, the event constructor never runs) or *attached* to a shared
-//! ring of fixed-width 48-byte binary records. An enabled emit writes
-//! one `Copy` record — interned `u16` node label, kind byte, up to four
+//! ring of fixed-width 40-byte binary records. An enabled emit writes
+//! one `Copy` record — interned `u8` node label, kind byte, up to four
 //! `u64` fields — into the preallocated ring: no heap allocation and no
 //! string formatting on the hot path. Decoding back to [`TraceRecord`]s
 //! (labels, names, span assembly, JSON) happens only at export time, so
@@ -293,7 +293,7 @@ impl TraceEvent {
     }
 }
 
-/// One entry of a [`TraceBuffer`]: what happened, where, and when.
+/// One decoded trace entry: what happened, where, and when.
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
     /// Simulation time of the occurrence.
@@ -641,53 +641,6 @@ impl Ring {
                 }),
         );
         out
-    }
-}
-
-/// Receives trace records. [`TraceBuffer`] is the standard in-memory
-/// implementation; alternative sinks (streaming, filtering) implement
-/// this.
-pub trait TraceSink {
-    /// Accepts one record.
-    fn record(&mut self, rec: TraceRecord);
-}
-
-/// An in-memory, append-only store of trace records.
-#[derive(Debug, Default)]
-pub struct TraceBuffer {
-    records: Vec<TraceRecord>,
-}
-
-impl TraceBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        TraceBuffer::default()
-    }
-
-    /// The records collected so far, in arrival order.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
-
-    /// Number of records collected.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Discards all records.
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-}
-
-impl TraceSink for TraceBuffer {
-    fn record(&mut self, rec: TraceRecord) {
-        self.records.push(rec);
     }
 }
 

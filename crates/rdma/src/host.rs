@@ -30,9 +30,7 @@ use crate::qp::{
 };
 use crate::types::{MacAddr, Permissions, Psn, Qpn, CM_QPN, DEFAULT_RDMA_MTU};
 use crate::verbs::{Completion, CompletionStatus, WorkRequest, WrId};
-use crate::wire::{
-    Aeth, AethKind, Bth, NakCode, PacketTemplate, PayloadCrcCache, RewriteSet, RocePacket,
-};
+use crate::wire::{Aeth, AethKind, Bth, NakCode, Reth, RocePacket};
 
 /// Tunable parameters of a host. Defaults are the calibration constants
 /// derived from the paper (DESIGN.md §2).
@@ -235,11 +233,13 @@ pub struct HostStats {
     /// Request packets dropped because the receive buffer was full (the
     /// damage ignoring credit counts causes).
     pub rx_overflow_drops: u64,
-    /// ACK/NAK frames emitted by patching the per-QP template (the fast
-    /// path: PSN/MSN/syndrome rewrites over cached bytes).
+    /// ACK/NAK frames stamped from a per-QP template. There is no such
+    /// template — [`RocePacket::to_frame`] builds every frame — so this
+    /// reads 0; the field stays because the benchmark reads it.
     pub acks_templated: u64,
-    /// ACK/NAK frames built by full serialization (first ACK on a QP, or
-    /// a structural change that invalidated the template).
+    /// ACK/NAK frames serialized in full, the other half of that split.
+    /// Reads 0 and stays for the same reason (`acks_sent + naks_sent` is
+    /// the count).
     pub acks_serialized: u64,
     /// Write packets that landed in a watched region: the NIC placed them
     /// and the app reads them in place, so no copy is made for delivery
@@ -279,8 +279,6 @@ impl HostStats {
             self.timeout_retransmits,
         );
         reg.set_counter(&format!("{prefix}.retransmit.nak"), self.nak_retransmits);
-        reg.set_counter(&format!("{prefix}.ack.templated"), self.acks_templated);
-        reg.set_counter(&format!("{prefix}.ack.serialized"), self.acks_serialized);
         reg.set_counter(
             &format!("{prefix}.rx.zero_copy_deliveries"),
             self.rx_zero_copy_deliveries,
@@ -364,8 +362,6 @@ pub struct HostCore {
     /// [`HostCore::with_qp`] around every call that moves a message in or
     /// out of a QP's inflight queue.
     qps_inflight: usize,
-    // --- payload CRC memo (TX serialization) ---
-    tx_payload_crcs: PayloadCrcCache,
     /// Counters.
     pub stats: HostStats,
 }
@@ -403,7 +399,6 @@ impl HostCore {
             watches: FxHashMap::default(),
             rt_tick_armed: false,
             qps_inflight: 0,
-            tx_payload_crcs: PayloadCrcCache::new(),
             stats: HostStats::default(),
             cfg,
         }
@@ -469,127 +464,137 @@ impl HostCore {
             .unwrap_or(self.active_port)
     }
 
-    fn build_frame(&mut self, qpn: Qpn, plan: &PacketPlan) -> Frame {
-        let peer = self.qps[&qpn.masked()]
-            .peer()
-            .expect("building frame on unconnected QP");
-        RocePacket {
-            src_mac: self.mac,
-            dst_mac: MacAddr::for_ip(peer.ip),
-            src_ip: self.cfg.ip,
-            dst_ip: peer.ip,
-            udp_src_port: 0xC000 | (qpn.masked() as u16 & 0x0fff),
-            bth: Bth {
-                opcode: plan.opcode,
-                dest_qp: peer.qpn,
-                psn: plan.psn,
-                ack_req: plan.ack_req,
-            },
-            reth: plan.reth,
-            aeth: None,
-            payload: plan.payload.clone(),
-        }
-        // Retransmits and multi-replica fan-out re-serialize the same
-        // payload allocation; the cache turns those repeat hashes into a
-        // header-sized CRC plus a GF(2) shift.
-        .to_frame_cached(&mut self.tx_payload_crcs)
-    }
-
-    fn build_cm_frame(&self, to_ip: Ipv4Addr, msg: &CmMessage) -> Frame {
-        RocePacket {
-            src_mac: self.mac,
-            dst_mac: MacAddr::for_ip(to_ip),
-            src_ip: self.cfg.ip,
-            dst_ip: to_ip,
-            udp_src_port: 0xC000,
-            bth: Bth {
-                opcode: Opcode::SendOnly,
-                dest_qp: CM_QPN,
-                psn: Psn::new(0),
-                ack_req: false,
-            },
-            reth: None,
-            aeth: None,
-            payload: msg.encode(),
-        }
-        .to_frame()
-    }
-
-    fn build_response(
+    /// The one encoder: every frame this NIC emits is built here. Fills in
+    /// what the NIC knows by itself — source MAC/IP, the destination MAC
+    /// and the UDP source port of `local_qpn` — around the transport
+    /// headers and payload the caller chose.
+    fn frame(
         &self,
-        to: &RocePacket,
-        qp: &QueuePair,
-        opcode: Opcode,
-        aeth: Aeth,
+        dst_ip: Ipv4Addr,
+        local_qpn: Qpn,
+        bth: Bth,
+        reth: Option<Reth>,
+        aeth: Option<Aeth>,
         payload: Bytes,
     ) -> Frame {
-        // Responses go to the connection peer (which, behind a P4CE
-        // switch, is the switch itself — the Aggr queue pair of §IV-A).
-        let peer = qp.peer().expect("responding on unconnected QP");
         RocePacket {
             src_mac: self.mac,
-            dst_mac: MacAddr::for_ip(to.src_ip),
+            dst_mac: MacAddr::for_ip(dst_ip),
             src_ip: self.cfg.ip,
-            dst_ip: to.src_ip,
-            udp_src_port: 0xC000 | (qp.qpn().masked() as u16 & 0x0fff),
-            bth: Bth {
-                opcode,
-                dest_qp: peer.qpn,
-                psn: to.bth.psn,
-                ack_req: false,
-            },
-            reth: None,
-            aeth: Some(aeth),
+            dst_ip,
+            udp_src_port: 0xC000 | (local_qpn.masked() as u16 & 0x0fff),
+            bth,
+            reth,
+            aeth,
             payload,
         }
         .to_frame()
     }
 
-    /// Builds an ACK/NAK frame for `qpn` towards `dst_ip`. The first one
-    /// per QP serializes in full and seeds a [`PacketTemplate`]; every
-    /// later one differs only in destination, PSN and AETH — all
-    /// patchable header fields — so it is stamped from the template with
-    /// a header-sized CRC instead of a full-frame hash.
-    fn build_ack_frame(&mut self, qpn: Qpn, dst_ip: Ipv4Addr, psn: Psn, aeth: Aeth) -> Frame {
-        let qp = self.qps.get(&qpn.masked()).expect("checked");
-        if let Some(t) = qp.ack_template() {
-            // Stamping a field with the value it already holds is
-            // byte-identical, so all three are set unconditionally.
-            let rw = RewriteSet {
-                dst_mac: Some(MacAddr::for_ip(dst_ip)),
-                dst_ip: Some(dst_ip),
-                psn: Some(psn),
-                aeth: Some(aeth),
-                ..RewriteSet::default()
-            };
-            self.stats.acks_templated += 1;
-            return t.stamp(&rw).expect("an ACK template carries an AETH");
-        }
-        let peer = qp.peer().expect("responding on unconnected QP");
-        let pkt = RocePacket {
-            src_mac: self.mac,
-            dst_mac: MacAddr::for_ip(dst_ip),
-            src_ip: self.cfg.ip,
-            dst_ip,
-            udp_src_port: 0xC000 | (qpn.masked() as u16 & 0x0fff),
-            bth: Bth {
-                opcode: Opcode::Acknowledge,
+    /// The one queue site: `frame` leaves through `port` after everything
+    /// queued before it.
+    fn enqueue(&mut self, port: PortId, frame: Frame) {
+        self.tx_fifo.push_back((port, frame));
+    }
+
+    /// Queues `frame` and makes sure the TX engine is running.
+    fn send(&mut self, port: PortId, frame: Frame, ctx: &mut Context<'_>) {
+        self.enqueue(port, frame);
+        self.kick_tx(ctx);
+    }
+
+    /// Frames the request packets `packets` of `qpn` towards its peer and
+    /// queues them in order (first transmission and retransmission alike).
+    fn enqueue_request(&mut self, qpn: Qpn, packets: Vec<PacketPlan>) {
+        let peer = self.qps[&qpn.masked()]
+            .peer()
+            .expect("transmitting on unconnected QP");
+        let port = self.qp_port(qpn);
+        for p in packets {
+            let bth = Bth {
+                opcode: p.opcode,
                 dest_qp: peer.qpn,
-                psn,
-                ack_req: false,
-            },
-            reth: None,
-            aeth: Some(aeth),
-            payload: Bytes::new(),
+                psn: p.psn,
+                ack_req: p.ack_req,
+            };
+            let frame = self.frame(peer.ip, qpn, bth, p.reth, None, p.payload);
+            self.enqueue(port, frame);
+        }
+    }
+
+    /// Sends a CM datagram to `to_ip` through `port`. CM traffic belongs
+    /// to no connection, so its source port carries no queue-pair bits.
+    fn send_cm(&mut self, to_ip: Ipv4Addr, msg: &CmMessage, port: PortId, ctx: &mut Context<'_>) {
+        let bth = Bth {
+            opcode: Opcode::SendOnly,
+            dest_qp: CM_QPN,
+            psn: Psn::new(0),
+            ack_req: false,
         };
-        let template = PacketTemplate::from_packet(&pkt);
-        let frame = template.frame().clone();
-        self.stats.acks_serialized += 1;
-        self.qps
-            .get_mut(&qpn.masked())
-            .expect("checked")
-            .set_ack_template(template);
-        frame
+        let frame = self.frame(to_ip, Qpn(0), bth, None, None, msg.encode());
+        self.send(port, frame, ctx);
+    }
+
+    /// Answers the request packet `to`: an ACK, a duplicate re-ACK, a NAK
+    /// (`opcode` [`Opcode::Acknowledge`], empty payload) or a read
+    /// response. The frame goes back to where the request came from
+    /// (behind a P4CE switch that is the switch itself — the Aggr queue
+    /// pair of §IV-A) and is counted and traced here, once.
+    fn respond(
+        &mut self,
+        to: &RocePacket,
+        opcode: Opcode,
+        kind: AethKind,
+        payload: Bytes,
+        ctx: &mut Context<'_>,
+    ) {
+        let (qpn, psn) = (to.bth.dest_qp, to.bth.psn);
+        let qp = &self.qps[&qpn.masked()];
+        let peer = qp.peer().expect("responding on unconnected QP");
+        let bth = Bth {
+            opcode,
+            dest_qp: peer.qpn,
+            psn,
+            ack_req: false,
+        };
+        let aeth = Aeth {
+            kind,
+            msn: qp.msn(),
+        };
+        let frame = self.frame(to.src_ip, qpn, bth, None, Some(aeth), payload);
+        let (qpn64, psn64) = (u64::from(qpn.masked()), u64::from(psn.value()));
+        match kind {
+            AethKind::Ack { .. } => {
+                self.stats.acks_sent += 1;
+                self.cfg.tracer.emit(ctx.now, || TraceEvent::AckTx {
+                    qpn: qpn64,
+                    psn: psn64,
+                });
+            }
+            AethKind::Nak(_) => {
+                self.stats.naks_sent += 1;
+                self.cfg.tracer.emit(ctx.now, || TraceEvent::NakTx {
+                    qpn: qpn64,
+                    psn: psn64,
+                });
+            }
+        }
+        let port = self.qp_port(qpn);
+        self.send(port, frame, ctx);
+    }
+
+    /// [`HostCore::respond`] with a positive acknowledgement advertising
+    /// the current credit count.
+    fn send_ack(&mut self, to: &RocePacket, ctx: &mut Context<'_>) {
+        let kind = AethKind::Ack {
+            credits: self.credits(),
+        };
+        self.respond(to, Opcode::Acknowledge, kind, Bytes::new(), ctx);
+    }
+
+    fn send_nak(&mut self, to: &RocePacket, code: NakCode, ctx: &mut Context<'_>) {
+        let kind = AethKind::Nak(code);
+        self.respond(to, Opcode::Acknowledge, kind, Bytes::new(), ctx);
     }
 
     fn kick_tx(&mut self, ctx: &mut Context<'_>) {
@@ -651,11 +656,7 @@ impl HostCore {
             });
         }
         self.tx_last_served = qpn;
-        let port = self.qp_port(Qpn(qpn));
-        for p in &packets {
-            let f = self.build_frame(Qpn(qpn), p);
-            self.tx_fifo.push_back((port, f));
-        }
+        self.enqueue_request(Qpn(qpn), packets);
     }
 
     fn enqueue_delivery(&mut self, delivery: Delivery, cost: SimDuration, ctx: &mut Context<'_>) {
@@ -711,13 +712,10 @@ impl HostCore {
         self.enqueue_delivery(Delivery::Cm(ev), cost, ctx);
     }
 
-    fn retransmit(&mut self, qpn: Qpn, packets: Vec<PacketPlan>) {
+    fn retransmit(&mut self, qpn: Qpn, packets: Vec<PacketPlan>, ctx: &mut Context<'_>) {
         self.stats.retransmits += packets.len() as u64;
-        let port = self.qp_port(qpn);
-        for p in &packets {
-            let f = self.build_frame(qpn, p);
-            self.tx_fifo.push_back((port, f));
-        }
+        self.enqueue_request(qpn, packets);
+        self.kick_tx(ctx);
     }
 
     // --------------------------------------------------------------
@@ -773,182 +771,84 @@ impl HostCore {
         }
         let verdict = qp.receive_sequence(pkt.bth.psn, pkt.bth.opcode, pkt.bth.ack_req);
         match verdict {
-            RecvVerdict::Duplicate => {
-                let credits = self.credits();
-                let msn = self.qps[&qpn.masked()].msn();
-                let frame = self.build_ack_frame(
-                    qpn,
-                    pkt.src_ip,
-                    pkt.bth.psn,
-                    Aeth {
-                        kind: AethKind::Ack { credits },
-                        msn,
-                    },
-                );
-                self.stats.acks_sent += 1;
-                self.cfg.tracer.emit(ctx.now, || TraceEvent::AckTx {
-                    qpn: u64::from(qpn.masked()),
-                    psn: u64::from(pkt.bth.psn.value()),
-                });
-                let port = self.qp_port(qpn);
-                self.tx_fifo.push_back((port, frame));
-                self.kick_tx(ctx);
-            }
-            RecvVerdict::OutOfOrder => {
-                self.send_nak(qpn, pkt.src_ip, pkt.bth.psn, NakCode::PsnSequenceError, ctx);
-            }
+            RecvVerdict::Duplicate => self.send_ack(&pkt, ctx),
+            RecvVerdict::OutOfOrder => self.send_nak(&pkt, NakCode::PsnSequenceError, ctx),
             RecvVerdict::Execute { ack_due } => {
                 if pkt.bth.opcode == Opcode::ReadRequest {
-                    self.execute_read(pkt, qpn, ctx);
+                    self.execute_read(pkt, ctx);
                 } else {
-                    self.execute_write(pkt, qpn, ack_due, ctx);
+                    self.execute_write(pkt, ack_due, ctx);
                 }
             }
         }
     }
 
-    fn execute_write(&mut self, pkt: RocePacket, qpn: Qpn, ack_due: bool, ctx: &mut Context<'_>) {
+    fn execute_write(&mut self, pkt: RocePacket, ack_due: bool, ctx: &mut Context<'_>) {
+        let qpn = pkt.bth.dest_qp;
         let qp = self.qps.get_mut(&qpn.masked()).expect("checked");
-        // Resolve the landing address: from the RETH on first/only
-        // packets, from the cursor on middle/last.
-        let (va, rkey) = match (pkt.reth, qp.write_cursor()) {
-            (Some(reth), _) => (reth.va, reth.rkey),
-            (None, Some(cursor)) => (cursor.va, cursor.rkey),
+        let len = pkt.payload.len() as u64;
+        // Resolve the landing address and what the message still owes:
+        // from the RETH on first/only packets, from the cursor on
+        // middle/last.
+        let (va, rkey, owed) = match (pkt.reth, qp.write_cursor()) {
+            (Some(reth), _) => (reth.va, reth.rkey, u64::from(reth.dma_len)),
+            (None, Some(cursor)) => (cursor.va, cursor.rkey, cursor.remaining),
             (None, None) => {
-                self.send_nak(qpn, pkt.src_ip, pkt.bth.psn, NakCode::InvalidRequest, ctx);
+                self.send_nak(&pkt, NakCode::InvalidRequest, ctx);
                 return;
             }
         };
-        // Maintain the cursor for subsequent packets of this message.
-        match pkt.bth.opcode {
-            Opcode::WriteFirst => {
-                let total = pkt.reth.expect("first carries RETH").dma_len as u64;
-                qp.set_write_cursor(Some(WriteCursor {
-                    va: va + pkt.payload.len() as u64,
+        // Maintain the cursor for subsequent packets of this message. The
+        // addresses and lengths are the requester's: a packet that runs
+        // past the address space or past the length its message declared
+        // ends the message with a NAK, like any out-of-bounds write.
+        let next = if matches!(pkt.bth.opcode, Opcode::WriteFirst | Opcode::WriteMiddle) {
+            match (va.checked_add(len), owed.checked_sub(len)) {
+                (Some(va), Some(remaining)) => Ok(Some(WriteCursor {
+                    va,
                     rkey,
-                    remaining: total - pkt.payload.len() as u64,
-                }));
+                    remaining,
+                })),
+                (None, _) => Err(NakCode::RemoteAccessError),
+                (_, None) => Err(NakCode::InvalidRequest),
             }
-            Opcode::WriteMiddle => {
-                qp.set_write_cursor(Some(WriteCursor {
-                    va: va + pkt.payload.len() as u64,
-                    rkey,
-                    remaining: qp
-                        .write_cursor()
-                        .map(|c| c.remaining.saturating_sub(pkt.payload.len() as u64))
-                        .unwrap_or(0),
-                }));
-            }
-            Opcode::WriteLast | Opcode::WriteOnly => {
-                qp.set_write_cursor(None);
-            }
-            _ => {}
+        } else {
+            Ok(None)
+        };
+        qp.set_write_cursor(next.unwrap_or(None));
+        if let Err(code) = next {
+            self.send_nak(&pkt, code, ctx);
+            return;
         }
         let result = self
             .mem
             .remote_write(pkt.src_ip, qpn, rkey, va, &pkt.payload);
         match result {
             Ok((region, offset)) => {
-                let dirty = offset..offset + pkt.payload.len() as u64;
+                let dirty = offset..offset + len;
                 self.notify_remote_write(region, dirty, ctx);
                 if ack_due {
-                    let credits = self.credits();
-                    let msn = self.qps[&qpn.masked()].msn();
-                    let frame = self.build_ack_frame(
-                        qpn,
-                        pkt.src_ip,
-                        pkt.bth.psn,
-                        Aeth {
-                            kind: AethKind::Ack { credits },
-                            msn,
-                        },
-                    );
-                    self.stats.acks_sent += 1;
-                    self.cfg.tracer.emit(ctx.now, || TraceEvent::AckTx {
-                        qpn: u64::from(qpn.masked()),
-                        psn: u64::from(pkt.bth.psn.value()),
-                    });
-                    let port = self.qp_port(qpn);
-                    self.tx_fifo.push_back((port, frame));
-                    self.kick_tx(ctx);
+                    self.send_ack(&pkt, ctx);
                 }
             }
-            Err(_) => {
-                self.send_nak(
-                    qpn,
-                    pkt.src_ip,
-                    pkt.bth.psn,
-                    NakCode::RemoteAccessError,
-                    ctx,
-                );
-            }
+            Err(_) => self.send_nak(&pkt, NakCode::RemoteAccessError, ctx),
         }
     }
 
-    fn execute_read(&mut self, pkt: RocePacket, qpn: Qpn, ctx: &mut Context<'_>) {
+    fn execute_read(&mut self, pkt: RocePacket, ctx: &mut Context<'_>) {
         let reth = pkt.reth.expect("read request carries RETH");
         match self
             .mem
             .remote_read(pkt.src_ip, reth.rkey, reth.va, u64::from(reth.dma_len))
         {
             Ok(data) => {
-                let credits = self.credits();
-                let msn = self.qps[&qpn.masked()].msn();
-                let frame = self.build_response(
-                    &pkt,
-                    &self.qps[&qpn.masked()],
-                    Opcode::ReadResponseOnly,
-                    Aeth {
-                        kind: AethKind::Ack { credits },
-                        msn,
-                    },
-                    data,
-                );
-                self.stats.acks_sent += 1;
-                self.cfg.tracer.emit(ctx.now, || TraceEvent::AckTx {
-                    qpn: u64::from(qpn.masked()),
-                    psn: u64::from(pkt.bth.psn.value()),
-                });
-                let port = self.qp_port(qpn);
-                self.tx_fifo.push_back((port, frame));
-                self.kick_tx(ctx);
+                let kind = AethKind::Ack {
+                    credits: self.credits(),
+                };
+                self.respond(&pkt, Opcode::ReadResponseOnly, kind, data, ctx);
             }
-            Err(_) => self.send_nak(
-                qpn,
-                pkt.src_ip,
-                pkt.bth.psn,
-                NakCode::RemoteAccessError,
-                ctx,
-            ),
+            Err(_) => self.send_nak(&pkt, NakCode::RemoteAccessError, ctx),
         }
-    }
-
-    fn send_nak(
-        &mut self,
-        qpn: Qpn,
-        dst_ip: Ipv4Addr,
-        psn: Psn,
-        code: NakCode,
-        ctx: &mut Context<'_>,
-    ) {
-        let msn = self.qps[&qpn.masked()].msn();
-        let frame = self.build_ack_frame(
-            qpn,
-            dst_ip,
-            psn,
-            Aeth {
-                kind: AethKind::Nak(code),
-                msn,
-            },
-        );
-        self.stats.naks_sent += 1;
-        self.cfg.tracer.emit(ctx.now, || TraceEvent::NakTx {
-            qpn: u64::from(qpn.masked()),
-            psn: u64::from(psn.value()),
-        });
-        let port = self.qp_port(qpn);
-        self.tx_fifo.push_back((port, frame));
-        self.kick_tx(ctx);
     }
 
     fn process_ack(&mut self, qpn: Qpn, psn: Psn, aeth: Aeth, ctx: &mut Context<'_>) {
@@ -998,8 +898,7 @@ impl HostCore {
                             kind: RetransmitKind::Nak,
                             packets: pkts.len() as u64,
                         });
-                        self.retransmit(qpn, pkts);
-                        self.kick_tx(ctx);
+                        self.retransmit(qpn, pkts, ctx);
                     }
                     RecoveryAction::Fatal(ids) => {
                         for (i, wr_id) in ids.into_iter().enumerate() {
@@ -1107,9 +1006,7 @@ impl HostCore {
                 }
                 self.qp_ports.insert(local_qpn.masked(), port);
                 let rtu = CmMessage::ReadyToUse { handshake_id };
-                let frame = self.build_cm_frame(src_ip, &rtu);
-                self.tx_fifo.push_back((port, frame));
-                self.kick_tx(ctx);
+                self.send_cm(src_ip, &rtu, port, ctx);
                 self.deliver_cm(
                     CmEvent::Connected {
                         handshake_id,
@@ -1258,12 +1155,10 @@ impl HostOps<'_, '_> {
             start_psn,
             private_data,
         };
-        let frame = self.core.build_cm_frame(remote_ip, &msg);
         self.core.cpu.run(self.ctx.now, self.core.cfg.cm_cost);
         let port = self.core.active_port;
         self.core.qp_ports.insert(qpn.masked(), port);
-        self.core.tx_fifo.push_back((port, frame));
-        self.core.kick_tx(self.ctx);
+        self.core.send_cm(remote_ip, &msg, port, self.ctx);
         handshake_id
     }
 
@@ -1298,7 +1193,6 @@ impl HostOps<'_, '_> {
             start_psn: local_psn,
             private_data,
         };
-        let frame = self.core.build_cm_frame(from_ip, &msg);
         self.core.cpu.run(self.ctx.now, self.core.cfg.cm_cost);
         let port = self
             .core
@@ -1306,8 +1200,7 @@ impl HostOps<'_, '_> {
             .remove(&handshake_id)
             .unwrap_or(self.core.active_port);
         self.core.qp_ports.insert(qpn.masked(), port);
-        self.core.tx_fifo.push_back((port, frame));
-        self.core.kick_tx(self.ctx);
+        self.core.send_cm(from_ip, &msg, port, self.ctx);
         qpn
     }
 
@@ -1317,14 +1210,12 @@ impl HostOps<'_, '_> {
             handshake_id,
             reason,
         };
-        let frame = self.core.build_cm_frame(from_ip, &msg);
         let port = self
             .core
             .request_ports
             .remove(&handshake_id)
             .unwrap_or(self.core.active_port);
-        self.core.tx_fifo.push_back((port, frame));
-        self.core.kick_tx(self.ctx);
+        self.core.send_cm(from_ip, &msg, port, self.ctx);
     }
 
     /// Tears down a queue pair (e.g. when abandoning a connection after a
@@ -1689,8 +1580,7 @@ impl<A: RdmaApp> Node for Host<A> {
                                     kind: RetransmitKind::Timeout,
                                     packets: pkts.len() as u64,
                                 });
-                            self.core.retransmit(Qpn(qpn), pkts);
-                            self.core.kick_tx(ctx);
+                            self.core.retransmit(Qpn(qpn), pkts, ctx);
                         }
                         RecoveryAction::Fatal(ids) => {
                             for (i, wr_id) in ids.into_iter().enumerate() {

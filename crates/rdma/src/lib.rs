@@ -40,6 +40,6 @@ pub use qp::{PacketPlan, PeerInfo, QpState, QueuePair};
 pub use types::{MacAddr, Permissions, Psn, Qpn, RKey, CM_QPN, DEFAULT_RDMA_MTU, ROCE_UDP_PORT};
 pub use verbs::{Completion, CompletionStatus, WorkRequest, WrId};
 pub use wire::{
-    Aeth, AethKind, Bth, NakCode, PacketTemplate, ParseError, PatchError, PayloadCrcCache, Reth,
-    RewriteSet, RocePacket, RoceView, PAYLOAD_CRC_CACHE_MIN,
+    Aeth, AethKind, Bth, NakCode, PacketTemplate, ParseError, PatchError, Reth, RewriteSet,
+    RocePacket, RoceView,
 };

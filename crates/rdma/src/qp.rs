@@ -15,7 +15,7 @@ use std::net::Ipv4Addr;
 use crate::opcode::Opcode;
 use crate::types::{Psn, Qpn, RKey};
 use crate::verbs::{WorkRequest, WrId};
-use crate::wire::{NakCode, PacketTemplate, Reth};
+use crate::wire::{NakCode, Reth};
 
 /// Lifecycle of a queue pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +130,6 @@ pub struct QueuePair {
     epsn: Psn,
     msn: u32,
     write_cursor: Option<WriteCursor>,
-    ack_template: Option<PacketTemplate>,
 }
 
 impl QueuePair {
@@ -156,7 +155,6 @@ impl QueuePair {
             epsn: Psn::new(0),
             msn: 0,
             write_cursor: None,
-            ack_template: None,
         }
     }
 
@@ -514,19 +512,6 @@ impl QueuePair {
     /// Updates the write cursor after executing a write packet.
     pub fn set_write_cursor(&mut self, cursor: Option<WriteCursor>) {
         self.write_cursor = cursor;
-    }
-
-    /// The cached ACK/NAK frame template for this QP's responder side, if
-    /// one has been built. ACK-class frames to a given peer differ only in
-    /// PSN, MSN and syndrome, so the first full serialization seeds a
-    /// template and later ACKs are stamped out via header patching.
-    pub fn ack_template(&self) -> Option<&PacketTemplate> {
-        self.ack_template.as_ref()
-    }
-
-    /// Seeds (or replaces) the cached ACK template.
-    pub fn set_ack_template(&mut self, template: PacketTemplate) {
-        self.ack_template = Some(template);
     }
 }
 

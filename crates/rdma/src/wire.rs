@@ -231,27 +231,6 @@ impl RocePacket {
     /// Panics if the RETH/AETH presence contradicts the opcode (a
     /// construction bug, not a runtime condition).
     pub fn to_frame(&self) -> Frame {
-        self.serialize(None)
-    }
-
-    /// Like [`RocePacket::to_frame`], but sources the payload term of the
-    /// ICRC from `cache`: when the same payload [`Bytes`] (same allocation
-    /// and range) was serialized before — a retransmission, or one message
-    /// fanned out to several queue pairs — the payload is not re-hashed;
-    /// its cached CRC is stitched to the freshly-hashed header CRC with
-    /// the GF(2) shift operator. Output is bit-identical to `to_frame`.
-    pub fn to_frame_cached(&self, cache: &mut PayloadCrcCache) -> Frame {
-        if self.payload.len() < PAYLOAD_CRC_CACHE_MIN {
-            return self.serialize(None);
-        }
-        let pcrc = cache.payload_crc(&self.payload);
-        self.serialize(Some(pcrc))
-    }
-
-    /// Serialization body shared by [`RocePacket::to_frame`] and
-    /// [`RocePacket::to_frame_cached`]; `payload_crc`, when given, is
-    /// `crc32_raw(0, payload)` and replaces hashing the payload bytes.
-    fn serialize(&self, payload_crc: Option<u32>) -> Frame {
         assert_eq!(
             self.reth.is_some(),
             self.bth.opcode.carries_reth(),
@@ -318,26 +297,12 @@ impl RocePacket {
         // ICRC over pseudo-header + transport headers + payload. Rewriting
         // any covered field (addresses, QPN, PSN, VA, R_key, syndrome)
         // invalidates it — the switch must recompute, as on real hardware.
-        let icrc = match payload_crc {
-            Some(pcrc) => {
-                // Headers hashed fresh, the payload term supplied: stitch
-                // the two with the shift operator (CRC linearity; see
-                // `crc32_two_lane_raw` for the identity).
-                let payload_start = buf.len() - self.payload.len();
-                let h = crc32_raw(
-                    CRC32_INIT,
-                    &icrc_pseudo(self.src_ip, self.dst_ip, self.udp_src_port),
-                );
-                let h = crc32_raw(h, &buf[transport_start..payload_start]);
-                !(crc32_shift(h, self.payload.len()) ^ pcrc)
-            }
-            None => icrc_compute(
-                self.src_ip,
-                self.dst_ip,
-                self.udp_src_port,
-                &buf[transport_start..],
-            ),
-        };
+        let icrc = icrc_compute(
+            self.src_ip,
+            self.dst_ip,
+            self.udp_src_port,
+            &buf[transport_start..],
+        );
         buf.put_u32(icrc);
 
         debug_assert_eq!(buf.len(), total);
@@ -893,84 +858,7 @@ impl PacketTemplate {
     }
 }
 
-/// Payloads at or above this length are worth a [`PayloadCrcCache`] probe;
-/// shorter ones hash faster than the lookup costs.
-pub const PAYLOAD_CRC_CACHE_MIN: usize = 64;
-
-const PAYLOAD_CRC_CACHE_SLOTS: usize = 64;
-
-#[derive(Debug, Clone, Copy)]
-struct PayloadCrcSlot {
-    id: u64,
-    start: usize,
-    end: usize,
-    crc: u32,
-}
-
-/// Direct-mapped memo of raw payload CRCs keyed on [`Bytes::identity`].
-///
-/// Retransmits and fan-out replicas hash the same immutable payload
-/// allocation repeatedly; the identity key (unique allocation id + range)
-/// makes a hit provably byte-equal, so the cached register can be
-/// stitched into a full-frame ICRC with [`crc32_combine`]-style shifting
-/// instead of re-hashing the payload.
-#[derive(Debug)]
-pub struct PayloadCrcCache {
-    slots: [PayloadCrcSlot; PAYLOAD_CRC_CACHE_SLOTS],
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for PayloadCrcCache {
-    fn default() -> Self {
-        PayloadCrcCache {
-            // Allocation id 0 is never issued, so it marks an empty slot.
-            // The one `Bytes` that reports it is the allocation-free empty
-            // value, identity (0, 0, 0): it "hits" an untouched slot and
-            // gets CRC 0 — which is `crc32_raw(0, &[])`, so the hit is right.
-            slots: [PayloadCrcSlot {
-                id: 0,
-                start: 0,
-                end: 0,
-                crc: 0,
-            }; PAYLOAD_CRC_CACHE_SLOTS],
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-impl PayloadCrcCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        PayloadCrcCache::default()
-    }
-
-    /// The raw (uninverted, init 0) CRC register of `payload`, cached.
-    pub fn payload_crc(&mut self, payload: &Bytes) -> u32 {
-        let (id, start, end) = payload.identity();
-        let idx = ((id as usize) ^ start) % PAYLOAD_CRC_CACHE_SLOTS;
-        let slot = &mut self.slots[idx];
-        if slot.id == id && slot.start == start && slot.end == end {
-            self.hits += 1;
-            return slot.crc;
-        }
-        let crc = crc32_raw(0, payload);
-        *slot = PayloadCrcSlot {
-            id,
-            start,
-            end,
-            crc,
-        };
-        self.misses += 1;
-        crc
-    }
-
-    /// (hits, misses) since creation.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
+/// Computes the RFC-791 one's-complement checksum of an IPv4 header.
 /// Returns 0 when validating a header whose checksum field is correct.
 pub fn ipv4_checksum(header: &[u8]) -> u16 {
     let mut sum: u32 = 0;
@@ -1255,19 +1143,6 @@ impl Error for ParseError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_payload_hits_the_empty_slot_with_the_right_crc() {
-        let mut cache = PayloadCrcCache::new();
-        assert_eq!(Bytes::new().identity(), (0, 0, 0));
-        assert_eq!(cache.payload_crc(&Bytes::new()), crc32_raw(0, &[]));
-        assert_eq!(crc32_raw(0, &[]), 0);
-        assert_eq!(cache.stats(), (1, 0), "served by the empty-slot marker");
-        // And a cached frame around an empty payload equals the uncached one.
-        let mut pkt = sample_write();
-        pkt.payload = Bytes::new();
-        assert_eq!(pkt.to_frame_cached(&mut cache).data, pkt.to_frame().data);
-    }
 
     fn sample_write() -> RocePacket {
         let src_ip = Ipv4Addr::new(10, 0, 0, 1);

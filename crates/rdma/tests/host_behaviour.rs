@@ -1,11 +1,13 @@
 //! Host/NIC behaviours beyond the happy path: multi-QP fairness, path
-//! migration across ports, receive-side overload and credit collapse.
+//! migration across ports, receive-side overload and credit collapse,
+//! and write requests whose addresses or lengths do not add up.
 
 use bytes::Bytes;
-use netsim::{LinkSpec, SimDuration, SimTime, Simulation};
+use netsim::{Context, Frame, LinkSpec, Node, PortId, SimDuration, SimTime, Simulation};
 use rdma::{
-    CmEvent, Completion, Host, HostConfig, HostOps, Permissions, Qpn, RdmaApp, RegionAdvert,
-    RegionHandle, WrId,
+    AethKind, Bth, CmEvent, CmMessage, Completion, CompletionStatus, Host, HostConfig, HostOps,
+    MacAddr, NakCode, Opcode, Permissions, Psn, Qpn, RdmaApp, RegionAdvert, RegionHandle, Reth,
+    RocePacket, WrId, CM_QPN,
 };
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -370,4 +372,167 @@ fn writes_landing_behind_a_busy_cpu_coalesce_into_one_poll() {
     assert_eq!(&landed[64..128], &[1u8; 64]);
     assert_eq!(&landed[128..192], &[0u8; 64], "the gap inside the hull");
     assert_eq!(&landed[192..], &[2u8; 64]);
+}
+
+/// Opens two connections: the first posts a two-packet write whose
+/// landing address runs off the end of the address space, the second a
+/// well-formed one.
+#[derive(Default)]
+struct WildThenSane {
+    connected: usize,
+    completions: Vec<(WrId, CompletionStatus)>,
+}
+
+impl RdmaApp for WildThenSane {
+    fn on_start(&mut self, ops: &mut HostOps<'_, '_>) {
+        ops.connect(B_IP, Bytes::new());
+        ops.connect(B_IP, Bytes::new());
+    }
+    fn on_cm_event(&mut self, ev: CmEvent, ops: &mut HostOps<'_, '_>) {
+        if let CmEvent::Connected {
+            qpn, private_data, ..
+        } = ev
+        {
+            let advert = RegionAdvert::decode(&private_data).expect("advert");
+            let (wr_id, va, len) = match self.connected {
+                0 => (WrId(0), u64::MAX - 100, 2048),
+                _ => (WrId(1), advert.va, 64),
+            };
+            self.connected += 1;
+            ops.post_write(qpn, wr_id, va, advert.rkey, Bytes::from(vec![7u8; len]));
+        }
+    }
+    fn on_completion(&mut self, c: Completion, _ops: &mut HostOps<'_, '_>) {
+        self.completions.push((c.wr_id, c.status));
+    }
+}
+
+#[test]
+fn a_write_running_off_the_address_space_is_nakd_not_fatal_to_the_responder() {
+    let mut sim = Simulation::new(16);
+    let a = sim.add_node(Box::new(Host::new(
+        HostConfig::new(A_IP),
+        WildThenSane::default(),
+    )));
+    let b = sim.add_node(Box::new(Host::new(
+        HostConfig::new(B_IP),
+        Acceptor::default(),
+    )));
+    sim.connect(a, b, LinkSpec::default());
+    sim.run_until(SimTime::from_millis(1));
+
+    let mut completions = sim
+        .node_ref::<Host<WildThenSane>>(a)
+        .app()
+        .completions
+        .clone();
+    completions.sort_by_key(|(wr_id, _)| wr_id.0);
+    assert_eq!(
+        completions,
+        [
+            (
+                WrId(0),
+                CompletionStatus::RemoteError(NakCode::RemoteAccessError)
+            ),
+            (WrId(1), CompletionStatus::Success),
+        ]
+    );
+    let server = sim.node_ref::<Host<Acceptor>>(b);
+    // One NAK per packet of the dead message: the first for where it
+    // would land, the second because no message is open any more.
+    assert_eq!(server.stats().naks_sent, 2);
+    assert_eq!(server.app().polls, [Range { start: 0, end: 64 }]);
+}
+
+/// Not a host: handshakes by hand, then sends a `WriteFirst` that
+/// declares fewer bytes than it carries — a frame no [`Host`] would build.
+#[derive(Default)]
+struct Forger {
+    answers: Vec<RocePacket>,
+}
+
+impl Forger {
+    const QPN: Qpn = Qpn(7);
+
+    fn frame(bth: Bth, reth: Option<Reth>, payload: Bytes) -> Frame {
+        RocePacket {
+            src_mac: MacAddr::for_ip(A_IP),
+            dst_mac: MacAddr::for_ip(B_IP),
+            src_ip: A_IP,
+            dst_ip: B_IP,
+            udp_src_port: 0xC007,
+            bth,
+            reth,
+            aeth: None,
+            payload,
+        }
+        .to_frame()
+    }
+}
+
+impl Node for Forger {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let hello = CmMessage::ConnectRequest {
+            handshake_id: 1,
+            qpn: Forger::QPN,
+            start_psn: Psn::new(0),
+            private_data: Bytes::new(),
+        };
+        let bth = Bth {
+            opcode: Opcode::SendOnly,
+            dest_qp: CM_QPN,
+            psn: Psn::new(0),
+            ack_req: false,
+        };
+        ctx.send(PortId::FIRST, Forger::frame(bth, None, hello.encode()));
+    }
+    fn on_frame(&mut self, _port: PortId, frame: Frame, ctx: &mut Context<'_>) {
+        let pkt = RocePacket::parse(&frame).expect("the host emits valid frames");
+        if pkt.bth.dest_qp != CM_QPN {
+            self.answers.push(pkt);
+            return;
+        }
+        let Ok(CmMessage::ConnectReply {
+            qpn, private_data, ..
+        }) = CmMessage::decode(&pkt.payload)
+        else {
+            panic!("expected the ConnectReply");
+        };
+        let advert = RegionAdvert::decode(&private_data).expect("advert");
+        let bth = Bth {
+            opcode: Opcode::WriteFirst,
+            dest_qp: qpn,
+            psn: Psn::new(0),
+            ack_req: false,
+        };
+        let reth = Reth {
+            va: advert.va,
+            rkey: advert.rkey,
+            dma_len: 10,
+        };
+        let oversized = Bytes::from(vec![9u8; 64]);
+        ctx.send(PortId::FIRST, Forger::frame(bth, Some(reth), oversized));
+    }
+}
+
+#[test]
+fn a_write_first_longer_than_its_declared_length_is_nakd() {
+    let mut sim = Simulation::new(17);
+    let a = sim.add_node(Box::new(Forger::default()));
+    let b = sim.add_node(Box::new(Host::new(
+        HostConfig::new(B_IP),
+        Acceptor::default(),
+    )));
+    sim.connect(a, b, LinkSpec::default());
+    sim.run_until(SimTime::from_millis(1));
+
+    let answers = &sim.node_ref::<Forger>(a).answers;
+    assert_eq!(answers.len(), 1);
+    assert_eq!(
+        answers[0].aeth.expect("a response").kind,
+        AethKind::Nak(NakCode::InvalidRequest)
+    );
+    let server = sim.node_ref::<Host<Acceptor>>(b);
+    assert_eq!(server.stats().naks_sent, 1);
+    assert!(server.app().polls.is_empty(), "no byte may land");
 }

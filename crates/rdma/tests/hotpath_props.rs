@@ -4,7 +4,6 @@
 //!
 //! * the slice-by-8 and two-lane CRC kernels against a bit-at-a-time
 //!   reference,
-//! * ACK emission via template patching against full re-serialization,
 //! * the borrowed-view parse against the owned-packet parse, including
 //!   accept/reject parity on corrupted frames.
 
@@ -12,10 +11,7 @@ use bytes::Bytes;
 use netsim::Frame;
 use proptest::prelude::*;
 use rdma::wire::{crc32, crc32_slice8_raw, crc32_two_lane_raw};
-use rdma::{
-    Aeth, AethKind, Bth, MacAddr, NakCode, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth,
-    RewriteSet, RocePacket,
-};
+use rdma::{Aeth, AethKind, Bth, MacAddr, NakCode, Opcode, Psn, Qpn, RKey, Reth, RocePacket};
 use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------------
@@ -97,7 +93,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// ACK emission: template patch vs full re-serialization
+// View parse vs owned parse
 // ---------------------------------------------------------------------
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
@@ -115,77 +111,6 @@ fn arb_aeth() -> impl Strategy<Value = Aeth> {
     // round-trip equality is exact.
     (kind, 0u32..1 << 24).prop_map(|(kind, msn)| Aeth { kind, msn })
 }
-
-/// An ACK packet the host's responder would build: Acknowledge opcode,
-/// AETH, empty payload.
-fn ack_packet(src_ip: Ipv4Addr, dst_ip: Ipv4Addr, psn: u32, aeth: Aeth) -> RocePacket {
-    RocePacket {
-        src_mac: MacAddr::for_ip(src_ip),
-        dst_mac: MacAddr::for_ip(dst_ip),
-        src_ip,
-        dst_ip,
-        udp_src_port: 0xC007,
-        bth: Bth {
-            opcode: Opcode::Acknowledge,
-            dest_qp: Qpn(0x42),
-            psn: Psn::new(psn),
-            ack_req: false,
-        },
-        reth: None,
-        aeth: Some(aeth),
-        payload: Bytes::new(),
-    }
-}
-
-proptest! {
-    /// Emitting an ACK by patching a cached template produces exactly the
-    /// bytes a full serialization of the target packet would — the
-    /// equivalence `HostCore::build_ack_frame` relies on to skip the
-    /// serializer after the first ACK on a queue pair.
-    #[test]
-    fn ack_template_patch_equals_full_serialization(
-        base_ip in arb_ip(),
-        dst_ip in arb_ip(),
-        base_psn in any::<u32>(),
-        base_aeth in arb_aeth(),
-        new_dst_ip in arb_ip(),
-        new_psn in any::<u32>(),
-        new_aeth in arb_aeth(),
-    ) {
-        let base = ack_packet(base_ip, dst_ip, base_psn, base_aeth);
-        let template = PacketTemplate::from_packet(&base);
-        // The template's own frame is the full serialization of the base.
-        prop_assert_eq!(&template.frame().data[..], &base.to_frame().data[..]);
-
-        // Re-target the way the responder does: destination, PSN and AETH
-        // set unconditionally, whether or not they moved.
-        let rw = RewriteSet {
-            dst_mac: Some(MacAddr::for_ip(new_dst_ip)),
-            dst_ip: Some(new_dst_ip),
-            psn: Some(Psn::new(new_psn)),
-            aeth: Some(new_aeth),
-            ..RewriteSet::default()
-        };
-        let mut target = base.clone();
-        rw.apply(&mut target);
-
-        let patched = template.stamp(&rw);
-        prop_assert!(patched.is_ok(), "ACK retarget must be patchable: {patched:?}");
-        let patched = patched.unwrap();
-        let full = target.to_frame();
-        prop_assert_eq!(
-            &patched.data[..],
-            &full.data[..],
-            "patched ACK bytes differ from full serialization"
-        );
-        // Both decode back to the target packet.
-        prop_assert_eq!(RocePacket::parse(&Frame::from(patched.data.to_vec())).unwrap(), target);
-    }
-}
-
-// ---------------------------------------------------------------------
-// View parse vs owned parse
-// ---------------------------------------------------------------------
 
 fn arb_opcode_with_payload() -> impl Strategy<Value = (Opcode, usize)> {
     prop_oneof![

@@ -56,9 +56,7 @@ pub struct MemberStats {
     pub decided: u64,
     /// Requests issued to the replication engine.
     pub issued: u64,
-    /// Latency samples (excludes the warm-up prefix). Exact mode by
-    /// default; long-running sweeps switch it to bounded histogram mode
-    /// with [`LatencyRecorder::use_histogram`].
+    /// Latency samples (excludes the warm-up prefix), stored exactly.
     pub latency: LatencyRecorder,
     /// Decided-operations throughput window (excludes warm-up).
     pub throughput: Throughput,
@@ -133,15 +131,8 @@ impl MemberStats {
             .count() as u64;
         reg.set_counter(&format!("{prefix}.view_changes"), view_changes);
         let h = reg.histogram_mut(&format!("{prefix}.latency"));
-        match &self.latency {
-            LatencyRecorder::Histogram(hist) => h.merge(hist),
-            LatencyRecorder::Exact(_) => {
-                let mut copy = self.latency.clone();
-                copy.use_histogram();
-                if let LatencyRecorder::Histogram(hist) = &copy {
-                    h.merge(hist);
-                }
-            }
+        for &ns in self.latency.samples_ns() {
+            h.record(SimDuration::from_nanos(ns));
         }
     }
 }

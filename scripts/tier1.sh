@@ -43,6 +43,19 @@ if ls BENCH_*.json >/dev/null 2>&1; then
   echo "tier-1: no BENCH_*.json at the repo root; numbers come from benchmark/run.sh" >&2; exit 1
 fi
 
+echo "==> one encoder on the host: one frame constructor, one queue site, no unearned cache, no second bench path"
+for gone in 'PayloadCrcCache' 'to_frame_cached' 'ack_template' 'use_histogram' 'TraceSink' 'fn assert_prefix_agreement'; do
+  if grep -rn "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; RocePacket::to_frame is the one encoder, LatencyRecorder records exactly, chaos audits with explore::oracle::check_all" >&2; exit 1
+  fi
+done
+if grep -rn 'fn identity' vendor/bytes/src; then
+  echo "tier-1: Bytes::identity is gone; the stand-in exposes nothing upstream bytes lacks" >&2; exit 1
+fi
+[ "$(grep -c '\.to_frame()' crates/rdma/src/host.rs)" -eq 1 ] || { echo "tier-1: crates/rdma/src/host.rs must call .to_frame() exactly once (HostCore::frame)" >&2; exit 1; }
+[ "$(grep -c 'tx_fifo\.push_back(' crates/rdma/src/host.rs)" -eq 1 ] || { echo "tier-1: crates/rdma/src/host.rs must call tx_fifo.push_back( exactly once (HostCore::enqueue)" >&2; exit 1; }
+[ ! -e crates/bench/benches ] || { echo "tier-1: crates/bench/benches is gone; the kernels are timed by benchmark/src/kernels.rs" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
