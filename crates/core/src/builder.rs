@@ -88,14 +88,6 @@ pub trait SwitchSetters: Sized {
         self
     }
 
-    /// Runs the cluster behind a plain (non-P4CE) fabric: the switch
-    /// ignores group requests, so leaders fall back to direct
-    /// replication (§III-A).
-    fn p4ce_enabled(mut self, enable: bool) -> Self {
-        self.fabric_mut().switch_cfg.p4ce_enabled = enable;
-        self
-    }
-
     /// Reconfigure the switch asynchronously (keep replicating while the
     /// group rebuilds) — the Lesson-3 extension.
     fn async_reconfig(mut self, enable: bool) -> Self {

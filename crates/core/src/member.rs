@@ -37,6 +37,9 @@ pub type P4ceMember = Member<SwitchComm>;
 
 /// `T_RECONNECT` payload meaning "retry the whole group", not one peer.
 const RETRY_GROUP: u64 = 0xff;
+/// Delay before a leader retries forming the switch group after a
+/// replica refused it (likely a leadership race).
+const GROUP_RETRY_DELAY: SimDuration = SimDuration::from_micros(500);
 
 /// Configuration of one member's [`SwitchComm`].
 #[derive(Debug, Clone)]
@@ -310,10 +313,7 @@ impl Comm for SwitchComm {
             self.switch_handshake = None;
             if core.is_leader() && !self.is_accelerated() {
                 self.path = Path::Down;
-                ops.set_app_timer(
-                    core.cluster().timing.group_retry_delay,
-                    T_RECONNECT | RETRY_GROUP,
-                );
+                ops.set_app_timer(GROUP_RETRY_DELAY, T_RECONNECT | RETRY_GROUP);
             }
         } else {
             self.direct.on_rejected(core, handshake_id, ops);

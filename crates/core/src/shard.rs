@@ -12,7 +12,7 @@ use netsim::{LinkSpec, NodeId, SimDuration, Simulation, Tracer};
 use p4ce_switch::{P4ceProgram, P4ceSwitchConfig};
 use rdma::Host;
 use replication::deploy::{add_members, connect_members};
-use replication::{ClusterConfig, Fabric, HostPlan, ProtocolTiming, WorkloadSpec};
+use replication::{ClusterConfig, Fabric, HostPlan, WorkloadSpec};
 use std::net::Ipv4Addr;
 use tofino::{Switch, SwitchConfig};
 
@@ -36,7 +36,6 @@ pub struct ShardedClusterBuilder {
     members_per_group: usize,
     link: LinkSpec,
     seed: u64,
-    timing: Option<ProtocolTiming>,
     log_size: Option<usize>,
     hosts: HostPlan,
     fabric: P4ceFabric,
@@ -58,7 +57,6 @@ impl ShardedClusterBuilder {
             members_per_group,
             link: LinkSpec::default(),
             seed: 42,
-            timing: None,
             log_size: None,
             hosts: HostPlan::default(),
             fabric: P4ceFabric::default(),
@@ -89,12 +87,6 @@ impl ShardedClusterBuilder {
     /// Sets the deterministic simulation seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides protocol timing for every group.
-    pub fn timing(mut self, timing: ProtocolTiming) -> Self {
-        self.timing = Some(timing);
         self
     }
 
@@ -149,9 +141,6 @@ impl ShardedClusterBuilder {
                 .map(|i| Self::member_ip(g, i))
                 .collect();
             let mut cluster = ClusterConfig::new(&ips);
-            if let Some(timing) = self.timing {
-                cluster.timing = timing;
-            }
             if let Some(bytes) = self.log_size {
                 cluster.log_size = bytes;
             }

@@ -126,14 +126,6 @@ impl ExploreSpec {
         }
     }
 
-    /// A healthy Mu cluster under proposal load.
-    pub fn mu(n_members: usize) -> ExploreSpec {
-        ExploreSpec {
-            system: System::Mu,
-            ..ExploreSpec::p4ce(n_members)
-        }
-    }
-
     /// The injected-bug scenario: plain fabric, revocation skipped, the
     /// leader partitioned mid-exploration. The ensuing election must
     /// trip the single-writer oracle on every schedule. Works with

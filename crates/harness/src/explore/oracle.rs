@@ -55,19 +55,6 @@ impl OracleKind {
             OracleKind::GroupIsolation => "group-isolation",
         }
     }
-
-    /// Parses [`OracleKind::name`] back.
-    pub fn from_name(name: &str) -> Option<OracleKind> {
-        Some(match name {
-            "agreement" => OracleKind::Agreement,
-            "prefix-consistency" => OracleKind::PrefixConsistency,
-            "exactly-once" => OracleKind::ExactlyOnce,
-            "unique-leader" => OracleKind::UniqueLeader,
-            "single-writer" => OracleKind::SingleWriter,
-            "group-isolation" => OracleKind::GroupIsolation,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for OracleKind {
@@ -448,20 +435,5 @@ mod tests {
         probes[1].applied_payloads[1] = [&tag[..], b"X"].concat();
         let v = check_group(&probes, 0, 2).expect("must fire");
         assert_eq!(v.oracle, OracleKind::Agreement);
-    }
-
-    #[test]
-    fn oracle_kind_names_round_trip() {
-        for k in [
-            OracleKind::Agreement,
-            OracleKind::PrefixConsistency,
-            OracleKind::ExactlyOnce,
-            OracleKind::UniqueLeader,
-            OracleKind::SingleWriter,
-            OracleKind::GroupIsolation,
-        ] {
-            assert_eq!(OracleKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(OracleKind::from_name("nope"), None);
     }
 }

@@ -9,8 +9,8 @@
 //! drops them.
 
 use netsim::{
-    assemble_spans, breakdown, chrome_trace_json, InstanceSpan, MetricsRegistry, SimDuration,
-    SimTime, StageBreakdown, TraceHandle, TraceRecord, Tracer,
+    assemble_spans, breakdown, InstanceSpan, MetricsRegistry, SimDuration, SimTime, StageBreakdown,
+    TraceHandle, TraceRecord, Tracer,
 };
 use p4ce::SwitchSetters;
 use rdma::Host;
@@ -174,11 +174,6 @@ pub struct TracedPoint {
 }
 
 impl TracedPoint {
-    /// The Chrome/Perfetto `trace_events` JSON for this point.
-    pub fn chrome_trace(&self) -> String {
-        chrome_trace_json(&self.records)
-    }
-
     /// Records lost to a bounded trace ring during this run (zero for
     /// unbounded sinks).
     pub fn dropped_records(&self) -> u64 {

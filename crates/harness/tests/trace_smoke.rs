@@ -24,7 +24,7 @@ fn smoke_cfg() -> PointConfig {
 #[test]
 fn chrome_trace_round_trips_through_parser() {
     let traced = run_point_traced(&smoke_cfg());
-    let text = traced.chrome_trace();
+    let text = netsim::chrome_trace_json(&traced.records);
     let value = json::parse(&text).expect("exported trace must be valid JSON");
     let events = value
         .get("traceEvents")

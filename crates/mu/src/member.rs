@@ -11,17 +11,21 @@
 //! of when the leader is operational and when its workload may start.
 
 use bytes::Bytes;
-use netsim::TraceEvent;
+use netsim::{SimDuration, TraceEvent};
 use rdma::{Completion, HostOps, Qpn, RegionAdvert, WrId};
 use replication::member::{
-    KIND_REPLICATION, T_CLASS_MASK, T_DATA_MASK, T_RECONNECT, WR_CATCHUP, WR_CLASS_MASK, WR_DIRECT,
-    WR_SEQ_MASK,
+    KIND_REPLICATION, LINK_ABANDON_TICKS, LINK_REDIAL_TICKS, LINK_RETRY_SOON_TICKS, T_CLASS_MASK,
+    T_DATA_MASK, T_RECONNECT, WR_CATCHUP, WR_CLASS_MASK, WR_DIRECT, WR_SEQ_MASK,
 };
 use replication::{Comm, Core, LinkState, Member, MemberEvent, MemberId};
 use std::collections::{BTreeMap, HashMap};
 
 /// The Mu member application: the shared decision core over [`MuComm`].
 pub type MuMember = Member<MuComm>;
+
+/// Delay before a leader re-offers a replication connection to a replica
+/// that refused the handshake (it has not adopted this leader yet).
+const REPLICA_RECONNECT_DELAY: SimDuration = SimDuration::from_micros(200);
 
 #[derive(Debug)]
 struct Link {
@@ -105,20 +109,19 @@ impl FanOut {
         for id in dead {
             self.exclude(id, core, ops);
         }
-        let timing = core.cluster().timing;
         for (peer, _) in core.live_peers() {
             let needs_connect = match self.links.get_mut(&peer) {
                 None => true,
                 Some(link) if link.state == LinkState::Dead => {
                     link.retry_backoff += 1;
-                    link.retry_backoff >= timing.link_redial_ticks
+                    link.retry_backoff >= LINK_REDIAL_TICKS
                 }
                 Some(link) if link.state == LinkState::Connecting => {
                     // Abandon handshakes that died with the fabric.
                     link.retry_backoff += 1;
-                    if link.retry_backoff >= timing.link_abandon_ticks {
+                    if link.retry_backoff >= LINK_ABANDON_TICKS {
                         link.state = LinkState::Dead;
-                        link.retry_backoff = timing.link_retry_soon_ticks;
+                        link.retry_backoff = LINK_RETRY_SOON_TICKS;
                     }
                     false
                 }
@@ -224,10 +227,7 @@ impl FanOut {
             return;
         };
         if core.is_leader() {
-            ops.set_app_timer(
-                core.cluster().timing.replica_reconnect_delay,
-                T_RECONNECT | u64::from(peer.0),
-            );
+            ops.set_app_timer(REPLICA_RECONNECT_DELAY, T_RECONNECT | u64::from(peer.0));
         }
     }
 

@@ -49,11 +49,6 @@ impl Cpu {
         self.busy_until
     }
 
-    /// `true` if the CPU is idle at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Total busy time accumulated (for utilization reporting).
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
@@ -62,14 +57,6 @@ impl Cpu {
     /// Number of operations executed.
     pub fn ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Utilization over the window `[0, now]`, in `[0, 1]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy_time.as_nanos() as f64 / now.as_nanos() as f64).min(1.0)
     }
 }
 
@@ -82,8 +69,6 @@ mod tests {
         let mut cpu = Cpu::new();
         let done = cpu.run(SimTime::from_nanos(100), SimDuration::from_nanos(50));
         assert_eq!(done.as_nanos(), 150);
-        assert!(cpu.is_idle(SimTime::from_nanos(150)));
-        assert!(!cpu.is_idle(SimTime::from_nanos(149)));
     }
 
     #[test]
@@ -99,14 +84,5 @@ mod tests {
         assert_eq!(cpu.ops(), 10);
         assert_eq!(cpu.busy_time(), SimDuration::from_nanos(2100));
         assert_eq!(cpu.busy_until(), last);
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut cpu = Cpu::new();
-        cpu.run(SimTime::ZERO, SimDuration::from_nanos(500));
-        assert!((cpu.utilization(SimTime::from_nanos(1000)) - 0.5).abs() < 1e-9);
-        assert_eq!(cpu.utilization(SimTime::ZERO), 0.0);
-        assert_eq!(cpu.utilization(SimTime::from_nanos(100)), 1.0);
     }
 }

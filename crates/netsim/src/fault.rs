@@ -53,7 +53,7 @@ impl Partition {
 ///     .reorder(0.05, SimDuration::from_micros(5))
 ///     .jitter(SimDuration::from_nanos(300))
 ///     .partition(SimTime::from_millis(10), SimTime::from_millis(25));
-/// assert!(plan.injects_anything());
+/// assert!(plan.is_partitioned(SimTime::from_millis(12)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -116,16 +116,6 @@ impl FaultPlan {
     pub fn partition(mut self, from: SimTime, until: SimTime) -> Self {
         self.partitions.push(Partition { from, until });
         self
-    }
-
-    /// True when the plan can perturb at least one frame.
-    pub fn injects_anything(&self) -> bool {
-        self.loss > 0.0
-            || self.duplicate > 0.0
-            || self.reorder > 0.0
-            || self.jitter > SimDuration::ZERO
-            || self.corrupt > 0.0
-            || !self.partitions.is_empty()
     }
 
     /// True while some partition window covers `now`.
@@ -201,13 +191,6 @@ pub struct FaultStats {
     pub corrupted: u64,
 }
 
-impl FaultStats {
-    /// Total frames the plan removed from the wire.
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped + self.partition_dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +203,6 @@ mod tests {
     #[test]
     fn empty_plan_is_transparent() {
         let plan = FaultPlan::new();
-        assert!(!plan.injects_anything());
         let mut rng = StdRng::seed_from_u64(1);
         let mut stats = FaultStats::default();
         let arrival = SimTime::from_nanos(500);

@@ -39,11 +39,6 @@ impl Bandwidth {
         }
     }
 
-    /// The bandwidth in gigabits per second.
-    pub fn as_gbps(self) -> f64 {
-        self.bits_per_ns
-    }
-
     /// Bytes per second carried at this rate.
     pub fn bytes_per_sec(self) -> f64 {
         self.bits_per_ns * 1e9 / 8.0
@@ -179,7 +174,6 @@ mod tests {
     #[test]
     fn hundred_gbe_helper() {
         let spec = LinkSpec::hundred_gbe(SimDuration::from_nanos(5));
-        assert_eq!(spec.bandwidth.as_gbps(), 100.0);
         assert_eq!(spec.propagation.as_nanos(), 5);
         assert!((spec.bandwidth.bytes_per_sec() - 12.5e9).abs() < 1.0);
     }

@@ -33,11 +33,6 @@ impl MetricsRegistry {
         self.counters.insert(name.to_owned(), value);
     }
 
-    /// Adds `delta` to counter `name`, creating it at zero.
-    pub fn add_counter(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
-    }
-
     /// Reads counter `name`.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
@@ -62,35 +57,6 @@ impl MetricsRegistry {
     /// Reads histogram `name`.
     pub fn histogram(&self, name: &str) -> Option<&HistogramStats> {
         self.histograms.get(name)
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &HistogramStats)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Counters whose names start with `prefix`, sorted.
-    pub fn counters_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters()
-            .filter(move |(name, _)| name.starts_with(prefix))
-    }
-
-    /// `true` when nothing was registered.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Every registered metric name — counters, gauges and histograms —
@@ -164,59 +130,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the snapshot in Prometheus text exposition format:
-    /// counters and gauges as single samples, histograms as summaries
-    /// (`_count`/`_sum` plus `quantile`-labeled p50/p99 samples, in
-    /// nanoseconds). Dots and other non-identifier characters in metric
-    /// names become underscores per the Prometheus naming rules.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let name = prometheus_name(name);
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let name = prometheus_name(name);
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let name = format!("{}_ns", prometheus_name(name));
-            let _ = writeln!(out, "# TYPE {name} summary");
-            let _ = writeln!(
-                out,
-                "{name}{{quantile=\"0.5\"}} {}",
-                h.percentile(50.0).as_nanos()
-            );
-            let _ = writeln!(
-                out,
-                "{name}{{quantile=\"0.99\"}} {}",
-                h.percentile(99.0).as_nanos()
-            );
-            let _ = writeln!(out, "{name}_sum {}", h.sum_ns());
-            let _ = writeln!(out, "{name}_count {}", h.len());
-        }
-        out
-    }
-}
-
-/// Maps a dotted metric name onto the Prometheus identifier charset
-/// (`[a-zA-Z0-9_:]`, not digit-leading).
-fn prometheus_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            if i == 0 && c.is_ascii_digit() {
-                out.push('_');
-            }
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
 }
 
 /// The group dimension of a metric name: `base` scoped to consensus
@@ -246,10 +159,8 @@ mod tests {
     #[test]
     fn counters_gauges_histograms_round_trip() {
         let mut reg = MetricsRegistry::new();
-        assert!(reg.is_empty());
-        reg.set_counter("rdma.tx.packets", 10);
-        reg.add_counter("rdma.tx.packets", 5);
-        reg.add_counter("rdma.rx.packets", 2);
+        reg.set_counter("rdma.tx.packets", 15);
+        reg.set_counter("rdma.rx.packets", 2);
         reg.set_gauge("p4ce.min_credit", 17.0);
         reg.histogram_mut("consensus.latency")
             .record(SimDuration::from_micros(3));
@@ -257,13 +168,6 @@ mod tests {
         assert_eq!(reg.counter("missing"), None);
         assert_eq!(reg.gauge("p4ce.min_credit"), Some(17.0));
         assert_eq!(reg.histogram("consensus.latency").map(|h| h.len()), Some(1));
-        let names: Vec<&str> = reg.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, ["rdma.rx.packets", "rdma.tx.packets"], "sorted");
-        assert_eq!(
-            reg.counters_with_prefix("rdma.tx").count(),
-            1,
-            "prefix filter"
-        );
         let rendered = reg.render();
         assert!(rendered.contains("rdma.tx.packets 15"));
         assert!(rendered.contains("consensus.latency count=1"));
@@ -302,24 +206,5 @@ mod tests {
         after.set_counter("appeared", 7);
         let diff = MetricsRegistry::render_diff(&before, &after);
         assert_eq!(diff, "appeared +7\ndecided +15\nvanished -2\n");
-    }
-
-    #[test]
-    fn prometheus_exposition_sanitizes_names_and_summarizes_histograms() {
-        let mut reg = MetricsRegistry::new();
-        reg.set_counter("g0.member.0.decided", 12);
-        reg.set_gauge("switch.credit", 3.5);
-        let h = reg.histogram_mut("member.0.latency");
-        h.record(SimDuration::from_micros(2));
-        h.record(SimDuration::from_micros(4));
-        let text = reg.render_prometheus();
-        assert!(text.contains("# TYPE g0_member_0_decided counter"));
-        assert!(text.contains("g0_member_0_decided 12"));
-        assert!(text.contains("switch_credit 3.5"));
-        assert!(text.contains("# TYPE member_0_latency_ns summary"));
-        assert!(text.contains("member_0_latency_ns{quantile=\"0.5\"}"));
-        assert!(text.contains("member_0_latency_ns_sum 6000"));
-        assert!(text.contains("member_0_latency_ns_count 2"));
-        assert_eq!(prometheus_name("0abc"), "_0abc", "no digit-leading names");
     }
 }

@@ -1,7 +1,6 @@
 //! Node abstraction and the context handed to node callbacks.
 
 use bytes::Bytes;
-use rand::rngs::StdRng;
 use std::any::Any;
 use std::fmt;
 
@@ -147,11 +146,6 @@ pub struct Context<'a> {
 }
 
 impl Context<'_> {
-    /// The id of the node whose callback is running.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Transmits `frame` on `port`. Delivery time is governed by the link's
     /// bandwidth, queue occupancy and propagation delay.
     ///
@@ -172,11 +166,6 @@ impl Context<'_> {
         debug_assert!(at >= self.now, "timer scheduled in the past");
         let node = self.node;
         self.fabric.push_event(at, EventKind::Timer { node, token });
-    }
-
-    /// The simulation's deterministic random-number generator.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.fabric.rng
     }
 }
 

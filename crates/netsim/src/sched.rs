@@ -105,11 +105,6 @@ impl ReplayScheduler {
     pub fn new(choices: Vec<u32>) -> Self {
         ReplayScheduler { choices, cursor: 0 }
     }
-
-    /// How many recorded choices have been consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.cursor
-    }
 }
 
 impl Scheduler for ReplayScheduler {
@@ -150,10 +145,8 @@ mod tests {
     fn replay_consumes_only_at_branching_points() {
         let mut s = ReplayScheduler::new(vec![2, 1]);
         assert_eq!(s.choose(&[info(0)]), 0, "single candidate is forced");
-        assert_eq!(s.consumed(), 0);
         assert_eq!(s.choose(&[info(0), info(1), info(2)]), 2);
         assert_eq!(s.choose(&[info(0), info(1)]), 1);
-        assert_eq!(s.consumed(), 2);
         // Exhausted: falls back to FIFO.
         assert_eq!(s.choose(&[info(0), info(1)]), 0);
     }

@@ -256,11 +256,6 @@ impl Simulation {
         self.node_down[node.index()] = down;
     }
 
-    /// `true` if the node is currently marked crashed.
-    pub fn is_node_down(&self, node: NodeId) -> bool {
-        self.node_down[node.index()]
-    }
-
     /// Immutable access to a node, downcast to its concrete type.
     ///
     /// # Panics
@@ -383,22 +378,12 @@ impl Simulation {
         (p.peer, p.peer_port)
     }
 
-    /// Number of ports currently allocated on `node`.
-    pub fn port_count(&self, node: NodeId) -> usize {
-        self.fabric.ports[node.index()].len()
-    }
-
     /// Installs a [`Scheduler`] that chooses among co-enabled events
     /// (those sharing the earliest pending timestamp). Replaces any
     /// previous scheduler. Without one, equal-time events fire in
     /// insertion order — identical to [`crate::FifoScheduler`].
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
         self.scheduler = Some(scheduler);
-    }
-
-    /// Removes the installed scheduler, reverting to FIFO order.
-    pub fn clear_scheduler(&mut self) {
-        self.scheduler = None;
     }
 
     /// The currently co-enabled events: every pending event due at the
@@ -627,7 +612,6 @@ mod tests {
         sim.set_node_down(rx, true);
         sim.run_to_completion();
         assert!(sim.node_ref::<Sink>(rx).arrivals.is_empty());
-        assert!(sim.is_node_down(rx));
     }
 
     #[test]
@@ -857,6 +841,5 @@ mod tests {
         let (pa, pb) = sim.connect(a, b, LinkSpec::default());
         assert_eq!(sim.peer_of(a, pa), (b, pb));
         assert_eq!(sim.peer_of(b, pb), (a, pa));
-        assert_eq!(sim.port_count(a), 1);
     }
 }

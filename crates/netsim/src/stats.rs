@@ -83,11 +83,6 @@ impl LatencyStats {
         SimDuration::from_nanos(self.samples_ns[idx])
     }
 
-    /// Median latency. Zero when empty.
-    pub fn median(&mut self) -> SimDuration {
-        self.percentile(50.0)
-    }
-
     /// Maximum latency. Zero when empty.
     pub fn max(&self) -> SimDuration {
         SimDuration::from_nanos(self.samples_ns.iter().copied().max().unwrap_or(0))
@@ -203,12 +198,6 @@ impl HistogramStats {
         self.count as usize
     }
 
-    /// Sum of all recorded samples in nanoseconds (exact) — the `_sum`
-    /// of a Prometheus summary exposition.
-    pub fn sum_ns(&self) -> u128 {
-        self.sum_ns
-    }
-
     /// `true` if no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -245,11 +234,6 @@ impl HistogramStats {
         SimDuration::from_nanos(self.max_ns)
     }
 
-    /// Median latency. Zero when empty.
-    pub fn median(&self) -> SimDuration {
-        self.percentile(50.0)
-    }
-
     /// Maximum latency (exact). Zero when empty.
     pub fn max(&self) -> SimDuration {
         if self.count == 0 {
@@ -264,11 +248,6 @@ impl HistogramStats {
             return SimDuration::ZERO;
         }
         SimDuration::from_nanos(self.min_ns)
-    }
-
-    /// Discards all samples.
-    pub fn clear(&mut self) {
-        *self = HistogramStats::default();
     }
 }
 
@@ -313,16 +292,6 @@ impl Throughput {
     /// Operations completed in the window.
     pub fn ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Useful bytes moved in the window.
-    pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
-    }
-
-    /// Start of the measurement window.
-    pub fn started_at(&self) -> SimTime {
-        self.started_at
     }
 
     /// Operations per second, over `[start, now]`.
@@ -375,7 +344,6 @@ mod tests {
         assert_eq!(s.percentile(99.0).as_nanos(), 99);
         assert_eq!(s.percentile(100.0).as_nanos(), 100);
         assert_eq!(s.percentile(0.0).as_nanos(), 1);
-        assert_eq!(s.median().as_nanos(), 50);
     }
 
     #[test]
@@ -439,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_is_empty_and_clear() {
+    fn histogram_starts_empty() {
         let mut h = HistogramStats::new();
         assert!(h.is_empty());
         assert_eq!(h.percentile(99.0), SimDuration::ZERO);
@@ -450,8 +418,7 @@ mod tests {
         assert_eq!(h.len(), 2);
         assert_eq!(h.min().as_nanos(), 5);
         assert_eq!(h.max().as_nanos(), 1000);
-        h.clear();
-        assert!(h.is_empty());
+        assert!(!h.is_empty());
     }
 
     #[test]
@@ -484,7 +451,7 @@ mod tests {
         h.record(SimDuration::from_nanos(1));
         assert_eq!(hist_index(u64::MAX), HIST_BUCKETS - 1, "top bucket");
         assert_eq!(h.len(), 2);
-        assert_eq!(h.sum_ns(), u64::MAX as u128 + 1);
+        assert_eq!(h.sum_ns, u64::MAX as u128 + 1);
         assert_eq!(h.max().as_nanos(), u64::MAX, "max is exact, not midpoint");
         let p100 = h.percentile(100.0).as_nanos();
         assert!(

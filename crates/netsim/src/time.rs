@@ -116,16 +116,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Builds a span from a float number of seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Nanoseconds in this span.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -144,11 +134,6 @@ impl SimDuration {
     /// `true` if the span is empty.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction of two spans.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// The larger of two spans.
@@ -253,10 +238,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1_000));
-        assert_eq!(
-            SimDuration::from_secs_f64(0.5),
-            SimDuration::from_millis(500)
-        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Deterministic sampled time-series telemetry.
 //!
-//! End-of-run snapshots (a [`MetricsRegistry`] dump) answer *how much*;
-//! they cannot answer *when*. This module adds the time dimension: a
-//! [`SampledRegistry`] collects named series of `(sim-time, value)`
-//! samples on a fixed cadence, ring-buffered with deterministic
+//! End-of-run snapshots (a [`MetricsRegistry`](crate::MetricsRegistry)
+//! dump) answer *how much*; they cannot answer *when*. This module adds
+//! the time dimension: a [`SampledRegistry`] collects named series of
+//! `(sim-time, value)` samples on a fixed cadence, ring-buffered with deterministic
 //! oldest-drop, plus an [`Annotation`] stream (view changes, leader
 //! kills, QP recoveries, group fallback/re-acceleration) aligned to the
 //! same clock — so a chaos storm and a clean run differ as *timelines*,
@@ -31,7 +31,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-use crate::metrics::MetricsRegistry;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{self, TraceEvent, TraceRecord};
 
@@ -215,11 +214,6 @@ impl SampledRegistry {
         }
     }
 
-    /// The sampling cadence.
-    pub fn cadence(&self) -> SimDuration {
-        self.cadence
-    }
-
     /// The next tick deadline the driver should run the simulation to.
     pub fn next_tick(&self) -> SimTime {
         self.next_tick
@@ -255,34 +249,6 @@ impl SampledRegistry {
     /// [`SampledRegistry::record`] for integer counters.
     pub fn record_counter(&mut self, name: &str, t: SimTime, value: u64) {
         self.record(name, t, value as f64);
-    }
-
-    /// Samples selected metrics out of a [`MetricsRegistry`] snapshot at
-    /// instant `t`: counters and gauges land under their own name,
-    /// histograms contribute `{name}.p50_ns` and `{name}.p99_ns`
-    /// quantile series. Unknown names are ignored (a selector may cover
-    /// metrics that only exist in some configurations).
-    pub fn sample_registry(&mut self, t: SimTime, reg: &MetricsRegistry, names: &[&str]) {
-        for &name in names {
-            if let Some(v) = reg.counter(name) {
-                self.record_counter(name, t, v);
-            }
-            if let Some(v) = reg.gauge(name) {
-                self.record(name, t, v);
-            }
-            if let Some(h) = reg.histogram(name) {
-                self.record(
-                    &format!("{name}.p50_ns"),
-                    t,
-                    h.percentile(50.0).as_nanos() as f64,
-                );
-                self.record(
-                    &format!("{name}.p99_ns"),
-                    t,
-                    h.percentile(99.0).as_nanos() as f64,
-                );
-            }
-        }
     }
 
     /// Adds a manual timeline marker (e.g. the harness noting the
@@ -330,11 +296,6 @@ impl SampledRegistry {
         self.series.values().map(SampleSeries::len).sum()
     }
 
-    /// Total samples dropped to ring bounds across all series.
-    pub fn total_dropped(&self) -> u64 {
-        self.series.values().map(SampleSeries::dropped).sum()
-    }
-
     /// Renders the whole timeline as CSV: `t_ns,kind,name,value` rows,
     /// samples first (series in name order, each oldest-first), then the
     /// annotation stream (`kind=annotation`, `name` = `node:label`,
@@ -356,46 +317,6 @@ impl SampledRegistry {
                 csv_escape(&a.label)
             );
         }
-        out
-    }
-
-    /// Renders the whole timeline as JSON (hand-rolled — the workspace
-    /// has no serde): cadence, per-series sample arrays, drop counters
-    /// and the annotation stream.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"cadence_ns\":{},", self.cadence.as_nanos());
-        let _ = write!(out, "\"ticks\":{},", self.ticks);
-        out.push_str("\"series\":{");
-        for (i, s) in self.series.values().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            trace::escape_json(&s.name, &mut out);
-            let _ = write!(out, "\":{{\"dropped\":{},\"points\":[", s.dropped());
-            for (j, (t, v)) in s.points().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", t.as_nanos(), fmt_value(v));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"annotations\":[");
-        for (i, a) in self.annotations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"t_ns\":{},\"node\":\"", a.t.as_nanos());
-            trace::escape_json(&a.node, &mut out);
-            out.push_str("\",\"label\":\"");
-            trace::escape_json(&a.label, &mut out);
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
-        out.push('\n');
         out
     }
 }
@@ -496,7 +417,6 @@ mod tests {
             vec![(300_000, 2.0), (400_000, 3.0), (500_000, 4.0)],
             "oldest dropped first"
         );
-        assert_eq!(ts.total_dropped(), 2);
         assert_eq!(ts.total_samples(), 3);
     }
 
@@ -525,34 +445,6 @@ mod tests {
         }
         assert_eq!(ticks, vec![5_000_000, 5_100_000, 5_200_000]);
         assert_eq!(ts.ticks(), 3);
-    }
-
-    #[test]
-    fn registry_sampling_selects_counters_gauges_and_quantiles() {
-        let mut reg = MetricsRegistry::new();
-        reg.set_counter("member.0.decided", 7);
-        reg.set_gauge("switch.credit", 12.5);
-        reg.histogram_mut("member.0.latency")
-            .record(SimDuration::from_micros(3));
-        let mut ts = SampledRegistry::new(SimDuration::from_micros(100));
-        ts.sample_registry(
-            t(100),
-            &reg,
-            &[
-                "member.0.decided",
-                "switch.credit",
-                "member.0.latency",
-                "absent",
-            ],
-        );
-        assert_eq!(
-            ts.series("member.0.decided").map(SampleSeries::len),
-            Some(1)
-        );
-        assert_eq!(ts.series("switch.credit").map(SampleSeries::len), Some(1));
-        assert!(ts.series("member.0.latency.p50_ns").is_some());
-        assert!(ts.series("member.0.latency.p99_ns").is_some());
-        assert!(ts.series("absent").is_none(), "unknown names are ignored");
     }
 
     #[test]
@@ -590,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_exports_are_parseable_and_stable() {
+    fn csv_export_is_stable() {
         let mut ts = SampledRegistry::new(SimDuration::from_micros(100));
         ts.record_counter("a.decided", t(100), 1);
         ts.record_counter("a.decided", t(200), 3);
@@ -599,9 +491,6 @@ mod tests {
         assert!(csv.starts_with("t_ns,kind,name,value\n"));
         assert!(csv.contains("100000,sample,a.decided,1"));
         assert!(csv.contains("150000,annotation,m0:leader-kill,"));
-        let parsed = json::parse(&ts.to_json()).expect("valid json");
-        let cadence = parsed.get("cadence_ns").and_then(json::Value::as_f64);
-        assert_eq!(cadence, Some(100_000.0));
         assert_eq!(ts.to_csv(), csv, "render is pure");
     }
 

@@ -30,7 +30,6 @@
 //! minimal parser used to validate that export round-trips.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::stats::LatencyStats;
@@ -526,9 +525,6 @@ struct Ring {
     current: Vec<BinRecord>,
     /// Filled chunks, oldest first.
     full: Vec<Vec<BinRecord>>,
-    /// Cleared chunks kept for their capacity (and already-faulted
-    /// pages): a cleared ring re-fills without touching the allocator.
-    spare: Vec<Vec<BinRecord>>,
     /// Next overwrite position in bounded mode once the ring is full.
     head: usize,
     /// Records overwritten in bounded mode.
@@ -551,7 +547,6 @@ impl Ring {
         Ring {
             current: Vec::with_capacity(first),
             full: Vec::new(),
-            spare: Vec::new(),
             head: 0,
             dropped: 0,
             bound,
@@ -592,10 +587,7 @@ impl Ring {
                 self.dropped += 1;
             }
             None => {
-                let next = self
-                    .spare
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(RING_CHUNK));
+                let next = Vec::with_capacity(RING_CHUNK);
                 self.full.push(std::mem::replace(&mut self.current, next));
                 self.current.push(rec);
             }
@@ -604,18 +596,6 @@ impl Ring {
 
     fn len(&self) -> usize {
         self.full.iter().map(Vec::len).sum::<usize>() + self.current.len()
-    }
-
-    fn clear(&mut self) {
-        // Every chunk keeps its capacity (and its already-faulted
-        // pages): a cleared ring re-fills allocation-free.
-        for mut chunk in self.full.drain(..) {
-            chunk.clear();
-            self.spare.push(chunk);
-        }
-        self.current.clear();
-        self.head = 0;
-        self.dropped = 0;
     }
 
     /// Decodes the ring contents oldest-first.
@@ -649,8 +629,8 @@ impl Ring {
 /// records back after the run. Clonable and `Send`, so parallel sweeps
 /// can give each point its own ring.
 ///
-/// The default handle grows without bound (doubling its preallocated
-/// backing store); [`TraceHandle::bounded`] caps the ring at a fixed
+/// The default handle grows without bound (one fixed-size chunk at a
+/// time); [`TraceHandle::bounded`] caps the ring at a fixed
 /// record count and deterministically overwrites the *oldest* record
 /// once full, counting each overwrite in [`TraceHandle::dropped`].
 #[derive(Debug, Clone)]
@@ -683,16 +663,11 @@ impl TraceHandle {
 
     /// Derives an *enabled* tracer that stamps records with `label`.
     pub fn tracer(&self, label: &str) -> Tracer {
-        let node = self
-            .inner
-            .lock()
-            .expect("trace ring poisoned")
-            .intern(label);
         Tracer {
             ring: Some(Arc::clone(&self.inner)),
-            node,
-            label: Arc::from(label),
+            node: 0,
         }
+        .labeled(label)
     }
 
     /// A snapshot of the records collected so far, oldest first, decoded
@@ -716,11 +691,6 @@ impl TraceHandle {
     pub fn dropped(&self) -> u64 {
         self.inner.lock().expect("trace ring poisoned").dropped
     }
-
-    /// Discards everything collected so far (and resets the drop count).
-    pub fn clear(&self) {
-        self.inner.lock().expect("trace ring poisoned").clear();
-    }
 }
 
 /// A per-node emitter. Disabled by default — and a disabled tracer's
@@ -729,45 +699,20 @@ impl TraceHandle {
 /// one (`#[derive(Clone)]`-compatible, `Default` = disabled) and builders
 /// swap in enabled ones from a [`TraceHandle`].
 ///
-/// An enabled tracer's `emit` writes one fixed-width 48-byte record into
+/// An enabled tracer's `emit` writes one fixed-width 40-byte record into
 /// the shared ring: no heap allocation, no string formatting, no `Arc`
-/// clone — the node label was interned to a `u16` when the tracer was
+/// clone — the node label was interned to a `u8` when the tracer was
 /// created.
-#[derive(Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Tracer {
     ring: Option<Arc<Mutex<Ring>>>,
     node: u8,
-    label: Arc<str>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer {
-            ring: None,
-            node: 0,
-            label: Arc::from(""),
-        }
-    }
-}
-
-impl fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.ring.is_some())
-            .field("label", &self.label)
-            .finish()
-    }
 }
 
 impl Tracer {
     /// The disabled tracer (same as `Tracer::default()`).
     pub fn disabled() -> Self {
         Tracer::default()
-    }
-
-    /// `true` when records actually go somewhere.
-    pub fn is_enabled(&self) -> bool {
-        self.ring.is_some()
     }
 
     /// The same ring under a different node label.
@@ -779,7 +724,6 @@ impl Tracer {
         Tracer {
             ring: self.ring.clone(),
             node,
-            label: Arc::from(label),
         }
     }
 
@@ -1544,7 +1488,6 @@ mod tests {
             TraceEvent::FellBack
         });
         assert!(!ran, "disabled tracer must not evaluate the event");
-        assert!(!tracer.is_enabled());
     }
 
     #[test]
@@ -1565,8 +1508,6 @@ mod tests {
         assert_eq!(&*records[0].node, "m0");
         assert_eq!(&*records[1].node, "switch");
         assert_eq!(records[1].t, SimTime::from_nanos(20));
-        handle.clear();
-        assert!(handle.is_empty());
     }
 
     #[test]
@@ -1659,9 +1600,6 @@ mod tests {
             })
             .collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "oldest records must be dropped");
-        handle.clear();
-        assert_eq!(handle.dropped(), 0);
-        assert!(handle.is_empty());
     }
 
     #[test]

@@ -23,4 +23,4 @@ mod spec;
 pub use program::{
     AckDropStage, CreditMode, GroupStats, P4ceProgram, P4ceSwitchConfig, P4ceSwitchStats,
 };
-pub use spec::{GroupJoin, GroupRetire, GroupSpec, SpecError};
+pub use spec::{GroupJoin, GroupRetire, GroupSpec, SpecError, MAX_REPLICAS};

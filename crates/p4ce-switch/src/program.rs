@@ -743,7 +743,9 @@ impl P4ceProgram {
                     self.stats.stale_acks_dropped += 1;
                     return None;
                 }
-                let bit = 1u32 << (u32::from(endpoint) % 32);
+                // One bit per endpoint: `GroupSpec::decode` admits no group
+                // of more than `MAX_REPLICAS` = 32.
+                let bit = 1u32 << endpoint;
                 let seen = group.num_recv.read(idx);
                 if seen & bit != 0 {
                     // This replica already ACKed this PSN — a duplicate

@@ -12,6 +12,10 @@ use std::error::Error;
 use std::fmt;
 use std::net::Ipv4Addr;
 
+/// Most replicas one group can hold: the gather's `NumRecv` register is
+/// a 32-bit bitmap, one bit per replica.
+pub const MAX_REPLICAS: usize = 32;
+
 /// The group a leader asks the switch to build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupSpec {
@@ -39,7 +43,9 @@ impl GroupSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] on truncation or an impossible `f`.
+    /// Returns [`SpecError`] on truncation, or on a group the switch
+    /// cannot count: no replicas or more than [`MAX_REPLICAS`], `f` zero
+    /// (a quorum that is never *reached*) or above the replica count.
     pub fn decode(bytes: &[u8]) -> Result<GroupSpec, SpecError> {
         if bytes.len() < 2 {
             return Err(SpecError::Truncated);
@@ -49,7 +55,8 @@ impl GroupSpec {
         if bytes.len() < 2 + 4 * n {
             return Err(SpecError::Truncated);
         }
-        if n == 0 || usize::from(f) > n {
+        // 1 ≤ f ≤ n ≤ MAX_REPLICAS (which rules out an empty set too).
+        if f == 0 || usize::from(f) > n || n > MAX_REPLICAS {
             return Err(SpecError::BadQuorum { f, replicas: n });
         }
         let replicas = (0..n)
@@ -145,7 +152,8 @@ impl GroupRetire {
 pub enum SpecError {
     /// Input ended early.
     Truncated,
-    /// `f` exceeds the replica count (or the set is empty).
+    /// `f` is zero or exceeds the replica count, or the replica set is
+    /// empty or larger than [`MAX_REPLICAS`].
     BadQuorum {
         /// Requested acknowledgement count.
         f: u8,
@@ -195,6 +203,19 @@ mod tests {
             GroupSpec::decode(&bad.encode()),
             Err(SpecError::BadQuorum { f: 3, replicas: 1 })
         );
+        // A quorum of zero is never reached; replica 32 has no NumRecv bit.
+        assert_eq!(
+            GroupSpec::decode(&[0, 1, 10, 0, 0, 2]),
+            Err(SpecError::BadQuorum { f: 0, replicas: 1 })
+        );
+        let mut forged = vec![1, 33];
+        forged.resize(2 + 4 * 33, 7);
+        assert_eq!(
+            GroupSpec::decode(&forged),
+            Err(SpecError::BadQuorum { f: 1, replicas: 33 })
+        );
+        forged[1] = MAX_REPLICAS as u8;
+        assert_eq!(GroupSpec::decode(&forged).map(|s| s.replicas.len()), Ok(32));
         assert_eq!(GroupSpec::decode(&[1]), Err(SpecError::Truncated));
         assert_eq!(GroupSpec::decode(&[1, 4, 0, 0]), Err(SpecError::Truncated));
     }

@@ -455,3 +455,37 @@ fn write_at_the_top_of_the_address_space_is_refused_not_fatal() {
         assert!(rep.dirty.is_empty(), "nothing landed in the log");
     }
 }
+
+#[test]
+fn a_group_that_cannot_be_counted_is_refused_and_the_switch_keeps_serving() {
+    // f = 0 is a quorum the gather can never report (`count == f` is
+    // false from the first ACK on): the switch must refuse the group, not
+    // build it and absorb every ACK while the leader retransmits.
+    let replicas = vec![replica_ip(0), replica_ip(1)];
+    let leader = Leader::new(0, replicas.clone(), vec![Bytes::from(vec![0x5a; 64])]);
+    let mut c = build_cluster(2, leader, P4ceSwitchConfig::default(), |_, _, _| {});
+    c.sim.run_until(SimTime::from_millis(100));
+
+    let leader_app = c.sim.node_ref::<Host<Leader>>(c.leader).app();
+    assert!(
+        leader_app.rejected,
+        "the requester is answered, by a reject"
+    );
+    assert!(leader_app.connected_at.is_none());
+    let prog = c.sim.node_ref::<Switch<P4ceProgram>>(c.switch).program();
+    assert_eq!(prog.stats.groups_created, 0);
+
+    // A well-formed request on the same switch is then served.
+    let good = GroupSpec { f: 1, replicas };
+    c.sim.with_node::<Host<Leader>, _>(c.leader, |host, ctx| {
+        host.with_ops(ctx, |_, ops| ops.connect(SW_IP, good.encode()))
+    });
+    c.sim.run_until(SimTime::from_millis(200));
+    let leader_app = c.sim.node_ref::<Host<Leader>>(c.leader).app();
+    assert!(leader_app.connected_at.is_some(), "second request connects");
+    assert_eq!(leader_app.completions.len(), 1);
+    assert!(leader_app.completions[0].status.is_success());
+    let prog = c.sim.node_ref::<Switch<P4ceProgram>>(c.switch).program();
+    assert_eq!(prog.stats.groups_created, 1);
+    assert_eq!((prog.stats.scattered, prog.stats.acks_forwarded), (1, 1));
+}

@@ -103,16 +103,6 @@ pub enum CmMessage {
 }
 
 impl CmMessage {
-    /// The handshake this message belongs to.
-    pub fn handshake_id(&self) -> u64 {
-        match self {
-            CmMessage::ConnectRequest { handshake_id, .. }
-            | CmMessage::ConnectReply { handshake_id, .. }
-            | CmMessage::ReadyToUse { handshake_id }
-            | CmMessage::ConnectReject { handshake_id, .. } => *handshake_id,
-        }
-    }
-
     /// Serializes the datagram.
     ///
     /// # Panics
@@ -302,7 +292,6 @@ mod tests {
             private_data: Bytes::from_static(b"replica-set"),
         };
         assert_eq!(CmMessage::decode(&msg.encode()).expect("decode"), msg);
-        assert_eq!(msg.handshake_id(), 0xfeed);
     }
 
     #[test]

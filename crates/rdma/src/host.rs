@@ -30,7 +30,7 @@ use crate::qp::{
 };
 use crate::types::{MacAddr, Permissions, Psn, Qpn, CM_QPN, DEFAULT_RDMA_MTU};
 use crate::verbs::{Completion, CompletionStatus, WorkRequest, WrId};
-use crate::wire::{Aeth, AethKind, Bth, NakCode, Reth, RocePacket};
+use crate::wire::{peek_opcode, Aeth, AethKind, Bth, NakCode, Reth, RocePacket};
 
 /// Tunable parameters of a host. Defaults are the calibration constants
 /// derived from the paper (DESIGN.md §2).
@@ -1063,27 +1063,12 @@ impl HostOps<'_, '_> {
         self.ctx.now
     }
 
-    /// This host's IP address.
-    pub fn ip(&self) -> Ipv4Addr {
-        self.core.cfg.ip
-    }
-
-    /// This host's configuration.
-    pub fn config(&self) -> &HostConfig {
-        &self.core.cfg
-    }
-
     /// The host's trace sink. Applications emit their protocol-level
     /// events (propose, decide, view change) through this so they share
     /// the NIC's node label — span assembly correlates the two by
     /// `(node, qpn, wr_id)`.
     pub fn tracer(&self) -> &Tracer {
         &self.core.cfg.tracer
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> HostStats {
-        self.core.stats
     }
 
     /// Registers a memory region (see [`HostMemory::register`]).
@@ -1231,30 +1216,6 @@ impl HostOps<'_, '_> {
         self.core.active_port = port;
     }
 
-    /// The port new connections currently use.
-    pub fn active_port(&self) -> PortId {
-        self.core.active_port
-    }
-
-    /// The state of a queue pair, if it exists.
-    pub fn qp_state(&self, qpn: Qpn) -> Option<QpState> {
-        self.core.qps.get(&qpn.masked()).map(|q| q.state())
-    }
-
-    /// The peer of a queue pair, once connected.
-    pub fn qp_peer(&self, qpn: Qpn) -> Option<PeerInfo> {
-        self.core.qps.get(&qpn.masked()).and_then(|q| q.peer())
-    }
-
-    /// Messages posted on `qpn` and not yet acknowledged.
-    pub fn qp_inflight(&self, qpn: Qpn) -> usize {
-        self.core
-            .qps
-            .get(&qpn.masked())
-            .map(|q| q.inflight_len() + q.pending_len())
-            .unwrap_or(0)
-    }
-
     /// Posts a one-sided RDMA write. Charges the CPU for the post; the NIC
     /// picks the request up when the doorbell lands.
     pub fn post_write(
@@ -1357,12 +1318,6 @@ impl HostOps<'_, '_> {
         self.ctx.schedule_at(done, TimerToken(TK_POST));
     }
 
-    /// Charges additional application CPU work (protocol logic beyond the
-    /// fixed per-verb costs).
-    pub fn cpu_work(&mut self, cost: SimDuration) {
-        self.core.cpu.run(self.ctx.now, cost);
-    }
-
     /// Arms an application timer; [`RdmaApp::on_timer`] fires with `token`.
     ///
     /// # Panics
@@ -1372,11 +1327,6 @@ impl HostOps<'_, '_> {
     pub fn set_app_timer(&mut self, after: SimDuration, token: u64) {
         assert_eq!(token & TK_CLASS_MASK, 0, "app timer token too large");
         self.ctx.schedule(after, TimerToken(TK_APP | token));
-    }
-
-    /// Total CPU busy time so far (for utilization reporting).
-    pub fn cpu_busy(&self) -> SimDuration {
-        self.core.cpu.busy_time()
     }
 }
 
@@ -1468,25 +1418,17 @@ impl<A: RdmaApp> Node for Host<A> {
     }
 
     fn on_frame(&mut self, port: PortId, frame: Frame, ctx: &mut Context<'_>) {
-        // Classify by the BTH opcode byte (fixed offset): *request-starting*
+        // Classify by the BTH opcode byte alone: *request-starting*
         // packets (write-first/only, read request, send) consume a
         // receive-buffer slot — the unit the credit count advertises.
         // Middle/last packets belong to an already-admitted request, and
         // responses consume nothing. A full buffer tail-drops new
         // requests — what happens on real NICs when a sender ignores the
         // advertised credits.
-        const BTH_OPCODE_OFFSET: usize = 14 + 20 + 8;
-        let is_request = frame
-            .data
-            .get(BTH_OPCODE_OFFSET)
-            .and_then(|&b| crate::opcode::Opcode::from_wire(b))
-            .map(|op| {
-                matches!(
-                    op,
-                    Opcode::WriteFirst | Opcode::WriteOnly | Opcode::ReadRequest | Opcode::SendOnly
-                )
-            })
-            .unwrap_or(false);
+        let is_request = matches!(
+            peek_opcode(&frame),
+            Some(Opcode::WriteFirst | Opcode::WriteOnly | Opcode::ReadRequest | Opcode::SendOnly)
+        );
         if is_request && self.core.rx_request_backlog >= self.core.cfg.rx_capacity {
             self.core.stats.rx_overflow_drops += 1;
             return;

@@ -158,12 +158,6 @@ impl HostMemory {
         self.regions[handle.0].info
     }
 
-    /// Replaces the default permissions applied to peers without an
-    /// explicit grant.
-    pub fn set_default_perms(&mut self, handle: RegionHandle, perms: Permissions) {
-        self.regions[handle.0].default_perms = perms;
-    }
-
     /// Grants `peer` specific permissions on the region, overriding the
     /// default. This is the operation a replica performs when it adopts a
     /// new leader (§III, "Decision protocol").
@@ -279,11 +273,6 @@ impl HostMemory {
         }
         Ok(Bytes::copy_from_slice(&region.buf[off..off + len as usize]))
     }
-
-    /// Number of registered regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
 }
 
 #[cfg(test)]
@@ -302,7 +291,6 @@ mod tests {
         let (ia, ib) = (mem.info(a), mem.info(b));
         assert_ne!(ia.rkey, ib.rkey);
         assert!(ib.va >= ia.va + ia.len, "regions must not overlap");
-        assert_eq!(mem.region_count(), 2);
     }
 
     #[test]
@@ -354,7 +342,7 @@ mod tests {
             .expect("default read allowed");
         assert_eq!(&got[..], b"heartbeat");
 
-        mem.set_default_perms(r, Permissions::NONE);
+        mem.grant(r, peer(9), Permissions::NONE);
         assert!(mem.remote_read(peer(9), info.rkey, info.va, 9).is_err());
     }
 

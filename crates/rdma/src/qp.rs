@@ -467,12 +467,6 @@ impl QueuePair {
         RecoveryAction::Retransmit(oldest.packets.clone())
     }
 
-    /// The instant of the oldest unacknowledged transmission, if any (used
-    /// to schedule the next timeout check).
-    pub fn oldest_inflight_sent_at(&self) -> Option<SimTime> {
-        self.inflight.front().map(|m| m.sent_at)
-    }
-
     // ------------------------------------------------------------------
     // Responder side
     // ------------------------------------------------------------------
@@ -497,11 +491,6 @@ impl QueuePair {
     /// Responder-side message sequence number (echoed in AETHs).
     pub fn msn(&self) -> u32 {
         self.msn
-    }
-
-    /// The PSN the responder expects next.
-    pub fn expected_psn(&self) -> Psn {
-        self.epsn
     }
 
     /// The write cursor for an in-progress multi-packet write.

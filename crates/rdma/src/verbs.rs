@@ -57,15 +57,6 @@ impl WorkRequest {
             WorkRequest::Write { wr_id, .. } | WorkRequest::Read { wr_id, .. } => *wr_id,
         }
     }
-
-    /// Message payload length: bytes written for a write, bytes read for a
-    /// read.
-    pub fn message_len(&self) -> usize {
-        match self {
-            WorkRequest::Write { data, .. } => data.len(),
-            WorkRequest::Read { len, .. } => *len as usize,
-        }
-    }
 }
 
 /// Terminal status of a work request.
@@ -128,7 +119,6 @@ mod tests {
             data: Bytes::from_static(b"abcd"),
         };
         assert_eq!(w.wr_id(), WrId(7));
-        assert_eq!(w.message_len(), 4);
         let mut mem = crate::memory::HostMemory::new(0);
         let r = WorkRequest::Read {
             wr_id: WrId(8),
@@ -138,7 +128,7 @@ mod tests {
             local_region: mem.register(32, crate::types::Permissions::NONE),
             local_offset: 0,
         };
-        assert_eq!(r.message_len(), 16);
+        assert_eq!(r.wr_id(), WrId(8));
     }
 
     #[test]

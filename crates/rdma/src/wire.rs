@@ -582,6 +582,18 @@ const BTH_QPN_OFF: usize = TRANSPORT_OFF + 4;
 const BTH_PSN_OFF: usize = TRANSPORT_OFF + 8;
 const EXT_OFF: usize = TRANSPORT_OFF + BTH_LEN;
 
+/// The BTH opcode byte of a serialized frame, read at its fixed offset
+/// and nothing else checked: a classification peek for code that must
+/// decide before [`RocePacket::parse_view`] runs. `None` when the frame
+/// is too short to carry a BTH or the byte is not a known opcode.
+#[inline]
+pub fn peek_opcode(frame: &Frame) -> Option<Opcode> {
+    frame
+        .data
+        .get(TRANSPORT_OFF)
+        .and_then(|&b| Opcode::from_wire(b))
+}
+
 /// The header fields an in-flight rewrite may change without
 /// re-serializing the packet — exactly the set the paper's deparser
 /// rewrites per replica (§IV-A, Table I): addressing, UDP entropy,
@@ -1176,6 +1188,9 @@ mod tests {
         assert_eq!(frame.len(), pkt.wire_len());
         let back = RocePacket::parse(&frame).expect("parse");
         assert_eq!(back, pkt);
+        assert_eq!(peek_opcode(&frame), Some(Opcode::WriteOnly));
+        let no_bth = Frame::from(frame.data[..TRANSPORT_OFF].to_vec());
+        assert_eq!(peek_opcode(&no_bth), None, "too short to carry a BTH");
     }
 
     #[test]

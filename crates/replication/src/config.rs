@@ -15,50 +15,6 @@ impl fmt::Display for MemberId {
     }
 }
 
-/// Link-management and failure-detection timing shared by the Mu and
-/// P4CE members.
-///
-/// All tick counts are in units of the member's heartbeat period
-/// ([`ClusterConfig::heartbeat_period`]). Chaos and fault-injection
-/// tests tighten these to provoke reconnects and fail-overs quickly;
-/// protocol code never hard-codes them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProtocolTiming {
-    /// Heartbeat ticks to wait before feeding the failure detector after
-    /// start-up or a path fail-over — covers link establishment (no
-    /// information is not a stall).
-    pub detector_grace_ticks: u32,
-    /// Heartbeat ticks a dead link waits before redialling.
-    pub link_redial_ticks: u32,
-    /// Heartbeat ticks after which a handshake that never completed (its
-    /// packets died with the fabric) is abandoned.
-    pub link_abandon_ticks: u32,
-    /// Backoff counter value an abandoned handshake restarts from, so the
-    /// redial happens `link_redial_ticks - link_retry_soon_ticks` ticks
-    /// later instead of a full redial period.
-    pub link_retry_soon_ticks: u32,
-    /// Delay before a leader re-offers a replication connection to a
-    /// replica that refused the handshake (it has not adopted this leader
-    /// yet).
-    pub replica_reconnect_delay: SimDuration,
-    /// Delay before a P4CE leader retries forming the switch group after
-    /// a replica refused it (likely a leadership race).
-    pub group_retry_delay: SimDuration,
-}
-
-impl Default for ProtocolTiming {
-    fn default() -> Self {
-        ProtocolTiming {
-            detector_grace_ticks: 10,
-            link_redial_ticks: 10,
-            link_abandon_ticks: 30,
-            link_retry_soon_ticks: 8,
-            replica_reconnect_delay: SimDuration::from_micros(200),
-            group_retry_delay: SimDuration::from_micros(500),
-        }
-    }
-}
-
 /// Static description of a replication cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -74,8 +30,6 @@ pub struct ClusterConfig {
     /// Time a permission reconfiguration takes to apply (the 0.9 ms the
     /// paper measures for a Mu leader change, §V-E).
     pub permission_change_delay: SimDuration,
-    /// Link-management and failure-detection timing.
-    pub timing: ProtocolTiming,
 }
 
 impl ClusterConfig {
@@ -98,7 +52,6 @@ impl ClusterConfig {
             heartbeat_period: SimDuration::from_micros(100),
             failure_threshold: 5,
             permission_change_delay: SimDuration::from_micros(900),
-            timing: ProtocolTiming::default(),
         }
     }
 
@@ -126,14 +79,6 @@ impl ClusterConfig {
             .find(|(m, _)| *m == id)
             .map(|&(_, ip)| ip)
             .unwrap_or_else(|| panic!("{id} is not a cluster member"))
-    }
-
-    /// The id owning `addr`, if any.
-    pub fn id_of(&self, addr: Ipv4Addr) -> Option<MemberId> {
-        self.members
-            .iter()
-            .find(|&&(_, ip)| ip == addr)
-            .map(|&(id, _)| id)
     }
 
     /// All members except `me`.
@@ -167,8 +112,6 @@ mod tests {
     fn lookup_helpers() {
         let c = ClusterConfig::new(&addrs(3));
         assert_eq!(c.addr_of(MemberId(1)), Ipv4Addr::new(10, 0, 0, 2));
-        assert_eq!(c.id_of(Ipv4Addr::new(10, 0, 0, 3)), Some(MemberId(2)));
-        assert_eq!(c.id_of(Ipv4Addr::new(9, 9, 9, 9)), None);
         let peers = c.peers_of(MemberId(0));
         assert_eq!(peers.len(), 2);
         assert!(peers.iter().all(|&(id, _)| id != MemberId(0)));
@@ -178,16 +121,5 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn tiny_cluster_rejected() {
         let _ = ClusterConfig::new(&addrs(1));
-    }
-
-    #[test]
-    fn default_timing_matches_the_protocol_constants() {
-        let t = ClusterConfig::new(&addrs(3)).timing;
-        assert_eq!(t.detector_grace_ticks, 10);
-        assert_eq!(t.link_redial_ticks, 10);
-        assert_eq!(t.link_abandon_ticks, 30);
-        assert!(t.link_retry_soon_ticks < t.link_redial_ticks);
-        assert_eq!(t.replica_reconnect_delay, SimDuration::from_micros(200));
-        assert_eq!(t.group_retry_delay, SimDuration::from_micros(500));
     }
 }

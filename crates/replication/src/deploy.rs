@@ -11,7 +11,7 @@ use std::marker::PhantomData;
 use std::net::Ipv4Addr;
 use tofino::{L3Forwarder, Switch, SwitchConfig, SwitchProgram};
 
-use crate::{ClusterConfig, Comm, Member, MemberConfig, ProtocolTiming, WorkloadSpec};
+use crate::{ClusterConfig, Comm, Member, MemberConfig, WorkloadSpec};
 
 /// What the members of a deployment hang off, and the comm that goes
 /// with it.
@@ -38,8 +38,6 @@ pub struct HostPlan {
     pub backup_fabric: bool,
     /// CPU cost per verb interaction (post/reap).
     pub verb_cost: Option<SimDuration>,
-    /// `(member, NIC receive capacity)` overrides.
-    pub rx_capacity: Vec<(usize, usize)>,
     /// `(member, NIC per-packet receive cost)` overrides.
     pub rx_cost: Vec<(usize, SimDuration)>,
     /// See [`MemberConfig::skip_epoch_revoke`].
@@ -73,9 +71,6 @@ pub fn add_members<C: Comm>(
             hcfg.post_cost = cost;
             hcfg.reap_cost = cost;
         }
-        if let Some(&(_, cap)) = plan.rx_capacity.iter().find(|&&(m, _)| m == i) {
-            hcfg.rx_capacity = cap;
-        }
         if let Some(&(_, cost)) = plan.rx_cost.iter().find(|&&(m, _)| m == i) {
             hcfg.nic_rx_cost = cost;
         }
@@ -105,7 +100,6 @@ pub struct ClusterBuilder<F> {
     n_members: usize,
     link: LinkSpec,
     seed: u64,
-    timing: Option<ProtocolTiming>,
     log_size: Option<usize>,
     hosts: HostPlan,
     /// Fabric-specific settings; the fabric's crate offers named setters.
@@ -124,7 +118,6 @@ impl<F: Fabric> ClusterBuilder<F> {
             n_members,
             link: LinkSpec::default(),
             seed: 42,
-            timing: None,
             log_size: None,
             hosts: HostPlan::default(),
             fabric: F::default(),
@@ -153,13 +146,6 @@ impl<F: Fabric> ClusterBuilder<F> {
     /// Sets the deterministic simulation seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the link-management and failure-detection timing (chaos
-    /// tests tighten these to provoke reconnects quickly).
-    pub fn timing(mut self, timing: ProtocolTiming) -> Self {
-        self.timing = Some(timing);
         self
     }
 
@@ -194,13 +180,6 @@ impl<F: Fabric> ClusterBuilder<F> {
         self
     }
 
-    /// Shrinks member `i`'s NIC receive capacity (slow-replica credit
-    /// experiments).
-    pub fn member_rx_capacity(mut self, member: usize, capacity: usize) -> Self {
-        self.hosts.rx_capacity.push((member, capacity));
-        self
-    }
-
     /// Slows member `i`'s NIC receive engine (per-packet processing
     /// cost) — a straggling replica.
     pub fn member_rx_cost(mut self, member: usize, cost: SimDuration) -> Self {
@@ -215,9 +194,6 @@ impl<F: Fabric> ClusterBuilder<F> {
             .map(|i| Ipv4Addr::new(10, 0, 0, 1 + i as u8))
             .collect();
         let mut cluster = ClusterConfig::new(&ips);
-        if let Some(timing) = self.timing {
-            cluster.timing = timing;
-        }
         if let Some(bytes) = self.log_size {
             cluster.log_size = bytes;
         }

@@ -69,18 +69,6 @@ impl FailureDetector {
         }
     }
 
-    /// Feeds a failed heartbeat read (transport timeout): counts as a
-    /// non-advancing observation.
-    pub fn observe_failure(&mut self, peer: MemberId) {
-        let Some(h) = self.peers.get_mut(&peer) else {
-            return;
-        };
-        h.unchanged += 1;
-        if h.unchanged >= self.threshold {
-            h.alive = false;
-        }
-    }
-
     /// `true` if `peer` is currently believed alive (unknown peers are
     /// dead).
     pub fn is_alive(&self, peer: MemberId) -> bool {
@@ -110,11 +98,6 @@ impl HeartbeatCounter {
     /// Bumps the counter, returning the value to publish.
     pub fn tick(&mut self) -> u64 {
         self.0 += 1;
-        self.0
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
         self.0
     }
 }
@@ -162,14 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn read_failures_count_as_stalls() {
-        let mut fd = FailureDetector::new(2, ids(1));
-        fd.observe_failure(MemberId(0));
-        fd.observe_failure(MemberId(0));
-        assert!(!fd.is_alive(MemberId(0)));
-    }
-
-    #[test]
     fn unknown_peers_are_dead_and_ignored() {
         let mut fd = FailureDetector::new(2, ids(1));
         fd.observe(MemberId(9), 100);
@@ -179,10 +154,8 @@ mod tests {
     #[test]
     fn counter_ticks_monotonically() {
         let mut c = HeartbeatCounter::new();
-        assert_eq!(c.value(), 0);
         assert_eq!(c.tick(), 1);
         assert_eq!(c.tick(), 2);
-        assert_eq!(c.value(), 2);
     }
 
     #[test]
@@ -222,18 +195,5 @@ mod tests {
             fd.observe(MemberId(0), v); // exactly one stall each round
         }
         assert!(fd.is_alive(MemberId(0)));
-    }
-
-    #[test]
-    fn mixed_failures_and_stalls_accumulate() {
-        // A failed read and a stale read are the same evidence; the
-        // threshold counts them together.
-        let mut fd = FailureDetector::new(3, ids(1));
-        fd.observe(MemberId(0), 5);
-        fd.observe_failure(MemberId(0));
-        fd.observe(MemberId(0), 5);
-        assert!(fd.is_alive(MemberId(0)), "two strikes < 3");
-        fd.observe_failure(MemberId(0));
-        assert!(!fd.is_alive(MemberId(0)), "third strike");
     }
 }

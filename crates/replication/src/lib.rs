@@ -31,7 +31,7 @@ pub mod member;
 pub mod stats;
 pub mod workload;
 
-pub use config::{ClusterConfig, MemberId, ProtocolTiming};
+pub use config::{ClusterConfig, MemberId};
 pub use deploy::{ClusterBuilder, Deployment, Fabric, HostPlan};
 pub use election::{leader_of, ViewChange, ViewTracker};
 pub use heartbeat::{FailureDetector, HeartbeatCounter};

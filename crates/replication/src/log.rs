@@ -161,11 +161,6 @@ impl LogWriter {
         self.offset
     }
 
-    /// The next consensus sequence number.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Reserves space for `payload`, returning the entry, its bytes and
     /// the offset to write them at. Wraps to the head of the ring when
     /// the tail cannot hold the entry.
@@ -194,13 +189,6 @@ impl LogWriter {
         self.offset += bytes.len();
         self.next_seq += 1;
         Ok((entry, bytes, at))
-    }
-
-    /// Restarts the log (view change / new leader).
-    pub fn reset(&mut self) {
-        self.offset = 0;
-        self.next_seq = 0;
-        self.wraps = 0;
     }
 
     /// Resumes appending at `offset` with `next_seq` — a new leader
@@ -491,12 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_restarts_both_sides() {
-        let mut w = LogWriter::new(256);
-        let _ = w.append(Bytes::from_static(b"a")).expect("space");
-        w.reset();
-        assert_eq!(w.offset(), 0);
-        assert_eq!(w.next_seq(), 0);
+    fn reset_restarts_the_reader() {
         let mut r = LogReader::new();
         r.reset();
         assert_eq!(r.offset(), 0);

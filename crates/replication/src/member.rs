@@ -70,6 +70,22 @@ pub const WR_CLASS_MASK: u64 = 0xff << 56;
 /// Mask selecting the sequence number of a log write's id.
 pub const WR_SEQ_MASK: u64 = 0xffff_ffff_ffff;
 
+// Link management, in heartbeat ticks. A member's heartbeat links and a
+// fan-out's replication links redial on one schedule.
+/// Ticks to wait before feeding the failure detector after start-up or a
+/// path fail-over — covers link establishment (no information is not a
+/// stall).
+const DETECTOR_GRACE_TICKS: u32 = 10;
+/// Ticks a dead link waits before redialling.
+pub const LINK_REDIAL_TICKS: u32 = 10;
+/// Ticks after which a handshake that never completed (its packets died
+/// with the fabric) is abandoned.
+pub const LINK_ABANDON_TICKS: u32 = 30;
+/// Back-off an abandoned handshake restarts from: it redials
+/// `LINK_REDIAL_TICKS - LINK_RETRY_SOON_TICKS` ticks later, not a full
+/// redial period.
+pub const LINK_RETRY_SOON_TICKS: u32 = 8;
+
 /// Configuration of one member, whatever its comm.
 #[derive(Debug, Clone)]
 pub struct MemberConfig {
@@ -318,7 +334,6 @@ impl Core {
             })
             .collect();
         let log_size = cfg.cluster.log_size;
-        let detector_grace = cfg.cluster.timing.detector_grace_ticks;
         Core {
             cfg,
             log_region: None,
@@ -345,7 +360,7 @@ impl Core {
             workload_started: false,
             payload_proto: Bytes::new(),
             failed_over: false,
-            detector_grace,
+            detector_grace: DETECTOR_GRACE_TICKS,
             state_machine: None,
             stats: MemberStats::default(),
         }
@@ -360,11 +375,6 @@ impl Core {
     /// The installed state machine, for post-run inspection.
     pub fn state_machine(&self) -> Option<&dyn StateMachine> {
         self.state_machine.as_deref()
-    }
-
-    /// This member's id.
-    pub fn id(&self) -> MemberId {
-        self.cfg.id
     }
 
     /// The cluster this member belongs to.
@@ -420,13 +430,6 @@ impl Core {
     /// (`None` before the first grant and after a fence).
     pub fn epoch_leader(&self) -> Option<Ipv4Addr> {
         self.epoch_leader
-    }
-
-    /// Peers this member has granted log-write permission to in the
-    /// current epoch (its own bookkeeping; the NIC-enforced truth lives
-    /// in [`rdma::Host::memory`]).
-    pub fn granted_ips(&self) -> &BTreeSet<Ipv4Addr> {
-        &self.granted_ips
     }
 
     /// Sequence number the next applied entry must carry — applied
@@ -491,7 +494,6 @@ impl Core {
             }
         }
         // Issue this round's reads and drive reconnects.
-        let timing = self.cfg.cluster.timing;
         for peer in peers {
             let link = self.hb_links.get_mut(&peer).expect("known peer");
             match link.state {
@@ -514,7 +516,7 @@ impl Core {
                 LinkState::Idle => self.connect_hb(peer, ops),
                 LinkState::Dead => {
                     link.reconnect_backoff += 1;
-                    if link.reconnect_backoff >= timing.link_redial_ticks {
+                    if link.reconnect_backoff >= LINK_REDIAL_TICKS {
                         link.reconnect_backoff = 0;
                         self.connect_hb(peer, ops);
                     }
@@ -523,8 +525,8 @@ impl Core {
                     // A handshake that never completes (its packets died
                     // with the fabric) must be abandoned and retried.
                     link.reconnect_backoff += 1;
-                    if link.reconnect_backoff >= timing.link_abandon_ticks {
-                        link.reconnect_backoff = timing.link_retry_soon_ticks;
+                    if link.reconnect_backoff >= LINK_ABANDON_TICKS {
+                        link.reconnect_backoff = LINK_RETRY_SOON_TICKS;
                         link.state = LinkState::Dead;
                     }
                 }
@@ -656,7 +658,7 @@ impl Core {
         for link in self.hb_links.values_mut() {
             link.state = LinkState::Idle;
         }
-        self.detector_grace = self.cfg.cluster.timing.detector_grace_ticks;
+        self.detector_grace = DETECTOR_GRACE_TICKS;
         if self.i_am_leader {
             comm.on_path_recovered(self, ops);
         }

@@ -95,11 +95,6 @@ impl ArrivalClock {
         self.issued += 1;
         self.next_arrival()
     }
-
-    /// Arrivals issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,6 @@ mod tests {
         assert_eq!(t1.as_nanos(), 1_000);
         let t2 = c.advance();
         assert_eq!(t2.as_nanos(), 2_000);
-        assert_eq!(c.issued(), 2);
     }
 
     #[test]

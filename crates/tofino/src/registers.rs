@@ -85,11 +85,6 @@ impl RegisterArray {
         self.slots[i] = if selector != 0 { candidate } else { current };
         self.slots[i]
     }
-
-    /// Resets every slot to zero (a control-plane operation).
-    pub fn clear(&mut self) {
-        self.slots.fill(0);
-    }
 }
 
 /// The Tofino "identity hash" unit: returns its input unchanged. Useful
@@ -143,14 +138,6 @@ mod tests {
         assert_eq!(r.min_update(0, u32::MAX), 0);
         r.write(0, u32::MAX);
         assert_eq!(r.min_update(0, 0), 0);
-    }
-
-    #[test]
-    fn clear_zeroes() {
-        let mut r = RegisterArray::new("z", 3);
-        r.write(1, 5);
-        r.clear();
-        assert_eq!(r.read(1), 0);
     }
 
     #[test]

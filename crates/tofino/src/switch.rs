@@ -256,19 +256,9 @@ impl<P: SwitchProgram> Switch<P> {
         &self.program
     }
 
-    /// Mutable access to the loaded program.
-    pub fn program_mut(&mut self) -> &mut P {
-        &mut self.program
-    }
-
     /// Counters.
     pub fn stats(&self) -> SwitchStats {
         self.shared.stats
-    }
-
-    /// The switch's IP address.
-    pub fn ip(&self) -> Ipv4Addr {
-        self.shared.cfg.ip
     }
 
     /// Charges a parser for one packet; `None` means tail drop.

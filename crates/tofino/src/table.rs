@@ -82,16 +82,6 @@ impl<K: Ord, V> MatchTable<K, V> {
         }
     }
 
-    /// The table's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -139,11 +129,6 @@ impl<K: Ord, V> MatchTable<K, V> {
         }
     }
 
-    /// Uncounted read (control-plane inspection).
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.entries.get(key)
-    }
-
     /// Removes an entry.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let removed = self.entries.remove(key);
@@ -168,7 +153,7 @@ mod tests {
         assert_eq!(t.stats().rejections, 1);
         // Replacing key 1 is fine even when full.
         assert_eq!(t.insert(1, 11).expect("replace"), Some(10));
-        assert_eq!(t.peek(&1), Some(&11));
+        assert_eq!(t.lookup(&1), Some(&11));
         assert_eq!(t.len(), 2);
     }
 
@@ -181,10 +166,6 @@ mod tests {
         assert!(t.lookup(&1).is_some());
         assert_eq!(t.stats().hits, 2);
         assert_eq!(t.stats().misses, 1);
-        // Peek does not count.
-        let before = t.stats();
-        let _ = t.peek(&1);
-        assert_eq!(t.stats(), before);
     }
 
     #[test]

@@ -56,6 +56,22 @@ fi
 [ "$(grep -c 'tx_fifo\.push_back(' crates/rdma/src/host.rs)" -eq 1 ] || { echo "tier-1: crates/rdma/src/host.rs must call tx_fifo.push_back( exactly once (HostCore::enqueue)" >&2; exit 1; }
 [ ! -e crates/bench/benches ] || { echo "tier-1: crates/bench/benches is gone; the kernels are timed by benchmark/src/kernels.rs" >&2; exit 1; }
 
+echo "==> public means called, settable means set: what the caller census retired stays retired"
+for gone in 'ProtocolTiming' 'fn render_prometheus' 'fn sample_registry' 'fn member_rx_capacity' 'fn program_mut' 'fn cpu_work'; do
+  if grep -rn "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; a function or setter comes back together with its caller (EXPERIMENTS E17)" >&2; exit 1
+  fi
+done
+if grep -n 'spare' crates/netsim/src/trace.rs; then
+  echo "tier-1: the trace ring has no chunk-recycling path; nothing clears a ring" >&2; exit 1
+fi
+if grep -n '% 32' crates/p4ce-switch/src/program.rs; then
+  echo "tier-1: no '% 32' in the gather; GroupSpec::decode admits at most MAX_REPLICAS = 32 endpoints, one NumRecv bit each" >&2; exit 1
+fi
+if grep -n '14 + 20' crates/rdma/src/host.rs; then
+  echo "tier-1: crates/rdma/src/host.rs spells no header offset; rdma::wire::peek_opcode is the one opcode peek" >&2; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
