@@ -11,12 +11,12 @@
 use netsim::{LinkSpec, NodeId, SimDuration, Simulation, Tracer};
 use p4ce_switch::{P4ceProgram, P4ceSwitchConfig};
 use rdma::Host;
-use replication::deploy::{add_members, connect_members};
-use replication::{ClusterConfig, Fabric, HostPlan, WorkloadSpec};
+use replication::deploy::Assembly;
+use replication::{ClusterConfig, WorkloadSpec};
 use std::net::Ipv4Addr;
-use tofino::{Switch, SwitchConfig};
+use tofino::Switch;
 
-use crate::builder::P4ceFabric;
+use crate::builder::{ClusterBuilder, SwitchSetters};
 use crate::member::P4ceMember;
 
 /// Builds `groups` independent consensus groups behind one switch.
@@ -34,11 +34,8 @@ use crate::member::P4ceMember;
 pub struct ShardedClusterBuilder {
     groups: usize,
     members_per_group: usize,
-    link: LinkSpec,
-    seed: u64,
-    log_size: Option<usize>,
-    hosts: HostPlan,
-    fabric: P4ceFabric,
+    /// Everything but the group count is the single-group builder's.
+    each: ClusterBuilder,
 }
 
 impl ShardedClusterBuilder {
@@ -55,11 +52,7 @@ impl ShardedClusterBuilder {
         ShardedClusterBuilder {
             groups,
             members_per_group,
-            link: LinkSpec::default(),
-            seed: 42,
-            log_size: None,
-            hosts: HostPlan::default(),
-            fabric: P4ceFabric::default(),
+            each: ClusterBuilder::new(members_per_group),
         }
     }
 
@@ -67,51 +60,51 @@ impl ShardedClusterBuilder {
     /// unset for client-driven runs (the sharded KV service proposes
     /// from outside).
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.hosts.workload = Some(spec);
+        self.each = self.each.workload(spec);
         self
     }
 
     /// Overrides the switch program configuration (shared by all
     /// groups — that is the point).
     pub fn switch_config(mut self, cfg: P4ceSwitchConfig) -> Self {
-        self.fabric.switch_cfg = cfg;
+        self.each = self.each.switch_config(cfg);
         self
     }
 
     /// Overrides the link characteristics.
     pub fn link(mut self, link: LinkSpec) -> Self {
-        self.link = link;
+        self.each = self.each.link(link);
         self
     }
 
     /// Sets the deterministic simulation seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.each = self.each.seed(seed);
         self
     }
 
     /// Overrides every member's replicated-log size.
     pub fn log_size(mut self, bytes: usize) -> Self {
-        self.log_size = Some(bytes);
+        self.each = self.each.log_size(bytes);
         self
     }
 
     /// Overrides the switch-probe / re-acceleration period.
     pub fn reaccel_period(mut self, period: SimDuration) -> Self {
-        self.fabric.reaccel_period = Some(period);
+        self.each = self.each.reaccel_period(period);
         self
     }
 
     /// Attaches a trace sink; members emit as `g{g}m{i}`, the switch as
     /// `switch`.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.hosts.tracer = tracer;
+        self.each = self.each.tracer(tracer);
         self
     }
 
     /// Overrides the switch's per-parser packet cost.
     pub fn parser_cost(mut self, cost: SimDuration) -> Self {
-        self.fabric.parser_cost = Some(cost);
+        self.each = self.each.parser_cost(cost);
         self
     }
 
@@ -119,7 +112,7 @@ impl ShardedClusterBuilder {
     /// direction (see [`SwitchConfig::parser_slices`]) — the contention
     /// model the groups-sweep experiment drives into its knee.
     pub fn parser_slices(mut self, k: usize) -> Self {
-        self.fabric.parser_slices = Some(k);
+        self.each.fabric.parser_slices = Some(k);
         self
     }
 
@@ -131,37 +124,20 @@ impl ShardedClusterBuilder {
 
     /// Assembles the simulation.
     pub fn build(self) -> ShardedDeployment {
-        let switch_ip = Ipv4Addr::new(10, 0, 0, 100);
-        let mut sim = Simulation::new(self.seed);
-
-        let mut clusters = Vec::with_capacity(self.groups);
-        let mut members: Vec<Vec<NodeId>> = Vec::with_capacity(self.groups);
-        for g in 0..self.groups {
-            let ips: Vec<Ipv4Addr> = (0..self.members_per_group)
-                .map(|i| Self::member_ip(g, i))
-                .collect();
-            let mut cluster = ClusterConfig::new(&ips);
-            if let Some(bytes) = self.log_size {
-                cluster.log_size = bytes;
-            }
-            members.push(add_members(
-                &mut sim,
-                &self.hosts,
-                &cluster,
-                |i| format!("g{g}m{i}"),
-                || self.fabric.comm(switch_ip),
-            ));
-            clusters.push(cluster);
-        }
-
-        let mut hw = SwitchConfig::tofino1(switch_ip);
-        let program = self.fabric.program(&mut hw, &self.hosts.tracer);
-        let ports = self.groups * self.members_per_group;
-        let switch = sim.add_node(Box::new(Switch::new(hw, ports, program)));
-        for (cluster, group_nodes) in clusters.iter().zip(&members) {
-            connect_members::<P4ceProgram>(&mut sim, cluster, group_nodes, switch, self.link);
-        }
-
+        let groups: Vec<Vec<Ipv4Addr>> = (0..self.groups)
+            .map(|g| {
+                (0..self.members_per_group)
+                    .map(|i| Self::member_ip(g, i))
+                    .collect()
+            })
+            .collect();
+        let Assembly {
+            sim,
+            clusters,
+            members,
+            switch,
+            ..
+        } = self.each.assemble(&groups, |g, i| format!("g{g}m{i}"));
         ShardedDeployment {
             sim,
             clusters,

@@ -20,12 +20,13 @@
 use bytes::Bytes;
 use netsim::{FaultPlan, FaultStats, NodeId, PortId, SimDuration, SimTime, Simulation, Tracer};
 use rdma::Host;
-use replication::{Deployment, Fabric, Member, StateMachine};
+use replication::{Comm, Member, StateMachine};
 
 use crate::explore::oracle::{check_all, probe_members, MemberProbe};
+use crate::groups::{await_steady, decided, install, leader_steady, propose_to_leader};
 use crate::repro::Repro;
 use crate::runner::System;
-use crate::shard::splitmix;
+use crate::shard::{fnv1a64, splitmix};
 
 /// Everything a chaos run perturbs, derived deterministically from one
 /// seed by [`ChaosSpec::seeded`]. All instants are offsets from the
@@ -290,13 +291,6 @@ fn fault_totals(sim: &Simulation, members: &[NodeId]) -> FaultStats {
     total
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// What the chaos client has done so far.
 #[derive(Default)]
 struct Tally {
@@ -312,8 +306,8 @@ struct Tally {
 ///
 /// Panics with the [`crate::explore::oracle::Violation`] if an oracle
 /// fires — the panic *is* the test failure.
-fn audit<F: Fabric>(d: &Deployment<F>, tally: &mut Tally) -> Vec<MemberProbe> {
-    let probes = probe_members::<F::Comm>(&d.sim, &d.members);
+fn audit<C: Comm>(sim: &Simulation, members: &[NodeId], tally: &mut Tally) -> Vec<MemberProbe> {
+    let probes = probe_members::<C>(sim, members);
     if let Some(violation) = check_all(&probes, tally.audits) {
         panic!("{violation}");
     }
@@ -324,83 +318,81 @@ fn audit<F: Fabric>(d: &Deployment<F>, tally: &mut Tally) -> Vec<MemberProbe> {
 /// The chaos client: until `until`, one proposal every
 /// `spec.propose_every` (payload = attempt number) to whichever member
 /// claims operational leadership, and an audit after each.
-fn propose_until<F: Fabric>(
-    d: &mut Deployment<F>,
+fn propose_until<C: Comm>(
+    sim: &mut Simulation,
+    members: &[NodeId],
     spec: &ChaosSpec,
     until: SimTime,
     tally: &mut Tally,
 ) {
-    while d.sim.now() < until {
-        d.sim.run_for(spec.propose_every);
-        let n = d.members.len();
-        if let Some(l) = (0..n).find(|&i| d.member(i).is_operational_leader()) {
-            let payload = Bytes::from(tally.attempted.to_be_bytes().to_vec());
+    while sim.now() < until {
+        sim.run_for(spec.propose_every);
+        let payload = Bytes::from(tally.attempted.to_be_bytes().to_vec());
+        if let Some(accepted) = propose_to_leader::<C>(sim, members, payload) {
             tally.attempted += 1;
-            if d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
-                tally.accepted += 1;
-            }
+            tally.accepted += u64::from(accepted);
         }
-        audit(d, tally);
+        audit::<C>(sim, members, tally);
     }
 }
 
-/// The run itself, on whichever deployment: reach steady state, storm,
-/// heal, drain, audit.
-fn storm<F: Fabric>(mut d: Deployment<F>, spec: &ChaosSpec) -> ChaosReport {
-    let n = d.members.len();
-    for i in 0..n {
-        d.member_mut(i)
-            .set_state_machine(Box::new(ChaosRecorder::default()));
-    }
-    let setup_deadline = d.sim.now() + SimDuration::from_millis(300);
-    while d.sim.now() < setup_deadline && !d.member(0).is_operational_leader() {
-        d.sim.run_for(SimDuration::from_millis(1));
-    }
-    assert!(
-        d.member(0).is_operational_leader(),
-        "cluster never reached steady state"
+/// The run itself, on one group of whichever comm: reach steady state
+/// (`accelerated`: on the in-network path), storm, heal, drain, audit.
+fn storm<C: Comm>(
+    mut sim: Simulation,
+    members: Vec<NodeId>,
+    accelerated: bool,
+    spec: &ChaosSpec,
+) -> ChaosReport {
+    install::<C, _>(&mut sim, std::slice::from_ref(&members), |_| {
+        ChaosRecorder::default()
+    });
+    await_steady(
+        &mut sim,
+        |sim| leader_steady::<C>(sim, &members, accelerated),
+        SimDuration::from_millis(300),
+        SimDuration::from_millis(1),
     );
 
-    let storm_start = d.sim.now();
-    install_storm(&mut d.sim, &d.members, spec, storm_start);
+    let storm_start = sim.now();
+    install_storm(&mut sim, &members, spec, storm_start);
 
     let mut tally = Tally::default();
     let heal_at = storm_start + spec.storm;
-    propose_until(&mut d, spec, heal_at, &mut tally);
+    propose_until::<C>(&mut sim, &members, spec, heal_at, &mut tally);
 
-    clear_storm(&mut d.sim, &d.members);
-    audit(&d, &mut tally);
-    let decided_at_heal = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
+    clear_storm(&mut sim, &members);
+    audit::<C>(&sim, &members, &mut tally);
+    let decided_at_heal = decided::<C>(&sim, &members);
 
-    let drain_until = d.sim.now() + spec.drain;
-    propose_until(&mut d, spec, drain_until, &mut tally);
+    let drain_until = sim.now() + spec.drain;
+    propose_until::<C>(&mut sim, &members, spec, drain_until, &mut tally);
     // Let replicas catch up on applying the tail.
-    d.sim.run_for(SimDuration::from_millis(2));
-    let probes = audit(&d, &mut tally);
+    sim.run_for(SimDuration::from_millis(2));
+    let probes = audit::<C>(&sim, &members, &mut tally);
     let leader_views = (probes.iter())
         .flat_map(|p| p.leader_claims.iter().copied())
         .collect();
 
-    let injected = fault_totals(&d.sim, &d.members);
+    let injected = fault_totals(&sim, &members);
     let mut timeout_retransmits = 0;
     let mut nak_retransmits = 0;
     let mut parse_drops = 0;
-    for &node in &d.members {
-        let s = d.sim.node_ref::<Host<Member<F::Comm>>>(node).stats();
+    for &node in &members {
+        let s = sim.node_ref::<Host<Member<C>>>(node).stats();
         timeout_retransmits += s.timeout_retransmits;
         nak_retransmits += s.nak_retransmits;
         parse_drops += s.parse_drops;
     }
-    let decided_final = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
     let applied_min = (probes.iter().skip(1))
         .map(|p| p.applied_seqs.len())
         .min()
         .unwrap_or(0);
-    let mut log_hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut log = Vec::new();
     for p in &probes {
         for (seq, payload) in p.applied_seqs.iter().zip(&p.applied_payloads) {
-            fnv1a(&mut log_hash, &seq.to_be_bytes());
-            fnv1a(&mut log_hash, payload);
+            log.extend_from_slice(&seq.to_be_bytes());
+            log.extend_from_slice(payload);
         }
     }
 
@@ -408,10 +400,10 @@ fn storm<F: Fabric>(mut d: Deployment<F>, spec: &ChaosSpec) -> ChaosReport {
         proposals_attempted: tally.attempted,
         proposals_accepted: tally.accepted,
         decided_at_heal,
-        decided_final,
+        decided_final: decided::<C>(&sim, &members),
         applied_min,
-        log_hash,
-        events_processed: d.sim.events_processed(),
+        log_hash: fnv1a64(&log),
+        events_processed: sim.events_processed(),
         frames_dropped: injected.dropped,
         frames_duplicated: injected.duplicated,
         frames_corrupted: injected.corrupted,
@@ -433,34 +425,24 @@ fn storm<F: Fabric>(mut d: Deployment<F>, spec: &ChaosSpec) -> ChaosReport {
 ///
 /// # Panics
 ///
-/// Panics if a P4CE cluster never accelerates, or with the oracle's
-/// `Violation` if a safety invariant breaks — the panic *is* the test
-/// failure.
+/// Panics if the cluster never reaches steady state (P4CE:
+/// accelerated), or with the oracle's `Violation` if a safety invariant
+/// breaks — the panic *is* the test failure.
 pub fn run(system: System, spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> ChaosReport {
     match system {
         System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(n_members)
+            let p4ce::Deployment { sim, members, .. } = p4ce::ClusterBuilder::new(n_members)
                 .seed(spec.seed)
                 .tracer(tracer.clone())
                 .build();
-            let accel_deadline = d.sim.now() + SimDuration::from_millis(300);
-            while d.sim.now() < accel_deadline
-                && !(d.leader().is_operational_leader() && d.leader().is_accelerated())
-            {
-                d.sim.run_for(SimDuration::from_millis(1));
-            }
-            assert!(
-                d.leader().is_accelerated(),
-                "cluster must accelerate before the storm"
-            );
-            storm(d, spec)
+            storm::<p4ce::SwitchComm>(sim, members, true, spec)
         }
         System::Mu => {
-            let d = mu::ClusterBuilder::new(n_members)
+            let mu::Deployment { sim, members, .. } = mu::ClusterBuilder::new(n_members)
                 .seed(spec.seed)
                 .tracer(tracer.clone())
                 .build();
-            storm(d, spec)
+            storm::<mu::MuComm>(sim, members, false, spec)
         }
     }
 }

@@ -26,6 +26,13 @@
 //! deployment from scratch, so there is no snapshot/restore machinery to
 //! trust — only the simulator's own determinism, which
 //! `tests/determinism.rs` already pins down.
+//!
+//! A schedule runs on a simulation plus groups of member nodes:
+//! [`run_schedule`] builds the deployment the spec names (one Mu or P4CE
+//! cluster, or several P4CE groups behind one switch), takes it apart
+//! and hands `(sim, groups)` to the one runner. What several groups add
+//! — a 2-byte group tag on every explored proposal and the
+//! group-isolation oracle over it — is keyed on `groups.len() > 1`.
 
 pub mod oracle;
 pub mod shrink;
@@ -35,11 +42,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bytes::Bytes;
-use netsim::{EventInfo, FaultPlan, PortId, Scheduler, SimDuration, Simulation, Tracer};
+use netsim::{EventInfo, FaultPlan, NodeId, PortId, Scheduler, SimDuration, Simulation, Tracer};
 use p4ce::SwitchSetters;
-use replication::{ClusterBuilder, Deployment, Fabric};
+use replication::{ClusterBuilder, Comm, Fabric};
 
 use crate::chaos::ChaosRecorder;
+use crate::groups::{await_steady, install, member, propose_to_leader};
 use crate::repro::{decode_decisions, encode_decisions, Repro};
 use crate::runner::System;
 use crate::shard::splitmix;
@@ -263,18 +271,13 @@ pub struct ScheduleOutcome {
     pub steps: u32,
 }
 
-/// What a schedule runs on: one cluster of whichever system, or several
-/// P4CE groups behind one switch.
-enum Target<F: Fabric> {
-    Single(Deployment<F>),
-    Sharded(p4ce::ShardedDeployment),
-}
-
 // A small log keeps per-schedule allocation negligible; model checking
 // re-builds the deployment thousands of times.
 const LOG_SIZE: usize = 64 << 10;
 
-fn build_p4ce(spec: &ExploreSpec, tracer: &Tracer) -> Target<p4ce::P4ceFabric> {
+/// The deployment of a P4CE `spec`, destructured: one classic cluster,
+/// or `spec.groups` of them behind one switch.
+fn build_p4ce(spec: &ExploreSpec, tracer: &Tracer) -> (Simulation, Vec<Vec<NodeId>>) {
     // Shrink control-plane latencies so the un-explored setup phase is
     // short: the switch reconfigures fast, and (behind a plain fabric)
     // the leader gives up on acceleration fast. Keep re-probe ≥ reconfig
@@ -286,20 +289,14 @@ fn build_p4ce(spec: &ExploreSpec, tracer: &Tracer) -> Target<p4ce::P4ceFabric> {
         ..Default::default()
     };
     if spec.groups > 1 {
-        let mut d = p4ce::ShardedClusterBuilder::new(usize::from(spec.groups), spec.n_members)
+        let d = p4ce::ShardedClusterBuilder::new(usize::from(spec.groups), spec.n_members)
             .seed(spec.seed)
             .log_size(LOG_SIZE)
             .switch_config(switch_cfg)
             .reaccel_period(SimDuration::from_millis(5))
             .tracer(tracer.clone())
             .build();
-        for g in 0..usize::from(spec.groups) {
-            for i in 0..spec.n_members {
-                d.member_mut(g, i)
-                    .set_state_machine(Box::new(ChaosRecorder::default()));
-            }
-        }
-        return Target::Sharded(d);
+        return (d.sim, d.members);
     }
     let reaccel = if spec.p4ce_enabled {
         SimDuration::from_millis(5)
@@ -309,112 +306,21 @@ fn build_p4ce(spec: &ExploreSpec, tracer: &Tracer) -> Target<p4ce::P4ceFabric> {
     let builder = p4ce::ClusterBuilder::new(spec.n_members)
         .switch_config(switch_cfg)
         .reaccel_period(reaccel);
-    Target::single(builder, spec, tracer)
+    build_one(builder, spec, tracer)
 }
 
-impl<F: Fabric> Target<F> {
-    fn single(builder: ClusterBuilder<F>, spec: &ExploreSpec, tracer: &Tracer) -> Target<F> {
-        let mut d = builder
-            .seed(spec.seed)
-            .log_size(LOG_SIZE)
-            .skip_epoch_revoke(spec.skip_epoch_revoke)
-            .tracer(tracer.clone())
-            .build();
-        for i in 0..spec.n_members {
-            d.member_mut(i)
-                .set_state_machine(Box::new(ChaosRecorder::default()));
-        }
-        Target::Single(d)
-    }
-
-    fn sim_mut(&mut self) -> &mut Simulation {
-        match self {
-            Target::Single(d) => &mut d.sim,
-            Target::Sharded(d) => &mut d.sim,
-        }
-    }
-
-    fn ready(&self, spec: &ExploreSpec) -> bool {
-        let must_accelerate = spec.system == System::P4ce && spec.p4ce_enabled;
-        match self {
-            Target::Single(d) => {
-                (0..spec.n_members).any(|i| d.member(i).is_operational_leader())
-                    && (!must_accelerate || d.leader().is_accelerated())
-            }
-            Target::Sharded(d) => (0..d.groups()).all(|g| {
-                (0..spec.n_members).any(|i| d.member(g, i).is_operational_leader())
-                    && (!must_accelerate || d.leader(g).is_accelerated())
-            }),
-        }
-    }
-
-    /// Drives the deployment to steady state under plain FIFO. The
-    /// explored window starts from an operational cluster so every
-    /// schedule perturbs the protocol, not the boot sequence.
-    fn setup(&mut self, spec: &ExploreSpec) {
-        let deadline = self.sim_mut().now() + SimDuration::from_millis(200);
-        while self.sim_mut().now() < deadline && !self.ready(spec) {
-            self.sim_mut().run_for(SimDuration::from_micros(50));
-        }
-        assert!(
-            self.ready(spec),
-            "explore setup never reached steady state ({spec:?})"
-        );
-    }
-
-    fn propose(&mut self, counter: u64) -> bool {
-        match self {
-            Target::Single(d) => {
-                let Some(l) = (0..d.members.len()).find(|&i| d.member(i).is_operational_leader())
-                else {
-                    return false;
-                };
-                let payload = Bytes::from(counter.to_be_bytes().to_vec());
-                d.with_member(l, move |m, ops| m.propose_value(payload, ops))
-            }
-            // One tagged proposal into every group that currently has an
-            // operational leader; the 2-byte prefix is what the
-            // group-isolation oracle audits.
-            Target::Sharded(d) => {
-                let mut any = false;
-                for g in 0..d.groups() {
-                    let n = d.members[g].len();
-                    let Some(l) = (0..n).find(|&i| d.member(g, i).is_operational_leader()) else {
-                        continue;
-                    };
-                    let mut tagged = (g as u16).to_be_bytes().to_vec();
-                    tagged.extend_from_slice(&counter.to_be_bytes());
-                    let payload = Bytes::from(tagged);
-                    any |= d.with_member(g, l, move |m, ops| m.propose_value(payload, ops));
-                }
-                any
-            }
-        }
-    }
-
-    /// Snapshots every member and runs the oracle suite — per group,
-    /// with group isolation on top, for a sharded target.
-    fn check(&self, step: u32) -> Option<Violation> {
-        match self {
-            Target::Single(d) => check_all(&probe_members::<F::Comm>(&d.sim, &d.members), step),
-            Target::Sharded(d) => (0..d.groups()).find_map(|g| {
-                let probes = probe_members::<p4ce::SwitchComm>(&d.sim, &d.members[g]);
-                check_group(&probes, step, g as u16).map(|mut v| {
-                    v.detail = format!("group {g}: {}", v.detail);
-                    v
-                })
-            }),
-        }
-    }
-
-    fn member_node(&self, i: usize) -> netsim::NodeId {
-        match self {
-            Target::Single(d) => d.members[i],
-            // For sharded targets the explored partition hits group 0's
-            // member `i` — faults stay confined to one group by construction.
-            Target::Sharded(d) => d.members[0][i],
-        }
-    }
+fn build_one<F: Fabric>(
+    builder: ClusterBuilder<F>,
+    spec: &ExploreSpec,
+    tracer: &Tracer,
+) -> (Simulation, Vec<Vec<NodeId>>) {
+    let d = builder
+        .seed(spec.seed)
+        .log_size(LOG_SIZE)
+        .skip_epoch_revoke(spec.skip_epoch_revoke)
+        .tracer(tracer.clone())
+        .build();
+    (d.sim, vec![d.members])
 }
 
 /// Executes one schedule of `spec` from scratch: FIFO setup, then
@@ -434,28 +340,77 @@ pub fn run_schedule(
     tracer: &Tracer,
 ) -> ScheduleOutcome {
     match spec.system {
-        System::P4ce => run_on(build_p4ce(spec, tracer), spec, decisions, rng),
+        System::P4ce => {
+            let (sim, groups) = build_p4ce(spec, tracer);
+            run_on::<p4ce::SwitchComm>(sim, &groups, spec, decisions, rng)
+        }
         System::Mu => {
             assert_eq!(
                 spec.groups, 1,
                 "multi-group exploration targets the shared switch"
             );
-            let builder = mu::ClusterBuilder::new(spec.n_members);
-            run_on(Target::single(builder, spec, tracer), spec, decisions, rng)
+            let (sim, groups) = build_one(mu::ClusterBuilder::new(spec.n_members), spec, tracer);
+            run_on::<mu::MuComm>(sim, &groups, spec, decisions, rng)
         }
     }
 }
 
-fn run_on<F: Fabric>(
-    mut target: Target<F>,
+/// One tagged-or-plain proposal of `counter` into every group that
+/// currently has an operational leader. With several groups the payload
+/// leads with the 2-byte group tag the group-isolation oracle audits.
+fn propose<C: Comm>(sim: &mut Simulation, groups: &[Vec<NodeId>], counter: u64) -> bool {
+    let mut any = false;
+    for (g, group) in groups.iter().enumerate() {
+        let mut payload = Vec::with_capacity(10);
+        if groups.len() > 1 {
+            payload.extend_from_slice(&(g as u16).to_be_bytes());
+        }
+        payload.extend_from_slice(&counter.to_be_bytes());
+        any |= propose_to_leader::<C>(sim, group, Bytes::from(payload)) == Some(true);
+    }
+    any
+}
+
+/// Snapshots every member and runs the oracle suite — per group, with
+/// group isolation on top, when there are several.
+fn check<C: Comm>(sim: &Simulation, groups: &[Vec<NodeId>], step: u32) -> Option<Violation> {
+    if groups.len() > 1 {
+        return groups.iter().enumerate().find_map(|(g, group)| {
+            let mut v = check_group(&probe_members::<C>(sim, group), step, g as u16)?;
+            v.detail = format!("group {g}: {}", v.detail);
+            Some(v)
+        });
+    }
+    check_all(&probe_members::<C>(sim, &groups[0]), step)
+}
+
+fn run_on<C: Comm>(
+    mut sim: Simulation,
+    groups: &[Vec<NodeId>],
     spec: &ExploreSpec,
     decisions: &BTreeMap<u32, u32>,
     rng: Option<u64>,
 ) -> ScheduleOutcome {
-    target.setup(spec);
+    install::<C, _>(&mut sim, groups, |_| ChaosRecorder::default());
+    // Drive the deployment to steady state under plain FIFO. The
+    // explored window starts from an operational cluster so every
+    // schedule perturbs the protocol, not the boot sequence.
+    let must_accelerate = spec.system == System::P4ce && spec.p4ce_enabled;
+    let ready = |sim: &Simulation| {
+        groups.iter().all(|group| {
+            (group.iter()).any(|&n| member::<C>(sim, n).is_operational_leader())
+                && (!must_accelerate || member::<C>(sim, group[0]).is_accelerated())
+        })
+    };
+    await_steady(
+        &mut sim,
+        ready,
+        SimDuration::from_millis(200),
+        SimDuration::from_micros(50),
+    );
 
     let trace = Arc::new(Mutex::new(Vec::new()));
-    target.sim_mut().set_scheduler(Box::new(GuidedScheduler {
+    sim.set_scheduler(Box::new(GuidedScheduler {
         decisions: decisions.clone(),
         rng,
         trace: Arc::clone(&trace),
@@ -467,17 +422,20 @@ fn run_on<F: Fabric>(
     let mut proposal = 0u64;
     for step in 0..spec.horizon {
         if spec.partition_leader_at == Some(step) {
-            let node = target.member_node(0);
-            partition_member(target.sim_mut(), node);
+            // Group 0's leader: faults stay confined to one group.
+            partition_member(&mut sim, groups[0][0]);
         }
-        if spec.propose_every > 0 && step % spec.propose_every == 0 && target.propose(proposal) {
+        if spec.propose_every > 0
+            && step % spec.propose_every == 0
+            && propose::<C>(&mut sim, groups, proposal)
+        {
             proposal += 1;
         }
-        if !target.sim_mut().step() {
+        if !sim.step() {
             break;
         }
         steps = step + 1;
-        if let Some(v) = target.check(step) {
+        if let Some(v) = check::<C>(&sim, groups, step) {
             violation = Some(v);
             break;
         }
@@ -499,7 +457,7 @@ fn run_on<F: Fabric>(
     }
 }
 
-fn partition_member(sim: &mut Simulation, node: netsim::NodeId) {
+fn partition_member(sim: &mut Simulation, node: NodeId) {
     let port = PortId::from_index(0);
     let now = sim.now();
     let until = now + PARTITION_HOLD;

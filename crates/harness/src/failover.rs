@@ -35,9 +35,11 @@
 
 use netsim::timeseries::SampledRegistry;
 use netsim::{NodeId, SimDuration, SimTime, Simulation, TraceEvent, TraceHandle, TraceRecord};
+use p4ce::SwitchComm;
 use replication::WorkloadSpec;
 
 use crate::chaos::{clear_storm, install_storm, ChaosSpec};
+use crate::groups::{await_steady, decided, leader_steady, member};
 
 /// The five attribution phases, in order.
 pub const FAILOVER_PHASES: [&str; 5] = [
@@ -303,39 +305,34 @@ fn last_decide_before(records: &[TraceRecord], prefix: &str, cutoff: SimTime) ->
         .unwrap_or(cutoff)
 }
 
-/// What differs between a single-group and a sharded leader kill; the
-/// schedule, the sampling cadence and the attribution are shared.
-struct Victim<'a, D> {
-    sim: fn(&mut D) -> &mut Simulation,
-    /// Kills the victim group's leader; `label` annotates the timeline.
-    kill: fn(&mut D),
-    label: &'a str,
-    /// The victim group's members: the storm lands on their links.
-    stormed: Vec<NodeId>,
-    /// Node-label prefix of the victim group's trace records.
-    prefix: &'a str,
-    /// The victim group's decided series (the dip is read off it).
-    dip_series: &'a str,
-    /// Whose stats feed [`FailoverBudget::from_events`].
-    successor: fn(&D) -> &mu::MemberStats,
-}
-
-/// The leader-kill body: from steady state, run to `cfg.kill_after`,
-/// kill, optionally storm the victim group's links for the spec's
-/// `storm` duration, keep observing for `cfg.observe_for` with `sample`
-/// recording every cadence tick, then attribute the outage.
-/// `group_decided` reads one group's decided count.
-fn kill_and_attribute<D>(
+/// The leader-kill body, on P4CE groups behind one switch: wait for every
+/// group to accelerate, run to `cfg.kill_after`, kill group 0's leader,
+/// optionally storm that group's links for the spec's `storm` duration,
+/// keep observing for `cfg.observe_for` with `sample` recording every
+/// cadence tick, then attribute the outage. What the two entries call
+/// things is all that differs: the victim group's trace records carry
+/// node labels starting with `prefix`, and the dip is read off
+/// `dip_series`.
+fn kill_and_attribute(
     cfg: &FailoverConfig,
     handle: &TraceHandle,
-    mut d: D,
-    victim: Victim<'_, D>,
-    groups: usize,
-    group_decided: impl Fn(&D, usize) -> u64,
-    mut sample: impl FnMut(&D, &mut SampledRegistry, SimTime),
+    mut sim: Simulation,
+    groups: &[Vec<NodeId>],
+    prefix: &str,
+    dip_series: &str,
+    sample: impl Fn(&Simulation, &mut SampledRegistry, SimTime),
 ) -> FailoverOutcome {
-    let sim = victim.sim;
-    let t0 = sim(&mut d).now();
+    let accelerated =
+        |sim: &Simulation| (groups.iter()).all(|g| leader_steady::<SwitchComm>(sim, g, true));
+    await_steady(
+        &mut sim,
+        accelerated,
+        SimDuration::from_millis(300),
+        SimDuration::from_millis(1),
+    );
+    let victim = &groups[0];
+
+    let t0 = sim.now();
     let t_kill = t0 + cfg.kill_after;
     let t_end = t_kill + cfg.observe_for;
     let mut ts = SampledRegistry::new(cfg.cadence);
@@ -358,27 +355,27 @@ fn kill_and_attribute<D>(
                 t = t.min(se);
             }
         }
-        sim(&mut d).run_until(t);
+        sim.run_until(t);
         if !killed && t >= t_kill {
             records_at_kill = handle.records();
-            (victim.kill)(&mut d);
+            sim.set_node_down(victim[0], true);
             if let Some(spec) = &cfg.chaos {
-                install_storm(sim(&mut d), &victim.stormed, spec, t_kill);
+                install_storm(&mut sim, victim, spec, t_kill);
                 storm_live = true;
                 ts.annotate(t_kill, "harness", "fault-storm start");
             }
-            ts.annotate(t_kill, "harness", victim.label);
+            ts.annotate(t_kill, "harness", format!("leader-kill {prefix}m0"));
             killed = true;
         }
         if let Some(se) = storm_end {
             if storm_live && t >= se {
-                clear_storm(sim(&mut d), &victim.stormed);
+                clear_storm(&mut sim, victim);
                 storm_live = false;
                 ts.annotate(se, "harness", "fault-storm end");
             }
         }
         if cfg.sample && t == ts.next_tick() {
-            sample(&d, &mut ts, t);
+            sample(&sim, &mut ts, t);
             ts.advance_tick();
         }
         if t >= t_end {
@@ -386,9 +383,10 @@ fn kill_and_attribute<D>(
         }
     }
 
-    let last_decide = last_decide_before(&records_at_kill, victim.prefix, t_kill);
-    let budget = FailoverBudget::from_events(t_kill, last_decide, (victim.successor)(&d));
-    let dip = dip_from(&ts, victim.dip_series, t_kill);
+    let last_decide = last_decide_before(&records_at_kill, prefix, t_kill);
+    let successor = &member::<SwitchComm>(&sim, victim[1]).stats;
+    let budget = FailoverBudget::from_events(t_kill, last_decide, successor);
+    let dip = dip_from(&ts, dip_series, t_kill);
     let records = handle.records();
     ts.extend_annotations_from(&records);
     ts.sort_annotations();
@@ -397,8 +395,11 @@ fn kill_and_attribute<D>(
         dip,
         timeline: ts,
         records,
-        group_decided: (0..groups).map(|g| group_decided(&d, g)).collect(),
-        events_processed: sim(&mut d).events_processed(),
+        group_decided: groups
+            .iter()
+            .map(|g| decided::<SwitchComm>(&sim, g))
+            .collect(),
+        events_processed: sim.events_processed(),
     }
 }
 
@@ -412,46 +413,21 @@ fn kill_and_attribute<D>(
 /// failure, mirroring the chaos harness contract.
 pub fn run_failover(cfg: &FailoverConfig) -> FailoverOutcome {
     let handle = TraceHandle::new();
-    let mut d = p4ce::ClusterBuilder::new(cfg.members)
+    let p4ce::Deployment { sim, members, .. } = p4ce::ClusterBuilder::new(cfg.members)
         .workload(cfg.workload())
         .seed(cfg.seed)
         .tracer(handle.tracer("harness"))
         .build();
-
-    let accel_deadline = d.sim.now() + SimDuration::from_millis(300);
-    while d.sim.now() < accel_deadline
-        && !(d.leader().is_operational_leader() && d.leader().is_accelerated())
-    {
-        d.sim.run_for(SimDuration::from_millis(1));
-    }
-    assert!(
-        d.leader().is_accelerated(),
-        "cluster must accelerate before the kill"
-    );
-
-    let victim = Victim {
-        sim: |d: &mut p4ce::Deployment| &mut d.sim,
-        kill: |d| d.kill_member(0),
-        label: "leader-kill m0",
-        stormed: d.members.clone(),
-        prefix: "",
-        dip_series: "decided.total",
-        successor: |d| &d.member(1).stats,
-    };
-    let decided = |d: &p4ce::Deployment, _group| {
-        (0..cfg.members)
-            .map(|i| d.member(i).stats.decided)
-            .max()
-            .unwrap_or(0)
-    };
-    kill_and_attribute(cfg, &handle, d, victim, 1, decided, |d, ts, t| {
+    let groups = [members];
+    let total = "decided.total";
+    kill_and_attribute(cfg, &handle, sim, &groups, "", total, |sim, ts, t| {
         let mut vmax = 0u64;
-        for i in 0..cfg.members {
-            let m = d.member(i);
+        for (i, &node) in groups[0].iter().enumerate() {
+            let m = member::<SwitchComm>(sim, node);
             vmax = vmax.max(m.view());
             ts.record_counter(&format!("m{i}.decided"), t, m.stats.decided);
         }
-        ts.record_counter("decided.total", t, decided(d, 0));
+        ts.record_counter("decided.total", t, decided::<SwitchComm>(sim, &groups[0]));
         ts.record_counter("view.max", t, vmax);
     })
 }
@@ -466,44 +442,17 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverOutcome {
 /// Same contract as [`run_failover`], for every group.
 pub fn run_failover_sharded(cfg: &FailoverConfig, groups: usize) -> FailoverOutcome {
     let handle = TraceHandle::new();
-    let mut d = p4ce::ShardedClusterBuilder::new(groups, cfg.members)
-        .workload(cfg.workload())
-        .seed(cfg.seed)
-        .tracer(handle.tracer("harness"))
-        .build();
-
-    let accel_deadline = d.sim.now() + SimDuration::from_millis(300);
-    while d.sim.now() < accel_deadline
-        && !(0..groups).all(|g| d.leader(g).is_operational_leader() && d.leader(g).is_accelerated())
-    {
-        d.sim.run_for(SimDuration::from_millis(1));
-    }
-    for g in 0..groups {
-        assert!(
-            d.leader(g).is_accelerated(),
-            "group {g} must accelerate before the kill"
-        );
-    }
-
-    let victim = Victim {
-        sim: |d: &mut p4ce::ShardedDeployment| &mut d.sim,
-        kill: |d| d.kill_member(0, 0),
-        label: "leader-kill g0m0",
-        stormed: d.members[0].clone(),
-        prefix: "g0",
-        dip_series: "g0.decided.total",
-        successor: |d| &d.member(0, 1).stats,
-    };
-    let decided = |d: &p4ce::ShardedDeployment, g| {
-        (0..cfg.members)
-            .map(|i| d.member(g, i).stats.decided)
-            .max()
-            .unwrap_or(0)
-    };
-    kill_and_attribute(cfg, &handle, d, victim, groups, decided, |d, ts, t| {
+    let p4ce::ShardedDeployment { sim, members, .. } =
+        p4ce::ShardedClusterBuilder::new(groups, cfg.members)
+            .workload(cfg.workload())
+            .seed(cfg.seed)
+            .tracer(handle.tracer("harness"))
+            .build();
+    let total = "g0.decided.total";
+    kill_and_attribute(cfg, &handle, sim, &members, "g0", total, |sim, ts, t| {
         let mut grand = 0u64;
-        for g in 0..groups {
-            let dec = decided(d, g);
+        for (g, group) in members.iter().enumerate() {
+            let dec = decided::<SwitchComm>(sim, group);
             ts.record_counter(&format!("g{g}.decided.total"), t, dec);
             grand += dec;
         }

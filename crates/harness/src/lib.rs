@@ -29,7 +29,16 @@
 //! | sharded point | [`observe_sharded_point`] | [`Observe`] |
 //! | chaos storm | [`chaos::run`] (+ [`chaos::replay`], [`chaos::run_checked`]) | `&Tracer` |
 //! | explored schedule | [`explore::run_schedule`] (+ [`explore::replay`]) | `&Tracer` |
-//! | leader kill | [`run_failover`], [`run_failover_sharded`] — one kill loop | the outcome's timeline and records |
+//! | leader kill | [`run_failover`], [`run_failover_sharded`] | the outcome's timeline and records |
+//!
+//! Under the entries there is one shape: a `Simulation` plus groups of
+//! member nodes, `groups[group][member]`. An entry builds its deployment
+//! (`replication::Deployment`, one group; `p4ce::ShardedDeployment`,
+//! several behind one switch), destructures it on the spot and calls a
+//! driver that takes `(sim, groups)` and the comm type — one
+//! schedule runner, one kill loop, one storm, and under them one
+//! wait-for-steady-state and one propose-to-the-leader. A scenario is
+//! written once for both deployment types.
 //!
 //! [`sweep`] runs any of the point kinds over a config list on a worker
 //! pool. [`run_point`], [`run_point_traced`], [`run_sharded_point`] and
@@ -43,6 +52,7 @@ pub mod chaos;
 pub mod experiments;
 pub mod explore;
 pub mod failover;
+mod groups;
 pub mod report;
 pub mod repro;
 pub mod runner;

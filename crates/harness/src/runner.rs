@@ -9,14 +9,15 @@
 //! drops them.
 
 use netsim::{
-    assemble_spans, breakdown, InstanceSpan, MetricsRegistry, SimDuration, SimTime, StageBreakdown,
-    TraceHandle, TraceRecord, Tracer,
+    assemble_spans, breakdown, InstanceSpan, MetricsRegistry, SimDuration, Simulation,
+    StageBreakdown, TraceHandle, TraceRecord, Tracer,
 };
 use p4ce::SwitchSetters;
 use rdma::Host;
 use replication::{ClusterBuilder, Fabric, Member, WorkloadSpec};
 use std::fmt;
 
+use crate::groups::{await_steady, leader_steady};
 use crate::report::truncation_warning;
 use crate::tracing::stage_table;
 
@@ -281,15 +282,13 @@ fn run_on<F: Fabric>(
         .seed(cfg.seed)
         .tracer(observe.tracer())
         .build();
-    let deadline = SimTime::ZERO + SimDuration::from_millis(500);
-    while !d.leader().is_operational_leader() {
-        assert!(
-            d.sim.now() < deadline,
-            "{} leader never became operational",
-            cfg.system
-        );
-        d.sim.run_for(SimDuration::from_millis(1));
-    }
+    let operational = |sim: &Simulation| leader_steady::<F::Comm>(sim, &d.members, false);
+    await_steady(
+        &mut d.sim,
+        operational,
+        SimDuration::from_millis(500),
+        SimDuration::from_millis(1),
+    );
     d.sim.run_for(cfg.warmup);
     let t0 = d.sim.now();
     d.member_mut(0).reset_measurements(t0);

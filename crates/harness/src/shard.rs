@@ -15,10 +15,11 @@
 //! field aside).
 
 use bytes::{BufMut, Bytes, BytesMut};
-use netsim::{group_scoped, MetricsRegistry, SimDuration, SimTime, Tracer};
-use p4ce::{P4ceMember, ShardedClusterBuilder, ShardedDeployment, StateMachine};
+use netsim::{group_scoped, MetricsRegistry, SimDuration, SimTime, Simulation, Tracer};
+use p4ce::{P4ceMember, ShardedClusterBuilder, ShardedDeployment, StateMachine, SwitchComm};
 use rdma::Host;
 
+use crate::groups::{await_steady, install, leader_steady};
 use crate::runner::{Observe, Swept};
 
 // ---------------------------------------------------------------------
@@ -374,12 +375,7 @@ pub fn build_sharded(cfg: &ShardedPointConfig, tracer: &Tracer) -> ShardedDeploy
         b = b.parser_cost(c);
     }
     let mut d = b.build();
-    for g in 0..cfg.groups {
-        for i in 0..cfg.members_per_group {
-            d.member_mut(g, i)
-                .set_state_machine(Box::new(ShardKvStore::new(g as u16)));
-        }
-    }
+    install::<SwitchComm, _>(&mut d.sim, &d.members, |g| ShardKvStore::new(g as u16));
     d
 }
 
@@ -389,18 +385,15 @@ pub fn build_sharded(cfg: &ShardedPointConfig, tracer: &Tracer) -> ShardedDeploy
 ///
 /// Panics if any leader is still down after 500 ms of simulated time.
 pub fn await_leaders(d: &mut ShardedDeployment) {
-    let deadline = SimTime::ZERO + SimDuration::from_millis(500);
-    loop {
-        let ready = (0..d.groups()).all(|g| d.leader(g).is_operational_leader());
-        if ready {
-            return;
-        }
-        assert!(
-            d.sim.now() < deadline,
-            "a shard leader never became operational"
-        );
-        d.sim.run_for(SimDuration::from_millis(1));
-    }
+    let groups = &d.members;
+    let operational =
+        |sim: &Simulation| (groups.iter()).all(|g| leader_steady::<SwitchComm>(sim, g, false));
+    await_steady(
+        &mut d.sim,
+        operational,
+        SimDuration::from_millis(500),
+        SimDuration::from_millis(1),
+    );
 }
 
 /// The open-loop client population: every `propose_every`, `burst`

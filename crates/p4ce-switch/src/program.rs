@@ -297,12 +297,17 @@ impl P4ceProgram {
         }
     }
 
-    fn next_virt_rkey(&mut self) -> RKey {
+    /// One step of the LCG every virtual key and start PSN is drawn from.
+    fn draw(&mut self) -> u64 {
         self.key_state = self
             .key_state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        RKey(((self.key_state >> 32) as u32) | 1)
+        self.key_state
+    }
+
+    fn next_virt_rkey(&mut self) -> RKey {
+        RKey(((self.draw() >> 32) as u32) | 1)
     }
 
     fn alloc_qpn(&mut self) -> Qpn {
@@ -404,11 +409,7 @@ impl P4ceProgram {
         let mut replicas = Vec::with_capacity(n);
         for (idx, &ip) in spec.replicas.iter().enumerate() {
             let aggr_qpn = self.alloc_qpn();
-            self.key_state = self
-                .key_state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let start_psn_out = Psn::new((self.key_state >> 40) as u32);
+            let start_psn_out = Psn::new((self.draw() >> 40) as u32);
             replicas.push(ReplicaConn {
                 ip,
                 port: ops.route(ip),
@@ -1084,6 +1085,42 @@ mod tests {
         assert_eq!(p.stats.groups_created, 2);
         let gids: Vec<u16> = p.groups.keys().copied().collect();
         assert_eq!(gids, vec![u16::MAX - 2, u16::MAX - 1]);
+    }
+
+    #[test]
+    fn virtual_keys_and_start_psns_follow_the_pinned_draw_sequence() {
+        // Three one-replica groups on a fresh program draw key, PSN, key,
+        // PSN, key, PSN from the one LCG; the literals are what the
+        // program produced before the step had a helper of its own.
+        let mut p = P4ceProgram::new(P4ceSwitchConfig::default());
+        let mut ops = RecordingOps { sent: Vec::new() };
+        let request = ack_from(0, 0, 0); // only its source address is read
+        let spec = GroupSpec {
+            f: 1,
+            replicas: vec![Ipv4Addr::new(10, 0, 0, 2)],
+        }
+        .encode();
+        for handshake_id in 1..=3u64 {
+            p.handle_leader_request(
+                &request,
+                handshake_id,
+                Qpn(0x50),
+                Psn::new(0),
+                &spec,
+                &mut ops,
+            );
+        }
+        let drawn: Vec<(u32, u32)> = (p.groups.values())
+            .map(|g| (g.virt_rkey.0, g.replicas[0].start_psn_out.value()))
+            .collect();
+        assert_eq!(
+            drawn,
+            vec![
+                (4_082_132_447, 5_832_747),
+                (2_888_029_571, 16_450_492),
+                (3_716_505_517, 7_733_844)
+            ]
+        );
     }
 
     /// A program with one active group (`gid` 1) of `n` replicas needing

@@ -1373,6 +1373,14 @@ impl<A: RdmaApp> Host<A> {
         self.core.cfg.ip
     }
 
+    /// Handshakes the connection manager still tracks: requests waiting
+    /// for the app's accept or reject, connects waiting for a reply,
+    /// accepts waiting for ReadyToUse. Refused and unknown-handshake
+    /// datagrams must never grow it.
+    pub fn open_handshakes(&self) -> usize {
+        self.core.request_ports.len() + self.core.initiated.len() + self.core.responding.len()
+    }
+
     /// Total CPU busy time.
     pub fn cpu_busy(&self) -> SimDuration {
         self.core.cpu.busy_time()

@@ -29,69 +29,41 @@ pub trait Fabric: Clone + fmt::Debug + Default + 'static {
     fn program(&self, hw: &mut SwitchConfig, tracer: &Tracer) -> Self::Program;
 }
 
-/// Per-host settings of a deployment, shared by every builder shape.
-#[derive(Debug, Clone, Default)]
-pub struct HostPlan {
-    /// The leader-driven workload.
-    pub workload: Option<WorkloadSpec>,
-    /// Whether hosts get a second port towards a backup fabric.
-    pub backup_fabric: bool,
-    /// CPU cost per verb interaction (post/reap).
-    pub verb_cost: Option<SimDuration>,
-    /// `(member, NIC per-packet receive cost)` overrides.
-    pub rx_cost: Vec<(usize, SimDuration)>,
-    /// See [`MemberConfig::skip_epoch_revoke`].
-    pub skip_epoch_revoke: bool,
-    /// Trace sink; each host labels its records.
-    pub tracer: Tracer,
-}
-
-/// Adds one host per member of `cluster` to `sim`, in member-id order.
-/// Host `i` traces as `label(i)` and runs a [`Member`] over `comm()`.
-pub fn add_members<C: Comm>(
+/// Adds a switch running `program` with one port per member, links every
+/// member of every group to it and routes the member's address there.
+fn add_switch<P: SwitchProgram>(
     sim: &mut Simulation,
-    plan: &HostPlan,
-    cluster: &ClusterConfig,
-    label: impl Fn(usize) -> String,
-    comm: impl Fn() -> C,
-) -> Vec<NodeId> {
-    let mut members = Vec::with_capacity(cluster.n());
-    for (i, &(id, ip)) in cluster.members.iter().enumerate() {
-        let mut mcfg = MemberConfig::new(cluster.clone(), id);
-        mcfg.workload = plan.workload;
-        mcfg.skip_epoch_revoke = plan.skip_epoch_revoke;
-        if plan.backup_fabric {
-            // Ports follow connection order: the primary fabric is
-            // connected first (port 0), the backup second (port 1).
-            mcfg.backup_port = Some(netsim::PortId::from_index(1));
-        }
-        let mut hcfg = HostConfig::new(ip);
-        hcfg.tracer = plan.tracer.labeled(&label(i));
-        if let Some(cost) = plan.verb_cost {
-            hcfg.post_cost = cost;
-            hcfg.reap_cost = cost;
-        }
-        if let Some(&(_, cost)) = plan.rx_cost.iter().find(|&&(m, _)| m == i) {
-            hcfg.nic_rx_cost = cost;
-        }
-        members.push(sim.add_node(Box::new(Host::new(hcfg, Member::new(mcfg, comm())))));
-    }
-    members
-}
-
-/// Links every member of `cluster` to `switch` and routes its address
-/// there.
-pub fn connect_members<P: SwitchProgram>(
-    sim: &mut Simulation,
-    cluster: &ClusterConfig,
-    members: &[NodeId],
-    switch: NodeId,
+    clusters: &[ClusterConfig],
+    members: &[Vec<NodeId>],
+    hw: SwitchConfig,
+    program: P,
     link: LinkSpec,
-) {
-    for (&(_, ip), &m) in cluster.members.iter().zip(members) {
-        let (_, swp) = sim.connect(m, switch, link);
-        sim.node_mut::<Switch<P>>(switch).add_route(ip, swp);
+) -> NodeId {
+    let ports = members.iter().map(Vec::len).sum();
+    let switch = sim.add_node(Box::new(Switch::new(hw, ports, program)));
+    for (cluster, nodes) in clusters.iter().zip(members) {
+        for (&(_, ip), &m) in cluster.members.iter().zip(nodes) {
+            let (_, swp) = sim.connect(m, switch, link);
+            sim.node_mut::<Switch<P>>(switch).add_route(ip, swp);
+        }
     }
+    switch
+}
+
+/// What [`ClusterBuilder::assemble`] builds — the one shape under every
+/// deployment type: a simulation, groups of member nodes and the switch
+/// they all hang off.
+pub struct Assembly {
+    /// The simulation to drive.
+    pub sim: Simulation,
+    /// Per-group cluster descriptions.
+    pub clusters: Vec<ClusterConfig>,
+    /// Member node ids, `members[group][member]`.
+    pub members: Vec<Vec<NodeId>>,
+    /// The fabric switch node id.
+    pub switch: NodeId,
+    /// The backup fabric node id, if built.
+    pub backup: Option<NodeId>,
 }
 
 /// Builds a ready-to-run cluster inside a [`Simulation`].
@@ -101,7 +73,13 @@ pub struct ClusterBuilder<F> {
     link: LinkSpec,
     seed: u64,
     log_size: Option<usize>,
-    hosts: HostPlan,
+    workload: Option<WorkloadSpec>,
+    backup_fabric: bool,
+    verb_cost: Option<SimDuration>,
+    /// `(member, NIC per-packet receive cost)` overrides.
+    rx_cost: Vec<(usize, SimDuration)>,
+    skip_epoch_revoke: bool,
+    tracer: Tracer,
     /// Fabric-specific settings; the fabric's crate offers named setters.
     pub fabric: F,
 }
@@ -119,14 +97,19 @@ impl<F: Fabric> ClusterBuilder<F> {
             link: LinkSpec::default(),
             seed: 42,
             log_size: None,
-            hosts: HostPlan::default(),
+            workload: None,
+            backup_fabric: false,
+            verb_cost: None,
+            rx_cost: Vec::new(),
+            skip_epoch_revoke: false,
+            tracer: Tracer::disabled(),
             fabric: F::default(),
         }
     }
 
     /// Sets the leader-driven workload.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.hosts.workload = Some(spec);
+        self.workload = Some(spec);
         self
     }
 
@@ -139,7 +122,7 @@ impl<F: Fabric> ClusterBuilder<F> {
     /// Adds a second, plain-L3 fabric every host is also connected to
     /// (needed for the switch-crash fail-over experiment).
     pub fn backup_fabric(mut self, enable: bool) -> Self {
-        self.hosts.backup_fabric = enable;
+        self.backup_fabric = enable;
         self
     }
 
@@ -161,7 +144,7 @@ impl<F: Fabric> ClusterBuilder<F> {
     /// [`MemberConfig::skip_epoch_revoke`]). Used by the explorer to
     /// prove its single-writer oracle catches the bug.
     pub fn skip_epoch_revoke(mut self, enable: bool) -> Self {
-        self.hosts.skip_epoch_revoke = enable;
+        self.skip_epoch_revoke = enable;
         self
     }
 
@@ -169,60 +152,101 @@ impl<F: Fabric> ClusterBuilder<F> {
     /// records labelled `m0`, `m1`, … Disabled by default — the hot paths
     /// then pay a single branch per potential event.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.hosts.tracer = tracer;
+        self.tracer = tracer;
         self
     }
 
     /// Overrides every host's CPU cost per verb interaction (post/reap) —
     /// the calibration knob behind the paper's CPU-bound rates.
     pub fn verb_cost(mut self, cost: SimDuration) -> Self {
-        self.hosts.verb_cost = Some(cost);
+        self.verb_cost = Some(cost);
         self
     }
 
     /// Slows member `i`'s NIC receive engine (per-packet processing
     /// cost) — a straggling replica.
     pub fn member_rx_cost(mut self, member: usize, cost: SimDuration) -> Self {
-        self.hosts.rx_cost.push((member, cost));
+        self.rx_cost.push((member, cost));
         self
+    }
+
+    /// The one assembly: a consensus group per entry of `groups` (its
+    /// members' addresses, in member-id order), every member behind one
+    /// switch programmed by the fabric — and behind a second, plain-L3
+    /// one if a backup fabric was asked for. Member `i` of group `g`
+    /// traces as `label(g, i)`. Nodes are added group by group in
+    /// member-id order, then the switch, then the backup.
+    pub fn assemble(
+        &self,
+        groups: &[Vec<Ipv4Addr>],
+        label: impl Fn(usize, usize) -> String,
+    ) -> Assembly {
+        let switch_ip = Ipv4Addr::new(10, 0, 0, 100);
+        let mut sim = Simulation::new(self.seed);
+        let mut clusters = Vec::with_capacity(groups.len());
+        let mut members = Vec::with_capacity(groups.len());
+        for (g, ips) in groups.iter().enumerate() {
+            let mut cluster = ClusterConfig::new(ips);
+            if let Some(bytes) = self.log_size {
+                cluster.log_size = bytes;
+            }
+            let mut nodes = Vec::with_capacity(cluster.n());
+            for (i, &(id, ip)) in cluster.members.iter().enumerate() {
+                let mut mcfg = MemberConfig::new(cluster.clone(), id);
+                mcfg.workload = self.workload;
+                mcfg.skip_epoch_revoke = self.skip_epoch_revoke;
+                if self.backup_fabric {
+                    // Ports follow connection order: the primary fabric is
+                    // connected first (port 0), the backup second (port 1).
+                    mcfg.backup_port = Some(netsim::PortId::from_index(1));
+                }
+                let mut hcfg = HostConfig::new(ip);
+                hcfg.tracer = self.tracer.labeled(&label(g, i));
+                if let Some(cost) = self.verb_cost {
+                    hcfg.post_cost = cost;
+                    hcfg.reap_cost = cost;
+                }
+                if let Some(&(_, cost)) = self.rx_cost.iter().find(|&&(m, _)| m == i) {
+                    hcfg.nic_rx_cost = cost;
+                }
+                let member = Member::new(mcfg, self.fabric.comm(switch_ip));
+                nodes.push(sim.add_node(Box::new(Host::new(hcfg, member))));
+            }
+            members.push(nodes);
+            clusters.push(cluster);
+        }
+        let mut hw = SwitchConfig::tofino1(switch_ip);
+        let program = self.fabric.program(&mut hw, &self.tracer);
+        let switch = add_switch(&mut sim, &clusters, &members, hw, program, self.link);
+        let backup = self.backup_fabric.then(|| {
+            let hw = SwitchConfig::tofino1(Ipv4Addr::new(10, 0, 0, 101));
+            add_switch(&mut sim, &clusters, &members, hw, L3Forwarder, self.link)
+        });
+        Assembly {
+            sim,
+            clusters,
+            members,
+            switch,
+            backup,
+        }
     }
 
     /// Assembles the simulation.
     pub fn build(self) -> Deployment<F> {
-        let switch_ip = Ipv4Addr::new(10, 0, 0, 100);
-        let ips: Vec<Ipv4Addr> = (0..self.n_members)
+        let ips = (0..self.n_members)
             .map(|i| Ipv4Addr::new(10, 0, 0, 1 + i as u8))
             .collect();
-        let mut cluster = ClusterConfig::new(&ips);
-        if let Some(bytes) = self.log_size {
-            cluster.log_size = bytes;
-        }
-        let mut sim = Simulation::new(self.seed);
-
-        let members = add_members(
-            &mut sim,
-            &self.hosts,
-            &cluster,
-            |i| format!("m{i}"),
-            || self.fabric.comm(switch_ip),
-        );
-
-        let mut hw = SwitchConfig::tofino1(switch_ip);
-        let program = self.fabric.program(&mut hw, &self.hosts.tracer);
-        let switch = sim.add_node(Box::new(Switch::new(hw, self.n_members, program)));
-        connect_members::<F::Program>(&mut sim, &cluster, &members, switch, self.link);
-
-        let backup = self.hosts.backup_fabric.then(|| {
-            let hw = SwitchConfig::tofino1(Ipv4Addr::new(10, 0, 0, 101));
-            let b = sim.add_node(Box::new(Switch::new(hw, self.n_members, L3Forwarder)));
-            connect_members::<L3Forwarder>(&mut sim, &cluster, &members, b, self.link);
-            b
-        });
-
+        let Assembly {
+            sim,
+            mut clusters,
+            mut members,
+            switch,
+            backup,
+        } = self.assemble(&[ips], |_, i| format!("m{i}"));
         Deployment {
             sim,
-            cluster,
-            members,
+            cluster: clusters.pop().expect("one group"),
+            members: members.pop().expect("one group"),
             switch,
             backup,
             fabric: PhantomData,

@@ -32,7 +32,7 @@ pub mod stats;
 pub mod workload;
 
 pub use config::{ClusterConfig, MemberId};
-pub use deploy::{ClusterBuilder, Deployment, Fabric, HostPlan};
+pub use deploy::{ClusterBuilder, Deployment, Fabric};
 pub use election::{leader_of, ViewChange, ViewTracker};
 pub use heartbeat::{FailureDetector, HeartbeatCounter};
 pub use log::{decode_at, Decoded, LogEntry, LogError, LogReader, LogWriter, StateMachine};

@@ -49,6 +49,9 @@ pub enum MemberEvent {
     CommRebuildStarted,
 }
 
+/// How many events a member keeps ([`MemberStats::events`]).
+pub const MAX_EVENTS: usize = 4096;
+
 /// Per-member measurement state.
 #[derive(Debug)]
 pub struct MemberStats {
@@ -65,8 +68,12 @@ pub struct MemberStats {
     /// The lowest flow-control credit count observed on successful
     /// acknowledgements (leader side; 31 = never constrained).
     pub min_credit_seen: u8,
-    /// Timestamped cluster events.
+    /// Timestamped cluster events: the newest [`MAX_EVENTS`] of them.
     pub events: Vec<(SimTime, MemberEvent)>,
+    /// Events dropped, oldest first, to keep `events` at the cap. No run
+    /// in tier-1, `explore-smoke` or the benchmark comes near the cap, so
+    /// this reads 0 in all of them and no recorded bit depends on it.
+    pub events_dropped: u64,
 }
 
 impl Default for MemberStats {
@@ -79,6 +86,7 @@ impl Default for MemberStats {
             applied: 0,
             min_credit_seen: 31,
             events: Vec::new(),
+            events_dropped: 0,
         }
     }
 }
@@ -86,6 +94,10 @@ impl Default for MemberStats {
 impl MemberStats {
     /// Records an event at `now`.
     pub fn event(&mut self, now: SimTime, ev: MemberEvent) {
+        if self.events.len() == MAX_EVENTS {
+            self.events.remove(0);
+            self.events_dropped += 1;
+        }
         self.events.push((now, ev));
     }
 
@@ -114,8 +126,8 @@ impl MemberStats {
 
     /// Snapshots the counters into `reg` under `prefix` (e.g.
     /// `member.0`): `"{prefix}.decided"`, `.issued`, `.applied`,
-    /// `.min_credit`, `.view_changes`, plus the latency distribution as
-    /// a histogram at `"{prefix}.latency"`.
+    /// `.min_credit`, `.view_changes`, `.events_dropped`, plus the latency
+    /// distribution as a histogram at `"{prefix}.latency"`.
     pub fn register_into(&self, reg: &mut MetricsRegistry, prefix: &str) {
         reg.set_counter(&format!("{prefix}.decided"), self.decided);
         reg.set_counter(&format!("{prefix}.issued"), self.issued);
@@ -130,6 +142,7 @@ impl MemberStats {
             .filter(|(_, e)| matches!(e, MemberEvent::ViewChange { .. }))
             .count() as u64;
         reg.set_counter(&format!("{prefix}.view_changes"), view_changes);
+        reg.set_counter(&format!("{prefix}.events_dropped"), self.events_dropped);
         let h = reg.histogram_mut(&format!("{prefix}.latency"));
         for &ns in self.latency.samples_ns() {
             h.record(SimDuration::from_nanos(ns));
@@ -159,6 +172,28 @@ mod tests {
         assert!(s
             .event_time(|e| matches!(e, MemberEvent::PathFailover))
             .is_none());
+    }
+
+    #[test]
+    fn event_list_is_bounded_and_counts_what_it_drops() {
+        let mut s = MemberStats::default();
+        for i in 0..(MAX_EVENTS as u64 + 10) {
+            s.event(
+                SimTime::from_micros(i),
+                MemberEvent::BecameLeader { view: i },
+            );
+        }
+        assert_eq!(s.events.len(), MAX_EVENTS);
+        assert_eq!(s.events_dropped, 10);
+        assert_eq!(s.events[0].1, MemberEvent::BecameLeader { view: 10 });
+        let newest = MAX_EVENTS as u64 + 9;
+        let found = s.event_time_after(SimTime::from_micros(newest), |e| {
+            matches!(e, MemberEvent::BecameLeader { .. })
+        });
+        assert_eq!(found, Some(SimTime::from_micros(newest)));
+        let mut reg = MetricsRegistry::new();
+        s.register_into(&mut reg, "member.0");
+        assert_eq!(reg.counter("member.0.events_dropped"), Some(10));
     }
 
     #[test]

@@ -72,6 +72,21 @@ if grep -n '14 + 20' crates/rdma/src/host.rs; then
   echo "tier-1: crates/rdma/src/host.rs spells no header offset; rdma::wire::peek_opcode is the one opcode peek" >&2; exit 1
 fi
 
+echo "==> one shape under the harness: a deployment is a simulation plus groups of nodes"
+for gone in 'enum Target' 'struct Victim' 'Target::Single' 'Target::Sharded'; do
+  if grep -rn "$gone" crates/harness/src; then
+    echo "tier-1: '$gone' is gone; drivers take (sim, groups) and a deployment type is destructured where it is built (EXPERIMENTS E18)" >&2; exit 1
+  fi
+done
+[ "$(grep -rho 'fn fnv1a' crates/harness/src | wc -l)" -eq 1 ] || { echo "tier-1: FNV-1a-64 is defined exactly once under crates/harness/src (shard::fnv1a64)" >&2; exit 1; }
+if grep -rn 'SwitchConfig::tofino1(' crates/core/src; then
+  echo "tier-1: crates/core/src builds no switch; ShardedClusterBuilder::build calls the one assembly" >&2; exit 1
+fi
+# The fabric and the optional backup, both inside ClusterBuilder::assemble.
+[ "$(grep -c 'SwitchConfig::tofino1(' crates/replication/src/deploy.rs)" -eq 2 ] \
+  && [ "$(sed -n '/pub fn assemble(/,/^    }$/p' crates/replication/src/deploy.rs | grep -c 'SwitchConfig::tofino1(')" -eq 2 ] \
+  || { echo "tier-1: crates/replication/src/deploy.rs spells SwitchConfig::tofino1( exactly twice, both inside the one assembly" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
