@@ -157,9 +157,9 @@ fn failover(args: &Args) -> Result<(), String> {
     let mut canonical = None;
     for s in &scenarios {
         let out = s.run();
-        rows.push(e10_failover::row(s, &out));
+        rows.push(e10_failover::row(s, out.as_ref()));
         if canonical.is_none() && s.groups.is_none() && s.cfg.chaos.is_none() {
-            canonical = Some(out);
+            canonical = out;
         }
     }
     print!(
@@ -171,8 +171,15 @@ fn failover(args: &Args) -> Result<(), String> {
         e10_failover::unavailability_percentile(&rows, 50.0),
         e10_failover::unavailability_percentile(&rows, 99.0),
     );
+    let unserved = rows.iter().filter(|r| r.budget_ms.is_none()).count();
+    if unserved > 0 {
+        println!(
+            "{unserved} of {} kills saw no service in their window; the percentiles are over the rest",
+            rows.len()
+        );
+    }
 
-    let canonical = canonical.expect("sweep contains a clean scenario");
+    let canonical = canonical.ok_or("no clean kill of the sweep was served in its window")?;
     println!("canonical budget ({}):", canonical.budget.unavailability());
     for p in &canonical.budget.phases {
         println!("  {:<24} {}", p.name, p.duration());

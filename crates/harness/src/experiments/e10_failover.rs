@@ -11,7 +11,7 @@
 use netsim::SimDuration;
 
 use crate::chaos::ChaosSpec;
-use crate::failover::{run_failover, run_failover_sharded, FailoverConfig, FailoverOutcome};
+use crate::failover::{try_failover, FailoverConfig, FailoverOutcome};
 use crate::report::{fmt_f64, TableRow};
 
 /// One leader-kill scenario of the sweep.
@@ -26,12 +26,10 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Runs the scenario.
-    pub fn run(&self) -> FailoverOutcome {
-        match self.groups {
-            Some(g) => run_failover_sharded(&self.cfg, g),
-            None => run_failover(&self.cfg),
-        }
+    /// Runs the scenario; `None` when the kill saw no service inside
+    /// its observation window.
+    pub fn run(&self) -> Option<FailoverOutcome> {
+        try_failover(&self.cfg, self.groups)
     }
 }
 
@@ -108,18 +106,11 @@ pub struct E10Row {
     pub seed: u64,
     /// Kill offset after steady state, ms.
     pub kill_after_ms: f64,
-    /// Total unavailability window, ms.
-    pub unavailability_ms: f64,
-    /// Phase 1: failure detection, ms.
-    pub detection_ms: f64,
-    /// Phase 2: election, ms.
-    pub election_ms: f64,
-    /// Phase 3: log fence, ms (zero for P4CE by design).
-    pub fence_ms: f64,
-    /// Phase 4: switch re-acceleration, ms.
-    pub reaccel_ms: f64,
-    /// Phase 5: to the successor's first decision, ms.
-    pub first_decide_ms: f64,
+    /// The unavailability window and its five phases, ms: total,
+    /// detection, election, log fence (zero for P4CE by design), switch
+    /// re-acceleration, to the successor's first decision. `None` when
+    /// the kill saw no service inside its observation window.
+    pub budget_ms: Option<[f64; 6]>,
     /// Decided-throughput dip depth, percent of steady rate.
     pub dip_depth_pct: f64,
     /// Time from the kill to ≥ 90% of steady throughput, ms (`None` if
@@ -144,64 +135,68 @@ impl TableRow for E10Row {
         ]
     }
     fn cells(&self) -> Vec<String> {
-        vec![
+        let dash = || "-".to_owned();
+        let budget = match self.budget_ms {
+            Some(ms) => ms.map(fmt_f64),
+            None => std::array::from_fn(|i| if i == 0 { NO_SERVICE.into() } else { dash() }),
+        };
+        let mut cells = vec![
             self.scenario.to_owned(),
             self.seed.to_string(),
             fmt_f64(self.kill_after_ms),
-            fmt_f64(self.unavailability_ms),
-            fmt_f64(self.detection_ms),
-            fmt_f64(self.election_ms),
-            fmt_f64(self.fence_ms),
-            fmt_f64(self.reaccel_ms),
-            fmt_f64(self.first_decide_ms),
-            format!("{:.1}%", self.dip_depth_pct),
-            self.recovery_ms.map_or("-".to_owned(), fmt_f64),
-        ]
+        ];
+        cells.extend(budget);
+        cells.push(format!("{:.1}%", self.dip_depth_pct));
+        cells.push(self.recovery_ms.map_or_else(dash, fmt_f64));
+        cells
     }
 }
+
+/// What an unserved kill's row says where its window would be.
+pub const NO_SERVICE: &str = "no service in window";
 
 fn ms(d: SimDuration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Flattens an outcome into its table row.
+/// Flattens an outcome into its table row; an unserved kill (`None`)
+/// still gets one, with [`NO_SERVICE`] where its window would be, no
+/// throughput left (a 100 % dip) and no recovery.
 ///
 /// # Panics
 ///
 /// Panics if the budget does not reconcile — the sum of the five phase
-/// columns must equal `unavailability_ms` exactly (same nanosecond
-/// arithmetic, so the check is exact, not within-epsilon).
-pub fn row(scenario: &Scenario, out: &FailoverOutcome) -> E10Row {
-    assert!(
-        out.budget.reconciles(),
-        "budget must telescope: {:?}",
-        out.budget
-    );
-    let phase = |name: &str| {
-        out.budget
-            .phases
-            .iter()
-            .find(|p| p.name == name)
-            .map_or(0.0, |p| ms(p.duration()))
-    };
+/// columns must equal the window exactly (same nanosecond arithmetic, so
+/// the check is exact, not within-epsilon).
+pub fn row(scenario: &Scenario, out: Option<&FailoverOutcome>) -> E10Row {
+    let budget_ms = out.map(|out| {
+        assert!(
+            out.budget.reconciles(),
+            "budget must telescope: {:?}",
+            out.budget
+        );
+        let mut all = [ms(out.budget.unavailability()); 6];
+        for (cell, phase) in all[1..].iter_mut().zip(&out.budget.phases) {
+            *cell = ms(phase.duration());
+        }
+        all
+    });
     E10Row {
         scenario: scenario.label,
         seed: scenario.cfg.seed,
         kill_after_ms: ms(scenario.cfg.kill_after),
-        unavailability_ms: ms(out.budget.unavailability()),
-        detection_ms: phase("detection"),
-        election_ms: phase("election"),
-        fence_ms: phase("log fence"),
-        reaccel_ms: phase("switch re-acceleration"),
-        first_decide_ms: phase("first decide"),
-        dip_depth_pct: out.dip.map_or(0.0, |d| d.dip_depth_pct),
-        recovery_ms: out.dip.and_then(|d| d.recovery).map(ms),
+        budget_ms,
+        dip_depth_pct: match out {
+            Some(out) => out.dip.map_or(0.0, |d| d.dip_depth_pct),
+            None => 100.0,
+        },
+        recovery_ms: out.and_then(|out| out.dip?.recovery).map(ms),
     }
 }
 
-/// Nearest-rank percentile of the rows' unavailability windows, ms.
+/// Nearest-rank percentile of the served rows' unavailability windows, ms.
 pub fn unavailability_percentile(rows: &[E10Row], p: f64) -> f64 {
-    let mut windows: Vec<f64> = rows.iter().map(|r| r.unavailability_ms).collect();
+    let mut windows: Vec<f64> = rows.iter().filter_map(|r| Some(r.budget_ms?[0])).collect();
     if windows.is_empty() {
         return 0.0;
     }

@@ -169,17 +169,17 @@ impl FailoverBudget {
     /// boundary is clamped into `[prev, first_decide]`, which is what
     /// makes the telescoped sum exact by construction.
     ///
-    /// # Panics
-    ///
-    /// Panics if the successor never reached `FirstDecision` after the
-    /// kill — the scenario did not complete and there is no window to
-    /// attribute.
-    pub fn from_events(t_kill: SimTime, last_decide: SimTime, stats: &mu::MemberStats) -> Self {
-        let first_decide = stats
-            .event_time_after(t_kill, |e| {
-                matches!(e, mu::MemberEvent::FirstDecision { .. })
-            })
-            .expect("successor decided within the observation window");
+    /// `None` when the successor never reached `FirstDecision` after the
+    /// kill: no service inside the observation window, so there is no
+    /// window to attribute — an outcome a sweep reports, not an error.
+    pub fn try_from_events(
+        t_kill: SimTime,
+        last_decide: SimTime,
+        stats: &mu::MemberStats,
+    ) -> Option<Self> {
+        let first_decide = stats.event_time_after(t_kill, |e| {
+            matches!(e, mu::MemberEvent::FirstDecision { .. })
+        })?;
         let raw = [
             stats.event_time_after(t_kill, |e| matches!(e, mu::MemberEvent::ViewChange { .. })),
             stats.event_time_after(t_kill, |e| {
@@ -209,9 +209,23 @@ impl FailoverBudget {
             phases,
         };
         debug_assert!(budget.reconciles());
-        budget
+        Some(budget)
+    }
+
+    /// [`FailoverBudget::try_from_events`] for a kill that must have been
+    /// served: the panicking wrapper the frozen benchmark imports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the successor never reached `FirstDecision` after the
+    /// kill.
+    pub fn from_events(t_kill: SimTime, last_decide: SimTime, stats: &mu::MemberStats) -> Self {
+        Self::try_from_events(t_kill, last_decide, stats).expect(UNSERVED)
     }
 }
+
+/// What the panicking wrappers expected of a kill that was not served.
+const UNSERVED: &str = "successor decided within the observation window";
 
 /// Decided-throughput dip derived from the sampled timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -309,10 +323,10 @@ fn last_decide_before(records: &[TraceRecord], prefix: &str, cutoff: SimTime) ->
 /// group to accelerate, run to `cfg.kill_after`, kill group 0's leader,
 /// optionally storm that group's links for the spec's `storm` duration,
 /// keep observing for `cfg.observe_for` with `sample` recording every
-/// cadence tick, then attribute the outage. What the two entries call
-/// things is all that differs: the victim group's trace records carry
-/// node labels starting with `prefix`, and the dip is read off
-/// `dip_series`.
+/// cadence tick, then attribute the outage — `None` if nobody served
+/// before the observation ended. What the two deployments call things is
+/// all that differs: the victim group's trace records carry node labels
+/// starting with `prefix`, and the dip is read off `dip_series`.
 fn kill_and_attribute(
     cfg: &FailoverConfig,
     handle: &TraceHandle,
@@ -321,7 +335,7 @@ fn kill_and_attribute(
     prefix: &str,
     dip_series: &str,
     sample: impl Fn(&Simulation, &mut SampledRegistry, SimTime),
-) -> FailoverOutcome {
+) -> Option<FailoverOutcome> {
     let accelerated =
         |sim: &Simulation| (groups.iter()).all(|g| leader_steady::<SwitchComm>(sim, g, true));
     await_steady(
@@ -385,12 +399,12 @@ fn kill_and_attribute(
 
     let last_decide = last_decide_before(&records_at_kill, prefix, t_kill);
     let successor = &member::<SwitchComm>(&sim, victim[1]).stats;
-    let budget = FailoverBudget::from_events(t_kill, last_decide, successor);
+    let budget = FailoverBudget::try_from_events(t_kill, last_decide, successor)?;
     let dip = dip_from(&ts, dip_series, t_kill);
     let records = handle.records();
     ts.extend_annotations_from(&records);
     ts.sort_annotations();
-    FailoverOutcome {
+    Some(FailoverOutcome {
         budget,
         dip,
         timeline: ts,
@@ -400,11 +414,68 @@ fn kill_and_attribute(
             .map(|g| decided::<SwitchComm>(&sim, g))
             .collect(),
         events_processed: sim.events_processed(),
+    })
+}
+
+/// Kills the steady-state leader of a 3-to-N-member P4CE group and
+/// attributes the outage; `None` when no member decided again inside
+/// `cfg.observe_for` (no service in window). `groups: None` is the single
+/// group; `Some(g)` puts `g` consensus groups behind one switch, kills
+/// group 0's leader and samples the co-resident groups on the same
+/// timeline — the test bed for "does one group's failover perturb its
+/// neighbors?".
+///
+/// # Panics
+///
+/// Panics if the cluster never accelerates — a deployment bug, not a
+/// measurable outcome.
+pub fn try_failover(cfg: &FailoverConfig, groups: Option<usize>) -> Option<FailoverOutcome> {
+    let handle = TraceHandle::new();
+    let workload = cfg.workload();
+    let tracer = handle.tracer("harness");
+    match groups {
+        None => {
+            let p4ce::Deployment { sim, members, .. } = p4ce::ClusterBuilder::new(cfg.members)
+                .workload(workload)
+                .seed(cfg.seed)
+                .tracer(tracer)
+                .build();
+            let groups = [members];
+            let total = "decided.total";
+            kill_and_attribute(cfg, &handle, sim, &groups, "", total, |sim, ts, t| {
+                let mut vmax = 0u64;
+                for (i, &node) in groups[0].iter().enumerate() {
+                    let m = member::<SwitchComm>(sim, node);
+                    vmax = vmax.max(m.view());
+                    ts.record_counter(&format!("m{i}.decided"), t, m.stats.decided);
+                }
+                ts.record_counter(total, t, decided::<SwitchComm>(sim, &groups[0]));
+                ts.record_counter("view.max", t, vmax);
+            })
+        }
+        Some(groups) => {
+            let p4ce::ShardedDeployment { sim, members, .. } =
+                p4ce::ShardedClusterBuilder::new(groups, cfg.members)
+                    .workload(workload)
+                    .seed(cfg.seed)
+                    .tracer(tracer)
+                    .build();
+            let total = "g0.decided.total";
+            kill_and_attribute(cfg, &handle, sim, &members, "g0", total, |sim, ts, t| {
+                let mut grand = 0u64;
+                for (g, group) in members.iter().enumerate() {
+                    let dec = decided::<SwitchComm>(sim, group);
+                    ts.record_counter(&format!("g{g}.decided.total"), t, dec);
+                    grand += dec;
+                }
+                ts.record_counter("decided.total", t, grand);
+            })
+        }
     }
 }
 
-/// Kills the steady-state leader of a single 3-to-N-member P4CE group
-/// and attributes the outage. Pinned by the frozen benchmark.
+/// [`try_failover`] on a single group, for a kill that must be served:
+/// the panicking wrapper the frozen benchmark imports.
 ///
 /// # Panics
 ///
@@ -412,50 +483,15 @@ fn kill_and_attribute(
 /// decides within the observation window — the panic is the test
 /// failure, mirroring the chaos harness contract.
 pub fn run_failover(cfg: &FailoverConfig) -> FailoverOutcome {
-    let handle = TraceHandle::new();
-    let p4ce::Deployment { sim, members, .. } = p4ce::ClusterBuilder::new(cfg.members)
-        .workload(cfg.workload())
-        .seed(cfg.seed)
-        .tracer(handle.tracer("harness"))
-        .build();
-    let groups = [members];
-    let total = "decided.total";
-    kill_and_attribute(cfg, &handle, sim, &groups, "", total, |sim, ts, t| {
-        let mut vmax = 0u64;
-        for (i, &node) in groups[0].iter().enumerate() {
-            let m = member::<SwitchComm>(sim, node);
-            vmax = vmax.max(m.view());
-            ts.record_counter(&format!("m{i}.decided"), t, m.stats.decided);
-        }
-        ts.record_counter("decided.total", t, decided::<SwitchComm>(sim, &groups[0]));
-        ts.record_counter("view.max", t, vmax);
-    })
+    try_failover(cfg, None).expect(UNSERVED)
 }
 
-/// [`run_failover`] against a sharded deployment: `groups` consensus
-/// groups behind one switch, group 0's leader killed, the co-resident
-/// groups sampled on the same timeline — the test bed for "does one
-/// group's failover perturb its neighbors?".
+/// [`try_failover`] against `groups` groups behind one switch, for a kill
+/// that must be served.
 ///
 /// # Panics
 ///
 /// Same contract as [`run_failover`], for every group.
 pub fn run_failover_sharded(cfg: &FailoverConfig, groups: usize) -> FailoverOutcome {
-    let handle = TraceHandle::new();
-    let p4ce::ShardedDeployment { sim, members, .. } =
-        p4ce::ShardedClusterBuilder::new(groups, cfg.members)
-            .workload(cfg.workload())
-            .seed(cfg.seed)
-            .tracer(handle.tracer("harness"))
-            .build();
-    let total = "g0.decided.total";
-    kill_and_attribute(cfg, &handle, sim, &members, "g0", total, |sim, ts, t| {
-        let mut grand = 0u64;
-        for (g, group) in members.iter().enumerate() {
-            let dec = decided::<SwitchComm>(sim, group);
-            ts.record_counter(&format!("g{g}.decided.total"), t, dec);
-            grand += dec;
-        }
-        ts.record_counter("decided.total", t, grand);
-    })
+    try_failover(cfg, Some(groups)).expect(UNSERVED)
 }

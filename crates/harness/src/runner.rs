@@ -16,6 +16,7 @@ use p4ce::SwitchSetters;
 use rdma::Host;
 use replication::{ClusterBuilder, Fabric, Member, WorkloadSpec};
 use std::fmt;
+use tofino::Switch;
 
 use crate::groups::{await_steady, leader_steady};
 use crate::report::truncation_warning;
@@ -305,6 +306,8 @@ fn run_on<F: Fabric>(
                 .register_into(reg, &format!("host.{i}"));
         }
         switch_metrics(d.switch_program(), reg);
+        let fabric = d.sim.node_ref::<Switch<F::Program>>(d.switch);
+        fabric.stats().register_into(reg, "pipeline");
     }
     let stats = &mut d.member_mut(0).stats;
     PointOutcome {

@@ -4,7 +4,10 @@
 //! a single event moves `events_processed`; one that perturbs a tie-break
 //! or a fault-plan draw moves the decided count or a percentile. The
 //! numbers are the proof — they are not to be re-recorded by a PR that
-//! touches `netsim`.
+//! touches `netsim`. `events_processed` has been re-recorded twice, each
+//! time by a change that removed events on purpose and with a test below
+//! that derives the drop from the run's own counters; no other literal in
+//! this file has ever moved.
 
 use netsim::SimDuration;
 use p4ce_harness::{
@@ -25,7 +28,20 @@ fn quick_point(system: System) -> PointOutcome {
     run_point(&quick_cfg(system))
 }
 
-/// The one re-recording since: when replicas began polling their log
+/// Events the one-event pipeline pass no longer fires, from the run's own
+/// counters: the walk it replaced woke the switch once per copy to charge
+/// the egress parser (`TK_EGRESS`) and once per copy to deparse
+/// (`TK_EMIT`); the pass charges the parser from the ingress and wakes the
+/// deparser once per release instant. Nothing was tail-dropped in these
+/// runs, so every copy that entered the egress came out of it.
+fn fused_pass_saving(reg: &netsim::MetricsRegistry) -> u64 {
+    let counter = |name: &str| reg.counter(name).expect("registered");
+    assert_eq!(counter("pipeline.drops.parser_overflow"), 0);
+    let copies_admitted = counter("pipeline.forwarded") + counter("pipeline.drops.egress");
+    copies_admitted + (copies_admitted - counter("pipeline.emit_events"))
+}
+
+/// The first re-recording: when replicas began polling their log
 /// (one coalesced notification per watched region), each `events_processed`
 /// fell by exactly the `TK_DELIVER` timers no longer scheduled *and fired*
 /// — one per write packet that merged into an already-queued notification
@@ -33,7 +49,9 @@ fn quick_point(system: System) -> PointOutcome {
 /// packets land within 180 ns of the 7 ms mark behind a busy CPU, so their
 /// per-packet timers were due after the end and the old count never
 /// included them. The stormy fail-over's drop, 153,023 − 152,895 = 128,
-/// equals its merged count too (EXPERIMENTS E13).
+/// equals its merged count too (EXPERIMENTS E13). The counts have fallen
+/// once more since ([`the_fused_pass_drop_is_exactly_its_egress_and_shared_emit_events`]);
+/// that saving is added back before comparing.
 #[test]
 fn the_rerecorded_drop_is_exactly_the_merged_notifications() {
     for (system, before, due_after_end) in [(System::P4ce, 391_397, 0), (System::Mu, 241_018, 8)] {
@@ -46,17 +64,41 @@ fn the_rerecorded_drop_is_exactly_the_merged_notifications() {
             })
             .sum();
         assert_eq!(
-            before - out.events_processed,
+            before - (out.events_processed + fused_pass_saving(&reg)),
             merged - due_after_end,
             "{system}"
         );
     }
 }
 
+/// The second re-recording: the switch went from three timers per copy
+/// (`TK_INGRESS → TK_EGRESS → TK_EMIT`) to one event per pipeline pass.
+/// Each `events_processed` fell by exactly `copies_admitted +
+/// (copies_admitted − emit_events)` — the egress wake-ups, plus the
+/// deparser wake-ups that same-instant copies of one pass now share — and
+/// nothing else moved: `decided` and both percentiles are the literals
+/// recorded before it (EXPERIMENTS E19). Mu's switch only forwards, so
+/// its second term is zero.
+#[test]
+fn the_fused_pass_drop_is_exactly_its_egress_and_shared_emit_events() {
+    for (system, before, shares) in [(System::P4ce, 372_853, true), (System::Mu, 230_814, false)] {
+        let observed = observe_point(&quick_cfg(system), &Observe::Metrics);
+        let (out, reg) = (observed.outcome, observed.metrics);
+        assert_eq!(
+            before - out.events_processed,
+            fused_pass_saving(&reg),
+            "{system}"
+        );
+        let admitted = reg.counter("pipeline.forwarded").expect("registered");
+        let emit_events = reg.counter("pipeline.emit_events").expect("registered");
+        assert_eq!(emit_events < admitted, shares, "{system}");
+    }
+}
+
 #[test]
 fn p4ce_point_matches_the_recorded_run() {
     let out = quick_point(System::P4ce);
-    assert_eq!(out.events_processed, 372_853);
+    assert_eq!(out.events_processed, 312_140);
     assert_eq!(out.decided, 9_443);
     assert_eq!(out.p50_latency_us, 6.72);
     assert_eq!(out.p99_latency_us, 7.56);
@@ -66,7 +108,7 @@ fn p4ce_point_matches_the_recorded_run() {
 #[test]
 fn mu_point_matches_the_recorded_run() {
     let out = quick_point(System::Mu);
-    assert_eq!(out.events_processed, 230_814);
+    assert_eq!(out.events_processed, 202_444);
     assert_eq!(out.decided, 4_721);
     assert_eq!(out.p50_latency_us, 13.44);
     assert_eq!(out.p99_latency_us, 14.28);
@@ -84,7 +126,7 @@ fn stormy_failover_matches_the_recorded_run() {
         chaos: Some(ChaosSpec::seeded(42, 3)),
         ..FailoverConfig::default()
     });
-    assert_eq!(out.events_processed, 152_895);
+    assert_eq!(out.events_processed, 134_122);
     assert_eq!(out.group_decided, vec![1_926]);
     assert_eq!(out.budget.unavailability().as_nanos(), 42_463_806);
     assert!(out.budget.reconciles());

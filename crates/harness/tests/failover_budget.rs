@@ -5,7 +5,12 @@
 use netsim::timeseries::chrome_trace_json_with;
 use netsim::trace::json;
 use netsim::SimDuration;
-use p4ce_harness::{run_failover, run_failover_sharded, ChaosSpec, FailoverConfig};
+use p4ce_harness::experiments::e10_failover::{
+    row, unavailability_percentile, Scenario, NO_SERVICE,
+};
+use p4ce_harness::{
+    run_failover, run_failover_sharded, try_failover, ChaosSpec, FailoverConfig, TableRow,
+};
 
 fn quick() -> FailoverConfig {
     FailoverConfig {
@@ -163,4 +168,59 @@ fn one_sharded_group_is_the_single_group_kill() {
     assert_eq!(sharded.budget, single.budget);
     assert_eq!(sharded.group_decided, single.group_decided);
     assert_eq!(sharded.events_processed, single.events_processed);
+}
+
+/// A kill observed for less than its outage (P4CE's is ~41 ms, the switch
+/// reconfiguration) was not served in the window. That is an outcome: the
+/// sweep gets a row saying so and carries on to the next scenario, and
+/// the summary percentiles are over the kills that were served. Only the
+/// wrappers the frozen benchmark imports turn it into a panic.
+#[test]
+fn an_unserved_kill_is_a_row_not_a_panic() {
+    let cfg = FailoverConfig {
+        observe_for: SimDuration::from_millis(10),
+        sample: false,
+        ..FailoverConfig::default()
+    };
+    let unserved = Scenario {
+        label: "kill, watched for 10 ms",
+        cfg,
+        groups: None,
+    };
+    let out = unserved.run();
+    assert!(
+        out.is_none(),
+        "nobody decides 10 ms after a P4CE leader kill"
+    );
+    assert!(
+        try_failover(&cfg, Some(2)).is_none(),
+        "nor behind a shared switch"
+    );
+
+    let served = Scenario {
+        label: "clean kill",
+        cfg: quick(),
+        groups: None,
+    };
+    let rows = [
+        row(&unserved, out.as_ref()),
+        row(&served, served.run().as_ref()),
+    ];
+    let cells = rows[0].cells();
+    assert_eq!(cells.len(), rows[1].cells().len(), "same columns");
+    assert_eq!(cells[3], NO_SERVICE);
+    assert!(cells[4..9].iter().all(|c| c == "-"), "no phases: {cells:?}");
+    assert_eq!(cells[9], "100.0%", "nothing was decided after the kill");
+    let window = rows[1].budget_ms.expect("served")[0];
+    assert_eq!(unavailability_percentile(&rows, 99.0), window);
+}
+
+#[test]
+#[should_panic(expected = "successor decided within the observation window")]
+fn the_pinned_wrapper_still_panics_on_an_unserved_kill() {
+    run_failover(&FailoverConfig {
+        observe_for: SimDuration::from_millis(10),
+        sample: false,
+        ..FailoverConfig::default()
+    });
 }

@@ -144,8 +144,8 @@ impl FaultPlan {
             return Vec::new();
         }
         let mut frame = frame;
-        if self.corrupt > 0.0 && rng.gen_bool(self.corrupt) && !frame.data.is_empty() {
-            let mut raw = frame.data.to_vec();
+        if self.corrupt > 0.0 && rng.gen_bool(self.corrupt) && !frame.is_empty() {
+            let mut raw = frame.to_vec();
             let bit = rng.gen_index(raw.len() * 8);
             raw[bit / 8] ^= 1 << (bit % 8);
             frame = Frame::from(raw);
@@ -276,9 +276,9 @@ mod tests {
         assert_eq!(out.len(), 1);
         let delivered = &out[0].1;
         let differing_bits: u32 = original
-            .data
+            .to_vec()
             .iter()
-            .zip(delivered.data.iter())
+            .zip(delivered.to_vec().iter())
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         assert_eq!(differing_bits, 1);

@@ -65,7 +65,7 @@ pub use fault::{FaultPlan, FaultStats, Partition};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{Bandwidth, LinkSpec, LinkStats, WIRE_OVERHEAD_BYTES};
 pub use metrics::{group_scoped, MetricsRegistry};
-pub use node::{Context, Frame, Node, NodeId, PortId, TimerToken};
+pub use node::{Context, Frame, Node, NodeId, PortId, TimerToken, TrailerFn, FRAME_HEAD_MAX};
 pub use sched::{EventClass, EventInfo, FifoScheduler, ReplayScheduler, Scheduler};
 pub use sim::{Simulation, TapId};
 pub use stats::{HistogramStats, LatencyRecorder, LatencyStats, Throughput};

@@ -52,44 +52,74 @@ impl fmt::Display for PortId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerToken(pub u64);
 
+/// Most header bytes a [`Frame`] keeps inline: room for Ethernet + IPv4 +
+/// UDP and 28 bytes of transport header.
+pub const FRAME_HEAD_MAX: usize = 70;
+
+/// Derives a frame's 4-byte trailer from its final header and payload
+/// bytes (see [`Frame::framed`]).
+pub type TrailerFn = fn(head: &[u8], payload: &[u8]) -> [u8; 4];
+
 /// A frame on the wire: the full Ethernet frame from destination MAC through
 /// payload. Layer-1 overhead (preamble/FCS/IFG) is added by the link model.
 ///
-/// `Clone` is O(1): the contents are reference-counted [`Bytes`], so the
-/// copies made in transit — delivery, wire taps, multicast fan-out — share
-/// one allocation. Only fault-injected *corruption* materializes a private
-/// buffer (it must, to flip bits without affecting other holders).
+/// On the wire a frame reads `head ∥ payload ∥ trailer`. The header bytes
+/// sit inline (no heap), the payload is reference-counted [`Bytes`], and
+/// the trailer — a checksum over the other two — is not stored at all: the
+/// frame carries the function that derives it, and whoever reads the wire
+/// bytes ([`Frame::to_vec`]: a tap, the fault injector, `==`) pays for it
+/// then. So `Clone` costs a header and a refcount bump whatever the
+/// payload length, a rewritten copy ([`Frame::head_mut`]) shares its
+/// payload with the original, and nobody computes a checksum that nobody
+/// checks. A frame wrapped from raw bytes ([`Frame::new`]) is all payload;
+/// fault-injected *corruption* makes one, to flip a bit in private.
 #[derive(Debug, Clone)]
 pub struct Frame {
-    /// Serialized frame contents.
-    pub data: Bytes,
-    /// `true` when the checksums embedded in `data` were produced by the
-    /// serializer itself (see [`Frame::new_verified`]): receivers may then
-    /// skip re-deriving what the builder just computed. Cleared whenever a
-    /// frame is rebuilt from raw bytes — notably after fault-injected
-    /// corruption — so integrity checks still run where they can fail.
+    head: [u8; FRAME_HEAD_MAX],
+    head_len: u8,
+    /// `true` when the checksums of this frame were produced by its
+    /// builder (see [`Frame::framed`]): receivers may then skip re-deriving
+    /// them. Never set on a frame wrapped from raw bytes — notably after
+    /// fault-injected corruption — so integrity checks still run where
+    /// they can fail.
     verified: bool,
+    trailer: Option<TrailerFn>,
+    payload: Bytes,
 }
 
 impl Frame {
     /// Wraps serialized frame bytes.
     pub fn new(data: Bytes) -> Self {
         Frame {
-            data,
+            head: [0; FRAME_HEAD_MAX],
+            head_len: 0,
             verified: false,
+            trailer: None,
+            payload: data,
         }
     }
 
-    /// Wraps serialized frame bytes whose embedded checksums are correct
-    /// by construction (the serializer computed them over these exact
-    /// bytes). Parsers may use [`Frame::is_verified`] to skip redundant
+    /// A frame built from its parts: `head` inline, `payload` shared, and
+    /// `trailer` to derive the last four wire bytes from the two on
+    /// demand. `verified` says the checksums inside `head` are correct by
+    /// construction (the trailer always is: it is derived from the final
+    /// bytes), so parsers may use [`Frame::is_verified`] to skip
     /// re-verification; the frame's observable behaviour is unchanged
     /// because re-deriving a checksum over unmodified bytes always
     /// reproduces the stored value.
-    pub fn new_verified(data: Bytes) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `head` is longer than [`FRAME_HEAD_MAX`].
+    pub fn framed(head: &[u8], payload: Bytes, trailer: TrailerFn, verified: bool) -> Self {
+        let mut inline = [0; FRAME_HEAD_MAX];
+        inline[..head.len()].copy_from_slice(head);
         Frame {
-            data,
-            verified: true,
+            head: inline,
+            head_len: head.len() as u8,
+            verified,
+            trailer: Some(trailer),
+            payload,
         }
     }
 
@@ -99,32 +129,58 @@ impl Frame {
         self.verified
     }
 
-    /// Length of the frame payload (excluding layer-1 overhead).
+    /// The inline header bytes (empty on a frame wrapped from raw bytes).
+    pub fn head(&self) -> &[u8] {
+        &self.head[..usize::from(self.head_len)]
+    }
+
+    /// The inline header bytes, for rewriting in place. The trailer is
+    /// derived from whatever they finally are.
+    pub fn head_mut(&mut self) -> &mut [u8] {
+        &mut self.head[..usize::from(self.head_len)]
+    }
+
+    /// The shared payload (the whole frame when wrapped from raw bytes).
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
+    }
+
+    /// The trailer bytes, derived now; `None` on a frame without one.
+    pub fn trailer(&self) -> Option<[u8; 4]> {
+        self.trailer
+            .map(|derive| derive(self.head(), &self.payload))
+    }
+
+    /// Length of the frame on the wire (excluding layer-1 overhead).
     pub fn len(&self) -> usize {
-        self.data.len()
+        usize::from(self.head_len) + self.payload.len() + self.trailer.map_or(0, |_| 4)
     }
 
     /// `true` if the frame carries no bytes.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
+    }
+
+    /// The wire bytes, materialized: head, payload, trailer.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut wire = Vec::with_capacity(self.len());
+        wire.extend_from_slice(self.head());
+        wire.extend_from_slice(&self.payload);
+        wire.extend(self.trailer().iter().flatten());
+        wire
     }
 }
 
 impl PartialEq for Frame {
     fn eq(&self, other: &Self) -> bool {
-        // The verification hint is a provenance note, not content: two
-        // frames with the same bytes are the same frame on the wire.
-        self.data == other.data
+        // The verification hint and the split into parts are provenance,
+        // not content: two frames with the same bytes are the same frame
+        // on the wire.
+        self.len() == other.len() && self.to_vec() == other.to_vec()
     }
 }
 
 impl Eq for Frame {}
-
-impl From<Bytes> for Frame {
-    fn from(data: Bytes) -> Self {
-        Frame::new(data)
-    }
-}
 
 impl From<Vec<u8>> for Frame {
     fn from(data: Vec<u8>) -> Self {

@@ -10,13 +10,15 @@ use crate::sched::{EventClass, EventInfo, Scheduler};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
 
-/// One scheduled occurrence.
+/// One scheduled occurrence. Three in four are timers, so the queue's
+/// entries stay timer-sized: a frame in flight waits in
+/// [`Fabric::in_flight`] and its arrival names the slot.
 #[derive(Debug)]
 pub(crate) enum EventKind {
     FrameArrival {
         node: NodeId,
         port: PortId,
-        frame: Frame,
+        slot: u32,
     },
     Timer {
         node: NodeId,
@@ -25,17 +27,17 @@ pub(crate) enum EventKind {
 }
 
 /// The scheduler-visible descriptor of an event.
-fn event_info(at: SimTime, seq: u64, kind: &EventKind) -> EventInfo {
-    let class = match kind {
-        EventKind::FrameArrival { node, port, frame } => EventClass::Frame {
-            node: *node,
-            port: *port,
-            len: frame.len(),
+fn event_info(at: SimTime, seq: u64, kind: &EventKind, in_flight: &[Option<Frame>]) -> EventInfo {
+    let class = match *kind {
+        EventKind::FrameArrival { node, port, slot } => EventClass::Frame {
+            node,
+            port,
+            len: in_flight[slot as usize]
+                .as_ref()
+                .expect("on the wire")
+                .len(),
         },
-        EventKind::Timer { node, token } => EventClass::Timer {
-            node: *node,
-            token: *token,
-        },
+        EventKind::Timer { node, token } => EventClass::Timer { node, token },
     };
     EventInfo { at, seq, class }
 }
@@ -100,6 +102,10 @@ pub(crate) struct Fabric {
     now: SimTime,
     queue: TimingWheel<EventKind>,
     next_seq: u64,
+    /// Frames on the wire, written once on send and taken on arrival,
+    /// and the vacant slots among them.
+    in_flight: Vec<Option<Frame>>,
+    vacant: Vec<u32>,
     ports: Vec<Vec<PortPeer>>,
     dir_links: Vec<DirLink>,
     // Parallel to dir_links: the installed fault plan (if any) and its
@@ -133,10 +139,25 @@ impl Fabric {
         let Some(peer) = self.ports[node.index()].get(port.index()).copied() else {
             panic!("node {node} sent on unconnected port {port}");
         };
-        let arrive = |frame| EventKind::FrameArrival {
-            node: peer.peer,
-            port: peer.peer_port,
-            frame,
+        let mut arrive = |at: SimTime, frame| {
+            let slot = match self.vacant.pop() {
+                Some(slot) => {
+                    self.in_flight[slot as usize] = Some(frame);
+                    slot
+                }
+                None => {
+                    self.in_flight.push(Some(frame));
+                    u32::try_from(self.in_flight.len() - 1).expect("too many frames in flight")
+                }
+            };
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let kind = EventKind::FrameArrival {
+                node: peer.peer,
+                port: peer.peer_port,
+                slot,
+            };
+            self.queue.push(at.as_nanos(), seq, kind);
         };
         // The link is charged whether or not a fault later removes the
         // frame: serialization happened either way, so installing a plan
@@ -149,11 +170,11 @@ impl Fabric {
             _ => self.faults[peer.dir_link].as_ref(),
         };
         let Some(plan) = plan else {
-            return self.push_event(arrival, arrive(frame));
+            return arrive(arrival, frame);
         };
         let stats = &mut self.fault_stats[peer.dir_link];
         for (at, frame) in plan.apply(self.now, arrival, frame, &mut self.rng, stats) {
-            self.push_event(at, arrive(frame));
+            arrive(at, frame);
         }
     }
 }
@@ -183,6 +204,8 @@ impl Simulation {
                 now: SimTime::ZERO,
                 queue: TimingWheel::new(),
                 next_seq: 0,
+                in_flight: Vec::new(),
+                vacant: Vec::new(),
                 ports: Vec::new(),
                 dir_links: Vec::new(),
                 faults: Vec::new(),
@@ -392,8 +415,9 @@ impl Simulation {
     /// one wheel slot.
     pub fn co_enabled(&self) -> Vec<EventInfo> {
         let mut out = Vec::new();
+        let in_flight = &self.fabric.in_flight;
         self.fabric.queue.for_each_at_head(|at, seq, kind| {
-            out.push(event_info(SimTime::from_nanos(at), seq, kind))
+            out.push(event_info(SimTime::from_nanos(at), seq, kind, in_flight))
         });
         out.sort_by_key(|e| e.seq);
         out
@@ -427,7 +451,9 @@ impl Simulation {
         } else {
             let infos: Vec<EventInfo> = batch
                 .iter()
-                .map(|(at, seq, kind)| event_info(SimTime::from_nanos(*at), *seq, kind))
+                .map(|(at, seq, kind)| {
+                    event_info(SimTime::from_nanos(*at), *seq, kind, &self.fabric.in_flight)
+                })
                 .collect();
             let sched = self.scheduler.as_mut().expect("checked above");
             sched.choose(&infos).min(batch.len() - 1)
@@ -446,16 +472,23 @@ impl Simulation {
     }
 
     fn deliver(&mut self, kind: EventKind) {
-        let node_id = match &kind {
-            EventKind::FrameArrival { node, .. } | EventKind::Timer { node, .. } => *node,
-        };
-        if self.node_down[node_id.index()] {
-            return; // crashed nodes receive nothing
-        }
-        let (node, mut ctx) = self.enter(node_id);
         match kind {
-            EventKind::FrameArrival { port, frame, .. } => node.on_frame(port, frame, &mut ctx),
-            EventKind::Timer { token, .. } => node.on_timer(token, &mut ctx),
+            EventKind::FrameArrival { node, port, slot } => {
+                // The frame leaves the wire whether or not anyone is there.
+                let frame = self.fabric.in_flight[slot as usize].take();
+                self.fabric.vacant.push(slot);
+                if !self.node_down[node.index()] {
+                    let (node, mut ctx) = self.enter(node);
+                    node.on_frame(port, frame.expect("a frame on the wire"), &mut ctx);
+                }
+            }
+            // Crashed nodes receive nothing.
+            EventKind::Timer { node, token } => {
+                if !self.node_down[node.index()] {
+                    let (node, mut ctx) = self.enter(node);
+                    node.on_timer(token, &mut ctx);
+                }
+            }
         }
     }
 

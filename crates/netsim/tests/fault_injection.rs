@@ -52,7 +52,7 @@ struct Echo {
 
 impl Node for Echo {
     fn on_frame(&mut self, port: PortId, frame: Frame, ctx: &mut Context<'_>) {
-        let seq = u64::from_be_bytes(frame.data[..8].try_into().expect("8-byte seq"));
+        let seq = u64::from_be_bytes(frame.payload()[..8].try_into().expect("8-byte seq"));
         self.received.push((seq, ctx.now.as_nanos()));
         if self.echo {
             ctx.send(port, frame);

@@ -206,12 +206,12 @@ fn frame_of(at: usize, item: &Item, damage: &Damage) -> Frame {
     match damage {
         Damage::None => frame,
         Damage::FlipBit(bit) => {
-            let mut raw = frame.data.to_vec();
+            let mut raw = frame.to_vec();
             let bit = bit.index(raw.len() * 8);
             raw[bit / 8] ^= 1 << (bit % 8);
             Frame::from(raw)
         }
-        Damage::Truncate(len) => Frame::from(frame.data[..len.index(frame.len())].to_vec()),
+        Damage::Truncate(len) => Frame::from(frame.to_vec()[..len.index(frame.len())].to_vec()),
     }
 }
 

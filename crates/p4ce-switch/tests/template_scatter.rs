@@ -157,8 +157,8 @@ fn every_emitted_frame_matches_full_reserialization() {
         for (_, frame) in sim.tap_frames(tap) {
             let pkt = RocePacket::parse(frame).expect("emitted frame parses");
             assert_eq!(
-                &*pkt.to_frame().data,
-                &*frame.data,
+                pkt.to_frame().to_vec(),
+                frame.to_vec(),
                 "patched frame must equal full re-serialization"
             );
             checked += 1;

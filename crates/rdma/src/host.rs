@@ -313,7 +313,8 @@ pub struct HostCore {
     psn_state: u64,
     // --- transmit path ---
     tx_fifo: VecDeque<(PortId, Frame)>,
-    tx_staged: Option<(PortId, Frame)>,
+    /// The TX engine is clocking out the frame at the front of the FIFO.
+    tx_busy: bool,
     tx_last_served: u32,
     /// QPNs that may have untransmitted posted work: every successful
     /// [`QueuePair::post`] inserts, [`HostCore::refill_tx`] removes
@@ -379,7 +380,7 @@ impl HostCore {
             next_qpn: 0x10,
             psn_state: cfg.seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1,
             tx_fifo: VecDeque::new(),
-            tx_staged: None,
+            tx_busy: false,
             tx_last_served: 0,
             tx_ready: BTreeSet::new(),
             tx_stale: Vec::new(),
@@ -598,14 +599,14 @@ impl HostCore {
     }
 
     fn kick_tx(&mut self, ctx: &mut Context<'_>) {
-        if self.tx_staged.is_some() {
+        if self.tx_busy {
             return;
         }
         if self.tx_fifo.is_empty() {
             self.refill_tx(ctx.now);
         }
-        if let Some(entry) = self.tx_fifo.pop_front() {
-            self.tx_staged = Some(entry);
+        if !self.tx_fifo.is_empty() {
+            self.tx_busy = true;
             ctx.schedule(self.cfg.nic_tx_cost, TimerToken(TK_NIC_TX));
         }
     }
@@ -1454,7 +1455,8 @@ impl<A: RdmaApp> Node for Host<A> {
         let data = token.0 & TK_DATA_MASK;
         match class {
             TK_NIC_TX => {
-                if let Some((port, frame)) = self.core.tx_staged.take() {
+                self.core.tx_busy = false;
+                if let Some((port, frame)) = self.core.tx_fifo.pop_front() {
                     self.core.stats.packets_sent += 1;
                     ctx.send(port, frame);
                 }

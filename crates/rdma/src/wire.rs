@@ -20,20 +20,20 @@
 //! ICRC      crc32(4) over the pseudo-header + transport headers + payload
 //! ```
 //!
-//! # The zero-copy fast path
+//! # A copy costs a header
 //!
-//! The ICRC is a real CRC-32 (IEEE, reflected), which is *linear* over
-//! GF(2): the checksum of `headers ∥ payload` equals the header CRC
-//! shifted past the payload length, XORed with the payload CRC
-//! ([`crc32_combine`]). Because of that, rewriting header fields never
-//! requires re-hashing the payload: [`PacketTemplate::stamp`] applies a
+//! [`RocePacket::to_frame`] writes the headers into the frame's inline
+//! head and shares the payload [`Bytes`]; the ICRC — a real CRC-32 (IEEE,
+//! reflected) over pseudo-header, transport headers and payload — is the
+//! frame's trailer, derived by [`icrc_trailer`] from the final bytes when
+//! somebody reads it: a tap, the fault injector, a parser handed a frame
+//! its builder does not vouch for. [`PacketTemplate::stamp`] applies a
 //! [`RewriteSet`] — exactly the fields the paper's deparser rewrites
 //! (addresses, UDP source port, QPN, PSN, VA, `R_key`, AETH) — by
-//! mutating the affected bytes of a copy, updating the IPv4 checksum
-//! incrementally (RFC 1624), and folding the *header-CRC delta* into the
-//! existing ICRC. A [`PacketTemplate`] is a validated frame plus what
-//! its parse extracted, so a multicast scatter serializes the packet
-//! once and stamps per-replica deltas at O(header) cost per copy.
+//! mutating the affected bytes of a copy of the head and updating the
+//! IPv4 checksum incrementally (RFC 1624). A [`PacketTemplate`] is a
+//! validated frame plus what its parse extracted, so a multicast scatter
+//! costs O(header) per copy: the payload is never copied, read or hashed.
 //!
 //! The AETH syndrome uses a simplified-but-faithful encoding: bits 7–5
 //! select ACK (`000`), RNR NAK (`001`) or NAK (`011`); for ACKs the low five
@@ -41,8 +41,8 @@
 //! can buffer — the field P4CE's gather logic must aggregate with a
 //! minimum), for NAKs they carry the error code.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use netsim::Frame;
+use bytes::{BufMut, Bytes};
+use netsim::{Frame, FRAME_HEAD_MAX};
 use std::error::Error;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -223,8 +223,9 @@ impl RocePacket {
             + self.payload.len()
     }
 
-    /// Serializes the packet to an Ethernet frame, computing the IPv4
-    /// checksum and the ICRC.
+    /// Serializes the packet to an Ethernet frame: headers (with the IPv4
+    /// checksum) inline, the payload shared, the ICRC left to
+    /// [`icrc_trailer`].
     ///
     /// # Panics
     ///
@@ -244,7 +245,8 @@ impl RocePacket {
             self.bth.opcode
         );
         let total = self.wire_len();
-        let mut buf = BytesMut::with_capacity(total);
+        let mut head = [0u8; FRAME_HEAD_MAX];
+        let mut buf = &mut head[..];
 
         // Ethernet
         buf.put_slice(&self.dst_mac.0);
@@ -252,20 +254,16 @@ impl RocePacket {
         buf.put_u16(0x0800);
 
         // IPv4
-        let ip_total = (total - ETH_LEN) as u16;
-        let ip_start = buf.len();
         buf.put_u8(0x45); // version 4, IHL 5
         buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(ip_total);
+        buf.put_u16((total - ETH_LEN) as u16);
         buf.put_u16(0); // identification
         buf.put_u16(0x4000); // don't fragment
         buf.put_u8(64); // TTL
         buf.put_u8(17); // UDP
-        buf.put_u16(0); // checksum placeholder
+        buf.put_u16(0); // checksum, filled in below
         buf.put_slice(&self.src_ip.octets());
         buf.put_slice(&self.dst_ip.octets());
-        let cksum = ipv4_checksum(&buf[ip_start..ip_start + IPV4_LEN]);
-        buf[ip_start + 10..ip_start + 12].copy_from_slice(&cksum.to_be_bytes());
 
         // UDP
         buf.put_u16(self.udp_src_port);
@@ -274,7 +272,6 @@ impl RocePacket {
         buf.put_u16(0); // UDP checksum unused with RoCE
 
         // BTH
-        let transport_start = buf.len();
         buf.put_u8(self.bth.opcode.to_wire());
         buf.put_u8(if self.bth.ack_req { 0x80 } else { 0 });
         buf.put_u16(0xffff); // pkey: default partition
@@ -292,23 +289,13 @@ impl RocePacket {
             buf.put_slice(&aeth.msn.to_be_bytes()[1..4]);
         }
 
-        buf.put_slice(&self.payload);
-
-        // ICRC over pseudo-header + transport headers + payload. Rewriting
-        // any covered field (addresses, QPN, PSN, VA, R_key, syndrome)
-        // invalidates it — the switch must recompute, as on real hardware.
-        let icrc = icrc_compute(
-            self.src_ip,
-            self.dst_ip,
-            self.udp_src_port,
-            &buf[transport_start..],
-        );
-        buf.put_u32(icrc);
-
-        debug_assert_eq!(buf.len(), total);
-        // Both checksums were computed over these exact bytes just above:
-        // mark the frame so receivers can skip re-deriving them.
-        Frame::new_verified(buf.freeze())
+        let head_len = FRAME_HEAD_MAX - buf.len();
+        let cksum = ipv4_checksum(&head[IP_OFF..IP_OFF + IPV4_LEN]);
+        head[IP_CKSUM_OFF..IP_CKSUM_OFF + 2].copy_from_slice(&cksum.to_be_bytes());
+        // The IPv4 checksum was computed over these exact bytes just above
+        // and the ICRC is derived from whatever they finally are: mark the
+        // frame so receivers can skip re-deriving either.
+        Frame::framed(&head[..head_len], self.payload.clone(), icrc_trailer, true)
     }
 
     /// Parses an Ethernet frame as a RoCE v2 packet, verifying the IPv4
@@ -339,8 +326,12 @@ impl RocePacket {
     ///
     /// Same as [`RocePacket::parse`], in the same order.
     pub fn parse_view(frame: &Frame) -> Result<RoceView<'_>, ParseError> {
-        let b = &frame.data;
-        if b.len() < BASE_OVERHEAD {
+        // A frame this module built keeps its headers in the inline head;
+        // anything else is raw bytes, headers first.
+        let raw = frame.head().is_empty();
+        let b = wire_head(frame);
+        let total = frame.len();
+        if total < BASE_OVERHEAD || b.len() < EXT_OFF {
             return Err(ParseError::TooShort);
         }
         let ethertype = u16::from_be_bytes([b[12], b[13]]);
@@ -366,56 +357,48 @@ impl RocePacket {
         let opcode_raw = b[TRANSPORT_OFF];
         let opcode = Opcode::from_wire(opcode_raw).ok_or(ParseError::BadOpcode(opcode_raw))?;
 
-        let mut off = TRANSPORT_OFF + BTH_LEN;
-        if opcode.carries_reth() {
-            if b.len() < off + RETH_LEN + ICRC_LEN {
-                return Err(ParseError::TooShort);
-            }
-            off += RETH_LEN;
+        // RETH and AETH never come together: the payload starts after
+        // whichever one the opcode carries.
+        let ext = match (opcode.carries_reth(), opcode.carries_aeth()) {
+            (true, _) => RETH_LEN,
+            (_, true) => AETH_LEN,
+            _ => 0,
+        };
+        let off = EXT_OFF + ext;
+        if total < off + ICRC_LEN || (if raw { b.len() < off } else { b.len() != off }) {
+            return Err(ParseError::TooShort);
         }
         // The AETH is decoded eagerly: its syndrome encoding is part of
         // the acceptance set (`BadAethSyndrome`), so the view must check
         // it up front to reject exactly what `parse` rejects.
         let aeth = if opcode.carries_aeth() {
-            if b.len() < off + AETH_LEN + ICRC_LEN {
-                return Err(ParseError::TooShort);
-            }
-            let syndrome = b[off];
-            let msn = u32::from_be_bytes([0, b[off + 1], b[off + 2], b[off + 3]]);
-            off += AETH_LEN;
-            Some(Aeth::from_syndrome(syndrome, msn)?)
+            let msn = u32::from_be_bytes([0, b[EXT_OFF + 1], b[EXT_OFF + 2], b[EXT_OFF + 3]]);
+            Some(Aeth::from_syndrome(b[EXT_OFF], msn)?)
         } else {
             None
         };
 
-        if b.len() < off + ICRC_LEN {
-            return Err(ParseError::TooShort);
-        }
-        let view = RoceView {
-            frame,
-            payload_off: off,
-            opcode,
-            aeth,
-        };
-        // Frames whose checksums were stamped by the serializer itself
-        // carry a verification hint; recomputing the ICRC over unmodified
-        // bytes would reproduce the stored value by definition, so only
-        // unverified frames (raw test vectors, fault-corrupted copies) pay
-        // for the full recomputation.
+        // A frame whose builder vouches for it carries a verification
+        // hint; re-deriving the ICRC over unmodified bytes would reproduce
+        // the trailer by definition, so only unverified frames (raw test
+        // vectors, fault-corrupted copies) pay for the computation.
         if !frame.is_verified() {
-            let got_icrc =
-                u32::from_be_bytes(b[b.len() - ICRC_LEN..].try_into().expect("slice len"));
-            let want_icrc = icrc_compute(
-                view.src_ip(),
-                view.dst_ip(),
-                view.udp_src_port(),
-                &b[TRANSPORT_OFF..b.len() - ICRC_LEN],
-            );
-            if got_icrc != want_icrc {
+            let (payload, got) = if raw {
+                let icrc_off = total - ICRC_LEN;
+                (&b[off..icrc_off], b[icrc_off..].try_into().ok())
+            } else {
+                (&frame.payload()[..], frame.trailer())
+            };
+            if got != Some(icrc_trailer(&b[..off], payload)) {
                 return Err(ParseError::BadIcrc);
             }
         }
-        Ok(view)
+        Ok(RoceView {
+            frame,
+            hdr: &b[..off],
+            opcode,
+            aeth,
+        })
     }
 }
 
@@ -428,7 +411,9 @@ impl RocePacket {
 #[derive(Debug, Clone, Copy)]
 pub struct RoceView<'a> {
     frame: &'a Frame,
-    payload_off: usize,
+    /// The header bytes, dst MAC to RETH/AETH: the frame's inline head, or
+    /// the front of a raw frame.
+    hdr: &'a [u8],
     opcode: Opcode,
     aeth: Option<Aeth>,
 }
@@ -436,17 +421,17 @@ pub struct RoceView<'a> {
 impl<'a> RoceView<'a> {
     /// Source MAC.
     pub fn src_mac(&self) -> MacAddr {
-        MacAddr(self.frame.data[6..12].try_into().expect("slice len"))
+        MacAddr(self.hdr[6..12].try_into().expect("slice len"))
     }
 
     /// Destination MAC.
     pub fn dst_mac(&self) -> MacAddr {
-        MacAddr(self.frame.data[0..6].try_into().expect("slice len"))
+        MacAddr(self.hdr[0..6].try_into().expect("slice len"))
     }
 
     /// Source IPv4 address.
     pub fn src_ip(&self) -> Ipv4Addr {
-        let b = &self.frame.data;
+        let b = self.hdr;
         Ipv4Addr::new(
             b[IP_SRC_OFF],
             b[IP_SRC_OFF + 1],
@@ -457,7 +442,7 @@ impl<'a> RoceView<'a> {
 
     /// Destination IPv4 address.
     pub fn dst_ip(&self) -> Ipv4Addr {
-        let b = &self.frame.data;
+        let b = self.hdr;
         Ipv4Addr::new(
             b[IP_DST_OFF],
             b[IP_DST_OFF + 1],
@@ -468,7 +453,7 @@ impl<'a> RoceView<'a> {
 
     /// UDP source port.
     pub fn udp_src_port(&self) -> u16 {
-        let b = &self.frame.data;
+        let b = self.hdr;
         u16::from_be_bytes([b[UDP_SPORT_OFF], b[UDP_SPORT_OFF + 1]])
     }
 
@@ -479,12 +464,12 @@ impl<'a> RoceView<'a> {
 
     /// BTH acknowledgement-request flag.
     pub fn ack_req(&self) -> bool {
-        self.frame.data[TRANSPORT_OFF + 1] & 0x80 != 0
+        self.hdr[TRANSPORT_OFF + 1] & 0x80 != 0
     }
 
     /// BTH destination queue pair.
     pub fn dest_qp(&self) -> Qpn {
-        let b = &self.frame.data;
+        let b = self.hdr;
         Qpn(u32::from_be_bytes([
             0,
             b[BTH_QPN_OFF + 1],
@@ -495,7 +480,7 @@ impl<'a> RoceView<'a> {
 
     /// BTH packet sequence number.
     pub fn psn(&self) -> Psn {
-        let b = &self.frame.data;
+        let b = self.hdr;
         Psn::new(u32::from_be_bytes([
             0,
             b[BTH_PSN_OFF + 1],
@@ -509,7 +494,7 @@ impl<'a> RoceView<'a> {
         if !self.opcode.carries_reth() {
             return None;
         }
-        let b = &self.frame.data;
+        let b = self.hdr;
         let va = u64::from_be_bytes(b[EXT_OFF..EXT_OFF + 8].try_into().expect("slice len"));
         let rkey = RKey(u32::from_be_bytes(
             b[EXT_OFF + 8..EXT_OFF + 12].try_into().expect("slice len"),
@@ -526,14 +511,17 @@ impl<'a> RoceView<'a> {
 
     /// Payload length in bytes.
     pub fn payload_len(&self) -> usize {
-        self.frame.data.len() - self.payload_off - ICRC_LEN
+        self.frame.len() - self.hdr.len() - ICRC_LEN
     }
 
-    /// The payload as a zero-copy slice of the frame bytes.
+    /// The payload, sharing the frame's bytes.
     pub fn payload(&self) -> Bytes {
-        self.frame
-            .data
-            .slice(self.payload_off..self.frame.data.len() - ICRC_LEN)
+        let body = self.frame.payload();
+        if self.frame.head().is_empty() {
+            body.slice(self.hdr.len()..body.len() - ICRC_LEN)
+        } else {
+            body.clone()
+        }
     }
 
     /// Materializes the owned packet — identical to what
@@ -557,13 +545,19 @@ impl<'a> RoceView<'a> {
         }
     }
 
-    /// The owned form of the view: a shared reference to the frame plus
-    /// what this parse extracted, ready to be stamped with header
-    /// rewrites. No bytes are copied or hashed.
+    /// The owned form of the view: the frame's head and a shared
+    /// reference to its payload plus what this parse extracted, ready to
+    /// be stamped with header rewrites. No payload byte is copied or
+    /// hashed. Raw bytes that passed the parser are split the way the
+    /// serializer would have built them, and stay unverified.
     pub fn to_template(&self) -> PacketTemplate {
+        let frame = if self.frame.head().is_empty() {
+            Frame::framed(self.hdr, self.payload(), icrc_trailer, false)
+        } else {
+            self.frame.clone()
+        };
         PacketTemplate {
-            frame: self.frame.clone(),
-            payload_off: self.payload_off,
+            frame,
             opcode: self.opcode,
             aeth: self.aeth,
         }
@@ -588,11 +582,23 @@ const EXT_OFF: usize = TRANSPORT_OFF + BTH_LEN;
 /// is too short to carry a BTH or the byte is not a known opcode.
 #[inline]
 pub fn peek_opcode(frame: &Frame) -> Option<Opcode> {
-    frame
-        .data
+    wire_head(frame)
         .get(TRANSPORT_OFF)
         .and_then(|&b| Opcode::from_wire(b))
 }
+
+/// The bytes a frame's headers sit in, at their wire offsets: the inline
+/// head of a frame this module built, or all of a raw frame.
+fn wire_head(frame: &Frame) -> &[u8] {
+    if frame.head().is_empty() {
+        frame.payload()
+    } else {
+        frame.head()
+    }
+}
+
+// The inline head holds the longest header set: Eth + IPv4 + UDP + BTH + RETH.
+const _: () = assert!(EXT_OFF + RETH_LEN <= FRAME_HEAD_MAX);
 
 /// The header fields an in-flight rewrite may change without
 /// re-serializing the packet — exactly the set the paper's deparser
@@ -624,11 +630,6 @@ pub struct RewriteSet {
 }
 
 impl RewriteSet {
-    /// `true` when no field is rewritten.
-    pub fn is_empty(&self) -> bool {
-        *self == RewriteSet::default()
-    }
-
     /// Applies the rewrites to a parsed packet — the logical counterpart
     /// of patching the serialized bytes, so
     /// `PacketTemplate::from_packet(&pkt).stamp(&rw)` and
@@ -701,35 +702,6 @@ fn cksum_update(hc: u16, old: u16, new: u16) -> u16 {
     !(sum as u16)
 }
 
-/// The ICRC's checksummed stream starts with a pseudo-header — the IP
-/// addresses and the UDP source port, which sit back to back in the
-/// frame — followed by the transport headers from the BTH on. The longest
-/// covered header region is pseudo-header + BTH + RETH (the AETH is
-/// shorter and never accompanies a RETH).
-const ICRC_PSEUDO_LEN: usize = 10;
-const ICRC_HEADER_MAX: usize = ICRC_PSEUDO_LEN + BTH_LEN + RETH_LEN;
-
-/// Overwrites the ICRC-covered header field at `buf[off..off + N]` with
-/// `new` and records `old XOR new` in `delta` at the field's position in
-/// the checksummed stream.
-fn patch_covered<const N: usize>(
-    buf: &mut [u8],
-    delta: &mut [u8; ICRC_HEADER_MAX],
-    off: usize,
-    new: [u8; N],
-) {
-    let at = if off < TRANSPORT_OFF {
-        off - IP_SRC_OFF
-    } else {
-        off - TRANSPORT_OFF + ICRC_PSEUDO_LEN
-    };
-    let field = &mut buf[off..off + N];
-    for i in 0..N {
-        delta[at + i] = field[i] ^ new[i];
-    }
-    field.copy_from_slice(&new);
-}
-
 /// A validated serialized frame plus what its parse extracted, ready to
 /// be stamped out with per-copy header rewrites — the model of the
 /// replication engine handing identical copies to per-port deparsers that
@@ -738,11 +710,10 @@ fn patch_covered<const N: usize>(
 /// There are two ways to get one, and both start from bytes that are
 /// known to be a RoCE v2 frame: [`RoceView::to_template`] (the frame
 /// passed [`RocePacket::parse_view`]) and [`PacketTemplate::from_packet`]
-/// (the serializer just produced it). Cloning shares the frame bytes.
+/// (the serializer just produced it). Cloning shares the payload.
 #[derive(Debug, Clone)]
 pub struct PacketTemplate {
     frame: Frame,
-    payload_off: usize,
     opcode: Opcode,
     aeth: Option<Aeth>,
 }
@@ -758,42 +729,58 @@ impl PacketTemplate {
     pub fn view(&self) -> RoceView<'_> {
         RoceView {
             frame: &self.frame,
-            payload_off: self.payload_off,
+            hdr: self.frame.head(),
             opcode: self.opcode,
             aeth: self.aeth,
         }
     }
 
     /// Emits the frame with `rw` applied, byte-identical to
-    /// `{ rw.apply(&mut pkt); pkt.to_frame() }` on the parsed packet. An
-    /// empty `rw` shares the template bytes outright (same allocation,
-    /// `verified` mark intact); anything else costs one buffer copy plus
-    /// one header-sized CRC, independent of payload length, and never
-    /// reads the payload. The output is marked verified iff the input was.
+    /// `{ rw.apply(&mut pkt); pkt.to_frame() }` on the parsed packet: a
+    /// copy of the head with the rewritten fields patched in, the payload
+    /// shared, the ICRC left to [`icrc_trailer`] — the same cost whatever
+    /// the payload length. The output is marked verified iff the input
+    /// was.
     ///
     /// # Errors
     ///
     /// [`PatchError::NoReth`]/[`PatchError::NoAeth`] when `rw` targets an
     /// extension header the template's opcode does not carry.
     pub fn stamp(&self, rw: &RewriteSet) -> Result<Frame, PatchError> {
-        if rw.is_empty() {
-            return Ok(self.frame.clone());
-        }
         if (rw.va.is_some() || rw.rkey.is_some()) && !self.opcode.carries_reth() {
             return Err(PatchError::NoReth);
         }
         if rw.aeth.is_some() && !self.opcode.carries_aeth() {
             return Err(PatchError::NoAeth);
         }
-        let mut buf = self.frame.data.to_vec();
-        // `old XOR new` of the ICRC-covered header bytes (not the MACs).
-        let mut delta = [0u8; ICRC_HEADER_MAX];
+        let mut frame = self.frame.clone();
+        let buf = frame.head_mut();
+        let mut put = |off: usize, new: &[u8]| buf[off..off + new.len()].copy_from_slice(new);
 
         if let Some(mac) = rw.dst_mac {
-            buf[0..6].copy_from_slice(&mac.0);
+            put(0, &mac.0);
         }
         if let Some(mac) = rw.src_mac {
-            buf[6..12].copy_from_slice(&mac.0);
+            put(6, &mac.0);
+        }
+        if let Some(sport) = rw.udp_src_port {
+            put(UDP_SPORT_OFF, &sport.to_be_bytes());
+        }
+        if let Some(qpn) = rw.dest_qp {
+            put(BTH_QPN_OFF, &qpn.masked().to_be_bytes());
+        }
+        if let Some(psn) = rw.psn {
+            put(BTH_PSN_OFF, &psn.value().to_be_bytes());
+        }
+        if let Some(va) = rw.va {
+            put(EXT_OFF, &va.to_be_bytes());
+        }
+        if let Some(rkey) = rw.rkey {
+            put(EXT_OFF + 8, &rkey.0.to_be_bytes());
+        }
+        if let Some(aeth) = rw.aeth {
+            let msn = aeth.msn.to_be_bytes();
+            put(EXT_OFF, &[aeth.syndrome(), msn[1], msn[2], msn[3]]);
         }
         // IP address rewrites keep the IPv4 header checksum valid via the
         // RFC 1624 incremental update — no full-header recomputation.
@@ -809,61 +796,17 @@ impl PacketTemplate {
                 hc = cksum_update(hc, old, new);
             }
             buf[IP_CKSUM_OFF..IP_CKSUM_OFF + 2].copy_from_slice(&hc.to_be_bytes());
-            patch_covered(&mut buf, &mut delta, off, octets);
+            buf[off..off + 4].copy_from_slice(&octets);
         }
-        if let Some(sport) = rw.udp_src_port {
-            patch_covered(&mut buf, &mut delta, UDP_SPORT_OFF, sport.to_be_bytes());
-        }
-        if let Some(qpn) = rw.dest_qp {
-            patch_covered(
-                &mut buf,
-                &mut delta,
-                BTH_QPN_OFF,
-                qpn.masked().to_be_bytes(),
-            );
-        }
-        if let Some(psn) = rw.psn {
-            patch_covered(&mut buf, &mut delta, BTH_PSN_OFF, psn.value().to_be_bytes());
-        }
-        if let Some(va) = rw.va {
-            patch_covered(&mut buf, &mut delta, EXT_OFF, va.to_be_bytes());
-        }
-        if let Some(rkey) = rw.rkey {
-            patch_covered(&mut buf, &mut delta, EXT_OFF + 8, rkey.0.to_be_bytes());
-        }
-        if let Some(aeth) = rw.aeth {
-            let msn = aeth.msn.to_be_bytes();
-            let new = [aeth.syndrome(), msn[1], msn[2], msn[3]];
-            patch_covered(&mut buf, &mut delta, EXT_OFF, new);
-        }
-
-        // ICRC: CRC-32 is linear, so the CRC (from a zero register) of
-        // `old headers XOR new headers` is the difference of the two
-        // header CRCs, and that difference shifted past the (untouched,
-        // un-rehashed) payload is the difference of the full-stream ICRCs.
-        let covered = ICRC_PSEUDO_LEN + self.payload_off - TRANSPORT_OFF;
-        let payload_len = buf.len() - self.payload_off - ICRC_LEN;
-        let icrc_off = buf.len() - ICRC_LEN;
-        let old_icrc = u32::from_be_bytes(buf[icrc_off..].try_into().expect("slice len"));
-        let new_icrc = old_icrc ^ crc32_shift(crc32_raw(0, &delta[..covered]), payload_len);
-        buf[icrc_off..].copy_from_slice(&new_icrc.to_be_bytes());
-        // A checksum-correct input patched with checksum-correct deltas is
-        // checksum-correct by construction; an unverified input stays so.
-        if self.frame.is_verified() {
-            Ok(Frame::new_verified(Bytes::from(buf)))
-        } else {
-            Ok(Frame::from(buf))
-        }
+        Ok(frame)
     }
 
     /// Builds a template by serializing `pkt` once. The resulting frame is
     /// checksum-correct by construction, so it is marked verified and every
     /// [`PacketTemplate::stamp`] from it inherits that mark.
     pub fn from_packet(pkt: &RocePacket) -> PacketTemplate {
-        let frame = pkt.to_frame();
         PacketTemplate {
-            payload_off: frame.data.len() - pkt.payload.len() - ICRC_LEN,
-            frame,
+            frame: pkt.to_frame(),
             opcode: pkt.bth.opcode,
             aeth: pkt.aeth,
         }
@@ -949,7 +892,8 @@ fn crc32_step8(c: u32, chunk: &[u8]) -> u32 {
 
 /// Slice-by-8 kernel: advances the raw register 8 bytes per step, byte
 /// tail for the remainder. Exposed (with raw-register semantics: no init
-/// or final conditioning) for differential tests and microbenchmarks.
+/// or final conditioning) for the differential test against the scalar
+/// loop.
 pub fn crc32_slice8_raw(init: u32, data: &[u8]) -> u32 {
     let mut c = init;
     let mut chunks = data.chunks_exact(8);
@@ -962,155 +906,25 @@ pub fn crc32_slice8_raw(init: u32, data: &[u8]) -> u32 {
     c
 }
 
-/// Byte length above which [`crc32_raw`] switches to the two-lane kernel.
-/// Below this the [`crc32_shift`] stitch costs more than the instruction-
-/// level parallelism buys back.
-const TWO_LANE_CUTOVER: usize = 128;
-
-/// Two-lane interleaved kernel: splits the input into two equal
-/// 8-byte-aligned lanes processed in one interleaved loop — two
-/// independent dependency chains, so the table-load latency of one lane
-/// hides behind the other — then stitches the lanes back together with
-/// the GF(2) [`crc32_combine`] operator and finishes the tail with the
-/// slice-by-8 kernel.
-///
-/// Lane B starts from register 0, which is what makes the stitch exact:
-/// the raw register is affine in (init, data), so
-/// `raw(init, A ∥ B) = shift(raw(init, A), |B|) ^ raw(0, B)`, which is
-/// `crc32_combine(raw(init, A), raw(0, B), |B|)` verbatim. Exposed (raw
-/// register semantics) for differential tests and microbenchmarks.
-pub fn crc32_two_lane_raw(init: u32, data: &[u8]) -> u32 {
-    let half = (data.len() / 2) & !7;
-    if half == 0 {
-        return crc32_slice8_raw(init, data);
-    }
-    let (a, rest) = data.split_at(half);
-    let (b, tail) = rest.split_at(half);
-    let mut ca = init;
-    let mut cb = 0u32;
-    let mut ia = a.chunks_exact(8);
-    let mut ib = b.chunks_exact(8);
-    for (ka, kb) in (&mut ia).zip(&mut ib) {
-        ca = crc32_step8(ca, ka);
-        cb = crc32_step8(cb, kb);
-    }
-    debug_assert!(ia.remainder().is_empty() && ib.remainder().is_empty());
-    let c = crc32_combine(ca, cb, half);
-    crc32_slice8_raw(c, tail)
-}
-
-/// Advances the raw (unconditioned) CRC register over `data`, dispatching
-/// to the two-lane kernel when the input is long enough to amortize the
-/// lane stitch.
-fn crc32_raw(init: u32, data: &[u8]) -> u32 {
-    if data.len() >= TWO_LANE_CUTOVER {
-        crc32_two_lane_raw(init, data)
-    } else {
-        crc32_slice8_raw(init, data)
-    }
-}
-
 /// The CRC-32 of `data` (init and final XOR `0xffff_ffff`, as in zlib).
 pub fn crc32(data: &[u8]) -> u32 {
-    !crc32_raw(CRC32_INIT, data)
+    !crc32_slice8_raw(CRC32_INIT, data)
 }
 
-/// Applies the GF(2) matrix `mat` to the bit-vector `vec`. Branchless:
-/// each row is masked in by sign-extending the corresponding vector bit,
-/// so the CPU never mispredicts on the (pseudorandom) CRC bits.
-const fn gf2_times(mat: &[u32; 32], vec: u32) -> u32 {
-    let mut sum = 0;
-    let mut i = 0;
-    while i < 32 {
-        sum ^= mat[i] & 0u32.wrapping_sub((vec >> i) & 1);
-        i += 1;
-    }
-    sum
-}
-
-/// Squares a GF(2) matrix.
-const fn gf2_square(mat: &[u32; 32]) -> [u32; 32] {
-    let mut sq = [0u32; 32];
-    let mut n = 0;
-    while n < 32 {
-        sq[n] = gf2_times(mat, mat[n]);
-        n += 1;
-    }
-    sq
-}
-
-/// `SHIFT_MATRICES[k]` is the linear operator advancing a CRC register
-/// past `2^k` zero *bytes*; composing the operators for the set bits of a
-/// length shifts past that many bytes in O(popcount) matrix applications.
-/// Built at compile time by repeated squaring of the one-bit operator.
-const SHIFT_MATRICES: [[u32; 32]; 32] = {
-    // The operator for a single zero *bit*: bit 0 folds into the
-    // polynomial, every other bit moves down one position.
-    let mut bit = [0u32; 32];
-    bit[0] = CRC32_POLY;
-    let mut n = 1;
-    while n < 32 {
-        bit[n] = 1 << (n - 1);
-        n += 1;
-    }
-    // Square three times: 1 bit → 2 → 4 → 8 bits = one byte.
-    let byte = gf2_square(&gf2_square(&gf2_square(&bit)));
-    let mut out = [[0u32; 32]; 32];
-    out[0] = byte;
-    let mut k = 1;
-    while k < 32 {
-        out[k] = gf2_square(&out[k - 1]);
-        k += 1;
-    }
-    out
-};
-
-/// Advances a CRC register past `len` zero bytes — equivalently,
-/// multiplies it by `x^(8·len)` in GF(2)[x] modulo the CRC polynomial.
-fn crc32_shift(mut crc: u32, mut len: usize) -> u32 {
-    let mut k = 0;
-    while len != 0 && crc != 0 {
-        if len & 1 != 0 {
-            crc = gf2_times(&SHIFT_MATRICES[k], crc);
-        }
-        len >>= 1;
-        k += 1;
-    }
-    crc
-}
-
-/// Combines two CRC-32s: given `crc1 = crc32(a)` and `crc2 = crc32(b)`,
-/// returns `crc32(a ∥ b)` where `len2 = b.len()` — without touching the
-/// underlying bytes (zlib's `crc32_combine`).
-pub fn crc32_combine(crc1: u32, crc2: u32, len2: usize) -> u32 {
-    crc32_shift(crc1, len2) ^ crc2
-}
-
-/// The ICRC pseudo-header: the address fields endpoints verify but the
-/// IP/UDP layers may legitimately rewrite checksums around.
-fn icrc_pseudo(src_ip: Ipv4Addr, dst_ip: Ipv4Addr, udp_src_port: u16) -> [u8; 10] {
-    let mut p = [0u8; 10];
-    p[..4].copy_from_slice(&src_ip.octets());
-    p[4..8].copy_from_slice(&dst_ip.octets());
-    p[8..10].copy_from_slice(&udp_src_port.to_be_bytes());
-    p
-}
-
-/// The integrity checksum covering the fields RDMA endpoints verify.
+/// The integrity checksum covering the fields RDMA endpoints verify, and
+/// the one place it is computed: a frame built here carries this function
+/// as its trailer and whoever reads the wire bytes calls it then.
 ///
-/// CRC-32 over a pseudo-header (addresses + source port) plus the
-/// transport bytes and payload. Any in-flight rewrite of a covered field
-/// forces whoever rewrote it to recompute the checksum — but because
-/// CRC-32 is linear, a header-only rewrite can do so from the header
-/// bytes alone (see [`PacketTemplate::stamp`]).
-pub fn icrc_compute(
-    src_ip: Ipv4Addr,
-    dst_ip: Ipv4Addr,
-    udp_src_port: u16,
-    transport: &[u8],
-) -> u32 {
-    let h = crc32_raw(CRC32_INIT, &icrc_pseudo(src_ip, dst_ip, udp_src_port));
-    !crc32_raw(h, transport)
+/// CRC-32 over a pseudo-header — the IP addresses and the UDP source port,
+/// which sit back to back in the frame and which the IP/UDP layers may
+/// legitimately rewrite checksums around — followed by the transport
+/// headers from the BTH on and the payload. An in-flight rewrite of a
+/// covered field changes the head it is derived from, so nobody has to
+/// remember to recompute it.
+fn icrc_trailer(head: &[u8], payload: &[u8]) -> [u8; ICRC_LEN] {
+    let c = crc32_slice8_raw(CRC32_INIT, &head[IP_SRC_OFF..UDP_SPORT_OFF + 2]);
+    let c = crc32_slice8_raw(c, &head[TRANSPORT_OFF..]);
+    (!crc32_slice8_raw(c, payload)).to_be_bytes()
 }
 
 /// Why a frame failed to parse as RoCE v2.
@@ -1189,7 +1003,7 @@ mod tests {
         let back = RocePacket::parse(&frame).expect("parse");
         assert_eq!(back, pkt);
         assert_eq!(peek_opcode(&frame), Some(Opcode::WriteOnly));
-        let no_bth = Frame::from(frame.data[..TRANSPORT_OFF].to_vec());
+        let no_bth = Frame::from(frame.to_vec()[..TRANSPORT_OFF].to_vec());
         assert_eq!(peek_opcode(&no_bth), None, "too short to carry a BTH");
     }
 
@@ -1246,7 +1060,7 @@ mod tests {
     #[test]
     fn tampering_breaks_icrc() {
         let frame = sample_write().to_frame();
-        let mut raw = frame.data.to_vec();
+        let mut raw = frame.to_vec();
         // Flip a bit in the PSN without fixing the ICRC.
         let psn_off = ETH_LEN + IPV4_LEN + UDP_LEN + 11;
         raw[psn_off] ^= 1;
@@ -1276,7 +1090,7 @@ mod tests {
     #[test]
     fn non_roce_traffic_rejected_cleanly() {
         let frame = sample_write().to_frame();
-        let mut raw = frame.data.to_vec();
+        let mut raw = frame.to_vec();
         // Break the UDP destination port.
         let dport_off = ETH_LEN + IPV4_LEN + 2;
         raw[dport_off] = 0;
@@ -1290,7 +1104,7 @@ mod tests {
     #[test]
     fn ip_checksum_validates() {
         let frame = sample_write().to_frame();
-        let mut raw = frame.data.to_vec();
+        let mut raw = frame.to_vec();
         raw[ETH_LEN + 8] = 1; // corrupt the TTL
         assert_eq!(
             RocePacket::parse(&Frame::from(raw)),
@@ -1318,23 +1132,6 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_combine_equals_concatenation() {
-        let a = b"the header region of a packet";
-        let b = b"and a payload the patcher never re-reads";
-        assert_eq!(
-            crc32_combine(crc32(a), crc32(b), b.len()),
-            crc32(&[&a[..], &b[..]].concat())
-        );
-        // Degenerate lengths.
-        assert_eq!(crc32_combine(crc32(a), crc32(b""), 0), crc32(a));
-        let zeros = vec![0u8; 8192];
-        assert_eq!(
-            crc32_combine(crc32(a), crc32(&zeros), zeros.len()),
-            crc32(&[&a[..], &zeros[..]].concat())
-        );
     }
 
     #[test]
@@ -1385,7 +1182,10 @@ mod tests {
             let patched = PacketTemplate::from_packet(&sample_write())
                 .stamp(&rw)
                 .expect("stamp");
-            assert_eq!(ipv4_checksum(&patched.data[ETH_LEN..ETH_LEN + IPV4_LEN]), 0);
+            assert_eq!(
+                ipv4_checksum(&patched.head()[ETH_LEN..ETH_LEN + IPV4_LEN]),
+                0
+            );
         }
     }
 }

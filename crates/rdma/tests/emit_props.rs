@@ -168,8 +168,8 @@ fn assert_wire(what: &str, tapped: &[(netsim::SimTime, Frame)], expected: &[Roce
     );
     for (i, ((_, frame), pkt)) in tapped.iter().zip(expected).enumerate() {
         assert_eq!(
-            &frame.data[..],
-            &pkt.to_frame().data[..],
+            frame.to_vec(),
+            pkt.to_frame().to_vec(),
             "{what}: frame {i} ({}) is not the hand-built packet's serialization",
             pkt.bth.opcode
         );

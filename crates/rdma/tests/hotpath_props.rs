@@ -2,7 +2,7 @@
 //! fast kernel must agree *exactly* with the slow, obviously-correct
 //! implementation it replaced.
 //!
-//! * the slice-by-8 and two-lane CRC kernels against a bit-at-a-time
+//! * the slice-by-8 CRC kernel against a bit-at-a-time
 //!   reference,
 //! * the borrowed-view parse against the owned-packet parse, including
 //!   accept/reject parity on corrupted frames.
@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use netsim::Frame;
 use proptest::prelude::*;
-use rdma::wire::{crc32, crc32_slice8_raw, crc32_two_lane_raw};
+use rdma::wire::{crc32, crc32_slice8_raw};
 use rdma::{Aeth, AethKind, Bth, MacAddr, NakCode, Opcode, Psn, Qpn, RKey, Reth, RocePacket};
 use std::net::Ipv4Addr;
 
@@ -51,8 +51,7 @@ fn lcg_bytes(len: usize, seed: u64) -> Vec<u8> {
 }
 
 /// Every length 0..=1024 (covering the empty input, the sub-8-byte tail
-/// loop, the slice-by-8 main loop, and both sides of the two-lane split)
-/// agrees with the reference on both kernels.
+/// loop and the slice-by-8 main loop) agrees with the reference.
 #[test]
 fn crc_kernels_match_reference_for_all_lengths_0_to_1024() {
     for len in 0..=1024usize {
@@ -63,12 +62,7 @@ fn crc_kernels_match_reference_for_all_lengths_0_to_1024() {
             oracle,
             "slice-by-8 diverges at len {len}"
         );
-        assert_eq!(
-            crc32_two_lane_raw(0xffff_ffff, &data),
-            oracle,
-            "two-lane diverges at len {len}"
-        );
-        // The public finalized form wraps the same kernels.
+        // The public finalized form wraps the same kernel.
         assert_eq!(
             crc32(&data),
             !oracle,
@@ -79,8 +73,8 @@ fn crc_kernels_match_reference_for_all_lengths_0_to_1024() {
 
 proptest! {
     /// Random contents and random (non-canonical) initial registers: the
-    /// kernels are exact drop-ins for the reference at any register
-    /// state, which is what lets `crc32_combine` stitch them.
+    /// kernel is an exact drop-in for the reference at any register
+    /// state, which is what lets the ICRC chain it over a frame's parts.
     #[test]
     fn crc_kernels_match_reference_on_random_input(
         data in proptest::collection::vec(any::<u8>(), 0..2048),
@@ -88,7 +82,6 @@ proptest! {
     ) {
         let oracle = crc32_bitwise_raw(init, &data);
         prop_assert_eq!(crc32_slice8_raw(init, &data), oracle);
-        prop_assert_eq!(crc32_two_lane_raw(init, &data), oracle);
     }
 }
 
@@ -207,7 +200,7 @@ proptest! {
         mode in 0u8..2,
     ) {
         let good = pkt.to_frame();
-        let mut bytes = good.data.to_vec();
+        let mut bytes = good.to_vec();
         match mode {
             0 => {
                 let i = corrupt_at.index(bytes.len());

@@ -3,12 +3,17 @@
 //! stamping the serialized bytes must produce *exactly* the frame a full
 //! re-serialization would — same IPv4 checksum, same ICRC, byte for
 //! byte. This is the guard that lets the switch emit template-patched
-//! copies without ever re-reading the payload.
+//! copies without ever re-reading the payload — and, since a frame no
+//! longer stores its ICRC but derives it when read, that whoever does
+//! read one reads what an eager serializer ([`eager_wire`], which lives
+//! only here) would have written.
 
-use bytes::Bytes;
-use netsim::Frame;
+use bytes::{BufMut, Bytes};
+use netsim::{FaultPlan, FaultStats, Frame, SimTime};
 use proptest::prelude::*;
-use rdma::wire::{crc32, crc32_combine};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rdma::wire::{crc32, ipv4_checksum, ParseError};
 use rdma::{
     Aeth, AethKind, Bth, MacAddr, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth, RewriteSet,
     RocePacket,
@@ -120,8 +125,123 @@ fn constrain(rw: RewriteSet, pkt: &RocePacket) -> RewriteSet {
     }
 }
 
+/// The serializer as it was before frames shared their payload: every
+/// byte of the wire image written front to back into one buffer, the
+/// ICRC computed on the spot over pseudo-header, transport headers and
+/// payload and stored behind them.
+fn eager_wire(pkt: &RocePacket) -> Vec<u8> {
+    let ext = if pkt.reth.is_some() { 16 } else { 0 } + if pkt.aeth.is_some() { 4 } else { 0 };
+    let total = 14 + 20 + 8 + 12 + ext + pkt.payload.len() + 4;
+    let mut buf = Vec::with_capacity(total);
+    buf.put_slice(&pkt.dst_mac.0);
+    buf.put_slice(&pkt.src_mac.0);
+    buf.put_u16(0x0800);
+    buf.put_slice(&[0x45, 0]);
+    buf.put_u16((total - 14) as u16);
+    buf.put_slice(&[0, 0, 0x40, 0, 64, 17, 0, 0]);
+    buf.put_slice(&pkt.src_ip.octets());
+    buf.put_slice(&pkt.dst_ip.octets());
+    let cksum = ipv4_checksum(&buf[14..34]);
+    buf[24..26].copy_from_slice(&cksum.to_be_bytes());
+    buf.put_u16(pkt.udp_src_port);
+    buf.put_u16(4791);
+    buf.put_u16((total - 34) as u16);
+    buf.put_u16(0);
+    buf.put_u8(pkt.bth.opcode.to_wire());
+    buf.put_u8(if pkt.bth.ack_req { 0x80 } else { 0 });
+    buf.put_u16(0xffff);
+    buf.put_u32(pkt.bth.dest_qp.masked());
+    buf.put_u32(pkt.bth.psn.value());
+    if let Some(reth) = &pkt.reth {
+        buf.put_u64(reth.va);
+        buf.put_u32(reth.rkey.0);
+        buf.put_u32(reth.dma_len);
+    }
+    if let Some(aeth) = &pkt.aeth {
+        let AethKind::Ack { credits } = aeth.kind else {
+            unreachable!("the generator builds ACKs");
+        };
+        buf.put_u8(credits);
+        buf.put_slice(&aeth.msn.to_be_bytes()[1..]);
+    }
+    buf.put_slice(&pkt.payload);
+    let mut covered = Vec::with_capacity(total);
+    covered.put_slice(&pkt.src_ip.octets());
+    covered.put_slice(&pkt.dst_ip.octets());
+    covered.put_u16(pkt.udp_src_port);
+    covered.put_slice(&buf[42..]);
+    buf.put_u32(crc32(&covered));
+    buf
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Frames read the same: whatever a frame went through on its way —
+    /// serialized, cloned, stamped by one switch, parsed and stamped by
+    /// the next — the bytes an observer reads off it, ICRC included, are
+    /// what serializing the rewritten packet eagerly gives, and they pass
+    /// a parser that re-derives both checksums.
+    #[test]
+    fn a_lazily_trailed_frame_reads_as_the_eager_serialization(
+        pkt in arb_packet(),
+        rw in arb_rewrite(),
+        rw2 in arb_rewrite(),
+    ) {
+        let (rw, rw2) = (constrain(rw, &pkt), constrain(rw2, &pkt));
+        let frame = pkt.to_frame();
+        prop_assert_eq!(frame.to_vec(), eager_wire(&pkt));
+        prop_assert_eq!(frame.len(), eager_wire(&pkt).len());
+
+        let template = PacketTemplate::from_packet(&pkt);
+        let stamped = template.stamp(&rw).expect("stamp");
+        let mut once = pkt.clone();
+        rw.apply(&mut once);
+        prop_assert_eq!(stamped.to_vec(), eager_wire(&once));
+        prop_assert_eq!(stamped.clone().to_vec(), eager_wire(&once));
+        // The copy took nothing from its source: same payload allocation,
+        // and the template still reads as the packet it was built from.
+        prop_assert_eq!(stamped.payload().as_ptr_range(), frame.payload().as_ptr_range());
+        prop_assert_eq!(template.frame().to_vec(), eager_wire(&pkt));
+
+        let view = RocePacket::parse_view(&stamped).expect("a stamped frame parses");
+        let twice_stamped = view.to_template().stamp(&rw2).expect("stamp");
+        let mut twice = once.clone();
+        rw2.apply(&mut twice);
+        prop_assert_eq!(twice_stamped.to_vec(), eager_wire(&twice));
+        let reread = RocePacket::parse(&Frame::from(twice_stamped.to_vec()));
+        prop_assert_eq!(reread, Ok(twice));
+    }
+
+    /// A frame through the fault injector's bit flip is never `verified`,
+    /// so the flip meets the checks it can fail: a flipped ICRC-covered
+    /// byte — the trailer itself included, which the injector had to
+    /// derive to have something to flip — is refused, and only a flip in
+    /// what no check covers (the MAC addresses, the UDP length and unused
+    /// UDP checksum) still parses.
+    #[test]
+    fn a_corrupted_frame_is_never_verified(pkt in arb_packet(), seed in any::<u64>()) {
+        let frame = pkt.to_frame();
+        let plan = FaultPlan::new().corrupt(1.0);
+        let (now, mut stats) = (SimTime::ZERO, FaultStats::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let delivered = plan.apply(now, now, frame.clone(), &mut rng, &mut stats);
+        let (_, corrupt) = &delivered[0];
+        prop_assert!(!corrupt.is_verified());
+        prop_assert_eq!(corrupt.len(), frame.len());
+        let (sent, got) = (frame.to_vec(), corrupt.to_vec());
+        let flipped: Vec<usize> = (0..sent.len()).filter(|&i| sent[i] != got[i]).collect();
+        prop_assert_eq!(flipped.len(), 1);
+        let parsed = RocePacket::parse(corrupt);
+        let unchecked = flipped[0] < 12 || (38..42).contains(&flipped[0]);
+        prop_assert_eq!(parsed.is_ok(), unchecked, "byte {} flipped: {:?}", flipped[0], parsed);
+        if flipped[0] >= sent.len() - 4 {
+            prop_assert_eq!(parsed, Err(ParseError::BadIcrc));
+        }
+        // The original, still shared by everyone else, is untouched.
+        prop_assert_eq!(frame.to_vec(), sent);
+        prop_assert!(frame.is_verified());
+    }
 
     /// The tentpole property: stamping serialized bytes is byte-identical
     /// to mutating the parsed packet and re-serializing from scratch —
@@ -138,37 +258,39 @@ proptest! {
         rw.apply(&mut expect);
         let full = expect.to_frame();
 
-        prop_assert_eq!(&*patched.data, &*full.data);
+        prop_assert_eq!(patched.to_vec(), full.to_vec());
         prop_assert!(patched.is_verified(), "a verified input stays verified");
         let from_packet = PacketTemplate::from_packet(&pkt).stamp(&rw).expect("stamp");
-        prop_assert_eq!(&*from_packet.data, &*full.data);
+        prop_assert_eq!(from_packet.to_vec(), full.to_vec());
         // An input whose checksums nobody vouched for stamps to the same
         // bytes and stays unvouched.
-        let raw = Frame::from(frame.data.to_vec());
+        let raw = Frame::from(frame.to_vec());
         let unverified = RocePacket::parse_view(&raw).expect("parse").to_template().stamp(&rw);
         let unverified = unverified.expect("stamp");
-        prop_assert_eq!(&*unverified.data, &*full.data);
+        prop_assert_eq!(unverified.to_vec(), full.to_vec());
         prop_assert!(!unverified.is_verified());
         // The patched frame must also parse (valid IPv4 checksum + ICRC)
         // back to exactly the rewritten packet — checksums re-derived, not
         // trusted from the serializer's mark.
-        let back = RocePacket::parse(&Frame::from(patched.data.to_vec())).expect("parse patched");
+        let back = RocePacket::parse(&Frame::from(patched.to_vec())).expect("parse patched");
         prop_assert_eq!(back, expect);
     }
 
     /// An empty rewrite is free: the output is the input — the same
-    /// allocation, not a copy — with its verification mark.
+    /// head, the same payload allocation, not a copy — with its
+    /// verification mark.
     #[test]
     fn empty_rewrite_is_zero_copy(pkt in arb_packet()) {
         let frame = pkt.to_frame();
         let view = RocePacket::parse_view(&frame).expect("parse");
         let out = view.to_template().stamp(&RewriteSet::default()).expect("stamp");
-        prop_assert_eq!((out.data.as_ptr(), out.data.len()), (frame.data.as_ptr(), frame.data.len()));
+        prop_assert_eq!(out.payload().as_ptr_range(), frame.payload().as_ptr_range());
+        prop_assert_eq!(out.head(), frame.head());
         prop_assert!(out.is_verified());
         let template = PacketTemplate::from_packet(&pkt);
         let out = template.stamp(&RewriteSet::default()).expect("stamp");
-        let shared = &template.frame().data;
-        prop_assert_eq!((out.data.as_ptr(), out.data.len()), (shared.as_ptr(), shared.len()));
+        let shared = template.frame().payload();
+        prop_assert_eq!(out.payload().as_ptr_range(), shared.as_ptr_range());
     }
 
     /// Garbage has one door, `parse_view` — a template, and so a patch,
@@ -183,7 +305,7 @@ proptest! {
     ) {
         let frame = pkt.to_frame();
         let n = cut.index(frame.len());
-        let cut_frame = Frame::from(frame.data[..n].to_vec());
+        let cut_frame = Frame::from(frame.to_vec()[..n].to_vec());
         let parsed = RocePacket::parse_view(&cut_frame);
         if let Ok(view) = &parsed {
             let _ = view.to_template().stamp(&rw);
@@ -191,16 +313,5 @@ proptest! {
         if n < rdma::wire::BASE_OVERHEAD {
             prop_assert!(parsed.is_err());
         }
-    }
-
-    /// CRC32 linearity — the identity the whole fast path rests on:
-    /// crc(A ‖ B) == combine(crc(A), crc(B), |B|).
-    #[test]
-    fn crc32_combine_is_concatenation(
-        a in prop::collection::vec(any::<u8>(), 0..512),
-        b in prop::collection::vec(any::<u8>(), 0..4096),
-    ) {
-        let whole = crc32(&[&a[..], &b[..]].concat());
-        prop_assert_eq!(crc32_combine(crc32(&a), crc32(&b), b.len()), whole);
     }
 }

@@ -92,7 +92,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let frame = pkt.to_frame();
-        let mut raw = frame.data.to_vec();
+        let mut raw = frame.to_vec();
         // Tamper strictly inside the ICRC-covered region: BTH onward
         // (excluding the trailing ICRC itself).
         let start = 14 + 20 + 8;
@@ -112,7 +112,7 @@ proptest! {
     fn truncation_never_panics(pkt in arb_packet(), cut in any::<prop::sample::Index>()) {
         let frame = pkt.to_frame();
         let n = cut.index(frame.len());
-        let result = RocePacket::parse(&Frame::from(frame.data[..n].to_vec()));
+        let result = RocePacket::parse(&Frame::from(frame.to_vec()[..n].to_vec()));
         prop_assert!(result.is_err());
     }
 
@@ -231,7 +231,7 @@ fn non_roce_port_is_classified_not_roce() {
         aeth: None,
         payload: Bytes::from_static(b"abcd"),
     };
-    let mut raw = pkt.to_frame().data.to_vec();
+    let mut raw = pkt.to_frame().to_vec();
     raw[14 + 20 + 2] = 0;
     raw[14 + 20 + 3] = 53; // dst port 53: DNS, not RoCE
     assert_eq!(

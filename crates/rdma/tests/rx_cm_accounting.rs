@@ -218,10 +218,14 @@ impl Input {
         };
         match damage {
             Damage::None => cm_frame(msg.encode()),
-            Damage::FrameFlip(at, bit) => {
-                Frame::new(Bytes::from(flip(&cm_frame(msg.encode()).data, at, *bit)))
+            Damage::FrameFlip(at, bit) => Frame::new(Bytes::from(flip(
+                &cm_frame(msg.encode()).to_vec(),
+                at,
+                *bit,
+            ))),
+            Damage::FrameCut(at) => {
+                Frame::new(Bytes::from(cut(&cm_frame(msg.encode()).to_vec(), at)))
             }
-            Damage::FrameCut(at) => Frame::new(Bytes::from(cut(&cm_frame(msg.encode()).data, at))),
             Damage::DatagramFlip(at, bit) => cm_frame(Bytes::from(flip(&msg.encode(), at, *bit))),
             Damage::DatagramCut(at) => cm_frame(Bytes::from(cut(&msg.encode(), at))),
             Damage::PrivateFlip(at, bit) => {

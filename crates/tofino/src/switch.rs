@@ -93,26 +93,58 @@ pub struct SwitchStats {
     /// increment it — a stage cannot express a structural change — so it
     /// reads 0; the field stays because the benchmark reads it.
     pub emitted_reserialized: u64,
+    /// Deparser wake-ups. One serves every copy of a pass that leaves its
+    /// egress parser at that instant, so it reads at most `forwarded +
+    /// dropped_egress` and the gap is the events the sharing saved.
+    pub emit_events: u64,
+}
+
+impl SwitchStats {
+    /// Snapshots the pipeline's counters into `reg` under `prefix`.
+    pub fn register_into(&self, reg: &mut netsim::MetricsRegistry, prefix: &str) {
+        for (name, value) in [
+            ("forwarded", self.forwarded),
+            ("multicast_copies", self.multicast_copies),
+            ("drops.ingress", self.dropped_ingress),
+            ("drops.egress", self.dropped_egress),
+            ("drops.parser_overflow", self.parser_overflow_drops),
+            ("punted", self.punted),
+            ("parse_errors", self.parse_errors),
+            ("emit_events", self.emit_events),
+        ] {
+            reg.set_counter(&format!("{prefix}.{name}"), value);
+        }
+    }
 }
 
 const TK_INGRESS: u64 = 1 << 56;
-const TK_EGRESS: u64 = 2 << 56;
 const TK_EMIT: u64 = 3 << 56;
 const TK_CPU: u64 = 4 << 56;
 const TK_CTRL: u64 = 5 << 56;
 const TK_CLASS_MASK: u64 = 0xff << 56;
 const TK_DATA_MASK: u64 = !TK_CLASS_MASK;
 
-/// One copy of a packet between the ingress parser and the deparser: a
-/// shared reference to the arrived frame with what the parser extracted
-/// from it, and the header rewrites the stages recorded so far. The
-/// payload is never parsed out, copied or touched in here.
+/// One packet between the ingress stage and the deparser: the arrived
+/// frame with what the parser extracted from it, the header rewrites the
+/// ingress recorded, and the copies the replication engine made of it.
+/// Every copy is a port, a replication id and a release instant — a
+/// reference to this one packet, as on the ASIC; the payload is never
+/// parsed out, copied or touched in here.
 #[derive(Debug)]
-struct InFlight {
+struct Pass {
     arrived: PacketTemplate,
     rw: RewriteSet,
+    /// The copies its egress parsers admitted and the deparser has not
+    /// seen yet, in member order.
+    copies: Vec<PassCopy>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct PassCopy {
     port: PortId,
     rid: u16,
+    /// When its egress parser lets go of it.
+    emit_at: SimTime,
 }
 
 /// Items parked between pipeline steps, addressed by the timer token
@@ -216,13 +248,13 @@ pub struct Switch<P: SwitchProgram> {
     egress_parsers: Vec<Cpu>,
     /// Frames waiting out the ingress parser.
     arrived: Stash<(Frame, PortId)>,
-    /// Copies between the ingress stage and the deparser.
-    in_flight: Stash<InFlight>,
+    /// Packets between the ingress stage and the deparser.
+    in_flight: Stash<Pass>,
+    /// Copy lists of finished passes, kept for the next ones (no
+    /// steady-state allocation on the replication path).
+    spare_copies: Vec<Vec<PassCopy>>,
     /// Packets on their way to the control-plane CPU.
     punted: Stash<RocePacket>,
-    /// Reused per-ingress multicast member snapshot (no steady-state
-    /// allocation on the replication path).
-    mcast_scratch: Vec<McastMember>,
 }
 
 impl<P: SwitchProgram> Switch<P> {
@@ -241,8 +273,8 @@ impl<P: SwitchProgram> Switch<P> {
             egress_parsers: vec![Cpu::new(); lanes],
             arrived: Stash::new(),
             in_flight: Stash::new(),
+            spare_copies: Vec::new(),
             punted: Stash::new(),
-            mcast_scratch: Vec::new(),
         }
     }
 
@@ -292,40 +324,60 @@ impl<P: SwitchProgram> Switch<P> {
         let verdict = self
             .program
             .ingress(&mut Headers::new(view, &mut rw), meta, &self.shared);
-        let mut to_egress = |sw: &mut Self, port: PortId, rid: u16| {
-            let copy = InFlight {
-                arrived: view.to_template(),
-                rw,
-                port,
-                rid,
-            };
-            let id = sw.in_flight.put(copy);
-            ctx.schedule(sw.shared.cfg.pipeline_latency, TimerToken(TK_EGRESS | id));
+        // A copy reaches its egress parser one pipeline latency from now.
+        // That parser is a FIFO fed in ingress order at a constant delay,
+        // so charging it here, for that instant, queues the copy exactly
+        // where a wake-up at that instant would have.
+        let Shared {
+            cfg, mcast, stats, ..
+        } = &mut self.shared;
+        let at_egress = ctx.now + cfg.pipeline_latency;
+        let egress_parsers = &mut self.egress_parsers;
+        let mut copies = self.spare_copies.pop().unwrap_or_default();
+        let mut to_egress = |port: PortId, rid: u16| {
+            let lane = port.index() % egress_parsers.len();
+            match Self::parser_admit(&mut egress_parsers[lane], at_egress, cfg) {
+                None => stats.parser_overflow_drops += 1,
+                Some(emit_at) => copies.push(PassCopy { port, rid, emit_at }),
+            }
         };
         match verdict {
-            IngressVerdict::Drop => {
-                self.shared.stats.dropped_ingress += 1;
-            }
-            IngressVerdict::Unicast(out) => to_egress(self, out, 0),
+            IngressVerdict::Drop => stats.dropped_ingress += 1,
+            IngressVerdict::Unicast(out) => to_egress(out, 0),
             IngressVerdict::Multicast(gid) => {
-                let mut members = std::mem::take(&mut self.mcast_scratch);
-                members.clear();
-                members.extend_from_slice(self.shared.mcast.members(gid).unwrap_or_default());
+                let members = mcast.members(gid).unwrap_or_default();
                 if members.is_empty() {
-                    self.shared.stats.dropped_ingress += 1;
+                    stats.dropped_ingress += 1;
                 }
-                for &m in &members {
-                    self.shared.stats.multicast_copies += 1;
-                    to_egress(self, m.port, m.rid);
+                for m in members {
+                    stats.multicast_copies += 1;
+                    to_egress(m.port, m.rid);
                 }
-                self.mcast_scratch = members;
             }
             IngressVerdict::ToCpu => {
-                self.shared.stats.punted += 1;
+                stats.punted += 1;
                 let mut pkt = view.to_packet();
                 rw.apply(&mut pkt);
                 let id = self.punted.put(pkt);
-                ctx.schedule(self.shared.cfg.cpu_punt_latency, TimerToken(TK_CPU | id));
+                ctx.schedule(cfg.cpu_punt_latency, TimerToken(TK_CPU | id));
+            }
+        }
+        if copies.is_empty() {
+            return self.spare_copies.push(copies);
+        }
+        let arrived = view.to_template();
+        let id = self.in_flight.put(Pass {
+            arrived,
+            rw,
+            copies,
+        });
+        // One deparser wake-up per release instant: the copies of a pass
+        // that share one would have been queued back to back, so nothing
+        // could have come between them.
+        let copies = &self.in_flight.get_mut(id).expect("parked").copies;
+        for (i, copy) in copies.iter().enumerate() {
+            if copies[..i].iter().all(|c| c.emit_at != copy.emit_at) {
+                ctx.schedule_at(copy.emit_at, TimerToken(TK_EMIT | id));
             }
         }
     }
@@ -364,49 +416,41 @@ impl<P: SwitchProgram> Node for Switch<P> {
                 };
                 self.run_ingress(frame, port, ctx);
             }
-            TK_EGRESS => {
-                // The copy stays parked where the ingress put it; this
-                // step only charges the output port's egress parser.
-                let Some(copy) = self.in_flight.get_mut(data) else {
-                    return;
-                };
-                let lane = copy.port.index() % self.egress_parsers.len();
-                let parser = &mut self.egress_parsers[lane];
-                match Self::parser_admit(parser, ctx.now, &self.shared.cfg) {
-                    None => {
-                        self.in_flight.take(data);
-                        self.shared.stats.parser_overflow_drops += 1;
-                    }
-                    Some(done) => ctx.schedule_at(done, TimerToken(TK_EMIT | data)),
-                }
-            }
             TK_EMIT => {
-                let Some(copy) = self.in_flight.get_mut(data) else {
+                let Some(pass) = self.in_flight.get_mut(data) else {
                     return;
                 };
-                let meta = EgressMeta {
-                    egress_port: copy.port,
-                    rid: copy.rid,
-                    now: ctx.now,
-                };
-                let mut hdr = Headers::new(copy.arrived.view(), &mut copy.rw);
-                if self.program.egress(&mut hdr, meta, &self.shared) {
-                    // The deparser, the one place a frame is built for a
-                    // port: whatever the stages recorded is stamped onto
-                    // the arrived bytes with the checksums fixed
-                    // incrementally; an empty delta ships the very same
-                    // bytes.
-                    let frame = copy
-                        .arrived
-                        .stamp(&copy.rw)
-                        .expect("Headers records only rewrites the opcode carries");
-                    self.shared.stats.forwarded += 1;
-                    self.shared.stats.emitted_patched += 1;
-                    ctx.send(copy.port, frame);
-                } else {
-                    self.shared.stats.dropped_egress += 1;
+                self.shared.stats.emit_events += 1;
+                let now = ctx.now;
+                for copy in pass.copies.iter().filter(|c| c.emit_at == now) {
+                    let meta = EgressMeta {
+                        egress_port: copy.port,
+                        rid: copy.rid,
+                        now,
+                    };
+                    // Every copy starts from the ingress delta.
+                    let mut rw = pass.rw;
+                    let mut hdr = Headers::new(pass.arrived.view(), &mut rw);
+                    if self.program.egress(&mut hdr, meta, &self.shared) {
+                        // The deparser, the one place a frame is built for a
+                        // port: whatever the stages recorded is stamped onto
+                        // a copy of the arrived head; the payload is shared.
+                        let frame = pass
+                            .arrived
+                            .stamp(&rw)
+                            .expect("Headers records only rewrites the opcode carries");
+                        self.shared.stats.forwarded += 1;
+                        self.shared.stats.emitted_patched += 1;
+                        ctx.send(copy.port, frame);
+                    } else {
+                        self.shared.stats.dropped_egress += 1;
+                    }
                 }
-                self.in_flight.take(data);
+                pass.copies.retain(|c| c.emit_at != now);
+                if pass.copies.is_empty() {
+                    let pass = self.in_flight.take(data).expect("parked");
+                    self.spare_copies.push(pass.copies);
+                }
             }
             TK_CPU => {
                 let Some(pkt) = self.punted.take(data) else {

@@ -87,6 +87,26 @@ fi
   && [ "$(sed -n '/pub fn assemble(/,/^    }$/p' crates/replication/src/deploy.rs | grep -c 'SwitchConfig::tofino1(')" -eq 2 ] \
   || { echo "tier-1: crates/replication/src/deploy.rs spells SwitchConfig::tofino1( exactly twice, both inside the one assembly" >&2; exit 1; }
 
+echo "==> a multicast copy costs a header: one event per pipeline pass, one payload per packet, an ICRC only when somebody reads it"
+# The three-timer walk and the eager serializer are references now and live with the tests that use them
+# (crates/tofino/tests/fused_pass.rs, crates/rdma/tests/patch_props.rs).
+for gone in 'TK_EGRESS' 'fn icrc_compute' 'fn patch_covered' 'fn crc32_shift' 'fn crc32_combine' 'crc32_two_lane_raw' 'new_verified' 'tx_staged'; do
+  if grep -rn "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; the pass charges the egress parser from the ingress, a frame derives its ICRC when read, and no clean path hashes a payload" >&2; exit 1
+  fi
+done
+for body in 'pub fn to_frame(' 'pub fn stamp('; do
+  if sed -n "/$body/,/^    }\$/p" crates/rdma/src/wire.rs | grep -n 'to_vec()\|Vec::\|vec!\|crc32\|BytesMut'; then
+    echo "tier-1: '$body' in crates/rdma/src/wire.rs writes a head and shares a payload: no buffer, no copy of the frame, no checksum over it" >&2; exit 1
+  fi
+done
+[ "$(grep -c 'fn icrc_trailer' crates/rdma/src/wire.rs)" -eq 1 ] && [ "$(grep -rho 'crc32_slice8_raw(CRC32_INIT' crates/*/src | wc -l)" -eq 2 ] \
+  || { echo "tier-1: an ICRC is computed in one function, rdma::wire::icrc_trailer (the other CRC32_INIT is the public crc32)" >&2; exit 1; }
+[ "$(grep -rho 'Frame::framed(' crates/*/src | wc -l)" -eq 2 ] || { echo "tier-1: a frame with a head is built at two sites, both in rdma::wire (to_frame, to_template of raw bytes)" >&2; exit 1; }
+if sed -n '/^pub(crate) enum EventKind {/,/^}/p' crates/netsim/src/sim.rs | grep -n 'Frame,'; then
+  echo "tier-1: EventKind carries a slot, not a Frame; a timer entry must not grow with the frame head" >&2; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

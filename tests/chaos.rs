@@ -107,3 +107,37 @@ fn five_member_p4ce_cluster_survives_chaos() {
     assert!(r.decided_final > r.decided_at_heal, "{r:?}");
     assert!(r.applied_min > 0, "{r:?}");
 }
+
+/// A frame's ICRC is no longer stored in it: it is derived when somebody
+/// reads the wire bytes, and the fault injector is the one reader a
+/// storm has. With one frame in fifty corrupted, every total the storm
+/// leaves behind — how many flips landed, how many the hosts' parsers
+/// refused, what the NAKs and the timers had to resend, what was decided
+/// and applied — is the literal recorded on the commit before
+/// (EXPERIMENTS E19): a flipped bit meets exactly the checks it met when
+/// the checksum was computed eagerly.
+#[test]
+fn corruption_lands_exactly_where_it_did_when_frames_stored_their_icrc() {
+    let totals = |r: p4ce_harness::ChaosReport| {
+        [
+            r.frames_corrupted,
+            r.parse_drops,
+            r.nak_retransmits,
+            r.timeout_retransmits,
+            r.decided_final,
+            r.log_hash,
+        ]
+    };
+    let spec = ChaosSpec {
+        corrupt: 0.02,
+        ..ChaosSpec::seeded(42, 3)
+    };
+    assert_eq!(
+        totals(run_p4ce(&spec, 3)),
+        [75, 28, 333, 39, 603, 0xaac1_ed47_60d1_c01d]
+    );
+    assert_eq!(
+        totals(run_mu(&spec, 3)),
+        [86, 26, 279, 44, 650, 0x0c4d_291f_27cd_9f9d]
+    );
+}
