@@ -66,13 +66,12 @@ impl SwitchCommConfig {
     }
 }
 
-/// Which path replication currently takes.
+/// Which path replication currently takes — what *serves*. What is being
+/// waited for is [`SwitchComm::pending`], separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Path {
     /// Nothing established.
     Down,
-    /// Group handshake with the switch in flight (since the marked time).
-    SwitchConnecting(SimTime),
     /// In-network replication live on this queue pair.
     Accelerated(Qpn),
     /// Direct (Mu-style) replication.
@@ -85,7 +84,11 @@ enum Path {
 pub struct SwitchComm {
     cfg: SwitchCommConfig,
     path: Path,
-    switch_handshake: Option<u64>,
+    /// The group handshake in flight with the switch and when it was
+    /// sent. With nothing serving ([`Path::Down`]) the leader is waiting
+    /// for it; behind a serving path it is a background probe or an
+    /// `async_reconfig` rebuild.
+    pending: Option<(u64, SimTime)>,
     switch_advert: Option<RegionAdvert>,
     /// The switch-assigned id of the group this leader drives, learned
     /// from the trailing bytes of the switch's ConnectReply. Names the
@@ -102,7 +105,7 @@ impl SwitchComm {
         SwitchComm {
             cfg,
             path: Path::Down,
-            switch_handshake: None,
+            pending: None,
             switch_advert: None,
             group_id: None,
             group_members: Vec::new(),
@@ -124,7 +127,8 @@ impl SwitchComm {
             f: f as u8,
             replicas: alive.iter().map(|&(_, ip)| ip).collect(),
         };
-        self.switch_handshake = Some(ops.connect(self.cfg.switch_ip, spec.encode()));
+        let handshake = ops.connect(self.cfg.switch_ip, spec.encode());
+        self.pending = Some((handshake, ops.now()));
         true
     }
 
@@ -134,7 +138,7 @@ impl SwitchComm {
         if self.send_group_request(core, ops)
             && (!self.is_accelerated() || !self.cfg.async_reconfig)
         {
-            self.path = Path::SwitchConnecting(ops.now());
+            self.path = Path::Down;
         }
     }
 
@@ -156,15 +160,16 @@ impl SwitchComm {
         if !core.is_leader() {
             return;
         }
-        match self.path {
-            Path::SwitchConnecting(since)
+        match (self.path, self.pending) {
+            (Path::Down, Some((_, since)))
                 // The switch never answered: it is gone (or unreachable);
                 // revert to manual replication.
-                if ops.now().saturating_duration_since(since) >= self.cfg.reaccel_period => {
-                    self.switch_handshake = None;
-                    self.fall_back(core, ops);
-                }
-            Path::Fallback => {
+                if ops.now().saturating_duration_since(since) >= self.cfg.reaccel_period =>
+            {
+                self.pending = None;
+                self.fall_back(core, ops);
+            }
+            (Path::Fallback, _) => {
                 // Periodically probe for a P4CE-enabled switch (§III-A),
                 // staying on the working path meanwhile.
                 self.send_group_request(core, ops);
@@ -181,9 +186,16 @@ impl SwitchComm {
         advert: RegionAdvert,
         ops: &mut HostOps<'_, '_>,
     ) {
-        self.switch_handshake = None;
-        // Drop the direct path: the accelerated one replaces it.
+        self.pending = None;
+        // Drop whatever served until now: the new group replaces the
+        // direct path, and the switch dropped the group it supersedes
+        // (`async_reconfig`) the instant this one went active, so nothing
+        // still in flight on the old queue pair will ever be ACKed — it
+        // is re-posted below.
         self.direct.teardown(ops);
+        if let Path::Accelerated(old) = self.path {
+            ops.destroy_qp(old);
+        }
         self.path = Path::Accelerated(qpn);
         self.switch_advert = Some(advert);
         core.stats.event(ops.now(), MemberEvent::GroupEstablished);
@@ -289,7 +301,7 @@ impl Comm for SwitchComm {
         private_data: &[u8],
         ops: &mut HostOps<'_, '_>,
     ) {
-        if Some(handshake_id) == self.switch_handshake {
+        if self.pending.is_some_and(|(h, _)| h == handshake_id) {
             if let Ok(advert) = RegionAdvert::decode(private_data) {
                 // The switch appends its group id after the advert.
                 self.group_id = private_data
@@ -307,10 +319,10 @@ impl Comm for SwitchComm {
     }
 
     fn on_rejected(&mut self, core: &mut Core, handshake_id: u64, ops: &mut HostOps<'_, '_>) {
-        if Some(handshake_id) == self.switch_handshake {
+        if self.pending.is_some_and(|(h, _)| h == handshake_id) {
             // A replica refused the group (likely a leadership race):
             // retry after a beat.
-            self.switch_handshake = None;
+            self.pending = None;
             if core.is_leader() && !self.is_accelerated() {
                 self.path = Path::Down;
                 ops.set_app_timer(GROUP_RETRY_DELAY, T_RECONNECT | RETRY_GROUP);

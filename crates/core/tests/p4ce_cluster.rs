@@ -2,7 +2,7 @@
 //! (§III-A, §V-E), and the fallback path.
 
 use netsim::{SimDuration, SimTime};
-use p4ce::{ClusterBuilder, MemberEvent, SwitchSetters, WorkloadSpec};
+use p4ce::{ClusterBuilder, MemberEvent, MemberId, P4ceSwitchConfig, SwitchSetters, WorkloadSpec};
 
 #[test]
 fn steady_state_runs_accelerated_and_decides() {
@@ -121,6 +121,52 @@ fn replica_crash_triggers_group_rebuild_with_40ms_gap() {
 }
 
 #[test]
+fn a_rebuilt_group_supersedes_the_one_it_replaces() {
+    // Control-plane latencies shrunk the way the explorer shrinks them, so
+    // a thousand rebuilds stay cheap.
+    let fast_switch = P4ceSwitchConfig {
+        reconfig_delay: SimDuration::from_micros(500),
+        ..Default::default()
+    };
+    let mut d = ClusterBuilder::new(4)
+        .switch_config(fast_switch)
+        .reaccel_period(SimDuration::from_millis(5))
+        .build();
+    d.sim.run_until(SimTime::from_millis(10));
+    assert_eq!(d.switch_program().group_ids(), [1]);
+
+    d.kill_member(3);
+    d.sim.run_until(SimTime::from_millis(20));
+    let leader_ip = d.cluster.addr_of(MemberId(0));
+    assert!(d.leader().is_accelerated(), "rebuilt over the survivors");
+    assert_eq!(d.switch_program().group_ids(), [2], "group 1 left");
+    assert_eq!(
+        d.switch_program().gid_of_leader(leader_ip),
+        d.leader().group_id(),
+        "the switch names the group the leader drives"
+    );
+
+    // More rebuilds than the scatter table (`bcast_qp`, 1 Ki entries) could
+    // hold if a superseded group kept its entries.
+    const REBUILDS: u64 = 1100;
+    for round in 0..REBUILDS {
+        d.with_member(0, |member, ops| member.force_rebuild_comm(ops));
+        d.sim.run_for(SimDuration::from_millis(1));
+        assert!(d.leader().is_accelerated(), "rebuild {round}");
+    }
+    let prog = d.switch_program();
+    assert_eq!(prog.active_groups(), 1);
+    assert_eq!(prog.group_ids().len(), 1);
+    assert_eq!(prog.gid_of_leader(leader_ip), d.leader().group_id());
+    // No request was refused: every group asked for went active, and
+    // every one but the last was dropped by its successor.
+    assert_eq!(prog.stats.groups_created, 2 + REBUILDS);
+    assert_eq!(prog.stats.reconfigs, prog.stats.groups_created);
+    assert_eq!(prog.stats.groups_retired, prog.stats.groups_created - 1);
+    assert_eq!(prog.stats.gid_exhausted, 0);
+}
+
+#[test]
 fn async_reconfig_keeps_deciding_through_replica_crash() {
     // The Lesson-3 extension: replication continues through the old
     // group while the new one is programmed.
@@ -141,6 +187,29 @@ fn async_reconfig_keeps_deciding_through_replica_crash() {
         during > before + 1000,
         "async reconfig keeps deciding during the rebuild: {before} -> {during}"
     );
+}
+
+#[test]
+fn async_reconfig_hands_over_without_falling_back() {
+    // The old group serves until the instant the new one goes active and
+    // is dropped then; what was in flight on it is re-posted on the new
+    // queue pair, not left to time out into a fall-back.
+    let mut d = ClusterBuilder::new(4)
+        .workload(WorkloadSpec::closed(2, 64, 0))
+        .async_reconfig(true)
+        .build();
+    d.sim.run_until(SimTime::from_millis(100));
+    d.kill_member(3);
+    d.sim.run_until(SimTime::from_millis(300));
+
+    let leader = d.leader();
+    assert!(leader.is_accelerated());
+    assert!(leader
+        .stats
+        .event_time(|e| matches!(e, MemberEvent::FellBack))
+        .is_none());
+    assert_eq!(d.switch_program().group_ids(), [2]);
+    assert_eq!(d.switch_program().stats.groups_retired, 1);
 }
 
 #[test]

@@ -2,19 +2,20 @@
 //! from the command line (and from CI).
 //!
 //! ```text
-//! p4ce-explore exhaustive [spec flags] [--delay-bound D] [--seeds a,b,c]
-//! p4ce-explore random     [spec flags] [--schedules N]
-//! p4ce-explore mutation-check [--system p4ce|mu]
-//! p4ce-explore sharded-mutation-check
+//! p4ce-explore exhaustive [spec flags] [--seeds a,b,c] [--delay-bound D] [--max-schedules M]
+//! p4ce-explore random     [spec flags] [--seeds a,b,c] [--schedules N]
+//! p4ce-explore mutation-check [--system p4ce|mu] [--members N]
+//! p4ce-explore sharded-mutation-check [--members N]
 //! p4ce-explore replay <reproducer-file> [--trace TRACE.json]
 //! ```
 //!
 //! Spec flags: `--system p4ce|mu`, `--members N`, `--groups G`
 //! (G ≥ 2 explores a sharded deployment behind one switch, with the
 //! per-group oracle suite), `--seed S`, `--horizon H`,
-//! `--propose-every K`, `--plain-fabric`, `--partition-at STEP`,
-//! `--max-schedules M`, `--deadline-secs T`, `--out FILE` (write the
-//! shrunk reproducer there on violation).
+//! `--propose-every K`, `--plain-fabric`, `--partition-at STEP`. Both
+//! exploring modes also take `--deadline-secs T` and `--out FILE` (write
+//! the shrunk reproducer there on violation). A mode reads only its own
+//! flags ([`MODES`]); any other word is a usage error.
 //!
 //! Exit codes: 0 = clean (or, for the mutation checks, the injected bug
 //! was caught); 1 = an oracle violation survived (or a mutation check
@@ -28,7 +29,80 @@ use p4ce_harness::explore::{self, shrink, Budget, ExploreSpec};
 use p4ce_harness::repro::Repro;
 use p4ce_harness::runner::System;
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Exhaustive,
+    Random,
+    MutationCheck,
+    ShardedMutationCheck,
+    Replay,
+}
+
+/// Every mode with the flags it reads; anything else is a usage error,
+/// so a typo can never silently change what runs.
+const MODES: [(&str, Mode, &[&str]); 5] = [
+    (
+        "exhaustive",
+        Mode::Exhaustive,
+        &[
+            "--system",
+            "--members",
+            "--groups",
+            "--seed",
+            "--horizon",
+            "--propose-every",
+            "--plain-fabric",
+            "--partition-at",
+            "--seeds",
+            "--delay-bound",
+            "--max-schedules",
+            "--deadline-secs",
+            "--out",
+        ],
+    ),
+    (
+        "random",
+        Mode::Random,
+        &[
+            "--system",
+            "--members",
+            "--groups",
+            "--seed",
+            "--horizon",
+            "--propose-every",
+            "--plain-fabric",
+            "--partition-at",
+            "--seeds",
+            "--schedules",
+            "--deadline-secs",
+            "--out",
+        ],
+    ),
+    (
+        "mutation-check",
+        Mode::MutationCheck,
+        &["--system", "--members"],
+    ),
+    (
+        "sharded-mutation-check",
+        Mode::ShardedMutationCheck,
+        &["--members"],
+    ),
+    ("replay", Mode::Replay, &["--trace"]),
+];
+
+const USAGE: &str = "\
+usage: p4ce-explore <mode> [flags]
+  exhaustive  [spec flags] [--seeds a,b,c] [--delay-bound D] [--max-schedules M] [--deadline-secs T] [--out FILE]
+  random      [spec flags] [--seeds a,b,c] [--schedules N] [--deadline-secs T] [--out FILE]
+  mutation-check          [--system p4ce|mu] [--members N]
+  sharded-mutation-check  [--members N]
+  replay FILE [--trace TRACE.json]
+spec flags: [--system p4ce|mu] [--members N] [--groups G] [--seed S] [--horizon H]
+            [--propose-every K] [--plain-fabric] [--partition-at STEP]";
+
 struct Options {
+    mode: Mode,
     spec: ExploreSpec,
     delay_bound: u32,
     seeds: Vec<u64>,
@@ -36,93 +110,97 @@ struct Options {
     max_schedules: u64,
     deadline: Option<Duration>,
     out: Option<String>,
-}
-
-impl Options {
-    fn defaults() -> Options {
-        Options {
-            spec: ExploreSpec::p4ce(3),
-            delay_bound: 2,
-            seeds: Vec::new(),
-            schedules: 64,
-            max_schedules: 20_000,
-            deadline: None,
-            out: None,
-        }
-    }
+    /// `replay`'s reproducer file and `--trace` output.
+    file: Option<String>,
+    trace: Option<String>,
 }
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: p4ce-explore <exhaustive|random|mutation-check|sharded-mutation-check\
-         |replay FILE [--trace TRACE.json]> \
-         [--system p4ce|mu] [--members N] [--groups G] [--seed S] [--seeds a,b,c] \
-         [--delay-bound D] [--horizon H] [--propose-every K] \
-         [--plain-fabric] [--partition-at STEP] [--schedules N] \
-         [--max-schedules M] [--deadline-secs T] [--out FILE]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::defaults();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
+fn value<'a>(flag: &str, word: Option<&'a str>) -> Result<&'a str, String> {
+    word.filter(|w| !w.starts_with("--"))
+        .ok_or_else(|| format!("{flag} takes a value"))
+}
+
+fn number<T: std::str::FromStr>(flag: &str, word: Option<&str>) -> Result<T, String> {
+    let text = value(flag, word)?;
+    text.parse()
+        .map_err(|_| format!("{flag} takes a number, got '{text}'"))
+}
+
+fn parse(argv: &[String]) -> Result<Options, String> {
+    let mut words = argv.iter().map(String::as_str);
+    let name = words.next().ok_or("missing mode")?;
+    let &(_, mode, flags) = MODES
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .ok_or_else(|| format!("unknown mode '{name}'"))?;
+    let mut o = Options {
+        mode,
+        spec: ExploreSpec::p4ce(3),
+        delay_bound: 2,
+        seeds: Vec::new(),
+        schedules: 64,
+        max_schedules: 20_000,
+        deadline: None,
+        out: None,
+        file: None,
+        trace: None,
+    };
+    while let Some(word) = words.next() {
+        if !word.starts_with("--") {
+            if mode != Mode::Replay || o.file.is_some() {
+                return Err(format!("unexpected argument '{word}'"));
+            }
+            o.file = Some(word.to_owned());
+            continue;
+        }
+        if !flags.contains(&word) {
+            return Err(format!("{name} does not take {word}"));
+        }
+        match word {
             "--system" => {
-                o.spec.system = match value()? {
+                o.spec.system = match value(word, words.next())? {
                     "p4ce" => System::P4ce,
                     "mu" => System::Mu,
                     other => return Err(format!("unknown system {other}")),
                 }
             }
-            "--members" => o.spec.n_members = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--groups" => o.spec.groups = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => o.spec.seed = value()?.parse().map_err(|e| format!("{e}"))?,
+            "--members" => o.spec.n_members = number(word, words.next())?,
+            "--groups" => o.spec.groups = number(word, words.next())?,
+            "--seed" => o.spec.seed = number(word, words.next())?,
             "--seeds" => {
-                o.seeds = value()?
+                o.seeds = value(word, words.next())?
                     .split(',')
                     .map(|s| s.parse().map_err(|e| format!("bad seed {s}: {e}")))
                     .collect::<Result<_, _>>()?;
             }
-            "--delay-bound" => o.delay_bound = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--horizon" => o.spec.horizon = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--propose-every" => {
-                o.spec.propose_every = value()?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--delay-bound" => o.delay_bound = number(word, words.next())?,
+            "--horizon" => o.spec.horizon = number(word, words.next())?,
+            "--propose-every" => o.spec.propose_every = number(word, words.next())?,
             "--plain-fabric" => o.spec.p4ce_enabled = false,
-            "--partition-at" => {
-                o.spec.partition_leader_at = Some(value()?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--schedules" => o.schedules = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--max-schedules" => o.max_schedules = value()?.parse().map_err(|e| format!("{e}"))?,
+            "--partition-at" => o.spec.partition_leader_at = Some(number(word, words.next())?),
+            "--schedules" => o.schedules = number(word, words.next())?,
+            "--max-schedules" => o.max_schedules = number(word, words.next())?,
             "--deadline-secs" => {
-                o.deadline = Some(Duration::from_secs(
-                    value()?.parse().map_err(|e| format!("{e}"))?,
-                ))
+                o.deadline = Some(Duration::from_secs(number(word, words.next())?))
             }
-            "--out" => o.out = Some(value()?.to_owned()),
-            other => return Err(format!("unknown flag {other}")),
+            "--out" => o.out = Some(value(word, words.next())?.to_owned()),
+            "--trace" => o.trace = Some(value(word, words.next())?.to_owned()),
+            _ => unreachable!("every flag in MODES is parsed above"),
         }
+    }
+    if mode == Mode::Replay && o.file.is_none() {
+        return Err("replay needs a reproducer file".to_owned());
     }
     if o.seeds.is_empty() {
         o.seeds = vec![o.spec.seed];
     }
     Ok(o)
-}
-
-fn budget(o: &Options) -> Budget {
-    let mut b = Budget::schedules(o.max_schedules);
-    if let Some(d) = o.deadline {
-        b = b.with_deadline(d);
-    }
-    b
 }
 
 /// Shrinks a violating schedule, prints the reproducer, optionally
@@ -151,44 +229,31 @@ fn report_violation(spec: &ExploreSpec, cex: &explore::Counterexample, out: Opti
     }
 }
 
-fn run_exhaustive(o: &Options) -> ExitCode {
+/// `exhaustive` and `random`: one exploration per seed, bounded by the
+/// mode's own schedule budget and the shared deadline.
+fn run_seeds(o: &Options) -> ExitCode {
+    let budget = |schedules| {
+        let b = Budget::schedules(schedules);
+        o.deadline.map_or(b, |d| b.with_deadline(d))
+    };
     let mut clean = true;
     for &seed in &o.seeds {
         let spec = ExploreSpec {
             seed,
             ..o.spec.clone()
         };
-        let report = explore::explore(&spec, o.delay_bound, budget(o));
-        println!(
-            "seed {seed}: {:?} after {} schedules ({} branch points max)",
-            report.status, report.schedules, report.max_branch_points
-        );
-        if let Some(cex) = &report.counterexample {
-            report_violation(&spec, cex, o.out.as_deref());
-            clean = false;
-        }
-    }
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn run_random(o: &Options) -> ExitCode {
-    let mut clean = true;
-    for &seed in &o.seeds {
-        let spec = ExploreSpec {
-            seed,
-            ..o.spec.clone()
+        let (report, unit) = match o.mode {
+            Mode::Exhaustive => (
+                explore::explore(&spec, o.delay_bound, budget(o.max_schedules)),
+                "schedules",
+            ),
+            _ => (
+                explore::random_walk(&spec, budget(o.schedules)),
+                "random walks",
+            ),
         };
-        let mut b = Budget::schedules(o.schedules);
-        if let Some(d) = o.deadline {
-            b = b.with_deadline(d);
-        }
-        let report = explore::random_walk(&spec, b);
         println!(
-            "seed {seed}: {:?} after {} random walks ({} branch points max)",
+            "seed {seed}: {:?} after {} {unit} ({} branch points max)",
             report.status, report.schedules, report.max_branch_points
         );
         if let Some(cex) = &report.counterexample {
@@ -297,11 +362,11 @@ fn run_replay(path: &str, trace_out: Option<&str>) -> ExitCode {
         Some(_) => handle.tracer("replay"),
         None => netsim::Tracer::disabled(),
     };
-    if repro.kind == "chaos" {
+    let code = if repro.kind == "chaos" {
         let run = catch_unwind(AssertUnwindSafe(|| {
             p4ce_harness::chaos::replay(&repro, &tracer)
         }));
-        let code = match run {
+        match run {
             Ok(Ok(report)) => {
                 println!(
                     "chaos replay clean: {} decided, {} frames dropped",
@@ -319,15 +384,10 @@ fn run_replay(path: &str, trace_out: Option<&str>) -> ExitCode {
                 println!("chaos replay reproduced the failure: {msg}");
                 ExitCode::FAILURE
             }
-        };
-        if let Some(out) = trace_out {
-            export_trace(&handle, out);
         }
-        return code;
-    }
-    match explore::replay(&repro, &tracer) {
-        Ok(outcome) => {
-            let code = match outcome.violation {
+    } else {
+        match explore::replay(&repro, &tracer) {
+            Ok(outcome) => match outcome.violation {
                 Some(v) => {
                     println!("replayed {} steps: {v}", outcome.steps);
                     ExitCode::FAILURE
@@ -336,47 +396,125 @@ fn run_replay(path: &str, trace_out: Option<&str>) -> ExitCode {
                     println!("replayed {} steps: no violation", outcome.steps);
                     ExitCode::SUCCESS
                 }
-            };
-            if let Some(out) = trace_out {
-                export_trace(&handle, out);
-            }
-            code
+            },
+            Err(e) => return usage(&format!("cannot replay {path}: {e}")),
         }
-        Err(e) => usage(&format!("cannot replay {path}: {e}")),
+    };
+    if let Some(out) = trace_out {
+        export_trace(&handle, out);
     }
+    code
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(mode) = args.first() else {
-        return usage("missing mode");
+    let o = match parse(&args) {
+        Ok(o) => o,
+        Err(e) => return usage(&e),
     };
-    match mode.as_str() {
-        "replay" => {
-            let Some(path) = args.get(1) else {
-                return usage("replay needs a reproducer file");
-            };
-            let trace_out = match args.get(2).map(String::as_str) {
-                Some("--trace") => match args.get(3) {
-                    Some(p) => Some(p.as_str()),
-                    None => return usage("--trace needs an output file"),
-                },
-                Some(other) => return usage(&format!("unknown replay flag {other}")),
-                None => None,
-            };
-            run_replay(path, trace_out)
+    match o.mode {
+        Mode::Exhaustive | Mode::Random => run_seeds(&o),
+        Mode::MutationCheck => run_mutation_check(&o),
+        Mode::ShardedMutationCheck => run_sharded_mutation_check(&o),
+        Mode::Replay => run_replay(
+            o.file.as_deref().expect("parse demands it"),
+            o.trace.as_deref(),
+        ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(line: &str) -> Result<Options, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse(&argv)
+    }
+
+    #[test]
+    fn flags_land_in_their_fields() {
+        let o = parse_words("exhaustive --system mu --delay-bound 3 --horizon 100 --seeds 41,42")
+            .expect("valid");
+        assert_eq!((o.mode, o.spec.system), (Mode::Exhaustive, System::Mu));
+        assert_eq!((o.delay_bound, o.spec.horizon), (3, 100));
+        assert_eq!(o.seeds, [41, 42]);
+
+        let o = parse_words("random --groups 2 --schedules 8 --seed 9").expect("valid");
+        assert_eq!((o.spec.groups, o.schedules), (2, 8));
+        assert_eq!(o.seeds, [9], "--seeds defaults to --seed");
+
+        let o = parse_words("replay bug.repro --trace out.json").expect("valid");
+        assert_eq!(o.file.as_deref(), Some("bug.repro"));
+        assert_eq!(o.trace.as_deref(), Some("out.json"));
+    }
+
+    #[test]
+    fn what_would_silently_run_something_else_is_rejected() {
+        for line in [
+            "",
+            "exhaustively",
+            "--seed 3",
+            // a flag the mode ignores
+            "mutation-check --horizon 5 --groups 2",
+            "sharded-mutation-check --system mu",
+            "random --delay-bound 3",
+            "random --max-schedules 9",
+            "exhaustive --schedules 9",
+            "exhaustive --trace out.json",
+            // stray words
+            "replay",
+            "replay bug.repro --trace out.json extra",
+            "random extra",
+            // missing or malformed value
+            "random --schedules",
+            "random --schedules many",
+            "random --schedules --seed 3",
+            "exhaustive --system raft",
+            "exhaustive --seeds 1,x",
+            "replay bug.repro --trace",
+        ] {
+            assert!(parse_words(line).is_err(), "'{line}' must not parse");
         }
-        "exhaustive" | "random" | "mutation-check" | "sharded-mutation-check" => {
-            match parse_options(&args[1..]) {
-                Ok(o) => match mode.as_str() {
-                    "exhaustive" => run_exhaustive(&o),
-                    "random" => run_random(&o),
-                    "sharded-mutation-check" => run_sharded_mutation_check(&o),
-                    _ => run_mutation_check(&o),
-                },
-                Err(e) => usage(&e),
+    }
+
+    #[test]
+    fn every_mode_accepts_only_the_flags_it_reads() {
+        let spelled = [
+            ("--system", "--system mu"),
+            ("--members", "--members 5"),
+            ("--groups", "--groups 2"),
+            ("--seed", "--seed 7"),
+            ("--horizon", "--horizon 100"),
+            ("--propose-every", "--propose-every 4"),
+            ("--plain-fabric", "--plain-fabric"),
+            ("--partition-at", "--partition-at 10"),
+            ("--seeds", "--seeds 1,2"),
+            ("--delay-bound", "--delay-bound 1"),
+            ("--schedules", "--schedules 8"),
+            ("--max-schedules", "--max-schedules 8"),
+            ("--deadline-secs", "--deadline-secs 5"),
+            ("--out", "--out bug.repro"),
+            ("--trace", "--trace out.json"),
+        ];
+        for (name, mode, flags) in MODES {
+            let file = if mode == Mode::Replay {
+                " bug.repro"
+            } else {
+                ""
+            };
+            let bare =
+                parse_words(&format!("{name}{file}")).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(bare.mode, mode, "{name}");
+            for (flag, words) in spelled {
+                let parsed = parse_words(&format!("{name}{file} {words}"));
+                assert_eq!(
+                    parsed.is_ok(),
+                    flags.contains(&flag),
+                    "{name} {words}: {:?}",
+                    parsed.err()
+                );
             }
         }
-        other => usage(&format!("unknown mode {other}")),
     }
 }

@@ -7,9 +7,9 @@
 //! [`crate::explore::oracle::probe_members`] does.
 
 use bytes::Bytes;
-use netsim::{NodeId, SimDuration, Simulation};
+use netsim::{MetricsRegistry, NodeId, SimDuration, SimTime, Simulation};
 use rdma::Host;
-use replication::{Comm, Member, StateMachine};
+use replication::{Comm, Member, MemberStats, StateMachine};
 
 /// The member application running at `node`.
 pub(crate) fn member<C: Comm>(sim: &Simulation, node: NodeId) -> &Member<C> {
@@ -82,4 +82,44 @@ pub(crate) fn decided<C: Comm>(sim: &Simulation, group: &[NodeId]) -> u64 {
         .map(|&n| member::<C>(sim, n).stats.decided)
         .max()
         .unwrap_or(0)
+}
+
+/// What a leader's measurement window reads at `now`: the one projection
+/// under every point outcome, single group or sharded.
+pub(crate) struct Window {
+    pub decided: u64,
+    pub ops_per_sec: f64,
+    pub goodput_bytes_per_sec: f64,
+    pub mean_latency_us: f64,
+    pub p50_latency_us: f64,
+    pub p99_latency_us: f64,
+}
+
+pub(crate) fn window_of(stats: &mut MemberStats, now: SimTime) -> Window {
+    Window {
+        decided: stats.throughput.ops(),
+        ops_per_sec: stats.throughput.ops_per_sec(now),
+        goodput_bytes_per_sec: stats.throughput.goodput_bytes_per_sec(now),
+        mean_latency_us: stats.latency.mean().as_micros_f64(),
+        p50_latency_us: stats.latency.percentile(50.0).as_micros_f64(),
+        p99_latency_us: stats.latency.percentile(99.0).as_micros_f64(),
+    }
+}
+
+/// Snapshots every member's consensus layer and RDMA host into `reg` as
+/// `member.{i}.*` / `host.{i}.*`, each name passed through `scope` with
+/// its group's index.
+pub(crate) fn register_layers<C: Comm>(
+    sim: &Simulation,
+    groups: &[Vec<NodeId>],
+    scope: impl Fn(usize, String) -> String,
+    reg: &mut MetricsRegistry,
+) {
+    for (g, group) in groups.iter().enumerate() {
+        for (i, &node) in group.iter().enumerate() {
+            let host = sim.node_ref::<Host<Member<C>>>(node);
+            (host.app().stats).register_into(reg, &scope(g, format!("member.{i}")));
+            (host.stats()).register_into(reg, &scope(g, format!("host.{i}")));
+        }
+    }
 }

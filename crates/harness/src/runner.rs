@@ -13,12 +13,11 @@ use netsim::{
     StageBreakdown, TraceHandle, TraceRecord, Tracer,
 };
 use p4ce::SwitchSetters;
-use rdma::Host;
-use replication::{ClusterBuilder, Fabric, Member, WorkloadSpec};
+use replication::{ClusterBuilder, Fabric, WorkloadSpec};
 use std::fmt;
 use tofino::Switch;
 
-use crate::groups::{await_steady, leader_steady};
+use crate::groups::{await_steady, leader_steady, register_layers, window_of};
 use crate::report::truncation_warning;
 use crate::tracing::stage_table;
 
@@ -298,25 +297,24 @@ fn run_on<F: Fabric>(
     let accelerated = d.leader().is_accelerated();
     let events_processed = d.sim.events_processed();
     if observe.wants_metrics() {
-        for i in 0..=cfg.replicas {
-            d.member(i).stats.register_into(reg, &format!("member.{i}"));
-            d.sim
-                .node_ref::<Host<Member<F::Comm>>>(d.members[i])
-                .stats()
-                .register_into(reg, &format!("host.{i}"));
-        }
+        register_layers::<F::Comm>(
+            &d.sim,
+            std::slice::from_ref(&d.members),
+            |_, name| name,
+            reg,
+        );
         switch_metrics(d.switch_program(), reg);
         let fabric = d.sim.node_ref::<Switch<F::Program>>(d.switch);
         fabric.stats().register_into(reg, "pipeline");
     }
-    let stats = &mut d.member_mut(0).stats;
+    let w = window_of(&mut d.member_mut(0).stats, now);
     PointOutcome {
-        decided: stats.throughput.ops(),
-        ops_per_sec: stats.throughput.ops_per_sec(now),
-        goodput_bytes_per_sec: stats.throughput.goodput_bytes_per_sec(now),
-        mean_latency_us: stats.latency.mean().as_micros_f64(),
-        p50_latency_us: stats.latency.percentile(50.0).as_micros_f64(),
-        p99_latency_us: stats.latency.percentile(99.0).as_micros_f64(),
+        decided: w.decided,
+        ops_per_sec: w.ops_per_sec,
+        goodput_bytes_per_sec: w.goodput_bytes_per_sec,
+        mean_latency_us: w.mean_latency_us,
+        p50_latency_us: w.p50_latency_us,
+        p99_latency_us: w.p99_latency_us,
         accelerated,
         events_processed,
         threads_used: 1,

@@ -16,10 +16,9 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use netsim::{group_scoped, MetricsRegistry, SimDuration, SimTime, Simulation, Tracer};
-use p4ce::{P4ceMember, ShardedClusterBuilder, ShardedDeployment, StateMachine, SwitchComm};
-use rdma::Host;
+use p4ce::{ShardedClusterBuilder, ShardedDeployment, StateMachine, SwitchComm};
 
-use crate::groups::{await_steady, install, leader_steady};
+use crate::groups::{await_steady, install, leader_steady, register_layers, window_of};
 use crate::runner::{Observe, Swept};
 
 // ---------------------------------------------------------------------
@@ -472,16 +471,9 @@ pub fn observe_sharded_point(
     let events_processed = d.sim.events_processed();
 
     if observe.wants_metrics() {
+        let scope = |g, name: String| group_scoped(g, &name);
+        register_layers::<SwitchComm>(&d.sim, &d.members, scope, &mut reg);
         for g in 0..cfg.groups {
-            for i in 0..cfg.members_per_group {
-                d.member(g, i)
-                    .stats
-                    .register_into(&mut reg, &group_scoped(g, &format!("member.{i}")));
-                d.sim
-                    .node_ref::<Host<P4ceMember>>(d.members[g][i])
-                    .stats()
-                    .register_into(&mut reg, &group_scoped(g, &format!("host.{i}")));
-            }
             if let Some(gid) = d
                 .switch_program()
                 .gid_of_leader(ShardedClusterBuilder::member_ip(g, 0))
@@ -500,13 +492,12 @@ pub fn observe_sharded_point(
             .sum();
         let log_hash = store_of(&d, g, 1).log_hash;
         let accelerated = d.leader(g).is_accelerated();
-        let leader = d.member_mut(g, 0);
-        let stats = &mut leader.stats;
+        let w = window_of(&mut d.member_mut(g, 0).stats, now);
         per_group.push(ShardGroupOutcome {
-            decided: stats.throughput.ops(),
-            ops_per_sec: stats.throughput.ops_per_sec(now),
-            goodput_bytes_per_sec: stats.throughput.goodput_bytes_per_sec(now),
-            p99_latency_us: stats.latency.percentile(99.0).as_micros_f64(),
+            decided: w.decided,
+            ops_per_sec: w.ops_per_sec,
+            goodput_bytes_per_sec: w.goodput_bytes_per_sec,
+            p99_latency_us: w.p99_latency_us,
             accelerated,
             log_hash,
             foreign,

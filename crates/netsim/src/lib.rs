@@ -54,6 +54,7 @@ pub mod metrics;
 mod node;
 mod sched;
 mod sim;
+mod slab;
 mod stats;
 mod time;
 pub mod timeseries;
@@ -64,11 +65,12 @@ pub use cpu::Cpu;
 pub use fault::{FaultPlan, FaultStats, Partition};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{Bandwidth, LinkSpec, LinkStats, WIRE_OVERHEAD_BYTES};
-pub use metrics::{group_scoped, MetricsRegistry};
+pub use metrics::{group_scoped, LatencySummary, MetricsRegistry};
 pub use node::{Context, Frame, Node, NodeId, PortId, TimerToken, TrailerFn, FRAME_HEAD_MAX};
 pub use sched::{EventClass, EventInfo, FifoScheduler, ReplayScheduler, Scheduler};
 pub use sim::{Simulation, TapId};
-pub use stats::{HistogramStats, LatencyRecorder, LatencyStats, Throughput};
+pub use slab::Slab;
+pub use stats::{LatencyRecorder, LatencyStats, Throughput};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{
     annotations_from_records, chrome_trace_json_with, Annotation, SampleSeries, SampledRegistry,

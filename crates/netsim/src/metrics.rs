@@ -1,4 +1,4 @@
-//! A unified registry of named counters, gauges and histograms.
+//! A unified registry of named counters, gauges and latency summaries.
 //!
 //! The per-component stat structs (`HostStats`, `MemberStats`, the
 //! switch stats) stay the cheap, field-access hot path; a
@@ -11,15 +11,34 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::stats::HistogramStats;
+use crate::stats::LatencyStats;
+use crate::time::SimDuration;
+
+/// The five numbers a report prints of a latency distribution, each
+/// exactly what [`LatencyStats`] answers for the same samples.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencySummary {
+    /// Samples recorded.
+    pub count: u64,
+    /// [`LatencyStats::mean`].
+    pub mean: SimDuration,
+    /// [`LatencyStats::percentile`]`(50.0)`.
+    pub p50: SimDuration,
+    /// [`LatencyStats::percentile`]`(99.0)`.
+    pub p99: SimDuration,
+    /// [`LatencyStats::max`].
+    pub max: SimDuration,
+}
 
 /// Named counters (monotonic totals), gauges (point-in-time values) and
-/// histograms (bounded-memory latency distributions).
+/// latency summaries. There is one latency distribution, the exact
+/// [`LatencyStats`] a member records into; the registry keeps the five
+/// numbers [`MetricsRegistry::render`] prints of it.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, HistogramStats>,
+    latencies: BTreeMap<String, LatencySummary>,
 }
 
 impl MetricsRegistry {
@@ -48,18 +67,27 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// The histogram registered under `name`, creating it empty; record
-    /// samples into it.
-    pub fn histogram_mut(&mut self, name: &str) -> &mut HistogramStats {
-        self.histograms.entry(name.to_owned()).or_default()
+    /// Sets latency summary `name` to what `stats` answers now.
+    pub fn set_latency(&mut self, name: &str, stats: &LatencyStats) {
+        // A percentile query sorts in place; the member's recorder is
+        // shared, so the copy is what gets sorted.
+        let mut sorted = stats.clone();
+        let summary = LatencySummary {
+            count: stats.len() as u64,
+            mean: stats.mean(),
+            p50: sorted.percentile(50.0),
+            p99: sorted.percentile(99.0),
+            max: stats.max(),
+        };
+        self.latencies.insert(name.to_owned(), summary);
     }
 
-    /// Reads histogram `name`.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramStats> {
-        self.histograms.get(name)
+    /// Reads latency summary `name`.
+    pub fn latency(&self, name: &str) -> Option<LatencySummary> {
+        self.latencies.get(name).copied()
     }
 
-    /// Every registered metric name — counters, gauges and histograms —
+    /// Every registered metric name — counters, gauges and latencies —
     /// sorted and deduplicated. Collision checks (two components mapping
     /// to the same name) diff this against the expected set.
     pub fn names(&self) -> Vec<String> {
@@ -67,7 +95,7 @@ impl MetricsRegistry {
             .counters
             .keys()
             .chain(self.gauges.keys())
-            .chain(self.histograms.keys())
+            .chain(self.latencies.keys())
             .cloned()
             .collect();
         names.sort();
@@ -76,9 +104,9 @@ impl MetricsRegistry {
     }
 
     /// Renders everything as `name value` lines in globally sorted name
-    /// order — counters, gauges and histograms interleaved by name, not
+    /// order — counters, gauges and latencies interleaved by name, not
     /// blocked by type, so a diff of two renders lines up entry for
-    /// entry. Histograms show `count/mean/p50/p99/max` in nanoseconds.
+    /// entry. Latencies show `count/mean/p50/p99/max` in nanoseconds.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for name in self.names() {
@@ -88,15 +116,15 @@ impl MetricsRegistry {
             if let Some(v) = self.gauges.get(&name) {
                 let _ = writeln!(out, "{name} {v}");
             }
-            if let Some(h) = self.histograms.get(&name) {
+            if let Some(l) = self.latencies.get(&name) {
                 let _ = writeln!(
                     out,
                     "{name} count={} mean_ns={} p50_ns={} p99_ns={} max_ns={}",
-                    h.len(),
-                    h.mean().as_nanos(),
-                    h.percentile(50.0).as_nanos(),
-                    h.percentile(99.0).as_nanos(),
-                    h.max().as_nanos(),
+                    l.count,
+                    l.mean.as_nanos(),
+                    l.p50.as_nanos(),
+                    l.p99.as_nanos(),
+                    l.max.as_nanos(),
                 );
             }
         }
@@ -144,7 +172,6 @@ pub fn group_scoped(group: usize, base: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn group_scoping_separates_same_index_components() {
@@ -157,17 +184,18 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_histograms_round_trip() {
+    fn counters_gauges_latencies_round_trip() {
         let mut reg = MetricsRegistry::new();
         reg.set_counter("rdma.tx.packets", 15);
         reg.set_counter("rdma.rx.packets", 2);
         reg.set_gauge("p4ce.min_credit", 17.0);
-        reg.histogram_mut("consensus.latency")
-            .record(SimDuration::from_micros(3));
+        let mut lat = LatencyStats::new();
+        lat.record(SimDuration::from_micros(3));
+        reg.set_latency("consensus.latency", &lat);
         assert_eq!(reg.counter("rdma.tx.packets"), Some(15));
         assert_eq!(reg.counter("missing"), None);
         assert_eq!(reg.gauge("p4ce.min_credit"), Some(17.0));
-        assert_eq!(reg.histogram("consensus.latency").map(|h| h.len()), Some(1));
+        assert_eq!(reg.latency("consensus.latency").map(|l| l.count), Some(1));
         let rendered = reg.render();
         assert!(rendered.contains("rdma.tx.packets 15"));
         assert!(rendered.contains("consensus.latency count=1"));
@@ -178,8 +206,9 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.set_counter("b.counter", 1);
         reg.set_gauge("a.gauge", 2.0);
-        reg.histogram_mut("c.hist")
-            .record(SimDuration::from_nanos(5));
+        let mut lat = LatencyStats::new();
+        lat.record(SimDuration::from_nanos(5));
+        reg.set_latency("c.hist", &lat);
         let rendered = reg.render();
         let lines: Vec<&str> = rendered.lines().collect();
         let names: Vec<&str> = lines

@@ -7,6 +7,7 @@ use crate::fault::{FaultPlan, FaultStats};
 use crate::link::{DirLink, LinkSpec, LinkStats};
 use crate::node::{Context, Frame, Node, NodeId, PortId, TimerToken};
 use crate::sched::{EventClass, EventInfo, Scheduler};
+use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
 
@@ -27,15 +28,12 @@ pub(crate) enum EventKind {
 }
 
 /// The scheduler-visible descriptor of an event.
-fn event_info(at: SimTime, seq: u64, kind: &EventKind, in_flight: &[Option<Frame>]) -> EventInfo {
+fn event_info(at: SimTime, seq: u64, kind: &EventKind, in_flight: &Slab<Frame>) -> EventInfo {
     let class = match *kind {
         EventKind::FrameArrival { node, port, slot } => EventClass::Frame {
             node,
             port,
-            len: in_flight[slot as usize]
-                .as_ref()
-                .expect("on the wire")
-                .len(),
+            len: in_flight.get(slot).expect("on the wire").len(),
         },
         EventKind::Timer { node, token } => EventClass::Timer { node, token },
     };
@@ -102,10 +100,8 @@ pub(crate) struct Fabric {
     now: SimTime,
     queue: TimingWheel<EventKind>,
     next_seq: u64,
-    /// Frames on the wire, written once on send and taken on arrival,
-    /// and the vacant slots among them.
-    in_flight: Vec<Option<Frame>>,
-    vacant: Vec<u32>,
+    /// Frames on the wire, parked once on send and taken on arrival.
+    in_flight: Slab<Frame>,
     ports: Vec<Vec<PortPeer>>,
     dir_links: Vec<DirLink>,
     // Parallel to dir_links: the installed fault plan (if any) and its
@@ -140,16 +136,7 @@ impl Fabric {
             panic!("node {node} sent on unconnected port {port}");
         };
         let mut arrive = |at: SimTime, frame| {
-            let slot = match self.vacant.pop() {
-                Some(slot) => {
-                    self.in_flight[slot as usize] = Some(frame);
-                    slot
-                }
-                None => {
-                    self.in_flight.push(Some(frame));
-                    u32::try_from(self.in_flight.len() - 1).expect("too many frames in flight")
-                }
-            };
+            let slot = self.in_flight.put(frame);
             let seq = self.next_seq;
             self.next_seq += 1;
             let kind = EventKind::FrameArrival {
@@ -204,8 +191,7 @@ impl Simulation {
                 now: SimTime::ZERO,
                 queue: TimingWheel::new(),
                 next_seq: 0,
-                in_flight: Vec::new(),
-                vacant: Vec::new(),
+                in_flight: Slab::new(),
                 ports: Vec::new(),
                 dir_links: Vec::new(),
                 faults: Vec::new(),
@@ -475,8 +461,7 @@ impl Simulation {
         match kind {
             EventKind::FrameArrival { node, port, slot } => {
                 // The frame leaves the wire whether or not anyone is there.
-                let frame = self.fabric.in_flight[slot as usize].take();
-                self.fabric.vacant.push(slot);
+                let frame = self.fabric.in_flight.take(slot);
                 if !self.node_down[node.index()] {
                     let (node, mut ctx) = self.enter(node);
                     node.on_frame(port, frame.expect("a frame on the wire"), &mut ctx);

@@ -1,10 +1,11 @@
 //! Property-based tests of the discrete-event engine's invariants.
 
 use netsim::{
-    Bandwidth, Context, Frame, LatencyStats, LinkSpec, Node, PortId, SimDuration, SimTime,
-    Simulation, Throughput, TimerToken,
+    Bandwidth, Context, Frame, LatencyStats, LatencySummary, LinkSpec, MetricsRegistry, Node,
+    PortId, SimDuration, SimTime, Simulation, Slab, Throughput, TimerToken,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Sends frames of the given sizes back-to-back at start.
 struct Burst {
@@ -92,6 +93,97 @@ proptest! {
         // Mean is between min and max.
         let mean = stats.mean().as_nanos();
         prop_assert!(mean >= samples[0] && mean <= *samples.last().expect("non-empty"));
+    }
+
+    /// What the registry keeps of a latency distribution is what
+    /// `LatencyStats` itself answers, exactly — there is no second
+    /// distribution with its own rounding.
+    #[test]
+    fn registry_latency_summary_is_latency_stats_own(
+        samples in prop::collection::vec(0u64..10_000_000, 0..500),
+    ) {
+        let mut stats = LatencyStats::new();
+        for &s in &samples {
+            stats.record(SimDuration::from_nanos(s));
+        }
+        let mut reg = MetricsRegistry::new();
+        reg.set_latency("decide", &stats);
+        let expected = LatencySummary {
+            count: samples.len() as u64,
+            mean: stats.mean(),
+            p50: stats.percentile(50.0),
+            p99: stats.percentile(99.0),
+            max: stats.max(),
+        };
+        prop_assert_eq!(reg.latency("decide"), Some(expected));
+        prop_assert_eq!(
+            reg.render(),
+            format!(
+                "decide count={} mean_ns={} p50_ns={} p99_ns={} max_ns={}\n",
+                samples.len(),
+                expected.mean.as_nanos(),
+                expected.p50.as_nanos(),
+                expected.p99.as_nanos(),
+                expected.max.as_nanos(),
+            )
+        );
+    }
+
+    /// A slab is a map from the ids it hands out to what was parked:
+    /// ids are unique among live entries, a taken entry is gone, and the
+    /// newest vacated slot is the next one reused.
+    #[test]
+    fn slab_matches_a_map_model(
+        ops in prop::collection::vec(
+            (0u8..3, any::<prop::sample::Index>(), any::<u64>()),
+            1..300,
+        ),
+    ) {
+        let mut slab = Slab::new();
+        let mut model: HashMap<u32, u64> = HashMap::new();
+        // Ids in the order they were handed out fresh, and vacated.
+        let mut fresh: Vec<u32> = Vec::new();
+        let mut vacated: Vec<u32> = Vec::new();
+        for (kind, pick, value) in ops {
+            match kind {
+                0 => {
+                    let id = slab.put(value);
+                    prop_assert!(!model.contains_key(&id), "id {id} is live");
+                    match vacated.pop() {
+                        Some(newest) => prop_assert_eq!(id, newest),
+                        None => {
+                            prop_assert_eq!(id as usize, fresh.len());
+                            fresh.push(id);
+                        }
+                    }
+                    model.insert(id, value);
+                }
+                1 if !fresh.is_empty() => {
+                    let id = fresh[pick.index(fresh.len())];
+                    let taken = slab.take(id);
+                    prop_assert_eq!(taken, model.remove(&id));
+                    if taken.is_some() {
+                        vacated.push(id);
+                    }
+                    prop_assert_eq!(slab.take(id), None, "a second take");
+                }
+                2 if !fresh.is_empty() => {
+                    let id = fresh[pick.index(fresh.len())];
+                    if let Some(parked) = slab.get_mut(id) {
+                        *parked ^= value;
+                    }
+                    if let Some(parked) = model.get_mut(&id) {
+                        *parked ^= value;
+                    }
+                    prop_assert_eq!(slab.get(id), model.get(&id));
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(slab.take(fresh.len() as u32), None, "never handed out");
+        for (id, value) in model {
+            prop_assert_eq!(slab.take(id), Some(value));
+        }
     }
 
     /// Throughput accounting is exact.

@@ -26,8 +26,8 @@ use rdma::{Aeth, AethKind, MacAddr, Opcode, Psn, Qpn, RKey, RewriteSet, RocePack
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use tofino::{
-    identity_hash, ControlOps, EgressMeta, Headers, IngressMeta, IngressVerdict, MatchTable,
-    McastMember, MulticastGroupId, PipelineOps, RegisterArray, SwitchProgram,
+    alu_min, ControlOps, EgressMeta, Headers, IngressMeta, IngressVerdict, MatchTable, McastMember,
+    MulticastGroupId, PipelineOps, RegisterArray, SwitchProgram,
 };
 
 use crate::spec::{GroupJoin, GroupRetire, GroupSpec};
@@ -332,7 +332,9 @@ impl P4ceProgram {
     }
 
     /// The group led by `leader`, if any (groups have exactly one
-    /// leader; a leader drives at most one group at a time).
+    /// leader; a leader drives at most one group at a time — a group
+    /// that goes active drops the older ones of its leader, so the
+    /// oldest match is never a superseded one).
     pub fn gid_of_leader(&self, leader: Ipv4Addr) -> Option<u16> {
         self.groups
             .iter()
@@ -462,26 +464,27 @@ impl P4ceProgram {
         self.stats.groups_created += 1;
     }
 
-    /// Tears down one group on its leader's request: unprogram the
-    /// multicast entry and both match tables, free the state. Other
+    /// The only way a group leaves the switch: its state, its multicast
+    /// entry and its entries in both match tables go together. Other
     /// groups' table entries and registers are untouched — group
-    /// lifecycle must never disturb co-resident groups. Requests from
-    /// anyone but the group's leader are ignored.
-    fn retire_group(&mut self, gid: u16, requester: Ipv4Addr, ops: &mut dyn ControlOps) {
-        if self
-            .groups
-            .get(&gid)
-            .is_none_or(|g| g.leader_ip != requester)
-        {
-            return;
-        }
-        let group = self.groups.remove(&gid).expect("presence checked");
+    /// lifecycle must never disturb co-resident groups.
+    fn drop_group(&mut self, gid: u16, ops: &mut dyn ControlOps) -> Option<Group> {
+        let group = self.groups.remove(&gid)?;
         ops.remove_mcast_group(group.mcast);
         self.bcast_table.remove(&group.bcast_qpn.masked());
         for r in &group.replicas {
             self.aggr_table.remove(&r.aggr_qpn.masked());
         }
-        self.stats.groups_retired += 1;
+        Some(group)
+    }
+
+    /// Tears down one group on its leader's request. Requests from
+    /// anyone but the group's leader are ignored.
+    fn retire_group(&mut self, gid: u16, requester: Ipv4Addr, ops: &mut dyn ControlOps) {
+        if (self.groups.get(&gid)).is_some_and(|g| g.leader_ip == requester) {
+            self.drop_group(gid, ops);
+            self.stats.groups_retired += 1;
+        }
     }
 
     fn handle_replica_reply(
@@ -550,21 +553,12 @@ impl P4ceProgram {
                 // The ASIC is out of table space: degrade gracefully by
                 // refusing the group (the leader falls back to direct
                 // replication).
-                let leader_ip = group.leader_ip;
-                let leader_handshake = group.leader_handshake;
-                let bcast = group.bcast_qpn.masked();
-                let aggr: Vec<u32> = group.replicas.iter().map(|r| r.aggr_qpn.masked()).collect();
-                ops.remove_mcast_group(group.mcast);
-                self.groups.remove(&gid);
-                self.bcast_table.remove(&bcast);
-                for qpn in aggr {
-                    self.aggr_table.remove(&qpn);
-                }
+                let group = self.drop_group(gid, ops).expect("borrowed above");
                 Self::send_cm(
                     ops,
-                    leader_ip,
+                    group.leader_ip,
                     &CmMessage::ConnectReject {
-                        handshake_id: leader_handshake,
+                        handshake_id: group.leader_handshake,
                         reason: RejectReason::NoResources,
                     },
                 );
@@ -580,11 +574,7 @@ impl P4ceProgram {
         };
         // One replica refused: the whole group fails; the leader falls
         // back to direct replication (§III-A, "Faulty replica").
-        if let Some(group) = self.groups.remove(&gid) {
-            self.bcast_table.remove(&group.bcast_qpn.masked());
-            for r in &group.replicas {
-                self.aggr_table.remove(&r.aggr_qpn.masked());
-            }
+        if let Some(group) = self.drop_group(gid, ops) {
             Self::send_cm(
                 ops,
                 group.leader_ip,
@@ -602,6 +592,19 @@ impl P4ceProgram {
         };
         group.active = true;
         self.stats.reconfigs += 1;
+        // A leader drives at most one group at a time: the one that just
+        // went active supersedes every older group of the same leader,
+        // which had kept serving until this instant.
+        let leader_ip = group.leader_ip;
+        let superseded: Vec<u16> = (self.groups.range(..gid))
+            .filter(|(_, old)| old.leader_ip == leader_ip)
+            .map(|(&old, _)| old)
+            .collect();
+        for old in superseded {
+            self.drop_group(old, ops);
+            self.stats.groups_retired += 1;
+        }
+        let group = &self.groups[&gid];
         let min_len = group.replicas.iter().map(|r| r.len).min().unwrap_or(0);
         let advert = RegionAdvert {
             va: 0, // virtual: rebased per replica during scatter (§IV-A)
@@ -647,17 +650,6 @@ impl P4ceProgram {
     // Data plane: gather
     // ------------------------------------------------------------------
 
-    /// The hardware minimum: compare via subtraction underflow routed
-    /// through the identity hash (§IV-D).
-    fn hw_min(a: u32, b: u32) -> u32 {
-        let (_, underflow) = a.overflowing_sub(b);
-        if identity_hash(u32::from(underflow)) != 0 {
-            a
-        } else {
-            b
-        }
-    }
-
     /// Folds the per-replica credit registers to the group minimum,
     /// skipping replicas that have been silent for more than
     /// `stale_after` scatters — a crashed replica must not pin the
@@ -674,7 +666,7 @@ impl P4ceProgram {
                 skipped += 1;
                 continue;
             }
-            min = Self::hw_min(min, group.credits.read(i));
+            min = alu_min(min, group.credits.read(i));
         }
         (min, skipped)
     }
@@ -1014,13 +1006,6 @@ impl SwitchProgram for P4ceProgram {
 mod tests {
     use super::*;
     use rdma::Aeth;
-
-    #[test]
-    fn hw_min_matches_min() {
-        for (a, b) in [(0, 0), (1, 2), (2, 1), (31, 0), (0, 31), (7, 7)] {
-            assert_eq!(P4ceProgram::hw_min(a, b), a.min(b), "min({a},{b})");
-        }
-    }
 
     const SW_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
     const LEADER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);

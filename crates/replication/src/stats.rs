@@ -127,7 +127,7 @@ impl MemberStats {
     /// Snapshots the counters into `reg` under `prefix` (e.g.
     /// `member.0`): `"{prefix}.decided"`, `.issued`, `.applied`,
     /// `.min_credit`, `.view_changes`, `.events_dropped`, plus the latency
-    /// distribution as a histogram at `"{prefix}.latency"`.
+    /// summary at `"{prefix}.latency"`.
     pub fn register_into(&self, reg: &mut MetricsRegistry, prefix: &str) {
         reg.set_counter(&format!("{prefix}.decided"), self.decided);
         reg.set_counter(&format!("{prefix}.issued"), self.issued);
@@ -143,10 +143,7 @@ impl MemberStats {
             .count() as u64;
         reg.set_counter(&format!("{prefix}.view_changes"), view_changes);
         reg.set_counter(&format!("{prefix}.events_dropped"), self.events_dropped);
-        let h = reg.histogram_mut(&format!("{prefix}.latency"));
-        for &ns in self.latency.samples_ns() {
-            h.record(SimDuration::from_nanos(ns));
-        }
+        reg.set_latency(&format!("{prefix}.latency"), &self.latency);
     }
 }
 
@@ -220,8 +217,8 @@ mod tests {
         assert_eq!(reg.counter("member.0.applied"), Some(3));
         assert_eq!(reg.counter("member.0.view_changes"), Some(1));
         assert_eq!(reg.gauge("member.0.min_credit"), Some(9.0));
-        let h = reg.histogram("member.0.latency").expect("registered");
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.mean(), SimDuration::from_micros(4));
+        let l = reg.latency("member.0.latency").expect("registered");
+        assert_eq!(l.count, 1);
+        assert_eq!(l.mean, SimDuration::from_micros(4));
     }
 }

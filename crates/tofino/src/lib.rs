@@ -38,6 +38,6 @@ pub use program::{
     ControlOps, EgressMeta, Headers, IngressMeta, IngressVerdict, L3Forwarder, PipelineOps,
     SwitchProgram,
 };
-pub use registers::{identity_hash, RegisterArray};
+pub use registers::{alu_min, RegisterArray};
 pub use switch::{Switch, SwitchConfig, SwitchStats};
 pub use table::{MatchTable, TableFull, TableStats};

@@ -5,7 +5,7 @@
 //! compare two variables directly — only a variable against a constant —
 //! so comparisons are synthesized from subtraction underflow routed
 //! through an identity hash (§IV-D of the paper, reproduced verbatim in
-//! [`RegisterArray::min_update`]).
+//! [`alu_min`]).
 
 /// A register array: `slots` 32-bit cells with read-modify-write ops.
 #[derive(Debug, Clone)]
@@ -68,22 +68,28 @@ impl RegisterArray {
     }
 
     /// Stores the minimum of the current value and `candidate`, returning
-    /// the stored minimum.
-    ///
-    /// Implemented exactly as the paper describes (§IV-D): the ALU cannot
-    /// evaluate `if (a < b)`, so we subtract and inspect the underflow,
-    /// forwarding the borrow bit through an identity hash before it can
-    /// gate the conditional assignment.
+    /// the stored minimum ([`alu_min`]).
     pub fn min_update(&mut self, index: usize, candidate: u32) -> u32 {
         let i = self.slot(index);
-        let current = self.slots[i];
-        // `candidate - current` underflows iff candidate < current.
-        let (_, underflow) = candidate.overflowing_sub(current);
-        // The underflow wire cannot feed a conditional directly; route it
-        // through the identity hash unit.
-        let selector = identity_hash(u32::from(underflow));
-        self.slots[i] = if selector != 0 { candidate } else { current };
+        self.slots[i] = alu_min(candidate, self.slots[i]);
         self.slots[i]
+    }
+}
+
+/// The smaller of `a` and `b`, exactly as the paper describes it (§IV-D):
+/// the ALU cannot evaluate `if (a < b)`, so it subtracts and inspects the
+/// underflow, forwarding the borrow bit through an identity hash before
+/// it can gate the conditional assignment.
+#[inline]
+pub fn alu_min(a: u32, b: u32) -> u32 {
+    // `a - b` underflows iff a < b.
+    let (_, underflow) = a.overflowing_sub(b);
+    // The underflow wire cannot feed a conditional directly; route it
+    // through the identity hash unit.
+    if identity_hash(u32::from(underflow)) != 0 {
+        a
+    } else {
+        b
     }
 }
 
@@ -91,7 +97,7 @@ impl RegisterArray {
 /// only because its *output* is wired to conditional logic while ALU
 /// status flags are not.
 #[inline]
-pub fn identity_hash(v: u32) -> u32 {
+fn identity_hash(v: u32) -> u32 {
     v
 }
 

@@ -14,7 +14,7 @@
 //!   port's egress parser — the difference behind the paper's 121 → 726
 //!   Mpps ACK-aggregation fix.
 
-use netsim::{Context, Cpu, Frame, Node, PortId, SimDuration, SimTime, TimerToken};
+use netsim::{Context, Cpu, Frame, Node, PortId, SimDuration, SimTime, Slab, TimerToken};
 use rdma::{PacketTemplate, RewriteSet, RocePacket};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -147,48 +147,6 @@ struct PassCopy {
     emit_at: SimTime,
 }
 
-/// Items parked between pipeline steps, addressed by the timer token
-/// that will resume them. A slab with a free list: parking and resuming
-/// are O(1) vector ops, and steady-state traffic recycles the same slots
-/// without hashing or allocating.
-struct Stash<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<u64>,
-}
-
-impl<T> Stash<T> {
-    fn new() -> Self {
-        Stash {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    fn put(&mut self, item: T) -> u64 {
-        if let Some(id) = self.free.pop() {
-            self.slots[id as usize] = Some(item);
-            id
-        } else {
-            let id = self.slots.len() as u64;
-            debug_assert!(id <= TK_DATA_MASK, "stash id overflows token space");
-            self.slots.push(Some(item));
-            id
-        }
-    }
-
-    fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        self.slots.get_mut(id as usize)?.as_mut()
-    }
-
-    fn take(&mut self, id: u64) -> Option<T> {
-        let item = self.slots.get_mut(id as usize)?.take();
-        if item.is_some() {
-            self.free.push(id);
-        }
-        item
-    }
-}
-
 struct Shared {
     cfg: SwitchConfig,
     routes: BTreeMap<u32, PortId>,
@@ -247,14 +205,14 @@ pub struct Switch<P: SwitchProgram> {
     ingress_parsers: Vec<Cpu>,
     egress_parsers: Vec<Cpu>,
     /// Frames waiting out the ingress parser.
-    arrived: Stash<(Frame, PortId)>,
+    arrived: Slab<(Frame, PortId)>,
     /// Packets between the ingress stage and the deparser.
-    in_flight: Stash<Pass>,
+    in_flight: Slab<Pass>,
     /// Copy lists of finished passes, kept for the next ones (no
     /// steady-state allocation on the replication path).
     spare_copies: Vec<Vec<PassCopy>>,
     /// Packets on their way to the control-plane CPU.
-    punted: Stash<RocePacket>,
+    punted: Slab<RocePacket>,
 }
 
 impl<P: SwitchProgram> Switch<P> {
@@ -271,10 +229,10 @@ impl<P: SwitchProgram> Switch<P> {
             program,
             ingress_parsers: vec![Cpu::new(); lanes],
             egress_parsers: vec![Cpu::new(); lanes],
-            arrived: Stash::new(),
-            in_flight: Stash::new(),
+            arrived: Slab::new(),
+            in_flight: Slab::new(),
             spare_copies: Vec::new(),
-            punted: Stash::new(),
+            punted: Slab::new(),
         }
     }
 
@@ -359,7 +317,7 @@ impl<P: SwitchProgram> Switch<P> {
                 let mut pkt = view.to_packet();
                 rw.apply(&mut pkt);
                 let id = self.punted.put(pkt);
-                ctx.schedule(cfg.cpu_punt_latency, TimerToken(TK_CPU | id));
+                ctx.schedule(cfg.cpu_punt_latency, TimerToken(TK_CPU | u64::from(id)));
             }
         }
         if copies.is_empty() {
@@ -374,10 +332,10 @@ impl<P: SwitchProgram> Switch<P> {
         // One deparser wake-up per release instant: the copies of a pass
         // that share one would have been queued back to back, so nothing
         // could have come between them.
-        let copies = &self.in_flight.get_mut(id).expect("parked").copies;
+        let copies = &self.in_flight.get(id).expect("parked").copies;
         for (i, copy) in copies.iter().enumerate() {
             if copies[..i].iter().all(|c| c.emit_at != copy.emit_at) {
-                ctx.schedule_at(copy.emit_at, TimerToken(TK_EMIT | id));
+                ctx.schedule_at(copy.emit_at, TimerToken(TK_EMIT | u64::from(id)));
             }
         }
     }
@@ -401,7 +359,7 @@ impl<P: SwitchProgram> Node for Switch<P> {
             }
             Some(parsed_at) => {
                 let id = self.arrived.put((frame, port));
-                ctx.schedule_at(parsed_at, TimerToken(TK_INGRESS | id));
+                ctx.schedule_at(parsed_at, TimerToken(TK_INGRESS | u64::from(id)));
             }
         }
     }
@@ -409,15 +367,17 @@ impl<P: SwitchProgram> Node for Switch<P> {
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_>) {
         let class = token.0 & TK_CLASS_MASK;
         let data = token.0 & TK_DATA_MASK;
+        // What a parking class carries is a slab id this switch wrote.
+        let slot = data as u32;
         match class {
             TK_INGRESS => {
-                let Some((frame, port)) = self.arrived.take(data) else {
+                let Some((frame, port)) = self.arrived.take(slot) else {
                     return;
                 };
                 self.run_ingress(frame, port, ctx);
             }
             TK_EMIT => {
-                let Some(pass) = self.in_flight.get_mut(data) else {
+                let Some(pass) = self.in_flight.get_mut(slot) else {
                     return;
                 };
                 self.shared.stats.emit_events += 1;
@@ -448,12 +408,12 @@ impl<P: SwitchProgram> Node for Switch<P> {
                 }
                 pass.copies.retain(|c| c.emit_at != now);
                 if pass.copies.is_empty() {
-                    let pass = self.in_flight.take(data).expect("parked");
+                    let pass = self.in_flight.take(slot).expect("parked");
                     self.spare_copies.push(pass.copies);
                 }
             }
             TK_CPU => {
-                let Some(pkt) = self.punted.take(data) else {
+                let Some(pkt) = self.punted.take(slot) else {
                     return;
                 };
                 let mut ops = Control {

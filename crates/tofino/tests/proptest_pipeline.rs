@@ -2,18 +2,25 @@
 
 use netsim::{Cpu, SimDuration, SimTime};
 use proptest::prelude::*;
-use tofino::{McastMember, MulticastGroupId, MulticastGroups, RegisterArray};
+use tofino::{alu_min, McastMember, MulticastGroupId, MulticastGroups, RegisterArray};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The hardware min idiom (subtract-underflow through identity hash)
-    /// computes exactly `min` over any sequence of candidates.
+    /// computes exactly `min` — of any two words, the extremes included,
+    /// and folded over any sequence of candidates.
     #[test]
     fn min_update_equals_min_fold(
         initial in any::<u32>(),
         candidates in prop::collection::vec(any::<u32>(), 0..50),
     ) {
+        for a in [0, 1, initial, u32::MAX - 1, u32::MAX] {
+            for &b in [0, 1, u32::MAX - 1, u32::MAX].iter().chain(&candidates) {
+                prop_assert_eq!(alu_min(a, b), a.min(b));
+                prop_assert_eq!(alu_min(b, a), a.min(b));
+            }
+        }
         let mut reg = RegisterArray::new("m", 4);
         reg.write(0, initial);
         let mut expected = initial;

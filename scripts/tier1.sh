@@ -107,6 +107,19 @@ if sed -n '/^pub(crate) enum EventKind {/,/^}/p' crates/netsim/src/sim.rs | grep
   echo "tier-1: EventKind carries a slot, not a Frame; a timer entry must not grow with the frame head" >&2; exit 1
 fi
 
+echo "==> two of a kind: one latency distribution, one slab, one ALU minimum, one group teardown, one request in flight"
+for gone in 'HistogramStats' 'struct Stash' 'fn hw_min' 'SwitchConnecting' 'vacant:'; do
+  if grep -rn "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; the registry keeps LatencyStats' own five numbers, parked things live in netsim::Slab, the gather folds with tofino::alu_min, SwitchComm says what serves (Path) and what is pending separately (EXPERIMENTS E20)" >&2; exit 1
+  fi
+done
+for once in 'bcast_table\.remove(' 'self\.groups\.remove('; do
+  [ "$(grep -c "$once" crates/p4ce-switch/src/program.rs)" -eq 1 ] \
+    && [ "$(sed -n '/fn drop_group(/,/^    }$/p' crates/p4ce-switch/src/program.rs | grep -c "$once")" -eq 1 ] \
+    || { echo "tier-1: crates/p4ce-switch/src/program.rs spells '$once' exactly once, inside drop_group — the only code that removes a group" >&2; exit 1; }
+done
+[ "$(grep -rho 'fn alu_min' crates/*/src | wc -l)" -eq 1 ] || { echo "tier-1: 'fn alu_min' is defined exactly once under crates/*/src (tofino::registers); min_update and the credit fold both call it" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
