@@ -30,7 +30,7 @@ use crate::qp::{
 };
 use crate::types::{MacAddr, Permissions, Psn, Qpn, CM_QPN, DEFAULT_RDMA_MTU};
 use crate::verbs::{Completion, CompletionStatus, WorkRequest, WrId};
-use crate::wire::{peek_opcode, Aeth, AethKind, Bth, NakCode, Reth, RocePacket};
+use crate::wire::{peek_opcode, Aeth, AethKind, Bth, NakCode, Reth, RocePacket, RoceView};
 
 /// Tunable parameters of a host. Defaults are the calibration constants
 /// derived from the paper (DESIGN.md §2).
@@ -209,6 +209,15 @@ enum Delivery {
     },
 }
 
+/// Executed write packets not in host memory yet: adjacent slices of one
+/// sender buffer joined into `data`, arrived on queue pair `at.0`, landing
+/// at offset `at.2` of region `at.1`.
+#[derive(Debug)]
+struct Parked {
+    at: (u32, RegionHandle, u64),
+    data: Bytes,
+}
+
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 /// Counters exposed for tests and experiment reporting.
 pub struct HostStats {
@@ -329,12 +338,11 @@ pub struct HostCore {
     /// The port new connections ride on (multi-homed hosts flip this to a
     /// backup path when the primary fabric dies, §V-E "Crashed switch").
     active_port: PortId,
-    /// Per-queue-pair egress port: a connection is bound to the path it
-    /// was established (or last reached) over.
-    qp_ports: FxHashMap<u32, PortId>,
     // --- receive path ---
     rx_queue: VecDeque<(PortId, Frame, bool)>,
     rx_busy: bool,
+    /// What [`HostCore::land`] has not placed yet.
+    parked: Option<Parked>,
     /// Request packets (writes/reads/sends) currently buffered: the
     /// resource the credit count advertises. ACKs and read responses do
     /// not consume it.
@@ -386,9 +394,9 @@ impl HostCore {
             tx_stale: Vec::new(),
             ack_done: Vec::new(),
             active_port: PortId::FIRST,
-            qp_ports: FxHashMap::default(),
             rx_queue: VecDeque::new(),
             rx_busy: false,
+            parked: None,
             rx_request_backlog: 0,
             next_handshake: 1,
             initiated: FxHashMap::default(),
@@ -458,13 +466,6 @@ impl HostCore {
             .min(31) as u8
     }
 
-    fn qp_port(&self, qpn: Qpn) -> PortId {
-        self.qp_ports
-            .get(&qpn.masked())
-            .copied()
-            .unwrap_or(self.active_port)
-    }
-
     /// The one encoder: every frame this NIC emits is built here. Fills in
     /// what the NIC knows by itself — source MAC/IP, the destination MAC
     /// and the UDP source port of `local_qpn` — around the transport
@@ -507,10 +508,9 @@ impl HostCore {
     /// Frames the request packets `packets` of `qpn` towards its peer and
     /// queues them in order (first transmission and retransmission alike).
     fn enqueue_request(&mut self, qpn: Qpn, packets: Vec<PacketPlan>) {
-        let peer = self.qps[&qpn.masked()]
-            .peer()
-            .expect("transmitting on unconnected QP");
-        let port = self.qp_port(qpn);
+        let qp = &self.qps[&qpn.masked()];
+        let peer = qp.peer().expect("transmitting on unconnected QP");
+        let port = qp.port;
         for p in packets {
             let bth = Bth {
                 opcode: p.opcode,
@@ -536,22 +536,22 @@ impl HostCore {
         self.send(port, frame, ctx);
     }
 
-    /// Answers the request packet `to`: an ACK, a duplicate re-ACK, a NAK
-    /// (`opcode` [`Opcode::Acknowledge`], empty payload) or a read
-    /// response. The frame goes back to where the request came from
+    /// Answers the request `(local qpn, psn, sender)`: an ACK, a duplicate
+    /// re-ACK, a NAK (`opcode` [`Opcode::Acknowledge`], empty payload) or a
+    /// read response. The frame goes back to where the request came from
     /// (behind a P4CE switch that is the switch itself — the Aggr queue
     /// pair of §IV-A) and is counted and traced here, once.
     fn respond(
         &mut self,
-        to: &RocePacket,
+        (qpn, psn, src_ip): (Qpn, Psn, Ipv4Addr),
         opcode: Opcode,
         kind: AethKind,
         payload: Bytes,
         ctx: &mut Context<'_>,
     ) {
-        let (qpn, psn) = (to.bth.dest_qp, to.bth.psn);
         let qp = &self.qps[&qpn.masked()];
         let peer = qp.peer().expect("responding on unconnected QP");
+        let port = qp.port;
         let bth = Bth {
             opcode,
             dest_qp: peer.qpn,
@@ -562,7 +562,7 @@ impl HostCore {
             kind,
             msn: qp.msn(),
         };
-        let frame = self.frame(to.src_ip, qpn, bth, None, Some(aeth), payload);
+        let frame = self.frame(src_ip, qpn, bth, None, Some(aeth), payload);
         let (qpn64, psn64) = (u64::from(qpn.masked()), u64::from(psn.value()));
         match kind {
             AethKind::Ack { .. } => {
@@ -580,20 +580,19 @@ impl HostCore {
                 });
             }
         }
-        let port = self.qp_port(qpn);
         self.send(port, frame, ctx);
     }
 
     /// [`HostCore::respond`] with a positive acknowledgement advertising
     /// the current credit count.
-    fn send_ack(&mut self, to: &RocePacket, ctx: &mut Context<'_>) {
+    fn send_ack(&mut self, to: (Qpn, Psn, Ipv4Addr), ctx: &mut Context<'_>) {
         let kind = AethKind::Ack {
             credits: self.credits(),
         };
         self.respond(to, Opcode::Acknowledge, kind, Bytes::new(), ctx);
     }
 
-    fn send_nak(&mut self, to: &RocePacket, code: NakCode, ctx: &mut Context<'_>) {
+    fn send_nak(&mut self, to: (Qpn, Psn, Ipv4Addr), code: NakCode, ctx: &mut Context<'_>) {
         let kind = AethKind::Nak(code);
         self.respond(to, Opcode::Acknowledge, kind, Bytes::new(), ctx);
     }
@@ -724,9 +723,7 @@ impl HostCore {
     // --------------------------------------------------------------
 
     fn process_packet(&mut self, port: PortId, frame: Frame, ctx: &mut Context<'_>) {
-        // Borrowed header-view parse: acceptance checks run in full, but
-        // no owned packet is materialized until a path needs one. ACKs —
-        // half of all traffic — never materialize at all.
+        // Borrowed header-view parse: the acceptance checks run in full.
         let view = match RocePacket::parse_view(&frame) {
             Ok(v) => v,
             Err(_) => {
@@ -735,23 +732,25 @@ impl HostCore {
             }
         };
         self.stats.packets_received += 1;
+        let opcode = view.opcode();
+        // A write packet decides in `land` whether it continues the parked
+        // run; anything else may read or write where the run lands.
+        if !opcode.is_write() {
+            self.place_parked();
+        }
         let dest_qp = view.dest_qp();
         if dest_qp == CM_QPN {
-            let src_ip = view.src_ip();
-            let payload = view.payload();
-            self.process_cm(src_ip, &payload, port, ctx);
+            self.process_cm(view.src_ip(), view.payload_slice(), port, ctx);
             return;
         }
-        if !self.qps.contains_key(&dest_qp.masked()) {
+        let Some(qp) = self.qps.get_mut(&dest_qp.masked()) else {
             return; // no such QP: drop silently (as NICs do for unknown QPNs)
-        }
+        };
         // Path affinity: a connection follows the path its traffic
         // arrives on.
-        self.qp_ports.insert(dest_qp.masked(), port);
-        let opcode = view.opcode();
+        qp.port = port;
         if opcode.is_write() || opcode == Opcode::ReadRequest {
-            let pkt = view.to_packet();
-            self.process_request(pkt, ctx);
+            self.process_request(&view, ctx);
         } else if opcode == Opcode::Acknowledge {
             let psn = view.psn();
             let aeth = view.aeth().expect("ACK carries AETH");
@@ -759,96 +758,123 @@ impl HostCore {
         } else if opcode == Opcode::ReadResponseOnly {
             let psn = view.psn();
             let aeth = view.aeth().expect("read response carries AETH");
-            let payload = view.payload();
-            self.process_read_response(dest_qp, psn, aeth, payload, ctx);
+            self.process_read_response(dest_qp, psn, aeth, view.payload_slice(), ctx);
         }
     }
 
-    fn process_request(&mut self, pkt: RocePacket, ctx: &mut Context<'_>) {
-        let qpn = pkt.bth.dest_qp;
+    fn process_request(&mut self, view: &RoceView<'_>, ctx: &mut Context<'_>) {
+        let to @ (qpn, psn, _) = (view.dest_qp(), view.psn(), view.src_ip());
         let qp = self.qps.get_mut(&qpn.masked()).expect("checked");
         if !matches!(qp.state(), QpState::ReadyToReceive | QpState::ReadyToSend) {
             return;
         }
-        let verdict = qp.receive_sequence(pkt.bth.psn, pkt.bth.opcode, pkt.bth.ack_req);
-        match verdict {
-            RecvVerdict::Duplicate => self.send_ack(&pkt, ctx),
-            RecvVerdict::OutOfOrder => self.send_nak(&pkt, NakCode::PsnSequenceError, ctx),
-            RecvVerdict::Execute { ack_due } => {
-                if pkt.bth.opcode == Opcode::ReadRequest {
-                    self.execute_read(pkt, ctx);
-                } else {
-                    self.execute_write(pkt, ack_due, ctx);
-                }
+        match qp.receive_sequence(psn, view.opcode(), view.ack_req()) {
+            RecvVerdict::Duplicate => self.send_ack(to, ctx),
+            RecvVerdict::OutOfOrder => self.send_nak(to, NakCode::PsnSequenceError, ctx),
+            RecvVerdict::Execute { .. } if view.opcode() == Opcode::ReadRequest => {
+                self.execute_read(view, ctx)
             }
+            RecvVerdict::Execute { ack_due } => self.execute_write(view, ack_due, ctx),
         }
     }
 
-    fn execute_write(&mut self, pkt: RocePacket, ack_due: bool, ctx: &mut Context<'_>) {
-        let qpn = pkt.bth.dest_qp;
+    fn execute_write(&mut self, view: &RoceView<'_>, ack_due: bool, ctx: &mut Context<'_>) {
+        let to @ (qpn, _, src_ip) = (view.dest_qp(), view.psn(), view.src_ip());
         let qp = self.qps.get_mut(&qpn.masked()).expect("checked");
-        let len = pkt.payload.len() as u64;
+        let len = view.payload_len() as u64;
         // Resolve the landing address and what the message still owes:
         // from the RETH on first/only packets, from the cursor on
         // middle/last.
-        let (va, rkey, owed) = match (pkt.reth, qp.write_cursor()) {
+        let (va, rkey, owed) = match (view.reth(), qp.write_cursor()) {
             (Some(reth), _) => (reth.va, reth.rkey, u64::from(reth.dma_len)),
             (None, Some(cursor)) => (cursor.va, cursor.rkey, cursor.remaining),
             (None, None) => {
-                self.send_nak(&pkt, NakCode::InvalidRequest, ctx);
+                self.send_nak(to, NakCode::InvalidRequest, ctx);
                 return;
             }
         };
         // Maintain the cursor for subsequent packets of this message. The
         // addresses and lengths are the requester's: a packet that runs
-        // past the address space or past the length its message declared
-        // ends the message with a NAK, like any out-of-bounds write.
-        let next = if matches!(pkt.bth.opcode, Opcode::WriteFirst | Opcode::WriteMiddle) {
-            match (va.checked_add(len), owed.checked_sub(len)) {
-                (Some(va), Some(remaining)) => Ok(Some(WriteCursor {
-                    va,
-                    rkey,
-                    remaining,
-                })),
-                (None, _) => Err(NakCode::RemoteAccessError),
-                (_, None) => Err(NakCode::InvalidRequest),
-            }
-        } else {
-            Ok(None)
+        // past the address space or past the length its message declared,
+        // or a last packet that leaves part of it owed, ends the message
+        // with a NAK, like any out-of-bounds write.
+        let last = view.opcode().ends_message();
+        let next = match (va.checked_add(len), owed.checked_sub(len)) {
+            (None, _) => Err(NakCode::RemoteAccessError),
+            (_, None) => Err(NakCode::InvalidRequest),
+            (Some(_), Some(0)) if last => Ok(None),
+            (Some(_), Some(_)) if last => Err(NakCode::InvalidRequest),
+            (Some(va), Some(remaining)) => Ok(Some(WriteCursor {
+                va,
+                rkey,
+                remaining,
+            })),
         };
         qp.set_write_cursor(next.unwrap_or(None));
-        if let Err(code) = next {
-            self.send_nak(&pkt, code, ctx);
-            return;
-        }
-        let result = self
-            .mem
-            .remote_write(pkt.src_ip, qpn, rkey, va, &pkt.payload);
-        match result {
+        let landing = next.and_then(|_| {
+            let checked = self.mem.check_write(src_ip, qpn, rkey, va, len);
+            checked.map_err(|_| NakCode::RemoteAccessError)
+        });
+        match landing {
             Ok((region, offset)) => {
-                let dirty = offset..offset + len;
-                self.notify_remote_write(region, dirty, ctx);
+                self.land(qpn.masked(), region, offset, view);
+                self.notify_remote_write(region, offset..offset + len, ctx);
                 if ack_due {
-                    self.send_ack(&pkt, ctx);
+                    self.send_ack(to, ctx);
                 }
             }
-            Err(_) => self.send_nak(&pkt, NakCode::RemoteAccessError, ctx),
+            Err(code) => {
+                // The message ends here; what of it executed lands now.
+                self.place_parked();
+                self.send_nak(to, code, ctx);
+            }
         }
     }
 
-    fn execute_read(&mut self, pkt: RocePacket, ctx: &mut Context<'_>) {
-        let reth = pkt.reth.expect("read request carries RETH");
+    /// Lands an executed write packet at `offset` in `region`: it joins
+    /// the parked run if it continues it (same queue pair, next address,
+    /// next slice of the same sender buffer); else the run is placed and
+    /// it starts a new one. A message's last packet places the run, so a
+    /// message lands with one copy, straight from the frames' payload.
+    fn land(&mut self, qpn: u32, region: RegionHandle, offset: u64, view: &RoceView<'_>) {
+        let at = (qpn, region, offset);
+        let payload = match &mut self.parked {
+            Some(p) if (p.at.0, p.at.1, p.at.2 + p.data.len() as u64) == at => {
+                p.data.try_unsplit(view.payload()).err()
+            }
+            _ => Some(view.payload()),
+        };
+        if let Some(data) = payload {
+            self.place_parked();
+            self.parked = Some(Parked { at, data });
+        }
+        if view.opcode().ends_message() {
+            self.place_parked();
+        }
+    }
+
+    /// Copies the parked run into host memory — before anything that could
+    /// read or write it: an app callback ([`Host::ops`]), a non-write packet.
+    fn place_parked(&mut self) {
+        if let Some(Parked { at, data }) = self.parked.take() {
+            self.mem.write_local(at.1, at.2 as usize, &data);
+        }
+    }
+
+    fn execute_read(&mut self, view: &RoceView<'_>, ctx: &mut Context<'_>) {
+        let to @ (_, _, src_ip) = (view.dest_qp(), view.psn(), view.src_ip());
+        let reth = view.reth().expect("read request carries RETH");
         match self
             .mem
-            .remote_read(pkt.src_ip, reth.rkey, reth.va, u64::from(reth.dma_len))
+            .remote_read(src_ip, reth.rkey, reth.va, u64::from(reth.dma_len))
         {
             Ok(data) => {
                 let kind = AethKind::Ack {
                     credits: self.credits(),
                 };
-                self.respond(&pkt, Opcode::ReadResponseOnly, kind, data, ctx);
+                self.respond(to, Opcode::ReadResponseOnly, kind, data, ctx);
             }
-            Err(_) => self.send_nak(&pkt, NakCode::RemoteAccessError, ctx),
+            Err(_) => self.send_nak(to, NakCode::RemoteAccessError, ctx),
         }
     }
 
@@ -929,7 +955,7 @@ impl HostCore {
         qpn: Qpn,
         psn: Psn,
         aeth: Aeth,
-        payload: Bytes,
+        payload: &[u8],
         ctx: &mut Context<'_>,
     ) {
         let AethKind::Ack { credits } = aeth.kind else {
@@ -941,7 +967,7 @@ impl HostCore {
                 if let Some((region, offset)) = self.read_landing.remove(&(qpn.masked(), wr_id.0)) {
                     // Read data must land in the caller's region buffer —
                     // the one delivery that is inherently a copy.
-                    self.mem.write_local(region, offset, &payload);
+                    self.mem.write_local(region, offset, payload);
                     self.stats.rx_copied_deliveries += 1;
                 }
             }
@@ -961,7 +987,7 @@ impl HostCore {
     fn process_cm(
         &mut self,
         src_ip: Ipv4Addr,
-        payload: &Bytes,
+        payload: &[u8],
         port: PortId,
         ctx: &mut Context<'_>,
     ) {
@@ -1004,8 +1030,8 @@ impl HostCore {
                 };
                 if let Some(qp) = self.qps.get_mut(&local_qpn.masked()) {
                     qp.establish_requester(peer);
+                    qp.port = port;
                 }
-                self.qp_ports.insert(local_qpn.masked(), port);
                 let rtu = CmMessage::ReadyToUse { handshake_id };
                 self.send_cm(src_ip, &rtu, port, ctx);
                 self.deliver_cm(
@@ -1130,6 +1156,8 @@ impl HostOps<'_, '_> {
             self.core.cfg.max_inflight,
         );
         qp.begin_connect();
+        let port = self.core.active_port;
+        qp.port = port;
         self.core.insert_qp(qpn.masked(), qp);
         let handshake_id = (u64::from(u32::from_be_bytes(self.core.cfg.ip.octets())) << 24)
             | self.core.next_handshake;
@@ -1142,8 +1170,6 @@ impl HostOps<'_, '_> {
             private_data,
         };
         self.core.cpu.run(self.ctx.now, self.core.cfg.cm_cost);
-        let port = self.core.active_port;
-        self.core.qp_ports.insert(qpn.masked(), port);
         self.core.send_cm(remote_ip, &msg, port, self.ctx);
         handshake_id
     }
@@ -1171,6 +1197,12 @@ impl HostOps<'_, '_> {
             qpn: from_qpn,
             start_psn,
         });
+        let port = self
+            .core
+            .request_ports
+            .remove(&handshake_id)
+            .unwrap_or(self.core.active_port);
+        qp.port = port;
         self.core.insert_qp(qpn.masked(), qp);
         self.core.responding.insert(handshake_id, qpn);
         let msg = CmMessage::ConnectReply {
@@ -1180,12 +1212,6 @@ impl HostOps<'_, '_> {
             private_data,
         };
         self.core.cpu.run(self.ctx.now, self.core.cfg.cm_cost);
-        let port = self
-            .core
-            .request_ports
-            .remove(&handshake_id)
-            .unwrap_or(self.core.active_port);
-        self.core.qp_ports.insert(qpn.masked(), port);
         self.core.send_cm(from_ip, &msg, port, self.ctx);
         qpn
     }
@@ -1208,7 +1234,6 @@ impl HostOps<'_, '_> {
     /// fatal error). Outstanding requests flush.
     pub fn destroy_qp(&mut self, qpn: Qpn) {
         self.core.remove_qp(qpn.masked());
-        self.core.qp_ports.remove(&qpn.masked());
     }
 
     /// Switches the path used by *new* connections (multi-homed hosts:
@@ -1365,6 +1390,11 @@ impl<A: RdmaApp> Host<A> {
     /// Read-only view of the host's registered memory — invariant
     /// checkers audit region permissions through this without involving
     /// the (simulated) host CPU.
+    ///
+    /// The NIC places a write message once, when its last packet executes
+    /// or before anything in the simulation could read it (DESIGN §5). Read
+    /// from here while a message is open, its executed packets may not be
+    /// in yet: the host's next app callback or non-write packet places them.
     pub fn memory(&self) -> &HostMemory {
         &self.core.mem
     }
@@ -1400,7 +1430,10 @@ impl<A: RdmaApp> Host<A> {
         f(&mut self.app, &mut ops)
     }
 
+    /// The one [`HostOps`] constructor: every app callback goes through
+    /// it, so what is parked is placed before the app can look.
     fn ops<'a, 'c>(core: &'a mut HostCore, ctx: &'a mut Context<'c>) -> HostOps<'a, 'c> {
+        core.place_parked();
         HostOps { core, ctx }
     }
 

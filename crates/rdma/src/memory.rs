@@ -215,10 +215,10 @@ impl HostMemory {
         Ok((idx, (va - info.va) as usize))
     }
 
-    /// Executes an incoming one-sided write: validates the key, bounds and
-    /// `peer`'s write permission, then stores `data` at `va`. Returns the
-    /// landing region and byte offset within it, so the NIC can report the
-    /// completion without a second key lookup.
+    /// Executes an incoming one-sided write: the checks of `check_write`,
+    /// then stores `data` at `va`. Returns the landing region and byte
+    /// offset within it. (The NIC runs the two steps apart: it checks each
+    /// packet as it executes and places a whole message once.)
     ///
     /// # Errors
     ///
@@ -231,8 +231,25 @@ impl HostMemory {
         va: u64,
         data: &[u8],
     ) -> Result<(RegionHandle, u64), AccessError> {
-        let (idx, off) = self.locate(rkey, va, data.len() as u64)?;
-        let region = &mut self.regions[idx];
+        let (region, offset) = self.check_write(peer, via_qpn, rkey, va, data.len() as u64)?;
+        self.write_local(region, offset as usize, data);
+        Ok((region, offset))
+    }
+
+    /// Checks key, bounds, `peer`'s write permission and the queue-pair
+    /// fence for `len` bytes at `va`, and returns where they land. Forced
+    /// inline: left a call, it made `remote_write` 0.5–1 ns slower (E21).
+    #[inline(always)]
+    pub(crate) fn check_write(
+        &self,
+        peer: Ipv4Addr,
+        via_qpn: Qpn,
+        rkey: RKey,
+        va: u64,
+        len: u64,
+    ) -> Result<(RegionHandle, u64), AccessError> {
+        let (idx, off) = self.locate(rkey, va, len)?;
+        let region = &self.regions[idx];
         let perms = *region
             .peer_perms
             .get(&peer)
@@ -245,7 +262,6 @@ impl HostMemory {
                 return Err(AccessError::WrongQueuePair(via_qpn));
             }
         }
-        region.buf[off..off + data.len()].copy_from_slice(data);
         Ok((RegionHandle(idx), off as u64))
     }
 

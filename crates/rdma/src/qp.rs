@@ -8,7 +8,7 @@
 //! and packet addressing.
 
 use bytes::Bytes;
-use netsim::SimTime;
+use netsim::{PortId, SimTime};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
@@ -118,6 +118,9 @@ pub struct QueuePair {
     qpn: Qpn,
     state: QpState,
     peer: Option<PeerInfo>,
+    /// Where the connection's traffic leaves: the path it was established
+    /// over, or the one its traffic last arrived on (path affinity).
+    pub(crate) port: PortId,
     mtu: usize,
     // --- requester (send) side ---
     next_psn: Psn,
@@ -145,6 +148,7 @@ impl QueuePair {
             qpn,
             state: QpState::Init,
             peer: None,
+            port: PortId::FIRST,
             mtu,
             next_psn: start_psn,
             start_psn,

@@ -524,6 +524,16 @@ impl<'a> RoceView<'a> {
         }
     }
 
+    /// The payload, borrowed from the frame.
+    pub fn payload_slice(&self) -> &'a [u8] {
+        let body: &'a [u8] = self.frame.payload();
+        if self.frame.head().is_empty() {
+            &body[self.hdr.len()..body.len() - ICRC_LEN]
+        } else {
+            body
+        }
+    }
+
     /// Materializes the owned packet — identical to what
     /// [`RocePacket::parse`] would have returned for this frame.
     pub fn to_packet(&self) -> RocePacket {

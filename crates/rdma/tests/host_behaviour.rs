@@ -444,15 +444,24 @@ fn a_write_running_off_the_address_space_is_nakd_not_fatal_to_the_responder() {
     assert_eq!(server.app().polls, [Range { start: 0, end: 64 }]);
 }
 
-/// Not a host: handshakes by hand, then sends a `WriteFirst` that
-/// declares fewer bytes than it carries — a frame no [`Host`] would build.
-#[derive(Default)]
+/// Not a host: handshakes by hand, then sends `script` — write packets
+/// whose lengths do not add up, frames no [`Host`] would build. Each entry
+/// is an opcode, the DMA length its RETH declares (for opcodes that carry
+/// one) and the payload.
 struct Forger {
+    script: Vec<(Opcode, Option<u32>, Bytes)>,
     answers: Vec<RocePacket>,
 }
 
 impl Forger {
     const QPN: Qpn = Qpn(7);
+
+    fn new(script: Vec<(Opcode, Option<u32>, Bytes)>) -> Self {
+        Forger {
+            script,
+            answers: Vec::new(),
+        }
+    }
 
     fn frame(bth: Bth, reth: Option<Reth>, payload: Bytes) -> Frame {
         RocePacket {
@@ -499,26 +508,33 @@ impl Node for Forger {
             panic!("expected the ConnectReply");
         };
         let advert = RegionAdvert::decode(&private_data).expect("advert");
-        let bth = Bth {
-            opcode: Opcode::WriteFirst,
-            dest_qp: qpn,
-            psn: Psn::new(0),
-            ack_req: false,
-        };
-        let reth = Reth {
-            va: advert.va,
-            rkey: advert.rkey,
-            dma_len: 10,
-        };
-        let oversized = Bytes::from(vec![9u8; 64]);
-        ctx.send(PortId::FIRST, Forger::frame(bth, Some(reth), oversized));
+        for (psn, (opcode, dma_len, payload)) in self.script.iter().enumerate() {
+            let bth = Bth {
+                opcode: *opcode,
+                dest_qp: qpn,
+                psn: Psn::new(psn as u32),
+                ack_req: false,
+            };
+            let reth = dma_len.map(|dma_len| Reth {
+                va: advert.va,
+                rkey: advert.rkey,
+                dma_len,
+            });
+            ctx.send(PortId::FIRST, Forger::frame(bth, reth, payload.clone()));
+        }
     }
 }
 
-#[test]
-fn a_write_first_longer_than_its_declared_length_is_nakd() {
-    let mut sim = Simulation::new(17);
-    let a = sim.add_node(Box::new(Forger::default()));
+/// Runs `script` against a host, checks that the forger got exactly one
+/// answer — an `InvalidRequest` NAK — and returns the first `len` bytes of
+/// the host's region with the dirty ranges its app was told about.
+fn forge(
+    seed: u64,
+    script: Vec<(Opcode, Option<u32>, Bytes)>,
+    len: usize,
+) -> (Vec<u8>, Vec<Range<u64>>) {
+    let mut sim = Simulation::new(seed);
+    let a = sim.add_node(Box::new(Forger::new(script)));
     let b = sim.add_node(Box::new(Host::new(
         HostConfig::new(B_IP),
         Acceptor::default(),
@@ -534,5 +550,58 @@ fn a_write_first_longer_than_its_declared_length_is_nakd() {
     );
     let server = sim.node_ref::<Host<Acceptor>>(b);
     assert_eq!(server.stats().naks_sent, 1);
-    assert!(server.app().polls.is_empty(), "no byte may land");
+    let region = server.app().region.expect("registered");
+    let bytes = server.memory().read_local(region, 0, len).to_vec();
+    (bytes, server.app().polls.clone())
+}
+
+#[test]
+fn a_write_first_longer_than_its_declared_length_is_nakd() {
+    let oversized = Bytes::from(vec![9u8; 64]);
+    let (bytes, polls) = forge(17, vec![(Opcode::WriteFirst, Some(10), oversized)], 64);
+    assert!(polls.is_empty(), "no byte may land");
+    assert_eq!(bytes, [0u8; 64]);
+}
+
+#[test]
+fn a_write_only_longer_than_its_declared_length_is_nakd() {
+    let oversized = Bytes::from(vec![9u8; 64]);
+    let (bytes, polls) = forge(18, vec![(Opcode::WriteOnly, Some(10), oversized)], 64);
+    assert!(polls.is_empty(), "no byte may land");
+    assert_eq!(bytes, [0u8; 64], "not even the declared ten");
+}
+
+#[test]
+fn a_write_last_that_does_not_carry_what_the_message_owes_is_nakd() {
+    // The first packet declares `declared` bytes and carries 1 KiB; the
+    // last carries 1 KiB, which is too much for 1,500 and too little for
+    // 3,000. Either way the last packet is refused whole and the first
+    // packet's bytes — executed before it — are all that lands.
+    for (seed, declared) in [(19, 1500u32), (20, 3000)] {
+        let (bytes, polls) = forge(
+            seed,
+            vec![
+                (
+                    Opcode::WriteFirst,
+                    Some(declared),
+                    Bytes::from(vec![1u8; 1024]),
+                ),
+                (Opcode::WriteLast, None, Bytes::from(vec![2u8; 1024])),
+            ],
+            4096,
+        );
+        assert_eq!(
+            polls,
+            [Range {
+                start: 0,
+                end: 1024
+            }],
+            "declared {declared}"
+        );
+        assert_eq!(&bytes[..1024], &[1u8; 1024][..], "declared {declared}");
+        assert!(
+            bytes[1024..].iter().all(|&b| b == 0),
+            "declared {declared}: a byte of the refused last packet landed"
+        );
+    }
 }

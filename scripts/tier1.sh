@@ -50,7 +50,7 @@ for gone in 'PayloadCrcCache' 'to_frame_cached' 'ack_template' 'use_histogram' '
   fi
 done
 if grep -rn 'fn identity' vendor/bytes/src; then
-  echo "tier-1: Bytes::identity is gone; the stand-in exposes nothing upstream bytes lacks" >&2; exit 1
+  echo "tier-1: Bytes::identity is gone; the stand-in exposes nothing upstream bytes lacks but try_unsplit, the fast path of BytesMut::unsplit (its one deliberate addition)" >&2; exit 1
 fi
 [ "$(grep -c '\.to_frame()' crates/rdma/src/host.rs)" -eq 1 ] || { echo "tier-1: crates/rdma/src/host.rs must call .to_frame() exactly once (HostCore::frame)" >&2; exit 1; }
 [ "$(grep -c 'tx_fifo\.push_back(' crates/rdma/src/host.rs)" -eq 1 ] || { echo "tier-1: crates/rdma/src/host.rs must call tx_fifo.push_back( exactly once (HostCore::enqueue)" >&2; exit 1; }
@@ -119,6 +119,15 @@ for once in 'bcast_table\.remove(' 'self\.groups\.remove('; do
     || { echo "tier-1: crates/p4ce-switch/src/program.rs spells '$once' exactly once, inside drop_group — the only code that removes a group" >&2; exit 1; }
 done
 [ "$(grep -rho 'fn alu_min' crates/*/src | wc -l)" -eq 1 ] || { echo "tier-1: 'fn alu_min' is defined exactly once under crates/*/src (tofino::registers); min_update and the credit fold both call it" >&2; exit 1; }
+
+echo "==> a write lands once: checked per packet, placed once per message, read off the frame, single-threaded refcounts"
+if grep -nE '(^|[^_[:alnum:]])remote_write\(' crates/rdma/src/host.rs; then
+  echo "tier-1: crates/rdma/src/host.rs calls remote_write( nowhere; the receive path is check (check_write) + park + place (HostCore::land, EXPERIMENTS E21)" >&2; exit 1
+fi
+[ "$(grep -c '\.to_packet()' crates/rdma/src/host.rs)" -le 1 ] || { echo "tier-1: crates/rdma/src/host.rs calls .to_packet() at most once (read requests); the write path reads the RoceView" >&2; exit 1; }
+if grep -rn 'std::sync' vendor/bytes/src; then
+  echo "tier-1: vendor/bytes/src imports nothing from std::sync; Bytes keeps its buffer behind Rc (every simulation runs on one thread)" >&2; exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release
