@@ -16,7 +16,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use cli::{Args, Command, Table, TABLES};
-use netsim::timeseries::chrome_trace_json_with;
+use netsim::chrome_trace_json_with;
 use netsim::SimDuration;
 use p4ce_harness::experiments::{
     ablation_ackdrop, e10_failover, fig5_goodput, fig6_latency, fig7_burst, groups_sweep, maxrate,

@@ -5,8 +5,8 @@
 //! coarse numbers per scenario; this module answers the production
 //! question behind ROADMAP item 4 — *where does every millisecond of a
 //! failover go?* A [`run_failover`] run kills the steady-state leader
-//! mid-workload, samples a decided-throughput timeline on a fixed
-//! cadence ([`netsim::timeseries::SampledRegistry`]), and telescopes
+//! mid-workload, reads a decided-throughput timeline off its trace
+//! ([`netsim::Timeline`]), and telescopes
 //! the unavailability window (last decide under the old leader → first
 //! decide under the new one) into a [`FailoverBudget`] of five
 //! contiguous phases:
@@ -28,13 +28,18 @@
 //! [`FailoverBudget::reconciles`] and the harness tests. Missing events
 //! collapse their phase to zero width instead of breaking the sum.
 //!
-//! Sampling is an observer: a run with `sample: false` executes the
-//! bit-identical event sequence (same decided totals, same
-//! `events_processed`) — the sampler only interleaves `run_until` calls
-//! at tick instants, which cannot reorder the (time, seq) event order.
+//! The timeline is a view over the run's trace records, computed once the
+//! run is over: every member's `Decide` records and the highest
+//! `ViewChange`, counted on a 100 µs grid. Nothing samples the run while
+//! it executes, so `sample: false` (no series, no dip) runs the very same
+//! event sequence.
 
-use netsim::timeseries::SampledRegistry;
-use netsim::{NodeId, SimDuration, SimTime, Simulation, TraceEvent, TraceHandle, TraceRecord};
+use std::collections::HashMap;
+
+use netsim::{
+    annotations_from_records, Annotation, NodeId, SimDuration, SimTime, Simulation, Timeline,
+    TraceEvent, TraceHandle, TraceRecord,
+};
 use p4ce::SwitchComm;
 use replication::WorkloadSpec;
 
@@ -62,11 +67,8 @@ pub struct FailoverConfig {
     pub kill_after: SimDuration,
     /// How long to keep observing after the kill.
     pub observe_for: SimDuration,
-    /// Sampling cadence for the timeline.
-    pub cadence: SimDuration,
-    /// When `false`, no timeline is sampled — the run is otherwise
-    /// identical (used by the overhead measurement and the
-    /// non-perturbation test).
+    /// When `false`, no timeline series are built from the trace (and no
+    /// dip derived from them); the run itself is the same either way.
     pub sample: bool,
     /// Open-loop proposal rate driven by each group's leader.
     pub rate_per_sec: f64,
@@ -82,7 +84,6 @@ impl Default for FailoverConfig {
             seed: 42,
             kill_after: SimDuration::from_millis(20),
             observe_for: SimDuration::from_millis(120),
-            cadence: SimDuration::from_micros(100),
             sample: true,
             rate_per_sec: 50_000.0,
             chaos: None,
@@ -227,7 +228,7 @@ impl FailoverBudget {
 /// What the panicking wrappers expected of a kill that was not served.
 const UNSERVED: &str = "successor decided within the observation window";
 
-/// Decided-throughput dip derived from the sampled timeline.
+/// Decided-throughput dip derived from the timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputDip {
     /// Mean decided rate before the kill, ops/s.
@@ -241,8 +242,8 @@ pub struct ThroughputDip {
     pub recovery: Option<SimDuration>,
 }
 
-fn dip_from(timeline: &SampledRegistry, series: &str, t_kill: SimTime) -> Option<ThroughputDip> {
-    let rates = timeline.series(series)?.rates();
+fn dip_from(timeline: &Timeline, series: &str, t_kill: SimTime) -> Option<ThroughputDip> {
+    let rates = timeline.rates(series)?;
     let steady: Vec<f64> = rates
         .iter()
         .filter(|(t, _)| *t <= t_kill)
@@ -277,17 +278,17 @@ fn dip_from(timeline: &SampledRegistry, series: &str, t_kill: SimTime) -> Option
 pub struct FailoverOutcome {
     /// The telescoped per-phase budget.
     pub budget: FailoverBudget,
-    /// Throughput dip, when sampling was on.
+    /// Throughput dip, when the series were built.
     pub dip: Option<ThroughputDip>,
-    /// The sampled timeline (empty when sampling was off) with the
-    /// annotation stream (kill marker + trace-derived events).
-    pub timeline: SampledRegistry,
+    /// The timeline read off the trace (no series when `sample` was off)
+    /// with its markers (kill, storm, trace-derived events).
+    pub timeline: Timeline,
     /// The full trace record stream, for Perfetto export.
     pub records: Vec<TraceRecord>,
     /// Final decided count per group (one entry for single-group runs).
     pub group_decided: Vec<u64>,
-    /// Simulation events processed — part of the bit-identical
-    /// contract between sampled and unsampled runs.
+    /// Simulation events processed — the same with and without the
+    /// series.
     pub events_processed: u64,
 }
 
@@ -306,35 +307,91 @@ impl FailoverOutcome {
     }
 }
 
-fn last_decide_before(records: &[TraceRecord], prefix: &str, cutoff: SimTime) -> SimTime {
-    records
-        .iter()
-        .filter(|r| {
-            r.t <= cutoff
-                && r.node.starts_with(prefix)
-                && matches!(r.event, TraceEvent::Decide { .. })
-        })
-        .map(|r| r.t)
-        .max()
-        .unwrap_or(cutoff)
+/// The timeline grid: one point every 100 µs from steady state to the end
+/// of the observation window.
+const CADENCE: SimDuration = SimDuration::from_micros(100);
+
+/// What the trace says about the members: the records the timeline and
+/// the budget's last decide are read from.
+struct MemberRecords {
+    /// Member `i` of group `g`'s `Decide` instants, `[g][i]`, in clock
+    /// order.
+    decides: Vec<Vec<Vec<SimTime>>>,
+    /// Every member's `ViewChange` instants and views, in clock order.
+    views: Vec<(SimTime, u64)>,
+}
+
+impl MemberRecords {
+    /// Files each member's `records` under it; member `i` of `groups[g]`
+    /// traces as `label(g, i)`.
+    fn read(
+        records: &[TraceRecord],
+        groups: &[Vec<NodeId>],
+        label: impl Fn(usize, usize) -> String,
+    ) -> MemberRecords {
+        let mut of_label = HashMap::new();
+        for (g, group) in groups.iter().enumerate() {
+            for i in 0..group.len() {
+                of_label.insert(label(g, i), (g, i));
+            }
+        }
+        let mut decides: Vec<Vec<Vec<SimTime>>> =
+            (groups.iter()).map(|g| vec![Vec::new(); g.len()]).collect();
+        let mut views = Vec::new();
+        for rec in records {
+            let Some(&(g, i)) = of_label.get(&*rec.node) else {
+                continue;
+            };
+            match rec.event {
+                TraceEvent::Decide { .. } => decides[g][i].push(rec.t),
+                TraceEvent::ViewChange { view, .. } => views.push((rec.t, view)),
+                _ => {}
+            }
+        }
+        MemberRecords { decides, views }
+    }
+
+    /// Member `i` of group `g`'s decided count at `t`: its `Decide` records
+    /// at or before `t`. That is its `stats.decided` then — the one
+    /// increment emits the record at the same instant.
+    fn decided(&self, g: usize, i: usize, t: SimTime) -> u64 {
+        self.decides[g][i].partition_point(|&d| d <= t) as u64
+    }
+
+    /// Group `g`'s decided count at `t`: its furthest member's.
+    fn group(&self, g: usize, t: SimTime) -> u64 {
+        (0..self.decides[g].len())
+            .map(|i| self.decided(g, i, t))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The highest view any member had entered at `t` (0 before the first).
+    fn view_max(&self, t: SimTime) -> u64 {
+        (self.views.iter())
+            .filter(|&&(at, _)| at <= t)
+            .map(|&(_, view)| view)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// The leader-kill body, on P4CE groups behind one switch: wait for every
 /// group to accelerate, run to `cfg.kill_after`, kill group 0's leader,
 /// optionally storm that group's links for the spec's `storm` duration,
-/// keep observing for `cfg.observe_for` with `sample` recording every
-/// cadence tick, then attribute the outage — `None` if nobody served
-/// before the observation ended. What the two deployments call things is
-/// all that differs: the victim group's trace records carry node labels
-/// starting with `prefix`, and the dip is read off `dip_series`.
+/// run to the end of `cfg.observe_for`, then attribute the outage from the
+/// trace — `None` if nobody served before the observation ended. What the
+/// two deployments call things is all that differs: member `i` of group
+/// `g` traces as `label(g, i)`, `series` names the values the timeline
+/// shows at each grid point, and the dip is read off `dip_series`.
 fn kill_and_attribute(
     cfg: &FailoverConfig,
     handle: &TraceHandle,
     mut sim: Simulation,
     groups: &[Vec<NodeId>],
-    prefix: &str,
+    label: impl Fn(usize, usize) -> String,
     dip_series: &str,
-    sample: impl Fn(&Simulation, &mut SampledRegistry, SimTime),
+    series: impl Fn(&MemberRecords, SimTime) -> Vec<(String, u64)>,
 ) -> Option<FailoverOutcome> {
     let accelerated =
         |sim: &Simulation| (groups.iter()).all(|g| leader_steady::<SwitchComm>(sim, g, true));
@@ -349,65 +406,59 @@ fn kill_and_attribute(
     let t0 = sim.now();
     let t_kill = t0 + cfg.kill_after;
     let t_end = t_kill + cfg.observe_for;
-    let mut ts = SampledRegistry::new(cfg.cadence);
-    ts.align(t0);
+    let mut annotations = Vec::new();
+    let mut mark = |t: SimTime, what: String| {
+        annotations.push(Annotation {
+            t,
+            node: "harness".to_owned(),
+            label: what,
+        });
+    };
 
-    let mut killed = false;
-    let mut records_at_kill = Vec::new();
-    let storm_end = cfg.chaos.map(|spec| t_kill + spec.storm);
-    let mut storm_live = false;
-    loop {
-        let mut t = t_end;
-        if cfg.sample {
-            t = t.min(ts.next_tick());
-        }
-        if !killed {
-            t = t.min(t_kill);
-        }
-        if let Some(se) = storm_end {
-            if storm_live {
-                t = t.min(se);
-            }
-        }
-        sim.run_until(t);
-        if !killed && t >= t_kill {
-            records_at_kill = handle.records();
-            sim.set_node_down(victim[0], true);
-            if let Some(spec) = &cfg.chaos {
-                install_storm(&mut sim, victim, spec, t_kill);
-                storm_live = true;
-                ts.annotate(t_kill, "harness", "fault-storm start");
-            }
-            ts.annotate(t_kill, "harness", format!("leader-kill {prefix}m0"));
-            killed = true;
-        }
-        if let Some(se) = storm_end {
-            if storm_live && t >= se {
-                clear_storm(&mut sim, victim);
-                storm_live = false;
-                ts.annotate(se, "harness", "fault-storm end");
-            }
-        }
-        if cfg.sample && t == ts.next_tick() {
-            sample(&sim, &mut ts, t);
-            ts.advance_tick();
-        }
-        if t >= t_end {
-            break;
+    sim.run_until(t_kill);
+    sim.set_node_down(victim[0], true);
+    mark(t_kill, format!("leader-kill {}", label(0, 0)));
+    if let Some(spec) = &cfg.chaos {
+        install_storm(&mut sim, victim, spec, t_kill);
+        mark(t_kill, "fault-storm start".to_owned());
+        let storm_end = t_kill + spec.storm;
+        if storm_end <= t_end {
+            sim.run_until(storm_end);
+            clear_storm(&mut sim, victim);
+            mark(storm_end, "fault-storm end".to_owned());
         }
     }
+    sim.run_until(t_end);
 
-    let last_decide = last_decide_before(&records_at_kill, prefix, t_kill);
+    let records = handle.records();
+    // A view over a trace with holes would undercount without a word.
+    assert_eq!(handle.dropped(), 0, "the timeline needs the whole trace");
+    let seen = MemberRecords::read(&records, groups, &label);
+    let last_decide = (seen.decides[0].iter().flatten())
+        .copied()
+        .filter(|&t| t <= t_kill)
+        .max()
+        .unwrap_or(t_kill);
     let successor = &member::<SwitchComm>(&sim, victim[1]).stats;
     let budget = FailoverBudget::try_from_events(t_kill, last_decide, successor)?;
-    let dip = dip_from(&ts, dip_series, t_kill);
-    let records = handle.records();
-    ts.extend_annotations_from(&records);
-    ts.sort_annotations();
+
+    let mut timeline = Timeline::default();
+    if cfg.sample {
+        let mut t = t0;
+        while t <= t_end {
+            for (name, value) in series(&seen, t) {
+                timeline.series.entry(name).or_default().push((t, value));
+            }
+            t += CADENCE;
+        }
+    }
+    annotations.extend(annotations_from_records(&records));
+    annotations.sort_by(|a, b| (a.t, &a.node, &a.label).cmp(&(b.t, &b.node, &b.label)));
+    timeline.annotations = annotations;
     Some(FailoverOutcome {
         budget,
-        dip,
-        timeline: ts,
+        dip: dip_from(&timeline, dip_series, t_kill),
+        timeline,
         records,
         group_decided: groups
             .iter()
@@ -421,7 +472,7 @@ fn kill_and_attribute(
 /// attributes the outage; `None` when no member decided again inside
 /// `cfg.observe_for` (no service in window). `groups: None` is the single
 /// group; `Some(g)` puts `g` consensus groups behind one switch, kills
-/// group 0's leader and samples the co-resident groups on the same
+/// group 0's leader and shows the co-resident groups on the same
 /// timeline — the test bed for "does one group's failover perturb its
 /// neighbors?".
 ///
@@ -440,17 +491,15 @@ pub fn try_failover(cfg: &FailoverConfig, groups: Option<usize>) -> Option<Failo
                 .seed(cfg.seed)
                 .tracer(tracer)
                 .build();
-            let groups = [members];
+            let label = |_: usize, i: usize| format!("m{i}");
             let total = "decided.total";
-            kill_and_attribute(cfg, &handle, sim, &groups, "", total, |sim, ts, t| {
-                let mut vmax = 0u64;
-                for (i, &node) in groups[0].iter().enumerate() {
-                    let m = member::<SwitchComm>(sim, node);
-                    vmax = vmax.max(m.view());
-                    ts.record_counter(&format!("m{i}.decided"), t, m.stats.decided);
-                }
-                ts.record_counter(total, t, decided::<SwitchComm>(sim, &groups[0]));
-                ts.record_counter("view.max", t, vmax);
+            kill_and_attribute(cfg, &handle, sim, &[members], label, total, |seen, t| {
+                let mut out: Vec<_> = (0..cfg.members)
+                    .map(|i| (format!("m{i}.decided"), seen.decided(0, i, t)))
+                    .collect();
+                out.push((total.to_owned(), seen.group(0, t)));
+                out.push(("view.max".to_owned(), seen.view_max(t)));
+                out
             })
         }
         Some(groups) => {
@@ -460,15 +509,15 @@ pub fn try_failover(cfg: &FailoverConfig, groups: Option<usize>) -> Option<Failo
                     .seed(cfg.seed)
                     .tracer(tracer)
                     .build();
+            let label = |g: usize, i: usize| format!("g{g}m{i}");
             let total = "g0.decided.total";
-            kill_and_attribute(cfg, &handle, sim, &members, "g0", total, |sim, ts, t| {
-                let mut grand = 0u64;
-                for (g, group) in members.iter().enumerate() {
-                    let dec = decided::<SwitchComm>(sim, group);
-                    ts.record_counter(&format!("g{g}.decided.total"), t, dec);
-                    grand += dec;
-                }
-                ts.record_counter("decided.total", t, grand);
+            kill_and_attribute(cfg, &handle, sim, &members, label, total, |seen, t| {
+                let mut out: Vec<_> = (0..groups)
+                    .map(|g| (format!("g{g}.decided.total"), seen.group(g, t)))
+                    .collect();
+                let grand = out.iter().map(|&(_, decided)| decided).sum();
+                out.push(("decided.total".to_owned(), grand));
+                out
             })
         }
     }

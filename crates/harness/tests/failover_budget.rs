@@ -1,13 +1,13 @@
 //! Failover-attribution contract tests: the per-phase budget telescopes
-//! exactly, timelines are bit-deterministic per seed, and sampling never
-//! perturbs the simulation.
+//! exactly, timelines are bit-deterministic per seed and pinned, and
+//! building the timeline never changes the run it is read from.
 
-use netsim::timeseries::chrome_trace_json_with;
 use netsim::trace::json;
-use netsim::SimDuration;
+use netsim::{chrome_trace_json_with, SimDuration};
 use p4ce_harness::experiments::e10_failover::{
     row, unavailability_percentile, Scenario, NO_SERVICE,
 };
+use p4ce_harness::shard::fnv1a64;
 use p4ce_harness::{
     run_failover, run_failover_sharded, try_failover, ChaosSpec, FailoverConfig, TableRow,
 };
@@ -16,6 +16,33 @@ fn quick() -> FailoverConfig {
     FailoverConfig {
         observe_for: SimDuration::from_millis(80),
         ..FailoverConfig::default()
+    }
+}
+
+fn stormy() -> FailoverConfig {
+    FailoverConfig {
+        observe_for: SimDuration::from_millis(100),
+        chaos: Some(ChaosSpec::seeded(7, 3)),
+        ..FailoverConfig::default()
+    }
+}
+
+/// FNV-1a digests of `fingerprint()` — timeline CSV, budget, totals — for
+/// three runs, recorded when the timeline was still sampled from the
+/// running simulation every 100 µs. The view read off the trace must
+/// reproduce it byte for byte.
+#[test]
+fn timelines_match_the_recorded_runs() {
+    for (name, out, digest) in [
+        ("quick", run_failover(&quick()), 0x78c9_3a05_7ffc_26b2),
+        ("stormy", run_failover(&stormy()), 0xb857_4b0e_91c5_ddaf),
+        (
+            "sharded",
+            run_failover_sharded(&quick(), 2),
+            0xbb19_6505_41ea_7624,
+        ),
+    ] {
+        assert_eq!(fnv1a64(out.fingerprint().as_bytes()), digest, "{name}");
     }
 }
 
@@ -74,14 +101,14 @@ fn same_seed_is_bit_identical_and_dip_is_observed() {
     );
     // The kill marker and the successor's view change both made it into
     // the annotation stream, in clock order.
-    let ann = a.timeline.annotations();
+    let ann = &a.timeline.annotations;
     assert!(ann.windows(2).all(|w| w[0].t <= w[1].t), "sorted");
     assert!(ann.iter().any(|x| x.label == "leader-kill m0"));
     assert!(ann.iter().any(|x| x.label.starts_with("view-change")));
 }
 
 #[test]
-fn sampling_never_perturbs_the_simulation() {
+fn building_the_timeline_never_changes_the_run() {
     let sampled = run_failover(&quick());
     let unsampled = run_failover(&FailoverConfig {
         sample: false,
@@ -89,15 +116,16 @@ fn sampling_never_perturbs_the_simulation() {
     });
     assert_eq!(
         sampled.group_decided, unsampled.group_decided,
-        "sampling observes; it must not change what was decided"
+        "the series are a view; they must not change what was decided"
     );
     assert_eq!(
         sampled.events_processed, unsampled.events_processed,
-        "identical event counts with and without the sampler"
+        "identical event counts with and without the series"
     );
     assert_eq!(sampled.budget, unsampled.budget, "identical attribution");
-    assert!(unsampled.dip.is_none(), "no timeline, no dip");
-    assert_eq!(unsampled.timeline.total_samples(), 0);
+    assert!(unsampled.dip.is_none(), "no series, no dip");
+    assert!(unsampled.timeline.series.is_empty());
+    assert_eq!(sampled.timeline.annotations, unsampled.timeline.annotations);
 }
 
 #[test]
@@ -129,12 +157,12 @@ fn sharded_kill_leaves_co_resident_group_deciding() {
     assert!(out.budget.reconciles(), "{:?}", out.budget);
     assert!(out.group_decided[1] > 0, "group 1 decided throughout");
     // Group 1's decided series keeps climbing across the kill instant.
-    let g1 = out.timeline.series("g1.decided.total").expect("sampled");
-    let at_kill = g1
-        .points()
+    let g1 = &out.timeline.series["g1.decided.total"];
+    let at_kill = (g1.iter())
         .filter(|(t, _)| *t <= out.budget.t_kill)
-        .map(|(_, v)| v)
-        .fold(0.0f64, f64::max);
+        .map(|&(_, v)| v)
+        .max()
+        .expect("points before the kill");
     let at_end = g1.last().expect("non-empty").1;
     assert!(
         at_end > at_kill,
@@ -144,16 +172,11 @@ fn sharded_kill_leaves_co_resident_group_deciding() {
 
 #[test]
 fn budget_survives_a_fault_storm_around_the_kill() {
-    let cfg = FailoverConfig {
-        observe_for: SimDuration::from_millis(100),
-        chaos: Some(ChaosSpec::seeded(7, 3)),
-        ..FailoverConfig::default()
-    };
-    let a = run_failover(&cfg);
+    let a = run_failover(&stormy());
     assert!(a.budget.reconciles(), "{:?}", a.budget);
-    let b = run_failover(&cfg);
+    let b = run_failover(&stormy());
     assert_eq!(a.fingerprint(), b.fingerprint(), "storms are seeded too");
-    let ann = a.timeline.annotations();
+    let ann = &a.timeline.annotations;
     assert!(ann.iter().any(|x| x.label == "fault-storm start"));
     assert!(ann.iter().any(|x| x.label == "fault-storm end"));
 }

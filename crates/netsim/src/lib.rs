@@ -57,7 +57,6 @@ mod sim;
 mod slab;
 mod stats;
 mod time;
-pub mod timeseries;
 pub mod trace;
 pub mod wheel;
 
@@ -72,11 +71,9 @@ pub use sim::{Simulation, TapId};
 pub use slab::Slab;
 pub use stats::{LatencyRecorder, LatencyStats, Throughput};
 pub use time::{SimDuration, SimTime};
-pub use timeseries::{
-    annotations_from_records, chrome_trace_json_with, Annotation, SampleSeries, SampledRegistry,
-};
 pub use trace::{
-    assemble_spans, breakdown, chrome_trace_json, InstanceSpan, RetransmitKind, StageBreakdown,
-    StageLatency, TraceEvent, TraceHandle, TraceRecord, Tracer, STAGE_NAMES,
+    annotations_from_records, assemble_spans, breakdown, chrome_trace_json, chrome_trace_json_with,
+    Annotation, InstanceSpan, RetransmitKind, StageBreakdown, StageLatency, Timeline, TraceEvent,
+    TraceHandle, TraceRecord, Tracer, STAGE_NAMES,
 };
 pub use wheel::TimingWheel;

@@ -28,8 +28,13 @@
 //! [`chrome_trace_json`] exports the records (and the assembled stage
 //! slices) as Chrome/Perfetto `trace_events` JSON, and [`json`] is a
 //! minimal parser used to validate that export round-trips.
+//!
+//! A [`Timeline`] — named counter series on a grid plus [`Annotation`]
+//! markers — is a view a caller computes from the records at export time;
+//! [`chrome_trace_json_with`] appends it as Perfetto counter tracks.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::stats::LatencyStats;
@@ -1059,7 +1064,7 @@ pub fn breakdown(spans: &[InstanceSpan]) -> StageBreakdown {
 // Chrome/Perfetto trace_events export
 // ----------------------------------------------------------------------
 
-pub(crate) fn escape_json(s: &str, out: &mut String) {
+fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -1077,7 +1082,7 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
 
 /// Timestamps in `trace_events` are microseconds; emit them with
 /// nanosecond precision as fractional microseconds.
-pub(crate) fn push_ts(out: &mut String, t: SimTime) {
+fn push_ts(out: &mut String, t: SimTime) {
     let ns = t.as_nanos();
     let _ = std::fmt::Write::write_fmt(out, format_args!("{}.{:03}", ns / 1000, ns % 1000));
 }
@@ -1100,24 +1105,26 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     out
 }
 
+/// Separates `trace_events` array elements: a comma before every one but
+/// the first, each on its own line.
+fn sep(out: &mut String, first: &mut bool) {
+    if *first {
+        *first = false;
+    } else {
+        out.push(',');
+    }
+    out.push('\n');
+}
+
 /// Writes the `trace_events` array elements for `records` (metadata,
 /// instant events, stage slices) into an already-open array, tracking
 /// comma placement through `first`. Shared by [`chrome_trace_json`] and
-/// the timeseries export, which appends counter tracks before closing.
-pub(crate) fn chrome_trace_body(records: &[TraceRecord], mut out: &mut String, first: &mut bool) {
+/// [`chrome_trace_json_with`], which appends counter tracks before closing.
+fn chrome_trace_body(records: &[TraceRecord], mut out: &mut String, first: &mut bool) {
     let mut nodes: Vec<&str> = records.iter().map(|r| &*r.node).collect();
     nodes.sort_unstable();
     nodes.dedup();
     let tid_of = |node: &str| -> usize { nodes.binary_search(&node).expect("node indexed") + 1 };
-
-    let sep = |out: &mut String, first: &mut bool| {
-        if *first {
-            *first = false;
-        } else {
-            out.push(',');
-        }
-        out.push('\n');
-    };
 
     // Process/thread naming metadata.
     for (pid, pname) in [(1, "nodes"), (2, "consensus stages")] {
@@ -1214,6 +1221,147 @@ pub(crate) fn chrome_trace_body(records: &[TraceRecord], mut out: &mut String, f
 }
 
 // ----------------------------------------------------------------------
+// Timelines: views over the records, exported beside them
+// ----------------------------------------------------------------------
+
+/// A timeline marker: something notable that happened at one instant,
+/// on the same clock as the records and the series.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Annotation {
+    /// When it happened.
+    pub t: SimTime,
+    /// The node it happened on (trace label, e.g. `m1`, `switch`).
+    pub node: String,
+    /// What happened (e.g. `view-change v2`, `leader-kill`).
+    pub label: String,
+}
+
+/// The timeline-worthy records as markers, in record order: view
+/// changes, P4CE fallback / group (re-)establishment and QP recovery
+/// firings. The per-packet hot-path kinds are skipped.
+pub fn annotations_from_records(records: &[TraceRecord]) -> Vec<Annotation> {
+    let mut out = Vec::new();
+    for rec in records {
+        let label = match rec.event {
+            TraceEvent::ViewChange { view, leader } => {
+                if leader == u64::MAX {
+                    format!("view-change v{view} (no leader)")
+                } else {
+                    format!("view-change v{view} -> m{leader}")
+                }
+            }
+            TraceEvent::FellBack => "fell-back".to_owned(),
+            TraceEvent::GroupEstablished => "group-established".to_owned(),
+            TraceEvent::Retransmit { kind, packets, .. } => {
+                format!("qp-recovery {} ({packets} pkts)", kind.label())
+            }
+            _ => continue,
+        };
+        out.push(Annotation {
+            t: rec.t,
+            node: rec.node.to_string(),
+            label,
+        });
+    }
+    out
+}
+
+/// Named counter series plus a marker stream, on the simulated clock.
+/// A timeline is computed from trace records when it is exported (the
+/// failover harness counts `Decide` and `ViewChange` records on a grid),
+/// so it can say nothing the records do not.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Timeline {
+    /// Each series' `(instant, count)` points in clock order, by name.
+    pub series: BTreeMap<String, Vec<(SimTime, u64)>>,
+    /// The markers, in clock order.
+    pub annotations: Vec<Annotation>,
+}
+
+impl Timeline {
+    /// Series `name` as rates: for each adjacent pair of points, the count
+    /// delta over the time delta in units per second, stamped at the later
+    /// point. Zero-width intervals are skipped.
+    pub fn rates(&self, name: &str) -> Option<Vec<(SimTime, f64)>> {
+        let points = self.series.get(name)?;
+        let mut out = Vec::with_capacity(points.len().saturating_sub(1));
+        for w in points.windows(2) {
+            let ((pt, pv), (t, v)) = (w[0], w[1]);
+            if t > pt {
+                let dt_s = (t - pt).as_nanos() as f64 / 1e9;
+                out.push((t, (v as f64 - pv as f64) / dt_s));
+            }
+        }
+        Some(out)
+    }
+
+    /// Renders the timeline as CSV: `t_ns,kind,name,value` rows, samples
+    /// first (series in name order, each oldest first), then the markers
+    /// (`kind=annotation`, `name` = `node:label`, empty value).
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from("t_ns,kind,name,value\n");
+        for (name, points) in &self.series {
+            for (t, v) in points {
+                let _ = writeln!(out, "{},sample,{name},{v}", t.as_nanos());
+            }
+        }
+        for a in &self.annotations {
+            // Commas and newlines would break the row structure.
+            let label = a.label.replace([',', '\n', '\r'], ";");
+            let _ = writeln!(out, "{},annotation,{}:{label},", a.t.as_nanos(), a.node);
+        }
+        out
+    }
+}
+
+/// [`chrome_trace_json`] plus a timeline: every series becomes a Perfetto
+/// **counter track** (`ph:"C"`, process 3) and every marker a global
+/// instant, so the timelines render in the same UI, on the same clock, as
+/// the per-instance spans.
+pub fn chrome_trace_json_with(records: &[TraceRecord], timeline: &Timeline) -> String {
+    let samples: usize = timeline.series.values().map(Vec::len).sum();
+    let mut out =
+        String::with_capacity(records.len() * 96 + samples * 64 + timeline.annotations.len() * 96);
+    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+    let mut first = true;
+    chrome_trace_body(records, &mut out, &mut first);
+
+    sep(&mut out, &mut first);
+    out.push_str(
+        "{\"ph\":\"M\",\"pid\":3,\"tid\":0,\"name\":\"process_name\",\
+         \"args\":{\"name\":\"timelines\"}}",
+    );
+    for (name, points) in &timeline.series {
+        let mut escaped = String::new();
+        escape_json(name, &mut escaped);
+        for &(t, v) in points {
+            sep(&mut out, &mut first);
+            let _ = write!(
+                out,
+                "{{\"ph\":\"C\",\"pid\":3,\"name\":\"{escaped}\",\"ts\":"
+            );
+            push_ts(&mut out, t);
+            let _ = write!(out, ",\"args\":{{\"value\":{v}}}}}");
+        }
+    }
+    for a in &timeline.annotations {
+        sep(&mut out, &mut first);
+        let mut label = String::new();
+        escape_json(&a.label, &mut label);
+        let mut node = String::new();
+        escape_json(&a.node, &mut node);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"i\",\"pid\":3,\"tid\":0,\"s\":\"g\",\"name\":\"{label}\",\"ts\":"
+        );
+        push_ts(&mut out, a.t);
+        let _ = write!(out, ",\"args\":{{\"node\":\"{node}\"}}}}");
+    }
+    out.push_str("\n]}\n");
+    out
+}
+
+// ----------------------------------------------------------------------
 // Minimal JSON parser (round-trip validation of the export; the
 // workspace deliberately has no serde dependency)
 // ----------------------------------------------------------------------
@@ -1271,6 +1419,11 @@ pub mod json {
             }
         }
     }
+
+    /// Arrays and objects nested deeper than this are refused: the parser
+    /// recurses once per level, and an unbounded document would overflow
+    /// the stack (every export the workspace writes is at most 5 deep).
+    const MAX_DEPTH: usize = 256;
 
     struct Parser<'a> {
         bytes: &'a [u8],
@@ -1396,8 +1549,12 @@ pub mod json {
                 .map_err(|_| self.err("invalid number"))
         }
 
-        fn value(&mut self) -> Result<Value, String> {
+        /// One value inside `depth` enclosing arrays and objects.
+        fn value(&mut self, depth: usize) -> Result<Value, String> {
             self.skip_ws();
+            if matches!(self.peek(), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+                return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+            }
             match self.peek() {
                 Some(b'{') => {
                     self.pos += 1;
@@ -1412,7 +1569,7 @@ pub mod json {
                         let key = self.string()?;
                         self.skip_ws();
                         self.eat(b':')?;
-                        let val = self.value()?;
+                        let val = self.value(depth + 1)?;
                         fields.push((key, val));
                         self.skip_ws();
                         match self.peek() {
@@ -1434,7 +1591,7 @@ pub mod json {
                         return Ok(Value::Arr(items));
                     }
                     loop {
-                        items.push(self.value()?);
+                        items.push(self.value(depth + 1)?);
                         self.skip_ws();
                         match self.peek() {
                             Some(b',') => self.pos += 1,
@@ -1460,13 +1617,14 @@ pub mod json {
     ///
     /// # Errors
     ///
-    /// Reports the byte offset and nature of the first syntax error.
+    /// Reports the byte offset and nature of the first syntax error, or
+    /// of the first array or object nested more than 256 levels deep.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing garbage"));
@@ -1830,5 +1988,125 @@ mod tests {
             started.elapsed() < std::time::Duration::from_secs(30),
             "string parsing must stay linear in document size"
         );
+    }
+
+    #[test]
+    fn json_parser_refuses_nesting_it_cannot_recurse_into() {
+        // Unbounded recursion would abort the process on a stack overflow.
+        let err = json::parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert!(err.contains("at byte 256"), "{err}");
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(json::parse(&nested(256)).is_ok());
+        assert!(json::parse(&nested(257)).is_err());
+        let objects = format!("{}1{}", "{\"k\":".repeat(256), "}".repeat(256));
+        assert!(json::parse(&objects).is_ok());
+    }
+
+    fn t(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
+    fn timeline(series: &[(&str, &[(u64, u64)])]) -> Timeline {
+        let series = series.iter().map(|&(name, points)| {
+            let points = points.iter().map(|&(us, v)| (t(us), v)).collect();
+            (name.to_owned(), points)
+        });
+        Timeline {
+            series: series.collect(),
+            annotations: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn timeline_rates_derive_deltas_per_second() {
+        // A duplicate instant must not divide by zero.
+        let tl = timeline(&[("decided", &[(100, 0), (200, 10), (400, 10), (400, 12)])]);
+        let rates = tl.rates("decided").expect("exists");
+        assert_eq!(rates, vec![(t(200), 100_000.0), (t(400), 0.0)]);
+        assert_eq!(tl.rates("absent"), None);
+    }
+
+    #[test]
+    fn annotations_derive_from_trace_kinds() {
+        let handle = TraceHandle::new();
+        let tracer = handle.tracer("m1");
+        tracer.emit(t(30), || TraceEvent::ViewChange { view: 2, leader: 1 });
+        tracer.emit(t(10), || TraceEvent::FellBack);
+        tracer.emit(t(20), || TraceEvent::Retransmit {
+            qpn: 3,
+            kind: RetransmitKind::Timeout,
+            packets: 4,
+        });
+        tracer.emit(t(40), || TraceEvent::GroupEstablished);
+        tracer.emit(t(50), || TraceEvent::Decide { view: 2, seq: 9 });
+        tracer.emit(t(60), || TraceEvent::ViewChange {
+            view: 3,
+            leader: u64::MAX,
+        });
+        let ann = annotations_from_records(&handle.records());
+        let labels: Vec<&str> = ann.iter().map(|a| a.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            vec![
+                "view-change v2 -> m1",
+                "fell-back",
+                "qp-recovery timeout (4 pkts)",
+                "group-established",
+                "view-change v3 (no leader)",
+            ],
+            "record order; per-packet Decide kinds are skipped"
+        );
+        assert!(ann.iter().all(|a| a.node == "m1"));
+    }
+
+    #[test]
+    fn timeline_csv_export_is_stable() {
+        let mut tl = timeline(&[("a.decided", &[(100, 1), (200, 3)])]);
+        tl.annotations.push(Annotation {
+            t: t(150),
+            node: "m0".to_owned(),
+            label: "leader-kill, again".to_owned(),
+        });
+        assert_eq!(
+            tl.to_csv(),
+            "t_ns,kind,name,value\n\
+             100000,sample,a.decided,1\n\
+             200000,sample,a.decided,3\n\
+             150000,annotation,m0:leader-kill; again,\n"
+        );
+    }
+
+    #[test]
+    fn chrome_export_carries_counter_tracks_and_markers() {
+        let handle = TraceHandle::new();
+        handle
+            .tracer("m0")
+            .emit(t(10), || TraceEvent::Propose { view: 1, seq: 0 });
+        let records = handle.records();
+        let mut tl = timeline(&[("decided.total", &[(100, 5)])]);
+        tl.annotations.push(Annotation {
+            t: t(150),
+            node: "harness".to_owned(),
+            label: "leader-kill".to_owned(),
+        });
+        let out = chrome_trace_json_with(&records, &tl);
+        let parsed = json::parse(&out).expect("valid json");
+        let events = parsed
+            .get("traceEvents")
+            .and_then(json::Value::as_arr)
+            .expect("array");
+        let named = |ph: &str, name: &str| {
+            events.iter().find(|e| {
+                e.get("ph").and_then(json::Value::as_str) == Some(ph)
+                    && e.get("name").and_then(json::Value::as_str) == Some(name)
+            })
+        };
+        let counter = named("C", "decided.total").expect("counter track");
+        let value = counter.get("args").and_then(|a| a.get("value"));
+        assert_eq!(value.and_then(json::Value::as_f64), Some(5.0));
+        assert!(named("i", "leader-kill").is_some());
+        // The plain export is the same body without the timeline process.
+        let plain = chrome_trace_json(&records);
+        assert!(plain.contains("propose") && !plain.contains("\"pid\":3"));
     }
 }

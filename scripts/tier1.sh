@@ -129,6 +129,16 @@ if grep -rn 'std::sync' vendor/bytes/src; then
   echo "tier-1: vendor/bytes/src imports nothing from std::sync; Bytes keeps its buffer behind Rc (every simulation runs on one thread)" >&2; exit 1
 fi
 
+echo "==> a timeline is read off the trace: no sampler, no cadence knob, one read of the records"
+for gone in 'SampledRegistry' 'SampleSeries' 'advance_tick' 'DEFAULT_SERIES_CAPACITY' 'pub cadence'; do
+  if grep -rn "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; the failover timeline is a view over the run's trace records (EXPERIMENTS E22)" >&2; exit 1
+  fi
+done
+[ ! -e crates/netsim/src/timeseries.rs ] || { echo "tier-1: crates/netsim/src/timeseries.rs is gone; Timeline and its exports live in netsim::trace" >&2; exit 1; }
+[ "$(sed -n '/^fn kill_and_attribute(/,/^}$/p' crates/harness/src/failover.rs | grep -c '\.records()')" -eq 1 ] \
+  || { echo "tier-1: kill_and_attribute reads the trace once, after the run (handle.records()); a second read is a second recording" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
