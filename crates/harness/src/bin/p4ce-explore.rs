@@ -5,7 +5,6 @@
 //! p4ce-explore exhaustive [spec flags] [--seeds a,b,c] [--delay-bound D] [--max-schedules M]
 //! p4ce-explore random     [spec flags] [--seeds a,b,c] [--schedules N]
 //! p4ce-explore mutation-check [--system p4ce|mu] [--members N]
-//! p4ce-explore sharded-mutation-check [--members N]
 //! p4ce-explore replay <reproducer-file> [--trace TRACE.json]
 //! ```
 //!
@@ -15,17 +14,22 @@
 //! `--propose-every K`, `--plain-fabric`, `--partition-at STEP`. Both
 //! exploring modes also take `--deadline-secs T` and `--out FILE` (write
 //! the shrunk reproducer there on violation). A mode reads only its own
-//! flags ([`MODES`]); any other word is a usage error.
+//! flags ([`MODES`]); any other word, and a deployment the builders
+//! cannot build, is a usage error.
 //!
-//! Exit codes: 0 = clean (or, for the mutation checks, the injected bug
-//! was caught); 1 = an oracle violation survived (or a mutation check
-//! failed to catch its bug); 2 = usage error.
+//! `mutation-check` plants every bug of [`explore::MUTATIONS`] that the
+//! system can host, each in its own scenario, and demands that the bug's
+//! oracle catches it.
+//!
+//! Exit codes: 0 = clean (or, for `mutation-check`, every planted bug
+//! was caught); 1 = an oracle violation survived (or a planted bug
+//! escaped its oracle); 2 = usage error.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use netsim::TraceHandle;
-use p4ce_harness::explore::{self, shrink, Budget, ExploreSpec};
+use p4ce_harness::explore::{self, shrink, Budget, ExploreSpec, Mutation, MUTATIONS};
 use p4ce_harness::repro::Repro;
 use p4ce_harness::runner::System;
 
@@ -34,13 +38,12 @@ enum Mode {
     Exhaustive,
     Random,
     MutationCheck,
-    ShardedMutationCheck,
     Replay,
 }
 
 /// Every mode with the flags it reads; anything else is a usage error,
 /// so a typo can never silently change what runs.
-const MODES: [(&str, Mode, &[&str]); 5] = [
+const MODES: [(&str, Mode, &[&str]); 4] = [
     (
         "exhaustive",
         Mode::Exhaustive,
@@ -83,11 +86,6 @@ const MODES: [(&str, Mode, &[&str]); 5] = [
         Mode::MutationCheck,
         &["--system", "--members"],
     ),
-    (
-        "sharded-mutation-check",
-        Mode::ShardedMutationCheck,
-        &["--members"],
-    ),
     ("replay", Mode::Replay, &["--trace"]),
 ];
 
@@ -95,8 +93,7 @@ const USAGE: &str = "\
 usage: p4ce-explore <mode> [flags]
   exhaustive  [spec flags] [--seeds a,b,c] [--delay-bound D] [--max-schedules M] [--deadline-secs T] [--out FILE]
   random      [spec flags] [--seeds a,b,c] [--schedules N] [--deadline-secs T] [--out FILE]
-  mutation-check          [--system p4ce|mu] [--members N]
-  sharded-mutation-check  [--members N]
+  mutation-check [--system p4ce|mu] [--members N]
   replay FILE [--trace TRACE.json]
 spec flags: [--system p4ce|mu] [--members N] [--groups G] [--seed S] [--horizon H]
             [--propose-every K] [--plain-fabric] [--partition-at STEP]";
@@ -197,36 +194,42 @@ fn parse(argv: &[String]) -> Result<Options, String> {
     if mode == Mode::Replay && o.file.is_none() {
         return Err("replay needs a reproducer file".to_owned());
     }
+    o.spec.check()?;
     if o.seeds.is_empty() {
         o.seeds = vec![o.spec.seed];
     }
     Ok(o)
 }
 
-/// Shrinks a violating schedule, prints the reproducer, optionally
-/// writes it to `--out`.
-fn report_violation(spec: &ExploreSpec, cex: &explore::Counterexample, out: Option<&str>) {
-    println!("violation: {}", cex.violation);
-    match shrink::shrink(spec, &cex.decisions) {
-        Some(small) => {
-            println!(
-                "shrunk to {} decisions / horizon {} in {} schedules; reproducer:",
-                small.decisions.len(),
-                small.spec.horizon,
-                small.schedules
-            );
-            let text = small.spec.to_repro(&small.decisions).encode();
-            print!("{text}");
-            if let Some(path) = out {
-                if let Err(e) = std::fs::write(path, &text) {
-                    eprintln!("warning: could not write {path}: {e}");
-                } else {
-                    println!("(written to {path})");
-                }
-            }
+/// Prints a violating schedule as `{label}: {violation}`, shrinks it,
+/// prints the reproducer and optionally writes it to `--out`; `None` if
+/// the violation did not survive shrinking.
+fn report_violation(
+    label: &str,
+    spec: &ExploreSpec,
+    cex: &explore::Counterexample,
+    out: Option<&str>,
+) -> Option<shrink::Shrunk> {
+    println!("{label}: {}", cex.violation);
+    let Some(small) = shrink::shrink(spec, &cex.decisions) else {
+        println!("warning: violation did not reproduce under shrinking");
+        return None;
+    };
+    println!(
+        "shrunk to {} decisions / horizon {} in {} schedules; reproducer:",
+        small.decisions.len(),
+        small.spec.horizon,
+        small.schedules
+    );
+    let text = small.spec.to_repro(&small.decisions).encode();
+    print!("{text}");
+    if let Some(path) = out {
+        match std::fs::write(path, &text) {
+            Ok(()) => println!("(written to {path})"),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
-        None => println!("warning: violation did not reproduce under shrinking"),
     }
+    Some(small)
 }
 
 /// `exhaustive` and `random`: one exploration per seed, bounded by the
@@ -257,7 +260,7 @@ fn run_seeds(o: &Options) -> ExitCode {
             report.status, report.schedules, report.max_branch_points
         );
         if let Some(cex) = &report.counterexample {
-            report_violation(&spec, cex, o.out.as_deref());
+            report_violation("violation", &spec, cex, o.out.as_deref());
             clean = false;
         }
     }
@@ -268,62 +271,59 @@ fn run_seeds(o: &Options) -> ExitCode {
     }
 }
 
-/// Self-test: arm the `skip_epoch_revoke` mutation and demand that the
-/// single-writer oracle catches it and that shrinking produces a small
+/// Self-test: plant every bug `--system` can host in its scenario and
+/// demand that its oracle catches it and that shrinking produces a small
 /// reproducer. CI runs this so the checker itself cannot silently rot.
 fn run_mutation_check(o: &Options) -> ExitCode {
-    let spec = ExploreSpec {
-        system: o.spec.system,
-        ..ExploreSpec::single_writer_mutation(o.spec.n_members)
-    };
-    let report = explore::explore(&spec, 0, Budget::schedules(4));
-    let Some(cex) = &report.counterexample else {
-        eprintln!("mutation check FAILED: injected single-writer bug was not caught");
-        return ExitCode::FAILURE;
-    };
-    println!("mutation caught: {}", cex.violation);
-    let Some(small) = shrink::shrink(&spec, &cex.decisions) else {
-        eprintln!("mutation check FAILED: violation did not survive shrinking");
-        return ExitCode::FAILURE;
-    };
-    if small.decisions.len() > 20 {
-        eprintln!(
-            "mutation check FAILED: reproducer has {} decisions (> 20)",
-            small.decisions.len()
-        );
-        return ExitCode::FAILURE;
+    let mut caught = true;
+    for m in &MUTATIONS {
+        let spec = ExploreSpec {
+            system: o.spec.system,
+            ..ExploreSpec::mutation(m.bug, o.spec.n_members)
+        };
+        if spec.check().is_ok() {
+            println!(
+                "== planted {}: the {} oracle must catch it",
+                m.name, m.oracle
+            );
+            caught &= check_mutation(m, &spec);
+        }
     }
-    println!(
-        "shrunk to {} decisions / horizon {}; reproducer:",
-        small.decisions.len(),
-        small.spec.horizon
-    );
-    print!("{}", small.spec.to_repro(&small.decisions).encode());
-    ExitCode::SUCCESS
+    if caught {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
-/// Self-test for the multi-group oracles: arm the switch's group
-/// cross-wiring mutation (two shards' scatter tables swapped — every
-/// group still agrees internally, so only the group-tag audit can see
-/// it) and demand the group-isolation oracle catches it on the very
-/// first schedule.
-fn run_sharded_mutation_check(o: &Options) -> ExitCode {
-    let spec = ExploreSpec::crosswire_mutation(o.spec.n_members);
-    let report = explore::explore(&spec, 0, Budget::schedules(1));
+fn check_mutation(m: &Mutation, spec: &ExploreSpec) -> bool {
+    let report = explore::explore(spec, 0, Budget::schedules(1));
     let Some(cex) = &report.counterexample else {
-        eprintln!("sharded mutation check FAILED: cross-wired groups were not caught");
-        return ExitCode::FAILURE;
+        eprintln!("mutation check FAILED: planted {} was not caught", m.name);
+        return false;
     };
-    println!("mutation caught: {}", cex.violation);
-    if cex.violation.oracle != p4ce_harness::explore::oracle::OracleKind::GroupIsolation {
+    let Some(small) = report_violation("mutation caught", spec, cex, None) else {
         eprintln!(
-            "sharded mutation check FAILED: wrong oracle fired ({})",
-            cex.violation.oracle
+            "mutation check FAILED: planted {} did not survive shrinking",
+            m.name
         );
-        return ExitCode::FAILURE;
+        return false;
+    };
+    let caught = cex.violation.oracle == m.oracle
+        && small.violation.oracle == m.oracle
+        && small.decisions.len() <= 20;
+    if !caught {
+        eprintln!(
+            "mutation check FAILED: planted {} tripped {} ({} once shrunk to {} decisions); \
+             wanted {} in at most 20",
+            m.name,
+            cex.violation.oracle,
+            small.violation.oracle,
+            small.decisions.len(),
+            m.oracle
+        );
     }
-    print!("{}", spec.to_repro(&cex.decisions).encode());
-    ExitCode::SUCCESS
+    caught
 }
 
 /// Writes the collected records to `trace_out` as Perfetto JSON and
@@ -415,7 +415,6 @@ fn main() -> ExitCode {
     match o.mode {
         Mode::Exhaustive | Mode::Random => run_seeds(&o),
         Mode::MutationCheck => run_mutation_check(&o),
-        Mode::ShardedMutationCheck => run_sharded_mutation_check(&o),
         Mode::Replay => run_replay(
             o.file.as_deref().expect("parse demands it"),
             o.trace.as_deref(),
@@ -457,7 +456,6 @@ mod tests {
             "--seed 3",
             // a flag the mode ignores
             "mutation-check --horizon 5 --groups 2",
-            "sharded-mutation-check --system mu",
             "random --delay-bound 3",
             "random --max-schedules 9",
             "exhaustive --schedules 9",
@@ -475,6 +473,29 @@ mod tests {
             "replay bug.repro --trace",
         ] {
             assert!(parse_words(line).is_err(), "'{line}' must not parse");
+        }
+    }
+
+    #[test]
+    fn a_deployment_the_builders_cannot_build_is_a_usage_error() {
+        for line in [
+            "exhaustive --members 1",
+            "exhaustive --members 200",
+            "random --members 24",
+            "random --system mu --groups 2",
+            "random --groups 0",
+            "random --groups 254",
+            "mutation-check --members 1",
+            "mutation-check --system mu --members 128",
+        ] {
+            assert!(parse_words(line).is_err(), "'{line}' must not parse");
+        }
+        for line in [
+            "random --members 23",
+            "random --groups 2 --members 23",
+            "random --system mu --members 127",
+        ] {
+            assert!(parse_words(line).is_ok(), "'{line}' must parse");
         }
     }
 

@@ -138,7 +138,9 @@ impl ChaosSpec {
     ///
     /// # Errors
     ///
-    /// Reports a wrong kind or a missing/unparseable field.
+    /// Reports a wrong kind, a missing/unparseable field, a cluster
+    /// [`System::check_shape`] refuses, and a partitioned member that is
+    /// the steady-state leader or not a member at all.
     pub fn from_repro(r: &Repro) -> Result<(System, usize, ChaosSpec), String> {
         if r.kind != "chaos" {
             return Err(format!("not a chaos reproducer: kind={}", r.kind));
@@ -166,7 +168,15 @@ impl ChaosSpec {
             drain: ns("drain_ns")?,
             propose_every: ns("propose_every_ns")?,
         };
-        Ok((system, r.parse("members")?, spec))
+        let n_members = r.parse("members")?;
+        system.check_shape(n_members, 1)?;
+        if !(1..n_members).contains(&spec.partition_member) {
+            return Err(format!(
+                "partition_member {} is not a replica of {n_members} members",
+                spec.partition_member
+            ));
+        }
+        Ok((system, n_members, spec))
     }
 }
 
@@ -597,6 +607,27 @@ mod tests {
             ChaosSpec::from_repro(&Repro::new("explore")).is_err(),
             "wrong kind must be rejected"
         );
+    }
+
+    #[test]
+    fn chaos_from_repro_refuses_impossible_deployments() {
+        let good = ChaosSpec::seeded(0xC4A0_5001, 3).to_repro(System::P4ce, 3);
+        let with = |key: &str, value: &str| {
+            let mut r = good.clone();
+            r.set(key, value);
+            ChaosSpec::from_repro(&r)
+        };
+        assert!(ChaosSpec::from_repro(&good).is_ok());
+        for (key, value) in [
+            ("members", "1"),
+            ("members", "200"),
+            ("members", "24"),
+            ("partition_member", "0"),
+            ("partition_member", "3"),
+        ] {
+            assert!(with(key, value).is_err(), "{key}={value} must be refused");
+        }
+        assert!(with("partition_member", "2").is_ok());
     }
 
     #[test]

@@ -42,7 +42,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bytes::Bytes;
-use netsim::{EventInfo, FaultPlan, NodeId, PortId, Scheduler, SimDuration, Simulation, Tracer};
+use netsim::{
+    EventInfo, FaultPlan, NodeId, Planted, PortId, Scheduler, SimDuration, Simulation, Tracer,
+};
 use p4ce::SwitchSetters;
 use replication::{ClusterBuilder, Comm, Fabric};
 
@@ -52,7 +54,7 @@ use crate::repro::{decode_decisions, encode_decisions, Repro};
 use crate::runner::System;
 use crate::shard::splitmix;
 
-use oracle::{check_all, check_group, probe_members, Violation};
+use oracle::{check_all, check_group, probe_members, OracleKind, Violation};
 
 /// How long an explored partition lasts — effectively "for the rest of
 /// the schedule" at model-checking horizons.
@@ -71,19 +73,15 @@ pub struct ExploreSpec {
     /// each group with the full oracle suite plus group isolation
     /// (explored proposals carry a 2-byte group tag).
     pub groups: u16,
-    /// **Test-only mutation**: cross-wire the switch's per-group scatter
-    /// tables (each group's writes egress to a co-resident group's
-    /// replicas), the bug the group-isolation oracle exists to catch.
-    pub crosswire_groups: bool,
     /// Deterministic simulation seed (setup phase and payload stream).
     pub seed: u64,
     /// P4CE only: whether the fabric runs the P4CE program. `false`
     /// forces leaders into direct-replication fallback, where write
     /// grants name member IPs and the single-writer oracle has teeth.
     pub p4ce_enabled: bool,
-    /// **Test-only mutation**: skip old-epoch grant revocation (the bug
-    /// the single-writer oracle exists to catch).
-    pub skip_epoch_revoke: bool,
+    /// The bug the run carries, planted on the simulation before its
+    /// first event ([`MUTATIONS`] says where each one is caught).
+    pub planted: Option<Planted>,
     /// Partition member 0 (the steady-state leader) from the fabric at
     /// this explored step, forcing an election under exploration.
     pub partition_leader_at: Option<u32>,
@@ -95,6 +93,66 @@ pub struct ExploreSpec {
     pub horizon: u32,
 }
 
+/// A planted bug, the scenario it is planted in, the deployments that
+/// can host it and the oracle that must catch it.
+#[derive(Debug, Clone, Copy)]
+pub struct Mutation {
+    /// The bug.
+    pub bug: Planted,
+    /// Its name in reproducers (`planted=NAME`).
+    pub name: &'static str,
+    /// The scenario it is planted in, for `n` members (per group).
+    scenario: fn(usize) -> ExploreSpec,
+    /// Whether a deployment has the code the bug lives in.
+    hosts: fn(&ExploreSpec) -> bool,
+    /// The oracle that must catch it.
+    pub oracle: OracleKind,
+}
+
+/// Every planted bug. `p4ce-explore mutation-check` walks this table.
+pub const MUTATIONS: [Mutation; 2] = [
+    Mutation {
+        bug: Planted::SkipEpochRevoke,
+        name: "skip-epoch-revoke",
+        // Plain fabric, the leader partitioned mid-exploration: the
+        // election must trip the oracle on every schedule. Works with
+        // `system: Mu` as well — the fence is the shared member's.
+        scenario: |n| ExploreSpec {
+            p4ce_enabled: false,
+            partition_leader_at: Some(40),
+            propose_every: 0,
+            horizon: 20_000,
+            ..ExploreSpec::p4ce(n)
+        },
+        hosts: |_| true,
+        oracle: OracleKind::SingleWriter,
+    },
+    Mutation {
+        bug: Planted::CrosswireGroups,
+        name: "crosswire-groups",
+        // Two accelerated groups: every group still agrees internally,
+        // so only the group tag of the first misdirected entry a member
+        // applies betrays the leak.
+        scenario: |n| ExploreSpec {
+            horizon: 2_000,
+            ..ExploreSpec::sharded(2, n)
+        },
+        // The switch's per-group tables, running the P4CE program.
+        hosts: |s| s.system == System::P4ce && s.p4ce_enabled && s.groups >= 2,
+        oracle: OracleKind::GroupIsolation,
+    },
+];
+
+impl Mutation {
+    /// The table row of `bug`.
+    fn of(bug: Planted) -> &'static Mutation {
+        MUTATIONS
+            .iter()
+            .find(|m| m.bug == bug)
+            .expect("every planted bug has a row in MUTATIONS")
+    }
+}
+
 impl ExploreSpec {
     /// A healthy accelerated P4CE cluster under proposal load.
     pub fn p4ce(n_members: usize) -> ExploreSpec {
@@ -102,10 +160,9 @@ impl ExploreSpec {
             system: System::P4ce,
             n_members,
             groups: 1,
-            crosswire_groups: false,
             seed: 42,
             p4ce_enabled: true,
-            skip_epoch_revoke: false,
+            planted: None,
             partition_leader_at: None,
             propose_every: 25,
             horizon: 400,
@@ -122,30 +179,28 @@ impl ExploreSpec {
         }
     }
 
-    /// The injected-bug scenario for multi-group isolation: two groups
-    /// with cross-wired scatter tables. Every schedule must trip the
-    /// group-isolation oracle as soon as one misdirected write is
-    /// applied.
-    pub fn crosswire_mutation(members_per_group: usize) -> ExploreSpec {
+    /// `bug` planted in its scenario ([`MUTATIONS`]) on P4CE; set
+    /// `system` to run it elsewhere.
+    pub fn mutation(bug: Planted, n_members: usize) -> ExploreSpec {
         ExploreSpec {
-            crosswire_groups: true,
-            horizon: 2_000,
-            ..ExploreSpec::sharded(2, members_per_group)
+            planted: Some(bug),
+            ..(Mutation::of(bug).scenario)(n_members)
         }
     }
 
-    /// The injected-bug scenario: plain fabric, revocation skipped, the
-    /// leader partitioned mid-exploration. The ensuing election must
-    /// trip the single-writer oracle on every schedule. Works with
-    /// `system: Mu` as well — the fence is the shared member's.
-    pub fn single_writer_mutation(n_members: usize) -> ExploreSpec {
-        ExploreSpec {
-            p4ce_enabled: false,
-            skip_epoch_revoke: true,
-            partition_leader_at: Some(40),
-            propose_every: 0,
-            horizon: 20_000,
-            ..ExploreSpec::p4ce(n_members)
+    /// Refuses a scenario that names an impossible deployment
+    /// ([`System::check_shape`]) or plants a bug the deployment cannot
+    /// host.
+    ///
+    /// # Errors
+    ///
+    /// Says what cannot be built or planted.
+    pub fn check(&self) -> Result<(), String> {
+        self.system
+            .check_shape(self.n_members, usize::from(self.groups))?;
+        match self.planted.map(Mutation::of) {
+            Some(m) if !(m.hosts)(self) => Err(format!("this deployment cannot host {}", m.name)),
+            _ => Ok(()),
         }
     }
 
@@ -161,10 +216,12 @@ impl ExploreSpec {
         );
         r.set("members", self.n_members);
         r.set("groups", self.groups);
-        r.set("crosswire_groups", self.crosswire_groups);
         r.set("seed", self.seed);
         r.set("p4ce_enabled", self.p4ce_enabled);
-        r.set("skip_epoch_revoke", self.skip_epoch_revoke);
+        r.set(
+            "planted",
+            self.planted.map_or("-", |bug| Mutation::of(bug).name),
+        );
         r.set(
             "partition_leader_at",
             match self.partition_leader_at {
@@ -182,7 +239,8 @@ impl ExploreSpec {
     ///
     /// # Errors
     ///
-    /// Reports a wrong `kind` or missing/malformed fields.
+    /// Reports a wrong `kind`, missing/malformed fields, and a scenario
+    /// [`ExploreSpec::check`] refuses.
     pub fn from_repro(r: &Repro) -> Result<(ExploreSpec, BTreeMap<u32, u32>), String> {
         if r.kind != "explore" {
             return Err(format!("expected kind=explore, got {}", r.kind));
@@ -202,22 +260,55 @@ impl ExploreSpec {
             None => 1,
             Some(s) => s.parse().map_err(|_| format!("bad groups {s}"))?,
         };
-        let crosswire_groups = match r.get("crosswire_groups") {
-            None => false,
-            Some(s) => s.parse().map_err(|_| format!("bad crosswire_groups {s}"))?,
+        // Reproducers written before bugs were planted on the simulation
+        // carry one boolean per bug instead of `planted`.
+        let legacy = [
+            ("skip_epoch_revoke", Planted::SkipEpochRevoke),
+            ("crosswire_groups", Planted::CrosswireGroups),
+        ];
+        let planted = match r.get("planted") {
+            Some(_) if legacy.iter().any(|&(key, _)| r.get(key).is_some()) => {
+                return Err("planted= and a legacy mutation key in one reproducer".to_owned())
+            }
+            Some("-") => None,
+            Some(name) => Some(
+                MUTATIONS
+                    .iter()
+                    .find(|m| m.name == name)
+                    .ok_or_else(|| format!("unknown planted bug {name}"))?
+                    .bug,
+            ),
+            // The older format always wrote the first of them.
+            None if r.get("skip_epoch_revoke").is_none() => {
+                return Err("missing key planted".to_owned())
+            }
+            None => {
+                let mut planted = None;
+                for (key, bug) in legacy {
+                    if r.get(key).is_some()
+                        && r.parse::<bool>(key)?
+                        && planted.replace(bug).is_some()
+                    {
+                        return Err(
+                            "a run carries one planted bug; the reproducer arms two".to_owned()
+                        );
+                    }
+                }
+                planted
+            }
         };
         let spec = ExploreSpec {
             system,
             n_members: r.parse("members")?,
             groups,
-            crosswire_groups,
             seed: r.parse("seed")?,
             p4ce_enabled: r.parse("p4ce_enabled")?,
-            skip_epoch_revoke: r.parse("skip_epoch_revoke")?,
+            planted,
             partition_leader_at,
             propose_every: r.parse("propose_every")?,
             horizon: r.parse("horizon")?,
         };
+        spec.check()?;
         let decisions = decode_decisions(r.get("decisions").unwrap_or("-"))?;
         Ok((spec, decisions))
     }
@@ -284,7 +375,6 @@ fn build_p4ce(spec: &ExploreSpec, tracer: &Tracer) -> (Simulation, Vec<Vec<NodeI
     // so a healthy handshake still completes between probes.
     let switch_cfg = p4ce_switch::P4ceSwitchConfig {
         p4ce_enabled: spec.p4ce_enabled,
-        crosswire_groups: spec.crosswire_groups,
         reconfig_delay: SimDuration::from_micros(500),
         ..Default::default()
     };
@@ -317,7 +407,6 @@ fn build_one<F: Fabric>(
     let d = builder
         .seed(spec.seed)
         .log_size(LOG_SIZE)
-        .skip_epoch_revoke(spec.skip_epoch_revoke)
         .tracer(tracer.clone())
         .build();
     (d.sim, vec![d.members])
@@ -333,25 +422,31 @@ fn build_one<F: Fabric>(
 /// and `Tracer::disabled()` is the unobserved run; an enabled sink
 /// collects the cross-layer record stream of the schedule, which is how
 /// a shrunk reproducer gets visualized (`p4ce-explore replay --trace`).
+///
+/// # Panics
+///
+/// Panics if [`ExploreSpec::check`] refuses `spec`.
 pub fn run_schedule(
     spec: &ExploreSpec,
     decisions: &BTreeMap<u32, u32>,
     rng: Option<u64>,
     tracer: &Tracer,
 ) -> ScheduleOutcome {
+    if let Err(e) = spec.check() {
+        panic!("cannot explore {spec:?}: {e}");
+    }
+    let (mut sim, groups) = match spec.system {
+        System::P4ce => build_p4ce(spec, tracer),
+        System::Mu => build_one(mu::ClusterBuilder::new(spec.n_members), spec, tracer),
+    };
+    // Before the first event: the run is the one the bug would have
+    // produced compiled in.
+    if let Some(bug) = spec.planted {
+        sim.plant(bug);
+    }
     match spec.system {
-        System::P4ce => {
-            let (sim, groups) = build_p4ce(spec, tracer);
-            run_on::<p4ce::SwitchComm>(sim, &groups, spec, decisions, rng)
-        }
-        System::Mu => {
-            assert_eq!(
-                spec.groups, 1,
-                "multi-group exploration targets the shared switch"
-            );
-            let (sim, groups) = build_one(mu::ClusterBuilder::new(spec.n_members), spec, tracer);
-            run_on::<mu::MuComm>(sim, &groups, spec, decisions, rng)
-        }
+        System::P4ce => run_on::<p4ce::SwitchComm>(sim, &groups, spec, decisions, rng),
+        System::Mu => run_on::<mu::MuComm>(sim, &groups, spec, decisions, rng),
     }
 }
 
@@ -654,61 +749,90 @@ pub fn replay(repro: &Repro, tracer: &Tracer) -> Result<ScheduleOutcome, String>
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::OracleKind;
     use super::*;
 
-    #[test]
-    fn mutation_is_caught_and_shrinks_small() {
-        let spec = ExploreSpec::single_writer_mutation(3);
-        let report = explore(&spec, 0, Budget::schedules(1));
-        assert_eq!(report.status, ExploreStatus::Violated, "bug must be caught");
-        let cex = report.counterexample.expect("counterexample");
-        assert_eq!(cex.violation.oracle, OracleKind::SingleWriter);
+    /// What `p4ce-explore mutation-check` printed before bugs were
+    /// planted on the simulation: one boolean per bug.
+    const LEGACY_REPRO: &str = "\
+# p4ce reproducer v1
+kind=explore
+system=p4ce
+members=3
+groups=1
+crosswire_groups=false
+seed=42
+p4ce_enabled=false
+skip_epoch_revoke=true
+partition_leader_at=40
+propose_every=0
+horizon=896
+decisions=-
+";
 
-        let shrunk = shrink::shrink(&spec, &cex.decisions).expect("still violates");
-        assert_eq!(shrunk.violation.oracle, OracleKind::SingleWriter);
-        assert!(
-            shrunk.decisions.len() <= 20,
-            "reproducer must be small, got {} decisions",
-            shrunk.decisions.len()
-        );
-        assert!(shrunk.spec.horizon <= spec.horizon);
-
-        // The shrunk reproducer survives a serialize/parse/replay trip.
-        let text = shrunk.spec.to_repro(&shrunk.decisions).encode();
-        let back = Repro::decode(&text).expect("decode");
-        let outcome = replay(&back, &Tracer::disabled()).expect("replay");
-        let v = outcome.violation.expect("replayed violation");
-        assert_eq!(v.oracle, OracleKind::SingleWriter);
+    fn decode(text: &str) -> Result<(ExploreSpec, BTreeMap<u32, u32>), String> {
+        ExploreSpec::from_repro(&Repro::decode(text).expect("well-formed lines"))
     }
 
     #[test]
-    fn mutation_is_caught_on_mu_too() {
-        // The fence lives in the shared member, so the same planted bug
-        // must trip the same oracle behind Mu's fan-out — and the same
-        // election without the mutation must stay clean.
-        let mut spec = ExploreSpec {
-            system: System::Mu,
-            ..ExploreSpec::single_writer_mutation(3)
-        };
-        let report = explore(&spec, 0, Budget::schedules(1));
-        assert_eq!(report.status, ExploreStatus::Violated, "bug must be caught");
-        let cex = report.counterexample.expect("counterexample");
-        assert_eq!(cex.violation.oracle, OracleKind::SingleWriter);
+    fn every_planted_bug_is_caught_by_its_oracle_and_shrinks_small() {
+        for m in &MUTATIONS {
+            for system in [System::P4ce, System::Mu] {
+                let spec = ExploreSpec {
+                    system,
+                    ..ExploreSpec::mutation(m.bug, 3)
+                };
+                if spec.check().is_err() {
+                    // Cross-wiring needs the switch's group tables.
+                    assert_eq!((m.bug, system), (Planted::CrosswireGroups, System::Mu));
+                    continue;
+                }
+                let at = format!("{} on {system}", m.name);
+                let report = explore(&spec, 0, Budget::schedules(1));
+                assert_eq!(report.status, ExploreStatus::Violated, "{at}: not caught");
+                let cex = report.counterexample.expect("counterexample");
+                assert_eq!(cex.violation.oracle, m.oracle, "{at}");
+                if spec.groups > 1 {
+                    assert!(
+                        cex.violation.detail.starts_with("group "),
+                        "{at}: names its group"
+                    );
+                }
 
-        spec.skip_epoch_revoke = false;
-        let report = explore(&spec, 0, Budget::schedules(1));
-        assert_eq!(report.status, ExploreStatus::Exhausted);
-    }
+                let shrunk = shrink::shrink(&spec, &cex.decisions).expect("still violates");
+                assert_eq!(shrunk.violation.oracle, m.oracle, "{at}");
+                assert!(
+                    shrunk.decisions.len() <= 20,
+                    "{at}: reproducer must be small, got {} decisions",
+                    shrunk.decisions.len()
+                );
+                assert!(shrunk.spec.horizon <= spec.horizon);
+                assert_eq!(
+                    shrunk.spec.planted,
+                    Some(m.bug),
+                    "{at}: shrinking keeps the bug"
+                );
 
-    #[test]
-    fn healthy_p4ce_mutation_free_run_stays_clean() {
-        // The same scenario without the mutation must pass: the oracle
-        // fires on the bug, not on fallback elections per se.
-        let mut spec = ExploreSpec::single_writer_mutation(3);
-        spec.skip_epoch_revoke = false;
-        let report = explore(&spec, 0, Budget::schedules(1));
-        assert_eq!(report.status, ExploreStatus::Exhausted);
+                // The shrunk reproducer survives a serialize/parse/replay trip.
+                let text = shrunk.spec.to_repro(&shrunk.decisions).encode();
+                let back = Repro::decode(&text).expect("decode");
+                let outcome = replay(&back, &Tracer::disabled()).expect("replay");
+                let v = outcome.violation.expect("replayed violation");
+                assert_eq!(v, shrunk.violation, "{at}");
+
+                // The same scenario without the bug stays clean: the
+                // oracle fires on the bug, not on the scenario.
+                let healthy = ExploreSpec {
+                    planted: None,
+                    ..spec
+                };
+                let report = explore(&healthy, 0, Budget::schedules(1));
+                assert_eq!(
+                    report.status,
+                    ExploreStatus::Exhausted,
+                    "{at} without the bug"
+                );
+            }
+        }
     }
 
     #[test]
@@ -723,50 +847,92 @@ mod tests {
     }
 
     #[test]
-    fn crosswired_groups_are_caught_by_group_isolation() {
-        let spec = ExploreSpec::crosswire_mutation(3);
-        let report = explore(&spec, 0, Budget::schedules(1));
-        assert_eq!(report.status, ExploreStatus::Violated, "bug must be caught");
-        let cex = report.counterexample.expect("counterexample");
-        assert_eq!(cex.violation.oracle, OracleKind::GroupIsolation);
-        assert!(cex.violation.detail.contains("group"));
+    fn spec_round_trips_through_repro() {
+        let mut decisions = BTreeMap::new();
+        decisions.insert(4u32, 2u32);
+        for spec in [
+            ExploreSpec::p4ce(3),
+            ExploreSpec::mutation(Planted::SkipEpochRevoke, 3),
+            ExploreSpec::mutation(Planted::CrosswireGroups, 3),
+        ] {
+            let r = spec.to_repro(&decisions);
+            assert_eq!(ExploreSpec::from_repro(&r), Ok((spec, decisions.clone())));
+        }
+        assert_eq!(
+            ExploreSpec::p4ce(3).to_repro(&decisions).get("planted"),
+            Some("-")
+        );
 
-        // The counterexample round-trips through a reproducer file.
-        let text = spec.to_repro(&cex.decisions).encode();
-        let back = Repro::decode(&text).expect("decode");
-        let outcome = replay(&back, &Tracer::disabled()).expect("replay");
-        let v = outcome.violation.expect("replayed violation");
-        assert_eq!(v.oracle, OracleKind::GroupIsolation);
+        // Reproducers predating multi-group fields parse as one classic
+        // group.
+        let text = ExploreSpec::p4ce(3).to_repro(&BTreeMap::new()).encode();
+        let (spec, _) = decode(&text.replace("groups=1\n", "")).expect("parse legacy");
+        assert_eq!(spec.groups, 1);
     }
 
     #[test]
-    fn spec_round_trips_through_repro() {
-        let spec = ExploreSpec::single_writer_mutation(3);
-        let mut decisions = BTreeMap::new();
-        decisions.insert(4u32, 2u32);
-        let r = spec.to_repro(&decisions);
-        let (spec2, d2) = ExploreSpec::from_repro(&r).expect("parse");
-        assert_eq!(spec2, spec);
-        assert_eq!(d2, decisions);
+    fn legacy_reproducers_replay_as_planted_ones() {
+        let planted_form = LEGACY_REPRO
+            .replace("crosswire_groups=false\n", "")
+            .replace("skip_epoch_revoke=true", "planted=skip-epoch-revoke");
+        let legacy = decode(LEGACY_REPRO).expect("legacy decodes");
+        assert_eq!(decode(&planted_form), Ok(legacy.clone()));
+        // What is written back is only the planted form.
+        assert_eq!(legacy.0.to_repro(&legacy.1).encode(), planted_form);
 
-        let healthy = ExploreSpec::p4ce(3);
-        let r2 = healthy.to_repro(&BTreeMap::new());
-        let (spec3, d3) = ExploreSpec::from_repro(&r2).expect("parse");
-        assert_eq!(spec3, healthy);
-        assert!(d3.is_empty());
+        let replayed = |text: &str| {
+            let outcome = replay(&Repro::decode(text).expect("decode"), &Tracer::disabled());
+            outcome.expect("replay").violation.expect("violation")
+        };
+        let v = replayed(LEGACY_REPRO);
+        assert_eq!((v.oracle, v.step), (OracleKind::SingleWriter, 895));
+        assert_eq!(replayed(&planted_form), v);
 
-        // Multi-group fields survive the trip…
-        let sharded = ExploreSpec::crosswire_mutation(3);
-        let r3 = sharded.to_repro(&BTreeMap::new());
-        let (spec4, _) = ExploreSpec::from_repro(&r3).expect("parse");
-        assert_eq!(spec4, sharded);
+        for bad in [
+            // Both legacy keys armed: a run carries one bug.
+            LEGACY_REPRO.replace("crosswire_groups=false", "crosswire_groups=true"),
+            // A legacy key beside `planted`, whatever either says.
+            LEGACY_REPRO.replace("seed=42", "seed=42\nplanted=-"),
+            planted_form.replace("seed=42", "seed=42\ncrosswire_groups=false"),
+            // An unknown bug.
+            planted_form.replace("skip-epoch-revoke", "skip-epoch"),
+            // Neither form.
+            planted_form.replace("planted=skip-epoch-revoke\n", ""),
+        ] {
+            assert!(decode(&bad).is_err(), "must not decode:\n{bad}");
+        }
+    }
 
-        // …and reproducers predating them parse as one classic group.
-        let mut legacy = healthy.to_repro(&BTreeMap::new());
-        legacy.unset("groups");
-        legacy.unset("crosswire_groups");
-        let (spec5, _) = ExploreSpec::from_repro(&legacy).expect("parse legacy");
-        assert_eq!(spec5.groups, 1);
-        assert!(!spec5.crosswire_groups);
+    #[test]
+    fn from_repro_refuses_impossible_deployments() {
+        let healthy = ExploreSpec::p4ce(3).to_repro(&BTreeMap::new());
+        let with = |edits: &[(&str, &str)]| {
+            let mut r = healthy.clone();
+            for (key, value) in edits {
+                r.set(key, value);
+            }
+            ExploreSpec::from_repro(&r)
+        };
+        assert!(with(&[]).is_ok());
+        for edits in [
+            &[("members", "1")][..],
+            &[("members", "200")],
+            &[("members", "24")],
+            &[("groups", "0")],
+            &[("groups", "254")],
+            &[("system", "mu"), ("groups", "2")],
+            // Cross-wiring needs two groups behind a P4CE program.
+            &[("planted", "crosswire-groups")],
+            &[
+                ("planted", "crosswire-groups"),
+                ("groups", "2"),
+                ("p4ce_enabled", "false"),
+            ],
+        ] {
+            assert!(with(edits).is_err(), "{edits:?} must be refused");
+        }
+        assert!(with(&[("members", "23")]).is_ok());
+        assert!(with(&[("system", "mu"), ("members", "127")]).is_ok());
+        assert!(with(&[("planted", "crosswire-groups"), ("groups", "2")]).is_ok());
     }
 }

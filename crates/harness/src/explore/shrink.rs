@@ -11,6 +11,8 @@
 //!    violating step; everything later is noise by definition.
 //! 2. **Fault-plan pruning** — drop the injected partition if the
 //!    violation survives without it.
+//!    The planted bug is never dropped: it is what the reproducer
+//!    reproduces.
 //! 3. **Decision delta-debugging** — drop each non-FIFO decision
 //!    (missing decisions mean FIFO, so dropping is always well-formed)
 //!    and keep the drop if the violation survives.
@@ -101,10 +103,9 @@ mod tests {
             system: System::P4ce,
             n_members: 3,
             groups: 1,
-            crosswire_groups: false,
             seed: 42,
             p4ce_enabled: true,
-            skip_epoch_revoke: false,
+            planted: None,
             partition_leader_at: None,
             propose_every: 0,
             horizon: 10,

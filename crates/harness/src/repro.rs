@@ -48,12 +48,6 @@ impl Repro {
         }
     }
 
-    /// Removes a field if present. Lets tests fabricate reproducers from
-    /// before a field existed, to pin down backward-compatible parsing.
-    pub fn unset(&mut self, key: &str) {
-        self.fields.retain(|(k, _)| k != key);
-    }
-
     /// The raw value of a field, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.fields

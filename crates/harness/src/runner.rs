@@ -39,6 +39,38 @@ impl fmt::Display for System {
     }
 }
 
+impl System {
+    /// Refuses a deployment of `groups` groups of `members` members that
+    /// the builders cannot build. Reproducers and the explorer's flags
+    /// name deployments; an impossible one is an error for the caller to
+    /// report, not a panic inside the build.
+    ///
+    /// # Errors
+    ///
+    /// Names the bound the shape breaks.
+    pub fn check_shape(self, members: usize, groups: usize) -> Result<(), String> {
+        // A P4CE leader's group request carries `f`, a count and one
+        // address per replica in CM request private data.
+        const P4CE_MAX: usize = 1 + (rdma::cm::MAX_REQ_PRIVATE_DATA - 2) / 4;
+        let p4ce = self == System::P4ce;
+        let refused = [
+            (groups == 0, "a deployment needs at least one group"),
+            (!p4ce && groups != 1, "Mu runs one group"),
+            (groups > 253, "at most 253 groups share one switch"),
+            (members < 2, "a group needs at least two members"),
+            (members > 127, "member ids are 7-bit: at most 127 members"),
+            (
+                p4ce && members > P4CE_MAX,
+                "a P4CE group holds at most 22 replicas",
+            ),
+        ];
+        match refused.iter().find(|&&(broken, _)| broken) {
+            Some((_, why)) => Err(format!("{why} ({self}, {groups} group(s) of {members})")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Configuration of one measured point.
 #[derive(Debug, Clone)]
 pub struct PointConfig {

@@ -66,7 +66,7 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{Bandwidth, LinkSpec, LinkStats, WIRE_OVERHEAD_BYTES};
 pub use metrics::{group_scoped, LatencySummary, MetricsRegistry};
 pub use node::{Context, Frame, Node, NodeId, PortId, TimerToken, TrailerFn, FRAME_HEAD_MAX};
-pub use sched::{EventClass, EventInfo, FifoScheduler, ReplayScheduler, Scheduler};
+pub use sched::{EventClass, EventInfo, FifoScheduler, Planted, ReplayScheduler, Scheduler};
 pub use sim::{Simulation, TapId};
 pub use slab::Slab;
 pub use stats::{LatencyRecorder, LatencyStats, Throughput};

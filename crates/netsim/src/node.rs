@@ -4,6 +4,7 @@ use bytes::Bytes;
 use std::any::Any;
 use std::fmt;
 
+use crate::sched::Planted;
 use crate::sim::{EventKind, Fabric};
 use crate::time::{SimDuration, SimTime};
 
@@ -215,6 +216,11 @@ impl Context<'_> {
     /// Arms a one-shot timer that fires `after` from now with `token`.
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) {
         self.schedule_at(self.now + after, token);
+    }
+
+    /// The bug this run carries ([`crate::Simulation::plant`]).
+    pub fn planted(&self) -> Option<Planted> {
+        self.fabric.planted
     }
 
     /// Arms a one-shot timer at the absolute instant `at` with `token`.

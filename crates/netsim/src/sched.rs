@@ -77,6 +77,17 @@ pub trait Scheduler {
     fn choose(&mut self, candidates: &[EventInfo]) -> usize;
 }
 
+/// A bug a run carries on purpose — a fault, like a [`crate::FaultPlan`],
+/// set with [`crate::Simulation::plant`] — so that the model checker can
+/// prove an oracle sees the guarantee it breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Planted {
+    /// Members skip their epoch fence: the deposed leader keeps its grants.
+    SkipEpochRevoke,
+    /// The switch scatters one group's writes into another group's logs.
+    CrosswireGroups,
+}
+
 /// The engine's default policy, made explicit: always index 0, i.e.
 /// strict (time, insertion-order) FIFO. Installing this scheduler is
 /// behaviourally identical to installing none.

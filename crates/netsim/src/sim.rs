@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::link::{DirLink, LinkSpec, LinkStats};
 use crate::node::{Context, Frame, Node, NodeId, PortId, TimerToken};
-use crate::sched::{EventClass, EventInfo, Scheduler};
+use crate::sched::{EventClass, EventInfo, Planted, Scheduler};
 use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
@@ -113,6 +113,7 @@ pub(crate) struct Fabric {
     faults_installed: usize,
     pub(crate) rng: StdRng,
     taps: Vec<Tap>,
+    pub(crate) planted: Option<Planted>,
 }
 
 impl Fabric {
@@ -199,6 +200,7 @@ impl Simulation {
                 faults_installed: 0,
                 rng: StdRng::seed_from_u64(seed),
                 taps: Vec::new(),
+                planted: None,
             },
             nodes: Vec::new(),
             node_down: Vec::new(),
@@ -393,6 +395,13 @@ impl Simulation {
     /// insertion order — identical to [`crate::FifoScheduler`].
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
         self.scheduler = Some(scheduler);
+    }
+
+    /// Plants `bug`: callbacks from the next event on see it through
+    /// [`Context::planted`]. Before the first event, the run is the one
+    /// the bug compiled in would produce.
+    pub fn plant(&mut self, bug: Planted) {
+        self.fabric.planted = Some(bug);
     }
 
     /// The currently co-enabled events: every pending event due at the
@@ -652,6 +661,28 @@ mod tests {
         let n = sim.add_node(Box::new(Timers { fired: vec![] }));
         sim.run_to_completion();
         assert_eq!(sim.node_ref::<Timers>(n).fired, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn a_planted_bug_is_seen_by_every_callback_from_the_next_event_on() {
+        struct Seen(Vec<Option<Planted>>);
+        impl Node for Seen {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                self.0.push(ctx.planted());
+                ctx.schedule(SimDuration::from_nanos(5), TimerToken(0));
+            }
+            fn on_frame(&mut self, _p: PortId, _f: Frame, _c: &mut Context<'_>) {}
+            fn on_timer(&mut self, _t: TimerToken, ctx: &mut Context<'_>) {
+                self.0.push(ctx.planted());
+            }
+        }
+        let mut sim = Simulation::new(1);
+        let n = sim.add_node(Box::new(Seen(Vec::new())));
+        sim.with_node::<Seen, _>(n, |seen, ctx| seen.0.push(ctx.planted()));
+        sim.plant(Planted::CrosswireGroups);
+        sim.run_to_completion();
+        let bug = Some(Planted::CrosswireGroups);
+        assert_eq!(sim.node_ref::<Seen>(n).0, [None, bug, bug]);
     }
 
     #[test]

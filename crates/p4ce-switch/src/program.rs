@@ -20,7 +20,7 @@
 //! the multicast group, and answers the leader with a *virtual* region
 //! (VA 0, random key) after the reconfiguration delay.
 
-use netsim::{PortId, SimDuration, SimTime, TraceEvent};
+use netsim::{Planted, PortId, SimDuration, SimTime, TraceEvent};
 use rdma::cm::{CmMessage, RegionAdvert, RejectReason};
 use rdma::{Aeth, AethKind, MacAddr, Opcode, Psn, Qpn, RKey, RewriteSet, RocePacket, CM_QPN};
 use std::collections::{BTreeMap, HashMap};
@@ -79,13 +79,6 @@ pub struct P4ceSwitchConfig {
     /// are silently ignored, so leaders fall back to direct replication
     /// (§III-A). Ordinary L3 forwarding is unaffected.
     pub p4ce_enabled: bool,
-    /// **Mutation switch for the model checker.** When set, the egress
-    /// rewrite of scattered write copies uses the *partner* group's
-    /// replica addressing (IP, QP, PSN base, VA, `R_key`) — a deliberate
-    /// group-id cross-wiring bug that deposits one shard's entries in
-    /// another shard's logs. The per-group oracles must catch it; it is
-    /// never set outside self-checks.
-    pub crosswire_groups: bool,
 }
 
 impl Default for P4ceSwitchConfig {
@@ -97,7 +90,6 @@ impl Default for P4ceSwitchConfig {
             credit_mode: CreditMode::Minimum,
             credit_stale_scatters: 1024,
             p4ce_enabled: true,
-            crosswire_groups: false,
         }
     }
 }
@@ -846,11 +838,11 @@ impl SwitchProgram for P4ceProgram {
                 dist: u64::from(dist),
             });
             let mcast = group.mcast;
-            // The injected cross-wiring bug, part 1: replicate through
+            // The planted cross-wiring bug, part 1: replicate through
             // the *partner* group's scatter template, so the copies leave
             // on the foreign replicas' ports (egress rewrites the
             // addressing to match — part 2).
-            if self.cfg.crosswire_groups {
+            if meta.planted == Some(Planted::CrosswireGroups) {
                 if let Some(other) = self
                     .groups
                     .iter()
@@ -909,14 +901,14 @@ impl SwitchProgram for P4ceProgram {
             if !replica.established {
                 return false;
             }
-            // The injected cross-wiring bug, part 2: address the copy
+            // The planted cross-wiring bug, part 2: address the copy
             // with the *partner* group's replica at the same endpoint
             // index (ingress already replicated through the partner's
             // scatter template, so the copy is on that replica's port).
             // The PSN distance still comes from the real group's leader,
             // so the foreign replica accepts the write at an aligned
             // slot — one shard's entry lands in another shard's log.
-            let addr = if self.cfg.crosswire_groups {
+            let addr = if meta.planted == Some(Planted::CrosswireGroups) {
                 self.groups
                     .iter()
                     .find(|&(&g, _)| g != gid)
@@ -1301,6 +1293,7 @@ mod tests {
             egress_port: PortId::from_index(0),
             rid: 0,
             now: SimTime::ZERO,
+            planted: None,
         }
     }
 
@@ -1318,6 +1311,7 @@ mod tests {
         let meta = IngressMeta {
             ingress_port: PortId::from_index(1),
             now: SimTime::ZERO,
+            planted: None,
         };
         let ops = StageOps::default();
         let verdict = p.ingress(&mut Headers::new(view, &mut rw), meta, &ops);

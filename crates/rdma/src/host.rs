@@ -15,8 +15,8 @@
 
 use bytes::Bytes;
 use netsim::{
-    Context, Cpu, Frame, FxHashMap, MetricsRegistry, Node, PortId, RetransmitKind, SimDuration,
-    SimTime, TimerToken, TraceEvent, Tracer,
+    Context, Cpu, Frame, FxHashMap, MetricsRegistry, Node, Planted, PortId, RetransmitKind,
+    SimDuration, SimTime, TimerToken, TraceEvent, Tracer,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
@@ -1088,6 +1088,11 @@ impl HostOps<'_, '_> {
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
         self.ctx.now
+    }
+
+    /// The bug the run carries, if any ([`netsim::Simulation::plant`]).
+    pub fn planted(&self) -> Option<Planted> {
+        self.ctx.planted()
     }
 
     /// The host's trace sink. Applications emit their protocol-level

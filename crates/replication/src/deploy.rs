@@ -78,7 +78,6 @@ pub struct ClusterBuilder<F> {
     verb_cost: Option<SimDuration>,
     /// `(member, NIC per-packet receive cost)` overrides.
     rx_cost: Vec<(usize, SimDuration)>,
-    skip_epoch_revoke: bool,
     tracer: Tracer,
     /// Fabric-specific settings; the fabric's crate offers named setters.
     pub fabric: F,
@@ -101,7 +100,6 @@ impl<F: Fabric> ClusterBuilder<F> {
             backup_fabric: false,
             verb_cost: None,
             rx_cost: Vec::new(),
-            skip_epoch_revoke: false,
             tracer: Tracer::disabled(),
             fabric: F::default(),
         }
@@ -137,14 +135,6 @@ impl<F: Fabric> ClusterBuilder<F> {
     /// cheap.
     pub fn log_size(mut self, bytes: usize) -> Self {
         self.log_size = Some(bytes);
-        self
-    }
-
-    /// **Test-only mutation**: disable old-epoch grant revocation (see
-    /// [`MemberConfig::skip_epoch_revoke`]). Used by the explorer to
-    /// prove its single-writer oracle catches the bug.
-    pub fn skip_epoch_revoke(mut self, enable: bool) -> Self {
-        self.skip_epoch_revoke = enable;
         self
     }
 
@@ -194,7 +184,6 @@ impl<F: Fabric> ClusterBuilder<F> {
             for (i, &(id, ip)) in cluster.members.iter().enumerate() {
                 let mut mcfg = MemberConfig::new(cluster.clone(), id);
                 mcfg.workload = self.workload;
-                mcfg.skip_epoch_revoke = self.skip_epoch_revoke;
                 if self.backup_fabric {
                     // Ports follow connection order: the primary fabric is
                     // connected first (port 0), the backup second (port 1).

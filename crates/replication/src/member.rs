@@ -22,7 +22,7 @@
 //! half, [`Member`] pairs it with a `Comm`.
 
 use bytes::Bytes;
-use netsim::{PortId, SimDuration, SimTime, TraceEvent};
+use netsim::{Planted, PortId, SimDuration, SimTime, TraceEvent};
 use rdma::{
     CmEvent, Completion, CompletionStatus, HostOps, Permissions, Psn, Qpn, RdmaApp, RegionAdvert,
     RegionHandle, RejectReason, WrId,
@@ -101,12 +101,6 @@ pub struct MemberConfig {
     /// Route-update plus reconnection penalty after a path fail-over
     /// (the bulk of the paper's 60 ms switch-crash recovery).
     pub path_failover_delay: SimDuration,
-    /// **Test-only mutation**: on an epoch change, skip revoking the old
-    /// epoch's write grants (the safety-critical step of §III's
-    /// permission-switch protocol). Exists so the model checker's
-    /// single-writer oracle can prove it catches the bug; never enable
-    /// outside the explorer's mutation-check mode.
-    pub skip_epoch_revoke: bool,
 }
 
 impl MemberConfig {
@@ -118,7 +112,6 @@ impl MemberConfig {
             workload: None,
             backup_port: None,
             path_failover_delay: SimDuration::from_millis(55),
-            skip_epoch_revoke: false,
         }
     }
 }
@@ -592,12 +585,10 @@ impl Core {
     /// Fences out the deposed leader's grants on this member's own log:
     /// revoke every granted IP, close the QPN allowlist, forget the
     /// epoch. Runs on every epoch boundary (view change while not
-    /// leading, and taking over leadership) — unless the test-only
-    /// `skip_epoch_revoke` mutation is armed, which models precisely
-    /// this fence being forgotten so the explorer's single-writer
-    /// oracle has a real bug to catch.
+    /// leading, and taking over leadership) — unless the run carries the
+    /// planted bug that forgets this fence ([`fence_forgotten`]).
     fn fence_log(&mut self, ops: &mut HostOps<'_, '_>) {
-        if self.cfg.skip_epoch_revoke {
+        if fence_forgotten(ops) {
             return;
         }
         if let Some(region) = self.log_region {
@@ -934,7 +925,7 @@ impl Core {
         // start the log over: a new leader means a new epoch of the log.
         if self.epoch_leader != Some(d.leader_ip) {
             let stale = std::mem::take(&mut self.granted_ips);
-            if !self.cfg.skip_epoch_revoke {
+            if !fence_forgotten(ops) {
                 for ip in stale {
                     ops.revoke(region, ip);
                 }
@@ -1054,6 +1045,13 @@ impl Core {
             }
         });
     }
+}
+
+/// Whether the run carries the planted bug that forgets the epoch fence
+/// as a whole — the deposed leader keeps its write grants, the bug the
+/// model checker's single-writer oracle must catch.
+fn fence_forgotten(ops: &HostOps<'_, '_>) -> bool {
+    ops.planted() == Some(Planted::SkipEpochRevoke)
 }
 
 fn region_advert(region: RegionHandle, ops: &HostOps<'_, '_>) -> RegionAdvert {

@@ -4,7 +4,7 @@
 //! that read headers and record header rewrites through [`Headers`]; the
 //! deparser in [`crate::Switch`] is the one place a frame is built.
 
-use netsim::{PortId, SimTime, Tracer};
+use netsim::{Planted, PortId, SimTime, Tracer};
 use rdma::{Aeth, Opcode, Psn, Qpn, Reth, RewriteSet, RocePacket, RoceView};
 use std::net::Ipv4Addr;
 
@@ -18,6 +18,8 @@ pub struct IngressMeta {
     /// When this packet entered the match-action stages (intrinsic
     /// metadata on the ASIC; programs only read it for tracing).
     pub now: SimTime,
+    /// The bug the run carries, if any ([`netsim::Simulation::plant`]).
+    pub planted: Option<Planted>,
 }
 
 /// Metadata available to the egress stage.
@@ -29,6 +31,8 @@ pub struct EgressMeta {
     pub rid: u16,
     /// When this copy entered the egress stage.
     pub now: SimTime,
+    /// The bug the run carries, if any ([`netsim::Simulation::plant`]).
+    pub planted: Option<Planted>,
 }
 
 /// The ingress stage's routing decision. Replication decisions can only be

@@ -268,6 +268,7 @@ impl<P: SwitchProgram> Switch<P> {
         let meta = IngressMeta {
             ingress_port: port,
             now: ctx.now,
+            planted: ctx.planted(),
         };
         // The ingress parser: full acceptance checks, headers read in
         // place. An owned packet exists only if the verdict is a CPU punt.
@@ -381,12 +382,13 @@ impl<P: SwitchProgram> Node for Switch<P> {
                     return;
                 };
                 self.shared.stats.emit_events += 1;
-                let now = ctx.now;
+                let (now, planted) = (ctx.now, ctx.planted());
                 for copy in pass.copies.iter().filter(|c| c.emit_at == now) {
                     let meta = EgressMeta {
                         egress_port: copy.port,
                         rid: copy.rid,
                         now,
+                        planted,
                     };
                     // Every copy starts from the ingress delta.
                     let mut rw = pass.rw;

@@ -297,6 +297,7 @@ impl<P: SwitchProgram> ThreeTimer<P> {
         let meta = IngressMeta {
             ingress_port: port,
             now: ctx.now,
+            planted: ctx.planted(),
         };
         let view = match RocePacket::parse_view(&frame) {
             Ok(v) => v,
@@ -384,6 +385,7 @@ impl<P: SwitchProgram> Node for ThreeTimer<P> {
                     egress_port: copy.port,
                     rid: copy.rid,
                     now: ctx.now,
+                    planted: ctx.planted(),
                 };
                 let mut hdr = Headers::new(copy.arrived.view(), &mut copy.rw);
                 if self.program.egress(&mut hdr, meta, &self.plane) {

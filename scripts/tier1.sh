@@ -139,6 +139,20 @@ done
 [ "$(sed -n '/^fn kill_and_attribute(/,/^}$/p' crates/harness/src/failover.rs | grep -c '\.records()')" -eq 1 ] \
   || { echo "tier-1: kill_and_attribute reads the trace once, after the run (handle.records()); a second read is a second recording" >&2; exit 1; }
 
+echo "==> a planted bug is a fault the simulation carries: no mutation knob in shipping configuration, one explorer mode"
+for gone in 'pub skip_epoch_revoke' 'fn skip_epoch_revoke' 'pub crosswire_groups' 'fn crosswire_mutation' 'fn single_writer_mutation' 'sharded-mutation-check' 'run_sharded_mutation_check'; do
+  if grep -rn "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; a bug is planted with Simulation::plant(netsim::Planted) and explore::MUTATIONS says where it is caught (EXPERIMENTS E23)" >&2; exit 1
+  fi
+done
+# The legacy reproducer keys live on only as quoted strings in ExploreSpec::from_repro.
+legacy_all=$(find crates/*/src -name '*.rs' -exec sed '/^#\[cfg(test)\]/,$d' {} \; | grep -c 'skip_epoch_revoke\|crosswire_groups')
+legacy_quoted=$(sed -n '/pub fn from_repro(/,/^    }$/p' crates/harness/src/explore/mod.rs | grep -c '"skip_epoch_revoke"\|"crosswire_groups"')
+[ "$legacy_all" -eq "$legacy_quoted" ] || { echo "tier-1: skip_epoch_revoke / crosswire_groups appear outside ExploreSpec::from_repro's legacy-key strings" >&2; exit 1; }
+[ "$(grep -rho 'Planted::' crates/replication/src crates/p4ce-switch/src | wc -l)" -eq 3 ] \
+  || { echo "tier-1: 'Planted::' appears exactly three times under crates/{replication,p4ce-switch}/src: the member's forgotten fence and the switch's two cross-wiring parts" >&2; exit 1; }
+[ "$(grep -rho 'fn plant(' crates/*/src | wc -l)" -eq 1 ] || { echo "tier-1: 'fn plant' is defined exactly once (netsim::Simulation::plant)" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
