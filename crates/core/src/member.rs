@@ -23,6 +23,7 @@ use bytes::Bytes;
 use mu::FanOut;
 use netsim::{SimDuration, SimTime, TraceEvent};
 use p4ce_switch::{GroupJoin, GroupRetire, GroupSpec};
+use rdma::cm::MAX_REQ_PRIVATE_DATA;
 use rdma::{Completion, HostOps, Qpn, RegionAdvert, WrId};
 use replication::member::{
     T_CLASS_MASK, T_DATA_MASK, T_REACCEL, T_RECONNECT, WR_CLASS_MASK, WR_DIRECT, WR_SEQ_MASK,
@@ -114,27 +115,34 @@ impl SwitchComm {
     }
 
     /// Asks the switch to build a communication group over the live
-    /// replicas, without touching the path in use. `false` if there is
-    /// no quorum to build over.
-    fn send_group_request(&mut self, core: &Core, ops: &mut HostOps<'_, '_>) -> bool {
+    /// replicas, without touching the path in use. `false` if no request
+    /// went out: there is no quorum to build over, or more live replicas
+    /// than one CM request can name — no switch can host that group, so
+    /// the leader replicates directly.
+    fn send_group_request(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) -> bool {
         let alive = core.live_peers();
         let f = core.cluster().f();
         if alive.len() < f {
             return false;
         }
-        self.group_members = alive.iter().map(|&(id, _)| id).collect();
-        let spec = GroupSpec {
+        let request = GroupSpec {
             f: f as u8,
             replicas: alive.iter().map(|&(_, ip)| ip).collect(),
-        };
-        let handshake = ops.connect(self.cfg.switch_ip, spec.encode());
+        }
+        .encode();
+        if request.len() > MAX_REQ_PRIVATE_DATA {
+            self.fall_back(core, ops);
+            return false;
+        }
+        self.group_members = alive.iter().map(|&(id, _)| id).collect();
+        let handshake = ops.connect(self.cfg.switch_ip, request);
         self.pending = Some((handshake, ops.now()));
         true
     }
 
     /// Requests a group and waits for it — unless an accelerated group
     /// keeps serving meanwhile (`async_reconfig`).
-    fn request_group(&mut self, core: &Core, ops: &mut HostOps<'_, '_>) {
+    fn request_group(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
         if self.send_group_request(core, ops)
             && (!self.is_accelerated() || !self.cfg.async_reconfig)
         {

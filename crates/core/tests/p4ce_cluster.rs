@@ -167,6 +167,35 @@ fn a_rebuilt_group_supersedes_the_one_it_replaces() {
 }
 
 #[test]
+fn a_group_too_large_for_one_request_replicates_directly() {
+    // A group request names f, a count and four address bytes per
+    // replica in 92 bytes of CM private data: 22 replicas fit, 23 do not.
+    let cluster = |members, ms| {
+        let mut d = ClusterBuilder::new(members)
+            .log_size(64 << 10)
+            .workload(WorkloadSpec::closed(2, 64, 50))
+            .build();
+        d.sim.run_until(SimTime::from_millis(ms));
+        d
+    };
+
+    let d = cluster(24, 10);
+    let leader = d.leader();
+    assert!(!leader.is_accelerated());
+    assert!(leader
+        .stats
+        .event_time(|e| matches!(e, MemberEvent::FellBack))
+        .is_some());
+    assert_eq!(leader.stats.decided, 50, "decided on the direct path");
+    assert_eq!(d.switch_program().stats.groups_created, 0, "never asked");
+
+    // Past the switch's 40 ms reconfiguration.
+    let d = cluster(23, 45);
+    assert!(d.leader().is_accelerated());
+    assert_eq!(d.leader().stats.decided, 50);
+}
+
+#[test]
 fn async_reconfig_keeps_deciding_through_replica_crash() {
     // The Lesson-3 extension: replication continues through the old
     // group while the new one is programmed.

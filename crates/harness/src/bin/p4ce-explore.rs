@@ -23,7 +23,8 @@
 //!
 //! Exit codes: 0 = clean (or, for `mutation-check`, every planted bug
 //! was caught); 1 = an oracle violation survived (or a planted bug
-//! escaped its oracle); 2 = usage error.
+//! escaped its oracle, or a bug the system hosts could not be planted);
+//! 2 = usage error.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -275,25 +276,49 @@ fn run_seeds(o: &Options) -> ExitCode {
 /// demand that its oracle catches it and that shrinking produces a small
 /// reproducer. CI runs this so the checker itself cannot silently rot.
 fn run_mutation_check(o: &Options) -> ExitCode {
-    let mut caught = true;
-    for m in &MUTATIONS {
-        let spec = ExploreSpec {
-            system: o.spec.system,
-            ..ExploreSpec::mutation(m.bug, o.spec.n_members)
-        };
-        if spec.check().is_ok() {
-            println!(
-                "== planted {}: the {} oracle must catch it",
-                m.name, m.oracle
-            );
-            caught &= check_mutation(m, &spec);
+    let planted = match hosted_mutations(o) {
+        Ok(planted) => planted,
+        Err(e) => {
+            eprintln!("mutation check FAILED: {e}");
+            return ExitCode::FAILURE;
         }
+    };
+    let mut caught = true;
+    for (m, spec) in &planted {
+        println!(
+            "== planted {}: the {} oracle must catch it",
+            m.name, m.oracle
+        );
+        caught &= check_mutation(m, spec);
     }
     if caught {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Every row of [`MUTATIONS`] whose bug `--system` hosts, in the row's
+/// scenario. A hosted bug whose scenario cannot be built is an error, and
+/// so is a run that would plant nothing: the self-test never loses a bug
+/// without saying so.
+fn hosted_mutations(o: &Options) -> Result<Vec<(&'static Mutation, ExploreSpec)>, String> {
+    let mut planted = Vec::new();
+    for m in &MUTATIONS {
+        let spec = ExploreSpec {
+            system: o.spec.system,
+            ..ExploreSpec::mutation(m.bug, o.spec.n_members)
+        };
+        if (m.hosts)(&spec) {
+            spec.check()
+                .map_err(|e| format!("planted {} cannot run: {e}", m.name))?;
+            planted.push((m, spec));
+        }
+    }
+    if planted.is_empty() {
+        return Err(format!("no planted bug runs on {}", o.spec.system));
+    }
+    Ok(planted)
 }
 
 fn check_mutation(m: &Mutation, spec: &ExploreSpec) -> bool {
@@ -497,6 +522,28 @@ mod tests {
         ] {
             assert!(parse_words(line).is_ok(), "'{line}' must parse");
         }
+    }
+
+    #[test]
+    fn mutation_check_plants_every_hosted_bug_or_fails() {
+        let names = |line: &str| -> Result<Vec<&str>, String> {
+            let o = parse_words(line).expect("valid");
+            Ok(hosted_mutations(&o)?.iter().map(|(m, _)| m.name).collect())
+        };
+        assert_eq!(
+            names("mutation-check"),
+            Ok(vec!["skip-epoch-revoke", "crosswire-groups"])
+        );
+        assert_eq!(
+            names("mutation-check --system mu"),
+            Ok(vec!["skip-epoch-revoke"])
+        );
+        // A bug the deployment hosts but whose scenario cannot be built
+        // fails the check instead of dropping out of it.
+        let mut o = parse_words("mutation-check").expect("valid");
+        o.spec.n_members = 24;
+        let e = hosted_mutations(&o).expect_err("24 P4CE members cannot be built");
+        assert!(e.starts_with("planted skip-epoch-revoke cannot run"), "{e}");
     }
 
     #[test]

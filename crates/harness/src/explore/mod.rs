@@ -104,7 +104,7 @@ pub struct Mutation {
     /// The scenario it is planted in, for `n` members (per group).
     scenario: fn(usize) -> ExploreSpec,
     /// Whether a deployment has the code the bug lives in.
-    hosts: fn(&ExploreSpec) -> bool,
+    pub hosts: fn(&ExploreSpec) -> bool,
     /// The oracle that must catch it.
     pub oracle: OracleKind,
 }
@@ -888,6 +888,17 @@ decisions=-
         assert_eq!((v.oracle, v.step), (OracleKind::SingleWriter, 895));
         assert_eq!(replayed(&planted_form), v);
 
+        // Older still: written before deployments had groups, so neither
+        // `groups` nor `crosswire_groups` is there — one classic group.
+        let single_group = LEGACY_REPRO
+            .replace("groups=1\n", "")
+            .replace("crosswire_groups=false\n", "");
+        let (spec, decisions) = decode(&single_group).expect("pre-multi-group decodes");
+        assert_eq!(spec.groups, 1);
+        assert_eq!(spec.planted, Some(Planted::SkipEpochRevoke));
+        assert_eq!((spec, decisions), legacy);
+        assert_eq!(replayed(&single_group), v);
+
         for bad in [
             // Both legacy keys armed: a run carries one bug.
             LEGACY_REPRO.replace("crosswire_groups=false", "crosswire_groups=true"),
@@ -914,10 +925,11 @@ decisions=-
             ExploreSpec::from_repro(&r)
         };
         assert!(with(&[]).is_ok());
+        let too_many = with(&[("members", "24")]).expect_err("24 members");
+        assert!(too_many.contains("at most 22 replicas"), "{too_many}");
         for edits in [
             &[("members", "1")][..],
             &[("members", "200")],
-            &[("members", "24")],
             &[("groups", "0")],
             &[("groups", "254")],
             &[("system", "mu"), ("groups", "2")],

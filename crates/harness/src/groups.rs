@@ -6,10 +6,14 @@
 //! reaches a member through its node id and its comm type `C`, the way
 //! [`crate::explore::oracle::probe_members`] does.
 
+use std::any::Any;
+
 use bytes::Bytes;
-use netsim::{MetricsRegistry, NodeId, SimDuration, SimTime, Simulation};
-use rdma::Host;
+use netsim::{NodeId, SimDuration, SimTime, Simulation};
+use p4ce_switch::{GroupStats, P4ceProgram, P4ceSwitchStats};
+use rdma::{Host, HostStats};
 use replication::{Comm, Member, MemberStats, StateMachine};
+use tofino::{Switch, SwitchProgram, SwitchStats};
 
 /// The member application running at `node`.
 pub(crate) fn member<C: Comm>(sim: &Simulation, node: NodeId) -> &Member<C> {
@@ -106,20 +110,57 @@ pub(crate) fn window_of(stats: &mut MemberStats, now: SimTime) -> Window {
     }
 }
 
-/// Snapshots every member's consensus layer and RDMA host into `reg` as
-/// `member.{i}.*` / `host.{i}.*`, each name passed through `scope` with
-/// its group's index.
-pub(crate) fn register_layers<C: Comm>(
-    sim: &Simulation,
+/// What every layer counted over a run, in the structs the layers keep
+/// it in, indexed `[group][member]` like the deployment's nodes.
+#[derive(Debug)]
+pub struct Layers {
+    /// Each member's consensus-layer counters, decide latencies and events.
+    pub members: Vec<Vec<MemberStats>>,
+    /// Each member's RDMA host: packets, retransmissions, drops, deliveries.
+    pub hosts: Vec<Vec<HostStats>>,
+    /// The switch pipeline: forwarded, copied, dropped, emitted.
+    pub pipeline: SwitchStats,
+    /// The in-network program's counters; `None` behind Mu's forwarder.
+    pub program: Option<P4ceSwitchStats>,
+    /// Per group, the switch group its steady-state leader drives and that
+    /// group's slice of the program's counters; `None` when the leader
+    /// drives none (Mu, or a P4CE leader on the direct path).
+    pub groups: Vec<Option<(u16, GroupStats)>>,
+}
+
+/// Moves every layer's counters out of a finished run: the members'
+/// stats are taken, not copied, so read what a run still needs from them
+/// first.
+pub(crate) fn take_layers<C: Comm, P: SwitchProgram>(
+    sim: &mut Simulation,
     groups: &[Vec<NodeId>],
-    scope: impl Fn(usize, String) -> String,
-    reg: &mut MetricsRegistry,
-) {
-    for (g, group) in groups.iter().enumerate() {
-        for (i, &node) in group.iter().enumerate() {
-            let host = sim.node_ref::<Host<Member<C>>>(node);
-            (host.app().stats).register_into(reg, &scope(g, format!("member.{i}")));
-            (host.stats()).register_into(reg, &scope(g, format!("host.{i}")));
-        }
+    switch: NodeId,
+) -> Layers {
+    let fabric = sim.node_ref::<Switch<P>>(switch);
+    let p4ce = (fabric.program() as &dyn Any).downcast_ref::<P4ceProgram>();
+    let slices = (groups.iter())
+        .map(|group| {
+            let leader = sim.node_ref::<Host<Member<C>>>(group[0]).ip();
+            let gid = p4ce?.gid_of_leader(leader)?;
+            Some((gid, p4ce?.group_stats(gid)?))
+        })
+        .collect();
+    let (pipeline, program) = (fabric.stats(), p4ce.map(|p| p.stats));
+    let (hosts, members) = (groups.iter())
+        .map(|group| {
+            (group.iter())
+                .map(|&n| {
+                    let host = sim.node_mut::<Host<Member<C>>>(n);
+                    (host.stats(), std::mem::take(&mut host.app_mut().stats))
+                })
+                .unzip()
+        })
+        .unzip();
+    Layers {
+        members,
+        hosts,
+        pipeline,
+        program,
+        groups: slices,
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! | kind | entry | observed through |
 //! |---|---|---|
-//! | measured point | [`observe_point`] | [`Observe`] (layer counters, trace handle) |
+//! | measured point | [`observe_point`] | [`Observe`] (each layer's own stats as [`Layers`], trace handle) |
 //! | sharded point | [`observe_sharded_point`] | [`Observe`] |
 //! | chaos storm | [`chaos::run`] (+ [`chaos::replay`], [`chaos::run_checked`]) | `&Tracer` |
 //! | explored schedule | [`explore::run_schedule`] (+ [`explore::replay`]) | `&Tracer` |
@@ -65,6 +65,7 @@ pub use failover::{
     run_failover, run_failover_sharded, try_failover, FailoverBudget, FailoverConfig,
     FailoverOutcome, FailoverPhase, ThroughputDip, FAILOVER_PHASES,
 };
+pub use groups::Layers;
 pub use report::{to_markdown, truncation_warning, TableRow};
 pub use repro::Repro;
 pub use runner::{

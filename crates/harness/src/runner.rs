@@ -9,15 +9,14 @@
 //! drops them.
 
 use netsim::{
-    assemble_spans, breakdown, InstanceSpan, MetricsRegistry, SimDuration, Simulation,
-    StageBreakdown, TraceHandle, TraceRecord, Tracer,
+    assemble_spans, breakdown, InstanceSpan, SimDuration, Simulation, StageBreakdown, TraceHandle,
+    TraceRecord, Tracer,
 };
 use p4ce::SwitchSetters;
 use replication::{ClusterBuilder, Fabric, WorkloadSpec};
 use std::fmt;
-use tofino::Switch;
 
-use crate::groups::{await_steady, leader_steady, register_layers, window_of};
+use crate::groups::{await_steady, leader_steady, take_layers, window_of, Layers};
 use crate::report::truncation_warning;
 use crate::tracing::stage_table;
 
@@ -50,19 +49,18 @@ impl System {
     /// Names the bound the shape breaks.
     pub fn check_shape(self, members: usize, groups: usize) -> Result<(), String> {
         // A P4CE leader's group request carries `f`, a count and one
-        // address per replica in CM request private data.
+        // address per replica in CM request private data. The leader of a
+        // larger group replicates directly, so it can never accelerate.
         const P4CE_MAX: usize = 1 + (rdma::cm::MAX_REQ_PRIVATE_DATA - 2) / 4;
         let p4ce = self == System::P4ce;
+        let p4ce_max = format!("a P4CE group holds at most {} replicas", P4CE_MAX - 1);
         let refused = [
             (groups == 0, "a deployment needs at least one group"),
             (!p4ce && groups != 1, "Mu runs one group"),
             (groups > 253, "at most 253 groups share one switch"),
             (members < 2, "a group needs at least two members"),
             (members > 127, "member ids are 7-bit: at most 127 members"),
-            (
-                p4ce && members > P4CE_MAX,
-                "a P4CE group holds at most 22 replicas",
-            ),
+            (p4ce && members > P4CE_MAX, p4ce_max.as_str()),
         ];
         match refused.iter().find(|&&(broken, _)| broken) {
             Some((_, why)) => Err(format!("{why} ({self}, {groups} group(s) of {members})")),
@@ -166,7 +164,8 @@ pub enum Observe {
     /// instrumentation point, nothing snapshotted.
     #[default]
     Nothing,
-    /// Snapshot every layer's counters once the window closes.
+    /// Hand back every layer's own counters once the window closes
+    /// ([`Layers`]).
     Metrics,
     /// The counters, plus the cross-layer trace collected through this
     /// handle — unbounded, or a [`TraceHandle::bounded`] ring for long
@@ -200,26 +199,22 @@ pub struct TracedPoint {
     pub spans: Vec<InstanceSpan>,
     /// Per-stage latency distributions over the complete spans.
     pub breakdown: StageBreakdown,
-    /// Counter/gauge/histogram snapshot of every layer
-    /// (`member.N.*`, `host.N.*`, `switch.*`), plus
-    /// `trace.dropped_records` when a trace was collected.
-    pub metrics: MetricsRegistry,
+    /// Every layer's own counters once the window closed; `None` under
+    /// [`Observe::Nothing`].
+    pub layers: Option<Layers>,
+    /// Records lost to a bounded trace ring's oldest-drop wraparound
+    /// (zero for unbounded sinks and untraced runs).
+    pub dropped_records: u64,
 }
 
 impl TracedPoint {
-    /// Records lost to a bounded trace ring during this run (zero for
-    /// unbounded sinks).
-    pub fn dropped_records(&self) -> u64 {
-        self.metrics.counter("trace.dropped_records").unwrap_or(0)
-    }
-
     /// The markdown stage-breakdown table for this point. When the
     /// bounded trace ring dropped records, the table closes with an
     /// explicit truncation warning — a clipped record stream silently
     /// biases the breakdown toward the end of the run otherwise.
     pub fn stage_table(&self, title: &str) -> String {
         let mut out = stage_table(title, &self.breakdown);
-        if let Some(warning) = truncation_warning(self.dropped_records()) {
+        if let Some(warning) = truncation_warning(self.dropped_records) {
             out.push_str(&warning);
             out.push('\n');
         }
@@ -254,43 +249,29 @@ pub fn run_point_traced(cfg: &PointConfig) -> TracedPoint {
     observe_point(cfg, &Observe::Traced(TraceHandle::new()))
 }
 
-/// Runs one measured point and reports what `observe` asked for: the
-/// layer counters as `member.N.*` (consensus layer), `host.N.*` (RDMA
-/// hosts) and — for P4CE — `switch.*` (the in-network program); the
-/// trace as raw records, assembled spans and the stage breakdown.
-/// Records lost to a bounded ring's oldest-drop wraparound surface as
-/// the `trace.dropped_records` counter.
+/// Runs one measured point and reports what `observe` asked for: every
+/// layer's counters ([`Layers`], one group); the trace as raw records,
+/// assembled spans and the stage breakdown, and how many records a
+/// bounded ring dropped.
 ///
 /// # Panics
 ///
 /// Same contract as [`run_point`].
 pub fn observe_point(cfg: &PointConfig, observe: &Observe) -> TracedPoint {
     let n = cfg.replicas + 1;
-    let mut metrics = MetricsRegistry::new();
-    let outcome = match cfg.system {
-        System::Mu => run_on(
-            mu::ClusterBuilder::new(n),
-            cfg,
-            observe,
-            &mut metrics,
-            |_, _| {},
-        ),
+    let (outcome, layers) = match cfg.system {
+        System::Mu => run_on(mu::ClusterBuilder::new(n), cfg, observe),
         System::P4ce => {
             let mut builder = p4ce::ClusterBuilder::new(n).ack_drop(cfg.ack_drop);
             if let Some(parser_cost) = cfg.parser_cost {
                 builder = builder.parser_cost(parser_cost);
             }
-            run_on(builder, cfg, observe, &mut metrics, |program, reg| {
-                program.stats.register_into(reg, "switch");
-            })
+            run_on(builder, cfg, observe)
         }
     };
-    let records = match observe {
-        Observe::Traced(handle) => {
-            metrics.set_counter("trace.dropped_records", handle.dropped());
-            handle.records()
-        }
-        _ => Vec::new(),
+    let (records, dropped_records) = match observe {
+        Observe::Traced(handle) => (handle.records(), handle.dropped()),
+        _ => (Vec::new(), 0),
     };
     let spans = assemble_spans(&records);
     TracedPoint {
@@ -298,7 +279,8 @@ pub fn observe_point(cfg: &PointConfig, observe: &Observe) -> TracedPoint {
         breakdown: breakdown(&spans),
         records,
         spans,
-        metrics,
+        layers,
+        dropped_records,
     }
 }
 
@@ -306,9 +288,7 @@ fn run_on<F: Fabric>(
     builder: ClusterBuilder<F>,
     cfg: &PointConfig,
     observe: &Observe,
-    reg: &mut MetricsRegistry,
-    switch_metrics: impl FnOnce(&F::Program, &mut MetricsRegistry),
-) -> PointOutcome {
+) -> (PointOutcome, Option<Layers>) {
     let mut d = builder
         .workload(sanitize(cfg.workload))
         .seed(cfg.seed)
@@ -328,19 +308,12 @@ fn run_on<F: Fabric>(
     let now = d.sim.now();
     let accelerated = d.leader().is_accelerated();
     let events_processed = d.sim.events_processed();
-    if observe.wants_metrics() {
-        register_layers::<F::Comm>(
-            &d.sim,
-            std::slice::from_ref(&d.members),
-            |_, name| name,
-            reg,
-        );
-        switch_metrics(d.switch_program(), reg);
-        let fabric = d.sim.node_ref::<Switch<F::Program>>(d.switch);
-        fabric.stats().register_into(reg, "pipeline");
-    }
     let w = window_of(&mut d.member_mut(0).stats, now);
-    PointOutcome {
+    let layers = observe.wants_metrics().then(|| {
+        let groups = std::slice::from_ref(&d.members);
+        take_layers::<F::Comm, F::Program>(&mut d.sim, groups, d.switch)
+    });
+    let outcome = PointOutcome {
         decided: w.decided,
         ops_per_sec: w.ops_per_sec,
         goodput_bytes_per_sec: w.goodput_bytes_per_sec,
@@ -350,7 +323,8 @@ fn run_on<F: Fabric>(
         accelerated,
         events_processed,
         threads_used: 1,
-    }
+    };
+    (outcome, layers)
 }
 
 /// An outcome that records how many OS threads its [`sweep`] ran on.

@@ -15,10 +15,10 @@
 //! field aside).
 
 use bytes::{BufMut, Bytes, BytesMut};
-use netsim::{group_scoped, MetricsRegistry, SimDuration, SimTime, Simulation, Tracer};
-use p4ce::{ShardedClusterBuilder, ShardedDeployment, StateMachine, SwitchComm};
+use netsim::{SimDuration, SimTime, Simulation, Tracer};
+use p4ce::{P4ceProgram, ShardedClusterBuilder, ShardedDeployment, StateMachine, SwitchComm};
 
-use crate::groups::{await_steady, install, leader_steady, register_layers, window_of};
+use crate::groups::{await_steady, install, leader_steady, take_layers, window_of, Layers};
 use crate::runner::{Observe, Swept};
 
 // ---------------------------------------------------------------------
@@ -437,16 +437,12 @@ pub fn run_sharded_point(cfg: &ShardedPointConfig) -> ShardedOutcome {
 }
 
 /// Runs one sharded point and reports what `observe` asked for: the
-/// trace through its handle, and every layer's counters under
-/// group-scoped names — `g{g}.member.{i}.*`, `g{g}.host.{i}.*`,
-/// `g{g}.switch.gid`, plus the shared switch as `switch.*` and its
-/// per-group slices as `switch.g{gid}.*` (an empty registry when not
-/// asked).
+/// trace through its handle, and every layer's counters ([`Layers`],
+/// one entry per group; `None` when not asked).
 pub fn observe_sharded_point(
     cfg: &ShardedPointConfig,
     observe: &Observe,
-) -> (ShardedOutcome, MetricsRegistry) {
-    let mut reg = MetricsRegistry::new();
+) -> (ShardedOutcome, Option<Layers>) {
     let ring = HashRing::new(cfg.groups as u16, 64);
     let mut zipf = ZipfSampler::new(cfg.keys, cfg.zipf_theta, cfg.seed);
     let mut counter = 0u64;
@@ -469,21 +465,6 @@ pub fn observe_sharded_point(
     // fingerprints) settle; rates stay pinned to the window end.
     d.sim.run_for(SimDuration::from_millis(2));
     let events_processed = d.sim.events_processed();
-
-    if observe.wants_metrics() {
-        let scope = |g, name: String| group_scoped(g, &name);
-        register_layers::<SwitchComm>(&d.sim, &d.members, scope, &mut reg);
-        for g in 0..cfg.groups {
-            if let Some(gid) = d
-                .switch_program()
-                .gid_of_leader(ShardedClusterBuilder::member_ip(g, 0))
-            {
-                reg.set_counter(&group_scoped(g, "switch.gid"), u64::from(gid));
-            }
-        }
-        d.switch_program().stats.register_into(&mut reg, "switch");
-        d.switch_program().register_groups_into(&mut reg, "switch");
-    }
 
     let mut per_group = Vec::with_capacity(cfg.groups);
     for g in 0..cfg.groups {
@@ -515,7 +496,10 @@ pub fn observe_sharded_point(
         threads_used: 1,
         per_group,
     };
-    (outcome, reg)
+    let layers = observe
+        .wants_metrics()
+        .then(|| take_layers::<SwitchComm, P4ceProgram>(&mut d.sim, &d.members, d.switch));
+    (outcome, layers)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ fn replica_delivery_queues_do_not_grow_with_landed_packets() {
     cfg.window = SimDuration::from_millis(3);
     cfg.seed = 42;
     let observed = observe_point(&cfg, &Observe::Metrics);
-    let (out, reg) = (observed.outcome, observed.metrics);
+    let (out, layers) = (observed.outcome, observed.layers.expect("asked for"));
     assert!(out.accelerated && out.decided > 0);
     // What can still queue behind the overloaded CPU is the replica's own
     // posted work: 4 heartbeat reads per 100 µs tick. The load lasts at
@@ -24,9 +24,9 @@ fn replica_delivery_queues_do_not_grow_with_landed_packets() {
     // under load — plus the one log notification.
     const POSTED_UNDER_LOAD: u64 = 4 * 50;
     for i in 1..=4 {
-        let counter = |name: String| reg.counter(&name).expect("registered");
-        let landed = counter(format!("host.{i}.rx.zero_copy_deliveries"));
-        let merged = counter(format!("host.{i}.rx.notifications_merged"));
+        let host = &layers.hosts[0][i];
+        let landed = host.rx_zero_copy_deliveries;
+        let merged = host.rx_notifications_merged;
         assert!(
             landed > 50_000,
             "replica {i}: {landed} packets is no overload"
@@ -35,11 +35,11 @@ fn replica_delivery_queues_do_not_grow_with_landed_packets() {
             merged * 10 > landed * 9,
             "replica {i} merged {merged}/{landed}"
         );
-        let high_water = counter(format!("host.{i}.delivery_queue.high_water"));
+        let high_water = host.delivery_queue_high_water;
         assert!(
             high_water <= POSTED_UNDER_LOAD + 1,
             "replica {i} queued {high_water}"
         );
-        assert!(counter(format!("member.{i}.applied")) > 0, "replica {i}");
+        assert!(layers.members[0][i].applied > 0, "replica {i}");
     }
 }

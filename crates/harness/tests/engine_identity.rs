@@ -15,6 +15,7 @@ use p4ce_harness::{
     PointOutcome, System,
 };
 use replication::WorkloadSpec;
+use tofino::SwitchStats;
 
 fn quick_cfg(system: System) -> PointConfig {
     let mut cfg = PointConfig::new(system, 2, WorkloadSpec::closed(16, 64, 0));
@@ -34,11 +35,10 @@ fn quick_point(system: System) -> PointOutcome {
 /// (`TK_EMIT`); the pass charges the parser from the ingress and wakes the
 /// deparser once per release instant. Nothing was tail-dropped in these
 /// runs, so every copy that entered the egress came out of it.
-fn fused_pass_saving(reg: &netsim::MetricsRegistry) -> u64 {
-    let counter = |name: &str| reg.counter(name).expect("registered");
-    assert_eq!(counter("pipeline.drops.parser_overflow"), 0);
-    let copies_admitted = counter("pipeline.forwarded") + counter("pipeline.drops.egress");
-    copies_admitted + (copies_admitted - counter("pipeline.emit_events"))
+fn fused_pass_saving(pipeline: &SwitchStats) -> u64 {
+    assert_eq!(pipeline.parser_overflow_drops, 0);
+    let copies_admitted = pipeline.forwarded + pipeline.dropped_egress;
+    copies_admitted + (copies_admitted - pipeline.emit_events)
 }
 
 /// The first re-recording: when replicas began polling their log
@@ -56,15 +56,12 @@ fn fused_pass_saving(reg: &netsim::MetricsRegistry) -> u64 {
 fn the_rerecorded_drop_is_exactly_the_merged_notifications() {
     for (system, before, due_after_end) in [(System::P4ce, 391_397, 0), (System::Mu, 241_018, 8)] {
         let observed = observe_point(&quick_cfg(system), &Observe::Metrics);
-        let (out, reg) = (observed.outcome, observed.metrics);
-        let merged: u64 = (0..3)
-            .map(|i| {
-                reg.counter(&format!("host.{i}.rx.notifications_merged"))
-                    .expect("registered")
-            })
+        let (out, layers) = (observed.outcome, observed.layers.expect("asked for"));
+        let merged: u64 = (layers.hosts[0].iter())
+            .map(|host| host.rx_notifications_merged)
             .sum();
         assert_eq!(
-            before - (out.events_processed + fused_pass_saving(&reg)),
+            before - (out.events_processed + fused_pass_saving(&layers.pipeline)),
             merged - due_after_end,
             "{system}"
         );
@@ -83,15 +80,18 @@ fn the_rerecorded_drop_is_exactly_the_merged_notifications() {
 fn the_fused_pass_drop_is_exactly_its_egress_and_shared_emit_events() {
     for (system, before, shares) in [(System::P4ce, 372_853, true), (System::Mu, 230_814, false)] {
         let observed = observe_point(&quick_cfg(system), &Observe::Metrics);
-        let (out, reg) = (observed.outcome, observed.metrics);
+        let (out, layers) = (observed.outcome, observed.layers.expect("asked for"));
+        let pipeline = layers.pipeline;
         assert_eq!(
             before - out.events_processed,
-            fused_pass_saving(&reg),
+            fused_pass_saving(&pipeline),
             "{system}"
         );
-        let admitted = reg.counter("pipeline.forwarded").expect("registered");
-        let emit_events = reg.counter("pipeline.emit_events").expect("registered");
-        assert_eq!(emit_events < admitted, shares, "{system}");
+        assert_eq!(
+            pipeline.emit_events < pipeline.forwarded,
+            shares,
+            "{system}"
+        );
     }
 }
 

@@ -1,14 +1,16 @@
 //! Multi-group isolation: a seeded chaos storm (loss + partition +
 //! leader kill) confined to group 0's links must leave group 1's
-//! decided log, replica fingerprints and rendered metrics **bit
+//! decided log, replica fingerprints and every layer's counters **bit
 //! identical** to a fault-free run of the same service. The per-group
 //! switch tables are what make this hold — the storm exercises them
 //! with retransmissions, CM re-handshakes and a group that dies
 //! mid-flight, all on ports the healthy group never touches.
 
-use netsim::{FaultPlan, MetricsRegistry, PortId, SimDuration, SimTime, Tracer};
+use netsim::{FaultPlan, PortId, SimDuration, SimTime, Tracer};
 use p4ce_harness::shard::{await_leaders, build_sharded, store_of, ShardedPointConfig};
 use p4ce_harness::{HashRing, ShardKvCommand, ZipfSampler};
+use p4ce_switch::GroupStats;
+use rdma::HostStats;
 
 /// What the healthy group looked like at the end of a run.
 #[derive(Debug, PartialEq)]
@@ -17,7 +19,15 @@ struct GroupFingerprint {
     log_hash_replica1: u64,
     log_hash_replica2: u64,
     applied: u64,
-    metrics: String,
+    /// Per member: count, mean, p50, p99 and max of its decide
+    /// latencies, in ns.
+    latency: Vec<[u64; 5]>,
+    /// Per member: every field of its `MemberStats` — counters, events
+    /// and each latency sample in recording order — as `Debug` prints it
+    /// (the type has no `PartialEq`).
+    members: Vec<String>,
+    hosts: Vec<HostStats>,
+    switch: GroupStats,
 }
 
 /// Runs the two-group service; when `storm` is set, group 0's three
@@ -77,32 +87,39 @@ fn run_service(storm: bool) -> GroupFingerprint {
     }
     d.sim.run_for(SimDuration::from_millis(2));
 
-    // Snapshot everything group 1 exposes, rendered so histograms are
-    // compared too.
-    let mut reg = MetricsRegistry::new();
-    for i in 0..3 {
-        d.member(1, i)
-            .stats
-            .register_into(&mut reg, &netsim::group_scoped(1, &format!("member.{i}")));
-        d.sim
-            .node_ref::<rdma::Host<p4ce::P4ceMember>>(d.members[1][i])
-            .stats()
-            .register_into(&mut reg, &netsim::group_scoped(1, &format!("host.{i}")));
-    }
+    // Everything group 1's layers counted, latency distributions
+    // included.
+    let stats = (0..3).map(|i| &d.member(1, i).stats);
+    let latency = (stats.clone())
+        .map(|s| {
+            let mut samples = s.latency.clone();
+            [
+                samples.len() as u64,
+                samples.mean().as_nanos(),
+                samples.percentile(50.0).as_nanos(),
+                samples.percentile(99.0).as_nanos(),
+                samples.max().as_nanos(),
+            ]
+        })
+        .collect();
+    let members = stats.map(|s| format!("{s:?}")).collect();
+    let hosts = (d.members[1].iter())
+        .map(|&m| d.sim.node_ref::<rdma::Host<p4ce::P4ceMember>>(m).stats())
+        .collect();
     let gid = d
         .switch_program()
         .gid_of_leader(p4ce::ShardedClusterBuilder::member_ip(1, 0))
         .expect("group 1 accelerated");
-    if let Some(gs) = d.switch_program().group_stats(gid) {
-        gs.register_into(&mut reg, &format!("switch.g{gid}"));
-    }
 
     GroupFingerprint {
         decided: d.leader(1).stats.decided,
         log_hash_replica1: store_of(&d, 1, 1).log_hash,
         log_hash_replica2: store_of(&d, 1, 2).log_hash,
         applied: store_of(&d, 1, 1).applied,
-        metrics: reg.render(),
+        latency,
+        members,
+        hosts,
+        switch: d.switch_program().group_stats(gid).expect("live group"),
     }
 }
 
@@ -114,7 +131,7 @@ fn storm_on_group_zero_is_invisible_to_group_one() {
     assert!(clean.applied > 0, "group 1 replicas applied nothing");
     assert_eq!(
         clean, stormy,
-        "group 0's storm leaked into group 1's log or metrics"
+        "group 0's storm leaked into group 1's log or counters"
     );
 }
 

@@ -1,7 +1,7 @@
 //! The sharded-KV service battery: multi-group points decide in every
-//! shard, routing never leaks across groups, group-scoped metrics never
-//! collide, and the group lifecycle (retire + later re-acceleration)
-//! leaves co-resident shards untouched.
+//! shard, routing never leaks across groups, every layer's counters come
+//! back in their own group's row, and the group lifecycle (retire +
+//! later re-acceleration) leaves co-resident shards untouched.
 
 use netsim::{SimDuration, Tracer};
 use p4ce_harness::shard::{
@@ -79,53 +79,40 @@ fn group_logs_are_disjoint_and_internally_agreed() {
 }
 
 #[test]
-fn metered_point_scopes_every_layer_by_group_without_collision() {
+fn metered_point_hands_back_every_layer_per_group() {
     let cfg = small_point(2);
-    let (outcome, reg) = observe_sharded_point(&cfg, &Observe::Metrics);
+    let (outcome, layers) = observe_sharded_point(&cfg, &Observe::Metrics);
+    let layers = layers.expect("asked for");
     assert!(outcome.per_group.iter().all(|g| g.decided > 0));
 
-    // Every member and host of every group appears under its own g-prefix.
+    // Every member and host of every group, in its own group's row.
+    assert_eq!(layers.members.len(), 2);
+    assert_eq!(layers.hosts.len(), 2);
     for g in 0..2 {
-        for i in 0..cfg.members_per_group {
-            assert!(
-                reg.counter(&format!("g{g}.member.{i}.decided")).is_some(),
-                "g{g}.member.{i} missing from registry"
-            );
-            assert!(
-                reg.names()
-                    .iter()
-                    .any(|n| n.starts_with(&format!("g{g}.host.{i}."))),
-                "g{g}.host.{i} missing from registry"
-            );
-        }
-        // The switch's per-group slice, keyed by the wire gid the group
-        // mapped to.
-        let gid = reg
-            .counter(&format!("g{g}.switch.gid"))
-            .expect("gid mapping recorded");
+        assert_eq!(layers.members[g].len(), cfg.members_per_group, "g{g}");
+        assert_eq!(layers.hosts[g].len(), cfg.members_per_group, "g{g}");
         assert!(
-            reg.counter(&format!("switch.g{gid}.scattered"))
-                .unwrap_or(0)
-                > 0,
-            "switch did no scattering for group {g} (gid {gid})"
+            layers.members[g][0].decided >= outcome.per_group[g].decided,
+            "g{g}: the leader's count covers its own group's window"
+        );
+        assert!(
+            layers.hosts[g].iter().all(|h| h.packets_received > 0),
+            "g{g}"
         );
     }
-    // The two groups mapped to distinct switch groups.
-    assert_ne!(
-        reg.counter("g0.switch.gid"),
-        reg.counter("g1.switch.gid"),
-        "two shards shared one switch group id"
-    );
-
-    // No collisions: the registry's deduped name list matches its raw
-    // size (names() dedups; every insertion used a distinct key).
-    let names = reg.names();
-    let mut deduped = names.clone();
-    deduped.dedup();
-    assert_eq!(names, deduped);
-    assert!(names
-        .iter()
-        .any(|n| n == "switch.scattered" || n.starts_with("switch.")));
+    // The switch's per-group slice, keyed by the switch group id the
+    // group's leader drives.
+    let (gid0, slice0) = layers.groups[0].expect("group 0 accelerated");
+    let (gid1, slice1) = layers.groups[1].expect("group 1 accelerated");
+    assert_ne!(gid0, gid1, "two shards shared one switch group id");
+    for (g, slice) in [(0, slice0), (1, slice1)] {
+        assert!(
+            slice.scattered > 0,
+            "switch did no scattering for group {g}"
+        );
+    }
+    let program = layers.program.expect("the P4CE program");
+    assert!(program.scattered >= slice0.scattered + slice1.scattered);
 }
 
 #[test]

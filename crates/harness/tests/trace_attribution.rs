@@ -98,12 +98,15 @@ fn traced_point_breakdown_and_metrics_are_consistent() {
     }
     assert!(table.contains("end-to-end"));
 
-    // Metrics snapshot covers every layer and agrees with the outcome.
-    let m = &traced.metrics;
-    assert!(m.counter("host.0.tx.packets").unwrap_or(0) > 0);
-    assert!(m.counter("switch.scattered").unwrap_or(0) > 0);
+    // Every layer's counters came back and agree with the outcome.
+    let layers = traced
+        .layers
+        .as_ref()
+        .expect("a traced point hands back its layers");
+    assert!(layers.hosts[0][0].packets_sent > 0);
+    assert!(layers.program.expect("P4CE runs the program").scattered > 0);
     assert!(
-        m.counter("member.0.decided").unwrap_or(0) >= traced.outcome.decided,
+        layers.members[0][0].decided >= traced.outcome.decided,
         "member counter covers setup+warmup+window, so >= windowed decided"
     );
 }

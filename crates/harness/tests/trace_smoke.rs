@@ -73,11 +73,7 @@ fn bounded_ring_reports_drops_and_still_exports() {
         "ring bound must not perturb the run"
     );
     assert_eq!(bounded.records.len(), cap);
-    let dropped = bounded
-        .metrics
-        .counter("trace.dropped_records")
-        .expect("drop counter registered");
-    assert_eq!(dropped, (total - cap) as u64);
+    assert_eq!(bounded.dropped_records, (total - cap) as u64);
     // The surviving tail equals the tail of the full stream, in order.
     for (kept, orig) in bounded.records.iter().zip(&full.records[total - cap..]) {
         assert_eq!(kept.t, orig.t);
@@ -86,14 +82,9 @@ fn bounded_ring_reports_drops_and_still_exports() {
     // Truncated chains must still export and assemble gracefully.
     let text = netsim::chrome_trace_json(&bounded.records);
     json::parse(&text).expect("bounded trace must export as valid JSON");
-    let unbounded_drops = full
-        .metrics
-        .counter("trace.dropped_records")
-        .expect("counter present even when unbounded");
-    assert_eq!(unbounded_drops, 0);
+    assert_eq!(full.dropped_records, 0);
     // Truncation must be flagged in the human-facing table, and only
     // there — the clean run's table stays warning-free.
-    assert_eq!(bounded.dropped_records(), dropped);
     assert!(
         bounded.stage_table("bounded").contains("WARNING:"),
         "stage table must surface ring truncation"

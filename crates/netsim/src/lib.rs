@@ -50,7 +50,6 @@ mod cpu;
 mod fault;
 pub mod fxhash;
 mod link;
-pub mod metrics;
 mod node;
 mod sched;
 mod sim;
@@ -64,7 +63,6 @@ pub use cpu::Cpu;
 pub use fault::{FaultPlan, FaultStats, Partition};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{Bandwidth, LinkSpec, LinkStats, WIRE_OVERHEAD_BYTES};
-pub use metrics::{group_scoped, LatencySummary, MetricsRegistry};
 pub use node::{Context, Frame, Node, NodeId, PortId, TimerToken, TrailerFn, FRAME_HEAD_MAX};
 pub use sched::{EventClass, EventInfo, FifoScheduler, Planted, ReplayScheduler, Scheduler};
 pub use sim::{Simulation, TapId};

@@ -1,8 +1,8 @@
 //! Property-based tests of the discrete-event engine's invariants.
 
 use netsim::{
-    Bandwidth, Context, Frame, LatencyStats, LatencySummary, LinkSpec, MetricsRegistry, Node,
-    PortId, SimDuration, SimTime, Simulation, Slab, Throughput, TimerToken,
+    Bandwidth, Context, Frame, LatencyStats, LinkSpec, Node, PortId, SimDuration, SimTime,
+    Simulation, Slab, Throughput, TimerToken,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -93,40 +93,6 @@ proptest! {
         // Mean is between min and max.
         let mean = stats.mean().as_nanos();
         prop_assert!(mean >= samples[0] && mean <= *samples.last().expect("non-empty"));
-    }
-
-    /// What the registry keeps of a latency distribution is what
-    /// `LatencyStats` itself answers, exactly — there is no second
-    /// distribution with its own rounding.
-    #[test]
-    fn registry_latency_summary_is_latency_stats_own(
-        samples in prop::collection::vec(0u64..10_000_000, 0..500),
-    ) {
-        let mut stats = LatencyStats::new();
-        for &s in &samples {
-            stats.record(SimDuration::from_nanos(s));
-        }
-        let mut reg = MetricsRegistry::new();
-        reg.set_latency("decide", &stats);
-        let expected = LatencySummary {
-            count: samples.len() as u64,
-            mean: stats.mean(),
-            p50: stats.percentile(50.0),
-            p99: stats.percentile(99.0),
-            max: stats.max(),
-        };
-        prop_assert_eq!(reg.latency("decide"), Some(expected));
-        prop_assert_eq!(
-            reg.render(),
-            format!(
-                "decide count={} mean_ns={} p50_ns={} p99_ns={} max_ns={}\n",
-                samples.len(),
-                expected.mean.as_nanos(),
-                expected.p50.as_nanos(),
-                expected.p99.as_nanos(),
-                expected.max.as_nanos(),
-            )
-        );
     }
 
     /// A slab is a map from the ids it hands out to what was parked:

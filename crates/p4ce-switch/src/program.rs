@@ -172,20 +172,6 @@ pub struct GroupStats {
     pub naks_forwarded: u64,
 }
 
-impl GroupStats {
-    /// Snapshots the counters into `reg` under `prefix` (e.g.
-    /// `switch.g1`), mirroring the [`P4ceSwitchStats::register_into`]
-    /// key shapes.
-    pub fn register_into(&self, reg: &mut netsim::MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.scattered"), self.scattered);
-        reg.set_counter(&format!("{prefix}.acks.absorbed"), self.acks_absorbed);
-        reg.set_counter(&format!("{prefix}.acks.forwarded"), self.acks_forwarded);
-        reg.set_counter(&format!("{prefix}.acks.stale"), self.acks_stale);
-        reg.set_counter(&format!("{prefix}.acks.duplicate"), self.acks_duplicate);
-        reg.set_counter(&format!("{prefix}.naks.forwarded"), self.naks_forwarded);
-    }
-}
-
 /// Counters for experiments and tests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct P4ceSwitchStats {
@@ -213,36 +199,6 @@ pub struct P4ceSwitchStats {
     pub reconfigs: u64,
     /// Group requests rejected because the 16-bit group-id space ran out.
     pub gid_exhausted: u64,
-}
-
-impl P4ceSwitchStats {
-    /// Snapshots the counters into `reg` under `prefix` (e.g. `switch`):
-    /// `"{prefix}.scattered"`, `.acks.absorbed`, `.acks.forwarded`,
-    /// `.acks.stale`, `.acks.duplicate`, `.naks.forwarded`,
-    /// `.credit.stale_skips`, `.groups.created`, `.groups.retired`,
-    /// `.groups.gid_exhausted`, `.reconfigs`.
-    pub fn register_into(&self, reg: &mut netsim::MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.scattered"), self.scattered);
-        reg.set_counter(&format!("{prefix}.acks.absorbed"), self.acks_absorbed);
-        reg.set_counter(&format!("{prefix}.acks.forwarded"), self.acks_forwarded);
-        reg.set_counter(&format!("{prefix}.acks.stale"), self.stale_acks_dropped);
-        reg.set_counter(
-            &format!("{prefix}.acks.duplicate"),
-            self.duplicate_acks_dropped,
-        );
-        reg.set_counter(&format!("{prefix}.naks.forwarded"), self.naks_forwarded);
-        reg.set_counter(
-            &format!("{prefix}.credit.stale_skips"),
-            self.stale_credit_skips,
-        );
-        reg.set_counter(&format!("{prefix}.groups.created"), self.groups_created);
-        reg.set_counter(&format!("{prefix}.groups.retired"), self.groups_retired);
-        reg.set_counter(
-            &format!("{prefix}.groups.gid_exhausted"),
-            self.gid_exhausted,
-        );
-        reg.set_counter(&format!("{prefix}.reconfigs"), self.reconfigs);
-    }
 }
 
 // Control-plane timer tokens.
@@ -332,15 +288,6 @@ impl P4ceProgram {
             .iter()
             .find(|(_, g)| g.leader_ip == leader)
             .map(|(&gid, _)| gid)
-    }
-
-    /// Snapshots every live group's counters into `reg` under
-    /// `"{prefix}.g{gid}.*"` — the group dimension that keeps co-resident
-    /// shards' switch metrics from colliding.
-    pub fn register_groups_into(&self, reg: &mut netsim::MetricsRegistry, prefix: &str) {
-        for (gid, g) in &self.groups {
-            g.stats.register_into(reg, &format!("{prefix}.g{gid}"));
-        }
     }
 
     // ------------------------------------------------------------------

@@ -15,8 +15,8 @@
 
 use bytes::Bytes;
 use netsim::{
-    Context, Cpu, Frame, FxHashMap, MetricsRegistry, Node, Planted, PortId, RetransmitKind,
-    SimDuration, SimTime, TimerToken, TraceEvent, Tracer,
+    Context, Cpu, Frame, FxHashMap, Node, Planted, PortId, RetransmitKind, SimDuration, SimTime,
+    TimerToken, TraceEvent, Tracer,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
@@ -263,48 +263,6 @@ pub struct HostStats {
     /// Most entries the app delivery queue ever held. Bounded by posted
     /// work + CM events + one notification per watched region.
     pub delivery_queue_high_water: u64,
-}
-
-impl HostStats {
-    /// Snapshots every counter into `reg` under `prefix` with the unified
-    /// dotted naming scheme (`{prefix}.tx.packets`,
-    /// `{prefix}.retransmit.timeout`, …). The two transport recovery
-    /// paths — timer-driven go-back-N and NAK-driven go-back-N — land in
-    /// *distinct* metrics so reports can tell a lost-tail from a
-    /// mid-stream gap.
-    pub fn register_into(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.tx.packets"), self.packets_sent);
-        reg.set_counter(&format!("{prefix}.rx.packets"), self.packets_received);
-        reg.set_counter(&format!("{prefix}.rx.parse_drops"), self.parse_drops);
-        reg.set_counter(
-            &format!("{prefix}.rx.overflow_drops"),
-            self.rx_overflow_drops,
-        );
-        reg.set_counter(&format!("{prefix}.ack.sent"), self.acks_sent);
-        reg.set_counter(&format!("{prefix}.nak.sent"), self.naks_sent);
-        reg.set_counter(&format!("{prefix}.retransmit.packets"), self.retransmits);
-        reg.set_counter(
-            &format!("{prefix}.retransmit.timeout"),
-            self.timeout_retransmits,
-        );
-        reg.set_counter(&format!("{prefix}.retransmit.nak"), self.nak_retransmits);
-        reg.set_counter(
-            &format!("{prefix}.rx.zero_copy_deliveries"),
-            self.rx_zero_copy_deliveries,
-        );
-        reg.set_counter(
-            &format!("{prefix}.rx.copied_deliveries"),
-            self.rx_copied_deliveries,
-        );
-        reg.set_counter(
-            &format!("{prefix}.rx.notifications_merged"),
-            self.rx_notifications_merged,
-        );
-        reg.set_counter(
-            &format!("{prefix}.delivery_queue.high_water"),
-            self.delivery_queue_high_water,
-        );
-    }
 }
 
 /// The non-application state of a host (NIC, CPU, memory, queue pairs).

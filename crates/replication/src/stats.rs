@@ -1,7 +1,7 @@
 //! Measurement state of a member, whatever its communication module.
 
 use crate::MemberId;
-use netsim::{LatencyRecorder, MetricsRegistry, SimDuration, SimTime, Throughput};
+use netsim::{LatencyRecorder, SimDuration, SimTime, Throughput};
 
 /// Cluster-visible happenings, timestamped for the fail-over experiments
 /// (Table IV).
@@ -123,28 +123,6 @@ impl MemberStats {
     pub fn mean_latency(&self) -> SimDuration {
         self.latency.mean()
     }
-
-    /// Snapshots the counters into `reg` under `prefix` (e.g.
-    /// `member.0`): `"{prefix}.decided"`, `.issued`, `.applied`,
-    /// `.min_credit`, `.view_changes`, `.events_dropped`, plus the latency
-    /// summary at `"{prefix}.latency"`.
-    pub fn register_into(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.decided"), self.decided);
-        reg.set_counter(&format!("{prefix}.issued"), self.issued);
-        reg.set_counter(&format!("{prefix}.applied"), self.applied);
-        reg.set_gauge(
-            &format!("{prefix}.min_credit"),
-            f64::from(self.min_credit_seen),
-        );
-        let view_changes = self
-            .events
-            .iter()
-            .filter(|(_, e)| matches!(e, MemberEvent::ViewChange { .. }))
-            .count() as u64;
-        reg.set_counter(&format!("{prefix}.view_changes"), view_changes);
-        reg.set_counter(&format!("{prefix}.events_dropped"), self.events_dropped);
-        reg.set_latency(&format!("{prefix}.latency"), &self.latency);
-    }
 }
 
 #[cfg(test)]
@@ -188,37 +166,5 @@ mod tests {
             matches!(e, MemberEvent::BecameLeader { .. })
         });
         assert_eq!(found, Some(SimTime::from_micros(newest)));
-        let mut reg = MetricsRegistry::new();
-        s.register_into(&mut reg, "member.0");
-        assert_eq!(reg.counter("member.0.events_dropped"), Some(10));
-    }
-
-    #[test]
-    fn registry_snapshot_carries_counters_and_latency() {
-        let mut s = MemberStats {
-            decided: 12,
-            issued: 15,
-            applied: 3,
-            min_credit_seen: 9,
-            ..Default::default()
-        };
-        s.event(
-            SimTime::from_micros(1),
-            MemberEvent::ViewChange {
-                view: 1,
-                leader: Some(MemberId(0)),
-            },
-        );
-        s.latency.record(SimDuration::from_micros(4));
-        let mut reg = MetricsRegistry::new();
-        s.register_into(&mut reg, "member.0");
-        assert_eq!(reg.counter("member.0.decided"), Some(12));
-        assert_eq!(reg.counter("member.0.issued"), Some(15));
-        assert_eq!(reg.counter("member.0.applied"), Some(3));
-        assert_eq!(reg.counter("member.0.view_changes"), Some(1));
-        assert_eq!(reg.gauge("member.0.min_credit"), Some(9.0));
-        let l = reg.latency("member.0.latency").expect("registered");
-        assert_eq!(l.count, 1);
-        assert_eq!(l.mean, SimDuration::from_micros(4));
     }
 }

@@ -99,24 +99,6 @@ pub struct SwitchStats {
     pub emit_events: u64,
 }
 
-impl SwitchStats {
-    /// Snapshots the pipeline's counters into `reg` under `prefix`.
-    pub fn register_into(&self, reg: &mut netsim::MetricsRegistry, prefix: &str) {
-        for (name, value) in [
-            ("forwarded", self.forwarded),
-            ("multicast_copies", self.multicast_copies),
-            ("drops.ingress", self.dropped_ingress),
-            ("drops.egress", self.dropped_egress),
-            ("drops.parser_overflow", self.parser_overflow_drops),
-            ("punted", self.punted),
-            ("parse_errors", self.parse_errors),
-            ("emit_events", self.emit_events),
-        ] {
-            reg.set_counter(&format!("{prefix}.{name}"), value);
-        }
-    }
-}
-
 const TK_INGRESS: u64 = 1 << 56;
 const TK_EMIT: u64 = 3 << 56;
 const TK_CPU: u64 = 4 << 56;

@@ -110,7 +110,7 @@ fi
 echo "==> two of a kind: one latency distribution, one slab, one ALU minimum, one group teardown, one request in flight"
 for gone in 'HistogramStats' 'struct Stash' 'fn hw_min' 'SwitchConnecting' 'vacant:'; do
   if grep -rn "$gone" crates/*/src; then
-    echo "tier-1: '$gone' is gone; the registry keeps LatencyStats' own five numbers, parked things live in netsim::Slab, the gather folds with tofino::alu_min, SwitchComm says what serves (Path) and what is pending separately (EXPERIMENTS E20)" >&2; exit 1
+    echo "tier-1: '$gone' is gone; LatencyStats is the one latency distribution, parked things live in netsim::Slab, the gather folds with tofino::alu_min, SwitchComm says what serves (Path) and what is pending separately (EXPERIMENTS E20)" >&2; exit 1
   fi
 done
 for once in 'bcast_table\.remove(' 'self\.groups\.remove('; do
@@ -152,6 +152,14 @@ legacy_quoted=$(sed -n '/pub fn from_repro(/,/^    }$/p' crates/harness/src/expl
 [ "$(grep -rho 'Planted::' crates/replication/src crates/p4ce-switch/src | wc -l)" -eq 3 ] \
   || { echo "tier-1: 'Planted::' appears exactly three times under crates/{replication,p4ce-switch}/src: the member's forgotten fence and the switch's two cross-wiring parts" >&2; exit 1; }
 [ "$(grep -rho 'fn plant(' crates/*/src | wc -l)" -eq 1 ] || { echo "tier-1: 'fn plant' is defined exactly once (netsim::Simulation::plant)" >&2; exit 1; }
+
+echo "==> counters are read where they are kept: each layer's stats struct, no string-keyed copy"
+for gone in 'MetricsRegistry' 'LatencySummary' 'group_scoped' 'fn register_into' 'fn register_groups_into' 'fn register_layers' 'render_diff' 'set_counter('; do
+  if grep -rn "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; a run hands back each layer's own stats (harness::Layers) and nothing copies them under string names (EXPERIMENTS E24)" >&2; exit 1
+  fi
+done
+[ ! -e crates/netsim/src/metrics.rs ] || { echo "tier-1: crates/netsim/src/metrics.rs is gone; HostStats, SwitchStats, P4ceSwitchStats/GroupStats and MemberStats are the counter pipe" >&2; exit 1; }
 
 echo "==> cargo build --release"
 cargo build --release
