@@ -32,7 +32,6 @@ use std::time::Duration;
 use netsim::TraceHandle;
 use p4ce_harness::explore::{self, shrink, Budget, ExploreSpec, Mutation, MUTATIONS};
 use p4ce_harness::repro::Repro;
-use p4ce_harness::runner::System;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -161,13 +160,7 @@ fn parse(argv: &[String]) -> Result<Options, String> {
             return Err(format!("{name} does not take {word}"));
         }
         match word {
-            "--system" => {
-                o.spec.system = match value(word, words.next())? {
-                    "p4ce" => System::P4ce,
-                    "mu" => System::Mu,
-                    other => return Err(format!("unknown system {other}")),
-                }
-            }
+            "--system" => o.spec.system = value(word, words.next())?.parse()?,
             "--members" => o.spec.n_members = number(word, words.next())?,
             "--groups" => o.spec.groups = number(word, words.next())?,
             "--seed" => o.spec.seed = number(word, words.next())?,
@@ -450,6 +443,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p4ce_harness::runner::System;
 
     fn parse_words(line: &str) -> Result<Options, String> {
         let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();

@@ -18,6 +18,7 @@
 //!   rerunning the same spec reproduces the [`ChaosReport`] exactly.
 
 use bytes::Bytes;
+use netsim::rng::{splitmix64, unit_f64};
 use netsim::{FaultPlan, FaultStats, NodeId, PortId, SimDuration, SimTime, Simulation, Tracer};
 use rdma::Host;
 use replication::{Comm, Member, StateMachine};
@@ -26,7 +27,7 @@ use crate::explore::oracle::{check_all, probe_members, MemberProbe};
 use crate::groups::{await_steady, decided, install, leader_steady, propose_to_leader};
 use crate::repro::Repro;
 use crate::runner::System;
-use crate::shard::{fnv1a64, splitmix};
+use crate::shard::fnv1a64;
 
 /// Everything a chaos run perturbs, derived deterministically from one
 /// seed by [`ChaosSpec::seeded`]. All instants are offsets from the
@@ -63,10 +64,6 @@ pub struct ChaosSpec {
     pub propose_every: SimDuration,
 }
 
-fn unit(state: &mut u64) -> f64 {
-    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl ChaosSpec {
     /// Draws a random-but-reproducible schedule for an `n_members`
     /// cluster: at least 1% loss, a mix of the other fault types, and
@@ -78,15 +75,15 @@ impl ChaosSpec {
     pub fn seeded(seed: u64, n_members: usize) -> ChaosSpec {
         assert!(n_members >= 2, "a cluster needs at least two members");
         let mut s = seed;
-        let loss = 0.01 + 0.03 * unit(&mut s);
-        let duplicate = 0.01 * unit(&mut s);
-        let reorder = 0.15 * unit(&mut s);
-        let reorder_window = SimDuration::from_nanos(500 + splitmix(&mut s) % 2500);
-        let jitter = SimDuration::from_nanos(splitmix(&mut s) % 300);
-        let corrupt = 0.002 * unit(&mut s);
-        let partition_member = 1 + (splitmix(&mut s) as usize) % (n_members - 1);
-        let from_us = 1_500 + splitmix(&mut s) % 1_000;
-        let len_us = 1_500 + splitmix(&mut s) % 1_000;
+        let loss = 0.01 + 0.03 * unit_f64(splitmix64(&mut s));
+        let duplicate = 0.01 * unit_f64(splitmix64(&mut s));
+        let reorder = 0.15 * unit_f64(splitmix64(&mut s));
+        let reorder_window = SimDuration::from_nanos(500 + splitmix64(&mut s) % 2500);
+        let jitter = SimDuration::from_nanos(splitmix64(&mut s) % 300);
+        let corrupt = 0.002 * unit_f64(splitmix64(&mut s));
+        let partition_member = 1 + (splitmix64(&mut s) as usize) % (n_members - 1);
+        let from_us = 1_500 + splitmix64(&mut s) % 1_000;
+        let len_us = 1_500 + splitmix64(&mut s) % 1_000;
         ChaosSpec {
             seed,
             loss,
@@ -109,13 +106,7 @@ impl ChaosSpec {
     /// [`crate::explore::ExploreSpec::to_repro`].
     pub fn to_repro(&self, system: System, n_members: usize) -> Repro {
         let mut r = Repro::new("chaos");
-        r.set(
-            "system",
-            match system {
-                System::P4ce => "p4ce",
-                System::Mu => "mu",
-            },
-        );
+        r.set("system", system.name());
         r.set("members", n_members);
         r.set("seed", self.seed);
         r.set("loss", self.loss);
@@ -145,11 +136,7 @@ impl ChaosSpec {
         if r.kind != "chaos" {
             return Err(format!("not a chaos reproducer: kind={}", r.kind));
         }
-        let system = match r.get("system") {
-            Some("p4ce") | None => System::P4ce,
-            Some("mu") => System::Mu,
-            other => return Err(format!("bad system {other:?}")),
-        };
+        let system = r.get("system").map_or(Ok(System::P4ce), str::parse)?;
         let ns = |key: &str| -> Result<SimDuration, String> {
             Ok(SimDuration::from_nanos(r.parse::<u64>(key)?))
         };
@@ -244,7 +231,7 @@ impl StateMachine for ChaosRecorder {
 fn link_plan(spec: &ChaosSpec, member: usize, reverse: bool, storm_start: SimTime) -> FaultPlan {
     let mut s = spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ (((member as u64) << 1) | u64::from(reverse));
-    let scale = 0.5 + unit(&mut s);
+    let scale = 0.5 + unit_f64(splitmix64(&mut s));
     let mut plan = FaultPlan::new()
         .loss(spec.loss)
         .duplicate(spec.duplicate * scale)

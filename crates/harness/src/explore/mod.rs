@@ -42,6 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bytes::Bytes;
+use netsim::rng::splitmix64;
 use netsim::{
     EventInfo, FaultPlan, NodeId, Planted, PortId, Scheduler, SimDuration, Simulation, Tracer,
 };
@@ -52,7 +53,6 @@ use crate::chaos::ChaosRecorder;
 use crate::groups::{await_steady, install, member, propose_to_leader};
 use crate::repro::{decode_decisions, encode_decisions, Repro};
 use crate::runner::System;
-use crate::shard::splitmix;
 
 use oracle::{check_all, check_group, probe_members, OracleKind, Violation};
 
@@ -207,13 +207,7 @@ impl ExploreSpec {
     /// Serializes the scenario plus a schedule into a reproducer.
     pub fn to_repro(&self, decisions: &BTreeMap<u32, u32>) -> Repro {
         let mut r = Repro::new("explore");
-        r.set(
-            "system",
-            match self.system {
-                System::Mu => "mu",
-                System::P4ce => "p4ce",
-            },
-        );
+        r.set("system", self.system.name());
         r.set("members", self.n_members);
         r.set("groups", self.groups);
         r.set("seed", self.seed);
@@ -245,11 +239,7 @@ impl ExploreSpec {
         if r.kind != "explore" {
             return Err(format!("expected kind=explore, got {}", r.kind));
         }
-        let system = match r.get("system") {
-            Some("mu") => System::Mu,
-            Some("p4ce") => System::P4ce,
-            other => return Err(format!("bad system {other:?}")),
-        };
+        let system = r.parse("system")?;
         let partition_leader_at = match r.get("partition_leader_at") {
             None | Some("-") => None,
             Some(s) => Some(s.parse().map_err(|_| format!("bad partition step {s}"))?),
@@ -336,7 +326,7 @@ impl Scheduler for GuidedScheduler {
         let idx = self.cursor;
         self.cursor += 1;
         let choice = match self.rng.as_mut() {
-            Some(state) => (splitmix(state) % u64::from(n)) as u32,
+            Some(state) => (splitmix64(state) % u64::from(n)) as u32,
             None => self.decisions.get(&idx).copied().unwrap_or(0).min(n - 1),
         };
         self.trace
@@ -716,7 +706,7 @@ pub fn random_walk(spec: &ExploreSpec, budget: Budget) -> ExploreReport {
                 );
             }
         }
-        let walk_seed = splitmix(&mut state);
+        let walk_seed = splitmix64(&mut state);
         let outcome = run_schedule(spec, &BTreeMap::new(), Some(walk_seed), &Tracer::disabled());
         schedules += 1;
         max_branch_points = max_branch_points.max(outcome.branch_counts.len());

@@ -38,7 +38,27 @@ impl fmt::Display for System {
     }
 }
 
+impl std::str::FromStr for System {
+    type Err = String;
+
+    /// Reads a machine name ([`System::name`]).
+    fn from_str(name: &str) -> Result<Self, String> {
+        [System::P4ce, System::Mu]
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| format!("unknown system {name}"))
+    }
+}
+
 impl System {
+    /// The machine name flags and reproducers spell the system with.
+    pub fn name(self) -> &'static str {
+        match self {
+            System::Mu => "mu",
+            System::P4ce => "p4ce",
+        }
+    }
+
     /// Refuses a deployment of `groups` groups of `members` members that
     /// the builders cannot build. Reproducers and the explorer's flags
     /// name deployments; an impossible one is an error for the caller to

@@ -15,6 +15,7 @@
 //! field aside).
 
 use bytes::{BufMut, Bytes, BytesMut};
+use netsim::rng::{mix64, splitmix64, unit_f64};
 use netsim::{SimDuration, SimTime, Simulation, Tracer};
 use p4ce::{P4ceProgram, ShardedClusterBuilder, ShardedDeployment, StateMachine, SwitchComm};
 
@@ -36,20 +37,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Finalizing avalanche (splitmix64's): raw FNV over short, mostly-equal
-/// tags clusters in the high bits, which would let one group's vnode arc
-/// swallow the whole ring.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A consistent-hash ring mapping keys to groups. Each group owns
 /// `vnodes` points on the ring; a key belongs to the first point at or
 /// clockwise of its own hash. Adding or retiring one group moves only
 /// ~`1/G` of the key space — the property that makes group lifecycle
-/// cheap for the service above.
+/// cheap for the service above. Positions are FNV finalized by
+/// [`mix64`]: raw FNV over short, mostly-equal tags clusters in the high
+/// bits, which would let one group's vnode arc swallow the whole ring.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     /// `(ring position, group)`, sorted by position.
@@ -90,17 +84,10 @@ impl HashRing {
 // Zipfian key sampler
 // ---------------------------------------------------------------------
 
-/// One step of the splitmix64 generator: the harness's seeded draw
-/// (Zipf keys, chaos schedules, random-walk scheduling).
-pub(crate) fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    mix64(*state)
-}
-
 /// A seeded Zipf(θ) sampler over keys `0..n`: key `k` is drawn with
 /// probability ∝ `1/(k+1)^θ`. θ = 0 degenerates to uniform; θ ≈ 0.99 is
 /// the YCSB-style skew the sharded-KV population uses. Inversion over a
-/// precomputed CDF: one `splitmix` draw and one binary search per
+/// precomputed CDF: one `splitmix64` draw and one binary search per
 /// sample, fully deterministic in the seed.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
@@ -135,7 +122,7 @@ impl ZipfSampler {
 
     /// Draws the next key.
     pub fn next_key(&mut self) -> u64 {
-        let u = (splitmix(&mut self.state) >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit_f64(splitmix64(&mut self.state));
         self.cdf.partition_point(|&c| c < u) as u64
     }
 }

@@ -19,8 +19,8 @@
 //! directions (see [`crate::Simulation::set_fault_plan`]).
 
 use crate::node::Frame;
+use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
 
 /// A closed-open time window during which a directed link delivers
 /// nothing.
@@ -132,7 +132,7 @@ impl FaultPlan {
         now: SimTime,
         arrival: SimTime,
         frame: Frame,
-        rng: &mut StdRng,
+        rng: &mut Rng,
         stats: &mut FaultStats,
     ) -> Vec<(SimTime, Frame)> {
         if self.is_partitioned(now) {
@@ -194,7 +194,6 @@ pub struct FaultStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn frame(len: usize) -> Frame {
         Frame::from(vec![0xA5u8; len])
@@ -203,7 +202,7 @@ mod tests {
     #[test]
     fn empty_plan_is_transparent() {
         let plan = FaultPlan::new();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut stats = FaultStats::default();
         let arrival = SimTime::from_nanos(500);
         let out = plan.apply(SimTime::ZERO, arrival, frame(64), &mut rng, &mut stats);
@@ -215,7 +214,7 @@ mod tests {
     #[test]
     fn certain_loss_drops_everything() {
         let plan = FaultPlan::new().loss(1.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut stats = FaultStats::default();
         for _ in 0..10 {
             let out = plan.apply(
@@ -233,9 +232,9 @@ mod tests {
     #[test]
     fn partition_windows_bound_the_outage() {
         let plan = FaultPlan::new().partition(SimTime::from_nanos(100), SimTime::from_nanos(200));
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut stats = FaultStats::default();
-        let deliver = |now: u64, rng: &mut StdRng, stats: &mut FaultStats| -> usize {
+        let deliver = |now: u64, rng: &mut Rng, stats: &mut FaultStats| -> usize {
             let t = SimTime::from_nanos(now);
             plan.apply(t, t + SimDuration::from_nanos(5), frame(8), rng, stats)
                 .len()
@@ -250,7 +249,7 @@ mod tests {
     #[test]
     fn duplication_yields_two_ordered_copies() {
         let plan = FaultPlan::new().duplicate(1.0);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let mut stats = FaultStats::default();
         let arrival = SimTime::from_nanos(50);
         let out = plan.apply(SimTime::ZERO, arrival, frame(16), &mut rng, &mut stats);
@@ -263,7 +262,7 @@ mod tests {
     #[test]
     fn corruption_flips_exactly_one_bit() {
         let plan = FaultPlan::new().corrupt(1.0);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::new(4);
         let mut stats = FaultStats::default();
         let original = frame(32);
         let out = plan.apply(
@@ -290,7 +289,7 @@ mod tests {
         let plan = FaultPlan::new()
             .jitter(SimDuration::from_nanos(100))
             .reorder(1.0, SimDuration::from_nanos(1000));
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::new(5);
         let mut stats = FaultStats::default();
         let arrival = SimTime::from_nanos(40);
         for _ in 0..50 {
@@ -311,7 +310,7 @@ mod tests {
             .jitter(SimDuration::from_nanos(90))
             .corrupt(0.1);
         let run = || {
-            let mut rng = StdRng::seed_from_u64(99);
+            let mut rng = Rng::new(99);
             let mut stats = FaultStats::default();
             let mut trace = Vec::new();
             for i in 0..200u64 {

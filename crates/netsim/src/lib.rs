@@ -51,6 +51,7 @@ mod fault;
 pub mod fxhash;
 mod link;
 mod node;
+pub mod rng;
 mod sched;
 mod sim;
 mod slab;
@@ -64,7 +65,7 @@ pub use fault::{FaultPlan, FaultStats, Partition};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{Bandwidth, LinkSpec, LinkStats, WIRE_OVERHEAD_BYTES};
 pub use node::{Context, Frame, Node, NodeId, PortId, TimerToken, TrailerFn, FRAME_HEAD_MAX};
-pub use sched::{EventClass, EventInfo, FifoScheduler, Planted, ReplayScheduler, Scheduler};
+pub use sched::{EventClass, EventInfo, Planted, Scheduler};
 pub use sim::{Simulation, TapId};
 pub use slab::Slab;
 pub use stats::{LatencyRecorder, LatencyStats, Throughput};

@@ -12,9 +12,8 @@
 //! a pure function of `(seed, topology, schedule choices)` and any
 //! violating schedule can be replayed from its recorded choice sequence.
 //!
-//! Choosing index 0 always reproduces the engine's default FIFO order;
-//! a simulation without a scheduler behaves exactly as one scheduled by
-//! [`FifoScheduler`].
+//! Choosing index 0 always reproduces the engine's default FIFO order,
+//! which is what a simulation without a scheduler does.
 
 use crate::node::{NodeId, PortId, TimerToken};
 use crate::time::SimTime;
@@ -88,52 +87,52 @@ pub enum Planted {
     CrosswireGroups,
 }
 
-/// The engine's default policy, made explicit: always index 0, i.e.
-/// strict (time, insertion-order) FIFO. Installing this scheduler is
-/// behaviourally identical to installing none.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FifoScheduler;
-
-impl Scheduler for FifoScheduler {
-    fn choose(&mut self, _candidates: &[EventInfo]) -> usize {
-        0
-    }
-}
-
-/// Replays a recorded choice sequence: the `i`-th call to `choose` with
-/// more than one candidate returns the `i`-th recorded choice (clamped);
-/// once the recording is exhausted, falls back to FIFO. Single-candidate
-/// calls never consume a recorded choice, mirroring how recorders only
-/// log branching points.
-#[derive(Debug, Clone)]
-pub struct ReplayScheduler {
-    choices: Vec<u32>,
-    cursor: usize,
-}
-
-impl ReplayScheduler {
-    /// A scheduler replaying `choices` at successive branching points.
-    pub fn new(choices: Vec<u32>) -> Self {
-        ReplayScheduler { choices, cursor: 0 }
-    }
-}
-
-impl Scheduler for ReplayScheduler {
-    fn choose(&mut self, candidates: &[EventInfo]) -> usize {
-        if candidates.len() <= 1 {
-            return 0;
-        }
-        let Some(&c) = self.choices.get(self.cursor) else {
-            return 0;
-        };
-        self.cursor += 1;
-        (c as usize).min(candidates.len() - 1)
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The engine's default policy, made explicit: always index 0, i.e.
+    /// strict (time, insertion-order) FIFO. Installing this scheduler is
+    /// behaviourally identical to installing none.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub(crate) struct FifoScheduler;
+
+    impl Scheduler for FifoScheduler {
+        fn choose(&mut self, _candidates: &[EventInfo]) -> usize {
+            0
+        }
+    }
+
+    /// Replays a recorded choice sequence: the `i`-th call to `choose` with
+    /// more than one candidate returns the `i`-th recorded choice (clamped);
+    /// once the recording is exhausted, falls back to FIFO. Single-candidate
+    /// calls never consume a recorded choice, mirroring how recorders only
+    /// log branching points.
+    #[derive(Debug, Clone)]
+    pub(crate) struct ReplayScheduler {
+        choices: Vec<u32>,
+        cursor: usize,
+    }
+
+    impl ReplayScheduler {
+        /// A scheduler replaying `choices` at successive branching points.
+        pub(crate) fn new(choices: Vec<u32>) -> Self {
+            ReplayScheduler { choices, cursor: 0 }
+        }
+    }
+
+    impl Scheduler for ReplayScheduler {
+        fn choose(&mut self, candidates: &[EventInfo]) -> usize {
+            if candidates.len() <= 1 {
+                return 0;
+            }
+            let Some(&c) = self.choices.get(self.cursor) else {
+                return 0;
+            };
+            self.cursor += 1;
+            (c as usize).min(candidates.len() - 1)
+        }
+    }
 
     fn info(seq: u64) -> EventInfo {
         EventInfo {

@@ -1,11 +1,9 @@
 //! The discrete-event simulation engine.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crate::fault::{FaultPlan, FaultStats};
 use crate::link::{DirLink, LinkSpec, LinkStats};
 use crate::node::{Context, Frame, Node, NodeId, PortId, TimerToken};
+use crate::rng::Rng;
 use crate::sched::{EventClass, EventInfo, Planted, Scheduler};
 use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
@@ -111,7 +109,7 @@ pub(crate) struct Fabric {
     /// Number of `Some` entries in `faults`: lets the per-send fast path
     /// skip fault bookkeeping entirely on clean topologies.
     faults_installed: usize,
-    pub(crate) rng: StdRng,
+    pub(crate) rng: Rng,
     taps: Vec<Tap>,
     pub(crate) planted: Option<Planted>,
 }
@@ -198,7 +196,7 @@ impl Simulation {
                 faults: Vec::new(),
                 fault_stats: Vec::new(),
                 faults_installed: 0,
-                rng: StdRng::seed_from_u64(seed),
+                rng: Rng::new(seed),
                 taps: Vec::new(),
                 planted: None,
             },
@@ -392,7 +390,7 @@ impl Simulation {
     /// Installs a [`Scheduler`] that chooses among co-enabled events
     /// (those sharing the earliest pending timestamp). Replaces any
     /// previous scheduler. Without one, equal-time events fire in
-    /// insertion order — identical to [`crate::FifoScheduler`].
+    /// insertion order — as if every choice were index 0.
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
         self.scheduler = Some(scheduler);
     }
@@ -841,7 +839,7 @@ mod tests {
     #[test]
     fn fifo_scheduler_matches_default_order() {
         let default = tied_run(None);
-        let fifo = tied_run(Some(Box::new(crate::FifoScheduler)));
+        let fifo = tied_run(Some(Box::new(crate::sched::tests::FifoScheduler)));
         assert_eq!(default, vec![0, 1, 2, 3]);
         assert_eq!(default, fifo);
     }
@@ -863,7 +861,7 @@ mod tests {
         // Choices recorded at successive branching points: 4 candidates →
         // pick 2; then {0,1,3} → pick 1 (token 1); then {0,3} → pick 1
         // (token 3); last one forced.
-        let replay = crate::ReplayScheduler::new(vec![2, 1, 1]);
+        let replay = crate::sched::tests::ReplayScheduler::new(vec![2, 1, 1]);
         assert_eq!(tied_run(Some(Box::new(replay))), vec![2, 1, 3, 0]);
     }
 

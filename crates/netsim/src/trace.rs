@@ -210,93 +210,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Short name of the event kind, used in exports.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Propose { .. } => "propose",
-            TraceEvent::PostBound { .. } => "post_bound",
-            TraceEvent::Decide { .. } => "decide",
-            TraceEvent::Apply { .. } => "apply",
-            TraceEvent::ViewChange { .. } => "view_change",
-            TraceEvent::FellBack => "fell_back",
-            TraceEvent::GroupEstablished => "group_established",
-            TraceEvent::WqePost { .. } => "wqe_post",
-            TraceEvent::WireTx { .. } => "wire_tx",
-            TraceEvent::AckTx { .. } => "ack_tx",
-            TraceEvent::AckRx { .. } => "ack_rx",
-            TraceEvent::NakTx { .. } => "nak_tx",
-            TraceEvent::NakRx { .. } => "nak_rx",
-            TraceEvent::Retransmit { .. } => "retransmit",
-            TraceEvent::Scatter { .. } => "scatter",
-            TraceEvent::ScatterCopy { .. } => "scatter_copy",
-            TraceEvent::GatherAck { .. } => "gather_ack",
-            TraceEvent::CreditClamp { .. } => "credit_clamp",
-            TraceEvent::NakForward { .. } => "nak_forward",
-        }
-    }
-
-    /// The event's fields as `(name, value)` pairs, for exports.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        match *self {
-            TraceEvent::Propose { view, seq } => vec![("view", view), ("seq", seq)],
-            TraceEvent::PostBound {
-                view,
-                seq,
-                qpn,
-                wr_id,
-            } => vec![("view", view), ("seq", seq), ("qpn", qpn), ("wr_id", wr_id)],
-            TraceEvent::Decide { view, seq } => vec![("view", view), ("seq", seq)],
-            TraceEvent::Apply { seq } => vec![("seq", seq)],
-            TraceEvent::ViewChange { view, leader } => vec![("view", view), ("leader", leader)],
-            TraceEvent::FellBack | TraceEvent::GroupEstablished => vec![],
-            TraceEvent::WqePost { qpn, wr_id } => vec![("qpn", qpn), ("wr_id", wr_id)],
-            TraceEvent::WireTx {
-                qpn,
-                wr_id,
-                psn,
-                npkts,
-            } => vec![
-                ("qpn", qpn),
-                ("wr_id", wr_id),
-                ("psn", psn),
-                ("npkts", npkts),
-            ],
-            TraceEvent::AckTx { qpn, psn } | TraceEvent::NakTx { qpn, psn } => {
-                vec![("qpn", qpn), ("psn", psn)]
-            }
-            TraceEvent::AckRx { qpn, psn, credits } => {
-                vec![("qpn", qpn), ("psn", psn), ("credits", credits)]
-            }
-            TraceEvent::NakRx { qpn, psn } => vec![("qpn", qpn), ("psn", psn)],
-            TraceEvent::Retransmit { qpn, kind, packets } => vec![
-                ("qpn", qpn),
-                ("timeout", u64::from(kind == RetransmitKind::Timeout)),
-                ("packets", packets),
-            ],
-            TraceEvent::Scatter { psn, dist } => vec![("psn", psn), ("dist", dist)],
-            TraceEvent::ScatterCopy { psn, rid } => vec![("psn", psn), ("rid", rid)],
-            TraceEvent::GatherAck {
-                psn,
-                endpoint,
-                distinct,
-                quorum,
-            } => vec![
-                ("psn", psn),
-                ("endpoint", endpoint),
-                ("distinct", distinct),
-                ("quorum", u64::from(quorum)),
-            ],
-            TraceEvent::CreditClamp {
-                psn,
-                folded,
-                carried,
-            } => vec![("psn", psn), ("folded", folded), ("carried", carried)],
-            TraceEvent::NakForward { psn } => vec![("psn", psn)],
-        }
-    }
-}
-
 /// One decoded trace entry: what happened, where, and when.
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
@@ -357,128 +270,144 @@ impl BinRecord {
     }
 }
 
-// Kind bytes, one per `TraceEvent` variant.
-const K_PROPOSE: u8 = 0;
-const K_POST_BOUND: u8 = 1;
-const K_DECIDE: u8 = 2;
-const K_APPLY: u8 = 3;
-const K_VIEW_CHANGE: u8 = 4;
-const K_FELL_BACK: u8 = 5;
-const K_GROUP_ESTABLISHED: u8 = 6;
-const K_WQE_POST: u8 = 7;
-const K_WIRE_TX: u8 = 8;
-const K_ACK_TX: u8 = 9;
-const K_ACK_RX: u8 = 10;
-const K_NAK_TX: u8 = 11;
-const K_NAK_RX: u8 = 12;
-const K_RETRANSMIT: u8 = 13;
-const K_SCATTER: u8 = 14;
-const K_SCATTER_COPY: u8 = 15;
-const K_GATHER_ACK: u8 = 16;
-const K_CREDIT_CLAMP: u8 = 17;
-const K_NAK_FORWARD: u8 = 18;
+/// Each trace kind's export name and field names, indexed by its kind
+/// byte — the `TraceEvent` variant's declaration order. `encode` writes
+/// a kind's fields in this order and `decode` reads them back.
+const KINDS: [(&str, &[&str]); 19] = [
+    ("propose", &["view", "seq"]),
+    ("post_bound", &["view", "seq", "qpn", "wr_id"]),
+    ("decide", &["view", "seq"]),
+    ("apply", &["seq"]),
+    ("view_change", &["view", "leader"]),
+    ("fell_back", &[]),
+    ("group_established", &[]),
+    ("wqe_post", &["qpn", "wr_id"]),
+    ("wire_tx", &["qpn", "wr_id", "psn", "npkts"]),
+    ("ack_tx", &["qpn", "psn"]),
+    ("ack_rx", &["qpn", "psn", "credits"]),
+    ("nak_tx", &["qpn", "psn"]),
+    ("nak_rx", &["qpn", "psn"]),
+    ("retransmit", &["qpn", "timeout", "packets"]),
+    ("scatter", &["psn", "dist"]),
+    ("scatter_copy", &["psn", "rid"]),
+    ("gather_ack", &["psn", "endpoint", "distinct", "quorum"]),
+    ("credit_clamp", &["psn", "folded", "carried"]),
+    ("nak_forward", &["psn"]),
+];
 
 impl TraceEvent {
+    /// Short name of the event kind, used in exports.
+    pub fn kind(&self) -> &'static str {
+        KINDS[usize::from(self.encode().0)].0
+    }
+
+    /// The event's fields as `(name, value)` pairs, for exports.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
+        let (kind, values) = self.encode();
+        let names = KINDS[usize::from(kind)].1;
+        names.iter().copied().zip(values).collect()
+    }
+
     /// Collapses the event to its binary form.
     #[inline]
     fn encode(&self) -> (u8, [u64; 4]) {
         match *self {
-            TraceEvent::Propose { view, seq } => (K_PROPOSE, [view, seq, 0, 0]),
+            TraceEvent::Propose { view, seq } => (0, [view, seq, 0, 0]),
             TraceEvent::PostBound {
                 view,
                 seq,
                 qpn,
                 wr_id,
-            } => (K_POST_BOUND, [view, seq, qpn, wr_id]),
-            TraceEvent::Decide { view, seq } => (K_DECIDE, [view, seq, 0, 0]),
-            TraceEvent::Apply { seq } => (K_APPLY, [seq, 0, 0, 0]),
-            TraceEvent::ViewChange { view, leader } => (K_VIEW_CHANGE, [view, leader, 0, 0]),
-            TraceEvent::FellBack => (K_FELL_BACK, [0; 4]),
-            TraceEvent::GroupEstablished => (K_GROUP_ESTABLISHED, [0; 4]),
-            TraceEvent::WqePost { qpn, wr_id } => (K_WQE_POST, [qpn, wr_id, 0, 0]),
+            } => (1, [view, seq, qpn, wr_id]),
+            TraceEvent::Decide { view, seq } => (2, [view, seq, 0, 0]),
+            TraceEvent::Apply { seq } => (3, [seq, 0, 0, 0]),
+            TraceEvent::ViewChange { view, leader } => (4, [view, leader, 0, 0]),
+            TraceEvent::FellBack => (5, [0; 4]),
+            TraceEvent::GroupEstablished => (6, [0; 4]),
+            TraceEvent::WqePost { qpn, wr_id } => (7, [qpn, wr_id, 0, 0]),
             TraceEvent::WireTx {
                 qpn,
                 wr_id,
                 psn,
                 npkts,
-            } => (K_WIRE_TX, [qpn, wr_id, psn, npkts]),
-            TraceEvent::AckTx { qpn, psn } => (K_ACK_TX, [qpn, psn, 0, 0]),
-            TraceEvent::AckRx { qpn, psn, credits } => (K_ACK_RX, [qpn, psn, credits, 0]),
-            TraceEvent::NakTx { qpn, psn } => (K_NAK_TX, [qpn, psn, 0, 0]),
-            TraceEvent::NakRx { qpn, psn } => (K_NAK_RX, [qpn, psn, 0, 0]),
+            } => (8, [qpn, wr_id, psn, npkts]),
+            TraceEvent::AckTx { qpn, psn } => (9, [qpn, psn, 0, 0]),
+            TraceEvent::AckRx { qpn, psn, credits } => (10, [qpn, psn, credits, 0]),
+            TraceEvent::NakTx { qpn, psn } => (11, [qpn, psn, 0, 0]),
+            TraceEvent::NakRx { qpn, psn } => (12, [qpn, psn, 0, 0]),
             TraceEvent::Retransmit { qpn, kind, packets } => (
-                K_RETRANSMIT,
+                13,
                 [qpn, u64::from(kind == RetransmitKind::Timeout), packets, 0],
             ),
-            TraceEvent::Scatter { psn, dist } => (K_SCATTER, [psn, dist, 0, 0]),
-            TraceEvent::ScatterCopy { psn, rid } => (K_SCATTER_COPY, [psn, rid, 0, 0]),
+            TraceEvent::Scatter { psn, dist } => (14, [psn, dist, 0, 0]),
+            TraceEvent::ScatterCopy { psn, rid } => (15, [psn, rid, 0, 0]),
             TraceEvent::GatherAck {
                 psn,
                 endpoint,
                 distinct,
                 quorum,
-            } => (K_GATHER_ACK, [psn, endpoint, distinct, u64::from(quorum)]),
+            } => (16, [psn, endpoint, distinct, u64::from(quorum)]),
             TraceEvent::CreditClamp {
                 psn,
                 folded,
                 carried,
-            } => (K_CREDIT_CLAMP, [psn, folded, carried, 0]),
-            TraceEvent::NakForward { psn } => (K_NAK_FORWARD, [psn, 0, 0, 0]),
+            } => (17, [psn, folded, carried, 0]),
+            TraceEvent::NakForward { psn } => (18, [psn, 0, 0, 0]),
         }
     }
 
     /// Rebuilds the event from its binary form (inverse of [`encode`]).
     fn decode(kind: u8, f: [u64; 4]) -> TraceEvent {
         match kind {
-            K_PROPOSE => TraceEvent::Propose {
+            0 => TraceEvent::Propose {
                 view: f[0],
                 seq: f[1],
             },
-            K_POST_BOUND => TraceEvent::PostBound {
+            1 => TraceEvent::PostBound {
                 view: f[0],
                 seq: f[1],
                 qpn: f[2],
                 wr_id: f[3],
             },
-            K_DECIDE => TraceEvent::Decide {
+            2 => TraceEvent::Decide {
                 view: f[0],
                 seq: f[1],
             },
-            K_APPLY => TraceEvent::Apply { seq: f[0] },
-            K_VIEW_CHANGE => TraceEvent::ViewChange {
+            3 => TraceEvent::Apply { seq: f[0] },
+            4 => TraceEvent::ViewChange {
                 view: f[0],
                 leader: f[1],
             },
-            K_FELL_BACK => TraceEvent::FellBack,
-            K_GROUP_ESTABLISHED => TraceEvent::GroupEstablished,
-            K_WQE_POST => TraceEvent::WqePost {
+            5 => TraceEvent::FellBack,
+            6 => TraceEvent::GroupEstablished,
+            7 => TraceEvent::WqePost {
                 qpn: f[0],
                 wr_id: f[1],
             },
-            K_WIRE_TX => TraceEvent::WireTx {
+            8 => TraceEvent::WireTx {
                 qpn: f[0],
                 wr_id: f[1],
                 psn: f[2],
                 npkts: f[3],
             },
-            K_ACK_TX => TraceEvent::AckTx {
+            9 => TraceEvent::AckTx {
                 qpn: f[0],
                 psn: f[1],
             },
-            K_ACK_RX => TraceEvent::AckRx {
+            10 => TraceEvent::AckRx {
                 qpn: f[0],
                 psn: f[1],
                 credits: f[2],
             },
-            K_NAK_TX => TraceEvent::NakTx {
+            11 => TraceEvent::NakTx {
                 qpn: f[0],
                 psn: f[1],
             },
-            K_NAK_RX => TraceEvent::NakRx {
+            12 => TraceEvent::NakRx {
                 qpn: f[0],
                 psn: f[1],
             },
-            K_RETRANSMIT => TraceEvent::Retransmit {
+            13 => TraceEvent::Retransmit {
                 qpn: f[0],
                 kind: if f[1] != 0 {
                     RetransmitKind::Timeout
@@ -487,26 +416,26 @@ impl TraceEvent {
                 },
                 packets: f[2],
             },
-            K_SCATTER => TraceEvent::Scatter {
+            14 => TraceEvent::Scatter {
                 psn: f[0],
                 dist: f[1],
             },
-            K_SCATTER_COPY => TraceEvent::ScatterCopy {
+            15 => TraceEvent::ScatterCopy {
                 psn: f[0],
                 rid: f[1],
             },
-            K_GATHER_ACK => TraceEvent::GatherAck {
+            16 => TraceEvent::GatherAck {
                 psn: f[0],
                 endpoint: f[1],
                 distinct: f[2],
                 quorum: f[3] != 0,
             },
-            K_CREDIT_CLAMP => TraceEvent::CreditClamp {
+            17 => TraceEvent::CreditClamp {
                 psn: f[0],
                 folded: f[1],
                 carried: f[2],
             },
-            K_NAK_FORWARD => TraceEvent::NakForward { psn: f[0] },
+            18 => TraceEvent::NakForward { psn: f[0] },
             other => unreachable!("unknown trace kind byte {other}"),
         }
     }
@@ -2108,5 +2037,108 @@ mod tests {
         // The plain export is the same body without the timeline process.
         let plain = chrome_trace_json(&records);
         assert!(plain.contains("propose") && !plain.contains("\"pid\":3"));
+    }
+
+    /// One sample per variant, in kind-byte order, with the export name
+    /// and field names it carries: `KINDS` must agree with every variant.
+    #[test]
+    fn kinds_table_names_every_variant() {
+        use TraceEvent as E;
+        let timeout = RetransmitKind::Timeout;
+        let samples: [(TraceEvent, &str, &[&str]); 19] = [
+            (E::Propose { view: 1, seq: 2 }, "propose", &["view", "seq"]),
+            (
+                E::PostBound {
+                    view: 1,
+                    seq: 2,
+                    qpn: 3,
+                    wr_id: 4,
+                },
+                "post_bound",
+                &["view", "seq", "qpn", "wr_id"],
+            ),
+            (E::Decide { view: 1, seq: 2 }, "decide", &["view", "seq"]),
+            (E::Apply { seq: 1 }, "apply", &["seq"]),
+            (
+                E::ViewChange { view: 1, leader: 2 },
+                "view_change",
+                &["view", "leader"],
+            ),
+            (E::FellBack, "fell_back", &[]),
+            (E::GroupEstablished, "group_established", &[]),
+            (
+                E::WqePost { qpn: 1, wr_id: 2 },
+                "wqe_post",
+                &["qpn", "wr_id"],
+            ),
+            (
+                E::WireTx {
+                    qpn: 1,
+                    wr_id: 2,
+                    psn: 3,
+                    npkts: 4,
+                },
+                "wire_tx",
+                &["qpn", "wr_id", "psn", "npkts"],
+            ),
+            (E::AckTx { qpn: 1, psn: 2 }, "ack_tx", &["qpn", "psn"]),
+            (
+                E::AckRx {
+                    qpn: 1,
+                    psn: 2,
+                    credits: 3,
+                },
+                "ack_rx",
+                &["qpn", "psn", "credits"],
+            ),
+            (E::NakTx { qpn: 1, psn: 2 }, "nak_tx", &["qpn", "psn"]),
+            (E::NakRx { qpn: 1, psn: 2 }, "nak_rx", &["qpn", "psn"]),
+            (
+                E::Retransmit {
+                    qpn: 1,
+                    kind: timeout,
+                    packets: 3,
+                },
+                "retransmit",
+                &["qpn", "timeout", "packets"],
+            ),
+            (E::Scatter { psn: 1, dist: 2 }, "scatter", &["psn", "dist"]),
+            (
+                E::ScatterCopy { psn: 1, rid: 2 },
+                "scatter_copy",
+                &["psn", "rid"],
+            ),
+            (
+                E::GatherAck {
+                    psn: 1,
+                    endpoint: 2,
+                    distinct: 3,
+                    quorum: true,
+                },
+                "gather_ack",
+                &["psn", "endpoint", "distinct", "quorum"],
+            ),
+            (
+                E::CreditClamp {
+                    psn: 1,
+                    folded: 2,
+                    carried: 3,
+                },
+                "credit_clamp",
+                &["psn", "folded", "carried"],
+            ),
+            (E::NakForward { psn: 1 }, "nak_forward", &["psn"]),
+        ];
+        for (i, (event, name, fields)) in samples.into_iter().enumerate() {
+            let (kind, values) = event.encode();
+            assert_eq!(usize::from(kind), i, "{name}: kind byte");
+            assert_eq!(KINDS[i], (name, fields));
+            assert_eq!(event.kind(), name);
+            let exported: Vec<(&str, u64)> = fields.iter().copied().zip(values).collect();
+            assert_eq!(event.fields(), exported, "{name}: fields");
+            // Samples number their fields 1, 2, …; bools and kinds are 1.
+            assert!(values[..fields.len()].iter().all(|&v| v >= 1));
+            assert_eq!(TraceEvent::decode(kind, values), event);
+        }
     }
 }

@@ -20,6 +20,7 @@
 //! the multicast group, and answers the leader with a *virtual* region
 //! (VA 0, random key) after the reconfiguration delay.
 
+use netsim::rng::lcg_step;
 use netsim::{Planted, PortId, SimDuration, SimTime, TraceEvent};
 use rdma::cm::{CmMessage, RegionAdvert, RejectReason};
 use rdma::{Aeth, AethKind, MacAddr, Opcode, Psn, Qpn, RKey, RewriteSet, RocePacket, CM_QPN};
@@ -217,6 +218,7 @@ pub struct P4ceProgram {
     fanout_handshakes: HashMap<u64, (u16, u8)>,
     next_gid: u16,
     next_qpn: u32,
+    /// The LCG state every virtual key and start PSN is drawn from.
     key_state: u64,
     /// Counters.
     pub stats: P4ceSwitchStats,
@@ -245,17 +247,8 @@ impl P4ceProgram {
         }
     }
 
-    /// One step of the LCG every virtual key and start PSN is drawn from.
-    fn draw(&mut self) -> u64 {
-        self.key_state = self
-            .key_state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.key_state
-    }
-
     fn next_virt_rkey(&mut self) -> RKey {
-        RKey(((self.draw() >> 32) as u32) | 1)
+        RKey(((lcg_step(&mut self.key_state) >> 32) as u32) | 1)
     }
 
     fn alloc_qpn(&mut self) -> Qpn {
@@ -350,7 +343,7 @@ impl P4ceProgram {
         let mut replicas = Vec::with_capacity(n);
         for (idx, &ip) in spec.replicas.iter().enumerate() {
             let aggr_qpn = self.alloc_qpn();
-            let start_psn_out = Psn::new((self.draw() >> 40) as u32);
+            let start_psn_out = Psn::new((lcg_step(&mut self.key_state) >> 40) as u32);
             replicas.push(ReplicaConn {
                 ip,
                 port: ops.route(ip),

@@ -14,6 +14,7 @@
 //!   CPU is the small-value bottleneck the paper measures.
 
 use bytes::Bytes;
+use netsim::rng::lcg_step;
 use netsim::{
     Context, Cpu, Frame, FxHashMap, Node, Planted, PortId, RetransmitKind, SimDuration, SimTime,
     TimerToken, TraceEvent, Tracer,
@@ -372,11 +373,7 @@ impl HostCore {
     }
 
     fn next_start_psn(&mut self) -> Psn {
-        self.psn_state = self
-            .psn_state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        Psn::new((self.psn_state >> 40) as u32)
+        Psn::new((lcg_step(&mut self.psn_state) >> 40) as u32)
     }
 
     fn alloc_qpn(&mut self) -> Qpn {
@@ -670,10 +667,53 @@ impl HostCore {
         self.enqueue_delivery(Delivery::Cm(ev), cost, ctx);
     }
 
-    fn retransmit(&mut self, qpn: Qpn, packets: Vec<PacketPlan>, ctx: &mut Context<'_>) {
-        self.stats.retransmits += packets.len() as u64;
-        self.enqueue_request(qpn, packets);
-        self.kick_tx(ctx);
+    /// Carries out a queue pair's recovery verdict, whatever triggered
+    /// it (`kind`): send the named packets again, or fail the QP's
+    /// requests — the oldest with `failed`, the rest flushed.
+    fn recover(
+        &mut self,
+        qpn: Qpn,
+        action: RecoveryAction,
+        kind: RetransmitKind,
+        failed: CompletionStatus,
+        ctx: &mut Context<'_>,
+    ) {
+        match action {
+            RecoveryAction::None => {}
+            RecoveryAction::Retransmit(packets) => {
+                let n = packets.len() as u64;
+                match kind {
+                    RetransmitKind::Timeout => self.stats.timeout_retransmits += n,
+                    RetransmitKind::Nak => self.stats.nak_retransmits += n,
+                }
+                self.cfg.tracer.emit(ctx.now, || TraceEvent::Retransmit {
+                    qpn: u64::from(qpn.masked()),
+                    kind,
+                    packets: n,
+                });
+                self.stats.retransmits += n;
+                self.enqueue_request(qpn, packets);
+                self.kick_tx(ctx);
+            }
+            RecoveryAction::Fatal(ids) => {
+                for (i, wr_id) in ids.into_iter().enumerate() {
+                    let status = if i == 0 {
+                        failed
+                    } else {
+                        CompletionStatus::Flushed
+                    };
+                    self.complete(
+                        Completion {
+                            qpn,
+                            wr_id,
+                            status,
+                            credits: 0,
+                        },
+                        ctx,
+                    );
+                }
+            }
+        }
     }
 
     // --------------------------------------------------------------
@@ -874,36 +914,9 @@ impl HostCore {
                 // trigger) in parallel with transport-level recovery.
                 let cost = self.cfg.reap_cost;
                 self.enqueue_delivery(Delivery::Nak { qpn, code }, cost, ctx);
-                match self.with_qp(qpn.masked(), |qp| qp.handle_nak(code)) {
-                    RecoveryAction::None => {}
-                    RecoveryAction::Retransmit(pkts) => {
-                        self.stats.nak_retransmits += pkts.len() as u64;
-                        self.cfg.tracer.emit(ctx.now, || TraceEvent::Retransmit {
-                            qpn: u64::from(qpn.masked()),
-                            kind: RetransmitKind::Nak,
-                            packets: pkts.len() as u64,
-                        });
-                        self.retransmit(qpn, pkts, ctx);
-                    }
-                    RecoveryAction::Fatal(ids) => {
-                        for (i, wr_id) in ids.into_iter().enumerate() {
-                            let status = if i == 0 {
-                                CompletionStatus::RemoteError(code)
-                            } else {
-                                CompletionStatus::Flushed
-                            };
-                            self.complete(
-                                Completion {
-                                    qpn,
-                                    wr_id,
-                                    status,
-                                    credits: 0,
-                                },
-                                ctx,
-                            );
-                        }
-                    }
-                }
+                let action = self.with_qp(qpn.masked(), |qp| qp.handle_nak(code));
+                let failed = CompletionStatus::RemoteError(code);
+                self.recover(qpn, action, RetransmitKind::Nak, failed, ctx);
             }
         }
     }
@@ -1516,39 +1529,9 @@ impl<A: RdmaApp> Node for Host<A> {
                     let action = self
                         .core
                         .with_qp(qpn, |qp| qp.check_timeout(ctx.now, timeout, retry_limit));
-                    match action {
-                        RecoveryAction::None => {}
-                        RecoveryAction::Retransmit(pkts) => {
-                            self.core.stats.timeout_retransmits += pkts.len() as u64;
-                            self.core
-                                .cfg
-                                .tracer
-                                .emit(ctx.now, || TraceEvent::Retransmit {
-                                    qpn: u64::from(qpn),
-                                    kind: RetransmitKind::Timeout,
-                                    packets: pkts.len() as u64,
-                                });
-                            self.core.retransmit(Qpn(qpn), pkts, ctx);
-                        }
-                        RecoveryAction::Fatal(ids) => {
-                            for (i, wr_id) in ids.into_iter().enumerate() {
-                                let status = if i == 0 {
-                                    CompletionStatus::TimedOut
-                                } else {
-                                    CompletionStatus::Flushed
-                                };
-                                self.core.complete(
-                                    Completion {
-                                        qpn: Qpn(qpn),
-                                        wr_id,
-                                        status,
-                                        credits: 0,
-                                    },
-                                    ctx,
-                                );
-                            }
-                        }
-                    }
+                    let failed = CompletionStatus::TimedOut;
+                    self.core
+                        .recover(Qpn(qpn), action, RetransmitKind::Timeout, failed, ctx);
                 }
                 self.maybe_arm_retransmit(ctx);
             }

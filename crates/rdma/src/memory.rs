@@ -8,6 +8,7 @@
 //! log" (§III).
 
 use bytes::Bytes;
+use netsim::rng::lcg_step;
 use netsim::FxHashMap;
 use std::error::Error;
 use std::fmt;
@@ -114,11 +115,7 @@ impl HostMemory {
 
     fn next_rkey(&mut self) -> RKey {
         loop {
-            self.key_state = self
-                .key_state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let key = (self.key_state >> 32) as u32;
+            let key = (lcg_step(&mut self.key_state) >> 32) as u32;
             if key != 0 && !self.by_rkey.contains_key(&key) {
                 return RKey(key);
             }

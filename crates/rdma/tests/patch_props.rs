@@ -9,10 +9,9 @@
 //! only here) would have written.
 
 use bytes::{BufMut, Bytes};
+use netsim::rng::Rng;
 use netsim::{FaultPlan, FaultStats, Frame, SimTime};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rdma::wire::{crc32, ipv4_checksum, ParseError};
 use rdma::{
     Aeth, AethKind, Bth, MacAddr, Opcode, PacketTemplate, Psn, Qpn, RKey, Reth, RewriteSet,
@@ -224,7 +223,7 @@ proptest! {
         let frame = pkt.to_frame();
         let plan = FaultPlan::new().corrupt(1.0);
         let (now, mut stats) = (SimTime::ZERO, FaultStats::default());
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let delivered = plan.apply(now, now, frame.clone(), &mut rng, &mut stats);
         let (_, corrupt) = &delivered[0];
         prop_assert!(!corrupt.is_verified());

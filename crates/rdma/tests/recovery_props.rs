@@ -12,6 +12,7 @@
 //! * **liveness** — once the channel heals, everything drains.
 
 use bytes::Bytes;
+use netsim::rng::splitmix64;
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use rdma::qp::{RecoveryAction, RecvVerdict};
@@ -26,16 +27,8 @@ const RETRY_LIMIT: u32 = 1000; // loss is transient; never go fatal
 const HEAL_STEP: u64 = 2_000;
 const MAX_STEPS: u64 = 20_000;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn chance(state: &mut u64, pct: u32) -> bool {
-    (splitmix(state) % 100) < u64::from(pct)
+    (splitmix64(state) % 100) < u64::from(pct)
 }
 
 enum BackMsg {
@@ -59,7 +52,7 @@ impl<T> Channel<T> {
             return;
         }
         let delay = if chance(rng, reorder_pct) {
-            2 + splitmix(rng) % 6
+            2 + splitmix64(rng) % 6
         } else {
             1
         };

@@ -161,6 +161,22 @@ for gone in 'MetricsRegistry' 'LatencySummary' 'group_scoped' 'fn register_into'
 done
 [ ! -e crates/netsim/src/metrics.rs ] || { echo "tier-1: crates/netsim/src/metrics.rs is gone; HostStats, SwitchStats, P4ceSwitchStats/GroupStats and MemberStats are the counter pipe" >&2; exit 1; }
 
+echo "==> one home for every random draw: the simulator owns its generator, a trace kind is one table row, a queue pair recovers one way"
+[ ! -e vendor/rand ] || { echo "tier-1: vendor/rand is gone; netsim::rng is the one generator (EXPERIMENTS E25)" >&2; exit 1; }
+if grep -nE '^[[:space:]]*rand([.[:space:]]|=)' Cargo.toml crates/*/Cargo.toml; then
+  echo "tier-1: no workspace manifest depends on rand; draws come from netsim::rng" >&2; exit 1
+fi
+for once in '6364136223846793005' '0xbf58_476d_1ce4_e5b9'; do
+  [ "$(grep -rho "$once" crates/*/src | wc -l)" -eq 1 ] || { echo "tier-1: '$once' appears exactly once under crates/*/src (netsim::rng: lcg_step, mix64)" >&2; exit 1; }
+done
+if grep -n 'const K_' crates/netsim/src/trace.rs; then
+  echo "tier-1: no kind-byte constants in netsim/src/trace.rs; KINDS names each kind and its fields once" >&2; exit 1
+fi
+if grep -rnE 'pub struct (FifoScheduler|ReplayScheduler)' crates/*/src; then
+  echo "tier-1: the sample schedulers live in netsim's tests; the explorer's GuidedScheduler is the replay reproducers use" >&2; exit 1
+fi
+[ "$(grep -c 'RecoveryAction::Fatal' crates/rdma/src/host.rs)" -eq 1 ] || { echo "tier-1: crates/rdma/src/host.rs matches RecoveryAction::Fatal exactly once (HostCore::recover serves the NAK and the timeout)" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
