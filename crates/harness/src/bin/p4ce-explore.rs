@@ -2,7 +2,7 @@
 //! from the command line (and from CI).
 //!
 //! ```text
-//! p4ce-explore exhaustive [spec flags] [--seeds a,b,c] [--delay-bound D] [--max-schedules M]
+//! p4ce-explore exhaustive [spec flags] [--seeds a,b,c] [--delay-bound D] [--schedules N]
 //! p4ce-explore random     [spec flags] [--seeds a,b,c] [--schedules N]
 //! p4ce-explore mutation-check [--system p4ce|mu] [--members N]
 //! p4ce-explore replay <reproducer-file> [--trace TRACE.json]
@@ -10,12 +10,13 @@
 //!
 //! Spec flags: `--system p4ce|mu`, `--members N`, `--groups G`
 //! (G ≥ 2 explores a sharded deployment behind one switch, with the
-//! per-group oracle suite), `--seed S`, `--horizon H`,
-//! `--propose-every K`, `--plain-fabric`, `--partition-at STEP`. Both
-//! exploring modes also take `--deadline-secs T` and `--out FILE` (write
-//! the shrunk reproducer there on violation). A mode reads only its own
-//! flags ([`MODES`]); any other word, and a deployment the builders
-//! cannot build, is a usage error.
+//! per-group oracle suite), `--horizon H`, `--propose-every K`,
+//! `--plain-fabric`, `--partition-at STEP`. Both exploring modes also
+//! take `--seeds` (default 42), `--schedules N` (the schedule budget:
+//! 20,000 exhaustive, 64 random walks by default), `--deadline-secs T`
+//! and `--out FILE` (write the shrunk reproducer there on violation). A
+//! mode reads only its own flags ([`MODES`]); any other word, and a
+//! deployment the builders cannot build, is a usage error.
 //!
 //! `mutation-check` plants every bug of [`explore::MUTATIONS`] that the
 //! system can host, each in its own scenario, and demands that the bug's
@@ -51,14 +52,13 @@ const MODES: [(&str, Mode, &[&str]); 4] = [
             "--system",
             "--members",
             "--groups",
-            "--seed",
             "--horizon",
             "--propose-every",
             "--plain-fabric",
             "--partition-at",
             "--seeds",
             "--delay-bound",
-            "--max-schedules",
+            "--schedules",
             "--deadline-secs",
             "--out",
         ],
@@ -70,7 +70,6 @@ const MODES: [(&str, Mode, &[&str]); 4] = [
             "--system",
             "--members",
             "--groups",
-            "--seed",
             "--horizon",
             "--propose-every",
             "--plain-fabric",
@@ -91,20 +90,21 @@ const MODES: [(&str, Mode, &[&str]); 4] = [
 
 const USAGE: &str = "\
 usage: p4ce-explore <mode> [flags]
-  exhaustive  [spec flags] [--seeds a,b,c] [--delay-bound D] [--max-schedules M] [--deadline-secs T] [--out FILE]
+  exhaustive  [spec flags] [--seeds a,b,c] [--delay-bound D] [--schedules N] [--deadline-secs T] [--out FILE]
   random      [spec flags] [--seeds a,b,c] [--schedules N] [--deadline-secs T] [--out FILE]
   mutation-check [--system p4ce|mu] [--members N]
   replay FILE [--trace TRACE.json]
-spec flags: [--system p4ce|mu] [--members N] [--groups G] [--seed S] [--horizon H]
-            [--propose-every K] [--plain-fabric] [--partition-at STEP]";
+spec flags: [--system p4ce|mu] [--members N] [--groups G] [--horizon H]
+            [--propose-every K] [--plain-fabric] [--partition-at STEP]
+--schedules defaults to 20000 (exhaustive) or 64 (random)";
 
 struct Options {
     mode: Mode,
     spec: ExploreSpec,
     delay_bound: u32,
     seeds: Vec<u64>,
+    /// The mode's schedule budget: explored schedules or random walks.
     schedules: u64,
-    max_schedules: u64,
     deadline: Option<Duration>,
     out: Option<String>,
     /// `replay`'s reproducer file and `--trace` output.
@@ -141,8 +141,7 @@ fn parse(argv: &[String]) -> Result<Options, String> {
         spec: ExploreSpec::p4ce(3),
         delay_bound: 2,
         seeds: Vec::new(),
-        schedules: 64,
-        max_schedules: 20_000,
+        schedules: if mode == Mode::Exhaustive { 20_000 } else { 64 },
         deadline: None,
         out: None,
         file: None,
@@ -163,7 +162,6 @@ fn parse(argv: &[String]) -> Result<Options, String> {
             "--system" => o.spec.system = value(word, words.next())?.parse()?,
             "--members" => o.spec.n_members = number(word, words.next())?,
             "--groups" => o.spec.groups = number(word, words.next())?,
-            "--seed" => o.spec.seed = number(word, words.next())?,
             "--seeds" => {
                 o.seeds = value(word, words.next())?
                     .split(',')
@@ -176,7 +174,6 @@ fn parse(argv: &[String]) -> Result<Options, String> {
             "--plain-fabric" => o.spec.p4ce_enabled = false,
             "--partition-at" => o.spec.partition_leader_at = Some(number(word, words.next())?),
             "--schedules" => o.schedules = number(word, words.next())?,
-            "--max-schedules" => o.max_schedules = number(word, words.next())?,
             "--deadline-secs" => {
                 o.deadline = Some(Duration::from_secs(number(word, words.next())?))
             }
@@ -227,12 +224,10 @@ fn report_violation(
 }
 
 /// `exhaustive` and `random`: one exploration per seed, bounded by the
-/// mode's own schedule budget and the shared deadline.
+/// schedule budget and the deadline.
 fn run_seeds(o: &Options) -> ExitCode {
-    let budget = |schedules| {
-        let b = Budget::schedules(schedules);
-        o.deadline.map_or(b, |d| b.with_deadline(d))
-    };
+    let budget = Budget::schedules(o.schedules);
+    let budget = o.deadline.map_or(budget, |d| budget.with_deadline(d));
     let mut clean = true;
     for &seed in &o.seeds {
         let spec = ExploreSpec {
@@ -240,14 +235,8 @@ fn run_seeds(o: &Options) -> ExitCode {
             ..o.spec.clone()
         };
         let (report, unit) = match o.mode {
-            Mode::Exhaustive => (
-                explore::explore(&spec, o.delay_bound, budget(o.max_schedules)),
-                "schedules",
-            ),
-            _ => (
-                explore::random_walk(&spec, budget(o.schedules)),
-                "random walks",
-            ),
+            Mode::Exhaustive => (explore::explore(&spec, o.delay_bound, budget), "schedules"),
+            _ => (explore::random_walk(&spec, budget), "random walks"),
         };
         println!(
             "seed {seed}: {:?} after {} {unit} ({} branch points max)",
@@ -458,9 +447,13 @@ mod tests {
         assert_eq!((o.delay_bound, o.spec.horizon), (3, 100));
         assert_eq!(o.seeds, [41, 42]);
 
-        let o = parse_words("random --groups 2 --schedules 8 --seed 9").expect("valid");
+        let o = parse_words("random --groups 2 --schedules 8").expect("valid");
         assert_eq!((o.spec.groups, o.schedules), (2, 8));
-        assert_eq!(o.seeds, [9], "--seeds defaults to --seed");
+
+        // Each exploring mode has its own schedule budget by default.
+        let budget = |line| parse_words(line).expect("valid").schedules;
+        assert_eq!((budget("exhaustive"), budget("random")), (20_000, 64));
+        assert_eq!(budget("exhaustive --schedules 9"), 9);
 
         let o = parse_words("replay bug.repro --trace out.json").expect("valid");
         assert_eq!(o.file.as_deref(), Some("bug.repro"));
@@ -477,7 +470,7 @@ mod tests {
             "mutation-check --horizon 5 --groups 2",
             "random --delay-bound 3",
             "random --max-schedules 9",
-            "exhaustive --schedules 9",
+            "random --seed 9",
             "exhaustive --trace out.json",
             // stray words
             "replay",
@@ -486,7 +479,7 @@ mod tests {
             // missing or malformed value
             "random --schedules",
             "random --schedules many",
-            "random --schedules --seed 3",
+            "random --schedules --seeds 3",
             "exhaustive --system raft",
             "exhaustive --seeds 1,x",
             "replay bug.repro --trace",
@@ -541,12 +534,33 @@ mod tests {
     }
 
     #[test]
+    fn a_chaos_reproducer_that_cannot_run_is_a_usage_error() {
+        let good = p4ce_harness::ChaosSpec::seeded(7, 3).to_repro(System::P4ce, 3);
+        let max = u64::MAX.to_string();
+        for (key, value) in [
+            ("jitter_ns", max.as_str()),
+            ("storm_ns", max.as_str()),
+            ("propose_every_ns", "0"),
+        ] {
+            let mut repro = good.clone();
+            repro.set(key, value);
+            let path = std::env::temp_dir().join(format!(
+                "p4ce-explore-refused-{key}-{}.repro",
+                std::process::id()
+            ));
+            std::fs::write(&path, repro.encode()).expect("write the reproducer");
+            let code = run_replay(path.to_str().expect("utf-8 path"), None);
+            std::fs::remove_file(&path).expect("remove the reproducer");
+            assert_eq!(code, ExitCode::from(2), "{key}={value}");
+        }
+    }
+
+    #[test]
     fn every_mode_accepts_only_the_flags_it_reads() {
         let spelled = [
             ("--system", "--system mu"),
             ("--members", "--members 5"),
             ("--groups", "--groups 2"),
-            ("--seed", "--seed 7"),
             ("--horizon", "--horizon 100"),
             ("--propose-every", "--propose-every 4"),
             ("--plain-fabric", "--plain-fabric"),
@@ -554,7 +568,6 @@ mod tests {
             ("--seeds", "--seeds 1,2"),
             ("--delay-bound", "--delay-bound 1"),
             ("--schedules", "--schedules 8"),
-            ("--max-schedules", "--max-schedules 8"),
             ("--deadline-secs", "--deadline-secs 5"),
             ("--out", "--out bug.repro"),
             ("--trace", "--trace out.json"),

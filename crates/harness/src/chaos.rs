@@ -29,6 +29,10 @@ use crate::repro::Repro;
 use crate::runner::System;
 use crate::shard::fnv1a64;
 
+/// The longest window a chaos reproducer may name: 1 s of virtual time,
+/// a hundred times the seeded 8 ms storm.
+const MAX_WINDOW: SimDuration = SimDuration::from_millis(1000);
+
 /// Everything a chaos run perturbs, derived deterministically from one
 /// seed by [`ChaosSpec::seeded`]. All instants are offsets from the
 /// storm start (the moment fault plans are installed), so the same spec
@@ -130,24 +134,41 @@ impl ChaosSpec {
     /// # Errors
     ///
     /// Reports a wrong kind, a missing/unparseable field, a cluster
-    /// [`System::check_shape`] refuses, and a partitioned member that is
-    /// the steady-state leader or not a member at all.
+    /// [`System::check_shape`] refuses, a partitioned member that is the
+    /// steady-state leader or not a member at all, and a spec that cannot
+    /// run: a probability outside `[0, 1]`, a window beyond 1 s of
+    /// virtual time, a zero `propose_every`, or a partition that does not
+    /// lie inside the storm. The error names the key.
     pub fn from_repro(r: &Repro) -> Result<(System, usize, ChaosSpec), String> {
         if r.kind != "chaos" {
             return Err(format!("not a chaos reproducer: kind={}", r.kind));
         }
         let system = r.get("system").map_or(Ok(System::P4ce), str::parse)?;
         let ns = |key: &str| -> Result<SimDuration, String> {
-            Ok(SimDuration::from_nanos(r.parse::<u64>(key)?))
+            let d = SimDuration::from_nanos(r.parse::<u64>(key)?);
+            if d > MAX_WINDOW {
+                let n = d.as_nanos();
+                return Err(format!(
+                    "{key}={n} is more than {MAX_WINDOW} of virtual time"
+                ));
+            }
+            Ok(d)
+        };
+        let p = |key: &str| -> Result<f64, String> {
+            let p = r.parse::<f64>(key)?;
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{key}={p} is not a probability in [0, 1]"));
+            }
+            Ok(p)
         };
         let spec = ChaosSpec {
             seed: r.parse("seed")?,
-            loss: r.parse("loss")?,
-            duplicate: r.parse("duplicate")?,
-            reorder: r.parse("reorder")?,
+            loss: p("loss")?,
+            duplicate: p("duplicate")?,
+            reorder: p("reorder")?,
             reorder_window: ns("reorder_window_ns")?,
             jitter: ns("jitter_ns")?,
-            corrupt: r.parse("corrupt")?,
+            corrupt: p("corrupt")?,
             partition_member: r.parse("partition_member")?,
             partition_from: ns("partition_from_ns")?,
             partition_until: ns("partition_until_ns")?,
@@ -155,6 +176,15 @@ impl ChaosSpec {
             drain: ns("drain_ns")?,
             propose_every: ns("propose_every_ns")?,
         };
+        if spec.propose_every == SimDuration::ZERO {
+            return Err("propose_every_ns=0 never lets the clock advance".to_owned());
+        }
+        if spec.partition_from > spec.partition_until {
+            return Err("partition_from_ns is after partition_until_ns".to_owned());
+        }
+        if spec.partition_until > spec.storm {
+            return Err("partition_until_ns is after the storm ends (storm_ns)".to_owned());
+        }
         let n_members = r.parse("members")?;
         system.check_shape(n_members, 1)?;
         if !(1..n_members).contains(&spec.partition_member) {
@@ -590,6 +620,15 @@ mod tests {
         assert_eq!(system, System::P4ce);
         assert_eq!(n, 3);
         assert_eq!(back, spec);
+        // Every seeded spec is one `from_repro` accepts as it was written.
+        for seed in 0..256 {
+            for n in [2, 3, 5] {
+                let spec = ChaosSpec::seeded(seed, n);
+                let text = spec.to_repro(System::Mu, n).encode();
+                let back = Repro::decode(&text).and_then(|r| ChaosSpec::from_repro(&r));
+                assert_eq!(back, Ok((System::Mu, n, spec)), "seed {seed}, {n} members");
+            }
+        }
         assert!(
             ChaosSpec::from_repro(&Repro::new("explore")).is_err(),
             "wrong kind must be rejected"
@@ -615,6 +654,65 @@ mod tests {
             assert!(with(key, value).is_err(), "{key}={value} must be refused");
         }
         assert!(with("partition_member", "2").is_ok());
+    }
+
+    #[test]
+    fn chaos_from_repro_refuses_a_spec_that_cannot_run() {
+        let good = ChaosSpec::seeded(0xC4A0_5001, 3).to_repro(System::P4ce, 3);
+        let with = |edits: &[(&str, &str)]| {
+            let mut r = good.clone();
+            for &(key, value) in edits {
+                r.set(key, value);
+            }
+            ChaosSpec::from_repro(&r)
+        };
+        let max = u64::MAX.to_string();
+        let past = "1000000001";
+        for (key, edits) in [
+            ("loss", vec![("loss", "NaN")]),
+            ("loss", vec![("loss", "inf")]),
+            ("loss", vec![("loss", "-0.01")]),
+            ("duplicate", vec![("duplicate", "1.5")]),
+            ("reorder", vec![("reorder", "-inf")]),
+            ("corrupt", vec![("corrupt", "2")]),
+            ("propose_every_ns", vec![("propose_every_ns", "0")]),
+            ("propose_every_ns", vec![("propose_every_ns", past)]),
+            ("jitter_ns", vec![("jitter_ns", max.as_str())]),
+            ("reorder_window_ns", vec![("reorder_window_ns", past)]),
+            ("drain_ns", vec![("drain_ns", past)]),
+            ("storm_ns", vec![("storm_ns", max.as_str())]),
+            (
+                "partition_from_ns",
+                vec![("partition_from_ns", past), ("storm_ns", "1")],
+            ),
+            (
+                "partition_until_ns",
+                vec![("partition_until_ns", past), ("storm_ns", "1")],
+            ),
+            (
+                "partition_from_ns",
+                vec![("partition_from_ns", "3"), ("partition_until_ns", "2")],
+            ),
+            ("partition_until_ns", vec![("storm_ns", "1")]),
+        ] {
+            let e = with(&edits).expect_err(&format!("{edits:?} must be refused"));
+            assert!(e.contains(key), "{edits:?}: {e}");
+        }
+        // The edges are runnable.
+        let second = "1000000000";
+        for edits in [
+            vec![("loss", "0"), ("duplicate", "1"), ("reorder", "0.5")],
+            vec![("jitter_ns", second), ("drain_ns", second)],
+            vec![("propose_every_ns", "1")],
+            vec![("partition_from_ns", "0"), ("partition_until_ns", "0")],
+            vec![
+                ("storm_ns", second),
+                ("partition_from_ns", second),
+                ("partition_until_ns", second),
+            ],
+        ] {
+            assert!(with(&edits).is_ok(), "{edits:?} must be accepted");
+        }
     }
 
     #[test]

@@ -534,13 +534,3 @@ pub fn try_failover(cfg: &FailoverConfig, groups: Option<usize>) -> Option<Failo
 pub fn run_failover(cfg: &FailoverConfig) -> FailoverOutcome {
     try_failover(cfg, None).expect(UNSERVED)
 }
-
-/// [`try_failover`] against `groups` groups behind one switch, for a kill
-/// that must be served.
-///
-/// # Panics
-///
-/// Same contract as [`run_failover`], for every group.
-pub fn run_failover_sharded(cfg: &FailoverConfig, groups: usize) -> FailoverOutcome {
-    try_failover(cfg, Some(groups)).expect(UNSERVED)
-}

@@ -29,7 +29,7 @@
 //! | sharded point | [`observe_sharded_point`] | [`Observe`] |
 //! | chaos storm | [`chaos::run`] (+ [`chaos::replay`], [`chaos::run_checked`]) | `&Tracer` |
 //! | explored schedule | [`explore::run_schedule`] (+ [`explore::replay`]) | `&Tracer` |
-//! | leader kill | [`try_failover`] (+ [`run_failover`], [`run_failover_sharded`], which panic on an unserved kill) | the outcome's timeline and records |
+//! | leader kill | [`try_failover`] (+ [`run_failover`], which panics on an unserved kill) | the outcome's timeline and records |
 //!
 //! Under the entries there is one shape: a `Simulation` plus groups of
 //! member nodes, `groups[group][member]`. An entry builds its deployment
@@ -62,8 +62,8 @@ pub mod tracing;
 pub use chaos::{ChaosRecorder, ChaosReport, ChaosSpec};
 pub use explore::{Budget, ExploreReport, ExploreSpec, ExploreStatus};
 pub use failover::{
-    run_failover, run_failover_sharded, try_failover, FailoverBudget, FailoverConfig,
-    FailoverOutcome, FailoverPhase, ThroughputDip, FAILOVER_PHASES,
+    run_failover, try_failover, FailoverBudget, FailoverConfig, FailoverOutcome, FailoverPhase,
+    ThroughputDip, FAILOVER_PHASES,
 };
 pub use groups::Layers;
 pub use report::{to_markdown, truncation_warning, TableRow};

@@ -1,13 +1,14 @@
 //! The model's inputs are pinned: every row of EXPERIMENTS.md's
-//! "Calibration constants" table must say what the constructor the code
-//! actually calls returns — `reproduce --check` applied to the inputs
+//! "Calibration constants" table must say what the code reads — the named
+//! constant where the value is one, the constructor's default where a
+//! test varies the field — `reproduce --check` applied to the inputs
 //! instead of the outputs. A row nobody reads, or a constant whose row
 //! went missing, fails too.
 
 use netsim::{LinkSpec, SimDuration};
-use p4ce_switch::P4ceSwitchConfig;
-use rdma::{HostConfig, DEFAULT_RDMA_MTU};
-use replication::{ClusterConfig, MemberConfig, MemberId};
+use p4ce_switch::{P4ceSwitchConfig, NUMRECV_WINDOW};
+use rdma::{HostConfig, CM_COST, DEFAULT_RDMA_MTU, MAX_INFLIGHT, RETRANSMIT_TIMEOUT};
+use replication::member::{HEARTBEAT_PERIOD, PATH_FAILOVER_DELAY, PERMISSION_CHANGE_DELAY};
 use std::net::Ipv4Addr;
 use tofino::SwitchConfig;
 
@@ -67,8 +68,6 @@ fn calibration_table_says_what_the_code_reads() {
     let host = HostConfig::new(ip);
     let switch = SwitchConfig::tofino1(ip);
     let program = P4ceSwitchConfig::default();
-    let cluster = ClusterConfig::new(&[ip, Ipv4Addr::new(10, 0, 0, 2)]);
-    let member = MemberConfig::new(cluster.clone(), MemberId(0));
     let link = LinkSpec::default();
     let ns = |d: SimDuration| d.as_nanos() as f64;
 
@@ -88,17 +87,17 @@ fn calibration_table_says_what_the_code_reads() {
                 assert_eq!(host.mtu, DEFAULT_RDMA_MTU, "the host reads the constant");
                 (count(value, "B"), DEFAULT_RDMA_MTU as f64)
             }
-            "in-flight cap per connection" => (count(value, "requests"), host.max_inflight as f64),
-            "NumRecv window" => (count(value, "PSNs"), program.numrecv_window as f64),
+            "in-flight cap per connection" => (count(value, "requests"), MAX_INFLIGHT as f64),
+            "NumRecv window" => (count(value, "PSNs"), NUMRECV_WINDOW as f64),
             // The paper gives a rate; the model charges the nearest whole
             // number of nanoseconds per packet.
             "switch parser rate" => ((1e3 / count(value, "Mpps")).round(), ns(switch.parser_cost)),
-            "heartbeat period" => (nanos(value), ns(cluster.heartbeat_period)),
+            "heartbeat period" => (nanos(value), ns(HEARTBEAT_PERIOD)),
             "switch reconfiguration" => (nanos(value), ns(program.reconfig_delay)),
-            "permission change" => (nanos(value), ns(cluster.permission_change_delay)),
-            "RDMA transport timeout" => (nanos(value), ns(host.retransmit_timeout)),
-            "path fail-over penalty" => (nanos(value), ns(member.path_failover_delay)),
-            "CM slow-path handling" => (nanos(value), ns(host.cm_cost)),
+            "permission change" => (nanos(value), ns(PERMISSION_CHANGE_DELAY)),
+            "RDMA transport timeout" => (nanos(value), ns(RETRANSMIT_TIMEOUT)),
+            "path fail-over penalty" => (nanos(value), ns(PATH_FAILOVER_DELAY)),
+            "CM slow-path handling" => (nanos(value), ns(CM_COST)),
             other => panic!("calibration row {other:?} is pinned to no constant: add it here"),
         };
         assert_eq!(table, code, "{constant}: the table says {value:?}");

@@ -8,9 +8,7 @@ use p4ce_harness::experiments::e10_failover::{
     row, unavailability_percentile, Scenario, NO_SERVICE,
 };
 use p4ce_harness::shard::fnv1a64;
-use p4ce_harness::{
-    run_failover, run_failover_sharded, try_failover, ChaosSpec, FailoverConfig, TableRow,
-};
+use p4ce_harness::{run_failover, try_failover, ChaosSpec, FailoverConfig, TableRow};
 
 fn quick() -> FailoverConfig {
     FailoverConfig {
@@ -38,7 +36,7 @@ fn timelines_match_the_recorded_runs() {
         ("stormy", run_failover(&stormy()), 0xb857_4b0e_91c5_ddaf),
         (
             "sharded",
-            run_failover_sharded(&quick(), 2),
+            try_failover(&quick(), Some(2)).expect("the sharded kill is served"),
             0xbb19_6505_41ea_7624,
         ),
     ] {
@@ -153,7 +151,7 @@ fn sharded_kill_leaves_co_resident_group_deciding() {
         observe_for: SimDuration::from_millis(80),
         ..FailoverConfig::default()
     };
-    let out = run_failover_sharded(&cfg, 2);
+    let out = try_failover(&cfg, Some(2)).expect("the sharded kill is served");
     assert!(out.budget.reconciles(), "{:?}", out.budget);
     assert!(out.group_decided[1] > 0, "group 1 decided throughout");
     // Group 1's decided series keeps climbing across the kill instant.
@@ -187,7 +185,7 @@ fn one_sharded_group_is_the_single_group_kill() {
     // only in what they call things (series names, node labels).
     let cfg = quick();
     let single = run_failover(&cfg);
-    let sharded = run_failover_sharded(&cfg, 1);
+    let sharded = try_failover(&cfg, Some(1)).expect("the sharded kill is served");
     assert_eq!(sharded.budget, single.budget);
     assert_eq!(sharded.group_decided, single.group_decided);
     assert_eq!(sharded.events_processed, single.events_processed);

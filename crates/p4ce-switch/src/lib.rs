@@ -22,5 +22,6 @@ mod spec;
 
 pub use program::{
     AckDropStage, CreditMode, GroupStats, P4ceProgram, P4ceSwitchConfig, P4ceSwitchStats,
+    CREDIT_STALE_SCATTERS, NUMRECV_WINDOW,
 };
 pub use spec::{GroupJoin, GroupRetire, GroupSpec, SpecError, MAX_REPLICAS};

@@ -57,25 +57,31 @@ pub enum CreditMode {
     Passthrough,
 }
 
+/// NumRecv slots per group: how many distinct in-flight PSNs can be
+/// aggregated (256 in the paper, §IV-C).
+pub const NUMRECV_WINDOW: usize = 256;
+const _: () = assert!(
+    NUMRECV_WINDOW.is_power_of_two(),
+    "NumRecv window must be a power of two (hardware index masking)"
+);
+
+/// Scatters a replica may stay silent before its credit register is
+/// excluded from the minimum fold. A crashed replica otherwise pins the
+/// group's reported credits at its last (possibly zero) value and stalls
+/// the leader forever; a silent replica cannot contribute ACKs anyway, so
+/// ignoring its credits never weakens the quorum.
+pub const CREDIT_STALE_SCATTERS: u32 = 1024;
+
 /// Tunables of the P4CE program.
 #[derive(Debug, Clone)]
 pub struct P4ceSwitchConfig {
     /// Data-plane reconfiguration latency: the 40 ms the paper measures
     /// for programming tables and the replication engine (§V-E).
     pub reconfig_delay: SimDuration,
-    /// NumRecv slots per group: how many distinct in-flight PSNs can be
-    /// aggregated (256 in the paper, §IV-C).
-    pub numrecv_window: usize,
     /// Where non-final ACKs are dropped.
     pub ack_drop: AckDropStage,
     /// How credits are aggregated.
     pub credit_mode: CreditMode,
-    /// Scatters a replica may stay silent before its credit register is
-    /// excluded from the minimum fold. A crashed replica otherwise pins
-    /// the group's reported credits at its last (possibly zero) value and
-    /// stalls the leader forever; a silent replica cannot contribute ACKs
-    /// anyway, so ignoring its credits never weakens the quorum.
-    pub credit_stale_scatters: u32,
     /// `false` models a plain (non-programmable) fabric: group requests
     /// are silently ignored, so leaders fall back to direct replication
     /// (§III-A). Ordinary L3 forwarding is unaffected.
@@ -86,10 +92,8 @@ impl Default for P4ceSwitchConfig {
     fn default() -> Self {
         P4ceSwitchConfig {
             reconfig_delay: SimDuration::from_millis(40),
-            numrecv_window: 256,
             ack_drop: AckDropStage::Ingress,
             credit_mode: CreditMode::Minimum,
-            credit_stale_scatters: 1024,
             p4ce_enabled: true,
         }
     }
@@ -227,10 +231,6 @@ pub struct P4ceProgram {
 impl P4ceProgram {
     /// Builds the program with `cfg`.
     pub fn new(cfg: P4ceSwitchConfig) -> Self {
-        assert!(
-            cfg.numrecv_window.is_power_of_two(),
-            "NumRecv window must be a power of two (hardware index masking)"
-        );
         P4ceProgram {
             cfg,
             groups: BTreeMap::new(),
@@ -369,7 +369,6 @@ impl P4ceProgram {
                 },
             );
         }
-        let window = self.cfg.numrecv_window;
         self.groups.insert(
             gid,
             Group {
@@ -382,8 +381,8 @@ impl P4ceProgram {
                 bcast_qpn,
                 virt_rkey,
                 replicas,
-                num_recv: RegisterArray::new(format!("numrecv.g{gid}"), window),
-                num_recv_psn: RegisterArray::new(format!("numrecv_psn.g{gid}"), window),
+                num_recv: RegisterArray::new(format!("numrecv.g{gid}"), NUMRECV_WINDOW),
+                num_recv_psn: RegisterArray::new(format!("numrecv_psn.g{gid}"), NUMRECV_WINDOW),
                 credits: RegisterArray::new(format!("credits.g{gid}"), n),
                 last_ack_scatter: RegisterArray::new(format!("lastack.g{gid}"), n),
                 scatter_count: 0,
@@ -587,14 +586,14 @@ impl P4ceProgram {
     /// `stale_after` scatters — a crashed replica must not pin the
     /// group's credits at its dying value. Returns the minimum and how
     /// many replicas were skipped as stale.
-    fn min_credits(group: &Group, stale_after: u32) -> (u32, u32) {
+    fn min_credits(group: &Group) -> (u32, u32) {
         let mut min = 31;
         let mut skipped = 0;
         for i in 0..group.replicas.len() {
             let silent_for = group
                 .scatter_count
                 .wrapping_sub(group.last_ack_scatter.read(i));
-            if silent_for > stale_after {
+            if silent_for > CREDIT_STALE_SCATTERS {
                 skipped += 1;
                 continue;
             }
@@ -685,8 +684,7 @@ impl P4ceProgram {
                 if now_seen.count_ones() == group.f {
                     let reported = match self.cfg.credit_mode {
                         CreditMode::Minimum => {
-                            let (min, skipped) =
-                                Self::min_credits(group, self.cfg.credit_stale_scatters);
+                            let (min, skipped) = Self::min_credits(group);
                             if skipped > 0 {
                                 self.stats.stale_credit_skips += 1;
                             }
@@ -1044,7 +1042,6 @@ mod tests {
     /// `f` positive ACKs, all PSN bases at zero for readable tests.
     fn active_group(f: u32, n: usize) -> P4ceProgram {
         let mut p = P4ceProgram::new(P4ceSwitchConfig::default());
-        let window = p.cfg.numrecv_window;
         let replicas: Vec<ReplicaConn> = (0..n)
             .map(|i| ReplicaConn {
                 ip: Ipv4Addr::new(10, 0, 0, 2 + i as u8),
@@ -1078,8 +1075,8 @@ mod tests {
                 bcast_qpn: Qpn(0x51),
                 virt_rkey: RKey(9),
                 replicas,
-                num_recv: RegisterArray::new("numrecv.test", window),
-                num_recv_psn: RegisterArray::new("numrecv_psn.test", window),
+                num_recv: RegisterArray::new("numrecv.test", NUMRECV_WINDOW),
+                num_recv_psn: RegisterArray::new("numrecv_psn.test", NUMRECV_WINDOW),
                 credits,
                 last_ack_scatter: RegisterArray::new("lastack.test", n),
                 scatter_count: 0,
@@ -1169,7 +1166,7 @@ mod tests {
     #[test]
     fn stale_ack_from_wrapped_slot_is_absorbed() {
         let mut p = active_group(1, 2);
-        let window = p.cfg.numrecv_window as u32;
+        let window = NUMRECV_WINDOW as u32;
         // Slot 0 now serves sequence number `window` (one full wrap).
         scatter(&mut p, 0);
         scatter(&mut p, window);
@@ -1185,7 +1182,7 @@ mod tests {
     #[test]
     fn silent_replica_stops_pinning_the_credit_fold() {
         let mut p = active_group(1, 3);
-        let stale_after = p.cfg.credit_stale_scatters;
+        let stale_after = CREDIT_STALE_SCATTERS;
         let reported = |rw: RewriteSet| match rw.aeth.expect("credits folded into the AETH").kind {
             AethKind::Ack { credits } => credits,
             k => panic!("expected ack, got {k:?}"),
@@ -1303,25 +1300,5 @@ mod tests {
         assert_eq!(rw.va, Some((u64::MAX - 8).wrapping_add(0x1000)));
         assert_eq!(rw.rkey, Some(RKey(7)));
         assert_eq!(rw.dst_ip, Some(Ipv4Addr::new(10, 0, 0, 2)));
-    }
-
-    #[test]
-    fn config_requires_power_of_two_window() {
-        let cfg = P4ceSwitchConfig {
-            numrecv_window: 256,
-            ..P4ceSwitchConfig::default()
-        };
-        let p = P4ceProgram::new(cfg);
-        assert_eq!(p.active_groups(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_window_panics() {
-        let cfg = P4ceSwitchConfig {
-            numrecv_window: 100,
-            ..P4ceSwitchConfig::default()
-        };
-        let _ = P4ceProgram::new(cfg);
     }
 }

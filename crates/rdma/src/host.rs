@@ -33,25 +33,31 @@ use crate::types::{MacAddr, Permissions, Psn, Qpn, CM_QPN, DEFAULT_RDMA_MTU};
 use crate::verbs::{Completion, CompletionStatus, WorkRequest, WrId};
 use crate::wire::{peek_opcode, Aeth, AethKind, Bth, NakCode, Reth, RocePacket, RoceView};
 
+/// Local cap on unacknowledged messages per queue pair (16 in the
+/// paper's testbed, §IV-C).
+pub const MAX_INFLIGHT: usize = 16;
+/// CPU cost of handling one connection-management datagram (slow path).
+pub const CM_COST: SimDuration = SimDuration::from_micros(25);
+/// Transport retransmission timeout (131 µs in the paper's setup:
+/// `4.096 × 2⁵ µs`, §V-E).
+pub const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_micros(131);
+/// Retransmissions before a queue pair gives up and flushes.
+pub const RETRY_LIMIT: u32 = 7;
+
 /// Tunable parameters of a host. Defaults are the calibration constants
 /// derived from the paper (DESIGN.md §2).
 #[derive(Debug, Clone)]
 pub struct HostConfig {
-    /// This host's IPv4 address (MAC is derived from it).
+    /// This host's IPv4 address (MAC and key/PSN seed are derived from
+    /// it).
     pub ip: Ipv4Addr,
     /// RDMA path MTU: payload bytes per packet of a multi-packet message.
     pub mtu: usize,
-    /// Local cap on unacknowledged messages per queue pair (16 in the
-    /// paper's testbed, §IV-C).
-    pub max_inflight: usize,
     /// CPU cost of posting one work request (≈210 ns reproduces the
     /// paper's §V-C rates).
     pub post_cost: SimDuration,
     /// CPU cost of reaping one completion.
     pub reap_cost: SimDuration,
-    /// CPU cost of handling one connection-management datagram (slow
-    /// path).
-    pub cm_cost: SimDuration,
     /// NIC transmit engine occupancy per packet.
     pub nic_tx_cost: SimDuration,
     /// NIC receive engine occupancy per packet. Raise it to model a slow
@@ -60,13 +66,6 @@ pub struct HostConfig {
     /// Receive buffer capacity in requests; the advertised credit count is
     /// `rx_capacity - occupancy` (§II-A, "Congestion").
     pub rx_capacity: usize,
-    /// Transport retransmission timeout (131 µs in the paper's setup:
-    /// `4.096 × 2⁵ µs`, §V-E).
-    pub retransmit_timeout: SimDuration,
-    /// Retransmissions before the QP gives up and flushes.
-    pub retry_limit: u32,
-    /// Seed for key/PSN generation (distinct per host).
-    pub seed: u64,
     /// Trace sink for NIC-level events (WQE posts, wire transmissions,
     /// ACK/NAK traffic, retransmissions). Disabled by default; the only
     /// cost then is one `Option` branch per would-be event.
@@ -76,20 +75,14 @@ pub struct HostConfig {
 impl HostConfig {
     /// A host with the calibration defaults at address `ip`.
     pub fn new(ip: Ipv4Addr) -> Self {
-        let o = ip.octets();
         HostConfig {
             ip,
             mtu: DEFAULT_RDMA_MTU,
-            max_inflight: 16,
             post_cost: SimDuration::from_nanos(210),
             reap_cost: SimDuration::from_nanos(210),
-            cm_cost: SimDuration::from_micros(25),
             nic_tx_cost: SimDuration::from_nanos(5),
             nic_rx_cost: SimDuration::from_nanos(8),
             rx_capacity: 16,
-            retransmit_timeout: SimDuration::from_micros(131),
-            retry_limit: 7,
-            seed: u64::from(u32::from_be_bytes(o)),
             tracer: Tracer::disabled(),
         }
     }
@@ -337,7 +330,9 @@ pub struct HostCore {
 impl HostCore {
     fn new(cfg: HostConfig) -> Self {
         let mac = MacAddr::for_ip(cfg.ip);
-        let mem = HostMemory::new(cfg.seed);
+        // Key and PSN draws are seeded by the address: distinct per host.
+        let seed = u64::from(u32::from_be_bytes(cfg.ip.octets()));
+        let mem = HostMemory::new(seed);
         HostCore {
             mac,
             cpu: Cpu::new(),
@@ -345,7 +340,7 @@ impl HostCore {
             qps: FxHashMap::default(),
             qp_order: Vec::new(),
             next_qpn: 0x10,
-            psn_state: cfg.seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1,
+            psn_state: seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1,
             tx_fifo: VecDeque::new(),
             tx_busy: false,
             tx_last_served: 0,
@@ -663,8 +658,7 @@ impl HostCore {
     }
 
     fn deliver_cm(&mut self, ev: CmEvent, ctx: &mut Context<'_>) {
-        let cost = self.cfg.cm_cost;
-        self.enqueue_delivery(Delivery::Cm(ev), cost, ctx);
+        self.enqueue_delivery(Delivery::Cm(ev), CM_COST, ctx);
     }
 
     /// Carries out a queue pair's recovery verdict, whatever triggered
@@ -1125,12 +1119,7 @@ impl HostOps<'_, '_> {
     pub fn connect(&mut self, remote_ip: Ipv4Addr, private_data: Bytes) -> u64 {
         let qpn = self.core.alloc_qpn();
         let start_psn = self.core.next_start_psn();
-        let mut qp = QueuePair::new(
-            qpn,
-            start_psn,
-            self.core.cfg.mtu,
-            self.core.cfg.max_inflight,
-        );
+        let mut qp = QueuePair::new(qpn, start_psn, self.core.cfg.mtu, MAX_INFLIGHT);
         qp.begin_connect();
         let port = self.core.active_port;
         qp.port = port;
@@ -1145,7 +1134,7 @@ impl HostOps<'_, '_> {
             start_psn,
             private_data,
         };
-        self.core.cpu.run(self.ctx.now, self.core.cfg.cm_cost);
+        self.core.cpu.run(self.ctx.now, CM_COST);
         self.core.send_cm(remote_ip, &msg, port, self.ctx);
         handshake_id
     }
@@ -1162,12 +1151,7 @@ impl HostOps<'_, '_> {
     ) -> Qpn {
         let qpn = self.core.alloc_qpn();
         let local_psn = self.core.next_start_psn();
-        let mut qp = QueuePair::new(
-            qpn,
-            local_psn,
-            self.core.cfg.mtu,
-            self.core.cfg.max_inflight,
-        );
+        let mut qp = QueuePair::new(qpn, local_psn, self.core.cfg.mtu, MAX_INFLIGHT);
         qp.establish_responder(PeerInfo {
             ip: from_ip,
             qpn: from_qpn,
@@ -1187,7 +1171,7 @@ impl HostOps<'_, '_> {
             start_psn: local_psn,
             private_data,
         };
-        self.core.cpu.run(self.ctx.now, self.core.cfg.cm_cost);
+        self.core.cpu.run(self.ctx.now, CM_COST);
         self.core.send_cm(from_ip, &msg, port, self.ctx);
         qpn
     }
@@ -1423,7 +1407,7 @@ impl<A: RdmaApp> Host<A> {
         );
         if !self.core.rt_tick_armed && self.core.qps_inflight > 0 {
             self.core.rt_tick_armed = true;
-            ctx.schedule(self.core.cfg.retransmit_timeout, TimerToken(TK_RETRANSMIT));
+            ctx.schedule(RETRANSMIT_TIMEOUT, TimerToken(TK_RETRANSMIT));
         }
     }
 }
@@ -1519,16 +1503,14 @@ impl<A: RdmaApp> Node for Host<A> {
             }
             TK_RETRANSMIT => {
                 self.core.rt_tick_armed = false;
-                let timeout = self.core.cfg.retransmit_timeout;
-                let retry_limit = self.core.cfg.retry_limit;
                 // Ascending-QPN order (from the maintained index): the
                 // retransmit sweep emits frames, so its order is part of
                 // the deterministic event sequence.
                 for i in 0..self.core.qp_order.len() {
                     let qpn = self.core.qp_order[i];
-                    let action = self
-                        .core
-                        .with_qp(qpn, |qp| qp.check_timeout(ctx.now, timeout, retry_limit));
+                    let action = self.core.with_qp(qpn, |qp| {
+                        qp.check_timeout(ctx.now, RETRANSMIT_TIMEOUT, RETRY_LIMIT)
+                    });
                     let failed = CompletionStatus::TimedOut;
                     self.core
                         .recover(Qpn(qpn), action, RetransmitKind::Timeout, failed, ctx);

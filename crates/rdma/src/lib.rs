@@ -33,7 +33,10 @@ pub mod verbs;
 pub mod wire;
 
 pub use cm::{CmMessage, RegionAdvert, RejectReason};
-pub use host::{CmEvent, Host, HostConfig, HostOps, HostStats, RdmaApp};
+pub use host::{
+    CmEvent, Host, HostConfig, HostOps, HostStats, RdmaApp, CM_COST, MAX_INFLIGHT,
+    RETRANSMIT_TIMEOUT, RETRY_LIMIT,
+};
 pub use memory::{AccessError, HostMemory, RegionHandle, RegionInfo};
 pub use opcode::Opcode;
 pub use qp::{PacketPlan, PeerInfo, QpState, QueuePair};

@@ -1,6 +1,5 @@
 //! Cluster membership and quorum arithmetic.
 
-use netsim::SimDuration;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -23,18 +22,10 @@ pub struct ClusterConfig {
     pub members: Vec<(MemberId, Ipv4Addr)>,
     /// Log region size per member.
     pub log_size: usize,
-    /// Heartbeat period (100 µs in the paper, §V-E).
-    pub heartbeat_period: SimDuration,
-    /// Unchanged heartbeat reads before a member is suspected dead.
-    pub failure_threshold: u32,
-    /// Time a permission reconfiguration takes to apply (the 0.9 ms the
-    /// paper measures for a Mu leader change, §V-E).
-    pub permission_change_delay: SimDuration,
 }
 
 impl ClusterConfig {
-    /// A cluster over `addrs` (ids assigned in order) with the paper's
-    /// timing constants.
+    /// A cluster over `addrs` (ids assigned in order) with 16 MiB logs.
     ///
     /// # Panics
     ///
@@ -49,9 +40,6 @@ impl ClusterConfig {
                 .map(|(i, &ip)| (MemberId(i as u8), ip))
                 .collect(),
             log_size: 16 << 20,
-            heartbeat_period: SimDuration::from_micros(100),
-            failure_threshold: 5,
-            permission_change_delay: SimDuration::from_micros(900),
         }
     }
 

@@ -70,6 +70,18 @@ pub const WR_CLASS_MASK: u64 = 0xff << 56;
 /// Mask selecting the sequence number of a log write's id.
 pub const WR_SEQ_MASK: u64 = 0xffff_ffff_ffff;
 
+// The paper's failure-detection and fail-over timing (§V-E).
+/// Heartbeat period (100 µs in the paper).
+pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_micros(100);
+/// Unchanged heartbeat reads before a member is suspected dead.
+pub const FAILURE_THRESHOLD: u32 = 5;
+/// Time a permission reconfiguration takes to apply (the 0.9 ms the
+/// paper measures for a Mu leader change).
+pub const PERMISSION_CHANGE_DELAY: SimDuration = SimDuration::from_micros(900);
+/// Route-update plus reconnection penalty after a path fail-over (the
+/// bulk of the paper's 60 ms switch-crash recovery).
+pub const PATH_FAILOVER_DELAY: SimDuration = SimDuration::from_millis(55);
+
 // Link management, in heartbeat ticks. A member's heartbeat links and a
 // fan-out's replication links redial on one schedule.
 /// Ticks to wait before feeding the failure detector after start-up or a
@@ -98,9 +110,6 @@ pub struct MemberConfig {
     /// A backup fabric port, if the host is multi-homed (switch-crash
     /// fail-over, §V-E).
     pub backup_port: Option<PortId>,
-    /// Route-update plus reconnection penalty after a path fail-over
-    /// (the bulk of the paper's 60 ms switch-crash recovery).
-    pub path_failover_delay: SimDuration,
 }
 
 impl MemberConfig {
@@ -111,7 +120,6 @@ impl MemberConfig {
             id,
             workload: None,
             backup_port: None,
-            path_failover_delay: SimDuration::from_millis(55),
         }
     }
 }
@@ -312,7 +320,7 @@ impl Core {
             .iter()
             .map(|&(id, _)| id)
             .collect();
-        let detector = FailureDetector::new(cfg.cluster.failure_threshold, peers.iter().copied());
+        let detector = FailureDetector::new(FAILURE_THRESHOLD, peers.iter().copied());
         let hb_links = peers
             .iter()
             .map(|&id| {
@@ -536,8 +544,7 @@ impl Core {
             self.path_failover(comm, ops);
             return;
         }
-        let period = self.cfg.cluster.heartbeat_period;
-        ops.set_app_timer(period, T_HEARTBEAT);
+        ops.set_app_timer(HEARTBEAT_PERIOD, T_HEARTBEAT);
     }
 
     fn connect_hb(&mut self, peer: MemberId, ops: &mut HostOps<'_, '_>) {
@@ -640,7 +647,7 @@ impl Core {
         comm.on_path_failover(ops);
         // Routes re-converge and connections re-establish after the
         // fail-over penalty; heartbeats resume then.
-        ops.set_app_timer(self.cfg.path_failover_delay, T_PATH_RECOVER);
+        ops.set_app_timer(PATH_FAILOVER_DELAY, T_PATH_RECOVER);
     }
 
     fn path_recovered<C: Comm>(&mut self, comm: &mut C, ops: &mut HostOps<'_, '_>) {
@@ -906,7 +913,7 @@ impl Core {
         let delay = if self.epoch_leader == Some(leader_ip) && self.granted_ips.contains(&from_ip) {
             SimDuration::ZERO
         } else {
-            self.cfg.cluster.permission_change_delay
+            PERMISSION_CHANGE_DELAY
         };
         ops.set_app_timer(delay, T_DEFER_ACCEPT | key);
     }
@@ -1150,7 +1157,7 @@ impl<C: Comm> RdmaApp for Member<C> {
         // Landing pad for our reads of peers' counters.
         core.hb_scratch = Some(ops.register_region(8 * core.cfg.cluster.n(), Permissions::NONE));
         // Kick the heartbeat loop; the first tick also opens hb links.
-        ops.set_app_timer(core.cfg.cluster.heartbeat_period, T_HEARTBEAT);
+        ops.set_app_timer(HEARTBEAT_PERIOD, T_HEARTBEAT);
     }
 
     fn on_completion(&mut self, c: Completion, ops: &mut HostOps<'_, '_>) {

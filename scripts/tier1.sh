@@ -177,6 +177,28 @@ if grep -rnE 'pub struct (FifoScheduler|ReplayScheduler)' crates/*/src; then
 fi
 [ "$(grep -c 'RecoveryAction::Fatal' crates/rdma/src/host.rs)" -eq 1 ] || { echo "tier-1: crates/rdma/src/host.rs matches RecoveryAction::Fatal exactly once (HostCore::recover serves the NAK and the timeout)" >&2; exit 1; }
 
+echo "==> an option is something somebody sets: a value nothing varies is the paper's named constant, a flag that repeats another is gone"
+for gone in 'pub max_inflight' 'pub cm_cost' 'pub retransmit_timeout' 'pub retry_limit' 'pub seed'; do
+  if grep -n "$gone" crates/rdma/src/host.rs; then
+    echo "tier-1: '$gone' is not a HostConfig field; MAX_INFLIGHT, CM_COST, RETRANSMIT_TIMEOUT and RETRY_LIMIT are rdma::host constants, the key/PSN seed is the address (EXPERIMENTS E26)" >&2; exit 1
+  fi
+done
+for gone in 'pub heartbeat_period' 'pub failure_threshold' 'pub permission_change_delay' 'pub path_failover_delay'; do
+  if grep -rn "$gone" crates/replication/src; then
+    echo "tier-1: '$gone' is not a ClusterConfig/MemberConfig field; the paper's timing is a replication::member constant (EXPERIMENTS E26)" >&2; exit 1
+  fi
+done
+for gone in 'pub numrecv_window' 'pub credit_stale_scatters'; do
+  if grep -rn "$gone" crates/p4ce-switch/src; then
+    echo "tier-1: '$gone' is not a P4ceSwitchConfig field; NUMRECV_WINDOW and CREDIT_STALE_SCATTERS are constants (EXPERIMENTS E26)" >&2; exit 1
+  fi
+done
+for gone in '"--max-schedules"' '"--seed"'; do
+  if grep -nF "$gone" crates/harness/src/bin/p4ce-explore.rs; then
+    echo "tier-1: p4ce-explore takes $gone no more: --seeds names the seeds, --schedules is each exploring mode's budget (EXPERIMENTS E26)" >&2; exit 1
+  fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
