@@ -40,7 +40,8 @@ use netsim::{
     annotations_from_records, Annotation, NodeId, SimDuration, SimTime, Simulation, Timeline,
     TraceEvent, TraceHandle, TraceRecord,
 };
-use p4ce::SwitchComm;
+use p4ce::{P4ceMember, SwitchComm};
+use rdma::{Host, HostStats};
 use replication::WorkloadSpec;
 
 use crate::chaos::{clear_storm, install_storm, ChaosSpec};
@@ -290,6 +291,8 @@ pub struct FailoverOutcome {
     /// Simulation events processed — the same with and without the
     /// series.
     pub events_processed: u64,
+    /// Each member's RDMA host counters at the end, `[group][member]`.
+    pub hosts: Vec<Vec<HostStats>>,
 }
 
 impl FailoverOutcome {
@@ -465,6 +468,13 @@ fn kill_and_attribute(
             .map(|g| decided::<SwitchComm>(&sim, g))
             .collect(),
         events_processed: sim.events_processed(),
+        hosts: (groups.iter())
+            .map(|g| {
+                (g.iter()
+                    .map(|&n| sim.node_ref::<Host<P4ceMember>>(n).stats()))
+                .collect()
+            })
+            .collect(),
     })
 }
 

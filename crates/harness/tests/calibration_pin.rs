@@ -8,7 +8,9 @@
 use netsim::{LinkSpec, SimDuration};
 use p4ce_switch::{P4ceSwitchConfig, NUMRECV_WINDOW};
 use rdma::{HostConfig, CM_COST, DEFAULT_RDMA_MTU, MAX_INFLIGHT, RETRANSMIT_TIMEOUT};
+use replication::config::DEFAULT_LOG_SIZE;
 use replication::member::{HEARTBEAT_PERIOD, PATH_FAILOVER_DELAY, PERMISSION_CHANGE_DELAY};
+use replication::ClusterConfig;
 use std::net::Ipv4Addr;
 use tofino::SwitchConfig;
 
@@ -98,6 +100,16 @@ fn calibration_table_says_what_the_code_reads() {
             "RDMA transport timeout" => (nanos(value), ns(RETRANSMIT_TIMEOUT)),
             "path fail-over penalty" => (nanos(value), ns(PATH_FAILOVER_DELAY)),
             "CM slow-path handling" => (nanos(value), ns(CM_COST)),
+            "replicated log ring" => {
+                let log_size = ClusterConfig::new(&[ip, ip]).log_size;
+                assert_eq!(log_size, DEFAULT_LOG_SIZE, "the default is the constant");
+                assert!(log_size.is_power_of_two(), "{log_size} B");
+                // What the leader writes at line rate on an apply head two
+                // heartbeat periods old must fit.
+                let stale = 2.0 * HEARTBEAT_PERIOD.as_secs_f64() * link.bandwidth.bytes_per_sec();
+                assert!(log_size as f64 >= stale, "{log_size} B < {stale} B");
+                (count(value, "MiB"), (log_size >> 20) as f64)
+            }
             other => panic!("calibration row {other:?} is pinned to no constant: add it here"),
         };
         assert_eq!(table, code, "{constant}: the table says {value:?}");
@@ -105,5 +117,5 @@ fn calibration_table_says_what_the_code_reads() {
     let mut constants: Vec<&str> = rows.iter().map(|&(c, _)| c).collect();
     constants.sort_unstable();
     constants.dedup();
-    assert_eq!(constants.len(), 12, "one row per constant: {constants:?}");
+    assert_eq!(constants.len(), 13, "one row per constant: {constants:?}");
 }

@@ -4,16 +4,17 @@
 //! a single event moves `events_processed`; one that perturbs a tie-break
 //! or a fault-plan draw moves the decided count or a percentile. The
 //! numbers are the proof — they are not to be re-recorded by a PR that
-//! touches `netsim`. `events_processed` has been re-recorded twice, each
-//! time by a change that removed events on purpose and with a test below
-//! that derives the drop from the run's own counters; no other literal in
-//! this file has ever moved.
+//! touches `netsim`. `events_processed` has been re-recorded three times,
+//! each time by a change that moved events on purpose and with a test
+//! below that derives the move from the run's own counters; no other
+//! literal in this file has ever moved.
 
 use netsim::SimDuration;
 use p4ce_harness::{
-    observe_point, run_failover, run_point, ChaosSpec, FailoverConfig, Observe, PointConfig,
-    PointOutcome, System,
+    observe_point, run_failover, run_point, ChaosSpec, FailoverConfig, FailoverOutcome, Observe,
+    PointConfig, PointOutcome, System,
 };
+use rdma::HostStats;
 use replication::WorkloadSpec;
 use tofino::SwitchStats;
 
@@ -117,16 +118,45 @@ fn mu_point_matches_the_recorded_run() {
 /// A leader kill under a loss + duplication + reorder + jitter +
 /// corruption storm: every frame on the group's links draws from the
 /// simulation RNG, so this also pins the order of fault-plan draws.
-#[test]
-fn stormy_failover_matches_the_recorded_run() {
-    let out = run_failover(&FailoverConfig {
+fn stormy_failover() -> FailoverOutcome {
+    run_failover(&FailoverConfig {
         seed: 42,
         observe_for: SimDuration::from_millis(80),
         sample: false,
         chaos: Some(ChaosSpec::seeded(42, 3)),
         ..FailoverConfig::default()
-    });
-    assert_eq!(out.events_processed, 134_122);
+    })
+}
+
+/// The third re-recording: a replica reaps a write message, not a packet.
+/// Only the stormy fail-over has multi-packet log writes (the successor
+/// falls back to direct replication and catches the replicas up in 64 KiB
+/// writes), and the same packets land as before (its trace is unchanged).
+/// A notification is one event: before, every watched packet queued one
+/// or merged into one (128 merged); now every message does. The less busy
+/// replica CPU merges less, and `events_processed` rose by exactly the
+/// notifications queued now minus those queued then: one.
+#[test]
+fn the_stormy_rise_is_exactly_the_extra_notifications() {
+    let (before, merged_before) = (134_122, 128);
+    let out = stormy_failover();
+    let sum = |field: fn(&HostStats) -> u64| out.hosts[0].iter().map(field).sum::<u64>();
+    let packets = sum(|h| h.rx_zero_copy_deliveries);
+    let (messages, merged) = (
+        sum(|h| h.rx_write_messages),
+        sum(|h| h.rx_notifications_merged),
+    );
+    assert!(messages < packets, "the catch-up is multi-packet");
+    assert_eq!(
+        out.events_processed + (packets - merged_before),
+        before + (messages - merged)
+    );
+}
+
+#[test]
+fn stormy_failover_matches_the_recorded_run() {
+    let out = stormy_failover();
+    assert_eq!(out.events_processed, 134_123);
     assert_eq!(out.group_decided, vec![1_926]);
     assert_eq!(out.budget.unavailability().as_nanos(), 42_463_806);
     assert!(out.budget.reconciles());

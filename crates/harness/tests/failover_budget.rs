@@ -28,12 +28,16 @@ fn stormy() -> FailoverConfig {
 /// FNV-1a digests of `fingerprint()` — timeline CSV, budget, totals — for
 /// three runs, recorded when the timeline was still sampled from the
 /// running simulation every 100 µs. The view read off the trace must
-/// reproduce it byte for byte.
+/// reproduce it byte for byte. The stormy digest was re-recorded once,
+/// when replicas began reaping a write message instead of a packet: its
+/// fingerprint moved in one line, `events=155377` → `155378`, the one
+/// extra notification of a replica CPU that merges less (EXPERIMENTS
+/// E27); timeline and budget are the recorded ones.
 #[test]
 fn timelines_match_the_recorded_runs() {
     for (name, out, digest) in [
         ("quick", run_failover(&quick()), 0x78c9_3a05_7ffc_26b2),
-        ("stormy", run_failover(&stormy()), 0xb857_4b0e_91c5_ddaf),
+        ("stormy", run_failover(&stormy()), 0xb868_490e_91d4_4d7c),
         (
             "sharded",
             try_failover(&quick(), Some(2)).expect("the sharded kill is served"),

@@ -178,22 +178,23 @@ impl FanOut {
         if let Some(advert) = advert {
             // Chunked state transfer: bounded-size writes keep each
             // request comfortably inside the transport's retransmission
-            // timeout.
+            // timeout. The current lap, then whatever of the previous lap
+            // the replica has not applied yet.
             const CHUNK: usize = 64 << 10;
             let region = core.log_region().expect("registered");
-            let prefix = core.log_prefix();
-            let mut off = 0usize;
-            while off < prefix {
-                let end = (off + CHUNK).min(prefix);
-                let data = Bytes::copy_from_slice(ops.read_local(region, off, end - off));
-                ops.post_write(
-                    qpn,
-                    WrId(WR_CATCHUP | u64::from(peer.0)),
-                    advert.va + off as u64,
-                    advert.rkey,
-                    data,
-                );
-                off = end;
+            let laps = [Some(0..core.log_prefix()), core.log_behind(peer)];
+            for bytes in laps.into_iter().flatten() {
+                for off in bytes.clone().step_by(CHUNK) {
+                    let end = (off + CHUNK).min(bytes.end);
+                    let data = Bytes::copy_from_slice(ops.read_local(region, off, end - off));
+                    ops.post_write(
+                        qpn,
+                        WrId(WR_CATCHUP | u64::from(peer.0)),
+                        advert.va + off as u64,
+                        advert.rkey,
+                        data,
+                    );
+                }
             }
         }
         Some(peer)

@@ -153,9 +153,9 @@ pub trait RdmaApp: 'static {
 
     /// Remote peers wrote into a watched region (see
     /// [`HostOps::watch_region`]) since the last call for it. This is a
-    /// poll, not a per-packet event: `dirty` is the region-relative hull
-    /// of every write packet that landed meanwhile, and the bytes are
-    /// read in place with [`HostOps::read_local`].
+    /// poll, once per write message at most: `dirty` is the
+    /// region-relative hull of every write message that ended meanwhile,
+    /// and the bytes are read in place with [`HostOps::read_local`].
     fn on_remote_write(
         &mut self,
         region: RegionHandle,
@@ -245,14 +245,16 @@ pub struct HostStats {
     /// the count).
     pub acks_serialized: u64,
     /// Write packets that landed in a watched region: the NIC placed them
-    /// and the app reads them in place, so no copy is made for delivery
-    /// (whether the packet queued a notification or merged into one).
+    /// and the app reads them in place, so no copy is made for delivery.
     pub rx_zero_copy_deliveries: u64,
     /// Payload deliveries that required copying into host memory (read
     /// responses landing in a local region).
     pub rx_copied_deliveries: u64,
-    /// Watched write packets that found a notification already queued
-    /// for their region and only widened its dirty range.
+    /// Write messages that ended in a watched region: the host CPU reaps
+    /// each once, whatever its packet count.
+    pub rx_write_messages: u64,
+    /// Watched write messages whose last packet found a notification
+    /// already queued for their region and only widened its dirty range.
     pub rx_notifications_merged: u64,
     /// Most entries the app delivery queue ever held. Bounded by posted
     /// work + CM events + one notification per watched region.
@@ -619,22 +621,29 @@ impl HostCore {
         ctx.schedule_at(ready_at, TimerToken(TK_DELIVER | id));
     }
 
-    /// A write packet landed at `dirty` in `region`. If the region is
-    /// watched the host CPU pays `reap_cost` for it, but the app is
-    /// polled, not interrupted: while a notification for the region is
-    /// still queued the packet only widens its dirty hull — nothing is
-    /// enqueued, no timer is scheduled and nothing refers to the frame
-    /// once RX processing returns.
+    /// A write packet landed in `region`, the message so far at `dirty`;
+    /// `last` if it ended the message. If the region is watched the app
+    /// hears of the message once, at its last packet: the host CPU pays
+    /// `reap_cost` for a message, not a packet. The app is polled, not
+    /// interrupted: while a notification for the region is still queued
+    /// the message only widens its dirty hull — nothing is enqueued, no
+    /// timer is scheduled and nothing refers to the frame once RX
+    /// processing returns.
     fn notify_remote_write(
         &mut self,
         region: RegionHandle,
         dirty: Range<u64>,
+        last: bool,
         ctx: &mut Context<'_>,
     ) {
         let Some(queued) = self.watches.get_mut(&region) else {
             return;
         };
         self.stats.rx_zero_copy_deliveries += 1;
+        if !last {
+            return;
+        }
+        self.stats.rx_write_messages += 1;
         let cost = self.cfg.reap_cost;
         if let Some(id) = *queued {
             // Ids are consecutive, so the id names a queue position.
@@ -777,9 +786,9 @@ impl HostCore {
         // Resolve the landing address and what the message still owes:
         // from the RETH on first/only packets, from the cursor on
         // middle/last.
-        let (va, rkey, owed) = match (view.reth(), qp.write_cursor()) {
-            (Some(reth), _) => (reth.va, reth.rkey, u64::from(reth.dma_len)),
-            (None, Some(cursor)) => (cursor.va, cursor.rkey, cursor.remaining),
+        let (va, rkey, owed, first) = match (view.reth(), qp.write_cursor()) {
+            (Some(reth), _) => (reth.va, reth.rkey, u64::from(reth.dma_len), reth.va),
+            (None, Some(cursor)) => (cursor.va, cursor.rkey, cursor.remaining, cursor.first),
             (None, None) => {
                 self.send_nak(to, NakCode::InvalidRequest, ctx);
                 return;
@@ -800,6 +809,7 @@ impl HostCore {
                 va,
                 rkey,
                 remaining,
+                first,
             })),
         };
         qp.set_write_cursor(next.unwrap_or(None));
@@ -810,7 +820,8 @@ impl HostCore {
         match landing {
             Ok((region, offset)) => {
                 self.land(qpn.masked(), region, offset, view);
-                self.notify_remote_write(region, offset..offset + len, ctx);
+                let message = offset.saturating_sub(va - first)..offset + len;
+                self.notify_remote_write(region, message, last, ctx);
                 if ack_due {
                     self.send_ack(to, ctx);
                 }

@@ -110,6 +110,8 @@ pub struct WriteCursor {
     pub rkey: RKey,
     /// Bytes still expected after this packet.
     pub remaining: u64,
+    /// Where the message's first packet landed.
+    pub first: u64,
 }
 
 /// A reliable-connection queue pair.

@@ -14,18 +14,25 @@ impl fmt::Display for MemberId {
     }
 }
 
+/// The default log ring: 4 MiB. A replica's apply head reaches the
+/// leader in its heartbeat word, so the leader writes for up to two
+/// heartbeat periods on a stale one — 2.5 MB at 100 Gb/s — before the
+/// ring stops it; rounded up to a power of two.
+pub const DEFAULT_LOG_SIZE: usize = 4 << 20;
+
 /// Static description of a replication cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// All members, as (id, address); must be sorted by id and contain no
     /// duplicates.
     pub members: Vec<(MemberId, Ipv4Addr)>,
-    /// Log region size per member.
+    /// Log region size per member: the ring the leader recycles.
     pub log_size: usize,
 }
 
 impl ClusterConfig {
-    /// A cluster over `addrs` (ids assigned in order) with 16 MiB logs.
+    /// A cluster over `addrs` (ids assigned in order) with
+    /// [`DEFAULT_LOG_SIZE`] logs.
     ///
     /// # Panics
     ///
@@ -39,7 +46,7 @@ impl ClusterConfig {
                 .enumerate()
                 .map(|(i, &ip)| (MemberId(i as u8), ip))
                 .collect(),
-            log_size: 16 << 20,
+            log_size: DEFAULT_LOG_SIZE,
         }
     }
 

@@ -130,7 +130,8 @@ impl<F: Fabric> ClusterBuilder<F> {
         self
     }
 
-    /// Overrides each member's replicated-log size (default 16 MiB).
+    /// Overrides each member's replicated-log size (default
+    /// [`DEFAULT_LOG_SIZE`](crate::config::DEFAULT_LOG_SIZE)).
     /// Model-checking runs shrink it so thousands of re-executions stay
     /// cheap.
     pub fn log_size(mut self, bytes: usize) -> Self {

@@ -6,6 +6,11 @@
 //! consecutive reads — or whose reads fail outright — is suspected dead.
 //! Heartbeats are *never* accelerated by the switch (they are a few
 //! hundred messages per second and latency-insensitive, §III-A).
+//!
+//! The 8-byte word a member publishes carries its apply head too
+//! (`heartbeat_word`): the counter in the high bits, so the word grows
+//! on every tick whatever the apply head does, and the leader learns how
+//! far each replica has applied from the read it makes anyway.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -85,6 +90,21 @@ impl FailureDetector {
     }
 }
 
+/// Bits of a heartbeat word that carry the apply head (2⁴⁰ entries); the
+/// 24 above carry the counter (2²⁴ ticks, 28 minutes at 100 µs).
+const APPLY_HEAD_BITS: u32 = 40;
+
+/// The word a member publishes: tick `counter` and the seq its next
+/// applied entry will carry.
+pub(crate) fn heartbeat_word(counter: u64, apply_head: u64) -> u64 {
+    (counter << APPLY_HEAD_BITS) | (apply_head & ((1 << APPLY_HEAD_BITS) - 1))
+}
+
+/// The apply head a heartbeat word carries.
+pub(crate) fn apply_head(word: u64) -> u64 {
+    word & ((1 << APPLY_HEAD_BITS) - 1)
+}
+
 /// The local heartbeat counter a member exposes to its peers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HeartbeatCounter(u64);
@@ -149,6 +169,15 @@ mod tests {
         let mut fd = FailureDetector::new(2, ids(1));
         fd.observe(MemberId(9), 100);
         assert!(!fd.is_alive(MemberId(9)));
+    }
+
+    #[test]
+    fn a_word_grows_with_the_counter_whatever_the_apply_head_does() {
+        let (early, late) = (heartbeat_word(1, 1_000_000), heartbeat_word(2, 0));
+        assert!(late > early, "a tick is progress");
+        assert_eq!(apply_head(early), 1_000_000);
+        assert_eq!(apply_head(late), 0);
+        assert!(heartbeat_word(2, 5) > heartbeat_word(2, 4));
     }
 
     #[test]

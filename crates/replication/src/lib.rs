@@ -12,8 +12,9 @@
 //! * [`stats`] — per-member measurements and the event timeline,
 //! * [`ClusterConfig`] / [`MemberId`] — membership and quorum arithmetic
 //!   (`f` acknowledgements + the leader = a strict majority),
-//! * [`log`] — the byte-exact replicated log layout with torn-entry
-//!   detection (leaders append with one-sided writes; consumers poll),
+//! * [`log`] — the byte-exact replicated log ring with torn-entry
+//!   detection (leaders append with one-sided writes; consumers poll and
+//!   follow the writer around the ring),
 //! * [`heartbeat`] — heartbeat counters and the failure detector (100 µs
 //!   period; never switch-accelerated),
 //! * [`election`] — lowest-live-id leadership and view tracking,
@@ -35,7 +36,7 @@ pub use config::{ClusterConfig, MemberId};
 pub use deploy::{ClusterBuilder, Deployment, Fabric};
 pub use election::{leader_of, ViewChange, ViewTracker};
 pub use heartbeat::{FailureDetector, HeartbeatCounter};
-pub use log::{decode_at, Decoded, LogEntry, LogError, LogReader, LogWriter, StateMachine};
+pub use log::{decode_at, LogEntry, LogError, LogReader, LogWriter, StateMachine};
 pub use member::{Comm, Core, LinkState, Member, MemberConfig};
 pub use stats::{MemberEvent, MemberStats};
 pub use workload::{ArrivalClock, WorkloadMode, WorkloadSpec};

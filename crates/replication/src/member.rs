@@ -31,8 +31,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut, Range};
 
+use crate::heartbeat::{apply_head, heartbeat_word};
 use crate::{
-    ArrivalClock, ClusterConfig, FailureDetector, HeartbeatCounter, LogReader, LogWriter,
+    ArrivalClock, ClusterConfig, FailureDetector, HeartbeatCounter, LogError, LogReader, LogWriter,
     MemberEvent, MemberId, MemberStats, StateMachine, ViewTracker, WorkloadMode, WorkloadSpec,
 };
 
@@ -75,6 +76,10 @@ pub const WR_SEQ_MASK: u64 = 0xffff_ffff_ffff;
 pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_micros(100);
 /// Unchanged heartbeat reads before a member is suspected dead.
 pub const FAILURE_THRESHOLD: u32 = 5;
+/// How long a writer waits on a replica whose apply head does not move
+/// before it stops waiting: the failure detector's window.
+const STUCK_WINDOW: SimDuration =
+    SimDuration::from_nanos(HEARTBEAT_PERIOD.as_nanos() * FAILURE_THRESHOLD as u64);
 /// Time a permission reconfiguration takes to apply (the 0.9 ms the
 /// paper measures for a Mu leader change).
 pub const PERMISSION_CHANGE_DELAY: SimDuration = SimDuration::from_micros(900);
@@ -239,6 +244,12 @@ struct HbLink {
     qpn: Option<Qpn>,
     advert: Option<RegionAdvert>,
     last_seen: u64,
+    /// When a read first showed the apply head `last_seen` carries.
+    head_since: SimTime,
+    /// The apply head stood still through a detector window of the
+    /// writer waiting on it: the peer missed an entry no one will send
+    /// again, and holds the ring back no more until its head moves.
+    stuck: bool,
     reconnect_backoff: u32,
 }
 
@@ -277,11 +288,9 @@ pub struct Core {
     detector: FailureDetector,
     views: ViewTracker,
     writer: LogWriter,
+    /// Follows the writer around the ring: the entries it walked are the
+    /// entries applied, exactly once and in order.
     reader: LogReader,
-    /// Seq the next state-machine application must carry: an epoch
-    /// rebuild replays the log from the head, and entries below this
-    /// mark were already applied (exactly-once application).
-    next_apply_seq: u64,
     // Heartbeat links.
     hb_links: BTreeMap<MemberId, HbLink>,
     hb_handshakes: HashMap<u64, MemberId>,
@@ -296,7 +305,12 @@ pub struct Core {
     first_decision_pending: bool,
     // Replication: appended, not yet decided.
     pending: BTreeMap<u64, PendingDecision>,
-    parked: VecDeque<SimTime>,
+    /// Proposals waiting for a path (arrivals during an outage) or for
+    /// room in the log ring, with when they arrived.
+    parked: VecDeque<(SimTime, Bytes)>,
+    /// Since when the writer has found no room in the ring, if it has
+    /// not appended since.
+    stalled_since: Option<SimTime>,
     // Workload.
     arrivals: Option<ArrivalClock>,
     workload_started: bool,
@@ -329,6 +343,8 @@ impl Core {
                     qpn: None,
                     advert: None,
                     last_seen: 0,
+                    head_since: SimTime::ZERO,
+                    stuck: false,
                     reconnect_backoff: 0,
                 };
                 (id, link)
@@ -345,7 +361,6 @@ impl Core {
             views: ViewTracker::new(),
             writer: LogWriter::new(log_size),
             reader: LogReader::new(),
-            next_apply_seq: 0,
             hb_links,
             hb_handshakes: HashMap::new(),
             deferred: HashMap::new(),
@@ -357,6 +372,7 @@ impl Core {
             first_decision_pending: false,
             pending: BTreeMap::new(),
             parked: VecDeque::new(),
+            stalled_since: None,
             arrivals: None,
             workload_started: false,
             payload_proto: Bytes::new(),
@@ -436,7 +452,7 @@ impl Core {
     /// Sequence number the next applied entry must carry — applied
     /// entries are exactly `0..next_apply_seq`, in order.
     pub fn next_apply_seq(&self) -> u64 {
-        self.next_apply_seq
+        self.reader.next_seq()
     }
 
     /// Clears the measurement window (latency samples and throughput),
@@ -478,8 +494,8 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn heartbeat_tick<C: Comm>(&mut self, comm: &mut C, ops: &mut HostOps<'_, '_>) {
-        // Publish our own liveness.
-        let value = self.counter.tick();
+        // Publish our own liveness, and how far we have applied.
+        let value = heartbeat_word(self.counter.tick(), self.reader.next_seq());
         if let Some(region) = self.hb_region {
             ops.write_local(region, 0, &value.to_be_bytes());
         }
@@ -616,9 +632,9 @@ impl Core {
         self.fence_log(ops);
         self.stats
             .event(ops.now(), MemberEvent::BecameLeader { view });
-        // Continue the log from what we consumed as a replica.
-        self.writer
-            .resume(self.reader.offset(), self.reader.consumed());
+        // Continue the log after the last entry we walked as a replica.
+        self.writer.resume(&self.reader);
+        self.stalled_since = None;
         comm.start(self, ops);
     }
 
@@ -704,13 +720,7 @@ impl Core {
     /// closed loop back up to its in-flight target.
     pub fn resume<C: Comm>(&mut self, comm: &mut C, ops: &mut HostOps<'_, '_>) {
         self.maybe_start_workload(comm, ops);
-        while comm.ready(self) {
-            let Some(arrived) = self.parked.pop_front() else {
-                break;
-            };
-            self.stats.issued -= 1; // propose() re-counts it
-            self.propose(comm, arrived, ops);
-        }
+        self.flush_parked(comm, ops);
         let Some(spec) = self.cfg.workload else {
             return;
         };
@@ -720,7 +730,7 @@ impl Core {
         if !self.workload_started || !comm.ready(self) {
             return;
         }
-        let mut deficit = inflight.saturating_sub(self.pending.len());
+        let mut deficit = inflight.saturating_sub(self.pending.len() + self.parked.len());
         while deficit > 0 && !self.workload_done(&spec) {
             let now = ops.now();
             self.propose(comm, now, ops);
@@ -745,8 +755,7 @@ impl Core {
         } else {
             // The communication module is reconfiguring: requests queue
             // (their latency will include the outage).
-            self.parked.push_back(now);
-            self.stats.issued += 1;
+            self.park(now, self.payload_proto.clone());
         }
         if let Some(clock) = &mut self.arrivals {
             let next = clock.advance();
@@ -761,7 +770,8 @@ impl Core {
         self.propose_payload(comm, payload, arrived, ops);
     }
 
-    /// One consensus: append locally, then hand the entry to the comm.
+    /// Proposes a new value; with no room in the ring it is parked, and
+    /// counted as a writer stall.
     fn propose_payload<C: Comm>(
         &mut self,
         comm: &mut C,
@@ -769,11 +779,87 @@ impl Core {
         arrived: SimTime,
         ops: &mut HostOps<'_, '_>,
     ) {
+        if let Err(payload) = self.try_propose(comm, payload, arrived, ops) {
+            self.stats.writer_stalls += 1;
+            self.park(arrived, payload);
+        }
+    }
+
+    fn park(&mut self, arrived: SimTime, payload: Bytes) {
+        self.parked.push_back((arrived, payload));
+        self.stats.issued += 1;
+    }
+
+    /// Proposes the parked values, oldest first, while a path serves and
+    /// the ring has room.
+    fn flush_parked<C: Comm>(&mut self, comm: &mut C, ops: &mut HostOps<'_, '_>) {
+        while comm.ready(self) {
+            let Some((arrived, payload)) = self.parked.pop_front() else {
+                break;
+            };
+            self.stats.issued -= 1; // try_propose() re-counts it
+            if let Err(payload) = self.try_propose(comm, payload, arrived, ops) {
+                // Still no room: back to the head of the queue.
+                self.parked.push_front((arrived, payload));
+                self.stats.issued += 1;
+                break;
+            }
+        }
+    }
+
+    /// The bytes of the previous lap `peer` may still need, besides the
+    /// current lap `[0, log_prefix())`, going by its last heartbeat word.
+    pub fn log_behind(&self, peer: MemberId) -> Option<Range<usize>> {
+        let head = self
+            .hb_links
+            .get(&peer)
+            .map_or(0, |l| apply_head(l.last_seen));
+        self.writer.behind(head)
+    }
+
+    /// One consensus: append locally, then hand the entry to the comm.
+    /// With no room in the ring the payload comes back.
+    fn try_propose<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        payload: Bytes,
+        arrived: SimTime,
+        ops: &mut HostOps<'_, '_>,
+    ) -> Result<(), Bytes> {
         debug_assert!(self.i_am_leader);
         let size = payload.len();
-        let Ok((entry, bytes, at)) = self.writer.append(payload) else {
-            return; // log full: experiments size logs to avoid this
+        let now = ops.now();
+        let waited = |since: SimTime| now.saturating_duration_since(since) >= STUCK_WINDOW;
+        if self.stalled_since.is_some_and(waited) {
+            let next = self.writer.next_seq();
+            for link in self.hb_links.values_mut() {
+                link.stuck |= waited(link.head_since) && apply_head(link.last_seen) < next;
+            }
+        }
+        // The oldest seq a reader may still need: the first undecided
+        // entry, or the apply head of the slowest replica the detector
+        // calls alive, as its last heartbeat word told it — unless the
+        // ring cannot serve that replica any more: its next entry was
+        // taken back while it was dead, or it is stuck.
+        let oldest = self.writer.oldest_seq();
+        let floor = || {
+            let undecided = self.pending.keys().next().copied();
+            (self.hb_links.iter())
+                .filter(|&(&id, link)| self.detector.is_alive(id) && !link.stuck)
+                .map(|(_, link)| apply_head(link.last_seen))
+                .filter(|&head| head >= oldest)
+                .fold(undecided.unwrap_or(u64::MAX), u64::min)
         };
+        let (entry, bytes, at) = match self.writer.append_below(payload.clone(), floor) {
+            Ok(appended) => appended,
+            Err(LogError::Full { .. }) => {
+                self.stalled_since.get_or_insert(now);
+                return Err(payload);
+            }
+            // A value larger than the whole ring is dropped.
+            Err(LogError::TooLarge { .. }) => return Ok(()),
+        };
+        self.stalled_since = None;
         let region = self.log_region.expect("registered at start");
         ops.write_local(region, at, &bytes);
         self.stats.issued += 1;
@@ -791,6 +877,7 @@ impl Core {
             },
         );
         comm.post(view, seq, at, bytes, ops);
+        Ok(())
     }
 
     /// Counts one acknowledgement for `seq`; the `needed`-th decides it
@@ -813,6 +900,10 @@ impl Core {
         let (arrived, size) = (p.arrived, p.size);
         self.pending.remove(&seq);
         self.record_decision(comm, seq, arrived, size, ops);
+        // The decision may have been what held the ring back.
+        if !self.parked.is_empty() {
+            self.flush_parked(comm, ops);
+        }
     }
 
     fn record_decision<C: Comm>(
@@ -928,8 +1019,9 @@ impl Core {
             return;
         }
         let region = self.log_region.expect("registered at start");
-        // New epoch? Revoke everything from the previous leader, and
-        // start the log over: a new leader means a new epoch of the log.
+        // New epoch? Revoke everything from the previous leader. The log
+        // goes on: the reader keeps its position and follows the new
+        // leader's writer from there.
         if self.epoch_leader != Some(d.leader_ip) {
             let stale = std::mem::take(&mut self.granted_ips);
             if !fence_forgotten(ops) {
@@ -939,8 +1031,6 @@ impl Core {
             }
             self.view_writer_qpns.clear();
             self.epoch_leader = Some(d.leader_ip);
-            self.reader.reset();
-            ops.write_local(region, 0, &[0u8; 16]);
         }
         ops.grant(region, d.from_ip, Permissions::WRITE);
         self.granted_ips.insert(d.from_ip);
@@ -1011,6 +1101,10 @@ impl Core {
             let raw = ops.read_local(self.hb_scratch.expect("registered"), slot, 8);
             let value = u64::from_be_bytes(raw.try_into().expect("8 bytes"));
             if let Some(link) = self.hb_links.get_mut(&peer) {
+                if apply_head(value) != apply_head(link.last_seen) {
+                    link.head_since = ops.now();
+                    link.stuck = false;
+                }
                 link.last_seen = value;
             }
         } else if let Some(link) = self.hb_links.get_mut(&peer) {
@@ -1030,21 +1124,14 @@ impl Core {
     // ------------------------------------------------------------------
 
     /// Polls the log: one borrowing walk from the reader's position over
-    /// whatever has landed, applying each complete entry in place (torn
-    /// tails wait for their canary and the next notification).
+    /// whatever has landed, applying each complete entry in place (a torn
+    /// entry fails its tail check and waits for the next notification).
     fn on_remote_write(&mut self, region: RegionHandle, ops: &mut HostOps<'_, '_>) {
         if Some(region) != self.log_region {
             return;
         }
         let log = ops.read_local(region, 0, self.cfg.cluster.log_size);
-        // A corrupt position parks the reader in front of it: nothing to do.
-        let _ = self.reader.walk(log, |seq, payload| {
-            // Epoch rebuilds replay the log from the head; skip what
-            // this member already applied so application is exactly-once.
-            if seq < self.next_apply_seq {
-                return;
-            }
-            self.next_apply_seq = seq + 1;
+        self.reader.walk(log, |seq, payload| {
             self.stats.applied += 1;
             ops.tracer().emit(ops.now(), || TraceEvent::Apply { seq });
             if let Some(sm) = &mut self.state_machine {
@@ -1163,6 +1250,10 @@ impl<C: Comm> RdmaApp for Member<C> {
     fn on_completion(&mut self, c: Completion, ops: &mut HostOps<'_, '_>) {
         if c.wr_id.0 & WR_CLASS_MASK == WR_HB {
             self.core.on_hb_completion(&c, ops);
+            // A replica's apply head may have moved what held the ring back.
+            if !self.core.parked.is_empty() {
+                self.core.flush_parked(&mut self.comm, ops);
+            }
         } else {
             self.comm.on_completion(&mut self.core, &c, ops);
         }

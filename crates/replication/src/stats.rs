@@ -65,6 +65,11 @@ pub struct MemberStats {
     pub throughput: Throughput,
     /// Entries applied from the log (replica side).
     pub applied: u64,
+    /// Proposals that found no room in the log ring and were parked,
+    /// each counted once however often it is retried: the next entry
+    /// would have overwritten one the slowest live replica has not
+    /// applied, or one not yet decided (leader side).
+    pub writer_stalls: u64,
     /// The lowest flow-control credit count observed on successful
     /// acknowledgements (leader side; 31 = never constrained).
     pub min_credit_seen: u8,
@@ -84,6 +89,7 @@ impl Default for MemberStats {
             latency: LatencyRecorder::default(),
             throughput: Throughput::default(),
             applied: 0,
+            writer_stalls: 0,
             min_credit_seen: 31,
             events: Vec::new(),
             events_dropped: 0,

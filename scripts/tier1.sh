@@ -199,6 +199,19 @@ for gone in '"--max-schedules"' '"--seed"'; do
   fi
 done
 
+echo "==> a log that recycles: a 4 MiB ring by default, one reap per watched write message"
+if grep -rn '16 << 20' crates/replication/src; then
+  echo "tier-1: the log is a ring the replicas follow; its default is DEFAULT_LOG_SIZE (4 MiB), not 16 MiB (EXPERIMENTS E27)" >&2; exit 1
+fi
+grep -q '^pub const DEFAULT_LOG_SIZE: usize = 4 << 20;' crates/replication/src/config.rs \
+  || { echo "tier-1: crates/replication/src/config.rs defines DEFAULT_LOG_SIZE as 4 << 20" >&2; exit 1; }
+# The watched write path charges reap_cost once, after the early return for a message's non-last packets.
+notify=$(sed -n '/fn notify_remote_write(/,/^    }$/p' crates/rdma/src/host.rs)
+[ "$(grep -c 'reap_cost' <<<"$notify")" -eq 1 ] \
+  && [ "$(grep -n 'if !last' <<<"$notify" | cut -d: -f1)" -lt "$(grep -n 'reap_cost' <<<"$notify" | cut -d: -f1)" ] \
+  && ! sed -n '/fn execute_write(/,/^    }$/p' crates/rdma/src/host.rs | grep -q 'reap_cost' \
+  || { echo "tier-1: a watched remote write is charged reap_cost at one site, HostCore::notify_remote_write, at the message's last packet (EXPERIMENTS E27)" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
