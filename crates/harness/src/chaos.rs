@@ -233,10 +233,6 @@ pub struct ChaosReport {
     pub nak_retransmits: u64,
     /// Frames the hosts discarded as unparseable (corruption landing).
     pub parse_drops: u64,
-    /// Deduplicated `(view, member)` pairs that claimed leadership
-    /// (`BecameLeader` on the P4CE member, plus `LeaderOperational` on
-    /// Mu's) — at most one member per view, by the unique-leader oracle.
-    pub leader_views: Vec<(u64, u8)>,
 }
 
 /// Records every applied entry, for post-run agreement checks.
@@ -397,9 +393,6 @@ fn storm<C: Comm>(
     // Let replicas catch up on applying the tail.
     sim.run_for(SimDuration::from_millis(2));
     let probes = audit::<C>(&sim, &members, &mut tally);
-    let leader_views = (probes.iter())
-        .flat_map(|p| p.leader_claims.iter().copied())
-        .collect();
 
     let injected = fault_totals(&sim, &members);
     let mut timeout_retransmits = 0;
@@ -438,7 +431,6 @@ fn storm<C: Comm>(
         timeout_retransmits,
         nak_retransmits,
         parse_drops,
-        leader_views,
     }
 }
 

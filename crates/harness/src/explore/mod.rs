@@ -837,6 +837,23 @@ decisions=-
     }
 
     #[test]
+    fn twelve_member_walks_stay_clean() {
+        // A short walk on a large cluster, where every member's own view
+        // counter differs from the others': nothing may fire on either
+        // system.
+        for system in [System::P4ce, System::Mu] {
+            let spec = ExploreSpec {
+                system,
+                horizon: 10,
+                ..ExploreSpec::p4ce(12)
+            };
+            let report = random_walk(&spec, Budget::schedules(1));
+            assert_eq!(report.status, ExploreStatus::BudgetExhausted, "{system}");
+            assert!(report.counterexample.is_none(), "{system}");
+        }
+    }
+
+    #[test]
     fn spec_round_trips_through_repro() {
         let mut decisions = BTreeMap::new();
         decisions.insert(4u32, 2u32);

@@ -3,20 +3,20 @@
 //! step.
 //!
 //! The oracles mirror the safety arguments the paper inherits from Mu
-//! (§III): decided values form one agreed sequence, at most one member
-//! leads a view, entries apply exactly once and in order, and — the
-//! RDMA-specific one — at any instant at most the current epoch's leader
-//! holds write permission on a member's log. The last check audits the
-//! *NIC-enforced* permission table ([`rdma::HostMemory`]), not member
-//! bookkeeping, because the permission table is what actually fences a
-//! deposed leader.
+//! (§III): decided values form one agreed sequence, entries apply exactly
+//! once and in order, and — the RDMA-specific one — at any instant at
+//! most the current epoch's leader holds write permission on a member's
+//! log. That last check audits the *NIC-enforced* permission table
+//! ([`rdma::HostMemory`]), not member bookkeeping, because the permission
+//! table is what actually fences a deposed leader; it is also what makes
+//! leadership unique (see [`OracleKind::SingleWriter`]).
 
 use std::fmt;
 use std::net::Ipv4Addr;
 
 use netsim::{NodeId, Simulation};
 use rdma::Host;
-use replication::{Comm, Member, MemberEvent};
+use replication::{Comm, Member};
 
 use crate::chaos::ChaosRecorder;
 
@@ -30,10 +30,12 @@ pub enum OracleKind {
     PrefixConsistency,
     /// Each member applies entries exactly once, in order, gap-free.
     ExactlyOnce,
-    /// At most one member claims (operational) leadership of a view.
-    UniqueLeader,
     /// Only the current epoch's leader may hold write permission on a
-    /// member's log region.
+    /// member's log region, and a fenced log (no epoch leader) grants
+    /// none. This is the majority property too: a leader replicates only
+    /// through WRITE grants on a majority of logs, each log has one epoch
+    /// leader, and any two majorities share a log — so no two members
+    /// can hold a majority at once.
     SingleWriter,
     /// In a multi-group deployment, a member applies only entries
     /// proposed to its own group (every explored proposal carries a
@@ -50,7 +52,6 @@ impl OracleKind {
             OracleKind::Agreement => "agreement",
             OracleKind::PrefixConsistency => "prefix-consistency",
             OracleKind::ExactlyOnce => "exactly-once",
-            OracleKind::UniqueLeader => "unique-leader",
             OracleKind::SingleWriter => "single-writer",
             OracleKind::GroupIsolation => "group-isolation",
         }
@@ -103,9 +104,6 @@ pub struct MemberProbe {
     /// per the NIC's permission table (the switch, a mere conduit, is
     /// excluded).
     pub write_grants: Vec<Ipv4Addr>,
-    /// Deduplicated `(view, member)` leadership claims from this
-    /// member's event history.
-    pub leader_claims: Vec<(u64, u8)>,
 }
 
 /// Snapshots every member of the cluster (or group) living at `members`
@@ -136,15 +134,6 @@ fn probe_from<C: Comm>(host: &Host<Member<C>>, i: usize, ips: &[Ipv4Addr]) -> Me
         .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
         .map(|rec| (rec.seqs.clone(), rec.payloads.clone()))
         .unwrap_or_default();
-    let mut leader_claims = Vec::new();
-    for (_, ev) in &app.stats.events {
-        if let MemberEvent::BecameLeader { view } | MemberEvent::LeaderOperational { view } = ev {
-            let claim = (*view, i as u8);
-            if !leader_claims.contains(&claim) {
-                leader_claims.push(claim);
-            }
-        }
-    }
     MemberProbe {
         ip: ips[i],
         applied_seqs,
@@ -152,7 +141,6 @@ fn probe_from<C: Comm>(host: &Host<Member<C>>, i: usize, ips: &[Ipv4Addr]) -> Me
         next_apply_seq: app.next_apply_seq(),
         epoch_leader: app.epoch_leader(),
         write_grants,
-        leader_claims,
     }
 }
 
@@ -168,9 +156,6 @@ pub fn check_all(probes: &[MemberProbe], step: u32) -> Option<Violation> {
     };
     if let Some(d) = single_writer(probes) {
         return fire(OracleKind::SingleWriter, d);
-    }
-    if let Some(d) = unique_leader(probes) {
-        return fire(OracleKind::UniqueLeader, d);
     }
     if let Some(d) = agreement(probes) {
         return fire(OracleKind::Agreement, d);
@@ -218,37 +203,22 @@ fn group_isolation(probes: &[MemberProbe], group_tag: u16) -> Option<String> {
 
 fn single_writer(probes: &[MemberProbe]) -> Option<String> {
     for (i, p) in probes.iter().enumerate() {
-        let Some(leader) = p.epoch_leader else {
-            continue;
-        };
         for &g in &p.write_grants {
-            if g != leader {
-                return Some(format!(
-                    "member {i} ({}): {g} holds WRITE on the log, but the \
-                     epoch leader is {leader}",
-                    p.ip
-                ));
-            }
-        }
-    }
-    None
-}
-
-fn unique_leader(probes: &[MemberProbe]) -> Option<String> {
-    let mut claims: Vec<(u64, u8)> = Vec::new();
-    for p in probes {
-        for &c in &p.leader_claims {
-            if !claims.contains(&c) {
-                claims.push(c);
-            }
-        }
-    }
-    for (i, &(view, member)) in claims.iter().enumerate() {
-        for &(v2, m2) in &claims[..i] {
-            if view == v2 && member != m2 {
-                return Some(format!(
-                    "members {member} and {m2} both claimed leadership of view {view}"
-                ));
+            match p.epoch_leader {
+                Some(leader) if g == leader => {}
+                Some(leader) => {
+                    return Some(format!(
+                        "member {i} ({}): {g} holds WRITE on the log, but the \
+                         epoch leader is {leader}",
+                        p.ip
+                    ))
+                }
+                None => {
+                    return Some(format!(
+                        "member {i} ({}): {g} holds WRITE on a fenced log",
+                        p.ip
+                    ))
+                }
             }
         }
     }
@@ -324,7 +294,6 @@ mod tests {
             next_apply_seq: 3,
             epoch_leader: Some(Ipv4Addr::new(10, 0, 0, 1)),
             write_grants: vec![Ipv4Addr::new(10, 0, 0, 1)],
-            leader_claims: vec![(0, 0)],
         }
     }
 
@@ -346,11 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn two_leaders_in_one_view_trip_unique_leader() {
+    fn a_grant_on_a_fenced_log_trips_single_writer() {
         let mut probes = [probe(0), probe(1)];
-        probes[1].leader_claims = vec![(0, 1)];
-        let v = check_all(&probes, 0).expect("must fire");
-        assert_eq!(v.oracle, OracleKind::UniqueLeader);
+        // Member 1 fenced its log, and 10.0.0.1 still holds WRITE on it.
+        probes[1].epoch_leader = None;
+        let v = check_all(&probes, 5).expect("must fire");
+        assert_eq!(v.oracle, OracleKind::SingleWriter);
+        assert!(v.detail.contains("fenced"), "{}", v.detail);
+        probes[1].write_grants.clear();
+        assert_eq!(check_all(&probes, 5), None, "a fenced log without grants");
     }
 
     #[test]

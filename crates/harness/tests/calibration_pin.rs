@@ -104,8 +104,8 @@ fn calibration_table_says_what_the_code_reads() {
                 let log_size = ClusterConfig::new(&[ip, ip]).log_size;
                 assert_eq!(log_size, DEFAULT_LOG_SIZE, "the default is the constant");
                 assert!(log_size.is_power_of_two(), "{log_size} B");
-                // What the leader writes at line rate on an apply head two
-                // heartbeat periods old must fit.
+                // What the leader writes at line rate on a reader position
+                // two heartbeat periods old must fit.
                 let stale = 2.0 * HEARTBEAT_PERIOD.as_secs_f64() * link.bandwidth.bytes_per_sec();
                 assert!(log_size as f64 >= stale, "{log_size} B < {stale} B");
                 (count(value, "MiB"), (log_size >> 20) as f64)

@@ -179,11 +179,10 @@ impl FanOut {
             // Chunked state transfer: bounded-size writes keep each
             // request comfortably inside the transport's retransmission
             // timeout. The current lap, then whatever of the previous lap
-            // the replica has not applied yet.
+            // the replica has not read yet.
             const CHUNK: usize = 64 << 10;
             let region = core.log_region().expect("registered");
-            let laps = [Some(0..core.log_prefix()), core.log_behind(peer)];
-            for bytes in laps.into_iter().flatten() {
+            for bytes in core.log_since(peer) {
                 for off in bytes.clone().step_by(CHUNK) {
                     let end = (off + CHUNK).min(bytes.end);
                     let data = Bytes::copy_from_slice(ops.read_local(region, off, end - off));

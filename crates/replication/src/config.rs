@@ -14,7 +14,7 @@ impl fmt::Display for MemberId {
     }
 }
 
-/// The default log ring: 4 MiB. A replica's apply head reaches the
+/// The default log ring: 4 MiB. A replica's reader position reaches the
 /// leader in its heartbeat word, so the leader writes for up to two
 /// heartbeat periods on a stale one — 2.5 MB at 100 Gb/s — before the
 /// ring stops it; rounded up to a power of two.

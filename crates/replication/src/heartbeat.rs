@@ -7,10 +7,11 @@
 //! Heartbeats are *never* accelerated by the switch (they are a few
 //! hundred messages per second and latency-insensitive, §III-A).
 //!
-//! The 8-byte word a member publishes carries its apply head too
-//! (`heartbeat_word`): the counter in the high bits, so the word grows
-//! on every tick whatever the apply head does, and the leader learns how
-//! far each replica has applied from the read it makes anyway.
+//! The 8-byte word a member publishes carries its reader's position in
+//! the log ring too (`heartbeat_word`): the counter in the high bits, so
+//! the word grows on every tick whatever the position does, and the
+//! leader learns how far each replica has read from the read it makes
+//! anyway.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,19 +91,25 @@ impl FailureDetector {
     }
 }
 
-/// Bits of a heartbeat word that carry the apply head (2⁴⁰ entries); the
-/// 24 above carry the counter (2²⁴ ticks, 28 minutes at 100 µs).
-const APPLY_HEAD_BITS: u32 = 40;
+/// Bits of a heartbeat word that carry the reader's position (2⁴⁰ bytes
+/// of history, wrapping); the 24 above carry the counter (2²⁴ ticks, 28
+/// minutes at 100 µs).
+const POSITION_BITS: u32 = 40;
+const POSITION_MASK: u64 = (1 << POSITION_BITS) - 1;
 
-/// The word a member publishes: tick `counter` and the seq its next
-/// applied entry will carry.
-pub(crate) fn heartbeat_word(counter: u64, apply_head: u64) -> u64 {
-    (counter << APPLY_HEAD_BITS) | (apply_head & ((1 << APPLY_HEAD_BITS) - 1))
+/// The word a member publishes: tick `counter` and its reader's position
+/// in the log ring.
+pub(crate) fn heartbeat_word(counter: u64, position: u64) -> u64 {
+    (counter << POSITION_BITS) | (position & POSITION_MASK)
 }
 
-/// The apply head a heartbeat word carries.
-pub(crate) fn apply_head(word: u64) -> u64 {
-    word & ((1 << APPLY_HEAD_BITS) - 1)
+/// The reader position `word` reports, read against the position of the
+/// writer that asks: the one within 2³⁹ bytes of it, behind or (a
+/// successor's peer that walked further) ahead.
+pub(crate) fn reported_position(word: u64, writer: u64) -> u64 {
+    let behind = writer.wrapping_sub(word) & POSITION_MASK;
+    let shift = 64 - POSITION_BITS;
+    writer.wrapping_sub((((behind << shift) as i64) >> shift) as u64)
 }
 
 /// The local heartbeat counter a member exposes to its peers.
@@ -172,12 +179,28 @@ mod tests {
     }
 
     #[test]
-    fn a_word_grows_with_the_counter_whatever_the_apply_head_does() {
+    fn a_word_grows_with_the_counter_whatever_the_position_does() {
         let (early, late) = (heartbeat_word(1, 1_000_000), heartbeat_word(2, 0));
         assert!(late > early, "a tick is progress");
-        assert_eq!(apply_head(early), 1_000_000);
-        assert_eq!(apply_head(late), 0);
+        assert_eq!(reported_position(early, 1_000_000), 1_000_000);
+        assert_eq!(reported_position(late, 5), 0);
         assert!(heartbeat_word(2, 5) > heartbeat_word(2, 4));
+        // Past 2⁴⁰ bytes the low bits wrap, and the tick still grows.
+        let wrapped = heartbeat_word(3, 1 << 40);
+        assert!(wrapped > heartbeat_word(2, (1 << 40) - 1));
+    }
+
+    #[test]
+    fn a_position_is_read_against_the_writer_across_the_wrap() {
+        let wrap = 1u64 << 40;
+        for writer in [wrap - 10, wrap, wrap + 10, 5 * wrap + 3] {
+            for reader in [writer - (4 << 20), writer - 1, writer, writer + 100] {
+                let word = heartbeat_word(9, reader);
+                assert_eq!(reported_position(word, writer), reader, "{writer} {reader}");
+            }
+        }
+        // A peer not heard from yet reads as the head of the log.
+        assert_eq!(reported_position(0, 4 << 20), 0);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! ring can hold entries.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
@@ -92,80 +91,42 @@ pub fn decode_at(log: &[u8], offset: usize, seq: u64) -> Option<(LogEntry, usize
     Some((LogEntry { seq, payload }, end))
 }
 
-/// Spans a writer keeps per lap, at most: consecutive entries share one
-/// until it covers `capacity / SPANS_PER_LAP` bytes, so the bookkeeping
-/// is a few KiB whatever the entry size, and the floor check errs by at
-/// most that much on the safe side.
-const SPANS_PER_LAP: usize = 256;
-
-/// Bytes of the ring and the newest seq stored in them.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    seq: u64,
-    start: u32,
-    end: u32,
-}
-
-impl Span {
-    fn range(&self) -> Range<usize> {
-        self.start as usize..self.end as usize
-    }
-}
-
 /// Append-side bookkeeping for the leader.
 ///
 /// The log is a ring: when an entry does not fit at the tail, the writer
-/// wraps to offset zero — Mu recycles its logs the same way. It never
-/// takes back the bytes of an entry a reader may still need
-/// ([`LogWriter::append_below`]); with the default 4 MiB ring that bound
-/// is a back-stop, two heartbeat periods of line-rate writes fit in it.
-#[derive(Debug, Clone)]
+/// wraps to offset zero — Mu recycles its logs the same way. Where it
+/// stands is one monotonic byte position, `laps × capacity + offset`, the
+/// pad left at each lap's end included; the ring holds the history
+/// `[position − capacity, position)`. It never takes back bytes a reader
+/// may still need ([`LogWriter::append_below`]); with the default 4 MiB
+/// ring that bound is a back-stop, two heartbeat periods of line-rate
+/// writes fit in it.
+#[derive(Debug, Clone, Copy)]
 pub struct LogWriter {
     capacity: usize,
-    offset: usize,
+    position: u64,
     next_seq: u64,
-    /// What the ring holds, oldest first: spans of the entries this writer
-    /// appended, and after [`LogWriter::resume`] one span for each lap the
-    /// member inherited.
-    ring: VecDeque<Span>,
-    /// Every entry below this seq has had its bytes taken back.
-    oldest: u64,
 }
 
 impl LogWriter {
     /// A writer over a log of `capacity` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` does not fit in 32 bits.
     pub fn new(capacity: usize) -> Self {
-        assert!(u32::try_from(capacity).is_ok(), "log ring above 4 GiB");
         LogWriter {
             capacity,
-            offset: 0,
+            position: 0,
             next_seq: 0,
-            ring: VecDeque::new(),
-            oldest: 0,
         }
     }
 
-    /// The next append offset.
-    pub fn offset(&self) -> usize {
-        self.offset
+    /// Bytes of history written so far: the next append goes at
+    /// `position() % capacity`, or at 0 if it does not fit there.
+    pub fn position(&self) -> u64 {
+        self.position
     }
 
     /// The seq the next append gets.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// The oldest seq whose bytes the ring may still hold: every entry
-    /// below it has been taken back, so a reader that still needs one of
-    /// those cannot be served from the ring. After [`LogWriter::resume`]
-    /// the inherited lap's first seq is not known, and this is 0 until
-    /// the writer takes that lap back.
-    pub fn oldest_seq(&self) -> u64 {
-        self.oldest
     }
 
     /// [`LogWriter::append_below`] with no reader to wait for: the ring
@@ -181,16 +142,15 @@ impl LogWriter {
 
     /// Reserves space for `payload`, returning the entry, its bytes and
     /// the offset to write them at. Wraps to the head of the ring when
-    /// the tail cannot hold the entry, and never reuses the bytes of an
-    /// entry at or above `floor()` — the oldest seq some reader still
-    /// needs, asked for only when the entry takes back bytes of the ring
-    /// the writer has not checked yet (once a span, not once an entry).
+    /// the tail cannot hold the entry, and never takes back history at
+    /// or above `floor()` — the lowest position some reader still needs,
+    /// asked for on each append that takes back bytes.
     ///
     /// # Errors
     ///
-    /// [`LogError::Full`] when the entry would overwrite one at or above
-    /// the floor (retry once the floor has risen), [`LogError::TooLarge`]
-    /// when it exceeds the whole ring.
+    /// [`LogError::Full`] when the entry would overwrite history at or
+    /// above the floor (retry once the floor has risen),
+    /// [`LogError::TooLarge`] when it exceeds the whole ring.
     pub fn append_below(
         &mut self,
         payload: Bytes,
@@ -203,94 +163,71 @@ impl LogWriter {
                 capacity: self.capacity,
             });
         }
-        let wrap = self.offset + needed > self.capacity;
-        let at = if wrap { 0 } else { self.offset };
-        // The write takes back the oldest spans; when it wraps, the spans
-        // past the lap's end go too, older still than the ones checked.
-        let lap_end = self.offset;
-        let left_behind = |s: &Span| wrap && s.range().start >= lap_end;
-        let overwritten = |s: &Span| s.range().start < at + needed && s.range().end > at;
-        let newest = (self.ring.iter())
-            .skip_while(|s| left_behind(s))
-            .take_while(|s| overwritten(s))
-            .last();
-        if let Some(s) = newest.filter(|s| s.seq >= floor()) {
-            return Err(LogError::Full { seq: s.seq });
-        }
-        while (self.ring.front()).is_some_and(|s| left_behind(s) || overwritten(s)) {
-            self.oldest = self.ring.pop_front().expect("checked").seq + 1;
+        let capacity = self.capacity as u64;
+        let offset = (self.position % capacity) as usize;
+        let start = if offset + needed > self.capacity {
+            self.position + (self.capacity - offset) as u64
+        } else {
+            self.position
+        };
+        let end = start + needed as u64;
+        // The write, pad included, takes back the history one ring below
+        // it, up to what the writer has written.
+        if end > capacity && (end - capacity).min(self.position) > floor() {
+            return Err(LogError::Full);
         }
         let entry = LogEntry {
             seq: self.next_seq,
             payload,
         };
-        let end = (at + needed) as u32;
-        match self.ring.back_mut() {
-            Some(last)
-                if last.end as usize == at
-                    && last.range().len() < self.capacity / SPANS_PER_LAP =>
-            {
-                (last.seq, last.end) = (entry.seq, end);
-            }
-            _ => self.ring.push_back(Span {
-                seq: entry.seq,
-                start: at as u32,
-                end,
-            }),
-        }
-        self.offset = at + needed;
+        self.position = end;
         self.next_seq += 1;
         let bytes = entry.encode();
-        Ok((entry, bytes, at))
+        Ok((entry, bytes, (start % capacity) as usize))
+    }
+
+    /// `true` when the ring no longer holds the history a reader at
+    /// `position` needs next: `position + capacity < self.position()`.
+    /// Pad counts as history here, so a reader stopped at a lap's end
+    /// counts as lapped up to a pad's width early (at once, after an
+    /// entry wider than half the ring).
+    pub(crate) fn lapped(&self, position: u64) -> bool {
+        self.position.saturating_sub(position) > self.capacity as u64
     }
 
     /// Resumes appending where `reader` stopped — a new leader continues
-    /// from the log it walked as a replica, at the seq after the last
-    /// entry it walked. Its layout is not known entry by entry: the
-    /// current lap holds seqs below that one, the previous lap's remains
-    /// seqs below the lap's first.
+    /// from the log it walked as a replica, at its reader's position and
+    /// the seq after the last entry it walked.
     pub fn resume(&mut self, reader: &LogReader) {
-        self.offset = reader.offset;
+        self.position = reader.position;
         self.next_seq = reader.next_seq;
-        self.oldest = 0;
-        self.ring.clear();
-        let inherited = [
-            (reader.lap_start > 0 && self.offset < self.capacity).then(|| Span {
-                seq: reader.lap_start - 1,
-                start: self.offset as u32,
-                end: self.capacity as u32,
-            }),
-            (self.offset > 0).then(|| Span {
-                seq: self.next_seq - 1,
-                start: 0,
-                end: self.offset as u32,
-            }),
-        ];
-        self.ring.extend(inherited.into_iter().flatten());
     }
 
-    /// The bytes of the previous lap still in the ring that hold `seq` or
-    /// later: what a reader that has not reached `seq` needs besides the
-    /// current lap, `[0, offset)`. `None` when the current lap is enough.
-    pub fn behind(&self, seq: u64) -> Option<Range<usize>> {
-        let mut needed = (self.ring.iter())
-            .take_while(|s| s.range().start >= self.offset)
-            .skip_while(|s| s.seq < seq);
-        let first = needed.next()?;
-        let last = needed.last().unwrap_or(first);
-        Some(first.range().start..last.range().end)
+    /// The bytes a reader at `position` lacks, as at most two ranges of
+    /// the ring: the current lap `[0, end)`, whole, and what is left of
+    /// the previous lap from `position` on (empty unless the reader
+    /// stands there). A writer that ended a lap exactly at the ring's
+    /// end is still on that lap.
+    pub fn since(&self, position: u64) -> [Range<usize>; 2] {
+        let capacity = self.capacity as u64;
+        let lap = self.position.saturating_sub(1) / capacity * capacity;
+        let fill = (self.position - lap) as usize;
+        let previous = if position < lap {
+            let from = position.max(self.position - capacity) + capacity - lap;
+            from as usize..self.capacity
+        } else {
+            self.capacity..self.capacity
+        };
+        [0..fill, previous]
     }
 }
 
 /// Consume-side bookkeeping for any member: it follows the writer around
-/// the ring.
+/// the ring, its position counting bytes of history as the writer's does.
 #[derive(Debug, Clone, Default)]
 pub struct LogReader {
-    offset: usize,
+    position: u64,
     next_seq: u64,
-    /// The seq of the entry at offset 0 in the lap being read; every entry
-    /// left of the previous lap is older.
-    lap_start: u64,
 }
 
 impl LogReader {
@@ -305,9 +242,11 @@ impl LogReader {
         self.next_seq
     }
 
-    /// The reader's current offset.
-    pub fn offset(&self) -> usize {
-        self.offset
+    /// Bytes of history read so far, the pad skipped at each wrap
+    /// included: the writer's position when it wrote the last visited
+    /// entry.
+    pub fn position(&self) -> u64 {
+        self.position
     }
 
     /// Walks every entry that continues the run, handing each to `visit`
@@ -318,21 +257,24 @@ impl LogReader {
     /// — has not landed yet, and the walk stops. Returns how many entries
     /// it visited.
     pub fn walk<'a>(&mut self, log: &'a [u8], mut visit: impl FnMut(u64, &'a [u8])) -> usize {
+        let capacity = log.len() as u64;
         let mut visited = 0;
         loop {
             let seq = self.next_seq;
-            let (payload, end) = match span_at(log, self.offset, seq) {
-                Some(found) => found,
-                None if self.offset == 0 => return visited,
-                None => match span_at(log, 0, seq) {
-                    Some(found) => {
-                        self.lap_start = seq;
-                        found
-                    }
-                    None => return visited,
-                },
+            let Some(offset) = self.position.checked_rem(capacity) else {
+                return visited;
             };
-            self.offset = end;
+            let lap = self.position - offset;
+            let (lap, found) = match span_at(log, offset as usize, seq) {
+                // The writer wrapped: the entry opens the next lap, and the
+                // pad it left behind is history too.
+                None if offset > 0 => (lap + capacity, span_at(log, 0, seq)),
+                found => (lap, found),
+            };
+            let Some((payload, end)) = found else {
+                return visited;
+            };
+            self.position = lap + end as u64;
             self.next_seq += 1;
             visited += 1;
             visit(seq, &log[payload]);
@@ -370,11 +312,8 @@ pub trait StateMachine: std::any::Any {
 /// Why an append did not happen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogError {
-    /// The entry would overwrite entry `seq`, which a reader still needs.
-    Full {
-        /// The newest entry in the way.
-        seq: u64,
-    },
+    /// The entry would overwrite history a reader still needs.
+    Full,
     /// The entry does not fit in the whole ring.
     TooLarge {
         /// Bytes the entry needs.
@@ -387,7 +326,7 @@ pub enum LogError {
 impl fmt::Display for LogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LogError::Full { seq } => write!(f, "log full: entry {seq} is still needed"),
+            LogError::Full => f.write_str("log full: a reader still needs the bytes"),
             LogError::TooLarge { needed, capacity } => {
                 write!(f, "entry needs {needed} bytes, the log holds {capacity}")
             }
@@ -518,55 +457,104 @@ mod tests {
         assert_eq!((a0, a1), (0, 23));
         // The third wraps to the head and keeps the sequence counter.
         let (e2, _, a2) = w.append(Bytes::from(vec![3u8; 10])).expect("wraps");
-        assert_eq!((a2, e2.seq, w.offset()), (0, 2, 23));
+        assert_eq!((a2, e2.seq, w.position()), (0, 2, 73));
     }
 
     #[test]
     fn writer_waits_for_the_floor() {
-        let mut w = LogWriter::new(50);
+        let mut w = LogWriter::new(50); // two 23-byte entries a lap
         for _ in 0..2 {
             w.append_below(Bytes::from(vec![0u8; 10]), || 0)
                 .expect("fresh bytes");
         }
-        // Wrapping would take back entry 0, which a reader still needs.
+        // Wrapping takes back history [0, 23), entry 0, which a reader
+        // at position 0 still needs.
         let full = w.append_below(Bytes::from(vec![0u8; 10]), || 0);
-        assert_eq!(full.expect_err("full"), LogError::Full { seq: 0 });
+        assert_eq!(full.expect_err("full"), LogError::Full);
         // Once entry 0 is applied everywhere, only entry 0 goes.
-        let (e, _, at) = (w.append_below(Bytes::from(vec![0u8; 10]), || 1)).expect("room");
-        assert_eq!((e.seq, at), (2, 0));
-        let full = w.append_below(Bytes::from(vec![0u8; 10]), || 1);
-        assert_eq!(full.expect_err("full"), LogError::Full { seq: 1 });
+        let (e, _, at) = (w.append_below(Bytes::from(vec![0u8; 10]), || 23)).expect("room");
+        assert_eq!((e.seq, at, w.position()), (2, 0, 73));
+        let full = w.append_below(Bytes::from(vec![0u8; 10]), || 23);
+        assert_eq!(full.expect_err("full"), LogError::Full);
+        // The floor is asked only once the append takes back bytes.
+        let mut fresh = LogWriter::new(50);
+        fresh
+            .append_below(Bytes::from(vec![0u8; 10]), || {
+                unreachable!("nothing taken back")
+            })
+            .expect("first lap");
     }
 
     #[test]
-    fn oldest_seq_is_the_first_entry_not_taken_back() {
+    fn a_reader_a_ring_behind_is_lapped() {
         let mut w = LogWriter::new(50); // two 23-byte entries a lap
-        for _ in 0..2 {
+        for _ in 0..3 {
             w.append(Bytes::from(vec![0u8; 10])).expect("fits");
         }
-        assert_eq!(w.oldest_seq(), 0);
-        w.append(Bytes::from(vec![0u8; 10]))
-            .expect("wraps over entry 0");
-        assert_eq!(w.oldest_seq(), 1);
-        // The successor does not know where the inherited lap begins.
-        let mut r = LogReader::new();
-        let mut log = vec![0u8; 50];
-        let mut fresh = LogWriter::new(50);
-        for _ in 0..3 {
-            put(&mut fresh, &mut log, &[0u8; 10]);
-        }
-        r.walk(&log, |_, _| {});
-        w.resume(&r);
-        assert_eq!(w.oldest_seq(), 0);
+        // History [23, 73) is in the ring: entry 0 at [0, 23) is gone.
+        assert_eq!(w.position(), 73);
+        assert!(w.lapped(22));
+        assert!(!w.lapped(23));
+        assert!(!w.lapped(73));
+        assert!(
+            !w.lapped(100),
+            "a reader ahead of a successor is not lapped"
+        );
     }
 
     #[test]
-    fn the_writer_keeps_a_few_spans_a_lap() {
-        let mut w = LogWriter::new(64 << 10);
-        for _ in 0..100_000 {
-            w.append(Bytes::from_static(b"x")).expect("fits"); // 14 B: 21 laps
+    fn an_entry_that_ends_at_the_ring_end_closes_its_lap() {
+        let mut w = LogWriter::new(60); // three 20-byte entries fill it
+        let mut log = vec![0u8; 60];
+        let mut r = LogReader::new();
+        for i in 0..3u8 {
+            put(&mut w, &mut log, &[i; 7]);
         }
-        assert!(w.ring.len() <= SPANS_PER_LAP + 1, "{} spans", w.ring.len());
+        assert_eq!(r.walk(&log, |_, _| {}), 3);
+        assert_eq!((w.position(), r.position()), (60, 60));
+        // The catch-up of a reader on that lap is the whole lap.
+        assert_eq!(w.since(20), [0..60, 60..60]);
+        // The next entry goes at 0 with no pad, on both sides.
+        assert_eq!(put(&mut w, &mut log, &[3; 7]), 0..20);
+        assert_eq!(r.walk(&log, |seq, _| assert_eq!(seq, 3)), 1);
+        assert_eq!((w.position(), r.position()), (80, 80));
+    }
+
+    #[test]
+    fn positions_hold_across_the_wrap_of_the_reported_position() {
+        use crate::heartbeat::{heartbeat_word, reported_position};
+        // A successor takes over 50 bytes before the reported position
+        // wraps (2⁴⁰ = 0 mod 64): offset 14.
+        let before = (1u64 << 40) - 50;
+        let mut w = LogWriter::new(64);
+        w.resume(&LogReader {
+            position: before,
+            next_seq: 9,
+        });
+        let word = heartbeat_word(7, before);
+        assert_eq!(reported_position(word, w.position()), before);
+        // 20-byte entries at 14 and 34; the third pads past 2⁴⁰.
+        for at in [14, 34] {
+            assert_eq!(w.append(Bytes::from(vec![0u8; 7])).expect("fits").2, at);
+        }
+        let floor = reported_position(word, w.position());
+        let full = w.append_below(Bytes::from(vec![0u8; 7]), || floor);
+        assert_eq!(
+            full.expect_err("takes back [2⁴⁰ − 74, 2⁴⁰ − 44)"),
+            LogError::Full
+        );
+        let (_, _, at) = (w.append_below(Bytes::from(vec![0u8; 7]), || before + 20)).expect("room");
+        assert_eq!((at, w.position()), (0, (1 << 40) + 20));
+        // Read against the writer past the wrap: a replica that read up
+        // to it reports 20, one entry past `before` stands in the
+        // previous lap, and `before` itself has been lapped.
+        let reported = |at: u64| reported_position(heartbeat_word(8, at), w.position());
+        assert_eq!(heartbeat_word(8, w.position()) & ((1 << 40) - 1), 20);
+        assert_eq!(reported(w.position()), w.position());
+        assert_eq!(w.since(reported(w.position())), [0..20, 64..64]);
+        assert_eq!(w.since(reported(before + 20)), [0..20, 34..64]);
+        assert!(!w.lapped(reported(before + 20)));
+        assert!(w.lapped(reported(before)));
     }
 
     #[test]
@@ -616,7 +604,7 @@ mod tests {
         });
         // The payload is the log's own bytes, not a copy.
         assert_eq!(seen, vec![(0, log[HEAD..HEAD + 10].as_ptr_range())]);
-        assert_eq!((r.next_seq(), r.offset()), (1, first.end));
+        assert_eq!((r.next_seq(), r.position()), (1, first.end as u64));
         // The rest lands; the walk resumes where it stopped.
         log[a2..a2 + b2.len()].copy_from_slice(&b2);
         let mut later = Vec::new();
@@ -625,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn a_successor_resumes_after_the_last_walked_entry() {
+    fn a_successor_resumes_at_its_readers_position() {
         let mut w = LogWriter::new(64);
         let mut log = vec![0u8; 64];
         let mut r = LogReader::new();
@@ -633,28 +621,31 @@ mod tests {
             put(&mut w, &mut log, &[i; 7]);
             assert_eq!(r.walk(&log, |_, _| {}), 1);
         }
+        // Three 20-byte entries, a 4-byte pad, then two more at 0 and 20.
+        assert_eq!(r.position(), 104);
         let mut successor = LogWriter::new(64);
         successor.resume(&r);
-        assert_eq!((successor.next_seq(), successor.offset()), (5, 40));
-        // Its next entry takes back the previous lap's entry 2; the bound
-        // for the inherited lap is its first seq, 3.
-        let blocked = successor.append_below(Bytes::from(vec![5u8; 7]), || 2);
-        assert_eq!(blocked.expect_err("full"), LogError::Full { seq: 2 });
-        assert_eq!(successor.behind(2), Some(40..64));
-        assert_eq!(successor.behind(3), None);
-        let (e, _, at) = (successor.append_below(Bytes::from(vec![5u8; 7]), || 3)).expect("room");
+        assert_eq!((successor.next_seq(), successor.position()), (5, 104));
+        // Its next entry takes back the previous lap's entry 2, history
+        // [40, 60): a replica at 40 still needs it, one at 60 does not.
+        let blocked = successor.append_below(Bytes::from(vec![5u8; 7]), || 40);
+        assert_eq!(blocked.expect_err("full"), LogError::Full);
+        assert_eq!(successor.since(40), [0..40, 40..64]);
+        assert_eq!(successor.since(60), [0..40, 60..64], "the pad");
+        assert_eq!(successor.since(64), [0..40, 64..64]);
+        let (e, _, at) = (successor.append_below(Bytes::from(vec![5u8; 7]), || 60)).expect("room");
         assert_eq!((e.seq, at), (5, 40));
     }
 
     #[test]
-    fn behind_names_the_previous_lap_a_reader_still_needs() {
+    fn since_names_the_previous_lap_a_reader_still_needs() {
         let mut w = LogWriter::new(100);
         for _ in 0..6 {
             w.append(Bytes::from(vec![0u8; 7])).expect("fits"); // 20 B each
         }
-        // Entries 5 at [0, 20); 1..=4 of the previous lap at [20, 100).
-        assert_eq!(w.behind(0), Some(20..100));
-        assert_eq!(w.behind(3), Some(60..100));
-        assert_eq!(w.behind(5), None);
+        // Entry 5 at [0, 20); 1..=4 of the previous lap at [20, 100).
+        assert_eq!(w.since(0), [0..20, 20..100], "lapped: what is left");
+        assert_eq!(w.since(60), [0..20, 60..100]);
+        assert_eq!(w.since(100), [0..20, 100..100]);
     }
 }

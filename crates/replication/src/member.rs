@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut, Range};
 
-use crate::heartbeat::{apply_head, heartbeat_word};
+use crate::heartbeat::{heartbeat_word, reported_position};
 use crate::{
     ArrivalClock, ClusterConfig, FailureDetector, HeartbeatCounter, LogError, LogReader, LogWriter,
     MemberEvent, MemberId, MemberStats, StateMachine, ViewTracker, WorkloadMode, WorkloadSpec,
@@ -76,7 +76,7 @@ pub const WR_SEQ_MASK: u64 = 0xffff_ffff_ffff;
 pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_micros(100);
 /// Unchanged heartbeat reads before a member is suspected dead.
 pub const FAILURE_THRESHOLD: u32 = 5;
-/// How long a writer waits on a replica whose apply head does not move
+/// How long a writer waits on a replica whose position does not move
 /// before it stops waiting: the failure detector's window.
 const STUCK_WINDOW: SimDuration =
     SimDuration::from_nanos(HEARTBEAT_PERIOD.as_nanos() * FAILURE_THRESHOLD as u64);
@@ -244,11 +244,11 @@ struct HbLink {
     qpn: Option<Qpn>,
     advert: Option<RegionAdvert>,
     last_seen: u64,
-    /// When a read first showed the apply head `last_seen` carries.
+    /// When a read first showed the reader position `last_seen` carries.
     head_since: SimTime,
-    /// The apply head stood still through a detector window of the
+    /// The reader position stood still through a detector window of the
     /// writer waiting on it: the peer missed an entry no one will send
-    /// again, and holds the ring back no more until its head moves.
+    /// again, and holds the ring back no more until its position moves.
     stuck: bool,
     reconnect_backoff: u32,
 }
@@ -258,9 +258,9 @@ struct PendingDecision {
     acks: u32,
     arrived: SimTime,
     size: usize,
-    /// Where the entry sits in the log (for re-replication when a path
-    /// comes up).
-    at: usize,
+    /// Where the entry starts in the log's history (for re-replication
+    /// when a path comes up, and as the floor of the ring).
+    start: u64,
     len: usize,
 }
 
@@ -437,12 +437,6 @@ impl Core {
         self.log_region
     }
 
-    /// Bytes of the log this leader has appended so far (what a freshly
-    /// connected replica must be caught up on).
-    pub fn log_prefix(&self) -> usize {
-        self.writer.offset()
-    }
-
     /// The leader whose epoch the current log-write grants belong to
     /// (`None` before the first grant and after a fence).
     pub fn epoch_leader(&self) -> Option<Ipv4Addr> {
@@ -467,11 +461,13 @@ impl Core {
     /// a comm to re-replicate over a path that just came up.
     pub fn undecided(&self, ops: &HostOps<'_, '_>) -> Vec<(u64, usize, Bytes)> {
         let region = self.log_region.expect("registered");
+        let capacity = self.cfg.cluster.log_size as u64;
         self.pending
             .iter()
             .map(|(&seq, p)| {
-                let data = Bytes::copy_from_slice(ops.read_local(region, p.at, p.len));
-                (seq, p.at, data)
+                let at = (p.start % capacity) as usize;
+                let data = Bytes::copy_from_slice(ops.read_local(region, at, p.len));
+                (seq, at, data)
             })
             .collect()
     }
@@ -494,8 +490,8 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn heartbeat_tick<C: Comm>(&mut self, comm: &mut C, ops: &mut HostOps<'_, '_>) {
-        // Publish our own liveness, and how far we have applied.
-        let value = heartbeat_word(self.counter.tick(), self.reader.next_seq());
+        // Publish our own liveness, and how far we have read the log.
+        let value = heartbeat_word(self.counter.tick(), self.reader.position());
         if let Some(region) = self.hb_region {
             ops.write_local(region, 0, &value.to_be_bytes());
         }
@@ -807,14 +803,12 @@ impl Core {
         }
     }
 
-    /// The bytes of the previous lap `peer` may still need, besides the
-    /// current lap `[0, log_prefix())`, going by its last heartbeat word.
-    pub fn log_behind(&self, peer: MemberId) -> Option<Range<usize>> {
-        let head = self
-            .hb_links
-            .get(&peer)
-            .map_or(0, |l| apply_head(l.last_seen));
-        self.writer.behind(head)
+    /// The bytes of the log `peer` lacks, going by the reader position
+    /// in its last heartbeat word ([`LogWriter::since`]).
+    pub fn log_since(&self, peer: MemberId) -> [Range<usize>; 2] {
+        let word = self.hb_links.get(&peer).map_or(0, |l| l.last_seen);
+        self.writer
+            .since(reported_position(word, self.writer.position()))
     }
 
     /// One consensus: append locally, then hand the entry to the comm.
@@ -830,29 +824,30 @@ impl Core {
         let size = payload.len();
         let now = ops.now();
         let waited = |since: SimTime| now.saturating_duration_since(since) >= STUCK_WINDOW;
+        let writer = self.writer;
+        let written = writer.position();
         if self.stalled_since.is_some_and(waited) {
-            let next = self.writer.next_seq();
             for link in self.hb_links.values_mut() {
-                link.stuck |= waited(link.head_since) && apply_head(link.last_seen) < next;
+                link.stuck |=
+                    waited(link.head_since) && reported_position(link.last_seen, written) < written;
             }
         }
-        // The oldest seq a reader may still need: the first undecided
-        // entry, or the apply head of the slowest replica the detector
-        // calls alive, as its last heartbeat word told it — unless the
-        // ring cannot serve that replica any more: its next entry was
-        // taken back while it was dead, or it is stuck.
-        let oldest = self.writer.oldest_seq();
+        // The lowest position a reader may still need: the first undecided
+        // entry's, or that of the slowest replica the detector calls
+        // alive, as its last heartbeat word told it — unless the ring
+        // cannot serve that replica any more: it was lapped while it was
+        // dead, or it is stuck.
         let floor = || {
-            let undecided = self.pending.keys().next().copied();
+            let undecided = self.pending.values().next().map(|p| p.start);
             (self.hb_links.iter())
                 .filter(|&(&id, link)| self.detector.is_alive(id) && !link.stuck)
-                .map(|(_, link)| apply_head(link.last_seen))
-                .filter(|&head| head >= oldest)
+                .map(|(_, link)| reported_position(link.last_seen, written))
+                .filter(|&position| !writer.lapped(position))
                 .fold(undecided.unwrap_or(u64::MAX), u64::min)
         };
         let (entry, bytes, at) = match self.writer.append_below(payload.clone(), floor) {
             Ok(appended) => appended,
-            Err(LogError::Full { .. }) => {
+            Err(LogError::Full) => {
                 self.stalled_since.get_or_insert(now);
                 return Err(payload);
             }
@@ -872,7 +867,7 @@ impl Core {
                 acks: 0,
                 arrived,
                 size,
-                at,
+                start: self.writer.position() - bytes.len() as u64,
                 len: bytes.len(),
             },
         );
@@ -1100,8 +1095,9 @@ impl Core {
             let slot = self.peer_index(peer) * 8;
             let raw = ops.read_local(self.hb_scratch.expect("registered"), slot, 8);
             let value = u64::from_be_bytes(raw.try_into().expect("8 bytes"));
+            let written = self.writer.position();
             if let Some(link) = self.hb_links.get_mut(&peer) {
-                if apply_head(value) != apply_head(link.last_seen) {
+                if reported_position(value, written) != reported_position(link.last_seen, written) {
                     link.head_since = ops.now();
                     link.stuck = false;
                 }
@@ -1250,7 +1246,7 @@ impl<C: Comm> RdmaApp for Member<C> {
     fn on_completion(&mut self, c: Completion, ops: &mut HostOps<'_, '_>) {
         if c.wr_id.0 & WR_CLASS_MASK == WR_HB {
             self.core.on_hb_completion(&c, ops);
-            // A replica's apply head may have moved what held the ring back.
+            // A replica's position may have moved what held the ring back.
             if !self.core.parked.is_empty() {
                 self.core.flush_parked(&mut self.comm, ops);
             }

@@ -29,7 +29,8 @@ struct Ring {
     /// write, like a catch-up chunk, so packet boundaries fall anywhere
     /// in an entry — inside its head too.
     message: Option<Range<usize>>,
-    /// Entries whose bytes are intact in the leader's log.
+    /// Entries whose bytes are intact in the leader's log, by the
+    /// position they start at.
     live: Vec<(u64, Range<usize>)>,
     /// Every appended payload, by seq.
     appended: Vec<Vec<u8>>,
@@ -91,19 +92,19 @@ impl Ring {
 
     /// Appends `payload` through `writer`, landing packets while the ring
     /// has no room, and checks that no byte of an entry at or above the
-    /// floor is reused.
+    /// floor, the replica's position, is reused.
     fn append(&mut self, writer: &mut LogWriter, payload: Vec<u8>, batch: usize) {
-        let (entry, bytes, at) = loop {
-            let floor = self.reader.next_seq();
+        let (bytes, at) = loop {
+            let floor = self.reader.position();
             match writer.append_below(Bytes::from(payload.clone()), || floor) {
-                Ok(appended) => {
-                    let end = appended.2 + appended.1.len();
+                Ok((_, bytes, at)) => {
+                    let end = at + bytes.len();
                     let reused = (self.live.iter())
-                        .find(|(seq, r)| *seq >= floor && r.start < end && r.end > appended.2);
+                        .find(|(start, r)| *start >= floor && r.start < end && r.end > at);
                     assert!(reused.is_none(), "floor {floor}: {reused:?} overwritten");
-                    break appended;
+                    break (bytes, at);
                 }
-                Err(LogError::Full { .. }) => {
+                Err(LogError::Full) => {
                     self.flush();
                     assert!(
                         self.land_one(),
@@ -116,7 +117,8 @@ impl Ring {
         let range = at..at + bytes.len();
         self.live
             .retain(|(_, r)| r.start >= range.end || r.end <= range.start);
-        self.live.push((entry.seq, range.clone()));
+        let start = writer.position() - bytes.len() as u64;
+        self.live.push((start, range.clone()));
         self.leader[range.clone()].copy_from_slice(&bytes);
         self.appended.push(payload);
         let ahead = &mut self.ahead;
@@ -236,7 +238,7 @@ proptest! {
                 .map(|e| (e.seq, e.payload.to_vec()))
                 .collect();
             prop_assert_eq!(walked, drained);
-            prop_assert_eq!(walker.offset(), drainer.offset());
+            prop_assert_eq!(walker.position(), drainer.position());
             prop_assert_eq!(walker.next_seq(), drainer.next_seq());
         }
         let expect_walked = match damage {
@@ -285,11 +287,12 @@ proptest! {
     /// boundaries over an earlier lap's bytes (and over noise before the
     /// first), with a leader change in the middle of a lap: the head at
     /// offset 0 zeroed on the replica, the packets in flight lost, the
-    /// successor resuming after the last entry it walked and catching the
-    /// replica up on the current lap and whatever of the previous one it
-    /// still needs. The replica applies exactly the appended entries, in
-    /// order, never a torn or stale one; no writer reuses bytes of an
-    /// entry at or above the replica's apply head.
+    /// successor resuming at its reader's position and catching the
+    /// replica up on what it lacks since its own (`LogWriter::since`: the
+    /// current lap and whatever of the previous one it still needs). The
+    /// replica applies exactly the appended entries, in order, never a
+    /// torn or stale one; no writer reuses bytes of an entry at or above
+    /// the replica's position.
     #[test]
     fn replicas_follow_the_writer_around_the_ring(
         capacity in 2048usize..4096,
@@ -309,8 +312,7 @@ proptest! {
                 writer = LogWriter::new(capacity);
                 writer.resume(&ring.ahead);
                 prop_assert_eq!(writer.next_seq(), i as u64, "the seq after the last walked");
-                let laps = [Some(0..writer.offset()), writer.behind(ring.reader.next_seq())];
-                for bytes in laps.into_iter().flatten() {
+                for bytes in writer.since(ring.reader.position()) {
                     ring.post(bytes);
                 }
             }

@@ -67,7 +67,6 @@ fn main() {
         "  shortest replica log {} entries, log hash {:#018x}",
         r.applied_min, r.log_hash,
     );
-    println!("  operational leaders per view: {:?}", r.leader_views);
     assert!(
         r.decided_final > r.decided_at_heal,
         "the cluster must keep deciding after the heal"

@@ -212,6 +212,13 @@ notify=$(sed -n '/fn notify_remote_write(/,/^    }$/p' crates/rdma/src/host.rs)
   && ! sed -n '/fn execute_write(/,/^    }$/p' crates/rdma/src/host.rs | grep -q 'reap_cost' \
   || { echo "tier-1: a watched remote write is charged reap_cost at one site, HostCore::notify_remote_write, at the message's last packet (EXPERIMENTS E27)" >&2; exit 1; }
 
+echo "==> a ring is a position: the writer, its readers and the heartbeat word count bytes of history"
+for gone in 'struct Span' 'SPANS_PER_LAP' 'fn oldest_seq' 'fn behind' 'lap_start'; do
+  if grep -rn "$gone" crates/replication/src; then
+    echo "tier-1: '$gone' is gone; the writer and each reader keep one byte position, laps × capacity + offset (EXPERIMENTS E28)" >&2; exit 1
+  fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 

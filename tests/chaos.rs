@@ -34,13 +34,13 @@ fn p4ce_cluster_survives_seeded_chaos() {
         r.partition_dropped > 0,
         "the partition must swallow frames: {r:?}"
     );
-    // ...consensus survived it (agreement and per-view unique
-    // leadership are asserted inside the runner)...
+    // ...consensus survived it (agreement and the single writer that
+    // makes leadership unique are asserted inside the runner)...
     assert!(r.proposals_accepted > 0, "some proposals must land: {r:?}");
     assert!(r.applied_min > 0, "every member applied something: {r:?}");
     assert!(
-        !r.leader_views.is_empty(),
-        "the unique-leader check must see at least the initial leader: {r:?}"
+        r.decided_at_heal > 0,
+        "a leader decided through the storm: {r:?}"
     );
     // ...and the cluster decided new values after the heal.
     assert!(
