@@ -22,7 +22,7 @@
 use bytes::Bytes;
 use mu::FanOut;
 use netsim::{SimDuration, SimTime, TraceEvent};
-use p4ce_switch::{GroupJoin, GroupRetire, GroupSpec};
+use p4ce_switch::{GroupJoin, GroupSpec};
 use rdma::cm::MAX_REQ_PRIVATE_DATA;
 use rdma::{Completion, HostOps, Qpn, RegionAdvert, WrId};
 use replication::member::{
@@ -91,11 +91,6 @@ pub struct SwitchComm {
     /// `async_reconfig` rebuild.
     pending: Option<(u64, SimTime)>,
     switch_advert: Option<RegionAdvert>,
-    /// The switch-assigned id of the group this leader drives, learned
-    /// from the trailing bytes of the switch's ConnectReply. Names the
-    /// group in a retire request; survives until retire or the next
-    /// establishment overwrites it.
-    group_id: Option<u16>,
     group_members: Vec<MemberId>,
     direct: FanOut,
 }
@@ -108,7 +103,6 @@ impl SwitchComm {
             path: Path::Down,
             pending: None,
             switch_advert: None,
-            group_id: None,
             group_members: Vec::new(),
             direct: FanOut::default(),
         }
@@ -311,10 +305,6 @@ impl Comm for SwitchComm {
     ) {
         if self.pending.is_some_and(|(h, _)| h == handshake_id) {
             if let Ok(advert) = RegionAdvert::decode(private_data) {
-                // The switch appends its group id after the advert.
-                self.group_id = private_data
-                    .get(RegionAdvert::WIRE_LEN..RegionAdvert::WIRE_LEN + 2)
-                    .map(|b| u16::from_be_bytes([b[0], b[1]]));
                 self.on_group_established(core, qpn, advert, ops);
             }
         } else if let Some(peer) = self
@@ -393,26 +383,5 @@ impl Comm for SwitchComm {
 
     fn is_accelerated(&self) -> bool {
         matches!(self.path, Path::Accelerated(_))
-    }
-
-    fn group_id(&self) -> Option<u16> {
-        self.group_id
-    }
-
-    /// Names the group in a [`GroupRetire`] to the switch
-    /// (fire-and-forget — the switch's reject completes the exchange and
-    /// is ignored here because no switch handshake is pending), destroys
-    /// the BCast queue pair, and falls back to direct replication. The
-    /// group keeps deciding over the direct path, and the periodic
-    /// re-acceleration probe will build a fresh switch group — with a new
-    /// id — on its own.
-    fn retire(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
-        if !self.is_accelerated() {
-            return;
-        }
-        if let Some(gid) = self.group_id.take() {
-            ops.connect(self.cfg.switch_ip, GroupRetire { gid }.encode());
-        }
-        self.fall_back(core, ops);
     }
 }

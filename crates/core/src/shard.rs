@@ -181,7 +181,7 @@ impl ShardedDeployment {
     }
 
     /// Runs a closure against member `i` of group `g` with live host
-    /// operations (client proposals, retire requests, …).
+    /// operations (client proposals, group rebuilds, …).
     pub fn with_member<R>(
         &mut self,
         g: usize,

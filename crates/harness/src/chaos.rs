@@ -33,6 +33,11 @@ use crate::shard::fnv1a64;
 /// a hundred times the seeded 8 ms storm.
 const MAX_WINDOW: SimDuration = SimDuration::from_millis(1000);
 
+/// The most client ticks a chaos reproducer may ask for,
+/// `(storm + drain) / propose_every`: each is a proposal and an oracle
+/// audit of every member. The seeded specs ask for 650.
+const MAX_TICKS: u64 = 100_000;
+
 /// Everything a chaos run perturbs, derived deterministically from one
 /// seed by [`ChaosSpec::seeded`]. All instants are offsets from the
 /// storm start (the moment fault plans are installed), so the same spec
@@ -137,8 +142,9 @@ impl ChaosSpec {
     /// [`System::check_shape`] refuses, a partitioned member that is the
     /// steady-state leader or not a member at all, and a spec that cannot
     /// run: a probability outside `[0, 1]`, a window beyond 1 s of
-    /// virtual time, a zero `propose_every`, or a partition that does not
-    /// lie inside the storm. The error names the key.
+    /// virtual time, a zero `propose_every` or one so short that the
+    /// client would tick more than 10⁵ times, or a partition that does
+    /// not lie inside the storm. The error names the key.
     pub fn from_repro(r: &Repro) -> Result<(System, usize, ChaosSpec), String> {
         if r.kind != "chaos" {
             return Err(format!("not a chaos reproducer: kind={}", r.kind));
@@ -178,6 +184,14 @@ impl ChaosSpec {
         };
         if spec.propose_every == SimDuration::ZERO {
             return Err("propose_every_ns=0 never lets the clock advance".to_owned());
+        }
+        let every = spec.propose_every.as_nanos();
+        let ticks = (spec.storm.as_nanos() + spec.drain.as_nanos()) / every;
+        if ticks > MAX_TICKS {
+            return Err(format!(
+                "propose_every_ns={every} makes the client tick {ticks} times over \
+                 storm_ns + drain_ns, more than {MAX_TICKS}"
+            ));
         }
         if spec.partition_from > spec.partition_until {
             return Err("partition_from_ns is after partition_until_ns".to_owned());
@@ -695,7 +709,7 @@ mod tests {
         for edits in [
             vec![("loss", "0"), ("duplicate", "1"), ("reorder", "0.5")],
             vec![("jitter_ns", second), ("drain_ns", second)],
-            vec![("propose_every_ns", "1")],
+            vec![("propose_every_ns", "130")],
             vec![("partition_from_ns", "0"), ("partition_until_ns", "0")],
             vec![
                 ("storm_ns", second),
@@ -705,6 +719,34 @@ mod tests {
         ] {
             assert!(with(&edits).is_ok(), "{edits:?} must be accepted");
         }
+    }
+
+    #[test]
+    fn chaos_from_repro_refuses_a_client_that_would_tick_without_end() {
+        let seeded = ChaosSpec::seeded(0xC4A0_5001, 3);
+        assert_eq!(
+            (seeded.storm + seeded.drain).as_nanos() / seeded.propose_every.as_nanos(),
+            650
+        );
+        let with = |edits: &[(&str, u64)]| {
+            let mut r = seeded.to_repro(System::P4ce, 3);
+            for &(key, value) in edits {
+                r.set(key, value);
+            }
+            ChaosSpec::from_repro(&r)
+        };
+        // A proposal every nanosecond through a one-second storm: 10⁹
+        // proposals, each audited, before the drain even starts.
+        let e = with(&[("propose_every_ns", 1), ("storm_ns", 1_000_000_000)])
+            .expect_err("10⁹ ticks must be refused");
+        assert!(e.contains("propose_every_ns"), "{e}");
+        // Two seconds of storm and drain: one tick every 20 µs is the
+        // bound, one a nanosecond sooner is past it.
+        let long = [("storm_ns", 1_000_000_000), ("drain_ns", 1_000_000_000)];
+        assert!(with(&[long[0], long[1], ("propose_every_ns", 20_000)]).is_ok());
+        let e = with(&[long[0], long[1], ("propose_every_ns", 19_999)])
+            .expect_err("100,005 ticks must be refused");
+        assert!(e.contains("propose_every_ns"), "{e}");
     }
 
     #[test]

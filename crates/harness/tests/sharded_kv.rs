@@ -1,7 +1,7 @@
 //! The sharded-KV service battery: multi-group points decide in every
 //! shard, routing never leaks across groups, every layer's counters come
-//! back in their own group's row, and the group lifecycle (retire +
-//! later re-acceleration) leaves co-resident shards untouched.
+//! back in their own group's row, and the group lifecycle (a rebuild
+//! under a fresh switch group id) leaves co-resident shards untouched.
 
 use netsim::{SimDuration, Tracer};
 use p4ce_harness::shard::{
@@ -116,33 +116,38 @@ fn metered_point_hands_back_every_layer_per_group() {
 }
 
 #[test]
-fn retiring_one_group_leaves_the_other_accelerated() {
+fn rebuilding_one_group_leaves_the_other_accelerated() {
     let cfg = small_point(2);
     let mut d = build_sharded(&cfg, &Tracer::disabled());
     p4ce_harness::shard::await_leaders(&mut d);
+    let gid_of = |d: &p4ce::ShardedDeployment, g| {
+        d.switch_program()
+            .gid_of_leader(p4ce::ShardedClusterBuilder::member_ip(g, 0))
+    };
+    let old_gid = gid_of(&d, 0).expect("group 0 registered");
+    let gid1 = gid_of(&d, 1).expect("group 1 registered");
+
+    // Group 0's leader asks the switch for a new group; group 1 keeps
+    // its group and its in-network path while that one is built.
+    d.with_member(0, 0, |m, ops| m.force_rebuild_comm(ops));
+    for _ in 0..2_000 {
+        if d.leader(0).is_accelerated() {
+            break;
+        }
+        d.sim.run_for(SimDuration::from_micros(100));
+        assert!(
+            d.leader(1).is_accelerated(),
+            "group 1 disturbed by the rebuild"
+        );
+        assert_eq!(gid_of(&d, 1), Some(gid1), "group 1 changed its group");
+    }
+    assert!(d.leader(0).is_accelerated(), "group 0 never re-accelerated");
+    let new_gid = gid_of(&d, 0).expect("group 0 re-registered");
+    assert_ne!(new_gid, old_gid, "switch recycled a superseded gid");
+    assert!(!d.switch_program().group_ids().contains(&old_gid));
     assert_eq!(d.switch_program().group_ids().len(), 2);
-    let retired_gid = d
-        .switch_program()
-        .gid_of_leader(p4ce::ShardedClusterBuilder::member_ip(0, 0))
-        .expect("group 0 registered");
 
-    // Group 0's leader retires its switch group and falls back.
-    d.with_member(0, 0, |m, ops| m.retire_comm(ops));
-    d.sim.run_for(SimDuration::from_millis(1));
-    assert!(!d.switch_program().group_ids().contains(&retired_gid));
-    assert_eq!(
-        d.switch_program().group_ids().len(),
-        1,
-        "only group 0 retired"
-    );
-    assert!(!d.leader(0).is_accelerated());
-    assert!(
-        d.leader(1).is_accelerated(),
-        "group 1 disturbed by retirement"
-    );
-
-    // Both groups still decide: group 0 over the fallback path, group 1
-    // in-network.
+    // Both groups decide on their groups afterwards.
     for g in 0..2 {
         for c in 0..20u64 {
             let payload = p4ce_harness::ShardKvCommand {
@@ -161,18 +166,10 @@ fn retiring_one_group_leaves_the_other_accelerated() {
             store_of(&d, g, 1).applied >= 20,
             "group {g} stopped deciding"
         );
+        assert!(d.leader(g).is_accelerated(), "group {g} fell back");
     }
-
-    // The retiring leader's periodic probe eventually re-accelerates it
-    // under a fresh switch group id.
-    d.sim.run_for(SimDuration::from_millis(120));
-    assert!(d.leader(0).is_accelerated(), "group 0 never re-accelerated");
-    let new_gid = d
-        .switch_program()
-        .gid_of_leader(p4ce::ShardedClusterBuilder::member_ip(0, 0))
-        .expect("group 0 re-registered");
-    assert_ne!(new_gid, retired_gid, "switch recycled a retired gid");
-    assert_eq!(d.leader(0).group_id(), Some(new_gid));
+    assert_eq!(gid_of(&d, 0), Some(new_gid));
+    assert_eq!(gid_of(&d, 1), Some(gid1));
 }
 
 #[test]

@@ -24,4 +24,4 @@ pub use program::{
     AckDropStage, CreditMode, GroupStats, P4ceProgram, P4ceSwitchConfig, P4ceSwitchStats,
     CREDIT_STALE_SCATTERS, NUMRECV_WINDOW,
 };
-pub use spec::{GroupJoin, GroupRetire, GroupSpec, SpecError, MAX_REPLICAS};
+pub use spec::{GroupJoin, GroupSpec, SpecError, MAX_REPLICAS};

@@ -31,7 +31,7 @@ use tofino::{
     MulticastGroupId, PipelineOps, RegisterArray, SwitchProgram,
 };
 
-use crate::spec::{GroupJoin, GroupRetire, GroupSpec};
+use crate::spec::{GroupJoin, GroupSpec};
 
 /// Where non-`f`-th ACKs are discarded — the §IV-D performance ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +198,8 @@ pub struct P4ceSwitchStats {
     pub stale_credit_skips: u64,
     /// Communication groups created.
     pub groups_created: u64,
-    /// Communication groups retired on leader request.
+    /// Communication groups superseded: dropped when a newer group of
+    /// the same leader went active.
     pub groups_retired: u64,
     /// Reconfigurations completed.
     pub reconfigs: u64,
@@ -301,26 +302,18 @@ impl P4ceProgram {
             // request vanishes and the leader times out into fallback.
             return;
         }
-        let spec = match GroupSpec::decode(private_data) {
-            Ok(spec) => spec,
-            Err(_) => {
-                // Not a group request. A leader-tagged retire tears its
-                // group down; everything else is noise. Either way the
-                // reject completes the requester's CM exchange — the
-                // retire needs no richer acknowledgement than that.
-                if let Ok(retire) = GroupRetire::decode(private_data) {
-                    self.retire_group(retire.gid, pkt.src_ip, ops);
-                }
-                Self::send_cm(
-                    ops,
-                    pkt.src_ip,
-                    &CmMessage::ConnectReject {
-                        handshake_id,
-                        reason: RejectReason::NotListening,
-                    },
-                );
-                return;
-            }
+        let Ok(spec) = GroupSpec::decode(private_data) else {
+            // Not a group request: noise, whose reject completes the
+            // requester's CM exchange.
+            Self::send_cm(
+                ops,
+                pkt.src_ip,
+                &CmMessage::ConnectReject {
+                    handshake_id,
+                    reason: RejectReason::NotListening,
+                },
+            );
+            return;
         };
         // Group ids are never reused: running out of them is running out
         // of a switch resource, and the leader stays on the direct path.
@@ -396,26 +389,18 @@ impl P4ceProgram {
     }
 
     /// The only way a group leaves the switch: its state, its multicast
-    /// entry and its entries in both match tables go together. Other
-    /// groups' table entries and registers are untouched — group
-    /// lifecycle must never disturb co-resident groups.
+    /// entry, its entries in both match tables and its unanswered joins
+    /// go together. Other groups' table entries and registers are
+    /// untouched — group lifecycle must never disturb co-resident groups.
     fn drop_group(&mut self, gid: u16, ops: &mut dyn ControlOps) -> Option<Group> {
         let group = self.groups.remove(&gid)?;
+        self.fanout_handshakes.retain(|_, &mut (g, _)| g != gid);
         ops.remove_mcast_group(group.mcast);
         self.bcast_table.remove(&group.bcast_qpn.masked());
         for r in &group.replicas {
             self.aggr_table.remove(&r.aggr_qpn.masked());
         }
         Some(group)
-    }
-
-    /// Tears down one group on its leader's request. Requests from
-    /// anyone but the group's leader are ignored.
-    fn retire_group(&mut self, gid: u16, requester: Ipv4Addr, ops: &mut dyn ControlOps) {
-        if (self.groups.get(&gid)).is_some_and(|g| g.leader_ip == requester) {
-            self.drop_group(gid, ops);
-            self.stats.groups_retired += 1;
-        }
     }
 
     fn handle_replica_reply(
@@ -542,16 +527,11 @@ impl P4ceProgram {
             rkey: group.virt_rkey,
             len: min_len,
         };
-        // The advert plus the switch-assigned group id, big-endian, in
-        // the trailing bytes `RegionAdvert::decode` tolerates: the
-        // leader learns which group to name when it later retires.
-        let mut private = advert.encode().to_vec();
-        private.extend_from_slice(&gid.to_be_bytes());
         let reply = CmMessage::ConnectReply {
             handshake_id: group.leader_handshake,
             qpn: group.bcast_qpn,
             start_psn: Psn::new(0),
-            private_data: private.into(),
+            private_data: advert.encode(),
         };
         let dst = group.leader_ip;
         Self::send_cm(ops, dst, &reply);
@@ -1000,6 +980,60 @@ mod tests {
         assert_eq!(p.stats.groups_created, 2);
         let gids: Vec<u16> = p.groups.keys().copied().collect();
         assert_eq!(gids, vec![u16::MAX - 2, u16::MAX - 1]);
+    }
+
+    #[test]
+    fn a_superseded_group_forgets_its_unanswered_joins() {
+        let mut p = P4ceProgram::new(P4ceSwitchConfig::default());
+        let mut ops = RecordingOps { sent: Vec::new() };
+        let mut from_leader = ack_from(0, 0, 0); // only its source address is read
+        from_leader.src_ip = LEADER_IP;
+        let request = |p: &mut P4ceProgram, ops: &mut RecordingOps, handshake_id, n: u8| {
+            let spec = GroupSpec {
+                f: 1,
+                replicas: (0..n).map(|i| Ipv4Addr::new(10, 0, 0, 2 + i)).collect(),
+            };
+            let private = spec.encode();
+            p.handle_leader_request(
+                &from_leader,
+                handshake_id,
+                Qpn(0x50),
+                Psn::new(0),
+                &private,
+                ops,
+            );
+        };
+        let answer = |p: &mut P4ceProgram, ops: &mut RecordingOps, gid: u16, idx: u8| {
+            let advert = RegionAdvert {
+                va: 0x1000,
+                rkey: RKey(7),
+                len: 1 << 20,
+            };
+            let join_id = (u64::from(gid) << 16) | u64::from(idx) | (1 << 56);
+            let reply = ack_from(idx, 0, 0); // only its source address is read
+            p.handle_replica_reply(
+                &reply,
+                join_id,
+                Qpn(0x200),
+                Psn::new(0),
+                &advert.encode(),
+                ops,
+            );
+        };
+        // Group 1 asks two replicas to join; the second never answers.
+        request(&mut p, &mut ops, 1, 2);
+        answer(&mut p, &mut ops, 1, 0);
+        // The leader's next group goes active and supersedes group 1.
+        request(&mut p, &mut ops, 2, 1);
+        answer(&mut p, &mut ops, 2, 0);
+        p.finish_reconfig(2, &mut ops);
+        assert_eq!(p.group_ids(), [2]);
+        assert_eq!(p.stats.groups_retired, 1);
+        assert!(
+            p.fanout_handshakes.values().all(|&(gid, _)| gid != 1),
+            "a dropped group's join outlived it: {:?}",
+            p.fanout_handshakes
+        );
     }
 
     #[test]

@@ -106,47 +106,6 @@ impl GroupJoin {
     }
 }
 
-/// A leader's request that the switch tear down one of its groups:
-/// unprogram the tables and multicast entry, free the group id. Sent as
-/// CM ConnectRequest private data, like [`GroupSpec`]; the switch
-/// answers with a reject, which doubles as the teardown completion.
-///
-/// The encoding can never alias a valid [`GroupSpec`]: three bytes
-/// decode as `f = TAG`, `n = gid_hi` — either truncated (gid ≥ 256
-/// would need replica bytes that are not there) or an empty replica set,
-/// both of which `GroupSpec::decode` rejects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupRetire {
-    /// The switch-assigned group id being retired.
-    pub gid: u16,
-}
-
-impl GroupRetire {
-    /// Tag byte marking retire requests, outside the `f` values any real
-    /// group would use (a group with f = 4 and 0 replicas is invalid).
-    pub const TAG: u8 = 4;
-
-    /// Serializes the retire request.
-    pub fn encode(&self) -> Bytes {
-        Bytes::from(vec![Self::TAG, (self.gid >> 8) as u8, self.gid as u8])
-    }
-
-    /// Deserializes a retire request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Truncated`] if shorter than three bytes or
-    /// not tagged as a retire.
-    pub fn decode(bytes: &[u8]) -> Result<GroupRetire, SpecError> {
-        if bytes.len() < 3 || bytes[0] != Self::TAG {
-            return Err(SpecError::Truncated);
-        }
-        Ok(GroupRetire {
-            gid: u16::from_be_bytes([bytes[1], bytes[2]]),
-        })
-    }
-}
-
 /// Errors decoding control-plane piggyback data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecError {
@@ -218,6 +177,17 @@ mod tests {
         assert_eq!(GroupSpec::decode(&forged).map(|s| s.replicas.len()), Ok(32));
         assert_eq!(GroupSpec::decode(&[1]), Err(SpecError::Truncated));
         assert_eq!(GroupSpec::decode(&[1, 4, 0, 0]), Err(SpecError::Truncated));
+        // Three bytes behind a 4 (the shape of a tag and a 16-bit group
+        // id) name either no replicas or more than the bytes that follow.
+        for gid in [0u16, 1, 7, 255, 256, 0xabcd, u16::MAX] {
+            let [hi, lo] = gid.to_be_bytes();
+            let expected = if hi == 0 {
+                Err(SpecError::BadQuorum { f: 4, replicas: 0 })
+            } else {
+                Err(SpecError::Truncated)
+            };
+            assert_eq!(GroupSpec::decode(&[4, hi, lo]), expected, "gid {gid}");
+        }
     }
 
     #[test]
@@ -227,19 +197,6 @@ mod tests {
         };
         assert_eq!(GroupJoin::decode(&j.encode()).expect("decode"), j);
         assert_eq!(GroupJoin::decode(&[1, 2]), Err(SpecError::Truncated));
-    }
-
-    #[test]
-    fn group_retire_roundtrip_and_never_a_valid_spec() {
-        for gid in [0u16, 1, 7, 255, 256, 0xabcd, u16::MAX] {
-            let r = GroupRetire { gid };
-            let wire = r.encode();
-            assert_eq!(GroupRetire::decode(&wire).expect("decode"), r);
-            // A retire must never parse as a well-formed group request.
-            assert!(GroupSpec::decode(&wire).is_err(), "gid {gid} aliased");
-        }
-        assert_eq!(GroupRetire::decode(&[4, 1]), Err(SpecError::Truncated));
-        assert_eq!(GroupRetire::decode(&[3, 0, 1]), Err(SpecError::Truncated));
     }
 
     #[test]

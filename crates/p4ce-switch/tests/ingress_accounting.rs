@@ -7,7 +7,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use netsim::{Context, Frame, LinkSpec, Node, PortId, SimTime, Simulation};
-use p4ce_switch::{GroupRetire, GroupSpec, P4ceProgram, P4ceSwitchConfig};
+use p4ce_switch::{GroupSpec, P4ceProgram, P4ceSwitchConfig};
 use proptest::prelude::*;
 use rdma::{
     Aeth, AethKind, Bth, CmMessage, MacAddr, Opcode, Psn, Qpn, RKey, RegionAdvert, Reth,
@@ -141,7 +141,8 @@ fn join_reply() -> impl Strategy<Value = Item> {
 }
 
 fn arb_item() -> impl Strategy<Value = Item> {
-    let retire = (0u16..4).prop_map(|gid| Item::Request(GroupRetire { gid }.encode().to_vec()));
+    // A 4 and a 16-bit group id: no group request, refused like any other.
+    let tag4 = (0u16..4).prop_map(|gid| Item::Request(vec![4, (gid >> 8) as u8, gid as u8]));
     let arbitrary = prop::collection::vec(any::<u8>(), 0..140).prop_map(Item::Request);
     let data = (
         prop_oneof![
@@ -158,7 +159,7 @@ fn arb_item() -> impl Strategy<Value = Item> {
         spec_shaped(),
         join_reply(),
         join_reply(),
-        retire,
+        tag4,
         arbitrary,
         data
     ]

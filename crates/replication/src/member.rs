@@ -212,17 +212,6 @@ pub trait Comm: Sized + 'static {
     fn is_accelerated(&self) -> bool {
         false
     }
-
-    /// The switch-assigned id of the group this leader drives, if any.
-    fn group_id(&self) -> Option<u16> {
-        None
-    }
-
-    /// Give up the in-network path, if there is one, and keep deciding
-    /// over the direct one.
-    fn retire(&mut self, core: &mut Core, ops: &mut HostOps<'_, '_>) {
-        let _ = (core, ops);
-    }
 }
 
 /// State of a connection to one peer.
@@ -1200,18 +1189,6 @@ impl<C: Comm> Member<C> {
     /// `true` while replication is switch-accelerated.
     pub fn is_accelerated(&self) -> bool {
         self.comm.is_accelerated()
-    }
-
-    /// The switch-assigned group id, while this member leads an
-    /// accelerated group (and until the next group replaces it).
-    pub fn group_id(&self) -> Option<u16> {
-        self.comm.group_id()
-    }
-
-    /// Retires this leader's switch group and falls back to direct
-    /// replication; see [`Comm::retire`].
-    pub fn retire_comm(&mut self, ops: &mut HostOps<'_, '_>) {
-        self.comm.retire(&mut self.core, ops);
     }
 }
 

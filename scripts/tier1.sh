@@ -219,6 +219,13 @@ for gone in 'struct Span' 'SPANS_PER_LAP' 'fn oldest_seq' 'fn behind' 'lap_start
   fi
 done
 
+echo "==> a switch group ends one way: drop_group frees it, gid_of_leader names it"
+for gone in 'GroupRetire' 'retire_group' 'retire_comm' 'fn retire(' 'fn group_id('; do
+  if grep -rnF "$gone" crates/*/src; then
+    echo "tier-1: '$gone' is gone; a group leaves the switch through drop_group only and P4ceProgram::gid_of_leader names a leader's group (EXPERIMENTS E29)" >&2; exit 1
+  fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
