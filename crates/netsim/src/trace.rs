@@ -4,13 +4,15 @@
 //! pipeline) holds a [`Tracer`] — a cheap clonable handle that is either
 //! *disabled* (the default: one `Option` branch per instrumentation
 //! point, the event constructor never runs) or *attached* to a shared
-//! ring of fixed-width 40-byte binary records. An enabled emit writes
-//! one `Copy` record — interned `u8` node label, kind byte, up to four
-//! `u64` fields — into the preallocated ring: no heap allocation and no
-//! string formatting on the hot path. Decoding back to [`TraceRecord`]s
-//! (labels, names, span assembly, JSON) happens only at export time, so
-//! one ring collects a causally ordered, cross-layer log of a whole
-//! cluster run at near-zero steady-state cost.
+//! ring of variable-width records. A record costs its content: a kind
+//! byte, the interned node label's id, the time since the previous
+//! record, then exactly the fields the kind names — varints, about ten
+//! bytes for a consensus instance's records. An enabled emit appends
+//! those bytes to a chunk of the ring: no heap allocation but one per
+//! chunk, no string formatting on the hot path. Decoding back to
+//! [`TraceRecord`]s (labels, names, span assembly, JSON) happens only at
+//! export time, so one ring collects a causally ordered, cross-layer log
+//! of a whole cluster run at near-zero steady-state cost.
 //!
 //! The taxonomy follows one consensus instance through the stack:
 //!
@@ -33,7 +35,7 @@
 //! markers — is a view a caller computes from the records at export time;
 //! [`chrome_trace_json_with`] appends it as Perfetto counter tracks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -222,57 +224,13 @@ pub struct TraceRecord {
 }
 
 // ----------------------------------------------------------------------
-// Binary record encoding
+// Record format
 // ----------------------------------------------------------------------
-
-/// The fixed-width binary form one emitted event occupies in the ring:
-/// 40 bytes, `Copy`, no heap. The first word packs the timestamp (48
-/// bits — ~78 hours of simulated nanoseconds, far past any run), the
-/// interned node-label id, and the event kind; the rest is up to four
-/// `u64` fields. Stringification and span assembly happen only at
-/// export time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BinRecord {
-    /// `(t_ns << 16) | (node << 8) | kind`.
-    meta: u64,
-    fields: [u64; 4],
-}
-
-/// Timestamps the packed record can carry: 48 bits of nanoseconds.
-const T_NS_LIMIT: u64 = 1 << 48;
-
-impl BinRecord {
-    #[inline]
-    fn new(t_ns: u64, node: u8, kind: u8, fields: [u64; 4]) -> Self {
-        assert!(
-            t_ns < T_NS_LIMIT,
-            "trace timestamp {t_ns} ns exceeds the 48-bit record format"
-        );
-        BinRecord {
-            meta: (t_ns << 16) | (u64::from(node) << 8) | u64::from(kind),
-            fields,
-        }
-    }
-
-    #[inline]
-    fn t_ns(&self) -> u64 {
-        self.meta >> 16
-    }
-
-    #[inline]
-    fn node(&self) -> u8 {
-        (self.meta >> 8) as u8
-    }
-
-    #[inline]
-    fn kind(&self) -> u8 {
-        self.meta as u8
-    }
-}
 
 /// Each trace kind's export name and field names, indexed by its kind
 /// byte — the `TraceEvent` variant's declaration order. `encode` writes
-/// a kind's fields in this order and `decode` reads them back.
+/// a kind's fields in this order and `decode` reads them back; a record
+/// in the ring carries exactly as many fields as its row names.
 const KINDS: [(&str, &[&str]); 19] = [
     ("propose", &["view", "seq"]),
     ("post_bound", &["view", "seq", "qpn", "wr_id"]),
@@ -441,132 +399,178 @@ impl TraceEvent {
     }
 }
 
-/// The preallocated ring the binary records land in, plus the label
+/// Bytes per chunk of the record store.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// The longest record: the kind byte, then the node id, the time delta
+/// and four fields at up to ten varint bytes each.
+const RECORD_MAX: usize = 1 + 6 * 10;
+
+/// The record store every tracer of one handle writes to, plus the label
 /// intern table.
 ///
-/// Unbounded rings store records in fixed-capacity chunks: when one
-/// fills, a fresh chunk is appended — full chunks are never moved again,
-/// so steady-state growth costs one allocation per [`RING_CHUNK`]
-/// records and zero memcpy (a doubling `Vec` would re-copy the entire
-/// history on every growth step). Bounded rings preallocate exactly
-/// `cap` records up front, then overwrite the oldest record in place
-/// and count the drop.
-#[derive(Debug)]
+/// A record is self-delimiting bytes: its kind byte, the node id as a
+/// varint, the time since the previous record as a zigzag varint, then
+/// one varint per field its [`KINDS`] row names. Records go into
+/// fixed-capacity chunks and never straddle one, so a chunk is never
+/// moved or reallocated and an emit allocates only when it opens the
+/// next chunk. A bounded ring reads its oldest record off the front
+/// before it would hold a `cap + 1`th; the next record's delta then
+/// counts from the dropped one's time, and a drained front chunk is
+/// freed.
+#[derive(Debug, Default)]
 struct Ring {
-    /// The chunk currently being filled. A direct field (not behind a
-    /// `Vec<Vec<_>>` indirection) so an emit touches only the cache
-    /// lines of the `Ring` head itself plus the record store.
-    current: Vec<BinRecord>,
-    /// Filled chunks, oldest first.
-    full: Vec<Vec<BinRecord>>,
-    /// Next overwrite position in bounded mode once the ring is full.
+    /// The record bytes, oldest first.
+    chunks: VecDeque<Vec<u8>>,
+    /// Offset of the oldest held record in the front chunk.
     head: usize,
-    /// Records overwritten in bounded mode.
+    /// The time the oldest held record's delta counts from.
+    base_ns: u64,
+    /// The newest record's time, which the next delta counts from.
+    last_ns: u64,
+    /// Records held.
+    len: usize,
+    /// Records a bounded ring dropped.
     dropped: u64,
     /// `Some(cap)` = bounded ring of `cap` records.
     bound: Option<usize>,
-    /// Interned node labels; a record's `node` indexes this table.
+    /// Interned node labels; a record's node id indexes this table.
     labels: Vec<Arc<str>>,
 }
 
-/// Records per chunk of an unbounded ring: 64Ki × 40 B = 2.5 MiB.
-const RING_CHUNK: usize = 1 << 16;
-
 impl Ring {
     fn new(bound: Option<usize>) -> Self {
-        let first = match bound {
-            Some(b) => b.max(1),
-            None => RING_CHUNK,
-        };
         Ring {
-            current: Vec::with_capacity(first),
-            full: Vec::new(),
-            head: 0,
-            dropped: 0,
-            bound,
-            labels: Vec::new(),
+            bound: bound.map(|cap| cap.max(1)),
+            ..Ring::default()
         }
     }
 
-    fn intern(&mut self, label: &str) -> u8 {
-        if let Some(i) = self.labels.iter().position(|l| l.as_ref() == label) {
-            return i as u8;
-        }
-        let id = u8::try_from(self.labels.len()).expect("more than 255 distinct trace labels");
-        self.labels.push(Arc::from(label));
-        id
+    fn intern(&mut self, label: &str) -> u64 {
+        let id = match self.labels.iter().position(|l| l.as_ref() == label) {
+            Some(id) => id,
+            None => {
+                self.labels.push(Arc::from(label));
+                self.labels.len() - 1
+            }
+        };
+        id as u64
     }
 
     #[inline]
-    fn push(&mut self, rec: BinRecord) {
-        if self.current.len() < self.current.capacity() {
-            self.current.push(rec);
-            return;
+    fn push(&mut self, t_ns: u64, node: u64, event: &TraceEvent) {
+        if self.bound == Some(self.len) {
+            self.drop_oldest();
         }
-        self.push_slow(rec);
+        if self
+            .chunks
+            .back()
+            .is_none_or(|c| c.capacity() - c.len() < RECORD_MAX)
+        {
+            self.chunks.push_back(Vec::with_capacity(CHUNK_BYTES));
+        }
+        let out = self.chunks.back_mut().expect("a chunk with room");
+        let (kind, fields) = event.encode();
+        out.push(kind);
+        put_varint(out, node);
+        put_varint(out, zigzag(t_ns.wrapping_sub(self.last_ns)));
+        for &v in &fields[..KINDS[usize::from(kind)].1.len()] {
+            put_varint(out, v);
+        }
+        self.last_ns = t_ns;
+        self.len += 1;
     }
 
-    /// The full-chunk path: rotate in the next chunk (unbounded) or
-    /// overwrite the oldest record (bounded). Out of line so the common
-    /// `push` stays small enough to inline at every emit site.
+    /// Oldest-drop: steps `head` over the oldest record and makes its
+    /// time the base of the next one's delta. Out of line, so the `push`
+    /// every emit site inlines stays small: only a full bounded ring
+    /// comes here.
     #[inline(never)]
-    fn push_slow(&mut self, rec: BinRecord) {
-        match self.bound {
-            Some(cap) => {
-                // Full bounded ring: overwrite the oldest record
-                // (deterministic oldest-drop), arrival order kept via
-                // `head`.
-                self.current[self.head] = rec;
-                self.head = (self.head + 1) % cap.max(1);
-                self.dropped += 1;
-            }
-            None => {
-                let next = Vec::with_capacity(RING_CHUNK);
-                self.full.push(std::mem::replace(&mut self.current, next));
-                self.current.push(rec);
-            }
+    fn drop_oldest(&mut self) {
+        if self.head == self.chunks[0].len() {
+            self.chunks.pop_front();
+            self.head = 0;
         }
+        (self.base_ns, ..) = read(&self.chunks[0], &mut self.head, self.base_ns);
+        self.len -= 1;
+        self.dropped += 1;
     }
 
-    fn len(&self) -> usize {
-        self.full.iter().map(Vec::len).sum::<usize>() + self.current.len()
-    }
-
-    /// Decodes the ring contents oldest-first.
+    /// Decodes the ring contents oldest-first, in one pass.
     fn decode(&self) -> Vec<TraceRecord> {
-        // In bounded mode (`full` is always empty) the oldest record
-        // sits at `head` once the ring has wrapped.
-        let (older, newer) = if self.dropped > 0 {
-            (&self.current[self.head..], &self.current[..self.head])
-        } else {
-            (&self.current[..], &self.current[..0])
-        };
-        let mut out = Vec::with_capacity(self.len());
-        out.extend(
-            self.full
-                .iter()
-                .flatten()
-                .chain(older.iter())
-                .chain(newer.iter())
-                .map(|r| TraceRecord {
-                    t: SimTime::from_nanos(r.t_ns()),
-                    node: Arc::clone(&self.labels[usize::from(r.node())]),
-                    event: TraceEvent::decode(r.kind(), r.fields),
-                }),
-        );
+        let mut out = Vec::with_capacity(self.len);
+        let mut t_ns = self.base_ns;
+        let mut pos = self.head;
+        for chunk in &self.chunks {
+            while pos < chunk.len() {
+                let (t, node, event) = read(chunk, &mut pos, t_ns);
+                t_ns = t;
+                out.push(TraceRecord {
+                    t: SimTime::from_nanos(t),
+                    node: Arc::clone(&self.labels[node as usize]),
+                    event,
+                });
+            }
+            pos = 0;
+        }
         out
     }
 }
 
-/// Owner's handle on a shared binary record ring: create one per traced
+/// Reads the record at `*pos`, whose delta counts from `prev_ns`: its
+/// time, node id and event.
+fn read(bytes: &[u8], pos: &mut usize, prev_ns: u64) -> (u64, u64, TraceEvent) {
+    let kind = bytes[*pos];
+    *pos += 1;
+    let node = get_varint(bytes, pos);
+    let delta = get_varint(bytes, pos);
+    // Zigzag: the low bit is the sign.
+    let t_ns = prev_ns.wrapping_add((delta >> 1) ^ (delta & 1).wrapping_neg());
+    let mut fields = [0; 4];
+    for f in &mut fields[..KINDS[usize::from(kind)].1.len()] {
+        *f = get_varint(bytes, pos);
+    }
+    (t_ns, node, TraceEvent::decode(kind, fields))
+}
+
+/// A wrapping time delta as a zigzag integer: small steps either way are
+/// small numbers.
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
+}
+
+/// LEB128: seven bits a byte, low first, the high bit set on all but the
+/// last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            break;
+        }
+    }
+    v
+}
+
+/// Owner's handle on a shared record ring: create one per traced
 /// run, derive per-node [`Tracer`]s from it, and read the (decoded)
 /// records back after the run. Clonable and `Send`, so parallel sweeps
 /// can give each point its own ring.
 ///
 /// The default handle grows without bound (one fixed-size chunk at a
 /// time); [`TraceHandle::bounded`] caps the ring at a fixed
-/// record count and deterministically overwrites the *oldest* record
-/// once full, counting each overwrite in [`TraceHandle::dropped`].
+/// record count and deterministically drops the *oldest* record
+/// once full, counting each drop in [`TraceHandle::dropped`].
 #[derive(Debug, Clone)]
 pub struct TraceHandle {
     inner: Arc<Mutex<Ring>>,
@@ -586,9 +590,9 @@ impl TraceHandle {
         TraceHandle::default()
     }
 
-    /// A handle on a ring capped at `cap` records. Once full, each new
-    /// record overwrites the oldest one; [`TraceHandle::dropped`] counts
-    /// the overwrites.
+    /// A handle on a ring capped at `cap` records (at least one). Once
+    /// full, each new record drops the oldest one; [`TraceHandle::dropped`]
+    /// counts the drops.
     pub fn bounded(cap: usize) -> Self {
         TraceHandle {
             inner: Arc::new(Mutex::new(Ring::new(Some(cap)))),
@@ -605,14 +609,14 @@ impl TraceHandle {
     }
 
     /// A snapshot of the records collected so far, oldest first, decoded
-    /// from their binary form.
+    /// from their bytes.
     pub fn records(&self) -> Vec<TraceRecord> {
         self.inner.lock().expect("trace ring poisoned").decode()
     }
 
     /// Number of records currently held (excludes dropped ones).
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace ring poisoned").len()
+        self.inner.lock().expect("trace ring poisoned").len
     }
 
     /// `true` when nothing was recorded yet.
@@ -620,8 +624,8 @@ impl TraceHandle {
         self.len() == 0
     }
 
-    /// Records lost to oldest-drop wraparound in a bounded ring (always
-    /// 0 for unbounded handles).
+    /// Records lost to oldest-drop in a bounded ring (always 0 for
+    /// unbounded handles).
     pub fn dropped(&self) -> u64 {
         self.inner.lock().expect("trace ring poisoned").dropped
     }
@@ -633,14 +637,15 @@ impl TraceHandle {
 /// one (`#[derive(Clone)]`-compatible, `Default` = disabled) and builders
 /// swap in enabled ones from a [`TraceHandle`].
 ///
-/// An enabled tracer's `emit` writes one fixed-width 40-byte record into
-/// the shared ring: no heap allocation, no string formatting, no `Arc`
-/// clone — the node label was interned to a `u8` when the tracer was
-/// created.
+/// An enabled tracer's `emit` appends one record of a few bytes to the
+/// shared ring — as many as its content needs, about ten for a
+/// consensus instance's records: no heap allocation outside opening the
+/// next chunk, no string formatting, no `Arc` clone — the node label was
+/// interned to an id when the tracer was created.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     ring: Option<Arc<Mutex<Ring>>>,
-    node: u8,
+    node: u64,
 }
 
 impl Tracer {
@@ -666,9 +671,9 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, t: SimTime, f: impl FnOnce() -> TraceEvent) {
         if let Some(ring) = &self.ring {
-            let (kind, fields) = f().encode();
-            let rec = BinRecord::new(t.as_nanos(), self.node, kind, fields);
-            ring.lock().expect("trace ring poisoned").push(rec);
+            let event = f();
+            let mut ring = ring.lock().expect("trace ring poisoned");
+            ring.push(t.as_nanos(), self.node, &event);
         }
     }
 }
@@ -2037,6 +2042,185 @@ mod tests {
         // The plain export is the same body without the timeline process.
         let plain = chrome_trace_json(&records);
         assert!(plain.contains("propose") && !plain.contains("\"pid\":3"));
+    }
+
+    #[test]
+    fn labels_and_timestamps_have_no_format_limit() {
+        // Three hundred labels: a traced sharded point of 85 groups of
+        // three members outgrows a one-byte label id.
+        let handle = TraceHandle::new();
+        let tracers: Vec<Tracer> = (0..300).map(|i| handle.tracer(&format!("g{i}"))).collect();
+        for (i, tracer) in tracers.iter().enumerate() {
+            tracer.emit(SimTime::from_nanos(i as u64), || TraceEvent::Apply {
+                seq: 1,
+            });
+        }
+        let labels: Vec<String> = handle
+            .records()
+            .iter()
+            .map(|r| r.node.to_string())
+            .collect();
+        let expected: Vec<String> = (0..300).map(|i| format!("g{i}")).collect();
+        assert_eq!(labels, expected);
+        // Timestamps past 48 bits, and back to zero.
+        let handle = TraceHandle::new();
+        let tracer = handle.tracer("m0");
+        let instants = [0, 1 << 48, 1 << 62, 0];
+        for ns in instants {
+            tracer.emit(SimTime::from_nanos(ns), || TraceEvent::FellBack);
+        }
+        let times: Vec<u64> = handle.records().iter().map(|r| r.t.as_nanos()).collect();
+        assert_eq!(times, instants);
+    }
+
+    /// Bytes the ring's held records occupy.
+    fn ring_bytes(handle: &TraceHandle) -> usize {
+        let ring = handle.inner.lock().expect("trace ring poisoned");
+        ring.chunks.iter().map(Vec::len).sum::<usize>() - ring.head
+    }
+
+    #[test]
+    fn a_consensus_instance_costs_at_most_twelve_bytes_a_record() {
+        // One instance as the module doc follows it through a 3-member
+        // cluster, seq and PSN growing: the fixed-width format this one
+        // replaced spent 40 bytes on each of these records.
+        let handle = TraceHandle::new();
+        let [leader, switch, r1, r2] = ["m0", "switch", "m1", "m2"].map(|l| handle.tracer(l));
+        let mut emitted = 0;
+        let mut at = |tracer: &Tracer, ns: u64, event: TraceEvent| {
+            tracer.emit(SimTime::from_nanos(ns), || event);
+            emitted += 1;
+        };
+        let (view, qpn) = (1, 0x11);
+        for seq in 1..=20_000u64 {
+            let t = 1_000_000 + seq * 2_000;
+            let psn = (0xfe_0000 + seq) & PSN_MASK;
+            at(&leader, t, TraceEvent::Propose { view, seq });
+            let bound = TraceEvent::PostBound {
+                view,
+                seq,
+                qpn,
+                wr_id: seq,
+            };
+            at(&leader, t + 40, bound);
+            at(&leader, t + 60, TraceEvent::WqePost { qpn, wr_id: seq });
+            let wire = TraceEvent::WireTx {
+                qpn,
+                wr_id: seq,
+                psn,
+                npkts: 1,
+            };
+            at(&leader, t + 150, wire);
+            at(&switch, t + 700, TraceEvent::Scatter { psn, dist: seq });
+            for rid in 0..2 {
+                at(&switch, t + 710 + rid, TraceEvent::ScatterCopy { psn, rid });
+            }
+            at(&r1, t + 1_250, TraceEvent::AckTx { qpn: 0x12, psn });
+            at(&r2, t + 1_260, TraceEvent::AckTx { qpn: 0x13, psn });
+            for endpoint in 0..2 {
+                let ack = TraceEvent::GatherAck {
+                    psn,
+                    endpoint,
+                    distinct: endpoint + 1,
+                    quorum: endpoint == 0,
+                };
+                at(&switch, t + 1_800 + endpoint * 10, ack);
+            }
+            let credits = 31;
+            at(&leader, t + 2_350, TraceEvent::AckRx { qpn, psn, credits });
+            at(&leader, t + 2_600, TraceEvent::Decide { view, seq });
+            for member in [&leader, &r1, &r2] {
+                at(member, t + 2_700, TraceEvent::Apply { seq });
+            }
+        }
+        assert_eq!(handle.len(), emitted);
+        let per_record = ring_bytes(&handle) as f64 / emitted as f64;
+        assert!(per_record <= 12.0, "{per_record:.2} B a record");
+    }
+
+    #[test]
+    fn a_bounded_ring_drops_across_chunks_and_frees_them() {
+        // Records of ~35 bytes fill ~1,800 to a chunk; 20,000 of them
+        // cross ten chunk boundaries.
+        let (cap, n) = (100, 20_000u64);
+        let bounded = TraceHandle::bounded(cap);
+        let tracer = bounded.tracer("m0");
+        let event = |i: u64| TraceEvent::PostBound {
+            view: u64::MAX,
+            seq: i,
+            qpn: u64::MAX - i,
+            wr_id: u64::MAX,
+        };
+        for i in 0..n {
+            tracer.emit(SimTime::from_nanos(i * 3), || event(i));
+        }
+        let records = bounded.records();
+        assert_eq!((records.len(), bounded.len()), (cap, cap));
+        assert_eq!(bounded.dropped(), n - cap as u64);
+        for (rec, i) in records.iter().zip(n - cap as u64..) {
+            assert_eq!((rec.t, rec.event), (SimTime::from_nanos(i * 3), event(i)));
+        }
+        let chunks = bounded
+            .inner
+            .lock()
+            .expect("trace ring poisoned")
+            .chunks
+            .len();
+        assert!(chunks <= 2, "a drained chunk was kept: {chunks} chunks");
+    }
+
+    /// Field values at the edges of what the layers emit: zero, one, the
+    /// PSN space's last value and the `u64` maximum (a view change to no
+    /// leader). A nonzero `quorum` or `timeout` field decodes as `true`.
+    const EDGES: [u64; 4] = [0, 1, PSN_MASK, u64::MAX];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Unbounded and bounded rings hold what a queue of the emitted
+        /// records holds: the same records in order, the same count and
+        /// the same number dropped.
+        #[test]
+        fn the_one_format_decodes_what_was_emitted(
+            stream in proptest::collection::vec(
+                (0u8..19, 0usize..4, 0usize..4, 0usize..4, 0usize..4, 0usize..3, 0usize..6),
+                0..300,
+            ),
+            cap in 1usize..65,
+        ) {
+            let rings = [(TraceHandle::new(), usize::MAX), (TraceHandle::bounded(cap), cap)];
+            for (handle, cap) in rings {
+                let tracers = ["m0", "m1", "switch"].map(|l| handle.tracer(l));
+                let mut model: VecDeque<(SimTime, &str, TraceEvent)> = VecDeque::new();
+                let mut dropped = 0;
+                let mut t_ns = 5_000u64;
+                for &(kind, a, b, c, d, node, step) in &stream {
+                    let event = TraceEvent::decode(kind, [a, b, c, d].map(|i| EDGES[i]));
+                    // Equal, forward, backward, 2⁵⁰ ahead, zero, 2⁶² back.
+                    t_ns = match step {
+                        0 => t_ns,
+                        1 => t_ns.wrapping_add(130),
+                        2 => t_ns.wrapping_sub(70),
+                        3 => t_ns.wrapping_add(1 << 50),
+                        4 => 0,
+                        _ => t_ns.wrapping_sub(1 << 62),
+                    };
+                    let t = SimTime::from_nanos(t_ns);
+                    tracers[node].emit(t, || event);
+                    if model.len() == cap {
+                        model.pop_front();
+                        dropped += 1;
+                    }
+                    model.push_back((t, ["m0", "m1", "switch"][node], event));
+                }
+                let records = handle.records();
+                let decoded: Vec<(SimTime, &str, TraceEvent)> =
+                    records.iter().map(|r| (r.t, &*r.node, r.event)).collect();
+                proptest::prop_assert_eq!(handle.len(), model.len());
+                proptest::prop_assert_eq!(decoded, Vec::from(model));
+                proptest::prop_assert_eq!(handle.dropped(), dropped);
+            }
+        }
     }
 
     /// One sample per variant, in kind-byte order, with the export name

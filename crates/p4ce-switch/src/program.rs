@@ -199,7 +199,7 @@ pub struct P4ceSwitchStats {
     /// Communication groups created.
     pub groups_created: u64,
     /// Communication groups superseded: dropped when a newer group of
-    /// the same leader went active.
+    /// the same cluster (its leader or a successor) went active.
     pub groups_retired: u64,
     /// Reconfigurations completed.
     pub reconfigs: u64,
@@ -508,12 +508,18 @@ impl P4ceProgram {
         };
         group.active = true;
         self.stats.reconfigs += 1;
-        // A leader drives at most one group at a time: the one that just
-        // went active supersedes every older group of the same leader,
-        // which had kept serving until this instant.
-        let leader_ip = group.leader_ip;
+        // A cluster follows one leader and a leader drives one group: the
+        // group that just went active supersedes every older group of its
+        // cluster — led by its leader or by one of its replicas, or with
+        // its leader among the replicas — which had kept serving until
+        // this instant. Other clusters' groups share no member with it.
+        let group = &self.groups[&gid];
+        let is_member =
+            |ip: Ipv4Addr| ip == group.leader_ip || group.replicas.iter().any(|r| r.ip == ip);
         let superseded: Vec<u16> = (self.groups.range(..gid))
-            .filter(|(_, old)| old.leader_ip == leader_ip)
+            .filter(|(_, old)| {
+                is_member(old.leader_ip) || old.replicas.iter().any(|r| r.ip == group.leader_ip)
+            })
             .map(|(&old, _)| old)
             .collect();
         for old in superseded {
@@ -982,49 +988,56 @@ mod tests {
         assert_eq!(gids, vec![u16::MAX - 2, u16::MAX - 1]);
     }
 
+    /// `leader` asks for a group (handshake `handshake_id`) of `replicas`.
+    fn request(
+        p: &mut P4ceProgram,
+        ops: &mut RecordingOps,
+        leader: Ipv4Addr,
+        handshake_id: u64,
+        replicas: Vec<Ipv4Addr>,
+    ) {
+        let mut from_leader = ack_from(0, 0, 0); // only its source address is read
+        from_leader.src_ip = leader;
+        let private = GroupSpec { f: 1, replicas }.encode();
+        p.handle_leader_request(
+            &from_leader,
+            handshake_id,
+            Qpn(0x50),
+            Psn::new(0),
+            &private,
+            ops,
+        );
+    }
+
+    /// Replica `idx` of group `gid` answers its join.
+    fn answer(p: &mut P4ceProgram, ops: &mut RecordingOps, gid: u16, idx: u8) {
+        let advert = RegionAdvert {
+            va: 0x1000,
+            rkey: RKey(7),
+            len: 1 << 20,
+        };
+        let join_id = (u64::from(gid) << 16) | u64::from(idx) | (1 << 56);
+        let reply = ack_from(idx, 0, 0); // only its source address is read
+        p.handle_replica_reply(
+            &reply,
+            join_id,
+            Qpn(0x200),
+            Psn::new(0),
+            &advert.encode(),
+            ops,
+        );
+    }
+
     #[test]
     fn a_superseded_group_forgets_its_unanswered_joins() {
         let mut p = P4ceProgram::new(P4ceSwitchConfig::default());
         let mut ops = RecordingOps { sent: Vec::new() };
-        let mut from_leader = ack_from(0, 0, 0); // only its source address is read
-        from_leader.src_ip = LEADER_IP;
-        let request = |p: &mut P4ceProgram, ops: &mut RecordingOps, handshake_id, n: u8| {
-            let spec = GroupSpec {
-                f: 1,
-                replicas: (0..n).map(|i| Ipv4Addr::new(10, 0, 0, 2 + i)).collect(),
-            };
-            let private = spec.encode();
-            p.handle_leader_request(
-                &from_leader,
-                handshake_id,
-                Qpn(0x50),
-                Psn::new(0),
-                &private,
-                ops,
-            );
-        };
-        let answer = |p: &mut P4ceProgram, ops: &mut RecordingOps, gid: u16, idx: u8| {
-            let advert = RegionAdvert {
-                va: 0x1000,
-                rkey: RKey(7),
-                len: 1 << 20,
-            };
-            let join_id = (u64::from(gid) << 16) | u64::from(idx) | (1 << 56);
-            let reply = ack_from(idx, 0, 0); // only its source address is read
-            p.handle_replica_reply(
-                &reply,
-                join_id,
-                Qpn(0x200),
-                Psn::new(0),
-                &advert.encode(),
-                ops,
-            );
-        };
+        let replicas = |n: u8| (0..n).map(|i| Ipv4Addr::new(10, 0, 0, 2 + i)).collect();
         // Group 1 asks two replicas to join; the second never answers.
-        request(&mut p, &mut ops, 1, 2);
+        request(&mut p, &mut ops, LEADER_IP, 1, replicas(2));
         answer(&mut p, &mut ops, 1, 0);
         // The leader's next group goes active and supersedes group 1.
-        request(&mut p, &mut ops, 2, 1);
+        request(&mut p, &mut ops, LEADER_IP, 2, replicas(1));
         answer(&mut p, &mut ops, 2, 0);
         p.finish_reconfig(2, &mut ops);
         assert_eq!(p.group_ids(), [2]);
@@ -1034,6 +1047,33 @@ mod tests {
             "a dropped group's join outlived it: {:?}",
             p.fanout_handshakes
         );
+    }
+
+    #[test]
+    fn a_deposed_leaders_group_goes_when_its_successors_goes_active() {
+        let mut p = P4ceProgram::new(P4ceSwitchConfig::default());
+        let mut ops = RecordingOps { sent: Vec::new() };
+        let member = |i: u8| Ipv4Addr::new(10, 0, 0, 1 + i);
+        // Leadership of one 3-member cluster goes 0 → 1 → 2; each leader's
+        // group has the other two as replicas.
+        for (gid, leader) in [(1u16, 0u8), (2, 1), (3, 2)] {
+            let others = (0..3).filter(|&i| i != leader).map(member).collect();
+            request(&mut p, &mut ops, member(leader), u64::from(gid), others);
+            answer(&mut p, &mut ops, gid, 0);
+            answer(&mut p, &mut ops, gid, 1);
+            p.finish_reconfig(gid, &mut ops);
+        }
+        assert_eq!(p.group_ids(), [3]);
+        assert_eq!(p.gid_of_leader(member(2)), Some(3));
+        assert_eq!((p.bcast_table.len(), p.aggr_table.len()), (1, 2));
+        assert_eq!(p.stats.groups_retired, 2);
+        // Another cluster's group behind the same switch stays.
+        let other = |i: u8| Ipv4Addr::new(10, 0, 1, 1 + i);
+        request(&mut p, &mut ops, other(0), 4, vec![other(1), other(2)]);
+        answer(&mut p, &mut ops, 4, 0);
+        answer(&mut p, &mut ops, 4, 1);
+        p.finish_reconfig(4, &mut ops);
+        assert_eq!(p.group_ids(), [3, 4]);
     }
 
     #[test]

@@ -226,6 +226,13 @@ for gone in 'GroupRetire' 'retire_group' 'retire_comm' 'fn retire(' 'fn group_id
   fi
 done
 
+echo "==> a trace record costs its content: one variable-width format, no fixed record, no format limit"
+for gone in 'struct BinRecord' 'T_NS_LIMIT' 'fields: [u64; 4]' 'more than 255 distinct trace labels'; do
+  if grep -nF "$gone" crates/netsim/src/trace.rs; then
+    echo "tier-1: '$gone' is gone; a trace record is a kind byte, varint node id, zigzag time delta and the fields its KINDS row names (EXPERIMENTS E30)" >&2; exit 1
+  fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
