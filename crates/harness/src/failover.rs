@@ -37,8 +37,8 @@
 use std::collections::HashMap;
 
 use netsim::{
-    annotations_from_records, Annotation, NodeId, SimDuration, SimTime, Simulation, Timeline,
-    TraceEvent, TraceHandle, TraceRecord,
+    annotations_from_records, Annotation, NodeId, Records, SimDuration, SimTime, Simulation,
+    Timeline, TraceEvent, TraceHandle,
 };
 use p4ce::{P4ceMember, SwitchComm};
 use rdma::{Host, HostStats};
@@ -284,8 +284,8 @@ pub struct FailoverOutcome {
     /// The timeline read off the trace (no series when `sample` was off)
     /// with its markers (kill, storm, trace-derived events).
     pub timeline: Timeline,
-    /// The full trace record stream, for Perfetto export.
-    pub records: Vec<TraceRecord>,
+    /// The whole trace, a [`Records`] snapshot walked for the Perfetto export.
+    pub records: Records,
     /// Final decided count per group (one entry for single-group runs).
     pub group_decided: Vec<u64>,
     /// Simulation events processed — the same with and without the
@@ -328,7 +328,7 @@ impl MemberRecords {
     /// Files each member's `records` under it; member `i` of `groups[g]`
     /// traces as `label(g, i)`.
     fn read(
-        records: &[TraceRecord],
+        records: &Records,
         groups: &[Vec<NodeId>],
         label: impl Fn(usize, usize) -> String,
     ) -> MemberRecords {

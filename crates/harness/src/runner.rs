@@ -9,8 +9,8 @@
 //! drops them.
 
 use netsim::{
-    assemble_spans, breakdown, InstanceSpan, SimDuration, Simulation, StageBreakdown, TraceHandle,
-    TraceRecord, Tracer,
+    assemble_spans, breakdown, InstanceSpan, Records, SimDuration, Simulation, StageBreakdown,
+    TraceHandle, Tracer,
 };
 use p4ce::SwitchSetters;
 use replication::{ClusterBuilder, Fabric, WorkloadSpec};
@@ -213,8 +213,8 @@ impl Observe {
 pub struct TracedPoint {
     /// The measured outcome — the same under any [`Observe`].
     pub outcome: PointOutcome,
-    /// Every raw trace record, in emission order.
-    pub records: Vec<TraceRecord>,
+    /// The trace as a [`Records`] snapshot, in emission order (empty untraced).
+    pub records: Records,
     /// Per-instance spans assembled from the records.
     pub spans: Vec<InstanceSpan>,
     /// Per-stage latency distributions over the complete spans.
@@ -291,7 +291,7 @@ pub fn observe_point(cfg: &PointConfig, observe: &Observe) -> TracedPoint {
     };
     let (records, dropped_records) = match observe {
         Observe::Traced(handle) => (handle.records(), handle.dropped()),
-        _ => (Vec::new(), 0),
+        _ => (Records::default(), 0),
     };
     let spans = assemble_spans(&records);
     TracedPoint {

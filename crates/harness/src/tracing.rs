@@ -7,7 +7,7 @@
 //! <https://ui.perfetto.dev> both load the file directly. The run
 //! itself is [`crate::runner::observe_point`].
 
-use netsim::{chrome_trace_json, StageBreakdown, TraceRecord};
+use netsim::{chrome_trace_json, Records, StageBreakdown};
 use std::io;
 use std::path::Path;
 
@@ -100,7 +100,7 @@ pub fn stage_table(title: &str, b: &StageBreakdown) -> String {
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_chrome_trace(path: impl AsRef<Path>, records: &[TraceRecord]) -> io::Result<()> {
+pub fn write_chrome_trace(path: impl AsRef<Path>, records: &Records) -> io::Result<()> {
     std::fs::write(path, chrome_trace_json(records))
 }
 

@@ -6,8 +6,8 @@
 //! there is no slack for unattributed time.
 
 use netsim::{
-    assemble_spans, breakdown, FaultPlan, PortId, SimDuration, SimTime, TraceEvent, TraceHandle,
-    TraceRecord, STAGE_NAMES,
+    assemble_spans, breakdown, FaultPlan, PortId, Records, SimDuration, SimTime, TraceEvent,
+    TraceHandle, STAGE_NAMES,
 };
 use p4ce_harness::runner::{PointConfig, System};
 use p4ce_harness::{run_failover, run_point_traced, stage_table, ChaosSpec, FailoverConfig};
@@ -112,7 +112,7 @@ fn traced_point_breakdown_and_metrics_are_consistent() {
 }
 
 /// `Decide` records per member label.
-fn decides_of(records: &[TraceRecord], label: &str) -> u64 {
+fn decides_of(records: &Records, label: &str) -> u64 {
     (records.iter())
         .filter(|r| &*r.node == label && matches!(r.event, TraceEvent::Decide { .. }))
         .count() as u64
@@ -123,7 +123,7 @@ fn decides_of(records: &[TraceRecord], label: &str) -> u64 {
 /// `MemberEvent::ViewChange` entries are its `ViewChange` records, instant
 /// and view. The failover timeline (`m{i}.decided`, `view.max`) is read
 /// off the trace on the strength of this.
-fn assert_pipes_agree<F: Fabric>(d: &Deployment<F>, records: &[TraceRecord]) {
+fn assert_pipes_agree<F: Fabric>(d: &Deployment<F>, records: &Records) {
     for i in 0..d.members.len() {
         let label = format!("m{i}");
         let stats = &d.member(i).stats;

@@ -75,7 +75,11 @@ fn bounded_ring_reports_drops_and_still_exports() {
     assert_eq!(bounded.records.len(), cap);
     assert_eq!(bounded.dropped_records, (total - cap) as u64);
     // The surviving tail equals the tail of the full stream, in order.
-    for (kept, orig) in bounded.records.iter().zip(&full.records[total - cap..]) {
+    for (kept, orig) in bounded
+        .records
+        .iter()
+        .zip(full.records.iter().skip(total - cap))
+    {
         assert_eq!(kept.t, orig.t);
         assert_eq!(kept.event, orig.event);
     }

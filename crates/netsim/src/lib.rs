@@ -72,7 +72,7 @@ pub use stats::{LatencyRecorder, LatencyStats, Throughput};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     annotations_from_records, assemble_spans, breakdown, chrome_trace_json, chrome_trace_json_with,
-    Annotation, InstanceSpan, RetransmitKind, StageBreakdown, StageLatency, Timeline, TraceEvent,
-    TraceHandle, TraceRecord, Tracer, STAGE_NAMES,
+    Annotation, InstanceSpan, Records, RetransmitKind, StageBreakdown, StageLatency, Timeline,
+    TraceEvent, TraceHandle, TraceRecord, Tracer, STAGE_NAMES,
 };
 pub use wheel::TimingWheel;

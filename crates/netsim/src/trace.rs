@@ -9,10 +9,11 @@
 //! record, then exactly the fields the kind names — varints, about ten
 //! bytes for a consensus instance's records. An enabled emit appends
 //! those bytes to a chunk of the ring: no heap allocation but one per
-//! chunk, no string formatting on the hot path. Decoding back to
-//! [`TraceRecord`]s (labels, names, span assembly, JSON) happens only at
-//! export time, so one ring collects a causally ordered, cross-layer log
-//! of a whole cluster run at near-zero steady-state cost.
+//! chunk, no string formatting on the hot path. A trace is read where it
+//! lies: a [`Records`] snapshot of the ring's bytes decodes one
+//! [`TraceRecord`] at a time as it is walked. So one ring collects a
+//! causally ordered, cross-layer log of a whole cluster run at near-zero
+//! steady-state cost.
 //!
 //! The taxonomy follows one consensus instance through the stack:
 //!
@@ -35,7 +36,7 @@
 //! markers — is a view a caller computes from the records at export time;
 //! [`chrome_trace_json_with`] appends it as Perfetto counter tracks.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -495,25 +496,63 @@ impl Ring {
         self.len -= 1;
         self.dropped += 1;
     }
+}
 
-    /// Decodes the ring contents oldest-first, in one pass.
-    fn decode(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut t_ns = self.base_ns;
-        let mut pos = self.head;
-        for chunk in &self.chunks {
-            while pos < chunk.len() {
-                let (t, node, event) = read(chunk, &mut pos, t_ns);
-                t_ns = t;
-                out.push(TraceRecord {
-                    t: SimTime::from_nanos(t),
-                    node: Arc::clone(&self.labels[node as usize]),
-                    event,
-                });
-            }
-            pos = 0;
-        }
-        out
+/// A snapshot of a ring's records: its held bytes in one exact-size copy,
+/// the label table, the time the first delta counts from and the count.
+/// A walk decodes one [`TraceRecord`] at a time, holding no lock.
+#[derive(Debug, Default)]
+pub struct Records {
+    bytes: Vec<u8>,
+    labels: Vec<Arc<str>>,
+    base_ns: u64,
+    len: usize,
+}
+
+impl Records {
+    /// Decodes the records oldest first, as they are walked.
+    pub fn iter(&self) -> RecordsIter<'_> {
+        RecordsIter(self, 0, self.base_ns)
+    }
+
+    /// Number of records in the snapshot.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the snapshot holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl<'a> IntoIterator for &'a Records {
+    type Item = TraceRecord;
+    type IntoIter = RecordsIter<'a>;
+
+    fn into_iter(self) -> RecordsIter<'a> {
+        self.iter()
+    }
+}
+
+/// A walk over a [`Records`] snapshot: the next record's byte offset and
+/// the time its delta counts from.
+#[derive(Debug, Clone)]
+pub struct RecordsIter<'a>(&'a Records, usize, u64);
+
+impl Iterator for RecordsIter<'_> {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        let RecordsIter(records, pos, t_ns) = self;
+        let (t, node, event) =
+            (*pos < records.bytes.len()).then(|| read(&records.bytes, pos, *t_ns))?;
+        *t_ns = t;
+        Some(TraceRecord {
+            t: SimTime::from_nanos(t),
+            node: Arc::clone(&records.labels[node as usize]),
+            event,
+        })
     }
 }
 
@@ -563,8 +602,8 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
 }
 
 /// Owner's handle on a shared record ring: create one per traced
-/// run, derive per-node [`Tracer`]s from it, and read the (decoded)
-/// records back after the run. Clonable and `Send`, so parallel sweeps
+/// run, derive per-node [`Tracer`]s from it, and read a [`Records`]
+/// snapshot back after the run. Clonable and `Send`, so parallel sweeps
 /// can give each point its own ring.
 ///
 /// The default handle grows without bound (one fixed-size chunk at a
@@ -608,20 +647,22 @@ impl TraceHandle {
         .labeled(label)
     }
 
-    /// A snapshot of the records collected so far, oldest first, decoded
-    /// from their bytes.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.inner.lock().expect("trace ring poisoned").decode()
-    }
-
-    /// Number of records currently held (excludes dropped ones).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace ring poisoned").len
-    }
-
-    /// `true` when nothing was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// A snapshot of the records collected so far, oldest first: a copy
+    /// of the ring's held bytes (records never straddle a chunk), decoded
+    /// as it is walked. Later records and later drops do not touch it.
+    pub fn records(&self) -> Records {
+        let ring = self.inner.lock().expect("trace ring poisoned");
+        let mut bytes =
+            Vec::with_capacity(ring.chunks.iter().map(Vec::len).sum::<usize>() - ring.head);
+        for (i, chunk) in ring.chunks.iter().enumerate() {
+            bytes.extend_from_slice(&chunk[if i == 0 { ring.head } else { 0 }..]);
+        }
+        Records {
+            bytes,
+            labels: ring.labels.clone(),
+            base_ns: ring.base_ns,
+            len: ring.len,
+        }
     }
 
     /// Records lost to oldest-drop in a bounded ring (always 0 for
@@ -766,7 +807,7 @@ fn first_at_or_after<T: Copy>(list: &[(SimTime, T)], not_before: SimTime) -> Opt
 /// matched on the range's *last* PSN (a message is decided when its last
 /// packet is acknowledged); `Decide` closes the span. Instances decided
 /// off the accelerated path (e.g. during fallback) yield partial spans.
-pub fn assemble_spans(records: &[TraceRecord]) -> Vec<InstanceSpan> {
+pub fn assemble_spans(records: &Records) -> Vec<InstanceSpan> {
     // A time-sorted observation list per correlation key: `(node, qpn,
     // wr_id or psn)` on the host side, bare leader-space PSN on the
     // switch side.
@@ -795,7 +836,7 @@ pub fn assemble_spans(records: &[TraceRecord]) -> Vec<InstanceSpan> {
                     instances.push((
                         (view, seq),
                         Pending {
-                            node: Arc::clone(&rec.node),
+                            node: rec.node,
                             propose: rec.t,
                             bound: None,
                             decide: None,
@@ -831,7 +872,7 @@ pub fn assemble_spans(records: &[TraceRecord]) -> Vec<InstanceSpan> {
                 psn,
                 npkts,
             } => wire_tx
-                .entry((Arc::clone(&rec.node), qpn, wr_id))
+                .entry((rec.node, qpn, wr_id))
                 .or_default()
                 .push((rec.t, (psn, npkts))),
             TraceEvent::Scatter { psn, .. } => {
@@ -841,7 +882,7 @@ pub fn assemble_spans(records: &[TraceRecord]) -> Vec<InstanceSpan> {
                 gather.entry(psn).or_default().push((rec.t, quorum));
             }
             TraceEvent::AckRx { qpn, psn, .. } => ack_rx
-                .entry((Arc::clone(&rec.node), qpn, psn))
+                .entry((rec.node, qpn, psn))
                 .or_default()
                 .push((rec.t, ())),
             _ => {}
@@ -1030,7 +1071,7 @@ fn push_ts(out: &mut String, t: SimTime) {
 /// events, named `v<view>/<seq>`.
 ///
 /// [ui.perfetto.dev]: https://ui.perfetto.dev
-pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
+pub fn chrome_trace_json(records: &Records) -> String {
     let mut out = String::with_capacity(records.len() * 96 + 1024);
     out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     let mut first = true;
@@ -1054,58 +1095,48 @@ fn sep(out: &mut String, first: &mut bool) {
 /// instant events, stage slices) into an already-open array, tracking
 /// comma placement through `first`. Shared by [`chrome_trace_json`] and
 /// [`chrome_trace_json_with`], which appends counter tracks before closing.
-fn chrome_trace_body(records: &[TraceRecord], mut out: &mut String, first: &mut bool) {
-    let mut nodes: Vec<&str> = records.iter().map(|r| &*r.node).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    let tid_of = |node: &str| -> usize { nodes.binary_search(&node).expect("node indexed") + 1 };
+fn chrome_trace_body(records: &Records, out: &mut String, first: &mut bool) {
+    // The labels that emitted a record, not every label the ring interned.
+    let nodes: BTreeSet<Arc<str>> = records.iter().map(|r| r.node).collect();
+    let nodes: Vec<Arc<str>> = nodes.into_iter().collect();
+    let tid_of = |node: &Arc<str>| nodes.binary_search(node).expect("node indexed") + 1;
 
     // Process/thread naming metadata.
     for (pid, pname) in [(1, "nodes"), (2, "consensus stages")] {
         sep(out, first);
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{pname}\"}}}}"
-            ),
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
+             \"args\":{{\"name\":\"{pname}\"}}}}"
         );
     }
-    for node in &nodes {
+    for (tid, node) in (1..).zip(&nodes) {
         sep(out, first);
         let mut name = String::new();
         escape_json(node, &mut name);
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{name}\"}}}}",
-                tid_of(node)
-            ),
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{name}\"}}}}"
         );
     }
-    for (i, stage) in STAGE_NAMES.iter().enumerate() {
+    for (tid, stage) in (1..).zip(STAGE_NAMES) {
         sep(out, first);
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "{{\"ph\":\"M\",\"pid\":2,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{stage}\"}}}}",
-                i + 1
-            ),
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":2,\"tid\":{tid},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{stage}\"}}}}"
         );
     }
 
     // Raw records as instant events.
     for rec in records {
         sep(out, first);
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"s\":\"t\",\"name\":\"{}\",\"ts\":",
-                tid_of(&rec.node),
-                rec.event.kind()
-            ),
+        let _ = write!(
+            out,
+            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"s\":\"t\",\"name\":\"{}\",\"ts\":",
+            tid_of(&rec.node),
+            rec.event.kind()
         );
         push_ts(out, rec.t);
         out.push_str(",\"args\":{");
@@ -1113,7 +1144,7 @@ fn chrome_trace_body(records: &[TraceRecord], mut out: &mut String, first: &mut 
             if i > 0 {
                 out.push(',');
             }
-            let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\"{k}\":{v}"));
+            let _ = write!(out, "\"{k}\":{v}");
         }
         out.push_str("}}");
     }
@@ -1123,31 +1154,20 @@ fn chrome_trace_body(records: &[TraceRecord], mut out: &mut String, first: &mut 
         let Some(durs) = span.stage_durations() else {
             continue;
         };
-        let mut start = span.propose;
-        for (i, d) in durs.into_iter().enumerate() {
+        let (view, seq, mut start) = (span.view, span.seq, span.propose);
+        for ((tid, stage), d) in (1..).zip(STAGE_NAMES).zip(durs) {
             sep(out, first);
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    "{{\"ph\":\"X\",\"pid\":2,\"tid\":{},\"name\":\"v{}/{}\",\"ts\":",
-                    i + 1,
-                    span.view,
-                    span.seq
-                ),
+            let _ = write!(
+                out,
+                "{{\"ph\":\"X\",\"pid\":2,\"tid\":{tid},\"name\":\"v{view}/{seq}\",\"ts\":"
             );
             push_ts(out, start);
-            out.push_str(",\"dur\":");
             let ns = d.as_nanos();
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!("{}.{:03}", ns / 1000, ns % 1000),
-            );
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    ",\"args\":{{\"view\":{},\"seq\":{},\"stage\":\"{}\"}}}}",
-                    span.view, span.seq, STAGE_NAMES[i]
-                ),
+            let _ = write!(
+                out,
+                ",\"dur\":{}.{:03},\"args\":{{\"view\":{view},\"seq\":{seq},\"stage\":\"{stage}\"}}}}",
+                ns / 1000,
+                ns % 1000
             );
             start += d;
         }
@@ -1173,7 +1193,7 @@ pub struct Annotation {
 /// The timeline-worthy records as markers, in record order: view
 /// changes, P4CE fallback / group (re-)establishment and QP recovery
 /// firings. The per-packet hot-path kinds are skipped.
-pub fn annotations_from_records(records: &[TraceRecord]) -> Vec<Annotation> {
+pub fn annotations_from_records(records: &Records) -> Vec<Annotation> {
     let mut out = Vec::new();
     for rec in records {
         let label = match rec.event {
@@ -1252,7 +1272,7 @@ impl Timeline {
 /// **counter track** (`ph:"C"`, process 3) and every marker a global
 /// instant, so the timelines render in the same UI, on the same clock, as
 /// the per-instance spans.
-pub fn chrome_trace_json_with(records: &[TraceRecord], timeline: &Timeline) -> String {
+pub fn chrome_trace_json_with(records: &Records, timeline: &Timeline) -> String {
     let samples: usize = timeline.series.values().map(Vec::len).sum();
     let mut out =
         String::with_capacity(records.len() * 96 + samples * 64 + timeline.annotations.len() * 96);
@@ -1595,7 +1615,7 @@ mod tests {
             psn: 3,
             dist: 0,
         });
-        let records = handle.records();
+        let records: Vec<TraceRecord> = handle.records().iter().collect();
         assert_eq!(records.len(), 2);
         assert_eq!(&*records[0].node, "m0");
         assert_eq!(&*records[1].node, "switch");
@@ -1681,7 +1701,7 @@ mod tests {
         for seq in 0..10 {
             tracer.emit(SimTime::from_nanos(seq), || TraceEvent::Apply { seq });
         }
-        assert_eq!(handle.len(), 4);
+        assert_eq!(handle.records().len(), 4);
         assert_eq!(handle.dropped(), 6);
         let seqs: Vec<u64> = handle
             .records()
@@ -1699,22 +1719,10 @@ mod tests {
         // A bounded ring that wrapped mid-chain loses the *head* of the
         // oldest instance; span assembly must stay graceful — partial
         // spans for what survived, complete ones for what did not wrap.
-        let full = {
-            let mut r = chain(1, 0, 1000, 100);
-            r.extend(chain(1, 1, 3000, 101));
-            r
-        };
         let handle = TraceHandle::bounded(10);
-        let by_label: [Tracer; 2] = [handle.tracer("m0"), handle.tracer("switch")];
-        for rec in &full {
-            let tracer = if &*rec.node == "m0" {
-                &by_label[0]
-            } else {
-                &by_label[1]
-            };
-            tracer.emit(rec.t, || rec.event);
-        }
-        assert_eq!(handle.dropped(), (full.len() - 10) as u64);
+        chain(&handle, 1, 0, 1000, 100);
+        chain(&handle, 1, 1, 3000, 101);
+        assert_eq!(handle.dropped(), 2 * 8 - 10, "two chains of eight records");
         let spans = assemble_spans(&handle.records());
         let second = spans
             .iter()
@@ -1728,20 +1736,13 @@ mod tests {
         }
     }
 
-    /// Builds one synthetic instance's full record chain.
-    fn chain(view: u64, seq: u64, base_ns: u64, psn: u64) -> Vec<TraceRecord> {
-        let m: Arc<str> = Arc::from("m0");
-        let sw: Arc<str> = Arc::from("switch");
-        let at = |ns: u64, node: &Arc<str>, event: TraceEvent| TraceRecord {
-            t: SimTime::from_nanos(ns),
-            node: Arc::clone(node),
-            event,
-        };
+    /// One synthetic instance's full record chain, as `(ns, node, event)`.
+    fn script(view: u64, seq: u64, base_ns: u64, psn: u64) -> Vec<(u64, &'static str, TraceEvent)> {
         vec![
-            at(base_ns, &m, TraceEvent::Propose { view, seq }),
-            at(
+            (base_ns, "m0", TraceEvent::Propose { view, seq }),
+            (
                 base_ns + 10,
-                &m,
+                "m0",
                 TraceEvent::PostBound {
                     view,
                     seq,
@@ -1749,9 +1750,9 @@ mod tests {
                     wr_id: seq,
                 },
             ),
-            at(
+            (
                 base_ns + 100,
-                &m,
+                "m0",
                 TraceEvent::WireTx {
                     qpn: 16,
                     wr_id: seq,
@@ -1759,10 +1760,14 @@ mod tests {
                     npkts: 1,
                 },
             ),
-            at(base_ns + 400, &sw, TraceEvent::Scatter { psn, dist: 0 }),
-            at(
+            (
+                base_ns + 400,
+                "switch",
+                TraceEvent::Scatter { psn, dist: 0 },
+            ),
+            (
                 base_ns + 900,
-                &sw,
+                "switch",
                 TraceEvent::GatherAck {
                     psn,
                     endpoint: 1,
@@ -1770,9 +1775,9 @@ mod tests {
                     quorum: false,
                 },
             ),
-            at(
+            (
                 base_ns + 1000,
-                &sw,
+                "switch",
                 TraceEvent::GatherAck {
                     psn,
                     endpoint: 2,
@@ -1780,24 +1785,41 @@ mod tests {
                     quorum: true,
                 },
             ),
-            at(
+            (
                 base_ns + 1400,
-                &m,
+                "m0",
                 TraceEvent::AckRx {
                     qpn: 16,
                     psn,
                     credits: 31,
                 },
             ),
-            at(base_ns + 1600, &m, TraceEvent::Decide { view, seq }),
+            (base_ns + 1600, "m0", TraceEvent::Decide { view, seq }),
         ]
+    }
+
+    /// Emits `script` into `handle`, each record through a tracer
+    /// labelled as its node.
+    fn emit(
+        handle: &TraceHandle,
+        script: impl IntoIterator<Item = (u64, &'static str, TraceEvent)>,
+    ) {
+        for (ns, node, event) in script {
+            handle.tracer(node).emit(SimTime::from_nanos(ns), || event);
+        }
+    }
+
+    /// Emits one synthetic instance's full record chain into `handle`.
+    fn chain(handle: &TraceHandle, view: u64, seq: u64, base_ns: u64, psn: u64) {
+        emit(handle, script(view, seq, base_ns, psn));
     }
 
     #[test]
     fn spans_assemble_and_stage_sums_telescope() {
-        let mut records = chain(1, 0, 1000, 100);
-        records.extend(chain(1, 1, 3000, 101));
-        let spans = assemble_spans(&records);
+        let handle = TraceHandle::new();
+        chain(&handle, 1, 0, 1000, 100);
+        chain(&handle, 1, 1, 3000, 101);
+        let spans = assemble_spans(&handle.records());
         assert_eq!(spans.len(), 2);
         for span in &spans {
             assert!(
@@ -1821,9 +1843,13 @@ mod tests {
 
     #[test]
     fn partial_chain_yields_partial_span() {
-        let mut records = chain(1, 0, 1000, 100);
-        records.retain(|r| !matches!(r.event, TraceEvent::Scatter { .. }));
-        let spans = assemble_spans(&records);
+        let handle = TraceHandle::new();
+        let script = script(1, 0, 1000, 100).into_iter();
+        emit(
+            &handle,
+            script.filter(|(_, _, e)| !matches!(e, TraceEvent::Scatter { .. })),
+        );
+        let spans = assemble_spans(&handle.records());
         assert_eq!(spans.len(), 1);
         assert!(!spans[0].is_complete());
         assert!(spans[0].wire_tx.is_some());
@@ -1836,11 +1862,11 @@ mod tests {
 
     #[test]
     fn multi_packet_message_matches_on_last_psn() {
-        let mut records = chain(2, 5, 500, 200);
+        let mut script = script(2, 5, 500, 200);
         // Turn the WireTx into a 3-packet message; the switch events in
-        // `chain` carry psn 202 now.
-        for r in &mut records {
-            match &mut r.event {
+        // the chain carry psn 202 now.
+        for (_, _, event) in &mut script {
+            match event {
                 TraceEvent::WireTx { psn, npkts, .. } => {
                     *psn = 200;
                     *npkts = 3;
@@ -1851,14 +1877,17 @@ mod tests {
                 _ => {}
             }
         }
-        let spans = assemble_spans(&records);
+        let handle = TraceHandle::new();
+        emit(&handle, script);
+        let spans = assemble_spans(&handle.records());
         assert!(spans[0].is_complete());
     }
 
     #[test]
     fn chrome_trace_round_trips_through_the_parser() {
-        let records = chain(1, 0, 1000, 100);
-        let text = chrome_trace_json(&records);
+        let handle = TraceHandle::new();
+        chain(&handle, 1, 0, 1000, 100);
+        let text = chrome_trace_json(&handle.records());
         let doc = json::parse(&text).expect("export must be valid JSON");
         let events = doc
             .get("traceEvents")
@@ -2133,9 +2162,16 @@ mod tests {
                 at(member, t + 2_700, TraceEvent::Apply { seq });
             }
         }
-        assert_eq!(handle.len(), emitted);
+        let records = handle.records();
+        assert_eq!(records.len(), emitted);
         let per_record = ring_bytes(&handle) as f64 / emitted as f64;
         assert!(per_record <= 12.0, "{per_record:.2} B a record");
+        // The snapshot costs the ring's bytes plus its label table (the
+        // labels themselves are shared), not a decoded record each.
+        let heap = records.bytes.capacity() + records.labels.capacity() * size_of::<Arc<str>>();
+        assert!(heap <= ring_bytes(&handle) + records.labels.len() * size_of::<Arc<str>>());
+        let per_record = heap as f64 / emitted as f64;
+        assert!(per_record <= 12.0, "snapshot: {per_record:.2} B a record");
     }
 
     #[test]
@@ -2155,7 +2191,7 @@ mod tests {
             tracer.emit(SimTime::from_nanos(i * 3), || event(i));
         }
         let records = bounded.records();
-        assert_eq!((records.len(), bounded.len()), (cap, cap));
+        assert_eq!((records.len(), records.iter().count()), (cap, cap));
         assert_eq!(bounded.dropped(), n - cap as u64);
         for (rec, i) in records.iter().zip(n - cap as u64..) {
             assert_eq!((rec.t, rec.event), (SimTime::from_nanos(i * 3), event(i)));
@@ -2167,6 +2203,88 @@ mod tests {
             .chunks
             .len();
         assert!(chunks <= 2, "a drained chunk was kept: {chunks} chunks");
+    }
+
+    /// A snapshot's records as `(ns, seq)`, each an `Apply`.
+    fn applied(records: &Records) -> Vec<(u64, u64)> {
+        let seq = |event| match event {
+            TraceEvent::Apply { seq } => seq,
+            other => panic!("unexpected event {other:?}"),
+        };
+        (records.iter())
+            .map(|r| (r.t.as_nanos(), seq(r.event)))
+            .collect()
+    }
+
+    #[test]
+    fn records_emitted_after_a_snapshot_are_not_in_it() {
+        let handle = TraceHandle::new();
+        let tracer = handle.tracer("m0");
+        let apply =
+            |seq: u64| tracer.emit(SimTime::from_nanos(seq * 10), || TraceEvent::Apply { seq });
+        (0..3).for_each(apply);
+        let snapshot = handle.records();
+        (3..5).for_each(apply);
+        assert_eq!(applied(&snapshot), [(0, 0), (10, 1), (20, 2)]);
+        assert_eq!(applied(&snapshot), applied(&snapshot), "walked twice");
+        assert_eq!(snapshot.len(), snapshot.iter().count());
+        let now = handle.records();
+        assert_eq!((now.len(), now.iter().count()), (5, 5));
+    }
+
+    #[test]
+    fn a_bounded_ring_dropping_after_a_snapshot_leaves_it_intact() {
+        let handle = TraceHandle::bounded(4);
+        let tracer = handle.tracer("m0");
+        let apply =
+            |seq: u64| tracer.emit(SimTime::from_nanos(seq * 10), || TraceEvent::Apply { seq });
+        (0..6).for_each(apply);
+        let snapshot = handle.records();
+        // Far past the snapshot: the ring drops every record it held then,
+        // across more than one chunk.
+        (6..20_000).for_each(apply);
+        assert_eq!(handle.dropped(), 20_000 - 4);
+        assert_eq!(applied(&snapshot), [(20, 2), (30, 3), (40, 4), (50, 5)]);
+        assert_eq!(applied(&snapshot), applied(&snapshot), "walked twice");
+        assert_eq!(snapshot.len(), snapshot.iter().count());
+        let tail: Vec<(u64, u64)> = (19_996..20_000).map(|seq| (seq * 10, seq)).collect();
+        assert_eq!(applied(&handle.records()), tail);
+    }
+
+    #[test]
+    fn a_label_that_never_emitted_gets_no_chrome_thread() {
+        // "idle" sorts before "m0": a thread list read off the intern
+        // table would name it and give m0 the second thread.
+        let handle = TraceHandle::new();
+        let _idle = handle.tracer("idle");
+        handle.tracer("m0").emit(t(10), || TraceEvent::FellBack);
+        let text = chrome_trace_json(&handle.records());
+        let doc = json::parse(&text).expect("valid json");
+        let events = doc
+            .get("traceEvents")
+            .and_then(json::Value::as_arr)
+            .expect("array");
+        let on_nodes = |ph: &'static str| {
+            (events.iter())
+                .filter(|e| e.get("pid").and_then(json::Value::as_f64) == Some(1.0))
+                .filter(move |e| e.get("ph").and_then(json::Value::as_str) == Some(ph))
+        };
+        let threads: Vec<(Option<f64>, Option<&str>)> = on_nodes("M")
+            .filter(|e| e.get("name").and_then(json::Value::as_str) == Some("thread_name"))
+            .map(|e| {
+                let name = e.get("args").and_then(|a| a.get("name"));
+                (
+                    e.get("tid").and_then(json::Value::as_f64),
+                    name.and_then(json::Value::as_str),
+                )
+            })
+            .collect();
+        assert_eq!(threads, [(Some(1.0), Some("m0"))]);
+        let tids: Vec<Option<f64>> = on_nodes("i")
+            .map(|e| e.get("tid").and_then(json::Value::as_f64))
+            .collect();
+        assert_eq!(tids, [Some(1.0)]);
+        assert!(!text.contains("idle"), "{text}");
     }
 
     /// Field values at the edges of what the layers emit: zero, one, the
@@ -2214,10 +2332,12 @@ mod tests {
                     model.push_back((t, ["m0", "m1", "switch"][node], event));
                 }
                 let records = handle.records();
-                let decoded: Vec<(SimTime, &str, TraceEvent)> =
-                    records.iter().map(|r| (r.t, &*r.node, r.event)).collect();
-                proptest::prop_assert_eq!(handle.len(), model.len());
-                proptest::prop_assert_eq!(decoded, Vec::from(model));
+                let decoded: Vec<(SimTime, String, TraceEvent)> =
+                    records.iter().map(|r| (r.t, r.node.to_string(), r.event)).collect();
+                let model: Vec<(SimTime, String, TraceEvent)> =
+                    model.into_iter().map(|(t, node, e)| (t, node.to_owned(), e)).collect();
+                proptest::prop_assert_eq!(records.len(), model.len());
+                proptest::prop_assert_eq!(decoded, model);
                 proptest::prop_assert_eq!(handle.dropped(), dropped);
             }
         }

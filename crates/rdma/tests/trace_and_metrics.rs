@@ -168,7 +168,10 @@ fn disabled_tracing_is_behaviourally_invisible() {
         ));
     }
     assert_eq!(outcomes[0], outcomes[1], "tracing must not perturb the run");
-    assert!(!handle.is_empty(), "the traced run did record events");
+    assert!(
+        !handle.records().is_empty(),
+        "the traced run did record events"
+    );
 }
 
 /// Drives the NAK recovery path: a partition swallows one write entirely,

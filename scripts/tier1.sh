@@ -233,6 +233,14 @@ for gone in 'struct BinRecord' 'T_NS_LIMIT' 'fields: [u64; 4]' 'more than 255 di
   fi
 done
 
+echo "==> a trace is read where it lies: a Records snapshot of the ring's bytes, decoded as it is walked"
+# Library code only: everything before a file's first #[cfg(test)].
+held=$(find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { exit } /Vec<TraceRecord>|&\[TraceRecord\]/ { print FILENAME ":" FNR ": " $0 }' {} \;)
+if [ -n "$held" ]; then
+  echo "$held" >&2
+  echo "tier-1: a trace is handed out as netsim::Records and walked; no decoded Vec<TraceRecord> or &[TraceRecord] in library code (EXPERIMENTS E31)" >&2; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
