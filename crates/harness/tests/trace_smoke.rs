@@ -9,7 +9,11 @@
 
 use netsim::{trace::json, SimDuration, TraceHandle, Tracer};
 use p4ce_harness::runner::{PointConfig, System};
-use p4ce_harness::{chaos, observe_point, run_point, run_point_traced, ChaosSpec, Observe};
+use p4ce_harness::shard::fnv1a64;
+use p4ce_harness::{
+    chaos, observe_point, run_failover, run_point, run_point_traced, write_chrome_trace, ChaosSpec,
+    FailoverConfig, Observe,
+};
 use replication::WorkloadSpec;
 
 fn smoke_cfg() -> PointConfig {
@@ -114,4 +118,28 @@ fn tracing_does_not_perturb_chaos_runs() {
     assert!(!records.is_empty(), "chaos run emitted no trace records");
     let text = netsim::chrome_trace_json(&records);
     json::parse(&text).expect("chaos trace must export as valid JSON");
+}
+
+/// FNV-1a digests and lengths of two Chrome exports, recorded before the
+/// ring shared its sealed chunks with snapshots and stored work-request
+/// ids in two varints: how records are held is invisible to every
+/// reader, so a storage change leaves both exports byte for byte.
+#[test]
+fn exports_match_the_recorded_bytes() {
+    let kill = run_failover(&FailoverConfig {
+        seed: 43,
+        observe_for: SimDuration::from_millis(80),
+        ..FailoverConfig::default()
+    });
+    let point = run_point_traced(&smoke_cfg());
+    for (name, records, digest, len) in [
+        ("failover", &kill.records, 0xc14d_0d94_66fe_d685, 8_057_897),
+        ("point", &point.records, 0xeef6_cff6_2093_5df9, 15_961_334),
+    ] {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("trace_smoke_{name}.json"));
+        write_chrome_trace(&path, records).expect("the export is written");
+        let bytes = std::fs::read(&path).expect("the export reads back");
+        assert_eq!((fnv1a64(&bytes), bytes.len()), (digest, len), "{name}");
+    }
 }

@@ -6,14 +6,14 @@
 //! point, the event constructor never runs) or *attached* to a shared
 //! ring of variable-width records. A record costs its content: a kind
 //! byte, the interned node label's id, the time since the previous
-//! record, then exactly the fields the kind names — varints, about ten
+//! record, then exactly the fields the kind names — varints, about nine
 //! bytes for a consensus instance's records. An enabled emit appends
 //! those bytes to a chunk of the ring: no heap allocation but one per
 //! chunk, no string formatting on the hot path. A trace is read where it
-//! lies: a [`Records`] snapshot of the ring's bytes decodes one
-//! [`TraceRecord`] at a time as it is walked. So one ring collects a
-//! causally ordered, cross-layer log of a whole cluster run at near-zero
-//! steady-state cost.
+//! lies: a [`Records`] snapshot shares the ring's full chunks, copies
+//! only the one being written, and decodes one [`TraceRecord`] at a time
+//! as it is walked. So one ring collects a causally ordered, cross-layer
+//! log of a whole cluster run at near-zero steady-state cost.
 //!
 //! The taxonomy follows one consensus instance through the stack:
 //!
@@ -404,7 +404,8 @@ impl TraceEvent {
 const CHUNK_BYTES: usize = 64 << 10;
 
 /// The longest record: the kind byte, then the node id, the time delta
-/// and four fields at up to ten varint bytes each.
+/// and four fields at up to ten varint bytes each (a work-request id's
+/// two varints take ten at most too).
 const RECORD_MAX: usize = 1 + 6 * 10;
 
 /// The record store every tracer of one handle writes to, plus the label
@@ -412,17 +413,21 @@ const RECORD_MAX: usize = 1 + 6 * 10;
 ///
 /// A record is self-delimiting bytes: its kind byte, the node id as a
 /// varint, the time since the previous record as a zigzag varint, then
-/// one varint per field its [`KINDS`] row names. Records go into
-/// fixed-capacity chunks and never straddle one, so a chunk is never
-/// moved or reallocated and an emit allocates only when it opens the
-/// next chunk. A bounded ring reads its oldest record off the front
+/// one varint per field its [`KINDS`] row names (a work-request id as
+/// two, see [`put_field`]). Records go into fixed-capacity chunks and
+/// never straddle one, so a chunk is never moved or reallocated and an
+/// emit allocates only when it opens the next chunk. A full chunk is
+/// sealed: never written again, it is shared with every snapshot that
+/// reads it. A bounded ring reads its oldest record off the front
 /// before it would hold a `cap + 1`th; the next record's delta then
 /// counts from the dropped one's time, and a drained front chunk is
-/// freed.
+/// freed once no snapshot holds it.
 #[derive(Debug, Default)]
 struct Ring {
-    /// The record bytes, oldest first.
-    chunks: VecDeque<Vec<u8>>,
+    /// The full chunks, oldest first.
+    sealed: VecDeque<Arc<Vec<u8>>>,
+    /// The chunk being written, after the sealed ones.
+    open: Vec<u8>,
     /// Offset of the oldest held record in the front chunk.
     head: usize,
     /// The time the oldest held record's delta counts from.
@@ -463,20 +468,19 @@ impl Ring {
         if self.bound == Some(self.len) {
             self.drop_oldest();
         }
-        if self
-            .chunks
-            .back()
-            .is_none_or(|c| c.capacity() - c.len() < RECORD_MAX)
-        {
-            self.chunks.push_back(Vec::with_capacity(CHUNK_BYTES));
+        if self.open.capacity() - self.open.len() < RECORD_MAX {
+            let full = std::mem::replace(&mut self.open, Vec::with_capacity(CHUNK_BYTES));
+            if !full.is_empty() {
+                self.sealed.push_back(Arc::new(full));
+            }
         }
-        let out = self.chunks.back_mut().expect("a chunk with room");
+        let out = &mut self.open;
         let (kind, fields) = event.encode();
         out.push(kind);
         put_varint(out, node);
         put_varint(out, zigzag(t_ns.wrapping_sub(self.last_ns)));
-        for &v in &fields[..KINDS[usize::from(kind)].1.len()] {
-            put_varint(out, v);
+        for (&name, &v) in KINDS[usize::from(kind)].1.iter().zip(&fields) {
+            put_field(out, name, v);
         }
         self.last_ns = t_ns;
         self.len += 1;
@@ -488,22 +492,27 @@ impl Ring {
     /// comes here.
     #[inline(never)]
     fn drop_oldest(&mut self) {
-        if self.head == self.chunks[0].len() {
-            self.chunks.pop_front();
+        if self.sealed.front().is_some_and(|c| self.head == c.len()) {
+            self.sealed.pop_front();
             self.head = 0;
         }
-        (self.base_ns, ..) = read(&self.chunks[0], &mut self.head, self.base_ns);
+        let front = self.sealed.front().map_or(&self.open, |c| &**c);
+        (self.base_ns, ..) = read(front, &mut self.head, self.base_ns);
         self.len -= 1;
         self.dropped += 1;
     }
 }
 
-/// A snapshot of a ring's records: its held bytes in one exact-size copy,
-/// the label table, the time the first delta counts from and the count.
-/// A walk decodes one [`TraceRecord`] at a time, holding no lock.
+/// A snapshot of a ring's records: its sealed chunks, shared, and a copy
+/// of its open one, the label table, the time the first delta counts
+/// from and the count. A walk decodes one [`TraceRecord`] at a time,
+/// holding no lock.
 #[derive(Debug, Default)]
 pub struct Records {
-    bytes: Vec<u8>,
+    /// The held bytes, oldest first; records never straddle a chunk.
+    chunks: Vec<Arc<Vec<u8>>>,
+    /// Offset of the oldest record in the first chunk.
+    head: usize,
     labels: Vec<Arc<str>>,
     base_ns: u64,
     len: usize,
@@ -512,7 +521,7 @@ pub struct Records {
 impl Records {
     /// Decodes the records oldest first, as they are walked.
     pub fn iter(&self) -> RecordsIter<'_> {
-        RecordsIter(self, 0, self.base_ns)
+        RecordsIter(self, 0, self.head, self.base_ns)
     }
 
     /// Number of records in the snapshot.
@@ -535,18 +544,22 @@ impl<'a> IntoIterator for &'a Records {
     }
 }
 
-/// A walk over a [`Records`] snapshot: the next record's byte offset and
-/// the time its delta counts from.
+/// A walk over a [`Records`] snapshot: the next record's chunk and byte
+/// offset, and the time its delta counts from.
 #[derive(Debug, Clone)]
-pub struct RecordsIter<'a>(&'a Records, usize, u64);
+pub struct RecordsIter<'a>(&'a Records, usize, usize, u64);
 
 impl Iterator for RecordsIter<'_> {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
-        let RecordsIter(records, pos, t_ns) = self;
-        let (t, node, event) =
-            (*pos < records.bytes.len()).then(|| read(&records.bytes, pos, *t_ns))?;
+        let RecordsIter(records, chunk, pos, t_ns) = self;
+        let mut bytes = records.chunks.get(*chunk)?;
+        while *pos == bytes.len() {
+            (*chunk, *pos) = (*chunk + 1, 0);
+            bytes = records.chunks.get(*chunk)?;
+        }
+        let (t, node, event) = read(bytes, pos, *t_ns);
         *t_ns = t;
         Some(TraceRecord {
             t: SimTime::from_nanos(t),
@@ -566,8 +579,8 @@ fn read(bytes: &[u8], pos: &mut usize, prev_ns: u64) -> (u64, u64, TraceEvent) {
     // Zigzag: the low bit is the sign.
     let t_ns = prev_ns.wrapping_add((delta >> 1) ^ (delta & 1).wrapping_neg());
     let mut fields = [0; 4];
-    for f in &mut fields[..KINDS[usize::from(kind)].1.len()] {
-        *f = get_varint(bytes, pos);
+    for (f, &name) in fields.iter_mut().zip(KINDS[usize::from(kind)].1) {
+        *f = get_field(bytes, pos, name);
     }
     (t_ns, node, TraceEvent::decode(kind, fields))
 }
@@ -577,6 +590,33 @@ fn read(bytes: &[u8], pos: &mut usize, prev_ns: u64) -> (u64, u64, TraceEvent) {
 fn zigzag(delta: u64) -> u64 {
     (delta << 1) ^ ((delta as i64 >> 63) as u64)
 }
+
+/// Writes field `name`'s value. A work-request id carries its class tag
+/// in its top byte and, for some classes, a peer id in the next: as one
+/// varint every tagged id would cost ten bytes. It goes as two, the top
+/// 16 bits with their bytes swapped (a tag alone is one byte, a tag and
+/// peer two), then the low 48 bits, the sequence, at its own width.
+fn put_field(out: &mut Vec<u8>, name: &str, v: u64) {
+    if name == "wr_id" {
+        put_varint(out, u64::from(((v >> 48) as u16).swap_bytes()));
+        put_varint(out, v & LOW_48);
+    } else {
+        put_varint(out, v);
+    }
+}
+
+/// Reads back what [`put_field`] wrote.
+fn get_field(bytes: &[u8], pos: &mut usize, name: &str) -> u64 {
+    let v = get_varint(bytes, pos);
+    if name == "wr_id" {
+        u64::from((v as u16).swap_bytes()) << 48 | get_varint(bytes, pos)
+    } else {
+        v
+    }
+}
+
+/// The low 48 bits of a work-request id.
+const LOW_48: u64 = (1 << 48) - 1;
 
 /// LEB128: seven bits a byte, low first, the high bit set on all but the
 /// last.
@@ -647,18 +687,18 @@ impl TraceHandle {
         .labeled(label)
     }
 
-    /// A snapshot of the records collected so far, oldest first: a copy
-    /// of the ring's held bytes (records never straddle a chunk), decoded
-    /// as it is walked. Later records and later drops do not touch it.
+    /// A snapshot of the records collected so far, oldest first, decoded
+    /// as it is walked: the ring's sealed chunks, shared, and a copy of
+    /// the open one, so a snapshot owns at most one chunk of bytes
+    /// however much the ring holds. Later records and later drops do not
+    /// touch it.
     pub fn records(&self) -> Records {
         let ring = self.inner.lock().expect("trace ring poisoned");
-        let mut bytes =
-            Vec::with_capacity(ring.chunks.iter().map(Vec::len).sum::<usize>() - ring.head);
-        for (i, chunk) in ring.chunks.iter().enumerate() {
-            bytes.extend_from_slice(&chunk[if i == 0 { ring.head } else { 0 }..]);
-        }
+        let mut chunks: Vec<Arc<Vec<u8>>> = ring.sealed.iter().cloned().collect();
+        chunks.push(Arc::new(ring.open.clone()));
         Records {
-            bytes,
+            chunks,
+            head: ring.head,
             labels: ring.labels.clone(),
             base_ns: ring.base_ns,
             len: ring.len,
@@ -679,7 +719,7 @@ impl TraceHandle {
 /// swap in enabled ones from a [`TraceHandle`].
 ///
 /// An enabled tracer's `emit` appends one record of a few bytes to the
-/// shared ring — as many as its content needs, about ten for a
+/// shared ring — as many as its content needs, about nine for a
 /// consensus instance's records: no heap allocation outside opening the
 /// next chunk, no string formatting, no `Arc` clone — the node label was
 /// interned to an id when the tracer was created.
@@ -2105,14 +2145,16 @@ mod tests {
     /// Bytes the ring's held records occupy.
     fn ring_bytes(handle: &TraceHandle) -> usize {
         let ring = handle.inner.lock().expect("trace ring poisoned");
-        ring.chunks.iter().map(Vec::len).sum::<usize>() - ring.head
+        ring.sealed.iter().map(|c| c.len()).sum::<usize>() + ring.open.len() - ring.head
     }
 
     #[test]
-    fn a_consensus_instance_costs_at_most_twelve_bytes_a_record() {
+    fn a_consensus_instance_costs_at_most_nine_bytes_a_record() {
         // One instance as the module doc follows it through a 3-member
-        // cluster, seq and PSN growing: the fixed-width format this one
-        // replaced spent 40 bytes on each of these records.
+        // cluster, seq and PSN growing, its work-request ids tagged the
+        // way replication tags a switch write (`WR_SWITCH | seq`). They
+        // cost 8.5 B a record, 9.6 B with each id one varint; the
+        // fixed-width format before that spent 40 bytes on each.
         let handle = TraceHandle::new();
         let [leader, switch, r1, r2] = ["m0", "switch", "m1", "m2"].map(|l| handle.tracer(l));
         let mut emitted = 0;
@@ -2124,18 +2166,19 @@ mod tests {
         for seq in 1..=20_000u64 {
             let t = 1_000_000 + seq * 2_000;
             let psn = (0xfe_0000 + seq) & PSN_MASK;
+            let wr_id = 2 << 56 | seq;
             at(&leader, t, TraceEvent::Propose { view, seq });
             let bound = TraceEvent::PostBound {
                 view,
                 seq,
                 qpn,
-                wr_id: seq,
+                wr_id,
             };
             at(&leader, t + 40, bound);
-            at(&leader, t + 60, TraceEvent::WqePost { qpn, wr_id: seq });
+            at(&leader, t + 60, TraceEvent::WqePost { qpn, wr_id });
             let wire = TraceEvent::WireTx {
                 qpn,
-                wr_id: seq,
+                wr_id,
                 psn,
                 npkts: 1,
             };
@@ -2162,16 +2205,67 @@ mod tests {
                 at(member, t + 2_700, TraceEvent::Apply { seq });
             }
         }
-        let records = handle.records();
-        assert_eq!(records.len(), emitted);
+        assert_eq!(handle.records().len(), emitted);
         let per_record = ring_bytes(&handle) as f64 / emitted as f64;
-        assert!(per_record <= 12.0, "{per_record:.2} B a record");
-        // The snapshot costs the ring's bytes plus its label table (the
-        // labels themselves are shared), not a decoded record each.
-        let heap = records.bytes.capacity() + records.labels.capacity() * size_of::<Arc<str>>();
-        assert!(heap <= ring_bytes(&handle) + records.labels.len() * size_of::<Arc<str>>());
-        let per_record = heap as f64 / emitted as f64;
-        assert!(per_record <= 12.0, "snapshot: {per_record:.2} B a record");
+        assert!(per_record <= 9.0, "{per_record:.2} B a record");
+    }
+
+    #[test]
+    fn a_snapshot_owns_only_its_open_chunk() {
+        let handle = TraceHandle::new();
+        let tracer = handle.tracer("m0");
+        let n = 200_000;
+        for seq in 0..n {
+            tracer.emit(SimTime::from_nanos(seq * 100), || TraceEvent::Apply { seq });
+        }
+        let records = handle.records();
+        assert_eq!(records.len() as u64, n);
+        // The bytes the snapshot holds that the ring does not: the copy of
+        // the open chunk and a pointer a chunk. The labels themselves are
+        // shared; the table of them is the snapshot's.
+        let (open, sealed) = records.chunks.split_last().expect("the open chunk's copy");
+        let own = open.capacity() + records.chunks.capacity() * size_of::<Arc<Vec<u8>>>();
+        let labels = records.labels.capacity() * size_of::<Arc<str>>();
+        assert!(own <= CHUNK_BYTES + labels, "{own} B of its own");
+        let ring = handle.inner.lock().expect("trace ring poisoned");
+        assert!(
+            ring.sealed.len() >= 16,
+            "{} sealed chunks",
+            ring.sealed.len()
+        );
+        assert_eq!(sealed.len(), ring.sealed.len());
+        for (shared, chunk) in sealed.iter().zip(&ring.sealed) {
+            assert!(Arc::ptr_eq(shared, chunk));
+            assert_eq!(Arc::strong_count(chunk), 2);
+        }
+        drop(records);
+        assert!(ring.sealed.iter().all(|c| Arc::strong_count(c) == 1));
+    }
+
+    #[test]
+    fn a_bounded_ring_frees_what_it_dropped_when_the_last_snapshot_goes() {
+        let cap = 50_000;
+        let handle = TraceHandle::bounded(cap);
+        let tracer = handle.tracer("m0");
+        let apply =
+            |seq: u64| tracer.emit(SimTime::from_nanos(seq * 10), || TraceEvent::Apply { seq });
+        (0..cap as u64).for_each(apply);
+        let snapshot = handle.records();
+        let before = applied(&snapshot);
+        assert_eq!(before.len(), cap);
+        let held: Vec<_> = snapshot.chunks.iter().map(Arc::downgrade).collect();
+        assert!(held.len() > 2, "{} chunks", held.len());
+        // Twice the ring again: every record the snapshot holds is dropped.
+        (cap as u64..3 * cap as u64).for_each(apply);
+        assert_eq!(handle.dropped(), 2 * cap as u64);
+        assert_eq!(applied(&snapshot), before, "the snapshot reads what it did");
+        // The ring let go of every chunk; the snapshot alone holds them.
+        assert!(held.iter().all(|h| h.strong_count() == 1));
+        drop(snapshot);
+        assert!(
+            held.iter().all(|h| h.strong_count() == 0),
+            "freed with the snapshot"
+        );
     }
 
     #[test]
@@ -2196,13 +2290,16 @@ mod tests {
         for (rec, i) in records.iter().zip(n - cap as u64..) {
             assert_eq!((rec.t, rec.event), (SimTime::from_nanos(i * 3), event(i)));
         }
-        let chunks = bounded
+        let sealed = bounded
             .inner
             .lock()
             .expect("trace ring poisoned")
-            .chunks
+            .sealed
             .len();
-        assert!(chunks <= 2, "a drained chunk was kept: {chunks} chunks");
+        assert!(
+            sealed <= 1,
+            "a drained chunk was kept: {sealed} sealed chunks"
+        );
     }
 
     /// A snapshot's records as `(ns, seq)`, each an `Apply`.
@@ -2288,9 +2385,22 @@ mod tests {
     }
 
     /// Field values at the edges of what the layers emit: zero, one, the
-    /// PSN space's last value and the `u64` maximum (a view change to no
-    /// leader). A nonzero `quorum` or `timeout` field decodes as `true`.
-    const EDGES: [u64; 4] = [0, 1, PSN_MASK, u64::MAX];
+    /// PSN space's last value, the `u64` maximum (a view change to no
+    /// leader), and work-request ids as replication tags them, a class in
+    /// the top byte: a heartbeat's peer, a switch write's sequence, a
+    /// direct write's peer byte above a 48-bit sequence, and the widest
+    /// sequence under a tag. A nonzero `quorum` or `timeout` field
+    /// decodes as `true`.
+    const EDGES: [u64; 8] = [
+        0,
+        1,
+        PSN_MASK,
+        u64::MAX,
+        1 << 56 | 2,
+        2 << 56 | 0x1_2345,
+        3 << 56 | 0xff << 48 | PSN_MASK,
+        4 << 56 | LOW_48,
+    ];
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
@@ -2301,7 +2411,7 @@ mod tests {
         #[test]
         fn the_one_format_decodes_what_was_emitted(
             stream in proptest::collection::vec(
-                (0u8..19, 0usize..4, 0usize..4, 0usize..4, 0usize..4, 0usize..3, 0usize..6),
+                (0u8..19, 0usize..8, 0usize..8, 0usize..8, 0usize..8, 0usize..3, 0usize..6),
                 0..300,
             ),
             cap in 1usize..65,

@@ -241,6 +241,17 @@ if [ -n "$held" ]; then
   echo "tier-1: a trace is handed out as netsim::Records and walked; no decoded Vec<TraceRecord> or &[TraceRecord] in library code (EXPERIMENTS E31)" >&2; exit 1
 fi
 
+echo "==> a snapshot shares what is sealed: records() copies the open chunk only"
+# Library code only: everything before the file's first #[cfg(test)].
+lib=$(awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/netsim/src/trace.rs)
+if grep -F 'bytes: Vec<u8>' <<<"$lib"; then
+  echo "tier-1: a Records snapshot holds the ring's chunks, shared, not one whole-ring bytes: Vec<u8> (EXPERIMENTS E32)" >&2; exit 1
+fi
+records=$(sed -n '/^    pub fn records(&self) -> Records {$/,/^    }$/p' crates/netsim/src/trace.rs)
+[ -n "$records" ] \
+  && ! grep -E 'extend_from_slice|\.to_vec\(\)|\.clone\(\)' <<<"$records" | grep -vE 'ring\.(open|labels)\.clone\(\)' \
+  || { echo "tier-1: TraceHandle::records shares each sealed chunk by reference count and copies only the open one (EXPERIMENTS E32)" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
