@@ -492,6 +492,7 @@ pub fn observe_sharded_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, prop_assert, prop_assert_eq};
 
     #[test]
     fn ring_is_total_and_stable() {
@@ -556,16 +557,26 @@ mod tests {
         );
     }
 
-    #[test]
-    fn command_round_trips_with_padding() {
-        let cmd = ShardKvCommand {
-            key: 0xdead_beef,
-            group: 3,
-            counter: 41,
-        };
-        let wire = cmd.encode(64);
-        assert_eq!(wire.len(), 64);
-        assert_eq!(ShardKvCommand::decode(&wire), Some(cmd));
-        assert_eq!(ShardKvCommand::decode(&wire[..10]), None);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any command round-trips at any value size, zero-padded to it; a
+        /// cut header decodes to nothing; and `decode` never panics on
+        /// arbitrary bytes, reading a command from any 18 or more.
+        #[test]
+        fn command_round_trips_with_padding(
+            (key, group, counter) in (any::<u64>(), any::<u16>(), any::<u64>()),
+            value_size in 0usize..256,
+            junk in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let cmd = ShardKvCommand { key, group, counter };
+            let wire = cmd.encode(value_size);
+            prop_assert_eq!(wire.len(), value_size.max(SHARD_CMD_LEN));
+            prop_assert!(wire[SHARD_CMD_LEN..].iter().all(|&b| b == 0));
+            prop_assert_eq!(ShardKvCommand::decode(&wire), Some(cmd));
+            prop_assert_eq!(ShardKvCommand::decode(&wire[..SHARD_CMD_LEN - 1]), None);
+            let decoded = ShardKvCommand::decode(&junk);
+            prop_assert_eq!(decoded.is_some(), junk.len() >= SHARD_CMD_LEN);
+        }
     }
 }

@@ -66,150 +66,208 @@ impl RetransmitKind {
     }
 }
 
-/// One traced occurrence. All identifiers are plain integers so the
-/// simulator core stays independent of the RDMA/consensus crates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
+/// Declares the trace kinds, one row each in kind-byte order: the
+/// variant and its doc, its export name, then its fields. A field is its
+/// doc, its name (`as "…"` where its export name differs), its type and
+/// its [`Codec`]. Generates [`TraceEvent`], `KINDS` and the two
+/// conversions between an event and its kind byte and field values.
+macro_rules! trace_kinds {
+    (@export $field:ident) => { stringify!($field) };
+    (@export $field:ident $export:literal) => { $export };
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident $name:literal $({$(
+            $(#[$fdoc:meta])*
+            $field:ident $(as $export:literal)?: $ty:ty => $codec:ident,
+        )*})?,
+    )*) => {
+        /// One traced occurrence. All identifiers are plain integers so the
+        /// simulator core stays independent of the RDMA/consensus crates.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $($(#[$doc])* $kind $({$($(#[$fdoc])* $field: $ty,)*})?,)*
+        }
+
+        /// The kind bytes: a row's position in the table.
+        enum Kind {
+            $($kind,)*
+        }
+
+        /// Each kind's export name and its fields' export names and
+        /// codecs, indexed by kind byte: a record carries exactly the
+        /// fields its row names, in this order.
+        const KINDS: &[(&str, &[(&str, Codec)])] = &[$(
+            ($name, &[$($((trace_kinds!(@export $field $($export)?), Codec::$codec),)*)?]),
+        )*];
+
+        impl TraceEvent {
+            /// The event's kind byte and its field values in row order.
+            #[inline]
+            fn encode(&self) -> (u8, [u64; 4]) {
+                match *self {$(
+                    Self::$kind $({$($field,)*})? => {
+                        let v = [$($(Field::to_u64($field),)*)? 0, 0, 0, 0];
+                        (Kind::$kind as u8, [v[0], v[1], v[2], v[3]])
+                    }
+                )*}
+            }
+
+            /// Rebuilds the event from its kind byte and field values, taking
+            /// them in row order (inverse of [`TraceEvent::encode`]).
+            fn decode(kind: u8, values: impl IntoIterator<Item = u64>) -> TraceEvent {
+                let mut values = values.into_iter();
+                match kind {
+                    $(k if k == Kind::$kind as u8 => {
+                        Self::$kind $({$($field: Field::from_u64(values.next().unwrap_or(0)),)*})?
+                    })*
+                    other => unreachable!("unknown trace kind byte {other}"),
+                }
+            }
+        }
+    };
+}
+
+trace_kinds! {
     // -- consensus layer (members) -------------------------------------
     /// A leader accepted a value for consensus instance `(view, seq)`.
-    Propose {
+    Propose "propose" {
         /// View the proposing leader is operating in.
-        view: u64,
+        view: u64 => Varint,
         /// Log sequence number of the instance.
-        seq: u64,
+        seq: u64 => Varint,
     },
     /// The instance was bound to a work request on a queue pair.
-    PostBound {
+    PostBound "post_bound" {
         /// View of the instance.
-        view: u64,
+        view: u64 => Varint,
         /// Sequence number of the instance.
-        seq: u64,
+        seq: u64 => Varint,
         /// Local queue-pair number the write was posted on.
-        qpn: u64,
+        qpn: u64 => Varint,
         /// Work-request id carrying the instance.
-        wr_id: u64,
+        wr_id: u64 => WrId,
     },
     /// The instance was decided (`f` acknowledgements reached the leader).
-    Decide {
+    Decide "decide" {
         /// View of the instance.
-        view: u64,
+        view: u64 => Varint,
         /// Sequence number of the instance.
-        seq: u64,
+        seq: u64 => Varint,
     },
     /// A member applied a decided entry to its state machine.
-    Apply {
+    Apply "apply" {
         /// Sequence number of the applied entry.
-        seq: u64,
+        seq: u64 => Varint,
     },
     /// A member moved to a new view.
-    ViewChange {
+    ViewChange "view_change" {
         /// The new view number.
-        view: u64,
+        view: u64 => Varint,
         /// The believed leader of the new view (`u64::MAX` when none).
-        leader: u64,
+        leader: u64 => Varint,
     },
     /// A P4CE leader fell back from the in-network path to direct writes.
-    FellBack,
+    FellBack "fell_back",
     /// The switch group for the accelerated path became operational.
-    GroupEstablished,
+    GroupEstablished "group_established",
     // -- RDMA host layer ----------------------------------------------
     /// A work-queue element was posted to the send queue.
-    WqePost {
+    WqePost "wqe_post" {
         /// Local queue-pair number.
-        qpn: u64,
+        qpn: u64 => Varint,
         /// Work-request id.
-        wr_id: u64,
+        wr_id: u64 => WrId,
     },
     /// The NIC staged a message's packets onto the wire.
-    WireTx {
+    WireTx "wire_tx" {
         /// Local queue-pair number.
-        qpn: u64,
+        qpn: u64 => Varint,
         /// Work-request id of the message.
-        wr_id: u64,
+        wr_id: u64 => WrId,
         /// PSN of the message's first packet.
-        psn: u64,
+        psn: u64 => Varint,
         /// Number of packets the message was segmented into.
-        npkts: u64,
+        npkts: u64 => Varint,
     },
     /// The responder NIC generated a positive acknowledgement.
-    AckTx {
+    AckTx "ack_tx" {
         /// Local queue-pair number of the responder.
-        qpn: u64,
+        qpn: u64 => Varint,
         /// PSN being acknowledged.
-        psn: u64,
+        psn: u64 => Varint,
     },
     /// A requester NIC received a positive acknowledgement.
-    AckRx {
+    AckRx "ack_rx" {
         /// Local queue-pair number.
-        qpn: u64,
+        qpn: u64 => Varint,
         /// Acknowledged PSN.
-        psn: u64,
+        psn: u64 => Varint,
         /// Credits carried in the AETH field.
-        credits: u64,
+        credits: u64 => Varint,
     },
     /// The responder NIC generated a negative acknowledgement.
-    NakTx {
+    NakTx "nak_tx" {
         /// Local queue-pair number of the responder.
-        qpn: u64,
+        qpn: u64 => Varint,
         /// Expected PSN reported in the NAK.
-        psn: u64,
+        psn: u64 => Varint,
     },
     /// A requester NIC received a negative acknowledgement.
-    NakRx {
+    NakRx "nak_rx" {
         /// Local queue-pair number.
-        qpn: u64,
+        qpn: u64 => Varint,
         /// NAKed PSN.
-        psn: u64,
+        psn: u64 => Varint,
     },
     /// A requester retransmitted in-flight packets.
-    Retransmit {
+    Retransmit "retransmit" {
         /// Local queue-pair number.
-        qpn: u64,
+        qpn: u64 => Varint,
         /// What triggered the retransmission.
-        kind: RetransmitKind,
+        kind as "timeout": RetransmitKind => Varint,
         /// How many packets went out again.
-        packets: u64,
+        packets: u64 => Varint,
     },
     // -- switch pipeline -----------------------------------------------
     /// The switch ingress accepted a leader write for scatter.
-    Scatter {
+    Scatter "scatter" {
         /// Leader-space PSN of the packet.
-        psn: u64,
+        psn: u64 => Varint,
         /// Distance from the group's leader start PSN (≈ packet index).
-        dist: u64,
+        dist: u64 => Varint,
     },
     /// The switch egress rewrote one scatter copy for a replica.
-    ScatterCopy {
+    ScatterCopy "scatter_copy" {
         /// Leader-space PSN of the packet.
-        psn: u64,
+        psn: u64 => Varint,
         /// Replica id (egress `rid`) the copy went to.
-        rid: u64,
+        rid: u64 => Varint,
     },
     /// The switch gather absorbed or forwarded one replica ACK.
-    GatherAck {
+    GatherAck "gather_ack" {
         /// Leader-space PSN the ACK maps back to.
-        psn: u64,
+        psn: u64 => Varint,
         /// Gather endpoint index the ACK arrived on.
-        endpoint: u64,
+        endpoint: u64 => Varint,
         /// Distinct replicas seen for this PSN after this ACK.
-        distinct: u64,
+        distinct: u64 => Varint,
         /// `true` when this ACK completed the quorum and was forwarded.
-        quorum: bool,
+        quorum: bool => Varint,
     },
     /// The gather's credit fold clamped the forwarded credits below the
     /// triggering ACK's own value.
-    CreditClamp {
+    CreditClamp "credit_clamp" {
         /// Leader-space PSN of the forwarded ACK.
-        psn: u64,
+        psn: u64 => Varint,
         /// The folded (minimum) credit value actually forwarded.
-        folded: u64,
+        folded: u64 => Varint,
         /// The credit value the triggering ACK itself carried.
-        carried: u64,
+        carried: u64 => Varint,
     },
     /// The switch passed a replica NAK through to the leader.
-    NakForward {
+    NakForward "nak_forward" {
         /// Leader-space PSN the NAK maps back to.
-        psn: u64,
+        psn: u64 => Varint,
     },
 }
 
@@ -228,31 +286,88 @@ pub struct TraceRecord {
 // Record format
 // ----------------------------------------------------------------------
 
-/// Each trace kind's export name and field names, indexed by its kind
-/// byte — the `TraceEvent` variant's declaration order. `encode` writes
-/// a kind's fields in this order and `decode` reads them back; a record
-/// in the ring carries exactly as many fields as its row names.
-const KINDS: [(&str, &[&str]); 19] = [
-    ("propose", &["view", "seq"]),
-    ("post_bound", &["view", "seq", "qpn", "wr_id"]),
-    ("decide", &["view", "seq"]),
-    ("apply", &["seq"]),
-    ("view_change", &["view", "leader"]),
-    ("fell_back", &[]),
-    ("group_established", &[]),
-    ("wqe_post", &["qpn", "wr_id"]),
-    ("wire_tx", &["qpn", "wr_id", "psn", "npkts"]),
-    ("ack_tx", &["qpn", "psn"]),
-    ("ack_rx", &["qpn", "psn", "credits"]),
-    ("nak_tx", &["qpn", "psn"]),
-    ("nak_rx", &["qpn", "psn"]),
-    ("retransmit", &["qpn", "timeout", "packets"]),
-    ("scatter", &["psn", "dist"]),
-    ("scatter_copy", &["psn", "rid"]),
-    ("gather_ack", &["psn", "endpoint", "distinct", "quorum"]),
-    ("credit_clamp", &["psn", "folded", "carried"]),
-    ("nak_forward", &["psn"]),
-];
+// A kind byte names at most 256 kinds, and a record carries at most the
+// four fields `RECORD_MAX` and `TraceEvent::encode`'s array hold.
+const _: () = {
+    assert!(KINDS.len() <= 256, "a kind byte names 256 kinds");
+    let mut i = 0;
+    while i < KINDS.len() {
+        assert!(KINDS[i].1.len() <= 4, "a record has four fields");
+        i += 1;
+    }
+};
+
+/// How a field's value is written into a record.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Codec {
+    /// One varint.
+    Varint,
+    /// A work-request id carries its class tag in its top byte and, for
+    /// some classes, a peer id in the next: as one varint every tagged id
+    /// would cost ten bytes. It goes as two, the top 16 bits with their
+    /// bytes swapped (a tag alone is one byte, a tag and peer two), then
+    /// the low 48 bits, the sequence, at its own width.
+    WrId,
+}
+
+impl Codec {
+    fn put(self, out: &mut Vec<u8>, v: u64) {
+        match self {
+            Codec::Varint => put_varint(out, v),
+            Codec::WrId => {
+                put_varint(out, u64::from(((v >> 48) as u16).swap_bytes()));
+                put_varint(out, v & LOW_48);
+            }
+        }
+    }
+
+    /// Reads back what [`Codec::put`] wrote.
+    fn get(self, bytes: &[u8], pos: &mut usize) -> u64 {
+        let v = get_varint(bytes, pos);
+        match self {
+            Codec::Varint => v,
+            Codec::WrId => u64::from((v as u16).swap_bytes()) << 48 | get_varint(bytes, pos),
+        }
+    }
+}
+
+/// A field type's value as the `u64` a record carries.
+trait Field {
+    fn to_u64(self) -> u64;
+    fn from_u64(v: u64) -> Self;
+}
+
+impl Field for u64 {
+    fn to_u64(self) -> u64 {
+        self
+    }
+    fn from_u64(v: u64) -> Self {
+        v
+    }
+}
+
+impl Field for bool {
+    fn to_u64(self) -> u64 {
+        u64::from(self)
+    }
+    fn from_u64(v: u64) -> Self {
+        v != 0
+    }
+}
+
+/// A timeout is 1, a NAK 0.
+impl Field for RetransmitKind {
+    fn to_u64(self) -> u64 {
+        u64::from(self == RetransmitKind::Timeout)
+    }
+    fn from_u64(v: u64) -> Self {
+        if v != 0 {
+            RetransmitKind::Timeout
+        } else {
+            RetransmitKind::Nak
+        }
+    }
+}
 
 impl TraceEvent {
     /// Short name of the event kind, used in exports.
@@ -263,140 +378,8 @@ impl TraceEvent {
     /// The event's fields as `(name, value)` pairs, for exports.
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
         let (kind, values) = self.encode();
-        let names = KINDS[usize::from(kind)].1;
-        names.iter().copied().zip(values).collect()
-    }
-
-    /// Collapses the event to its binary form.
-    #[inline]
-    fn encode(&self) -> (u8, [u64; 4]) {
-        match *self {
-            TraceEvent::Propose { view, seq } => (0, [view, seq, 0, 0]),
-            TraceEvent::PostBound {
-                view,
-                seq,
-                qpn,
-                wr_id,
-            } => (1, [view, seq, qpn, wr_id]),
-            TraceEvent::Decide { view, seq } => (2, [view, seq, 0, 0]),
-            TraceEvent::Apply { seq } => (3, [seq, 0, 0, 0]),
-            TraceEvent::ViewChange { view, leader } => (4, [view, leader, 0, 0]),
-            TraceEvent::FellBack => (5, [0; 4]),
-            TraceEvent::GroupEstablished => (6, [0; 4]),
-            TraceEvent::WqePost { qpn, wr_id } => (7, [qpn, wr_id, 0, 0]),
-            TraceEvent::WireTx {
-                qpn,
-                wr_id,
-                psn,
-                npkts,
-            } => (8, [qpn, wr_id, psn, npkts]),
-            TraceEvent::AckTx { qpn, psn } => (9, [qpn, psn, 0, 0]),
-            TraceEvent::AckRx { qpn, psn, credits } => (10, [qpn, psn, credits, 0]),
-            TraceEvent::NakTx { qpn, psn } => (11, [qpn, psn, 0, 0]),
-            TraceEvent::NakRx { qpn, psn } => (12, [qpn, psn, 0, 0]),
-            TraceEvent::Retransmit { qpn, kind, packets } => (
-                13,
-                [qpn, u64::from(kind == RetransmitKind::Timeout), packets, 0],
-            ),
-            TraceEvent::Scatter { psn, dist } => (14, [psn, dist, 0, 0]),
-            TraceEvent::ScatterCopy { psn, rid } => (15, [psn, rid, 0, 0]),
-            TraceEvent::GatherAck {
-                psn,
-                endpoint,
-                distinct,
-                quorum,
-            } => (16, [psn, endpoint, distinct, u64::from(quorum)]),
-            TraceEvent::CreditClamp {
-                psn,
-                folded,
-                carried,
-            } => (17, [psn, folded, carried, 0]),
-            TraceEvent::NakForward { psn } => (18, [psn, 0, 0, 0]),
-        }
-    }
-
-    /// Rebuilds the event from its binary form (inverse of [`encode`]).
-    fn decode(kind: u8, f: [u64; 4]) -> TraceEvent {
-        match kind {
-            0 => TraceEvent::Propose {
-                view: f[0],
-                seq: f[1],
-            },
-            1 => TraceEvent::PostBound {
-                view: f[0],
-                seq: f[1],
-                qpn: f[2],
-                wr_id: f[3],
-            },
-            2 => TraceEvent::Decide {
-                view: f[0],
-                seq: f[1],
-            },
-            3 => TraceEvent::Apply { seq: f[0] },
-            4 => TraceEvent::ViewChange {
-                view: f[0],
-                leader: f[1],
-            },
-            5 => TraceEvent::FellBack,
-            6 => TraceEvent::GroupEstablished,
-            7 => TraceEvent::WqePost {
-                qpn: f[0],
-                wr_id: f[1],
-            },
-            8 => TraceEvent::WireTx {
-                qpn: f[0],
-                wr_id: f[1],
-                psn: f[2],
-                npkts: f[3],
-            },
-            9 => TraceEvent::AckTx {
-                qpn: f[0],
-                psn: f[1],
-            },
-            10 => TraceEvent::AckRx {
-                qpn: f[0],
-                psn: f[1],
-                credits: f[2],
-            },
-            11 => TraceEvent::NakTx {
-                qpn: f[0],
-                psn: f[1],
-            },
-            12 => TraceEvent::NakRx {
-                qpn: f[0],
-                psn: f[1],
-            },
-            13 => TraceEvent::Retransmit {
-                qpn: f[0],
-                kind: if f[1] != 0 {
-                    RetransmitKind::Timeout
-                } else {
-                    RetransmitKind::Nak
-                },
-                packets: f[2],
-            },
-            14 => TraceEvent::Scatter {
-                psn: f[0],
-                dist: f[1],
-            },
-            15 => TraceEvent::ScatterCopy {
-                psn: f[0],
-                rid: f[1],
-            },
-            16 => TraceEvent::GatherAck {
-                psn: f[0],
-                endpoint: f[1],
-                distinct: f[2],
-                quorum: f[3] != 0,
-            },
-            17 => TraceEvent::CreditClamp {
-                psn: f[0],
-                folded: f[1],
-                carried: f[2],
-            },
-            18 => TraceEvent::NakForward { psn: f[0] },
-            other => unreachable!("unknown trace kind byte {other}"),
-        }
+        let names = KINDS[usize::from(kind)].1.iter().map(|&(name, _)| name);
+        names.zip(values).collect()
     }
 }
 
@@ -413,8 +396,8 @@ const RECORD_MAX: usize = 1 + 6 * 10;
 ///
 /// A record is self-delimiting bytes: its kind byte, the node id as a
 /// varint, the time since the previous record as a zigzag varint, then
-/// one varint per field its [`KINDS`] row names (a work-request id as
-/// two, see [`put_field`]). Records go into fixed-capacity chunks and
+/// each field its [`KINDS`] row names in the row's [`Codec`] (one varint,
+/// a work-request id two). Records go into fixed-capacity chunks and
 /// never straddle one, so a chunk is never moved or reallocated and an
 /// emit allocates only when it opens the next chunk. A full chunk is
 /// sealed: never written again, it is shared with every snapshot that
@@ -445,13 +428,6 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(bound: Option<usize>) -> Self {
-        Ring {
-            bound: bound.map(|cap| cap.max(1)),
-            ..Ring::default()
-        }
-    }
-
     fn intern(&mut self, label: &str) -> u64 {
         let id = match self.labels.iter().position(|l| l.as_ref() == label) {
             Some(id) => id,
@@ -479,8 +455,8 @@ impl Ring {
         out.push(kind);
         put_varint(out, node);
         put_varint(out, zigzag(t_ns.wrapping_sub(self.last_ns)));
-        for (&name, &v) in KINDS[usize::from(kind)].1.iter().zip(&fields) {
-            put_field(out, name, v);
+        for (&(_, codec), &v) in KINDS[usize::from(kind)].1.iter().zip(&fields) {
+            codec.put(out, v);
         }
         self.last_ns = t_ns;
         self.len += 1;
@@ -578,41 +554,16 @@ fn read(bytes: &[u8], pos: &mut usize, prev_ns: u64) -> (u64, u64, TraceEvent) {
     let delta = get_varint(bytes, pos);
     // Zigzag: the low bit is the sign.
     let t_ns = prev_ns.wrapping_add((delta >> 1) ^ (delta & 1).wrapping_neg());
-    let mut fields = [0; 4];
-    for (f, &name) in fields.iter_mut().zip(KINDS[usize::from(kind)].1) {
-        *f = get_field(bytes, pos, name);
-    }
-    (t_ns, node, TraceEvent::decode(kind, fields))
+    // Each field is read as `decode` takes it.
+    let row = KINDS[usize::from(kind)].1;
+    let values = row.iter().map(|&(_, codec)| codec.get(bytes, pos));
+    (t_ns, node, TraceEvent::decode(kind, values))
 }
 
 /// A wrapping time delta as a zigzag integer: small steps either way are
 /// small numbers.
 fn zigzag(delta: u64) -> u64 {
     (delta << 1) ^ ((delta as i64 >> 63) as u64)
-}
-
-/// Writes field `name`'s value. A work-request id carries its class tag
-/// in its top byte and, for some classes, a peer id in the next: as one
-/// varint every tagged id would cost ten bytes. It goes as two, the top
-/// 16 bits with their bytes swapped (a tag alone is one byte, a tag and
-/// peer two), then the low 48 bits, the sequence, at its own width.
-fn put_field(out: &mut Vec<u8>, name: &str, v: u64) {
-    if name == "wr_id" {
-        put_varint(out, u64::from(((v >> 48) as u16).swap_bytes()));
-        put_varint(out, v & LOW_48);
-    } else {
-        put_varint(out, v);
-    }
-}
-
-/// Reads back what [`put_field`] wrote.
-fn get_field(bytes: &[u8], pos: &mut usize, name: &str) -> u64 {
-    let v = get_varint(bytes, pos);
-    if name == "wr_id" {
-        u64::from((v as u16).swap_bytes()) << 48 | get_varint(bytes, pos)
-    } else {
-        v
-    }
 }
 
 /// The low 48 bits of a work-request id.
@@ -650,17 +601,9 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
 /// time); [`TraceHandle::bounded`] caps the ring at a fixed
 /// record count and deterministically drops the *oldest* record
 /// once full, counting each drop in [`TraceHandle::dropped`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceHandle {
     inner: Arc<Mutex<Ring>>,
-}
-
-impl Default for TraceHandle {
-    fn default() -> Self {
-        TraceHandle {
-            inner: Arc::new(Mutex::new(Ring::new(None))),
-        }
-    }
 }
 
 impl TraceHandle {
@@ -674,7 +617,10 @@ impl TraceHandle {
     /// counts the drops.
     pub fn bounded(cap: usize) -> Self {
         TraceHandle {
-            inner: Arc::new(Mutex::new(Ring::new(Some(cap)))),
+            inner: Arc::new(Mutex::new(Ring {
+                bound: Some(cap.max(1)),
+                ..Ring::default()
+            })),
         }
     }
 
@@ -839,6 +785,11 @@ fn first_at_or_after<T: Copy>(list: &[(SimTime, T)], not_before: SimTime) -> Opt
     list.iter().copied().find(|&(t, _)| t >= not_before)
 }
 
+/// Sorts each of `lists` by time.
+fn by_time<K, T>(lists: &mut HashMap<K, Vec<(SimTime, T)>>) {
+    lists.values_mut().for_each(|l| l.sort_by_key(|&(t, _)| t));
+}
+
 /// Stitches raw records into per-instance spans, keyed by `(view, seq)`.
 ///
 /// The correlation chain is: `Propose`/`PostBound` give `(qpn, wr_id)`;
@@ -928,18 +879,10 @@ pub fn assemble_spans(records: &Records) -> Vec<InstanceSpan> {
             _ => {}
         }
     }
-    for list in wire_tx.values_mut() {
-        list.sort_by_key(|&(t, _)| t);
-    }
-    for list in scatter.values_mut() {
-        list.sort_by_key(|&(t, _)| t);
-    }
-    for list in gather.values_mut() {
-        list.sort_by_key(|&(t, _)| t);
-    }
-    for list in ack_rx.values_mut() {
-        list.sort_by_key(|&(t, _)| t);
-    }
+    by_time(&mut wire_tx);
+    by_time(&mut scatter);
+    by_time(&mut gather);
+    by_time(&mut ack_rx);
 
     let mut spans = Vec::with_capacity(instances.len());
     for ((view, seq), p) in instances {
@@ -1430,12 +1373,8 @@ pub mod json {
         }
 
         fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
+            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+                self.pos += 1;
             }
         }
 
@@ -2411,7 +2350,7 @@ mod tests {
         #[test]
         fn the_one_format_decodes_what_was_emitted(
             stream in proptest::collection::vec(
-                (0u8..19, 0usize..8, 0usize..8, 0usize..8, 0usize..8, 0usize..3, 0usize..6),
+                (0..KINDS.len(), 0usize..8, 0usize..8, 0usize..8, 0usize..8, 0usize..3, 0usize..6),
                 0..300,
             ),
             cap in 1usize..65,
@@ -2423,7 +2362,7 @@ mod tests {
                 let mut dropped = 0;
                 let mut t_ns = 5_000u64;
                 for &(kind, a, b, c, d, node, step) in &stream {
-                    let event = TraceEvent::decode(kind, [a, b, c, d].map(|i| EDGES[i]));
+                    let event = TraceEvent::decode(kind as u8, [a, b, c, d].map(|i| EDGES[i]));
                     // Equal, forward, backward, 2⁵⁰ ahead, zero, 2⁶² back.
                     t_ns = match step {
                         0 => t_ns,
@@ -2454,7 +2393,8 @@ mod tests {
     }
 
     /// One sample per variant, in kind-byte order, with the export name
-    /// and field names it carries: `KINDS` must agree with every variant.
+    /// and field names it carries: `KINDS` must agree with every variant,
+    /// and a work-request id, only it, goes in two varints.
     #[test]
     fn kinds_table_names_every_variant() {
         use TraceEvent as E;
@@ -2546,7 +2486,12 @@ mod tests {
         for (i, (event, name, fields)) in samples.into_iter().enumerate() {
             let (kind, values) = event.encode();
             assert_eq!(usize::from(kind), i, "{name}: kind byte");
-            assert_eq!(KINDS[i], (name, fields));
+            assert_eq!(KINDS[i].0, name);
+            let names: Vec<&str> = KINDS[i].1.iter().map(|&(n, _)| n).collect();
+            assert_eq!(names, fields, "{name}: field names");
+            for &(field, codec) in KINDS[i].1 {
+                assert_eq!(codec == Codec::WrId, field == "wr_id", "{name}.{field}");
+            }
             assert_eq!(event.kind(), name);
             let exported: Vec<(&str, u64)> = fields.iter().copied().zip(values).collect();
             assert_eq!(event.fields(), exported, "{name}: fields");
