@@ -10,9 +10,9 @@
 //! links, and verifies:
 //!
 //! * **safety** — the model checker's whole single-group oracle suite
-//!   ([`crate::explore::oracle::check_all`]: single writer, unique
-//!   leader, agreement, prefix consistency, exactly-once apply) after
-//!   every proposal tick, at the heal and at the end,
+//!   ([`crate::explore::oracle::check_all`]: single writer, agreement,
+//!   exactly-once apply) after every proposal tick, at the heal and at
+//!   the end,
 //! * **liveness** — callers assert `decided_final > decided_at_heal`,
 //! * **determinism** — the run is a pure function of the [`ChaosSpec`]:
 //!   rerunning the same spec reproduces the [`ChaosReport`] exactly.
@@ -138,9 +138,11 @@ impl ChaosSpec {
     ///
     /// # Errors
     ///
-    /// Reports a wrong kind, a missing/unparseable field, a cluster
-    /// [`System::check_shape`] refuses, a partitioned member that is the
-    /// steady-state leader or not a member at all, and a spec that cannot
+    /// Reports a wrong kind, a key [`ChaosSpec::to_repro`] does not
+    /// write, a missing/unparseable field (only `system` may be left
+    /// out: P4CE), a cluster [`System::check_shape`] refuses, a
+    /// partitioned member that is the steady-state leader or not a
+    /// member at all, and a spec that cannot
     /// run: a probability outside `[0, 1]`, a window beyond 1 s of
     /// virtual time, a zero `propose_every` or one so short that the
     /// client would tick more than 10⁵ times, or a partition that does
@@ -149,6 +151,7 @@ impl ChaosSpec {
         if r.kind != "chaos" {
             return Err(format!("not a chaos reproducer: kind={}", r.kind));
         }
+        r.check_keys(&ChaosSpec::seeded(0, 3).to_repro(System::P4ce, 3))?;
         let system = r.get("system").map_or(Ok(System::P4ce), str::parse)?;
         let ns = |key: &str| -> Result<SimDuration, String> {
             let d = SimDuration::from_nanos(r.parse::<u64>(key)?);

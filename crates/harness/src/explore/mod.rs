@@ -229,68 +229,37 @@ impl ExploreSpec {
         r
     }
 
-    /// Parses a reproducer back into a scenario and schedule.
+    /// Parses a reproducer back into a scenario and schedule. It reads
+    /// exactly the keys [`ExploreSpec::to_repro`] writes.
     ///
     /// # Errors
     ///
-    /// Reports a wrong `kind`, missing/malformed fields, and a scenario
-    /// [`ExploreSpec::check`] refuses.
+    /// Reports a wrong `kind`, a key `to_repro` does not write, a
+    /// missing/malformed field, and a scenario [`ExploreSpec::check`]
+    /// refuses.
     pub fn from_repro(r: &Repro) -> Result<(ExploreSpec, BTreeMap<u32, u32>), String> {
         if r.kind != "explore" {
             return Err(format!("expected kind=explore, got {}", r.kind));
         }
-        let system = r.parse("system")?;
-        let partition_leader_at = match r.get("partition_leader_at") {
-            None | Some("-") => None,
-            Some(s) => Some(s.parse().map_err(|_| format!("bad partition step {s}"))?),
+        r.check_keys(&ExploreSpec::p4ce(3).to_repro(&BTreeMap::new()))?;
+        // `-` is "none" for the two optional fields.
+        let unless_dash = |key: &str| -> Result<Option<String>, String> {
+            let raw: String = r.parse(key)?;
+            Ok((raw != "-").then_some(raw))
         };
-        // Multi-group fields postdate the format; old reproducers mean a
-        // single classic group.
-        let groups = match r.get("groups") {
-            None => 1,
-            Some(s) => s.parse().map_err(|_| format!("bad groups {s}"))?,
-        };
-        // Reproducers written before bugs were planted on the simulation
-        // carry one boolean per bug instead of `planted`.
-        let legacy = [
-            ("skip_epoch_revoke", Planted::SkipEpochRevoke),
-            ("crosswire_groups", Planted::CrosswireGroups),
-        ];
-        let planted = match r.get("planted") {
-            Some(_) if legacy.iter().any(|&(key, _)| r.get(key).is_some()) => {
-                return Err("planted= and a legacy mutation key in one reproducer".to_owned())
-            }
-            Some("-") => None,
-            Some(name) => Some(
-                MUTATIONS
-                    .iter()
-                    .find(|m| m.name == name)
-                    .ok_or_else(|| format!("unknown planted bug {name}"))?
-                    .bug,
-            ),
-            // The older format always wrote the first of them.
-            None if r.get("skip_epoch_revoke").is_none() => {
-                return Err("missing key planted".to_owned())
-            }
-            None => {
-                let mut planted = None;
-                for (key, bug) in legacy {
-                    if r.get(key).is_some()
-                        && r.parse::<bool>(key)?
-                        && planted.replace(bug).is_some()
-                    {
-                        return Err(
-                            "a run carries one planted bug; the reproducer arms two".to_owned()
-                        );
-                    }
-                }
-                planted
-            }
-        };
+        let partition_leader_at = unless_dash("partition_leader_at")?
+            .map(|s| s.parse().map_err(|_| format!("bad partition step {s}")))
+            .transpose()?;
+        let planted = unless_dash("planted")?
+            .map(|name| match MUTATIONS.iter().find(|m| m.name == name) {
+                Some(m) => Ok(m.bug),
+                None => Err(format!("unknown planted bug {name}")),
+            })
+            .transpose()?;
         let spec = ExploreSpec {
-            system,
+            system: r.parse("system")?,
             n_members: r.parse("members")?,
-            groups,
+            groups: r.parse("groups")?,
             seed: r.parse("seed")?,
             p4ce_enabled: r.parse("p4ce_enabled")?,
             planted,
@@ -299,7 +268,7 @@ impl ExploreSpec {
             horizon: r.parse("horizon")?,
         };
         spec.check()?;
-        let decisions = decode_decisions(r.get("decisions").unwrap_or("-"))?;
+        let decisions = decode_decisions(&r.parse::<String>("decisions")?)?;
         Ok((spec, decisions))
     }
 }
@@ -741,18 +710,16 @@ pub fn replay(repro: &Repro, tracer: &Tracer) -> Result<ScheduleOutcome, String>
 mod tests {
     use super::*;
 
-    /// What `p4ce-explore mutation-check` printed before bugs were
-    /// planted on the simulation: one boolean per bug.
-    const LEGACY_REPRO: &str = "\
+    /// A shrunk `skip-epoch-revoke` reproducer, as `to_repro` writes it.
+    const PLANTED_REPRO: &str = "\
 # p4ce reproducer v1
 kind=explore
 system=p4ce
 members=3
 groups=1
-crosswire_groups=false
 seed=42
 p4ce_enabled=false
-skip_epoch_revoke=true
+planted=skip-epoch-revoke
 partition_leader_at=40
 propose_every=0
 horizon=896
@@ -869,55 +836,61 @@ decisions=-
             ExploreSpec::p4ce(3).to_repro(&decisions).get("planted"),
             Some("-")
         );
-
-        // Reproducers predating multi-group fields parse as one classic
-        // group.
-        let text = ExploreSpec::p4ce(3).to_repro(&BTreeMap::new()).encode();
-        let (spec, _) = decode(&text.replace("groups=1\n", "")).expect("parse legacy");
-        assert_eq!(spec.groups, 1);
     }
 
     #[test]
-    fn legacy_reproducers_replay_as_planted_ones() {
-        let planted_form = LEGACY_REPRO
-            .replace("crosswire_groups=false\n", "")
-            .replace("skip_epoch_revoke=true", "planted=skip-epoch-revoke");
-        let legacy = decode(LEGACY_REPRO).expect("legacy decodes");
-        assert_eq!(decode(&planted_form), Ok(legacy.clone()));
-        // What is written back is only the planted form.
-        assert_eq!(legacy.0.to_repro(&legacy.1).encode(), planted_form);
-
-        let replayed = |text: &str| {
-            let outcome = replay(&Repro::decode(text).expect("decode"), &Tracer::disabled());
-            outcome.expect("replay").violation.expect("violation")
+    fn a_planted_reproducer_replays_its_violation() {
+        let decoded = decode(PLANTED_REPRO).expect("decodes");
+        let spec = ExploreSpec {
+            horizon: 896,
+            ..ExploreSpec::mutation(Planted::SkipEpochRevoke, 3)
         };
-        let v = replayed(LEGACY_REPRO);
+        assert_eq!(decoded, (spec, BTreeMap::new()));
+        assert_eq!(decoded.0.to_repro(&decoded.1).encode(), PLANTED_REPRO);
+
+        let repro = Repro::decode(PLANTED_REPRO).expect("decode");
+        let outcome = replay(&repro, &Tracer::disabled()).expect("replay");
+        let v = outcome.violation.expect("violation");
         assert_eq!((v.oracle, v.step), (OracleKind::SingleWriter, 895));
-        assert_eq!(replayed(&planted_form), v);
+    }
 
-        // Older still: written before deployments had groups, so neither
-        // `groups` nor `crosswire_groups` is there — one classic group.
-        let single_group = LEGACY_REPRO
-            .replace("groups=1\n", "")
-            .replace("crosswire_groups=false\n", "");
-        let (spec, decisions) = decode(&single_group).expect("pre-multi-group decodes");
-        assert_eq!(spec.groups, 1);
-        assert_eq!(spec.planted, Some(Planted::SkipEpochRevoke));
-        assert_eq!((spec, decisions), legacy);
-        assert_eq!(replayed(&single_group), v);
-
-        for bad in [
-            // Both legacy keys armed: a run carries one bug.
-            LEGACY_REPRO.replace("crosswire_groups=false", "crosswire_groups=true"),
-            // A legacy key beside `planted`, whatever either says.
-            LEGACY_REPRO.replace("seed=42", "seed=42\nplanted=-"),
-            planted_form.replace("seed=42", "seed=42\ncrosswire_groups=false"),
-            // An unknown bug.
-            planted_form.replace("skip-epoch-revoke", "skip-epoch"),
-            // Neither form.
-            planted_form.replace("planted=skip-epoch-revoke\n", ""),
+    #[test]
+    fn a_key_the_writer_does_not_write_is_refused_by_name() {
+        let explore = |text: &str| decode(text).map(drop);
+        let chaos = |text: &str| {
+            crate::ChaosSpec::from_repro(&Repro::decode(text).expect("lines")).map(drop)
+        };
+        let seeded = crate::ChaosSpec::seeded(7, 3)
+            .to_repro(System::P4ce, 3)
+            .encode();
+        let planted = "planted=skip-epoch-revoke";
+        for (key, decoded) in [
+            // The boolean-per-bug format, alone or beside `planted`.
+            (
+                "skip_epoch_revoke",
+                explore(&PLANTED_REPRO.replace(planted, "skip_epoch_revoke=true")),
+            ),
+            (
+                "crosswire_groups",
+                explore(&format!("{PLANTED_REPRO}crosswire_groups=false\n")),
+            ),
+            // What `to_repro` writes is what `from_repro` needs.
+            ("groups", explore(&PLANTED_REPRO.replace("groups=1\n", ""))),
+            ("planted", explore(&PLANTED_REPRO.replace(planted, ""))),
+            // A mistyped key, in place of the real one or beside it.
+            (
+                "partition_leader",
+                explore(&PLANTED_REPRO.replace("partition_leader_at=", "partition_leader=")),
+            ),
+            (
+                "partition_leader",
+                explore(&format!("{PLANTED_REPRO}partition_leader=40\n")),
+            ),
+            ("los", chaos(&seeded.replace("\nloss=", "\nlos="))),
+            ("los", chaos(&format!("{seeded}los=0.5\n"))),
         ] {
-            assert!(decode(&bad).is_err(), "must not decode:\n{bad}");
+            let e = decoded.expect_err(key);
+            assert!(e.contains(key), "{key}: {e}");
         }
     }
 

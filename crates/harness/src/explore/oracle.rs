@@ -25,10 +25,8 @@ use crate::chaos::ChaosRecorder;
 pub enum OracleKind {
     /// Members agree on decided payloads (common-prefix equality).
     Agreement,
-    /// Members agree on decided sequence numbers (common-prefix
-    /// equality).
-    PrefixConsistency,
-    /// Each member applies entries exactly once, in order, gap-free.
+    /// Each member applies entries exactly once, in order, gap-free —
+    /// seqs `0..n`, so any two members' seq prefixes agree as well.
     ExactlyOnce,
     /// Only the current epoch's leader may hold write permission on a
     /// member's log region, and a fenced log (no epoch leader) grants
@@ -50,7 +48,6 @@ impl OracleKind {
     pub fn name(self) -> &'static str {
         match self {
             OracleKind::Agreement => "agreement",
-            OracleKind::PrefixConsistency => "prefix-consistency",
             OracleKind::ExactlyOnce => "exactly-once",
             OracleKind::SingleWriter => "single-writer",
             OracleKind::GroupIsolation => "group-isolation",
@@ -160,9 +157,6 @@ pub fn check_all(probes: &[MemberProbe], step: u32) -> Option<Violation> {
     if let Some(d) = agreement(probes) {
         return fire(OracleKind::Agreement, d);
     }
-    if let Some(d) = prefix_consistency(probes) {
-        return fire(OracleKind::PrefixConsistency, d);
-    }
     if let Some(d) = exactly_once(probes) {
         return fire(OracleKind::ExactlyOnce, d);
     }
@@ -236,24 +230,6 @@ fn agreement(probes: &[MemberProbe]) -> Option<String> {
                 return Some(format!(
                     "members {a} and {b} disagree on decided payloads within \
                      their common prefix ({n} entries)"
-                ));
-            }
-        }
-    }
-    None
-}
-
-fn prefix_consistency(probes: &[MemberProbe]) -> Option<String> {
-    for a in 0..probes.len() {
-        for b in (a + 1)..probes.len() {
-            let n = probes[a]
-                .applied_seqs
-                .len()
-                .min(probes[b].applied_seqs.len());
-            if probes[a].applied_seqs[..n] != probes[b].applied_seqs[..n] {
-                return Some(format!(
-                    "members {a} and {b} disagree on decided sequence numbers \
-                     within their common prefix ({n} entries)"
                 ));
             }
         }
@@ -335,16 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn diverging_seqs_trip_prefix_consistency() {
-        let mut probes = [probe(0), probe(1)];
-        probes[1].applied_seqs[2] = 9;
-        // Payload prefixes still match, so agreement stays quiet and the
-        // seq-level oracle reports.
-        let v = check_all(&probes, 0).expect("must fire");
-        assert_eq!(v.oracle, OracleKind::PrefixConsistency);
-    }
-
-    #[test]
     fn gap_or_replay_trips_exactly_once() {
         let mut probes = [probe(0)];
         probes[0].applied_seqs = vec![0, 2];
@@ -356,6 +322,12 @@ mod tests {
         probes[0].applied_seqs = vec![0, 1];
         probes[0].applied_payloads = vec![b"a".to_vec(), b"b".to_vec()];
         probes[0].next_apply_seq = 5;
+        let v = check_all(&probes, 0).expect("must fire");
+        assert_eq!(v.oracle, OracleKind::ExactlyOnce);
+
+        // Two members whose seqs diverge while their payloads agree.
+        let mut probes = [probe(0), probe(1)];
+        probes[1].applied_seqs[2] = 9;
         let v = check_all(&probes, 0).expect("must fire");
         assert_eq!(v.oracle, OracleKind::ExactlyOnce);
     }
@@ -408,5 +380,35 @@ mod tests {
         probes[1].applied_payloads[1] = [&tag[..], b"X"].concat();
         let v = check_group(&probes, 0, 2).expect("must fire");
         assert_eq!(v.oracle, OracleKind::Agreement);
+    }
+
+    proptest::proptest! {
+        /// Two members whose common seq prefixes differ never pass the
+        /// suite: exactly-once demands seqs `0..n` of every member. The
+        /// payloads agree position by position and every grant is the
+        /// epoch leader's, so exactly-once is the oracle that says so.
+        #[test]
+        fn diverging_seq_prefixes_trip_exactly_once(
+            seqs in proptest::collection::vec(proptest::collection::vec(0u64..4, 0..5), 2..5),
+        ) {
+            let probes: Vec<MemberProbe> = (seqs.iter().enumerate())
+                .map(|(i, s)| MemberProbe {
+                    applied_seqs: s.clone(),
+                    applied_payloads: (0..s.len() as u8).map(|k| vec![k]).collect(),
+                    next_apply_seq: s.len() as u64,
+                    ..probe(i as u8)
+                })
+                .collect();
+            let differ = |a: &[u64], b: &[u64]| {
+                let n = a.len().min(b.len());
+                a[..n] != b[..n]
+            };
+            let diverging = (0..seqs.len())
+                .any(|a| (a + 1..seqs.len()).any(|b| differ(&seqs[a], &seqs[b])));
+            if diverging {
+                let fired = check_all(&probes, 0).map(|v| v.oracle);
+                proptest::prop_assert_eq!(fired, Some(OracleKind::ExactlyOnce));
+            }
+        }
     }
 }

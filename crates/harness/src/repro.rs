@@ -67,6 +67,20 @@ impl Repro {
             .map_err(|_| format!("bad value for {key}: {raw}"))
     }
 
+    /// Refuses a key `written` does not carry: a reader takes only the
+    /// keys its writer writes, so a mistyped key is an error, not a
+    /// default.
+    ///
+    /// # Errors
+    ///
+    /// Names the first such key.
+    pub fn check_keys(&self, written: &Repro) -> Result<(), String> {
+        match self.fields.iter().find(|(k, _)| written.get(k).is_none()) {
+            Some((k, _)) => Err(format!("unknown key {k}")),
+            None => Ok(()),
+        }
+    }
+
     /// Serializes to the line-oriented text format.
     pub fn encode(&self) -> String {
         let mut out = String::from("# p4ce reproducer v1\n");

@@ -125,6 +125,10 @@ done <<'ROWS'
 ==> a trace kind is said once: one trace_kinds! row declares its variant, export name, fields and their codecs
 # Its library part is checked below.
 1 | -rn | crates/*/src | pub enum TraceEvent | 'pub enum TraceEvent' is spelled exactly once under crates/*/src, inside the trace_kinds! macro (EXPERIMENTS E33)
+
+==> the model checker keeps one of each: one oracle per safety clause, one reproducer format
+# The reproducer half is a library-part check below.
+0 | -rn | crates/*/src | PrefixConsistency | fn prefix_consistency | '{}' is gone; exactly-once (seqs 0..n at every member) implies that any two seq prefixes agree (EXPERIMENTS E34)
 ROWS
 
 echo "==> what a row cannot say: a path that is gone, a count at most one, a function or type body, a file's library part"
@@ -162,11 +166,13 @@ done
 [ ! -e crates/netsim/src/timeseries.rs ] || { echo "tier-1: crates/netsim/src/timeseries.rs is gone; Timeline and its exports live in netsim::trace" >&2; exit 1; }
 [ "$(sed -n '/^fn kill_and_attribute(/,/^}$/p' crates/harness/src/failover.rs | grep -c '\.records()')" -eq 1 ] \
   || { echo "tier-1: kill_and_attribute reads the trace once, after the run (handle.records()); a second read is a second recording" >&2; exit 1; }
-# a planted bug is a fault the simulation carries:
-# the legacy reproducer keys live on only as quoted strings in ExploreSpec::from_repro.
-legacy_all=$(find crates/*/src -name '*.rs' -exec sed '/^#\[cfg(test)\]/,$d' {} \; | grep -c 'skip_epoch_revoke\|crosswire_groups')
-legacy_quoted=$(sed -n '/pub fn from_repro(/,/^    }$/p' crates/harness/src/explore/mod.rs | grep -c '"skip_epoch_revoke"\|"crosswire_groups"')
-[ "$legacy_all" -eq "$legacy_quoted" ] || { echo "tier-1: skip_epoch_revoke / crosswire_groups appear outside ExploreSpec::from_repro's legacy-key strings" >&2; exit 1; }
+# a planted bug is a fault the simulation carries, and a reproducer has one format:
+# the boolean-per-bug keys appear in no library code (tests may spell them to see them refused).
+legacy=$(find crates/*/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { exit } /skip_epoch_revoke|crosswire_groups/ { print FILENAME ":" FNR ": " $0 }' {} \;)
+if [ -n "$legacy" ]; then
+  echo "$legacy" >&2
+  echo "tier-1: skip_epoch_revoke / crosswire_groups appear in no library code; a reproducer names its bug with planted=NAME, and from_repro refuses a key to_repro does not write (EXPERIMENTS E34)" >&2; exit 1
+fi
 # counters are read where they are kept
 [ ! -e crates/netsim/src/metrics.rs ] || { echo "tier-1: crates/netsim/src/metrics.rs is gone; HostStats, SwitchStats, P4ceSwitchStats/GroupStats and MemberStats are the counter pipe" >&2; exit 1; }
 # one home for every random draw

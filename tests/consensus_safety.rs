@@ -6,26 +6,12 @@
 
 use bytes::Bytes;
 use netsim::{FaultPlan, PortId, SimDuration, SimTime};
-use p4ce::{ClusterBuilder, StateMachine};
+use p4ce::ClusterBuilder;
 use p4ce_harness::explore::oracle::{check_all, probe_members};
 use p4ce_harness::ChaosRecorder;
 use proptest::prelude::*;
 use rdma::Host;
 use replication::{Deployment, Fabric, Member, MemberEvent, WorkloadSpec};
-
-/// Records everything it applies.
-#[derive(Default)]
-struct Recorder {
-    seqs: Vec<u64>,
-    payloads: Vec<Vec<u8>>,
-}
-
-impl StateMachine for Recorder {
-    fn apply(&mut self, seq: u64, payload: &[u8]) {
-        self.seqs.push(seq);
-        self.payloads.push(payload.to_vec());
-    }
-}
 
 fn run_cluster_with_commands(
     n_members: usize,
@@ -34,7 +20,7 @@ fn run_cluster_with_commands(
     let mut d = ClusterBuilder::new(n_members).build();
     for i in 0..n_members {
         d.member_mut(i)
-            .set_state_machine(Box::new(Recorder::default()));
+            .set_state_machine(Box::new(ChaosRecorder::default()));
     }
     d.sim.run_until(SimTime::from_millis(60));
     assert!(d.leader().is_accelerated(), "setup must accelerate");
@@ -51,7 +37,7 @@ fn run_cluster_with_commands(
             let rec = d
                 .member(i)
                 .state_machine()
-                .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<Recorder>())
+                .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
                 .expect("recorder installed");
             (rec.seqs.clone(), rec.payloads.clone())
         })
