@@ -877,6 +877,11 @@ decisions=-
             // What `to_repro` writes is what `from_repro` needs.
             ("groups", explore(&PLANTED_REPRO.replace("groups=1\n", ""))),
             ("planted", explore(&PLANTED_REPRO.replace(planted, ""))),
+            // A bug name `MUTATIONS` does not know.
+            (
+                "skip-epoch",
+                explore(&PLANTED_REPRO.replace("skip-epoch-revoke", "skip-epoch")),
+            ),
             // A mistyped key, in place of the real one or beside it.
             (
                 "partition_leader",
