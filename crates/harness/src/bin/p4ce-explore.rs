@@ -172,7 +172,7 @@ fn parse(argv: &[String]) -> Result<Options, String> {
             "--horizon" => o.spec.horizon = number(word, words.next())?,
             "--propose-every" => o.spec.propose_every = number(word, words.next())?,
             "--plain-fabric" => o.spec.p4ce_enabled = false,
-            "--partition-at" => o.spec.partition_leader_at = Some(number(word, words.next())?),
+            "--partition-at" => o.spec.faults = explore::leader_cut_at(number(word, words.next())?),
             "--schedules" => o.schedules = number(word, words.next())?,
             "--deadline-secs" => {
                 o.deadline = Some(Duration::from_secs(number(word, words.next())?))
@@ -535,23 +535,42 @@ mod tests {
 
     #[test]
     fn a_chaos_reproducer_that_cannot_run_is_a_usage_error() {
-        let good = p4ce_harness::ChaosSpec::seeded(7, 3).to_repro(System::P4ce, 3);
-        let max = u64::MAX.to_string();
-        for (key, value) in [
-            ("jitter_ns", max.as_str()),
-            ("storm_ns", max.as_str()),
-            ("propose_every_ns", "0"),
+        use netsim::SimDuration;
+        use p4ce_harness::ChaosSpec;
+        let seeded = ChaosSpec::seeded(7, 3);
+        let forever = SimDuration::from_nanos(u64::MAX);
+        for (what, spec) in [
+            (
+                "jitter",
+                ChaosSpec {
+                    jitter: forever,
+                    ..seeded
+                },
+            ),
+            (
+                "storm",
+                ChaosSpec {
+                    storm: forever,
+                    ..seeded
+                },
+            ),
+            (
+                "propose_every",
+                ChaosSpec {
+                    propose_every: SimDuration::ZERO,
+                    ..seeded
+                },
+            ),
         ] {
-            let mut repro = good.clone();
-            repro.set(key, value);
+            let repro = spec.on(System::P4ce, 3).to_repro();
             let path = std::env::temp_dir().join(format!(
-                "p4ce-explore-refused-{key}-{}.repro",
+                "p4ce-explore-refused-{what}-{}.repro",
                 std::process::id()
             ));
             std::fs::write(&path, repro.encode()).expect("write the reproducer");
             let code = run_replay(path.to_str().expect("utf-8 path"), None);
             std::fs::remove_file(&path).expect("remove the reproducer");
-            assert_eq!(code, ExitCode::from(2), "{key}={value}");
+            assert_eq!(code, ExitCode::from(2), "{what}");
         }
     }
 

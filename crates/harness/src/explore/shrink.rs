@@ -9,10 +9,11 @@
 //!
 //! 1. **Horizon truncation** — cut the schedule right after the
 //!    violating step; everything later is noise by definition.
-//! 2. **Fault-plan pruning** — drop the injected partition if the
-//!    violation survives without it.
-//!    The planted bug is never dropped: it is what the reproducer
-//!    reproduces.
+//! 2. **Fault pruning** — drop a fault, calm a storm or halve a hold
+//!    ([`crate::faults::FaultSchedule::smaller`], the chaos shrinker's
+//!    pass too) while the violation survives; a fault the final horizon
+//!    never reaches is dropped at the end. The planted bug is never
+//!    dropped: it is what the reproducer reproduces.
 //! 3. **Decision delta-debugging** — drop each non-FIFO decision
 //!    (missing decisions mean FIFO, so dropping is always well-formed)
 //!    and keep the drop if the violation survives.
@@ -27,6 +28,7 @@ use std::collections::BTreeMap;
 
 use super::oracle::Violation;
 use super::{run_schedule, ExploreSpec};
+use crate::faults::FaultSchedule;
 
 /// A reduced counterexample, plus how much work reduction took.
 #[derive(Debug, Clone)]
@@ -55,14 +57,16 @@ pub fn shrink(spec: &ExploreSpec, decisions: &BTreeMap<u32, u32>) -> Option<Shru
     let mut violation = run(&spec, &decisions)?;
     spec.horizon = violation.step + 1;
 
-    if spec.partition_leader_at.is_some() {
-        let mut candidate = spec.clone();
-        candidate.partition_leader_at = None;
-        if let Some(v) = run(&candidate, &decisions) {
-            candidate.horizon = v.step + 1;
-            spec = candidate;
-            violation = v;
-        }
+    while let Some((faults, v)) = (spec.faults.smaller().into_iter()).find_map(|faults| {
+        let candidate = ExploreSpec {
+            faults,
+            ..spec.clone()
+        };
+        run(&candidate, &decisions).map(|v| (candidate.faults, v))
+    }) {
+        spec.faults = faults;
+        spec.horizon = v.step + 1;
+        violation = v;
     }
 
     // Delta-debug the decision vector to fixpoint. Each successful drop
@@ -84,6 +88,10 @@ pub fn shrink(spec: &ExploreSpec, decisions: &BTreeMap<u32, u32>) -> Option<Shru
         }
     }
 
+    // A fault the shorter horizon never reaches is no part of the run.
+    let reached = spec.faults.entries().iter().copied();
+    let horizon = u64::from(spec.horizon);
+    spec.faults = FaultSchedule::new(reached.filter(|&(at, _)| at < horizon).collect());
     Some(Shrunk {
         spec,
         decisions,
@@ -106,7 +114,7 @@ mod tests {
             seed: 42,
             p4ce_enabled: true,
             planted: None,
-            partition_leader_at: None,
+            faults: FaultSchedule::default(),
             propose_every: 0,
             horizon: 10,
         };

@@ -23,22 +23,25 @@
 //! Each scenario kind has one run entry, which takes what to observe as
 //! an argument and is the same run whatever it is asked to watch:
 //!
-//! | kind | entry | observed through |
-//! |---|---|---|
-//! | measured point | [`observe_point`] | [`Observe`] (each layer's own stats as [`Layers`], trace handle) |
-//! | sharded point | [`observe_sharded_point`] | [`Observe`] |
-//! | chaos storm | [`chaos::run`] (+ [`chaos::replay`], [`chaos::run_checked`]) | `&Tracer` |
-//! | explored schedule | [`explore::run_schedule`] (+ [`explore::replay`]) | `&Tracer` |
-//! | leader kill | [`try_failover`] (+ [`run_failover`], which panics on an unserved kill) | the outcome's timeline and records |
+//! | kind | entry | faults, one [`FaultSchedule`] in the driver's clock | observed through |
+//! |---|---|---|---|
+//! | measured point | [`observe_point`] | none | [`Observe`] (each layer's own stats as [`Layers`], trace handle) |
+//! | sharded point | [`observe_sharded_point`] | none | [`Observe`] |
+//! | chaos run | [`chaos::run`] of a [`ChaosRun`] (+ [`chaos::replay`], [`chaos::run_checked`]) | `ChaosRun::faults`, ns after steady state ([`ChaosSpec::faults`] draws one) | `&Tracer` |
+//! | explored schedule | [`explore::run_schedule`] (+ [`explore::replay`]) | `ExploreSpec::faults`, explored steps | `&Tracer` |
+//! | leader kill | [`try_failover`] (+ [`run_failover`], which panics on an unserved kill) | [`FailoverConfig::faults`], ns after steady state | the outcome's timeline and records |
+//! | Table IV row | [`experiments::table4_failover::run`] | one entry at steady state | the member's events |
 //!
 //! Under the entries there is one shape: a `Simulation` plus groups of
 //! member nodes, `groups[group][member]`. An entry builds its deployment
 //! (`replication::Deployment`, one group; `p4ce::ShardedDeployment`,
 //! several behind one switch), destructures it on the spot and calls a
 //! driver that takes `(sim, groups)` and the comm type — one
-//! schedule runner, one kill loop, one storm, and under them one
-//! wait-for-steady-state and one propose-to-the-leader. A scenario is
-//! written once for both deployment types.
+//! schedule runner, one kill loop, one chaos client, and under them one
+//! wait-for-steady-state, one propose-to-the-leader and one
+//! [`Faults`], the only code that crashes a node or plans a link. Both
+//! reproducer kinds write the same [`repro::Header`], faults included. A
+//! scenario is written once for both deployment types.
 //!
 //! [`sweep`] runs any of the point kinds over a config list on a worker
 //! pool. [`run_point`], [`run_point_traced`], [`run_sharded_point`] and
@@ -52,6 +55,7 @@ pub mod chaos;
 pub mod experiments;
 pub mod explore;
 pub mod failover;
+pub mod faults;
 mod groups;
 pub mod report;
 pub mod repro;
@@ -59,12 +63,13 @@ pub mod runner;
 pub mod shard;
 pub mod tracing;
 
-pub use chaos::{ChaosRecorder, ChaosReport, ChaosSpec};
+pub use chaos::{ChaosRecorder, ChaosReport, ChaosRun, ChaosSpec};
 pub use explore::{Budget, ExploreReport, ExploreSpec, ExploreStatus};
 pub use failover::{
     run_failover, try_failover, FailoverBudget, FailoverConfig, FailoverOutcome, FailoverPhase,
     ThroughputDip, FAILOVER_PHASES,
 };
+pub use faults::{Fault, FaultSchedule, Faults, Storm};
 pub use groups::Layers;
 pub use report::{to_markdown, truncation_warning, TableRow};
 pub use repro::Repro;

@@ -2,16 +2,21 @@
 //!
 //! Both the model checker ([`crate::explore`]) and the chaos harness
 //! ([`crate::chaos`]) reduce a failing run to a handful of scalars; this
-//! module is the shared container and its line-oriented `key=value` text
-//! format. The format is deliberately trivial — no external parser, no
-//! versioned schema, greppable in CI logs — because a reproducer's whole
-//! job is to survive being copy-pasted out of a failure report:
+//! module is the shared container, its line-oriented `key=value` text
+//! format, and the [`Header`] both kinds write first. The format is
+//! deliberately trivial — no external parser, no versioned schema,
+//! greppable in CI logs — because a reproducer's whole job is to survive
+//! being copy-pasted out of a failure report:
 //!
 //! ```text
 //! # p4ce reproducer v1
 //! kind=explore
 //! system=p4ce
+//! members=3
+//! groups=1
 //! seed=42
+//! p4ce_enabled=true
+//! faults=40 partition member=0 hold_ns=1000000000
 //! decisions=3:1,17:2
 //! ```
 //!
@@ -20,6 +25,65 @@
 //! readable.
 
 use std::fmt::Display;
+
+use crate::faults::FaultSchedule;
+use crate::runner::System;
+
+/// What both reproducer kinds write first, in this order: the deployment
+/// and the faults it takes (the `faults=` line, in the driver's clock).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Header {
+    /// System under test.
+    pub system: System,
+    /// Members per group.
+    pub members: usize,
+    /// Consensus groups behind the switch.
+    pub groups: u16,
+    /// Simulation seed.
+    pub seed: u64,
+    /// P4CE only: whether the fabric runs the P4CE program.
+    pub p4ce_enabled: bool,
+    /// The faults, as [`FaultSchedule::encode`] writes them.
+    pub faults: FaultSchedule,
+}
+
+impl Header {
+    /// A `kind` reproducer holding the header; the kind's own keys follow.
+    pub fn to_repro(&self, kind: &str) -> Repro {
+        let mut r = Repro::new(kind);
+        r.set("system", self.system.name());
+        r.set("members", self.members);
+        r.set("groups", self.groups);
+        r.set("seed", self.seed);
+        r.set("p4ce_enabled", self.p4ce_enabled);
+        r.set("faults", self.faults.encode());
+        r
+    }
+
+    /// Reads the header of `r`, a reproducer of `written`'s kind that may
+    /// hold only the keys `written` holds.
+    ///
+    /// # Errors
+    ///
+    /// Reports a wrong kind, an unknown key, a missing or malformed
+    /// header key, and a deployment [`System::check_shape`] refuses.
+    pub fn from_repro(r: &Repro, written: &Repro) -> Result<Header, String> {
+        if r.kind != written.kind {
+            return Err(format!("expected kind={}, got {}", written.kind, r.kind));
+        }
+        r.check_keys(written)?;
+        let h = Header {
+            system: r.parse("system")?,
+            members: r.parse("members")?,
+            groups: r.parse("groups")?,
+            seed: r.parse("seed")?,
+            p4ce_enabled: r.parse("p4ce_enabled")?,
+            faults: FaultSchedule::decode(&r.parse::<String>("faults")?)?,
+        };
+        h.system.check_shape(h.members, usize::from(h.groups))?;
+        Ok(h)
+    }
+}
 
 /// A decoded reproducer: its kind plus ordered `key=value` fields.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -110,9 +110,9 @@ fn tracing_does_not_perturb_chaos_runs() {
     spec.drain = SimDuration::from_millis(2);
     spec.partition_from = SimDuration::from_micros(1000);
     spec.partition_until = SimDuration::from_micros(2500);
-    let plain = chaos::run(System::P4ce, &spec, 3, &Tracer::disabled());
+    let plain = chaos::run(&spec.on(System::P4ce, 3), &Tracer::disabled());
     let handle = TraceHandle::new();
-    let traced = chaos::run(System::P4ce, &spec, 3, &handle.tracer("chaos"));
+    let traced = chaos::run(&spec.on(System::P4ce, 3), &handle.tracer("chaos"));
     assert_eq!(plain, traced, "traced chaos run must match untraced");
     let records = handle.records();
     assert!(!records.is_empty(), "chaos run emitted no trace records");

@@ -43,7 +43,7 @@ fn main() {
     );
     println!("  storm {} + drain {}", spec.storm, spec.drain);
 
-    let r = chaos::run(System::P4ce, &spec, members, &Tracer::disabled());
+    let r = chaos::run(&spec.on(System::P4ce, members), &Tracer::disabled());
 
     println!("\nstorm accounting:");
     println!(

@@ -129,6 +129,10 @@ done <<'ROWS'
 ==> the model checker keeps one of each: one oracle per safety clause, one reproducer format
 # The reproducer half is a library-part check below.
 0 | -rn | crates/*/src | PrefixConsistency | fn prefix_consistency | '{}' is gone; exactly-once (seqs 0..n at every member) implies that any two seq prefixes agree (EXPERIMENTS E34)
+
+==> one fault language: every driver says its faults in one FaultSchedule, applied in one place
+0 | -rn | crates/*/src | fn install_storm | fn clear_storm | fn partition_member | PARTITION_HOLD | partition_leader_at | '{}' is gone; a driver's faults are a harness::faults::FaultSchedule, written on one faults= line (EXPERIMENTS E35)
+0 | -rn --exclude=faults.rs | crates/harness/src | set_node_down | set_fault_plan | clear_fault_plan | kill_member | kill_switch | '{}' appears under crates/harness/src only in faults.rs; Faults::apply is the one place a driver crashes a node or plans a link (EXPERIMENTS E35)
 ROWS
 
 echo "==> what a row cannot say: a path that is gone, a count at most one, a function or type body, a file's library part"

@@ -13,11 +13,11 @@ use p4ce_harness::{ChaosSpec, System};
 /// its schedule and prints a replayable `kind=chaos` reproducer before
 /// re-raising the panic.
 fn run_p4ce(spec: &ChaosSpec, n: usize) -> p4ce_harness::ChaosReport {
-    run_checked(spec, n, System::P4ce)
+    run_checked(&spec.on(System::P4ce, n))
 }
 
 fn run_mu(spec: &ChaosSpec, n: usize) -> p4ce_harness::ChaosReport {
-    run_checked(spec, n, System::Mu)
+    run_checked(&spec.on(System::Mu, n))
 }
 
 #[test]
@@ -78,7 +78,7 @@ fn same_seed_and_schedule_replays_identically() {
 fn chaos_reproducer_replays_the_same_run() {
     let spec = ChaosSpec::seeded(0xDE7E_0001, 3);
     let direct = run_p4ce(&spec, 3);
-    let text = spec.to_repro(System::P4ce, 3).encode();
+    let text = spec.on(System::P4ce, 3).to_repro().encode();
     let repro = p4ce_harness::Repro::decode(&text).expect("well-formed reproducer");
     let replayed =
         p4ce_harness::chaos::replay(&repro, &netsim::Tracer::disabled()).expect("replayable");

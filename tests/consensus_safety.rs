@@ -5,10 +5,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use bytes::Bytes;
-use netsim::{FaultPlan, PortId, SimDuration, SimTime};
+use netsim::{SimDuration, SimTime};
 use p4ce::ClusterBuilder;
 use p4ce_harness::explore::oracle::{check_all, probe_members};
-use p4ce_harness::ChaosRecorder;
+use p4ce_harness::{ChaosRecorder, Fault, FaultSchedule, Faults};
 use proptest::prelude::*;
 use rdma::Host;
 use replication::{Deployment, Fabric, Member, MemberEvent, WorkloadSpec};
@@ -175,15 +175,10 @@ fn heal_after_partition<F: Fabric>(builder: replication::ClusterBuilder<F>, hold
         .workload(WorkloadSpec::closed(16, VALUE, 0))
         .build();
     d.sim.run_until(SimTime::from_millis(60));
-    let node = d.members[2];
-    let port = PortId::from_index(0);
-    let (from, until) = (d.sim.now(), d.sim.now() + hold);
-    let (peer, peer_port) = d.sim.peer_of(node, port);
-    for (n, p) in [(node, port), (peer, peer_port)] {
-        d.sim
-            .set_fault_plan(n, p, FaultPlan::new().partition(from, until));
-    }
-    d.sim.run_until(until);
+    let until = d.sim.now() + hold;
+    let cut = Fault::Partition { member: 2, hold };
+    let schedule = FaultSchedule::new(vec![(0, cut)]);
+    Faults::new(&schedule, Some(d.sim.now()), &d.members).run_until(&mut d.sim, until);
     // The leader waited on replica 2 until the detector declared it dead:
     // one closed-loop window of proposals, at most.
     let stalls = d.member(0).stats.writer_stalls;
