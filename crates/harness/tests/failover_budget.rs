@@ -249,3 +249,22 @@ fn the_pinned_wrapper_still_panics_on_an_unserved_kill() {
         ..FailoverConfig::default()
     });
 }
+
+/// A storm as long as the observation is calmed at the observation's
+/// end, and the timeline marks that end.
+#[test]
+fn a_storm_as_long_as_the_observation_ends_on_the_timeline() {
+    let cfg = FailoverConfig {
+        chaos: Some(ChaosSpec {
+            storm: stormy().observe_for,
+            ..ChaosSpec::seeded(7, 3)
+        }),
+        ..stormy()
+    };
+    let out = try_failover(&cfg, None).expect("the kill is served under the storm");
+    let ends: Vec<_> = (out.timeline.annotations.iter())
+        .filter(|a| a.label == "fault-storm end")
+        .map(|a| a.t)
+        .collect();
+    assert_eq!(ends, [out.budget.t_kill + cfg.observe_for]);
+}
